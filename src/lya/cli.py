@@ -45,9 +45,8 @@ class _Session:
         self.inputs: list[dict] = []
 
     def load(self, path: str) -> dict:
-        data = ser.load_json_file(path)
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs.append({"path": path, "sha256": digest})
+        raw, data = ser.read_json_file(path)
+        self.inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
         return data
 
 

@@ -13,6 +13,7 @@ the test batteries use as a duplicated-assembly oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -62,10 +63,7 @@ class DerSpace:
 
     @property
     def alg_dim(self) -> int:
-        n = 0
-        while n * n < self.space.ambient_dim:
-            n += 1
-        return n
+        return math.isqrt(self.space.ambient_dim)
 
     def maps(self) -> tuple[LinMap, ...]:
         n = self.alg_dim

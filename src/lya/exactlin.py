@@ -64,7 +64,7 @@ def vis_zero(v: Vec) -> bool:
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 @dataclass(frozen=True)

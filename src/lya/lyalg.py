@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import AxiomError, InputError, MathError
@@ -42,34 +44,41 @@ def zero_tensor4(n: int) -> Tensor4:
 
 def binary_eval(c: Tensor3, u: Vec, v: Vec) -> Vec:
     """Bilinear contraction of two coordinate vectors against ``c``."""
-    n = len(c)
-    out = vzero(n)
+    out = list(vzero(len(c)))
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
+        row = c[i]
         for j, b in enumerate(v):
-            if b == 0:
+            if not b:
                 continue
-            out = vadd(out, vscale(a * b, c[i][j]))
-    return out
+            ab = a * b
+            for l, x in enumerate(row[j]):
+                if x:
+                    out[l] += ab * x
+    return tuple(out)
 
 
 def ternary_eval(d: Tensor4, u: Vec, v: Vec, w: Vec) -> Vec:
     """Trilinear contraction of three coordinate vectors against ``d``."""
-    n = len(d)
-    out = vzero(n)
+    out = list(vzero(len(d)))
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
+        plane = d[i]
         for j, b in enumerate(v):
-            if b == 0:
+            if not b:
                 continue
             ab = a * b
+            row = plane[j]
             for k, e in enumerate(w):
-                if e == 0:
+                if not e:
                     continue
-                out = vadd(out, vscale(ab * e, d[i][j][k]))
-    return out
+                abe = ab * e
+                for l, x in enumerate(row[k]):
+                    if x:
+                        out[l] += abe * x
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,40 @@ def _tensor_shapes_ok(n: int, c, d) -> None:
         raise InputError("ternary tensor shape does not match dimension")
 
 
+def _cleared(c: Tensor3, d: Tensor4):
+    """Sparse integer view of the tensor pair with denominators cleared.
+
+    Returns the least common denominator L of every entry of ``c`` and ``d``
+    and the nonzero coordinates of L*c[i][j] and L*d[i][j][k], each as a list
+    of (index, int) pairs.
+    """
+    scale = math.lcm(*{x.denominator for row in c for v in row for x in v},
+                     *{x.denominator for plane in d for row in plane for v in row for x in v})
+
+    def cleared(v: Vec) -> list[tuple[int, int]]:
+        return [(l, x.numerator * (scale // x.denominator)) for l, x in enumerate(v) if x]
+
+    cs = [[cleared(v) for v in row] for row in c]
+    ds = [[[cleared(v) for v in row] for row in plane] for plane in d]
+    return scale, cs, ds
+
+
+def _mac(acc: list[int], coeffs, vectors) -> None:
+    """acc += x * vectors[a] over the sparse (a, x) pairs of ``coeffs``."""
+    for a, x in coeffs:
+        for l, y in vectors[a]:
+            acc[l] += x * y
+
+
 def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
     """Evaluate the six defining identities on all basis tuples.
 
     The two alternating conditions are checked directly on the tensors; the
     remaining identities are evaluated on every ordered tuple of basis
-    indices, which is complete by multilinearity.
+    indices, which is complete by multilinearity.  They run in integers on
+    the nonzeros of the tensors scaled by their common denominator L, where
+    each identity is homogeneous of degree two (LY3's linear ternary terms
+    carry one extra factor L), so a residual is its accumulator over L*L.
     """
     _tensor_shapes_ok(n, c, d)
     failures: list[AxiomFailure] = []
@@ -124,40 +161,61 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
                 if not vis_zero(res):
                     fail("LY2", (i, j, k), res)
 
+    scale, cs, ds = _cleared(c, d)
+    denom = scale * scale
+
+    def check(tag: str, idx: tuple[int, ...], acc: list[int]) -> None:
+        if any(acc):
+            fail(tag, idx, tuple(Fraction(x, denom) for x in acc))
+
     idx = range(n)
+    # Transposes that put the contracted slot last: c_1[j][a] = c[a][j],
+    # d_1[j][k][a] = d[a][j][k] and d_2[i][k][a] = d[i][a][k].
+    c_1 = [[cs[a][j] for a in idx] for j in idx]
+    d_1 = [[[ds[a][j][k] for a in idx] for k in idx] for j in idx]
+    d_2 = [[[ds[i][a][k] for a in idx] for k in idx] for i in idx]
+
     for g, h, i in itertools.product(idx, repeat=3):
-        res = d[g][h][i]
-        res = vadd(res, d[h][i][g])
-        res = vadd(res, d[i][g][h])
-        res = vadd(res, binary_eval(c, c[g][h], vunit(n, i)))
-        res = vadd(res, binary_eval(c, c[h][i], vunit(n, g)))
-        res = vadd(res, binary_eval(c, c[i][g], vunit(n, h)))
-        if not vis_zero(res):
-            fail("LY3", (g, h, i), res)
+        acc = [0] * n
+        for cyc in (ds[g][h][i], ds[h][i][g], ds[i][g][h]):
+            for l, x in cyc:
+                acc[l] += scale * x
+        _mac(acc, cs[g][h], c_1[i])
+        _mac(acc, cs[h][i], c_1[g])
+        _mac(acc, cs[i][g], c_1[h])
+        check("LY3", (g, h, i), acc)
 
-    for g, h, i, j in itertools.product(idx, repeat=4):
-        res = ternary_eval(d, c[g][h], vunit(n, i), vunit(n, j))
-        res = vadd(res, ternary_eval(d, c[h][i], vunit(n, g), vunit(n, j)))
-        res = vadd(res, ternary_eval(d, c[i][g], vunit(n, h), vunit(n, j)))
-        if not vis_zero(res):
-            fail("LY4", (g, h, i, j), res)
+    for g, h, i in itertools.product(idx, repeat=3):
+        if not (cs[g][h] or cs[h][i] or cs[i][g]):
+            continue
+        for j in idx:
+            acc = [0] * n
+            _mac(acc, cs[g][h], d_1[i][j])
+            _mac(acc, cs[h][i], d_1[g][j])
+            _mac(acc, cs[i][g], d_1[h][j])
+            check("LY4", (g, h, i, j), acc)
 
-    for g, h, i, j in itertools.product(idx, repeat=4):
-        lhs = ternary_eval(d, vunit(n, g), vunit(n, h), c[i][j])
-        rhs = binary_eval(c, d[g][h][i], vunit(n, j))
-        rhs = vadd(rhs, binary_eval(c, vunit(n, i), d[g][h][j]))
-        res = vadd(lhs, vscale(-1, rhs))
-        if not vis_zero(res):
-            fail("LY5", (g, h, i, j), res)
+    # Every LY5 and LY6 term carries a factor d[g][h], so pairs (g, h) with
+    # a zero ternary row contribute nothing.
+    ghs = [(g, h, ds[g][h], [[(a, -x) for a, x in v] for v in ds[g][h]])
+           for g, h in itertools.product(idx, repeat=2) if any(ds[g][h])]
 
-    for g, h, i, j, k in itertools.product(idx, repeat=5):
-        lhs = ternary_eval(d, vunit(n, g), vunit(n, h), d[i][j][k])
-        rhs = ternary_eval(d, d[g][h][i], vunit(n, j), vunit(n, k))
-        rhs = vadd(rhs, ternary_eval(d, vunit(n, i), d[g][h][j], vunit(n, k)))
-        rhs = vadd(rhs, ternary_eval(d, vunit(n, i), vunit(n, j), d[g][h][k]))
-        res = vadd(lhs, vscale(-1, rhs))
-        if not vis_zero(res):
-            fail("LY6", (g, h, i, j, k), res)
+    for g, h, dgh, neg in ghs:
+        for i, j in itertools.product(idx, repeat=2):
+            acc = [0] * n
+            _mac(acc, cs[i][j], dgh)
+            _mac(acc, neg[i], c_1[j])
+            _mac(acc, neg[j], cs[i])
+            check("LY5", (g, h, i, j), acc)
+
+    for g, h, dgh, neg in ghs:
+        for i, j, k in itertools.product(idx, repeat=3):
+            acc = [0] * n
+            _mac(acc, ds[i][j][k], dgh)
+            _mac(acc, neg[i], d_1[j][k])
+            _mac(acc, neg[j], d_2[i][k])
+            _mac(acc, neg[k], ds[i][j])
+            check("LY6", (g, h, i, j, k), acc)
 
     return AxiomReport(passed=not failures, failures=tuple(failures))
 

@@ -9,7 +9,6 @@ trailing newline, so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -19,10 +18,6 @@ from .lyalg import LeibnizAlgebra, LYAlgebra, Tensor3, Tensor4, tensor3
 from .maps import LinMap
 from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
 from .theorems import PropReport
-
-
-def rat_str(x: Fraction) -> str:
-    return str(x)
 
 
 def vec_strs(v: Vec) -> list[str]:
@@ -49,10 +44,15 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _is_int(x) -> bool:
+    """JSON integer; JSON booleans decode to bool, which Python counts as int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _get_dim(data: dict) -> int:
     _require(isinstance(data, dict), "expected a JSON object")
     dim = data.get("dim")
-    _require(isinstance(dim, int) and dim >= 0, "'dim' must be a nonnegative integer")
+    _require(_is_int(dim) and dim >= 0, "'dim' must be a nonnegative integer")
     return dim
 
 
@@ -81,7 +81,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
     for entry in data.get("binary", []):
         _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
         i, j, coeffs = entry
-        _require(isinstance(i, int) and isinstance(j, int), "binary indices must be integers")
+        _require(_is_int(i) and _is_int(j), "binary indices must be integers")
         _require(0 <= i < j < n, f"binary indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
         _require((i, j) not in seen_binary, f"duplicate binary entry ({i}, {j})")
         seen_binary.add((i, j))
@@ -93,7 +93,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
         _require(isinstance(entry, list) and len(entry) == 4,
                  "ternary entry must be [i, j, k, coeffs]")
         i, j, k, coeffs = entry
-        _require(all(isinstance(x, int) for x in (i, j, k)), "ternary indices must be integers")
+        _require(all(_is_int(x) for x in (i, j, k)), "ternary indices must be integers")
         _require(0 <= i < j < n and 0 <= k < n,
                  f"ternary indices must satisfy 0 <= i < j < dim and 0 <= k < dim, got ({i}, {j}, {k})")
         _require((i, j, k) not in seen_ternary, f"duplicate ternary entry ({i}, {j}, {k})")
@@ -150,7 +150,7 @@ def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
     for entry in data.get("product", []):
         _require(isinstance(entry, list) and len(entry) == 3, "product entry must be [i, j, coeffs]")
         i, j, coeffs = entry
-        _require(isinstance(i, int) and isinstance(j, int), "product indices must be integers")
+        _require(_is_int(i) and _is_int(j), "product indices must be integers")
         _require(0 <= i < n and 0 <= j < n, f"product indices out of range: ({i}, {j})")
         _require((i, j) not in seen, f"duplicate product entry ({i}, {j})")
         seen.add((i, j))
@@ -173,7 +173,7 @@ def map_to_dict(f: LinMap) -> dict:
 def subspace_from_dict(data: dict) -> Subspace:
     _require(isinstance(data, dict), "expected a JSON object")
     ambient = data.get("ambient")
-    _require(isinstance(ambient, int) and ambient >= 0, "'ambient' must be a nonnegative integer")
+    _require(_is_int(ambient) and ambient >= 0, "'ambient' must be a nonnegative integer")
     basis = data.get("basis", [])
     _require(isinstance(basis, list), "'basis' must be a list of vectors")
     return Subspace.span(ambient, [strs_vec(row, ambient) for row in basis])
@@ -239,18 +239,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def load_json_file(path: str | Path) -> dict:
+def read_json_file(path: str | Path) -> tuple[bytes, Any]:
+    """Read a file once and return its bytes with the JSON value they hold."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        raw = p.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
     try:
-        return json.loads(text)
+        # Newlines are normalized as a text-mode read would, so error
+        # positions count lines the same way.
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {p}: not UTF-8 text: {exc}") from exc
+    try:
+        return raw, json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {p}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_json_file(path: str | Path) -> Any:
+    return read_json_file(path)[1]
 
 
 def save_json_file(path: str | Path, obj) -> None:

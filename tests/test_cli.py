@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,78 @@ def test_check_malformed_json_exits_2(tmp_path):
     code, report = run_json("check", str(bad))
     assert code == 2
     assert "line 1" in report["error"]
+
+
+def test_check_non_utf8_input_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"dim": "\xff"}')
+    code, report = run_json("check", str(bad))
+    assert code == 2
+    assert "UTF-8" in report["error"]
+
+
+# aff2 ([e1, e2] = e1) with a stray ternary product {e1, e2, e2} = e2/5.  The
+# common denominator 5 shows up squared in the LY6 residuals.
+FAILING_ALGEBRA = ('{"dim": 2, "labels": ["e1", "e2"], "binary": [[0, 1, ["1", "0"]]], '
+                   '"ternary": [[0, 1, 1, ["0", "1/5"]]]}\n')
+
+
+def test_check_failing_input_stdout_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(FAILING_ALGEBRA, encoding="utf-8")
+    code, text = run_cli("check", "bad.json")
+    assert code == 1
+    failures = [(f["axiom"], f["indices"], f["residual"])
+                for f in json.loads(text)["result"]["failures"]]
+    assert failures == [
+        ("LY5", [0, 1, 0, 1], ["-1/5", "0"]),
+        ("LY5", [0, 1, 1, 0], ["1/5", "0"]),
+        ("LY5", [1, 0, 0, 1], ["1/5", "0"]),
+        ("LY5", [1, 0, 1, 0], ["-1/5", "0"]),
+        ("LY6", [0, 1, 0, 1, 1], ["0", "-1/25"]),
+        ("LY6", [0, 1, 1, 0, 1], ["0", "1/25"]),
+        ("LY6", [1, 0, 0, 1, 1], ["0", "1/25"]),
+        ("LY6", [1, 0, 1, 0, 1], ["0", "-1/25"]),
+    ]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "b9ff0042714fd0b6517bedb65ce0bfc3b479886f4943612240398eda5be40fa7"
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": True},
+    {"dim": 2, "binary": [[False, True, ["0", "0"]]]},
+    {"dim": 2, "ternary": [[0, True, 0, ["0", "0"]]]},
+])
+def test_json_booleans_are_not_integers(tmp_path, data):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_json("check", str(path))
+    assert code == 2
+    assert report["verb"] == "check" and "integer" in report["error"]
+    assert "result" not in report
+
+
+def test_input_hash_describes_the_parsed_bytes(sl2_file, monkeypatch):
+    """The file changes right after its first read: the reported hash and the
+    parsed algebra must both describe the bytes of that one read."""
+    original = sl2_file.read_bytes()
+    swapped = []
+
+    def swap_after(read):
+        def wrapper(self, *args, **kwargs):
+            out = read(self, *args, **kwargs)
+            if self == sl2_file and not swapped:
+                swapped.append(True)
+                sl2_file.write_text('{"dim": 1}\n', encoding="utf-8")
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Path, "read_bytes", swap_after(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", swap_after(Path.read_text))
+    code, report = run_json("der", str(sl2_file))
+    assert swapped
+    assert code == 0 and report["result"]["alg_dim"] == 3
+    assert report["inputs"][0]["sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_der_dimension_report(tmp_path):

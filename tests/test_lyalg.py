@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from lya.errors import AxiomError, InputError, MathError
-from lya.exactlin import vadd, vec, vscale, vunit, vzero
+from lya.exactlin import Matrix, invert, vadd, vec, vscale, vunit, vzero
 from lya.lyalg import (
     CATALOG_NAMES,
+    AxiomFailure,
+    AxiomReport,
     LYAlgebra,
     LeibnizAlgebra,
     abelian,
@@ -27,20 +30,20 @@ from lya.lyalg import (
 E, F, H = 0, 1, 2  # sl2 basis order used by the catalog
 
 
+def _support(v):
+    return [a for a, x in enumerate(v) if x]
+
+
 def contraction_oracle_binary(c, g, h):
     """Scalar-by-scalar tensor contraction, coded independently of binary_eval."""
-    n = len(c)
-    return tuple(
-        sum((g[i] * h[j] * c[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
-        for k in range(n))
+    terms = [(g[a] * h[b], c[a][b]) for a in _support(g) for b in _support(h)]
+    return tuple(sum((x * v[k] for x, v in terms), Fraction(0)) for k in range(len(c)))
 
 
 def contraction_oracle_ternary(d, g, h, i):
-    n = len(d)
-    return tuple(
-        sum((g[a] * h[b] * i[e] * d[a][b][e][k]
-             for a in range(n) for b in range(n) for e in range(n)), Fraction(0))
-        for k in range(n))
+    terms = [(g[a] * h[b] * i[e], d[a][b][e])
+             for a in _support(g) for b in _support(h) for e in _support(i)]
+    return tuple(sum((x * v[k] for x, v in terms), Fraction(0)) for k in range(len(d)))
 
 
 def rand_vec(rng, n):
@@ -287,3 +290,136 @@ def test_zero_dimensional_algebra():
     a = abelian(0)
     assert a.dim == 0
     assert check_axioms(0, (), ()).passed
+
+
+def axiom_oracle(n, c, d):
+    """LY1-LY6 evaluated in Fraction arithmetic straight from the identities.
+
+    Coded independently of check_axioms: products of basis vectors go
+    through the contraction oracles and nothing is scaled.  Failures
+    come identity by identity, each over the basis tuples in the order
+    check_axioms scans them (LY2 with the last index outermost, LY3-LY6
+    lexicographic).
+    """
+    e = [vunit(n, i) for i in range(n)]
+
+    def bi(x, y):
+        return contraction_oracle_binary(c, x, y)
+
+    def tri(x, y, z):
+        return contraction_oracle_ternary(d, x, y, z)
+
+    def total(*terms):
+        return tuple(sum(col, Fraction(0)) for col in zip(*terms))
+
+    def neg(v):
+        return tuple(-x for x in v)
+
+    failures = []
+
+    def record(tag, idx, res):
+        if any(res):
+            failures.append(AxiomFailure(tag, idx, total(res)))
+
+    for i in range(n):
+        for j in range(i, n):
+            record("LY1", (i, j), bi(e[i], e[j]) if i == j
+                   else total(bi(e[i], e[j]), bi(e[j], e[i])))
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                record("LY2", (i, j, k), tri(e[i], e[j], e[k]) if i == j
+                       else total(tri(e[i], e[j], e[k]), tri(e[j], e[i], e[k])))
+    idx = range(n)
+    for g, h, i in itertools.product(idx, repeat=3):
+        record("LY3", (g, h, i), total(
+            tri(e[g], e[h], e[i]), tri(e[h], e[i], e[g]), tri(e[i], e[g], e[h]),
+            bi(bi(e[g], e[h]), e[i]), bi(bi(e[h], e[i]), e[g]), bi(bi(e[i], e[g]), e[h])))
+    for g, h, i, j in itertools.product(idx, repeat=4):
+        record("LY4", (g, h, i, j), total(
+            tri(bi(e[g], e[h]), e[i], e[j]), tri(bi(e[h], e[i]), e[g], e[j]),
+            tri(bi(e[i], e[g]), e[h], e[j])))
+    for g, h, i, j in itertools.product(idx, repeat=4):
+        record("LY5", (g, h, i, j), total(
+            tri(e[g], e[h], bi(e[i], e[j])),
+            neg(bi(tri(e[g], e[h], e[i]), e[j])), neg(bi(e[i], tri(e[g], e[h], e[j])))))
+    for g, h, i, j, k in itertools.product(idx, repeat=5):
+        ghi, ghj, ghk = tri(e[g], e[h], e[i]), tri(e[g], e[h], e[j]), tri(e[g], e[h], e[k])
+        record("LY6", (g, h, i, j, k), total(
+            tri(e[g], e[h], tri(e[i], e[j], e[k])),
+            neg(tri(ghi, e[j], e[k])), neg(tri(e[i], ghj, e[k])), neg(tri(e[i], e[j], ghk))))
+    return AxiomReport(passed=not failures, failures=tuple(failures))
+
+
+def change_basis(a, seed):
+    """Structure constants of ``a`` in a seeded random rational basis."""
+    rng = random.Random(seed)
+    n = a.dim
+    while True:
+        p = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                               for _ in range(n)] for _ in range(n)])
+        p_inv = invert(p)
+        if p_inv is not None:
+            break
+    cols = [p.col(i) for i in range(n)]
+    c = [[p_inv.mul_vec(contraction_oracle_binary(a.c, cols[i], cols[j])) for j in range(n)]
+         for i in range(n)]
+    d = [[[p_inv.mul_vec(contraction_oracle_ternary(a.d, cols[i], cols[j], cols[k]))
+           for k in range(n)] for j in range(n)] for i in range(n)]
+    return tensor3(c), tensor4(d)
+
+
+def corrupt(rng, c, d, denominator):
+    """Add p/denominator to a few random coordinates, half the time keeping
+    the alternating symmetry of the touched pair."""
+    n = len(c)
+    c = [[list(v) for v in row] for row in c]
+    d = [[[list(v) for v in plane] for plane in row] for row in d]
+    for _ in range(rng.randint(1, 3)):
+        q = Fraction(rng.choice([-3, -1, 1, 2]), denominator)
+        alternating = rng.random() < 0.5
+        if rng.random() < 0.4:
+            i, j, l = (rng.randrange(n) for _ in range(3))
+            c[i][j][l] += q
+            if alternating and i != j:
+                c[j][i][l] -= q
+        else:
+            i, j, k, l = (rng.randrange(n) for _ in range(4))
+            d[i][j][k][l] += q
+            if alternating and i != j:
+                d[j][i][k][l] -= q
+    return tensor3(c), tensor4(d)
+
+
+def test_check_axioms_matches_oracle_on_catalog():
+    for name in CATALOG_NAMES:
+        a = catalog(name)
+        assert check_axioms(a.dim, a.c, a.d) == axiom_oracle(a.dim, a.c, a.d)
+
+
+def test_check_axioms_matches_oracle_after_rational_change_of_basis():
+    a = catalog("sl2_plus_ab1")
+    c, d = change_basis(a, seed=11)
+    assert any(x.denominator > 1 for row in c for v in row for x in v)
+    report = check_axioms(a.dim, c, d)
+    assert report.passed
+    assert report == axiom_oracle(a.dim, c, d)
+
+
+def test_check_axioms_matches_oracle_on_seeded_corruptions():
+    rng = random.Random(2024)
+    # (c, d, corruptions per denominator); the dense four-dimensional case
+    # is the slowest for the oracle, so it gets one of each.
+    bases = [(catalog(name).c, catalog(name).d, 4) for name in ("sl2", "lts_sl2", "aff2")]
+    bases.append((*change_basis(catalog("sl2"), seed=5), 4))
+    bases.append((*change_basis(catalog("sl2_plus_ab1"), seed=11), 1))
+    tags = set()
+    for c0, d0, count in bases:
+        for denominator in (2, 5):
+            for _ in range(count):
+                c, d = corrupt(rng, c0, d0, denominator)
+                report = check_axioms(len(c), c, d)
+                assert report == axiom_oracle(len(c), c, d)
+                assert not report.passed
+                tags |= {f.axiom for f in report.failures}
+    assert {"LY1", "LY2", "LY3", "LY4", "LY5", "LY6"} <= tags
