@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Deterministic Gaussian elimination, nullspaces, and canonically represented
-subspaces (reduced row echelon bases).  Every value is immutable and every
+Reduced row echelon forms, nullspaces, and canonically represented
+subspaces (reduced row echelon bases).  Values are ``Fraction``; ``rref``
+eliminates fraction-free over integer rows with their content removed and
+divides by the pivots once at the end.  Every value is immutable and every
 function is pure, so results are reproducible bit for bit and safe to share
 across threads.
 """
@@ -9,6 +11,7 @@ across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -143,31 +146,65 @@ class Matrix:
         return tuple(itertools.chain.from_iterable(self.entries))
 
 
+def _integer_row(r: Vec) -> list[int]:
+    """``r`` times the lcm of its denominators: same row space, integer entries."""
+    den = math.lcm(*[x.denominator for x in r])
+    if den == 1:
+        return [x.numerator for x in r]
+    return [x.numerator * (den // x.denominator) for x in r]
+
+
+def _eliminate(row: list[int], prow: list[int], a: int, b: int) -> list[int] | None:
+    """``row`` with its entry ``b`` over the pivot ``a`` of ``prow`` cleared,
+    divided by its content; None when nothing is left."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    c = math.gcd(*out)
+    if c == 0:
+        return None
+    if c != 1:
+        out = [x // c for x in out]
+    return out
+
+
 def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form of ``m``, zero rows dropped."""
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pr = 0
+    """Unique reduced row echelon form of ``m``, zero rows dropped.
+
+    Gauss-Jordan runs fraction-free on integer rows: eliminating column
+    ``pc`` replaces a row by ``a*row - b*pivot_row`` and divides it by its
+    content (the gcd of its entries), which keeps the integers small
+    without changing the row space.  Each pivot row is divided by its pivot
+    once at the end; the reduced echelon form is unique, so this is the
+    same matrix that Fraction elimination gives.
+    """
+    ncols = m.cols
+    pending = [r for r in map(_integer_row, m.entries) if any(r)]
+    done: list[tuple[int, list[int]]] = []
     for pc in range(ncols):
-        piv = None
-        for r in range(pr, nrows):
-            if rows[r][pc] != 0:
-                piv = r
-                break
+        if not pending:
+            break
+        piv = next((i for i, r in enumerate(pending) if r[pc]), None)
         if piv is None:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = rows[pr][pc]
-        if inv != 1:
-            rows[pr] = [x / inv for x in rows[pr]]
-        for r in range(nrows):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == nrows:
-            break
-    return Matrix(pr, ncols, tuple(tuple(r) for r in rows[:pr]))
+        prow = pending.pop(piv)
+        a = prow[pc]
+        kept = []
+        for r in pending:
+            b = r[pc]
+            if b:
+                r = _eliminate(r, prow, a, b)
+                if r is None:
+                    continue
+            kept.append(r)
+        pending = kept
+        for k, (p, r) in enumerate(done):
+            b = r[pc]
+            if b:
+                done[k] = (p, _eliminate(r, prow, a, b))
+        done.append((pc, prow))
+    return Matrix(len(done), ncols, tuple(
+        tuple(Fraction(x, r[p]) if x else ZERO for x in r) for p, r in done))
 
 
 def rank(m: Matrix) -> int:

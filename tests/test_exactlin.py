@@ -41,12 +41,112 @@ def independent_rank(rows):
     return r
 
 
-def random_matrix(rng, rows, cols, span=6):
+def random_matrix(rng, rows, cols, span=6, dens=(1, 1, 2, 3), density=1.0):
+    """Seeded rational matrix; each entry is nonzero-drawn with probability ``density``."""
     return Matrix.from_rows(
-        [[Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3])) for _ in range(cols)]
+        [[Fraction(rng.randint(-span, span), rng.choice(dens)) if rng.random() < density else 0
+          for _ in range(cols)]
          for _ in range(rows)],
         cols=cols,
     )
+
+
+def rref_reference(m):
+    """Plain Fraction Gauss-Jordan, the oracle for the fraction-free rref."""
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pr = 0
+    for pc in range(ncols):
+        piv = None
+        for r in range(pr, nrows):
+            if rows[r][pc] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = rows[pr][pc]
+        if inv != 1:
+            rows[pr] = [x / inv for x in rows[pr]]
+        for r in range(nrows):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pr += 1
+        if pr == nrows:
+            break
+    return Matrix(pr, ncols, tuple(tuple(r) for r in rows[:pr]))
+
+
+def differential_cases():
+    """Seeded matrices of the shapes the solvers feed to rref, plus edge shapes."""
+    rng = random.Random(31337)
+    cases = []
+    for _ in range(4):
+        # Constraint-like: tall, about 5 % nonzero.
+        cases.append(random_matrix(rng, 300, 16, density=0.05))
+    for _ in range(6):
+        # Dense rationals with large numerators.
+        cases.append(random_matrix(rng, rng.randint(3, 12), rng.randint(3, 12),
+                                   span=10**6, dens=range(1, 8)))
+    for _ in range(3):
+        cases.append(random_matrix(rng, 5, 135, density=0.3))
+    for _ in range(6):
+        # Rank-deficient products: inner dimension below both outer ones.
+        k = rng.randint(1, 4)
+        a = random_matrix(rng, rng.randint(k + 1, 10), k)
+        b = random_matrix(rng, k, rng.randint(k + 1, 10))
+        cases.append(a.mul(b))
+    for _ in range(4):
+        # Duplicated, rescaled and zero rows interleaved.
+        base = random_matrix(rng, 4, 7, density=0.6)
+        rows = [r for r in base.entries for _ in range(2)] + [(Fraction(0),) * 7] * 3
+        rows += [tuple(Fraction(-3, 2) * x for x in r) for r in base.entries]
+        rng.shuffle(rows)
+        cases.append(Matrix(len(rows), 7, tuple(rows)))
+    cases += [Matrix.zero(0, 5), Matrix(4, 0, ((),) * 4), Matrix.zero(0, 0), Matrix.zero(6, 3)]
+    return cases
+
+
+def assert_fraction_entries(m):
+    assert all(type(x) is Fraction for r in m.entries for x in r)
+
+
+def test_rref_matches_fraction_reference():
+    for m in differential_cases():
+        got = rref(m)
+        assert got == rref_reference(m)
+        assert_fraction_entries(got)
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in differential_cases():
+        if m.rows == 0 or m.cols == 0:
+            continue
+        red, _ = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                               for r in m.entries]).rref()
+        want = [tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
+                for i in range(red.rows)]
+        assert rref(m).entries == tuple(r for r in want if any(r))
+
+
+def test_rref_matches_reference_on_generated_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.one_of(st.just(Fraction(0)), entry),
+                                       min_size=cols, max_size=cols), max_size=8)
+        .map(lambda rows: Matrix(len(rows), cols, tuple(map(tuple, rows))))))
+    def check(m):
+        got = rref(m)
+        assert got == rref_reference(m)
+        assert_fraction_entries(got)
+
+    check()
 
 
 def test_rref_dependent_rows_collapse():
