@@ -313,3 +313,55 @@ def test_out_flag_duplicates_report(sl2_file, tmp_path):
     code, text = run_cli("der", str(sl2_file), "--out", str(out_file))
     assert code == 0
     assert out_file.read_text(encoding="utf-8") == text
+
+
+# Map and subspace files for the pinned reports below.
+PINNED_FILES = {
+    "chev.json": {"dim": 3, "matrix": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]},
+    "adh.json": {"dim": 3, "matrix": [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]},
+    "e11.json": {"dim": 3, "matrix": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    "line.json": {"ambient": 3, "basis": [["1", "0", "0"]]},
+    "plane.json": {"ambient": 3, "basis": [["1", "0", "0"], ["0", "1", "0"]]},
+    "block.json": {"ambient": 4, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                           ["0", "0", "1", "0"]]},
+}
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (("der", "sl2_plus_ab1.json"), 0,
+     "c801dbf97e1b5ae2276badeded247f12bee50873467142c5ea44352022984aa4"),
+    (("der", "lts_sl2.json"), 0,
+     "6a09228cb8ebcc4ad52848693bff27148f60873fca483fb0c442694825a30d88"),
+    (("gder", "sl2.json", "--theta", "chev.json"), 0,
+     "5d93bba0500d8c9dbb1680d7e590c4484f99f051881906700353893f586a5e6b"),
+    (("gder", "lts_sl2.json", "--theta", "neg", "--vartheta", "neg"), 0,
+     "16747f612b6f488a2cf1898c9a53ba4954fdb0f02a1efbf199fd093e6e0ead22"),
+    (("centroid", "sl2_plus_ab1.json"), 0,
+     "0350f1b5c5869f1f2cc3329dd2947c529e887a37cad785a9321b5f05c45c5306"),
+    (("quasi", "sl2.json", "--map", "adh.json"), 0,
+     "997a46e3100cce1a3913eb1acf25ef9daa6ebf46afbdff3001324ab3cd31e435"),
+    (("quasi", "sl2.json", "--map", "e11.json"), 1,
+     "5d30957608482452091e37ed8774225c72c0b940bae50699a12d97a0f498a419"),
+    (("stabilizer", "sl2.json", "--subspace", "line.json"), 0,
+     "6bbcbb396c4db87412137269f2476e57c199426cb473de43b9f9241aec4d513d"),
+    (("stabilizer", "sl2_plus_ab1.json", "--theta", "id", "--subspace", "block.json"), 0,
+     "6d910fc860c10720bcf276da64e08f6b1c6c2822862e4dcd3c441441ee4f0ab5"),
+    (("stabilizer", "sl2.json", "--theta", "chev.json", "--subspace", "line.json"), 1,
+     "7450bd8c311469f1781439f1facae1feb2dd56fe3ee6a3a00f4a7f9641613963"),
+    (("stabilizer", "sl2.json", "--subspace", "plane.json"), 1,
+     "0317bf5104c9cdf4db192fb251b41d2af435445c1fdd638364a7c3a82cc20ec6"),
+    (("verify", "p36", "sl2.json", "--theta", "chev.json", "--subspace", "line.json"), 0,
+     "94e5b7d5b797ebab388352e29c7ac5fa82a6892c0ea07c60f210dd871032b7ec"),
+    (("verify", "suite"), 0,
+     "1be63bcfc6df1bbc6b390dab524c688dfa7f5ad1fc9aa5fdfa02c92ad3fe5708"),
+])
+def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
+    """Exit code and stdout bytes of the solver verbs on exported catalog files."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("sl2", "lts_sl2", "sl2_plus_ab1"):
+        assert run_cli("export", name, "--out", f"{name}.json")[0] == 0
+    for name, data in PINNED_FILES.items():
+        save_json_file(name, data)
+    got_code, text = run_cli(*argv)
+    assert got_code == code
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

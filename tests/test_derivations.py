@@ -55,6 +55,73 @@ def neg_cert(name):
     return certify_automorphism(a, LinMap.identity(a.dim).scale(-1))
 
 
+def probe_constraint_matrix(algebra, residual):
+    """Oracle assembler: probe an identity linear in D with unit matrices.
+
+    ``residual(D)`` returns the identity's defect for the map D as one flat
+    list over all basis tuples.  Column p*n + q of the constraint matrix is
+    the defect of the matrix unit E_pq, so the matrix's nullspace is the
+    space of maps satisfying the identity.
+    """
+    n = algebra.dim
+    columns = [residual(LinMap.unflatten(n, vunit(n * n, flat))) for flat in range(n * n)]
+    rows = len(columns[0]) if columns else 0
+    return Matrix(rows, n * n, tuple(
+        tuple(columns[q][r] for q in range(n * n)) for r in range(rows)))
+
+
+def twisted_residual(algebra, theta, vartheta):
+    """Defect of the twisted identities, products through bracket/triple:
+
+    D[x,y] - [Dx, θy] - [ϑx, Dy] on basis pairs and
+    D{x,y,z} - {Dx, θy, ϑz} - {ϑx, Dy, θz} - {θx, ϑy, Dz} on basis triples.
+    """
+    n = algebra.dim
+    units = [vunit(n, i) for i in range(n)]
+    t = [theta.apply(u) for u in units]
+    v = [vartheta.apply(u) for u in units]
+
+    def residual(unit_map):
+        du = [unit_map.apply(u) for u in units]
+        out = []
+        for i, j in itertools.product(range(n), repeat=2):
+            defect = unit_map.apply(bracket(algebra, units[i], units[j]))
+            defect = vadd(defect, vscale(-1, bracket(algebra, du[i], t[j])))
+            defect = vadd(defect, vscale(-1, bracket(algebra, v[i], du[j])))
+            out.extend(defect)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            defect = unit_map.apply(triple(algebra, units[i], units[j], units[k]))
+            defect = vadd(defect, vscale(-1, triple(algebra, du[i], t[j], v[k])))
+            defect = vadd(defect, vscale(-1, triple(algebra, v[i], du[j], t[k])))
+            defect = vadd(defect, vscale(-1, triple(algebra, t[i], v[j], du[k])))
+            out.extend(defect)
+        return out
+
+    return residual
+
+
+def centroid_residual(algebra):
+    """Defect of D[x,y] = [Dx, y] and D{x,y,z} = {Dx, y, z} on basis tuples."""
+    n = algebra.dim
+    units = [vunit(n, i) for i in range(n)]
+
+    def residual(unit_map):
+        out = []
+        for i, j in itertools.product(range(n), repeat=2):
+            defect = unit_map.apply(bracket(algebra, units[i], units[j]))
+            defect = vadd(defect, vscale(-1, bracket(algebra, unit_map.apply(units[i]),
+                                                     units[j])))
+            out.extend(defect)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            defect = unit_map.apply(triple(algebra, units[i], units[j], units[k]))
+            defect = vadd(defect, vscale(-1, triple(algebra, unit_map.apply(units[i]),
+                                                    units[j], units[k])))
+            out.extend(defect)
+        return out
+
+    return residual
+
+
 def probe_lie_derivation_rows(algebra):
     """Oracle assembler: probe the binary Leibniz defect with unit matrices.
 
@@ -63,23 +130,24 @@ def probe_lie_derivation_rows(algebra):
     matrices, with products computed through the public bracket function.
     """
     n = algebra.dim
-    columns = []
-    for p in range(n):
-        for q in range(n):
-            unit_map = LinMap.unflatten(n, vunit(n * n, p * n + q))
-            col = []
-            for i in range(n):
-                for j in range(n):
-                    defect = unit_map.apply(algebra.c[i][j])
-                    defect = vadd(defect, vscale(-1, bracket(
-                        algebra, unit_map.apply(vunit(n, i)), vunit(n, j))))
-                    defect = vadd(defect, vscale(-1, bracket(
-                        algebra, vunit(n, i), unit_map.apply(vunit(n, j)))))
-                    col.extend(defect)
-            columns.append(col)
-    rows = len(columns[0]) if columns else 0
-    return Matrix(rows, n * n, tuple(
-        tuple(columns[q][r] for q in range(n * n)) for r in range(rows)))
+    units = [vunit(n, i) for i in range(n)]
+
+    def residual(unit_map):
+        out = []
+        for i, j in itertools.product(range(n), repeat=2):
+            defect = unit_map.apply(algebra.c[i][j])
+            defect = vadd(defect, vscale(-1, bracket(algebra, unit_map.apply(units[i]),
+                                                     units[j])))
+            defect = vadd(defect, vscale(-1, bracket(algebra, units[i],
+                                                     unit_map.apply(units[j]))))
+            out.extend(defect)
+        return out
+
+    return probe_constraint_matrix(algebra, residual)
+
+
+def probe_twisted_space(algebra, theta, vartheta):
+    return nullspace(probe_constraint_matrix(algebra, twisted_residual(algebra, theta, vartheta)))
 
 
 def quasi_system_by_probing(algebra, d_map):
@@ -160,6 +228,38 @@ def test_duplicated_assemblers_agree():
         direct = derivation_space(a)
         twisted = g_derivation_space(a, identity_cert(a), identity_cert(a))
         assert direct.space == twisted.space
+
+
+def test_derivation_space_matches_probe_oracle():
+    for name in SOLVER_NAMES:
+        a = catalog(name)
+        ident = LinMap.identity(a.dim)
+        assert probe_twisted_space(a, ident, ident) == derivation_space(a).space
+
+
+@pytest.mark.parametrize("name,theta,vartheta", [
+    ("sl2", "id", "id"),
+    ("sl2", "chevalley", "chevalley"),
+    ("sl2", "chevalley", "id"),
+    ("sl2", "id", "chevalley"),
+    ("lts_sl2", "neg", "neg"),
+    ("lts_sl2", "neg", "id"),
+    ("lts_sl2", "id", "neg"),
+    ("abelian2", "neg", "id"),
+])
+def test_g_derivation_space_matches_probe_oracle(name, theta, vartheta):
+    a = catalog(name)
+    certs = {"id": lambda: identity_cert(a), "neg": lambda: neg_cert(name),
+             "chevalley": chevalley_cert}
+    t, v = certs[theta](), certs[vartheta]()
+    space = g_derivation_space(a, t, v)
+    assert probe_twisted_space(a, t.map, v.map) == space.space
+
+
+def test_centroid_matches_probe_oracle():
+    for name in SOLVER_NAMES + ("abelian3",):
+        a = catalog(name)
+        assert nullspace(probe_constraint_matrix(a, centroid_residual(a))) == centroid(a)
 
 
 def test_derivation_dims_match_frozen_oracle_values():
@@ -309,21 +409,21 @@ def test_centroid_members_admit_the_forced_companion_pair():
 
 
 def test_assembled_row_spaces_match_for_small_dims():
-    # compare the raw constraint matrices of the two assemblers, not just
-    # their nullspaces, on every catalog algebra of dimension at most 3
-    from lya.derivations import _derivation_rows, _twisted_rows
-    from lya.exactlin import Matrix, rref
-
+    # the constraint rows behind a solver span the annihilator of its space;
+    # compare that row space with the probe's on every catalog algebra of
+    # dimension at most 3, for the plain and the identity-twisted solver
     for name in ("abelian2", "sl2", "h3", "aff2", "lts_sl2", "leibniz2"):
         a = catalog(name)
         if a.dim > 3:
             continue
-        ident = LinMap.identity(a.dim)
-        direct = _derivation_rows(a)
-        twisted = _twisted_rows(a, ident, ident)
-        m1 = rref(Matrix(len(direct), a.dim ** 2, tuple(direct)))
-        m2 = rref(Matrix(len(twisted), a.dim ** 2, tuple(twisted)))
-        assert m1 == m2
+        n2 = a.dim ** 2
+        probe = probe_constraint_matrix(
+            a, twisted_residual(a, LinMap.identity(a.dim), LinMap.identity(a.dim)))
+        probe_rows = Subspace.span(n2, probe.entries)
+        for space in (derivation_space(a).space,
+                      g_derivation_space(a, identity_cert(a), identity_cert(a)).space):
+            annihilator = nullspace(Matrix(space.dim, n2, space.basis))
+            assert probe_rows == annihilator
 
 
 def test_quasi_feasible_set_is_strict_on_sl2():
