@@ -61,11 +61,11 @@ def _envelope(verb: str, session: _Session, result) -> dict:
 
 
 def _emit(out, verb: str, session: _Session, result, out_path: str | None = None) -> None:
-    report = _envelope(verb, session, result)
-    text = ser.canonical_json(report)
-    out.write(text)
+    text = ser.canonical_json(_envelope(verb, session, result))
+    # The file goes first: a failed write leaves only the error report on stdout.
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        ser.write_text_file(out_path, text)
+    out.write(text)
 
 
 def _load_algebra(session: _Session, path: str) -> LYAlgebra:
@@ -98,6 +98,12 @@ def _vector(arg: str, algebra: LYAlgebra):
     return ser.parse_vector_arg(arg, algebra.dim)
 
 
+def _config_path(base: Path, name) -> str:
+    if not isinstance(name, str):
+        raise InputError(f"a config 'file' reference must be a string, got {name!r}")
+    return str(base / name)
+
+
 def _resolve_config_map(session: _Session, ref, algebra: LYAlgebra, base: Path) -> LinMap:
     if isinstance(ref, str):
         if ref in ("id", "neg"):
@@ -105,7 +111,7 @@ def _resolve_config_map(session: _Session, ref, algebra: LYAlgebra, base: Path) 
         return ser.map_from_dict(session.load(str(base / ref)))
     if isinstance(ref, dict):
         if "file" in ref:
-            return ser.map_from_dict(session.load(str(base / ref["file"])))
+            return ser.map_from_dict(session.load(_config_path(base, ref["file"])))
         if "matrix" in ref:
             return ser.map_from_dict({"dim": algebra.dim, "matrix": ref["matrix"]})
     raise InputError(f"cannot resolve map reference {ref!r}")
@@ -118,7 +124,7 @@ def _resolve_config_subspace(session: _Session, ref, algebra: LYAlgebra, base: P
         return ser.subspace_from_dict(session.load(str(base / ref)))
     if isinstance(ref, dict):
         if "file" in ref:
-            return ser.subspace_from_dict(session.load(str(base / ref["file"])))
+            return ser.subspace_from_dict(session.load(_config_path(base, ref["file"])))
         if "basis" in ref:
             return ser.subspace_from_dict({"ambient": algebra.dim, "basis": ref["basis"]})
     raise InputError(f"cannot resolve subspace reference {ref!r}")
@@ -175,9 +181,9 @@ def _cmd_construct(args, session, out) -> int:
     else:
         algebra = from_leibniz(ser.leibniz_from_dict(data))
     result = {"algebra": ser.algebra_to_dict(algebra)}
-    _emit(out, "construct", session, result, None)
     if args.out:
-        ser.save_json_file(args.out, ser.algebra_to_dict(algebra))
+        ser.save_json_file(args.out, result["algebra"])
+    _emit(out, "construct", session, result, None)
     return 0
 
 

@@ -1,19 +1,24 @@
 """Derivation-type solvers.
 
 Each space of maps is computed as the exact nullspace of a linear system
-over the n*n entries of the unknown matrix, assembled from the defining
-identities on basis tuples.  Unknown entry (p, q) sits at flat index
-p*n + q, matching :meth:`LinMap.flatten`.
+over the n*n entries of the unknown matrix.  Unknown entry (p, q) sits at
+flat index p*n + q, matching :meth:`LinMap.flatten`.
 
-The plain derivation solver and the twisted solver are written separately
-on purpose: with identity twists they must produce the same space, which
-the test batteries use as a duplicated-assembly oracle.
+Plain derivations, twisted derivations, the centroid and the companion
+system of a quasi-derivation are each the kernel of one identity that is
+linear in the unknown map: f of a product equals a sum of products with f
+in one slot and fixed maps in the others.  ``_identity_rows`` turns any such
+identity into constraint rows on basis tuples.  The stabilizer's membership
+condition is not of that shape and keeps its own rows.  Every solver
+re-checks its answer by direct evaluation, without the constraint matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -73,90 +78,74 @@ class DerSpace:
         return self.space.contains_vector(f.flatten())
 
 
-def _idx(n: int, p: int, q: int) -> int:
-    return p * n + q
+def _identity_rows(tensor, arity: int, terms: Sequence[tuple], width: int,
+                   offset: int = 0) -> list[Vec]:
+    """Rows of the identity f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0.
 
-
-def _derivation_rows(algebra: LYAlgebra) -> list[Vec]:
-    """Untwisted assembly: binary pairs i<j, all ordered ternary triples."""
-    n = algebra.dim
-    c, d = algebra.c, algebra.d
+    ``tensor`` is the binary ``c`` (arity 2) or the ternary ``d`` (arity 3).
+    Each term lists, slot by slot, the basis images under a fixed map, with
+    None in the one slot s that the unknown f fills.  There is one row per
+    ordered basis tuple I and coordinate l; entry (p, q) of f sits at column
+    offset + p*n + q.
+    """
+    n = len(tensor)
+    units = [vunit(n, i) for i in range(n)]
+    evaluate = binary_eval if arity == 2 else ternary_eval
+    base = {idx: functools.reduce(operator.getitem, idx, tensor)
+            for idx in itertools.product(range(n), repeat=arity)}
+    # Per term, T(..., e_a in slot s, ...) with the fixed maps in the other
+    # slots, keyed by the full index tuple; identity maps read T as it is.
+    twisted = []
+    for term in terms:
+        entries = base
+        if any(images is not None and images != units for images in term):
+            entries = {idx: evaluate(tensor, *(units[i] if images is None else images[i]
+                                               for i, images in zip(idx, term)))
+                       for idx in base}
+        twisted.append((term.index(None), entries))
     rows: list[Vec] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(n):
-                row = [ZERO] * (n * n)
-                for a in range(n):
-                    row[_idx(n, l, a)] += c[i][j][a]
-                    row[_idx(n, a, i)] -= c[a][j][l]
-                    row[_idx(n, a, j)] -= c[i][a][l]
-                rows.append(tuple(row))
-    for i, j, k in itertools.product(range(n), repeat=3):
+    for idx, value in base.items():
+        blocks = [(offset + idx[s], [entries[idx[:s] + (a,) + idx[s + 1:]] for a in range(n)])
+                  for s, entries in twisted]
         for l in range(n):
-            row = [ZERO] * (n * n)
-            for a in range(n):
-                row[_idx(n, l, a)] += d[i][j][k][a]
-                row[_idx(n, a, i)] -= d[a][j][k][l]
-                row[_idx(n, a, j)] -= d[i][a][k][l]
-                row[_idx(n, a, k)] -= d[i][j][a][l]
+            row = [ZERO] * width
+            for a, x in enumerate(value):
+                if x:
+                    row[offset + l * n + a] += x
+            for col, images in blocks:
+                for a, image in enumerate(images):
+                    x = image[l]
+                    if x:
+                        row[col + a * n] -= x
             rows.append(tuple(row))
     return rows
 
 
-def _twisted_rows(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap) -> list[Vec]:
-    """Twisted assembly over all ordered basis pairs and triples.
+def _twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
+                   unsound: str) -> Subspace:
+    """Nullspace of the twisted identities, each basis element re-checked.
 
     The twisted identities are not alternating in the first two slots, so
-    the diagonal tuples carry real constraints and are kept.
+    every ordered basis pair and triple carries its own rows.
     """
     n = algebra.dim
-    c, d = algebra.c, algebra.d
-    t = [theta.apply(vunit(n, i)) for i in range(n)]
-    v = [vartheta.apply(vunit(n, i)) for i in range(n)]
-    # One-slot twisted contractions of the structure tensors.
-    ct = [[binary_eval(c, vunit(n, a), t[j]) for j in range(n)] for a in range(n)]
-    cv = [[binary_eval(c, v[i], vunit(n, a)) for a in range(n)] for i in range(n)]
-    dtv = [[[ternary_eval(d, vunit(n, a), t[j], v[k]) for k in range(n)]
-            for j in range(n)] for a in range(n)]
-    dvt = [[[ternary_eval(d, v[i], vunit(n, b), t[k]) for k in range(n)]
-            for b in range(n)] for i in range(n)]
-    dtv2 = [[[ternary_eval(d, t[i], v[j], vunit(n, e)) for e in range(n)]
-             for j in range(n)] for i in range(n)]
-    rows: list[Vec] = []
-    for i, j in itertools.product(range(n), repeat=2):
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for a in range(n):
-                row[_idx(n, l, a)] += c[i][j][a]
-                row[_idx(n, a, i)] -= ct[a][j][l]
-                row[_idx(n, a, j)] -= cv[i][a][l]
-            rows.append(tuple(row))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for a in range(n):
-                row[_idx(n, l, a)] += d[i][j][k][a]
-                row[_idx(n, a, i)] -= dtv[a][j][k][l]
-                row[_idx(n, a, j)] -= dvt[i][a][k][l]
-                row[_idx(n, a, k)] -= dtv2[i][j][a][l]
-            rows.append(tuple(row))
-    return rows
-
-
-def _space_from_rows(n: int, rows: list[Vec]) -> Subspace:
-    return nullspace(Matrix(len(rows), n * n, tuple(rows)))
+    units = [vunit(n, i) for i in range(n)]
+    t, v = [theta.apply(u) for u in units], [vartheta.apply(u) for u in units]
+    rows = _identity_rows(algebra.c, 2, [(None, t), (v, None)], n * n)
+    rows += _identity_rows(algebra.d, 3, [(None, t, v), (v, None, t), (t, v, None)], n * n)
+    space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
+    for flat in space.basis:
+        if not satisfies_g_derivation(algebra, LinMap.unflatten(n, flat), theta, vartheta):
+            raise InternalCheckError(unsound)
+    return space
 
 
 def derivation_space(algebra: LYAlgebra) -> DerSpace:
     """All maps satisfying the derivation identities for both products."""
-    n = algebra.dim
-    space = _space_from_rows(n, _derivation_rows(algebra))
-    result = DerSpace(space=space, theta=None, vartheta=None)
-    ident = LinMap.identity(n)
-    for f in result.maps():
-        if not satisfies_g_derivation(algebra, f, ident, ident):
-            raise InternalCheckError("derivation solver produced an unsound basis element")
-    return result
+    ident = LinMap.identity(algebra.dim)
+    space = _twisted_space(algebra, ident, ident,
+                           "derivation solver produced an unsound basis element")
+    return DerSpace(space=space, theta=None, vartheta=None)
 
 
 def g_derivation_space(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert) -> DerSpace:
@@ -164,12 +153,9 @@ def g_derivation_space(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert) ->
     n = algebra.dim
     if theta.map.dim != n or vartheta.map.dim != n:
         raise MathError("automorphism dimension does not match the algebra")
-    space = _space_from_rows(n, _twisted_rows(algebra, theta.map, vartheta.map))
-    result = DerSpace(space=space, theta=theta, vartheta=vartheta)
-    for f in result.maps():
-        if not satisfies_g_derivation(algebra, f, theta.map, vartheta.map):
-            raise InternalCheckError("twisted solver produced an unsound basis element")
-    return result
+    space = _twisted_space(algebra, theta.map, vartheta.map,
+                           "twisted solver produced an unsound basis element")
+    return DerSpace(space=space, theta=theta, vartheta=vartheta)
 
 
 def single_twist_space(algebra: LYAlgebra, theta: AutCert) -> DerSpace:
@@ -185,23 +171,10 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     """
     n = algebra.dim
     c, d = algebra.c, algebra.d
-    rows: list[Vec] = []
-    for i, j in itertools.product(range(n), repeat=2):
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for a in range(n):
-                row[_idx(n, a, i)] += c[a][j][l]
-                row[_idx(n, l, a)] -= c[i][j][a]
-            rows.append(tuple(row))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for a in range(n):
-                row[_idx(n, a, i)] += d[a][j][k][l]
-                row[_idx(n, l, a)] -= d[i][j][k][a]
-            rows.append(tuple(row))
-    space = _space_from_rows(n, rows)
     units = [vunit(n, i) for i in range(n)]
+    rows = _identity_rows(c, 2, [(None, units)], n * n)
+    rows += _identity_rows(d, 3, [(None, units, units)], n * n)
+    space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
     for flat in space.basis:
         f = LinMap.unflatten(n, flat)
         fu = [f.apply(u) for u in units]
@@ -240,26 +213,15 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
     units = [vunit(n, i) for i in range(n)]
     du = [d_map.apply(u) for u in units]
     unknowns = 2 * n * n
-    rows: list[Vec] = []
+    rows = _identity_rows(c, 2, [], unknowns)
+    rows += _identity_rows(d, 3, [], unknowns, offset=n * n)
     rhs: list[Fraction] = []
     for i, j in itertools.product(range(n), repeat=2):
-        val = vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j]))
-        for l in range(n):
-            row = [ZERO] * unknowns
-            for a in range(n):
-                row[_idx(n, l, a)] = c[i][j][a]
-            rows.append(tuple(row))
-            rhs.append(val[l])
+        rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
     for i, j, k in itertools.product(range(n), repeat=3):
         val = ternary_eval(d, du[i], units[j], units[k])
         val = vadd(val, ternary_eval(d, units[i], du[j], units[k]))
-        val = vadd(val, ternary_eval(d, units[i], units[j], du[k]))
-        for l in range(n):
-            row = [ZERO] * unknowns
-            for a in range(n):
-                row[n * n + _idx(n, l, a)] = d[i][j][k][a]
-            rows.append(tuple(row))
-            rhs.append(val[l])
+        rhs.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
     solution = solve(Matrix(len(rows), unknowns, tuple(rows)), rhs)
     if solution is None:
         return None
@@ -288,17 +250,21 @@ def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWit
     return True
 
 
-def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
-    """Twisted derivations whose action keeps the subspace inside itself."""
-    n = algebra.dim
-    if h.ambient_dim != n:
-        raise MathError("subspace ambient dimension does not match the algebra")
+def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> None:
+    """Raise MathError unless H is a subalgebra that the automorphism maps into
+    itself; a subspace of the wrong ambient dimension is rejected too."""
     if not is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
     for b in h.basis:
         if not h.contains_vector(theta.map.apply(b)):
             raise MathError("automorphism does not stabilize the subspace",
                             witness={"vector": [str(x) for x in b]})
+
+
+def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
+    """Twisted derivations whose action keeps the subspace inside itself."""
+    n = algebra.dim
+    require_stabilized_subalgebra(algebra, theta, h)
     twisted = single_twist_space(algebra, theta)
     # Membership of D(b) in H is linear in D: the residue of D(b) after
     # elimination against H's basis must vanish coordinate by coordinate.
@@ -318,7 +284,7 @@ def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> D
                     continue
                 for q in range(n):
                     if b[q] != 0:
-                        row[_idx(n, p, q)] += red[l][p] * b[q]
+                        row[p * n + q] += red[l][p] * b[q]
             rows.append(tuple(row))
     if rows:
         stab = nullspace(Matrix(len(rows), n * n, tuple(rows)))

@@ -66,6 +66,12 @@ def _get_labels(data: dict, n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _get_entries(data: dict, key: str) -> list:
+    entries = data.get(key, [])
+    _require(isinstance(entries, list), f"'{key}' must be a list of entries")
+    return entries
+
+
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Tensor4]:
     """Decode tensors without checking the axioms.
 
@@ -78,7 +84,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
     c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
     d = [[[list(vzero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     seen_binary = set()
-    for entry in data.get("binary", []):
+    for entry in _get_entries(data, "binary"):
         _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
         i, j, coeffs = entry
         _require(_is_int(i) and _is_int(j), "binary indices must be integers")
@@ -89,7 +95,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
         c[i][j] = list(v)
         c[j][i] = [-x for x in v]
     seen_ternary = set()
-    for entry in data.get("ternary", []):
+    for entry in _get_entries(data, "ternary"):
         _require(isinstance(entry, list) and len(entry) == 4,
                  "ternary entry must be [i, j, k, coeffs]")
         i, j, k, coeffs = entry
@@ -147,7 +153,7 @@ def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
     labels = _get_labels(data, n)
     p = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
     seen = set()
-    for entry in data.get("product", []):
+    for entry in _get_entries(data, "product"):
         _require(isinstance(entry, list) and len(entry) == 3, "product entry must be [i, j, coeffs]")
         i, j, coeffs = entry
         _require(_is_int(i) and _is_int(j), "product indices must be integers")
@@ -264,5 +270,13 @@ def load_json_file(path: str | Path) -> Any:
     return read_json_file(path)[1]
 
 
+def write_text_file(path: str | Path, text: str) -> None:
+    p = Path(path)
+    try:
+        p.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {p}: {exc}") from exc
+
+
 def save_json_file(path: str | Path, obj) -> None:
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+    write_text_file(path, canonical_json(obj))

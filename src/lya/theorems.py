@@ -31,7 +31,7 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, ternary_eval
+from .lyalg import LYAlgebra, binary_eval, ternary_eval
 from .maps import (
     AutCert,
     LinMap,
@@ -51,6 +51,7 @@ from .derivations import (
     g_derivation_space,
     is_quasi_derivation,
     quasi_witness_satisfies,
+    require_stabilized_subalgebra,
     single_twist_space,
     stabilizer_derivations,
 )
@@ -283,7 +284,6 @@ def extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
                 name = algebra.labels[i]
                 break
         labels.append(name if name is not None else f"b{len(labels) + 1}")
-    from .lyalg import binary_eval
     c = []
     d = []
     for a in h.basis:
@@ -310,11 +310,7 @@ def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,
                instance: str = "") -> PropReport:
     """Stabilizing twisted derivations form a subspace of the twisted space;
     when the subspace is a perfect ideal the two coincide."""
-    if not is_subalgebra(algebra, h):
-        raise MathError("subspace is not a subalgebra")
-    for b in h.basis:
-        if not h.contains_vector(theta.map.apply(b)):
-            raise MathError("automorphism does not stabilize the subspace")
+    require_stabilized_subalgebra(algebra, theta, h)
     stab = stabilizer_derivations(algebra, theta, h)
     full = single_twist_space(algebra, theta)
     contained = subspace_contains(full.space, stab.space)
@@ -350,11 +346,7 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     the restricted inner derivation; global consistency of the hat map is
     additionally recorded per basis derivation.
     """
-    if not is_subalgebra(algebra, h):
-        raise MathError("subspace is not a subalgebra")
-    for b in h.basis:
-        if not h.contains_vector(theta.map.apply(b)):
-            raise MathError("automorphism does not stabilize the subspace")
+    require_stabilized_subalgebra(algebra, theta, h)
     n = algebra.dim
     gv, hv = vec(g), vec(hh)
     inner = inner_derivation(algebra, gv, hv)
@@ -415,11 +407,7 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
                g1: Sequence, g2: Sequence, instance: str = "") -> PropReport:
     """Stabilizing twisted derivations restrict to quasi-derivations of the
     subspace, under the fixed-point and central-image hypotheses."""
-    if not is_subalgebra(algebra, h):
-        raise MathError("subspace is not a subalgebra")
-    for b in h.basis:
-        if not h.contains_vector(theta.map.apply(b)):
-            raise MathError("automorphism does not stabilize the subspace")
+    require_stabilized_subalgebra(algebra, theta, h)
     g1v, g2v = vec(g1), vec(g2)
     inner = inner_derivation(algebra, g1v, g2v)
     try:

@@ -121,7 +121,7 @@ def test_criterion_2_derivation_dimensions():
         direct = derivation_space(a)
         twisted = g_derivation_space(a, identity_cert(a), identity_cert(a))
         assert direct.dim == dim
-        assert twisted.space == direct.space  # independently coded assembler
+        assert twisted.space == direct.space  # same space through the twisted entry point
     sl2 = catalog("sl2")
     inner_span = Subspace.span(9, [
         inner_derivation(sl2, vunit(3, E), vunit(3, F)).flatten(),
@@ -129,8 +129,8 @@ def test_criterion_2_derivation_dimensions():
         inner_derivation(sl2, vunit(3, H), vunit(3, F)).flatten(),
     ])
     assert inner_span == derivation_space(sl2).space
-    _verdict(2, "derivation dimensions 4/3/6 confirmed by both assemblers;"
-                " sl2 derivations equal the inner span")
+    _verdict(2, "derivation dimensions 4/3/6 confirmed through both solver entry"
+                " points; sl2 derivations equal the inner span")
 
 
 def test_criterion_3_p31_dimension_equality():

@@ -365,3 +365,57 @@ def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     got_code, text = run_cli(*argv)
     assert got_code == code
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("verb,data,field", [
+    (("check",), {"dim": 2, "binary": 5}, "'binary'"),
+    (("check",), {"dim": 2, "binary": None}, "'binary'"),
+    (("check",), {"dim": 2, "ternary": "x"}, "'ternary'"),
+    (("der",), {"dim": 2, "ternary": {"0": 1}}, "'ternary'"),
+    (("construct", "--from", "lie"), {"dim": 2, "binary": 5}, "'binary'"),
+    (("construct", "--from", "leibniz"), {"dim": 2, "product": 3}, "'product'"),
+    (("construct", "--from", "leibniz"), {"dim": 2, "product": None}, "'product'"),
+])
+def test_non_list_entry_fields_exit_2(tmp_path, verb, data, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_json(verb[0], str(path), *verb[1:])
+    assert code == 2
+    assert field in report["error"] and "list" in report["error"]
+    assert "result" not in report
+
+
+@pytest.mark.parametrize("check", [
+    {"prop": "p35", "theta": {"file": 5}},
+    {"prop": "p31", "vartheta": {"file": None}},
+    {"prop": "p36", "subspace": {"file": ["line.json"]}},
+])
+def test_non_string_config_file_reference_exits_2(sl2_file, tmp_path, check):
+    cfg = tmp_path / "config.json"
+    save_json_file(cfg, {"checks": [check]})
+    code, text = run_cli("verify", "all", str(sl2_file), "--config", str(cfg))
+    assert code == 2
+    report = json.loads(text)
+    assert "'file' reference must be a string" in report["error"]
+    assert "result" not in report
+
+
+@pytest.mark.parametrize("argv", [
+    ("der", "{sl2}"),
+    ("check", "{sl2}"),
+    ("construct", "{lie}", "--from", "lie"),
+    ("export", "sl2"),
+])
+def test_unwritable_out_path_exits_2_with_one_report(sl2_file, tmp_path, argv):
+    lie = tmp_path / "lie.json"
+    data = load_json_file(sl2_file)
+    save_json_file(lie, {"dim": data["dim"], "binary": data["binary"]})
+    target = tmp_path / "missing" / "x.json"
+    args = [a.format(sl2=sl2_file, lie=lie) for a in argv]
+    code, text = run_cli(*args, "--out", str(target))
+    assert code == 2
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert report["verb"] == argv[0]
+    assert report["error"].startswith(f"cannot write {target}")
+    assert "result" not in report
+    assert not target.exists()

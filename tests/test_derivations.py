@@ -237,21 +237,44 @@ def test_derivation_space_matches_probe_oracle():
         assert probe_twisted_space(a, ident, ident) == derivation_space(a).space
 
 
+TWISTS = {
+    "chevalley": [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    "torus": [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]],
+    "torus4": [[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]],
+}
+
+
+def twist_cert(name, twist):
+    a = catalog(name)
+    if twist == "id":
+        return identity_cert(a)
+    if twist == "neg":
+        return neg_cert(name)
+    return certify_automorphism(a, LinMap.from_rows(TWISTS[twist]))
+
+
+# Mixed pairs with a nonzero ternary product and a nonzero twisted space
+# tell the twist slots apart: swapping theta and vartheta in one term of the
+# solver changes its answer on them.
 @pytest.mark.parametrize("name,theta,vartheta", [
     ("sl2", "id", "id"),
     ("sl2", "chevalley", "chevalley"),
     ("sl2", "chevalley", "id"),
     ("sl2", "id", "chevalley"),
+    ("sl2", "torus", "torus"),
     ("lts_sl2", "neg", "neg"),
     ("lts_sl2", "neg", "id"),
     ("lts_sl2", "id", "neg"),
+    ("lts_sl2", "chevalley", "id"),
+    ("lts_sl2", "id", "chevalley"),
+    ("lts_sl2", "torus", "chevalley"),
+    ("sl2_plus_ab1", "torus4", "id"),
+    ("sl2_plus_ab1", "id", "torus4"),
     ("abelian2", "neg", "id"),
 ])
 def test_g_derivation_space_matches_probe_oracle(name, theta, vartheta):
     a = catalog(name)
-    certs = {"id": lambda: identity_cert(a), "neg": lambda: neg_cert(name),
-             "chevalley": chevalley_cert}
-    t, v = certs[theta](), certs[vartheta]()
+    t, v = twist_cert(name, theta), twist_cert(name, vartheta)
     space = g_derivation_space(a, t, v)
     assert probe_twisted_space(a, t.map, v.map) == space.space
 
