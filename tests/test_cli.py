@@ -1,13 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lya
 from lya.cli import main
 from lya.lyalg import catalog
-from lya.serialize import algebra_from_dict, load_json_file, save_json_file
+from lya.serialize import algebra_from_dict, algebra_to_dict, load_json_file, save_json_file
+from test_maps import rebased
 
 
 def run_cli(*argv):
@@ -320,6 +325,7 @@ PINNED_FILES = {
     "chev.json": {"dim": 3, "matrix": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]},
     "adh.json": {"dim": 3, "matrix": [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]},
     "e11.json": {"dim": 3, "matrix": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    "half.json": {"dim": 3, "matrix": [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     "line.json": {"ambient": 3, "basis": [["1", "0", "0"]]},
     "plane.json": {"ambient": 3, "basis": [["1", "0", "0"], ["0", "1", "0"]]},
     "block.json": {"ambient": 4, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -354,17 +360,46 @@ PINNED_FILES = {
      "94e5b7d5b797ebab388352e29c7ac5fa82a6892c0ea07c60f210dd871032b7ec"),
     (("verify", "suite"), 0,
      "1be63bcfc6df1bbc6b390dab524c688dfa7f5ad1fc9aa5fdfa02c92ad3fe5708"),
+    (("gder", "sl2.json", "--theta", "neg"), 1,
+     "147d85f39edd363ee58841dfed099f2894fe063e6781139fd33443ba98d44022"),
+    (("gder", "sl2.json", "--theta", "half.json"), 1,
+     "eae9b9d2a5be5e895c699b374cc3baa1e476b6e01ec14be2066f02f6a83729ec"),
+    (("gder", "lts_sl2.json", "--theta", "half.json"), 1,
+     "1c2f0b66796b01fe3be3cdbf7b45c917dd4903813010fd1b47059bafbaa7c5b3"),
+    (("der", "sum_rebased.json"), 0,
+     "6ba97a51660c1b29c18f37a5f5d613a59bed5a8583121443f6e5dd254d8783a3"),
+    (("centroid", "sum_rebased.json"), 0,
+     "3bc576e7ae98614ad950360244917d79c5b74ad15e8d34b5a36c932faf879a05"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
-    """Exit code and stdout bytes of the solver verbs on exported catalog files."""
+    """Exit code and stdout bytes of the solver verbs on exported catalog files
+    and on sl2_plus_ab1 in a seeded rational basis."""
     monkeypatch.chdir(tmp_path)
     for name in ("sl2", "lts_sl2", "sl2_plus_ab1"):
         assert run_cli("export", name, "--out", f"{name}.json")[0] == 0
     for name, data in PINNED_FILES.items():
         save_json_file(name, data)
+    save_json_file("sum_rebased.json", algebra_to_dict(rebased(catalog("sl2_plus_ab1"), 11)[0]))
     got_code, text = run_cli(*argv)
     assert got_code == code
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [("verify", "suite"), ("der", "sum_rebased.json")])
+def test_stdout_is_the_same_under_any_hash_seed(tmp_path, argv):
+    """Fresh processes with different string-hash seeds print the same bytes."""
+    save_json_file(tmp_path / "sum_rebased.json",
+                   algebra_to_dict(rebased(catalog("sl2_plus_ab1"), 11)[0]))
+    src = str(Path(lya.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "lya.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("verb,data,field", [

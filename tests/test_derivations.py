@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lya.errors import MathError
+from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (
     Matrix,
     Subspace,
@@ -16,7 +16,7 @@ from lya.exactlin import (
     vunit,
     vzero,
 )
-from lya.lyalg import bracket, catalog, triple
+from lya.lyalg import binary_eval, bracket, catalog, ternary_eval, triple
 from lya.maps import (
     LinMap,
     certify_automorphism,
@@ -26,7 +26,9 @@ from lya.maps import (
     satisfies_derivation,
     satisfies_g_derivation,
 )
+from lya import derivations
 from lya.derivations import (
+    QuasiWitness,
     centroid,
     derivation_space,
     dhat,
@@ -39,6 +41,7 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.structure import derived_algebra
+from test_maps import rand_map, rebased, shifted
 
 E, F, H = 0, 1, 2
 
@@ -579,3 +582,101 @@ def test_dhat_binary_vs_ternary_forcing_on_sl2():
         assert prescribed == vscale(4, ad_h.apply(a.d[i][j][k]))
     # the two forcings disagree on a nonzero product vector
     assert ad_h.apply(a.c[E][H]) != vscale(4, ad_h.apply(a.c[E][H]))
+
+
+# Reference re-checks for the centroid and the quasi-derivation companions:
+# the per-tuple direct evaluation the solvers used before they ran on
+# transported tensors.
+
+def centroid_recheck_reference(algebra, f):
+    """The InternalCheckError message the centroid re-check gives f, or None."""
+    n = algebra.dim
+    c, d = algebra.c, algebra.d
+    units = [vunit(n, i) for i in range(n)]
+    fu = [f.apply(u) for u in units]
+    for i, j in itertools.product(range(n), repeat=2):
+        if binary_eval(c, units[i], fu[j]) != f.apply(c[i][j]):
+            return "centroid member fails the right-slot identity"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        want = f.apply(d[i][j][k])
+        if ternary_eval(d, units[i], fu[j], units[k]) != want:
+            return "centroid member fails the middle-slot identity"
+        if ternary_eval(d, units[i], units[j], fu[k]) != want:
+            return "centroid member fails the last-slot identity"
+    return None
+
+
+def quasi_witness_satisfies_reference(algebra, d_map, witness):
+    n = algebra.dim
+    c, d = algebra.c, algebra.d
+    units = [vunit(n, i) for i in range(n)]
+    du = [d_map.apply(u) for u in units]
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j]))
+        if lhs != witness.dprime.apply(c[i][j]):
+            return False
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = ternary_eval(d, du[i], units[j], units[k])
+        lhs = vadd(lhs, ternary_eval(d, units[i], du[j], units[k]))
+        lhs = vadd(lhs, ternary_eval(d, units[i], units[j], du[k]))
+        if lhs != witness.dprimeprime.apply(d[i][j][k]):
+            return False
+    return True
+
+
+def recheck_algebras():
+    return [catalog(name) for name in SOLVER_NAMES] + [rebased(catalog("sl2_plus_ab1"), 11)[0]]
+
+
+def test_centroid_recheck_matches_reference(monkeypatch):
+    # The solver's nullspace is replaced by the span of one chosen map, so
+    # the re-check sees members that may fail any of its three identities.
+    rng = random.Random(43)
+    cases = []
+    for a in recheck_algebras():
+        members = [LinMap.unflatten(a.dim, flat) for flat in centroid(a).basis]
+        candidates = members + [shifted(rng, f) for f in members]
+        candidates += list(derivation_space(a).maps())[:3]
+        candidates += [rand_map(rng, a.dim) for _ in range(3)]
+        cases.append((a, candidates))
+    messages = set()
+    for a, candidates in cases:
+        for f in candidates:
+            if f.is_zero():
+                continue
+            monkeypatch.setattr(derivations, "nullspace",
+                                lambda m, f=f: Subspace.span(f.dim ** 2, [f.flatten()]))
+            want = centroid_recheck_reference(a, f)
+            if want is None:
+                centroid(a)
+            else:
+                with pytest.raises(InternalCheckError) as err:
+                    centroid(a)
+                assert str(err.value) == want
+            messages.add(want)
+    assert messages == {None, "centroid member fails the right-slot identity",
+                        "centroid member fails the middle-slot identity",
+                        "centroid member fails the last-slot identity"}
+
+
+def test_quasi_witness_satisfies_matches_reference():
+    rng = random.Random(44)
+    outcomes = []
+    for a in recheck_algebras():
+        n = a.dim
+        maps = list(derivation_space(a).maps())
+        maps += [LinMap.unflatten(n, flat) for flat in centroid(a).basis]
+        maps += [rand_map(rng, n) for _ in range(2)]
+        for d_map in maps:
+            solved = is_quasi_derivation(a, d_map)
+            witnesses = [QuasiWitness(d_map.scale(2), d_map.scale(3)),
+                         QuasiWitness(rand_map(rng, n), rand_map(rng, n)),
+                         QuasiWitness(LinMap.zero(n), LinMap.zero(n))]
+            if solved is not None:
+                witnesses += [solved, QuasiWitness(shifted(rng, solved.dprime), solved.dprimeprime),
+                              QuasiWitness(solved.dprime, shifted(rng, solved.dprimeprime))]
+            for w in witnesses:
+                got = quasi_witness_satisfies(a, d_map, w)
+                assert got == quasi_witness_satisfies_reference(a, d_map, w)
+                outcomes.append(got)
+    assert outcomes.count(True) > 50 and outcomes.count(False) > 100

@@ -1,13 +1,17 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from lya.derivations import derivation_space, g_derivation_space
 from lya.errors import InputError, MathError
-from lya.exactlin import Subspace, vadd, vec, vscale, vunit, vzero
-from lya.lyalg import CATALOG_NAMES, catalog
+from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vsub, vunit, vzero
+from lya.lyalg import CATALOG_NAMES, LYAlgebra, binary_eval, catalog, ternary_eval
 from lya.maps import (
     LinMap,
+    _hom_defect,
     certify_automorphism,
     commutator,
     compose,
@@ -15,6 +19,7 @@ from lya.maps import (
     is_homomorphism,
     restrict_map,
     satisfies_derivation,
+    satisfies_g_derivation,
 )
 
 E, F, H = 0, 1, 2
@@ -210,3 +215,144 @@ def test_dimension_mismatch_rejected():
 def test_unflatten_round_trip():
     f = LinMap.from_rows([[1, 2], [3, 4]])
     assert LinMap.unflatten(2, f.flatten()) == f
+
+
+# Reference re-checks: the per-tuple direct evaluation that satisfies_g_derivation
+# and _hom_defect used before they ran on transported tensors.  Each product of
+# basis images is contracted on its own, in Fraction arithmetic, tuple by tuple.
+
+def satisfies_g_derivation_reference(algebra, f, theta, vartheta):
+    n = algebra.dim
+    fi = [f.apply(vunit(n, i)) for i in range(n)]
+    ti = [theta.apply(vunit(n, i)) for i in range(n)]
+    vi = [vartheta.apply(vunit(n, i)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = f.apply(algebra.c[i][j])
+            rhs = vadd(binary_eval(algebra.c, fi[i], ti[j]),
+                       binary_eval(algebra.c, vi[i], fi[j]))
+            if lhs != rhs:
+                return False
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = f.apply(algebra.d[i][j][k])
+        rhs = ternary_eval(algebra.d, fi[i], ti[j], vi[k])
+        rhs = vadd(rhs, ternary_eval(algebra.d, vi[i], fi[j], ti[k]))
+        rhs = vadd(rhs, ternary_eval(algebra.d, ti[i], vi[j], fi[k]))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def hom_defect_reference(algebra, f):
+    n = algebra.dim
+    images = [f.apply(vunit(n, i)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = f.apply(algebra.c[i][j])
+            rhs = binary_eval(algebra.c, images[i], images[j])
+            if lhs != rhs:
+                return ("binary", (i, j), vsub(lhs, rhs))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = f.apply(algebra.d[i][j][k])
+        rhs = ternary_eval(algebra.d, images[i], images[j], images[k])
+        if lhs != rhs:
+            return ("ternary", (i, j, k), vsub(lhs, rhs))
+    return None
+
+
+def rebased(a, seed):
+    """``a`` in a seeded random rational basis P: products are P^-1 c(Pe_i, Pe_j)."""
+    rng = random.Random(seed)
+    n = a.dim
+    while True:
+        p = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                               for _ in range(n)] for _ in range(n)])
+        p_inv = invert(p)
+        if p_inv is not None:
+            break
+    cols = [p.col(i) for i in range(n)]
+    c = [[p_inv.mul_vec(binary_eval(a.c, cols[i], cols[j])) for j in range(n)]
+         for i in range(n)]
+    d = [[[p_inv.mul_vec(ternary_eval(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    return LYAlgebra.from_tensors(a.labels, c, d), p, p_inv
+
+
+def rand_map(rng, n):
+    return LinMap.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                              for _ in range(n)] for _ in range(n)])
+
+
+def shifted(rng, f):
+    """f with one seeded entry raised by 1/3."""
+    n = f.dim
+    rows = [list(r) for r in f.matrix.entries]
+    rows[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 3)
+    return LinMap.from_rows(rows)
+
+
+@functools.cache
+def recheck_cases():
+    """(algebra, twist pairs, maps) over the catalog and a rebased sum algebra.
+
+    The twists are the identity, the Chevalley swap (transported into each
+    basis where it fits), the negated identity and two random rational pairs.
+    The maps are every basis map of the derivation solver and of the twisted
+    solver for each certified twist pair, each of those with one entry
+    shifted by 1/3, two random rational maps and the zero map.
+    """
+    rng = random.Random(41)
+    cases = []
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+    algebras = [catalog(name) for name in CATALOG_NAMES]
+    algebras.append(rebased(catalog("sl2_plus_ab1"), seed=11))
+    for entry in algebras:
+        a, p, p_inv = entry if isinstance(entry, tuple) else (entry, None, None)
+        n = a.dim
+        ident = LinMap.identity(n)
+        twists = [ident, ident.scale(-1)]
+        if n >= 3:
+            chev = Matrix.from_rows([[swap[i][j] if max(i, j) < 3 else int(i == j)
+                                      for j in range(n)] for i in range(n)])
+            if p is not None:
+                chev = p_inv.mul(chev).mul(p)
+            twists.append(LinMap(n, chev))
+        pairs = [(t, v) for t in twists for v in twists[:2]] + [(ident, twists[-1])]
+        pairs += [(rand_map(rng, n), rand_map(rng, n)) for _ in range(2)]
+        solved = list(derivation_space(a).maps())
+        for theta, vartheta in pairs:
+            try:
+                certs = certify_automorphism(a, theta), certify_automorphism(a, vartheta)
+            except MathError:
+                continue
+            solved += g_derivation_space(a, *certs).maps()
+        solved = list(dict.fromkeys(solved))
+        maps = solved + [shifted(rng, f) for f in solved]
+        maps += [rand_map(rng, n) for _ in range(2)] + [LinMap.zero(n)]
+        cases.append((a, pairs, maps + twists))
+    return cases
+
+
+def test_satisfies_g_derivation_matches_reference():
+    outcomes = []
+    for a, pairs, maps in recheck_cases():
+        for theta, vartheta in pairs:
+            for f in maps:
+                got = satisfies_g_derivation(a, f, theta, vartheta)
+                assert got == satisfies_g_derivation_reference(a, f, theta, vartheta)
+                outcomes.append(got)
+    assert outcomes.count(True) > 500 and outcomes.count(False) > 600
+
+
+def test_hom_defect_matches_reference():
+    kinds = set()
+    residual_dens = set()
+    for a, pairs, maps in recheck_cases():
+        for f in maps + [g for pair in pairs for g in pair]:
+            got = _hom_defect(a, f)
+            assert got == hom_defect_reference(a, f)
+            kinds.add(None if got is None else got[0])
+            if got is not None:
+                residual_dens |= {x.denominator for x in got[2]}
+    assert kinds == {None, "binary", "ternary"}
+    assert max(residual_dens) > 1
