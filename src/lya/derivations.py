@@ -38,7 +38,7 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, binary_eval, ternary_eval
+from .lyalg import LYAlgebra, _first_tuple, _identity_defect, _keyed, binary_eval, ternary_eval
 from .maps import (
     AutCert,
     LinMap,
@@ -175,19 +175,18 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     rows = _identity_rows(c, 2, [(None, units)], n * n)
     rows += _identity_rows(d, 3, [(None, units, units)], n * n)
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
+    keyed_c, keyed_d = _keyed(c, 2), _keyed(d, 3)
     for flat in space.basis:
-        f = LinMap.unflatten(n, flat)
-        fu = [f.apply(u) for u in units]
-        for i, j in itertools.product(range(n), repeat=2):
-            want = f.apply(c[i][j])
-            if binary_eval(c, units[i], fu[j]) != want:
-                raise InternalCheckError("centroid member fails the right-slot identity")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            want = f.apply(d[i][j][k])
-            if ternary_eval(d, units[i], fu[j], units[k]) != want:
-                raise InternalCheckError("centroid member fails the middle-slot identity")
-            if ternary_eval(d, units[i], units[j], fu[k]) != want:
-                raise InternalCheckError("centroid member fails the last-slot identity")
+        m = LinMap.unflatten(n, flat).matrix
+        if _identity_defect(keyed_c, m, [(None, m)])[1]:
+            raise InternalCheckError("centroid member fails the right-slot identity")
+        # The first failing basis triple decides which message is raised.
+        middle = _first_tuple(_identity_defect(keyed_d, m, [(None, m, None)])[1])
+        last = _first_tuple(_identity_defect(keyed_d, m, [(None, None, m)])[1])
+        if middle is not None and (last is None or middle <= last):
+            raise InternalCheckError("centroid member fails the middle-slot identity")
+        if last is not None:
+            raise InternalCheckError("centroid member fails the last-slot identity")
     return space
 
 
@@ -232,22 +231,13 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
 
 
 def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWitness) -> bool:
-    """Re-check the companion identities by direct evaluation."""
-    n = algebra.dim
-    c, d = algebra.c, algebra.d
-    units = [vunit(n, i) for i in range(n)]
-    du = [d_map.apply(u) for u in units]
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs = vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j]))
-        if lhs != witness.dprime.apply(c[i][j]):
-            return False
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = ternary_eval(d, du[i], units[j], units[k])
-        lhs = vadd(lhs, ternary_eval(d, units[i], du[j], units[k]))
-        lhs = vadd(lhs, ternary_eval(d, units[i], units[j], du[k]))
-        if lhs != witness.dprimeprime.apply(d[i][j][k]):
-            return False
-    return True
+    """Re-check the companion identities by direct evaluation:
+    D'[x,y] = [Dx, y] + [x, Dy] and D''{x,y,z} = {Dx,y,z} + {x,Dy,z} + {x,y,Dz}."""
+    m = d_map.matrix
+    return (not _identity_defect(_keyed(algebra.c, 2), witness.dprime.matrix,
+                                 [(m, None), (None, m)])[1]
+            and not _identity_defect(_keyed(algebra.d, 3), witness.dprimeprime.matrix,
+                                     [(m, None, None), (None, m, None), (None, None, m)])[1])
 
 
 def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> None:
@@ -263,8 +253,14 @@ def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspac
 
 def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
     """Twisted derivations whose action keeps the subspace inside itself."""
-    n = algebra.dim
     require_stabilized_subalgebra(algebra, theta, h)
+    return _stabilizer_space(algebra, theta, h)
+
+
+def _stabilizer_space(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
+    """:func:`stabilizer_derivations` for a subspace that has already passed
+    :func:`require_stabilized_subalgebra`."""
+    n = algebra.dim
     twisted = single_twist_space(algebra, theta)
     # Membership of D(b) in H is linear in D: the residue of D(b) after
     # elimination against H's basis must vanish coordinate by coordinate.

@@ -294,16 +294,25 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise InputError("spanning vector length does not match ambient dimension")
-        canon = rref(Matrix(len(rows), ambient_dim, rows))
-        return cls(ambient_dim, canon.entries)
+        return cls._from_rref(ambient_dim, rref(Matrix(len(rows), ambient_dim, rows)).entries)
+
+    @classmethod
+    def _from_rref(cls, ambient_dim: int, basis: tuple[Vec, ...]) -> "Subspace":
+        """Subspace whose basis is already a reduced row echelon form of the
+        right width; skips the validating ``rref`` of ``__post_init__``."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", basis)
+        return space
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls._from_rref(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(vunit(ambient_dim, i) for i in range(ambient_dim)))
+        return cls._from_rref(ambient_dim, tuple(vunit(ambient_dim, i)
+                                                 for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Scalar, Vec, frac, vadd, vec, vis_zero, vscale, vunit, vzero
+from .exactlin import Matrix, Scalar, Vec, frac, vadd, vec, vis_zero, vscale, vunit, vzero
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
@@ -120,6 +121,92 @@ def _cleared(c: Tensor3, d: Tensor4):
     cs = [[cleared(v) for v in row] for row in c]
     ds = [[[cleared(v) for v in row] for row in plane] for plane in d]
     return scale, cs, ds
+
+
+Keyed = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _keyed(tensor, arity: int) -> Keyed:
+    """Integer form of ``c`` (arity 2) or ``d`` (arity 3) for :func:`_transport`.
+
+    Returns the least common denominator L of the tensor's entries and its
+    nonzero coordinates times L, keyed by (i, j[, k], l) for coordinate l
+    of the product of basis elements i, j[, k].
+    """
+    coords = {idx + (l,): x
+              for idx in itertools.product(range(len(tensor)), repeat=arity)
+              for l, x in enumerate(functools.reduce(operator.getitem, idx, tensor)) if x}
+    scale = math.lcm(*{x.denominator for x in coords.values()})
+    return scale, {k: x.numerator * (scale // x.denominator) for k, x in coords.items()}
+
+
+def _spread(m: Matrix, post: bool):
+    """Map m cleared of denominators, as the weights one mode product needs.
+
+    In an argument slot, basis index a spreads to i with weight m[a][i]
+    (T(m e_i) = sum_a m[a][i] T(e_a)); applied to the product (``post``),
+    coordinate l spreads to r with weight m[r][l].
+    """
+    rows = m.transpose().entries if post else m.entries
+    scale = math.lcm(*{x.denominator for r in rows for x in r})
+    return scale, [[(i, x.numerator * (scale // x.denominator)) for i, x in enumerate(r) if x]
+                   for r in rows]
+
+
+def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None = None) -> Keyed:
+    """T(M_0 e_i, M_1 e_j[, M_2 e_k]) on every basis tuple, in integers.
+
+    ``keyed`` is the :func:`_keyed` form of T, ``maps`` holds one matrix for
+    each argument slot and ``post``, when given, is applied to every product.
+    Each map is cleared of denominators and applied as a mode product over
+    the nonzero entries, one slot at a time; None and identity matrices are
+    skipped.  Returns the scale and the scaled nonzero coordinates, keyed
+    like ``keyed``.
+    """
+    scale, entries = keyed
+    slots = [(s, m, False) for s, m in enumerate(maps)]
+    if post is not None:
+        slots.append((len(maps), post, True))
+    for s, m, is_post in slots:
+        if m is None:
+            continue
+        m_scale, spread = _spread(m, is_post)
+        if m_scale == 1 and all(w == [(a, 1)] for a, w in enumerate(spread)):
+            continue
+        scale *= m_scale
+        out: dict[tuple[int, ...], int] = {}
+        for key, x in entries.items():
+            head, tail = key[:s], key[s + 1:]
+            for i, w in spread[key[s]]:
+                k = head + (i,) + tail
+                out[k] = out.get(k, 0) + x * w
+        entries = {k: x for k, x in out.items() if x}
+    return scale, entries
+
+
+def _identity_defect(keyed: Keyed, post: Matrix | None, terms) -> Keyed:
+    """post(T(e_I)) minus the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
+
+    ``terms`` is a nonempty list with one map per argument slot for each
+    transported tensor.
+    Returns the common scale and the nonzero coordinates of the defect
+    times that scale, keyed by (i, j[, k], l); an empty dict means the
+    identity holds on every basis tuple.
+    """
+    parts = [(1, _transport(keyed, (None,) * len(terms[0]), post))]
+    parts += [(-1, _transport(keyed, term)) for term in terms]
+    scale = math.lcm(*(s for _, (s, _) in parts))
+    acc: dict[tuple[int, ...], int] = {}
+    for sign, (s, entries) in parts:
+        factor = sign * (scale // s)
+        for k, x in entries.items():
+            acc[k] = acc.get(k, 0) + factor * x
+    return scale, {k: x for k, x in acc.items() if x}
+
+
+def _first_tuple(defect: dict[tuple[int, ...], int]) -> tuple[int, ...] | None:
+    """Least basis tuple, in scan order, with a nonzero defect coordinate."""
+    return min((k[:-1] for k in defect), default=None)
 
 
 def _mac(acc: list[int], coeffs, vectors) -> None:

@@ -7,8 +7,8 @@ fixed basis, column j being the image of basis vector j.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalCheckError, MathError
@@ -19,12 +19,10 @@ from .exactlin import (
     Vec,
     coordinates,
     invert,
-    vadd,
     vec,
-    vsub,
     vunit,
 )
-from .lyalg import LYAlgebra, binary_eval, ternary_eval, triple
+from .lyalg import LYAlgebra, _first_tuple, _identity_defect, _keyed, triple
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,18 @@ def commutator(f: LinMap, g: LinMap) -> LinMap:
 
 
 def _hom_defect(algebra: LYAlgebra, f: LinMap):
-    """First basis tuple where f fails to preserve a product, or None."""
-    n = algebra.dim
-    images = [f.apply(vunit(n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(algebra.c[i][j])
-            rhs = binary_eval(algebra.c, images[i], images[j])
-            if lhs != rhs:
-                return ("binary", (i, j), vsub(lhs, rhs))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = f.apply(algebra.d[i][j][k])
-        rhs = ternary_eval(algebra.d, images[i], images[j], images[k])
-        if lhs != rhs:
-            return ("ternary", (i, j, k), vsub(lhs, rhs))
+    """First basis tuple where f fails to preserve a product, or None.
+
+    Pairs are scanned before triples, each in lexicographic order; the
+    residual is f(T(e_I)) - T(f e_i, f e_j[, f e_k]).
+    """
+    m = f.matrix
+    for kind, tensor, arity in (("binary", algebra.c, 2), ("ternary", algebra.d, 3)):
+        scale, defect = _identity_defect(_keyed(tensor, arity), m, [(m,) * arity])
+        first = _first_tuple(defect)
+        if first is not None:
+            return (kind, first, tuple(Fraction(defect.get(first + (l,), 0), scale)
+                                       for l in range(algebra.dim)))
     return None
 
 
@@ -170,30 +166,20 @@ def satisfies_g_derivation(algebra: LYAlgebra, f: LinMap,
                            theta: LinMap, vartheta: LinMap) -> bool:
     """Direct evaluation of the twisted derivation identities on basis tuples.
 
-    Used both as the defining test and as an independent soundness check for
-    the nullspace solvers; it never touches an assembled constraint matrix.
+    f(T(e_I)) is compared with the sum of the tensors T transported by f, θ
+    and ϑ slot by slot: f[x,y] = [fx, θy] + [ϑx, fy] and
+    f{x,y,z} = {fx, θy, ϑz} + {ϑx, fy, θz} + {θx, ϑy, fz}, exactly, in
+    integers.  Used both as the defining test and as an independent
+    soundness check for the nullspace solvers; it never touches an assembled
+    constraint matrix.
     """
     n = algebra.dim
     if f.dim != n or theta.dim != n or vartheta.dim != n:
         raise InputError("map dimension does not match algebra dimension")
-    fi = [f.apply(vunit(n, i)) for i in range(n)]
-    ti = [theta.apply(vunit(n, i)) for i in range(n)]
-    vi = [vartheta.apply(vunit(n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(algebra.c[i][j])
-            rhs = vadd(binary_eval(algebra.c, fi[i], ti[j]),
-                       binary_eval(algebra.c, vi[i], fi[j]))
-            if lhs != rhs:
-                return False
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = f.apply(algebra.d[i][j][k])
-        rhs = ternary_eval(algebra.d, fi[i], ti[j], vi[k])
-        rhs = vadd(rhs, ternary_eval(algebra.d, vi[i], fi[j], ti[k]))
-        rhs = vadd(rhs, ternary_eval(algebra.d, ti[i], vi[j], fi[k]))
-        if lhs != rhs:
-            return False
-    return True
+    m, t, v = f.matrix, theta.matrix, vartheta.matrix
+    return (not _identity_defect(_keyed(algebra.c, 2), m, [(m, t), (v, m)])[1]
+            and not _identity_defect(_keyed(algebra.d, 3), m,
+                                     [(m, t, v), (v, m, t), (t, v, m)])[1])
 
 
 def satisfies_derivation(algebra: LYAlgebra, f: LinMap) -> bool:

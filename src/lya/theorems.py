@@ -44,6 +44,7 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .derivations import (
+    _stabilizer_space,
     centroid,
     derivation_space,
     dhat,
@@ -53,7 +54,6 @@ from .derivations import (
     quasi_witness_satisfies,
     require_stabilized_subalgebra,
     single_twist_space,
-    stabilizer_derivations,
 )
 from .structure import center, derived_algebra, is_ideal, is_perfect, is_subalgebra
 
@@ -275,6 +275,11 @@ def extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
     """Induced algebra on a subalgebra's canonical basis."""
     if not is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
+    return _extract_subalgebra(algebra, h)
+
+
+def _extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
+    """:func:`extract_subalgebra` for a subspace already known to be a subalgebra."""
     k = h.dim
     labels = []
     for row in h.basis:
@@ -311,11 +316,11 @@ def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     """Stabilizing twisted derivations form a subspace of the twisted space;
     when the subspace is a perfect ideal the two coincide."""
     require_stabilized_subalgebra(algebra, theta, h)
-    stab = stabilizer_derivations(algebra, theta, h)
+    stab = _stabilizer_space(algebra, theta, h)
     full = single_twist_space(algebra, theta)
     contained = subspace_contains(full.space, stab.space)
     ideal = is_ideal(algebra, h)
-    perfect = ideal and is_perfect(extract_subalgebra(algebra, h))
+    perfect = ideal and is_perfect(_extract_subalgebra(algebra, h))
     ok = contained
     witness = None
     if perfect and stab.space != full.space:
@@ -362,7 +367,7 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
                   ("restriction invertible", inv is not None))
     if inv is None:
         return PropReport("P37", instance, False, hypotheses, None, None, {})
-    stab = stabilizer_derivations(algebra, theta, h)
+    stab = _stabilizer_space(algebra, theta, h)
     preimages = []
     for b_idx in range(h.dim):
         coords = tuple(inv.entries[r][b_idx] for r in range(h.dim))
@@ -418,7 +423,7 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         restricts = False
         invertible = False
     fixes_g1 = theta.map.apply(g1v) == g1v
-    stab = stabilizer_derivations(algebra, theta, h)
+    stab = _stabilizer_space(algebra, theta, h)
     z = center(algebra)
     survivors = []
     central_images = True
@@ -433,7 +438,7 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         ("images of both elements are central for every stabilizing derivation",
          central_images),
     )
-    sub = extract_subalgebra(algebra, h)
+    sub = _extract_subalgebra(algebra, h)
     survivor_results = []
     for idx in survivors:
         d_map = stab.maps()[idx]

@@ -247,6 +247,18 @@ def test_subspace_rejects_non_rref_basis():
         Subspace(2, (vec([2, 0]),))
 
 
+def test_constructed_subspaces_pass_the_public_validation():
+    # span, zero and full skip the validating rref; the public constructor
+    # must accept every basis they produce and give an equal value
+    rng = random.Random(17)
+    spaces = [Subspace.zero(3), Subspace.full(4), Subspace.zero(0), Subspace.full(0)]
+    for rows, cols, density in ((3, 5, 1.0), (6, 4, 0.5), (2, 7, 0.3), (5, 5, 0.2), (0, 3, 1.0)):
+        m = random_matrix(rng, rows, cols, density=density)
+        spaces += [Subspace.span(cols, m.entries), nullspace(m)]
+    for s in spaces:
+        assert Subspace(s.ambient_dim, s.basis) == s
+
+
 def test_sum_of_axes_is_full_plane():
     a = Subspace.span(2, [vunit(2, 0)])
     b = Subspace.span(2, [vunit(2, 1)])

@@ -241,6 +241,36 @@ def test_p36_rejects_bad_preconditions():
         verify_p36(a, chevalley_cert(), Subspace.span(3, [vunit(3, E)]))
 
 
+@pytest.mark.parametrize("verify,elements", [
+    (verify_p36, ()),
+    (verify_p37, (vunit(4, E), vunit(4, F))),
+    (verify_p38, (vunit(4, E), vunit(4, F))),
+])
+def test_stabilizer_verifiers_check_their_preconditions_once(monkeypatch, verify, elements):
+    import lya.derivations
+    import lya.theorems
+
+    a = catalog("sl2_plus_ab1")
+    calls = []
+    original = lya.derivations.is_subalgebra
+
+    def counted(algebra, h):
+        calls.append(h)
+        return original(algebra, h)
+
+    monkeypatch.setattr(lya.derivations, "is_subalgebra", counted)
+    monkeypatch.setattr(lya.theorems, "is_subalgebra", counted)
+    report = verify(a, identity_cert(a), Subspace.span(4, [vunit(4, E)]), *elements)
+    assert report.details["stab_dim"] > 0  # the stabilizer was solved
+    assert len(calls) == 1
+    with pytest.raises(MathError, match="^subspace is not a subalgebra$"):
+        verify(a, identity_cert(a), Subspace.span(4, [vunit(4, E), vunit(4, F)]), *elements)
+    swap = certify_automorphism(a, LinMap.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]))
+    with pytest.raises(MathError, match="^automorphism does not stabilize the subspace$"):
+        verify(a, swap, Subspace.span(4, [vunit(4, E)]), *elements)
+
+
 def test_p37_sl2_line_instance():
     sl2 = catalog("sl2")
     r = verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
