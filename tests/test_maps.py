@@ -10,6 +10,7 @@ from lya.errors import InputError, MathError
 from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vsub, vunit, vzero
 from lya.lyalg import CATALOG_NAMES, LYAlgebra, binary_eval, catalog, ternary_eval
 from lya.maps import (
+    AutCert,
     LinMap,
     _hom_defect,
     certify_automorphism,
@@ -298,7 +299,7 @@ def recheck_cases():
     The twists are the identity, the Chevalley swap (transported into each
     basis where it fits), the negated identity and two random rational pairs.
     The maps are every basis map of the derivation solver and of the twisted
-    solver for each certified twist pair, each of those with one entry
+    solver for each pair of automorphisms (recognized by the reference), each of those with one entry
     shifted by 1/3, two random rational maps and the zero map.
     """
     rng = random.Random(41)
@@ -317,15 +318,15 @@ def recheck_cases():
             if p is not None:
                 chev = p_inv.mul(chev).mul(p)
             twists.append(LinMap(n, chev))
-        pairs = [(t, v) for t in twists for v in twists[:2]] + [(ident, twists[-1])]
+        pairs = [(t, v) for t in twists for v in twists]
         pairs += [(rand_map(rng, n), rand_map(rng, n)) for _ in range(2)]
         solved = list(derivation_space(a).maps())
         for theta, vartheta in pairs:
-            try:
-                certs = certify_automorphism(a, theta), certify_automorphism(a, vartheta)
-            except MathError:
-                continue
-            solved += g_derivation_space(a, *certs).maps()
+            inverses = [invert(g.matrix) for g in (theta, vartheta)]
+            if None not in inverses and all(hom_defect_reference(a, g) is None
+                                            for g in (theta, vartheta)):
+                certs = [AutCert(g, LinMap(n, inv)) for g, inv in zip((theta, vartheta), inverses)]
+                solved += g_derivation_space(a, *certs).maps()
         solved = list(dict.fromkeys(solved))
         maps = solved + [shifted(rng, f) for f in solved]
         maps += [rand_map(rng, n) for _ in range(2)] + [LinMap.zero(n)]
