@@ -175,7 +175,7 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     rows = _identity_rows(c, 2, [(None, units)], n * n)
     rows += _identity_rows(d, 3, [(None, units, units)], n * n)
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
-    keyed_c, keyed_d = _keyed(c, 2), _keyed(d, 3)
+    keyed_c, keyed_d = _keyed(c, d)
     for flat in space.basis:
         m = LinMap.unflatten(n, flat).matrix
         if _identity_defect(keyed_c, m, [(None, m)])[1]:
@@ -234,9 +234,9 @@ def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWit
     """Re-check the companion identities by direct evaluation:
     D'[x,y] = [Dx, y] + [x, Dy] and D''{x,y,z} = {Dx,y,z} + {x,Dy,z} + {x,y,Dz}."""
     m = d_map.matrix
-    return (not _identity_defect(_keyed(algebra.c, 2), witness.dprime.matrix,
-                                 [(m, None), (None, m)])[1]
-            and not _identity_defect(_keyed(algebra.d, 3), witness.dprimeprime.matrix,
+    keyed_c, keyed_d = _keyed(algebra.c, algebra.d)
+    return (not _identity_defect(keyed_c, witness.dprime.matrix, [(m, None), (None, m)])[1]
+            and not _identity_defect(keyed_d, witness.dprimeprime.matrix,
                                      [(m, None, None), (None, m, None), (None, None, m)])[1])
 
 

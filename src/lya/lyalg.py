@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,18 +125,18 @@ def _cleared(c: Tensor3, d: Tensor4):
 Keyed = tuple[int, dict[tuple[int, ...], int]]
 
 
-def _keyed(tensor, arity: int) -> Keyed:
-    """Integer form of ``c`` (arity 2) or ``d`` (arity 3) for :func:`_transport`.
+def _keyed(c: Tensor3, d: Tensor4) -> tuple[Keyed, Keyed]:
+    """Integer forms of ``c`` and ``d`` for :func:`_transport`.
 
-    Returns the least common denominator L of the tensor's entries and its
-    nonzero coordinates times L, keyed by (i, j[, k], l) for coordinate l
-    of the product of basis elements i, j[, k].
+    Each is the common denominator L of both tensors (as in :func:`_cleared`)
+    with the nonzero coordinates of L*c and L*d, keyed by (i, j, l) and
+    (i, j, k, l) for coordinate l of the product of basis elements i, j[, k].
     """
-    coords = {idx + (l,): x
-              for idx in itertools.product(range(len(tensor)), repeat=arity)
-              for l, x in enumerate(functools.reduce(operator.getitem, idx, tensor)) if x}
-    scale = math.lcm(*{x.denominator for x in coords.values()})
-    return scale, {k: x.numerator * (scale // x.denominator) for k, x in coords.items()}
+    scale, cs, ds = _cleared(c, d)
+    keyed_c = {(i, j, l): x for i, row in enumerate(cs) for j, v in enumerate(row) for l, x in v}
+    keyed_d = {(i, j, k, l): x for i, plane in enumerate(ds) for j, row in enumerate(plane)
+               for k, v in enumerate(row) for l, x in v}
+    return (scale, keyed_c), (scale, keyed_d)
 
 
 def _spread(m: Matrix, post: bool):
@@ -184,14 +183,13 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     return scale, entries
 
 
-def _identity_defect(keyed: Keyed, post: Matrix | None, terms) -> Keyed:
+def _identity_defect(keyed: Keyed, post: Matrix, terms) -> Keyed:
     """post(T(e_I)) minus the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
 
-    ``terms`` is a nonempty list with one map per argument slot for each
-    transported tensor.
-    Returns the common scale and the nonzero coordinates of the defect
-    times that scale, keyed by (i, j[, k], l); an empty dict means the
-    identity holds on every basis tuple.
+    ``terms`` is a nonempty list with one map (or None) per argument slot
+    for each transported tensor.  Returns the common scale and the nonzero
+    coordinates of the defect times that scale, keyed by (i, j[, k], l); an
+    empty dict means the identity holds on every basis tuple.
     """
     parts = [(1, _transport(keyed, (None,) * len(terms[0]), post))]
     parts += [(-1, _transport(keyed, term)) for term in terms]

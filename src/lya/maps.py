@@ -102,8 +102,8 @@ def _hom_defect(algebra: LYAlgebra, f: LinMap):
     residual is f(T(e_I)) - T(f e_i, f e_j[, f e_k]).
     """
     m = f.matrix
-    for kind, tensor, arity in (("binary", algebra.c, 2), ("ternary", algebra.d, 3)):
-        scale, defect = _identity_defect(_keyed(tensor, arity), m, [(m,) * arity])
+    for kind, keyed, arity in zip(("binary", "ternary"), _keyed(algebra.c, algebra.d), (2, 3)):
+        scale, defect = _identity_defect(keyed, m, [(m,) * arity])
         first = _first_tuple(defect)
         if first is not None:
             return (kind, first, tuple(Fraction(defect.get(first + (l,), 0), scale)
@@ -177,9 +177,9 @@ def satisfies_g_derivation(algebra: LYAlgebra, f: LinMap,
     if f.dim != n or theta.dim != n or vartheta.dim != n:
         raise InputError("map dimension does not match algebra dimension")
     m, t, v = f.matrix, theta.matrix, vartheta.matrix
-    return (not _identity_defect(_keyed(algebra.c, 2), m, [(m, t), (v, m)])[1]
-            and not _identity_defect(_keyed(algebra.d, 3), m,
-                                     [(m, t, v), (v, m, t), (t, v, m)])[1])
+    keyed_c, keyed_d = _keyed(algebra.c, algebra.d)
+    return (not _identity_defect(keyed_c, m, [(m, t), (v, m)])[1]
+            and not _identity_defect(keyed_d, m, [(m, t, v), (v, m, t), (t, v, m)])[1])
 
 
 def satisfies_derivation(algebra: LYAlgebra, f: LinMap) -> bool:
