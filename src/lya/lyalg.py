@@ -139,19 +139,6 @@ def _keyed(c: Tensor3, d: Tensor4) -> tuple[Keyed, Keyed]:
     return (scale, keyed_c), (scale, keyed_d)
 
 
-def _spread(m: Matrix, post: bool):
-    """Map m cleared of denominators, as the weights one mode product needs.
-
-    In an argument slot, basis index a spreads to i with weight m[a][i]
-    (T(m e_i) = sum_a m[a][i] T(e_a)); applied to the product (``post``),
-    coordinate l spreads to r with weight m[r][l].
-    """
-    rows = m.transpose().entries if post else m.entries
-    scale = math.lcm(*{x.denominator for r in rows for x in r})
-    return scale, [[(i, x.numerator * (scale // x.denominator)) for i, x in enumerate(r) if x]
-                   for r in rows]
-
-
 def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None = None) -> Keyed:
     """T(M_0 e_i, M_1 e_j[, M_2 e_k]) on every basis tuple, in integers.
 
@@ -163,13 +150,19 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     like ``keyed``.
     """
     scale, entries = keyed
-    slots = [(s, m, False) for s, m in enumerate(maps)]
+    # Row a of a map lists the weights m[a][i] with which slot value a
+    # spreads to i: T(m e_i) = sum_a m[a][i] T(e_a).  On the product
+    # coordinate, l spreads to r with weight post[r][l], so post enters
+    # transposed.
+    slots = list(enumerate(maps))
     if post is not None:
-        slots.append((len(maps), post, True))
-    for s, m, is_post in slots:
+        slots.append((len(maps), post.transpose()))
+    for s, m in slots:
         if m is None:
             continue
-        m_scale, spread = _spread(m, is_post)
+        m_scale = math.lcm(*{x.denominator for row in m.entries for x in row})
+        spread = [[(i, x.numerator * (m_scale // x.denominator)) for i, x in enumerate(row) if x]
+                  for row in m.entries]
         if m_scale == 1 and all(w == [(a, 1)] for a, w in enumerate(spread)):
             continue
         scale *= m_scale
