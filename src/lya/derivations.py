@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalCheckError, MathError
+from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
     Matrix,
     Subspace,
@@ -38,7 +38,7 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _first_tuple, _identity_defect, _keyed, binary_eval, ternary_eval
+from .lyalg import LYAlgebra, _first_failure, binary_eval, ternary_eval
 from .maps import (
     AutCert,
     LinMap,
@@ -152,7 +152,7 @@ def g_derivation_space(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert) ->
     """Maps satisfying the identities twisted by the certified pair."""
     n = algebra.dim
     if theta.map.dim != n or vartheta.map.dim != n:
-        raise MathError("automorphism dimension does not match the algebra")
+        raise InputError("automorphism dimension does not match the algebra")
     space = _twisted_space(algebra, theta.map, vartheta.map,
                            "twisted solver produced an unsound basis element")
     return DerSpace(space=space, theta=theta, vartheta=vartheta)
@@ -170,20 +170,18 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     that consequence is re-verified on the computed basis.
     """
     n = algebra.dim
-    c, d = algebra.c, algebra.d
     units = [vunit(n, i) for i in range(n)]
-    rows = _identity_rows(c, 2, [(None, units)], n * n)
-    rows += _identity_rows(d, 3, [(None, units, units)], n * n)
+    rows = _identity_rows(algebra.c, 2, [(None, units)], n * n)
+    rows += _identity_rows(algebra.d, 3, [(None, units, units)], n * n)
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
-    keyed_c, keyed_d = _keyed(c, d)
     for flat in space.basis:
         m = LinMap.unflatten(n, flat).matrix
-        if _identity_defect(keyed_c, m, [(None, m)])[1]:
+        if _first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
         # The first failing basis triple decides which message is raised.
-        middle = _first_tuple(_identity_defect(keyed_d, m, [(None, m, None)])[1])
-        last = _first_tuple(_identity_defect(keyed_d, m, [(None, None, m)])[1])
-        if middle is not None and (last is None or middle <= last):
+        middle = _first_failure(algebra, m, [(None, m, None)])
+        last = _first_failure(algebra, m, [(None, None, m)])
+        if middle is not None and (last is None or middle[0] <= last[0]):
             raise InternalCheckError("centroid member fails the middle-slot identity")
         if last is not None:
             raise InternalCheckError("centroid member fails the last-slot identity")
@@ -207,7 +205,7 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
     """
     n = algebra.dim
     if d_map.dim != n:
-        raise MathError("map dimension does not match the algebra")
+        raise InputError("map dimension does not match the algebra")
     c, d = algebra.c, algebra.d
     units = [vunit(n, i) for i in range(n)]
     du = [d_map.apply(u) for u in units]
@@ -234,15 +232,14 @@ def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWit
     """Re-check the companion identities by direct evaluation:
     D'[x,y] = [Dx, y] + [x, Dy] and D''{x,y,z} = {Dx,y,z} + {x,Dy,z} + {x,y,Dz}."""
     m = d_map.matrix
-    keyed_c, keyed_d = _keyed(algebra.c, algebra.d)
-    return (not _identity_defect(keyed_c, witness.dprime.matrix, [(m, None), (None, m)])[1]
-            and not _identity_defect(keyed_d, witness.dprimeprime.matrix,
-                                     [(m, None, None), (None, m, None), (None, None, m)])[1])
+    return (_first_failure(algebra, witness.dprime.matrix, [(m, None), (None, m)]) is None
+            and _first_failure(algebra, witness.dprimeprime.matrix,
+                               [(m, None, None), (None, m, None), (None, None, m)]) is None)
 
 
 def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> None:
     """Raise MathError unless H is a subalgebra that the automorphism maps into
-    itself; a subspace of the wrong ambient dimension is rejected too."""
+    itself, and InputError when H has the wrong ambient dimension."""
     if not is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
     for b in h.basis:
@@ -365,7 +362,7 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     """
     n = algebra.dim
     if d_map.dim != n:
-        raise MathError("map dimension does not match the algebra")
+        raise InputError("map dimension does not match the algebra")
     w = derived_algebra(algebra)
     units = [vunit(n, i) for i in range(n)]
     gens: list[tuple[tuple, Vec, Vec]] = []

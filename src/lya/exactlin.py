@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -25,12 +26,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# "p" or "p/q" in ASCII digits with an optional sign.  Fraction alone would
+# also take exponents, decimal points, underscores and non-ASCII digits, and
+# an exponent such as "1e9999999" takes seconds to expand.
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+
+
 def frac(x: Scalar) -> Fraction:
     """Coerce an int, exact string ("3", "-2/5"), or Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"not an exact rational: {x!r}")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise InputError(f"cannot parse rational {x!r}: expected p or p/q in ASCII digits")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

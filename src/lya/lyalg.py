@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,50 +104,34 @@ def _tensor_shapes_ok(n: int, c, d) -> None:
         raise InputError("ternary tensor shape does not match dimension")
 
 
-def _cleared(c: Tensor3, d: Tensor4):
-    """Sparse integer view of the tensor pair with denominators cleared.
-
-    Returns the least common denominator L of every entry of ``c`` and ``d``
-    and the nonzero coordinates of L*c[i][j] and L*d[i][j][k], each as a list
-    of (index, int) pairs.
-    """
-    scale = math.lcm(*{x.denominator for row in c for v in row for x in v},
-                     *{x.denominator for plane in d for row in plane for v in row for x in v})
-
-    def cleared(v: Vec) -> list[tuple[int, int]]:
-        return [(l, x.numerator * (scale // x.denominator)) for l, x in enumerate(v) if x]
-
-    cs = [[cleared(v) for v in row] for row in c]
-    ds = [[[cleared(v) for v in row] for row in plane] for plane in d]
-    return scale, cs, ds
-
-
 Keyed = tuple[int, dict[tuple[int, ...], int]]
 
 
-def _keyed(c: Tensor3, d: Tensor4) -> tuple[Keyed, Keyed]:
-    """Integer forms of ``c`` and ``d`` for :func:`_transport`.
-
-    Each is the common denominator L of both tensors (as in :func:`_cleared`)
-    with the nonzero coordinates of L*c and L*d, keyed by (i, j, l) and
-    (i, j, k, l) for coordinate l of the product of basis elements i, j[, k].
+def _cleared(c: Tensor3, d: Tensor4) -> tuple[int, dict, dict]:
+    """The tensor pair in integers: the least common denominator L of every
+    entry of ``c`` and ``d``, and the nonzero coordinates of L*c and L*d,
+    keyed by (i, j, l) and (i, j, k, l) for coordinate l of the product of
+    basis elements i, j[, k].
     """
-    scale, cs, ds = _cleared(c, d)
-    keyed_c = {(i, j, l): x for i, row in enumerate(cs) for j, v in enumerate(row) for l, x in v}
-    keyed_d = {(i, j, k, l): x for i, plane in enumerate(ds) for j, row in enumerate(plane)
-               for k, v in enumerate(row) for l, x in v}
-    return (scale, keyed_c), (scale, keyed_d)
+    scale = math.lcm(*{x.denominator for row in c for v in row for x in v},
+                     *{x.denominator for plane in d for row in plane for v in row for x in v})
+    cs = {(i, j, l): x.numerator * (scale // x.denominator)
+          for i, row in enumerate(c) for j, v in enumerate(row) for l, x in enumerate(v) if x}
+    ds = {(i, j, k, l): x.numerator * (scale // x.denominator)
+          for i, plane in enumerate(d) for j, row in enumerate(plane)
+          for k, v in enumerate(row) for l, x in enumerate(v) if x}
+    return scale, cs, ds
 
 
 def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None = None) -> Keyed:
     """T(M_0 e_i, M_1 e_j[, M_2 e_k]) on every basis tuple, in integers.
 
-    ``keyed`` is the :func:`_keyed` form of T, ``maps`` holds one matrix for
-    each argument slot and ``post``, when given, is applied to every product.
-    Each map is cleared of denominators and applied as a mode product over
-    the nonzero entries, one slot at a time; None and identity matrices are
-    skipped.  Returns the scale and the scaled nonzero coordinates, keyed
-    like ``keyed``.
+    ``keyed`` is T's scale and cleared entries from the :func:`_cleared` form,
+    ``maps`` holds one matrix for each argument slot and ``post``, when
+    given, is applied to every product.  Each map is cleared of denominators
+    and applied as a mode product over the nonzero entries, one slot at a
+    time; None and identity matrices are skipped.  Returns the scale and the
+    scaled nonzero coordinates, keyed like ``keyed``.
     """
     scale, entries = keyed
     # Row a of a map lists the weights m[a][i] with which slot value a
@@ -176,14 +160,17 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     return scale, entries
 
 
-def _identity_defect(keyed: Keyed, post: Matrix, terms) -> Keyed:
-    """post(T(e_I)) minus the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
+def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec] | None:
+    """Where post(T(e_I)) differs from the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
 
     ``terms`` is a nonempty list with one map (or None) per argument slot
-    for each transported tensor.  Returns the common scale and the nonzero
-    coordinates of the defect times that scale, keyed by (i, j[, k], l); an
-    empty dict means the identity holds on every basis tuple.
+    for each transported tensor; their length picks T, the binary product
+    for two slots and the ternary for three.  Both sides are evaluated on
+    the algebra's stored integer form.  Returns the least basis tuple, in
+    scan order, with a nonzero defect and the defect there, or None when the
+    identity holds on every basis tuple.
     """
+    keyed = (algebra._form[0], algebra._form[len(terms[0]) - 1])
     parts = [(1, _transport(keyed, (None,) * len(terms[0]), post))]
     parts += [(-1, _transport(keyed, term)) for term in terms]
     scale = math.lcm(*(s for _, (s, _) in parts))
@@ -192,12 +179,10 @@ def _identity_defect(keyed: Keyed, post: Matrix, terms) -> Keyed:
         factor = sign * (scale // s)
         for k, x in entries.items():
             acc[k] = acc.get(k, 0) + factor * x
-    return scale, {k: x for k, x in acc.items() if x}
-
-
-def _first_tuple(defect: dict[tuple[int, ...], int]) -> tuple[int, ...] | None:
-    """Least basis tuple, in scan order, with a nonzero defect coordinate."""
-    return min((k[:-1] for k in defect), default=None)
+    first = min((k[:-1] for k, x in acc.items() if x), default=None)
+    if first is None:
+        return None
+    return first, tuple(Fraction(acc.get(first + (l,), 0), scale) for l in range(algebra.dim))
 
 
 def _mac(acc: list[int], coeffs, vectors) -> None:
@@ -239,7 +224,7 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
                 if not vis_zero(res):
                     fail("LY2", (i, j, k), res)
 
-    scale, cs, ds = _cleared(c, d)
+    scale, keyed_c, keyed_d = _cleared(c, d)
     denom = scale * scale
 
     def check(tag: str, idx: tuple[int, ...], acc: list[int]) -> None:
@@ -247,6 +232,13 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
             fail(tag, idx, tuple(Fraction(x, denom) for x in acc))
 
     idx = range(n)
+    # The nonzeros of each product as (l, x) pairs: cs[i][j] and ds[i][j][k].
+    cs = [[[] for _ in idx] for _ in idx]
+    for (i, j, l), x in keyed_c.items():
+        cs[i][j].append((l, x))
+    ds = [[[[] for _ in idx] for _ in idx] for _ in idx]
+    for (i, j, k, l), x in keyed_d.items():
+        ds[i][j][k].append((l, x))
     # Transposes that put the contracted slot last: c_1[j][a] = c[a][j],
     # d_1[j][k][a] = d[a][j][k] and d_2[i][k][a] = d[i][a][k].
     c_1 = [[cs[a][j] for a in idx] for j in idx]
@@ -306,6 +298,8 @@ class LYAlgebra:
     labels: tuple[str, ...]
     c: Tensor3
     d: Tensor4
+    # _cleared(c, d), built once at construction; every re-check only reads it.
+    _form: tuple[int, dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
@@ -313,6 +307,7 @@ class LYAlgebra:
         report = check_axioms(self.dim, self.c, self.d)
         if not report.passed:
             raise AxiomError(report)
+        object.__setattr__(self, "_form", _cleared(self.c, self.d))
 
     @classmethod
     def from_tensors(cls, labels: Sequence[str], c, d) -> "LYAlgebra":

@@ -8,7 +8,6 @@ fixed basis, column j being the image of basis vector j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalCheckError, MathError
@@ -22,7 +21,7 @@ from .exactlin import (
     vec,
     vunit,
 )
-from .lyalg import LYAlgebra, _first_tuple, _identity_defect, _keyed, triple
+from .lyalg import LYAlgebra, _first_failure, triple
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,10 @@ def _hom_defect(algebra: LYAlgebra, f: LinMap):
     residual is f(T(e_I)) - T(f e_i, f e_j[, f e_k]).
     """
     m = f.matrix
-    for kind, keyed, arity in zip(("binary", "ternary"), _keyed(algebra.c, algebra.d), (2, 3)):
-        scale, defect = _identity_defect(keyed, m, [(m,) * arity])
-        first = _first_tuple(defect)
-        if first is not None:
-            return (kind, first, tuple(Fraction(defect.get(first + (l,), 0), scale)
-                                       for l in range(algebra.dim)))
+    for kind, arity in (("binary", 2), ("ternary", 3)):
+        failure = _first_failure(algebra, m, [(m,) * arity])
+        if failure is not None:
+            return (kind, *failure)
     return None
 
 
@@ -169,17 +166,16 @@ def satisfies_g_derivation(algebra: LYAlgebra, f: LinMap,
     f(T(e_I)) is compared with the sum of the tensors T transported by f, θ
     and ϑ slot by slot: f[x,y] = [fx, θy] + [ϑx, fy] and
     f{x,y,z} = {fx, θy, ϑz} + {ϑx, fy, θz} + {θx, ϑy, fz}, exactly, in
-    integers.  Used both as the defining test and as an independent
-    soundness check for the nullspace solvers; it never touches an assembled
-    constraint matrix.
+    integers on the algebra's stored cleared form.  Used both as the
+    defining test and as an independent soundness check for the nullspace
+    solvers; it never touches an assembled constraint matrix.
     """
     n = algebra.dim
     if f.dim != n or theta.dim != n or vartheta.dim != n:
         raise InputError("map dimension does not match algebra dimension")
     m, t, v = f.matrix, theta.matrix, vartheta.matrix
-    keyed_c, keyed_d = _keyed(algebra.c, algebra.d)
-    return (not _identity_defect(keyed_c, m, [(m, t), (v, m)])[1]
-            and not _identity_defect(keyed_d, m, [(m, t, v), (v, m, t), (t, v, m)])[1])
+    return (_first_failure(algebra, m, [(m, t), (v, m)]) is None
+            and _first_failure(algebra, m, [(m, t, v), (v, m, t), (t, v, m)]) is None)
 
 
 def satisfies_derivation(algebra: LYAlgebra, f: LinMap) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InternalCheckError, MathError
+from .errors import InputError, InternalCheckError, MathError
 from .exactlin import Matrix, Subspace, nullspace, vis_zero, vunit
 from .lyalg import LYAlgebra, binary_eval, ternary_eval
 
@@ -52,7 +52,7 @@ def is_perfect(algebra: LYAlgebra) -> bool:
 def is_subalgebra(algebra: LYAlgebra, h: Subspace) -> bool:
     """Closure of the subspace under both products, tested on its basis."""
     if h.ambient_dim != algebra.dim:
-        raise MathError("subspace ambient dimension does not match the algebra")
+        raise InputError("subspace ambient dimension does not match the algebra")
     for a in h.basis:
         for b in h.basis:
             if not h.contains_vector(binary_eval(algebra.c, a, b)):
@@ -71,7 +71,7 @@ def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     constants and is reported as an internal failure.
     """
     if h.ambient_dim != algebra.dim:
-        raise MathError("subspace ambient dimension does not match the algebra")
+        raise InputError("subspace ambient dimension does not match the algebra")
     n = algebra.dim
     units = [vunit(n, j) for j in range(n)]
     for b in h.basis:

@@ -144,8 +144,10 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     maps = twisted.maps()
     closure_binary = True
     hom_property = True
+    brackets = []
     for f, g in itertools.product(maps, repeat=2):
         br = transported_bracket(theta, f, g)
+        brackets.append(br)
         if not twisted.contains(br):
             closure_binary = False
         lhs = compose(theta.inverse, br)
@@ -153,8 +155,8 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
         if lhs != rhs:
             hom_property = False
     closure_ternary = True
-    for f, g, h in itertools.product(maps, repeat=3):
-        t = transported_bracket(theta, transported_bracket(theta, f, g), h)
+    for br, h in itertools.product(brackets, maps):
+        t = transported_bracket(theta, br, h)
         if not twisted.contains(t):
             closure_ternary = False
     ok = lands and bijective and closure_binary and closure_ternary and hom_property

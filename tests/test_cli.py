@@ -454,3 +454,24 @@ def test_unwritable_out_path_exits_2_with_one_report(sl2_file, tmp_path, argv):
     assert report["error"].startswith(f"cannot write {target}")
     assert "result" not in report
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("quasi", "aff2.json", "--map", "map3.json"),
+    ("dhat", "aff2.json", "--map", "map3.json"),
+    ("stabilizer", "aff2.json", "--subspace", "line3.json"),
+    ("verify", "p36", "aff2.json", "--subspace", "line3.json"),
+])
+def test_dimension_mismatch_exits_2(tmp_path, monkeypatch, argv):
+    """A map or subspace of another dimension than the algebra is an input error."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("export", "aff2", "--out", "aff2.json")[0] == 0
+    save_json_file("map3.json", {"dim": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                                                      ["0", "0", "1"]]})
+    save_json_file("line3.json", {"ambient": 3, "basis": [["1", "0", "0"]]})
+    code, text = run_cli(*argv)
+    assert code == 2
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert report["verb"] == argv[0]
+    assert "dimension does not match the algebra" in report["error"]
+    assert "result" not in report and "witness" not in report

@@ -16,7 +16,16 @@ from lya.exactlin import (
     vunit,
     vzero,
 )
-from lya.lyalg import binary_eval, bracket, catalog, ternary_eval, triple
+from lya.lyalg import (
+    CATALOG_NAMES,
+    binary_eval,
+    bracket,
+    catalog,
+    check_axioms,
+    direct_sum,
+    ternary_eval,
+    triple,
+)
 from lya.maps import (
     LinMap,
     certify_automorphism,
@@ -683,3 +692,67 @@ def test_quasi_witness_satisfies_matches_reference():
                 assert got == quasi_witness_satisfies_reference(a, d_map, w)
                 outcomes.append(got)
     assert outcomes.count(True) > 50 and outcomes.count(False) > 100
+
+
+def counting(counts, name, func):
+    def wrapper(*args):
+        counts[name] += 1
+        return func(*args)
+    return wrapper
+
+
+def test_solvers_and_rechecks_reuse_the_stored_form(monkeypatch):
+    """Solvers, re-checks and verifiers on a built algebra never rebuild its
+    integer form; building an algebra makes it at most twice."""
+    from lya import lyalg, theorems
+
+    sl2, (rebased_sum, _, _) = catalog("sl2"), rebased(catalog("sl2_plus_ab1"), 11)
+    chev = LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    adh = LinMap.from_rows([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
+    counts = {"form": 0}
+    monkeypatch.setattr(lyalg, "_cleared", counting(counts, "form", lyalg._cleared))
+    for a in (sl2, rebased_sum):
+        derivation_space(a)
+        centroid(a)
+    cert = certify_automorphism(sl2, chev)
+    witness = is_quasi_derivation(sl2, adh)
+    assert quasi_witness_satisfies(sl2, adh, witness)
+    assert theorems.verify_t32(sl2, cert).conclusion_holds
+    assert counts["form"] == 0
+    lyalg.LYAlgebra.from_tensors(sl2.labels, sl2.c, sl2.d)
+    assert counts["form"] <= 2
+
+
+def test_verify_suite_builds_the_form_at_most_twice_per_algebra(monkeypatch):
+    from lya import lyalg, theorems
+
+    counts = {"form": 0, "check": 0}
+    monkeypatch.setattr(lyalg, "_cleared", counting(counts, "form", lyalg._cleared))
+    monkeypatch.setattr(lyalg, "check_axioms", counting(counts, "check", lyalg.check_axioms))
+    lyalg.catalog.cache_clear()
+    theorems.default_catalog_reports()
+    assert 0 < counts["form"] <= 2 * counts["check"] <= 20
+
+
+def embed_block(f, offset, total):
+    """f acting on the coordinates offset .. offset + f.dim - 1 of a total-dim space."""
+    rows = [[0] * total for _ in range(total)]
+    for p, row in enumerate(f.matrix.entries):
+        for q, x in enumerate(row):
+            rows[offset + p][offset + q] = x
+    return LinMap.from_rows(rows)
+
+
+@pytest.mark.parametrize("left,right", [
+    (a, b) for a, b in itertools.combinations_with_replacement(CATALOG_NAMES, 2)
+    if catalog(a).dim + catalog(b).dim <= 5])
+def test_derivations_of_a_direct_sum_contain_the_summands(left, right):
+    """der(A + B) contains der A + der B, acting block by block."""
+    a, b = catalog(left), catalog(right)
+    s = direct_sum(a, b)
+    assert check_axioms(s.dim, s.c, s.d).passed
+    space = derivation_space(s)
+    for f in derivation_space(a).maps():
+        assert space.contains(embed_block(f, 0, s.dim))
+    for g in derivation_space(b).maps():
+        assert space.contains(embed_block(g, a.dim, s.dim))

@@ -8,6 +8,7 @@ from lya.exactlin import (
     Matrix,
     Subspace,
     coordinates,
+    frac,
     invert,
     nullspace,
     rank,
@@ -347,3 +348,18 @@ def test_empty_matrix_shapes():
     assert rref(m).rows == 0
     assert nullspace(m) == Subspace.full(3)
     assert rank(m) == 0
+
+
+@pytest.mark.parametrize("text,value", [
+    ("-2/5", Fraction(-2, 5)), ("3", Fraction(3)), (" 1 ", Fraction(1)), ("+4/6", Fraction(2, 3)),
+])
+def test_frac_parses_the_documented_forms(text, value):
+    assert frac(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "1.5", "1_000", "٣", "3 / 4", "1/", ""])
+def test_frac_rejects_other_rational_syntax(text):
+    """Exponents, decimals, underscores and non-ASCII digits are not p or p/q;
+    the exponent would otherwise take seconds to expand."""
+    with pytest.raises(InputError, match="cannot parse rational"):
+        frac(text)

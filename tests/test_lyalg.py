@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from lya.lyalg import (
     direct_sum,
     from_leibniz,
     from_lie,
+    leibniz2,
     sl2_lie_tensor,
     tensor3,
     tensor4,
@@ -423,3 +426,61 @@ def test_check_axioms_matches_oracle_on_seeded_corruptions():
                 assert not report.passed
                 tags |= {f.axiom for f in report.failures}
     assert {"LY1", "LY2", "LY3", "LY4", "LY5", "LY6"} <= tags
+
+
+def stored_form_algebras():
+    sl2_sum = catalog("sl2_plus_ab1")
+    rebased = LYAlgebra.from_tensors(sl2_sum.labels, *change_basis(sl2_sum, seed=11))
+    return {**{name: catalog(name) for name in CATALOG_NAMES},
+            "sl2+h3": direct_sum(catalog("sl2"), catalog("h3")),
+            "from_leibniz": from_leibniz(leibniz2()), "rebased": rebased}
+
+
+@pytest.mark.parametrize("name", stored_form_algebras())
+def test_stored_form_equals_the_dense_tensors(name):
+    """The integer form kept on the algebra holds every nonzero of c and d,
+    each times the least common denominator of all entries, and nothing else."""
+    a = stored_form_algebras()[name]
+    scale, cs, ds = a._form
+    entries = [(i, j, l, x) for i, row in enumerate(a.c) for j, v in enumerate(row)
+               for l, x in enumerate(v)]
+    dense_d = [(i, j, k, l, x) for i, plane in enumerate(a.d) for j, row in enumerate(plane)
+               for k, v in enumerate(row) for l, x in enumerate(v)]
+    denominators = {e[-1].denominator for e in entries + dense_d}
+    assert scale == math.lcm(*denominators)
+    assert all(type(x) is int and x for x in [*cs.values(), *ds.values()])
+    assert {e[:-1] for e in entries if e[-1]} == set(cs)
+    assert {e[:-1] for e in dense_d if e[-1]} == set(ds)
+    for *key, x in entries + dense_d:
+        assert Fraction((cs if len(key) == 3 else ds).get(tuple(key), 0), scale) == x
+
+
+def test_rebased_form_has_denominators():
+    assert stored_form_algebras()["rebased"]._form[0] > 1
+
+
+# SHA-256 of repr(catalog(name)), taken before the integer form was stored.
+CATALOG_REPR_SHA256 = {
+    "abelian1": "c97f6e42162e4b921f8e33d1d4a6e42da6bce876ec8ab791aca92306fd635dea",
+    "abelian2": "dc34fda19e85dde750522c667971e0782d94d8f56773d1c5a5890d10deaecc44",
+    "abelian3": "123ecb6f916ca8695cf3a2deb05b471c7dc2ff9e597217bdd492f63dab46f77f",
+    "sl2": "f3d9b456d57d94427cd8c9391334e234f7bdee3eb379ebeb5f1b6b3fbdb45224",
+    "h3": "7bdf34d2343b5d458f61f881e4b62430d92e297251a47fc1d4fbeb12ff7feb2b",
+    "aff2": "80ef4edf27f62e19189d5657c7663deb328de37aec3f195e158279dbce271666",
+    "lts_sl2": "66a5b9369173f38341f8c2ad5b86b93508dbc7574de2e4b1c7526b70ebf31244",
+    "sl2_plus_ab1": "0b78288fb53f5f504d909f68ba60774eacc780d242e244aeef181138b1851059",
+    "leibniz2": "c3f0d57821ff93e3b39159e2b08510fd02245cb60c001f32dcffc366eda28ae3",
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_equality_hash_and_repr_ignore_the_stored_form(name, tmp_path):
+    from lya.serialize import algebra_from_dict, algebra_to_dict, load_json_file, save_json_file
+
+    a = catalog(name)
+    save_json_file(tmp_path / "a.json", algebra_to_dict(a))
+    b = algebra_from_dict(load_json_file(tmp_path / "a.json"))
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.dim, a.labels, a.c, a.d))
+    assert repr(a) == repr(b)
+    assert hashlib.sha256(repr(a).encode()).hexdigest() == CATALOG_REPR_SHA256[name]
