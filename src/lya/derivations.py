@@ -8,9 +8,11 @@ Plain derivations, twisted derivations, the centroid and the companion
 system of a quasi-derivation are each the kernel of one identity that is
 linear in the unknown map: f of a product equals a sum of products with f
 in one slot and fixed maps in the others.  ``_identity_rows`` turns any such
-identity into constraint rows on basis tuples.  The stabilizer's membership
-condition is not of that shape and keeps its own rows.  Every solver
-re-checks its answer by direct evaluation, without the constraint matrix.
+identity into constraint rows on basis tuples.  The stabilizer and the hat
+map are solved in the unknowns they actually have: the coefficients over
+the solved twisted space, and one row of the hat matrix at a time.  Every
+solver re-checks its answer by direct evaluation, without the constraint
+matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .exactlin import (
     coordinates,
     nullspace,
     solve,
-    subspace_intersect,
     vadd,
+    vec_strs,
     vis_zero,
     vscale,
     vunit,
@@ -78,15 +80,14 @@ class DerSpace:
         return self.space.contains_vector(f.flatten())
 
 
-def _identity_rows(tensor, arity: int, terms: Sequence[tuple], width: int,
-                   offset: int = 0) -> list[Vec]:
+def _identity_rows(tensor, arity: int, terms: Sequence[tuple]) -> list[Vec]:
     """Rows of the identity f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0.
 
     ``tensor`` is the binary ``c`` (arity 2) or the ternary ``d`` (arity 3).
     Each term lists, slot by slot, the basis images under a fixed map, with
     None in the one slot s that the unknown f fills.  There is one row per
     ordered basis tuple I and coordinate l; entry (p, q) of f sits at column
-    offset + p*n + q.
+    p*n + q.
     """
     n = len(tensor)
     units = [vunit(n, i) for i in range(n)]
@@ -105,13 +106,13 @@ def _identity_rows(tensor, arity: int, terms: Sequence[tuple], width: int,
         twisted.append((term.index(None), entries))
     rows: list[Vec] = []
     for idx, value in base.items():
-        blocks = [(offset + idx[s], [entries[idx[:s] + (a,) + idx[s + 1:]] for a in range(n)])
+        blocks = [(idx[s], [entries[idx[:s] + (a,) + idx[s + 1:]] for a in range(n)])
                   for s, entries in twisted]
         for l in range(n):
-            row = [ZERO] * width
+            row = [ZERO] * (n * n)
             for a, x in enumerate(value):
                 if x:
-                    row[offset + l * n + a] += x
+                    row[l * n + a] += x
             for col, images in blocks:
                 for a, image in enumerate(images):
                     x = image[l]
@@ -131,8 +132,8 @@ def _twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     n = algebra.dim
     units = [vunit(n, i) for i in range(n)]
     t, v = [theta.apply(u) for u in units], [vartheta.apply(u) for u in units]
-    rows = _identity_rows(algebra.c, 2, [(None, t), (v, None)], n * n)
-    rows += _identity_rows(algebra.d, 3, [(None, t, v), (v, None, t), (t, v, None)], n * n)
+    rows = _identity_rows(algebra.c, 2, [(None, t), (v, None)])
+    rows += _identity_rows(algebra.d, 3, [(None, t, v), (v, None, t), (t, v, None)])
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
     for flat in space.basis:
         if not satisfies_g_derivation(algebra, LinMap.unflatten(n, flat), theta, vartheta):
@@ -171,8 +172,8 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     """
     n = algebra.dim
     units = [vunit(n, i) for i in range(n)]
-    rows = _identity_rows(algebra.c, 2, [(None, units)], n * n)
-    rows += _identity_rows(algebra.d, 3, [(None, units, units)], n * n)
+    rows = _identity_rows(algebra.c, 2, [(None, units)])
+    rows += _identity_rows(algebra.d, 3, [(None, units, units)])
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
     for flat in space.basis:
         m = LinMap.unflatten(n, flat).matrix
@@ -197,11 +198,12 @@ class QuasiWitness:
 
 
 def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | None:
-    """Feasibility of the companion system for the given map.
+    """Feasibility of the companion systems for the given map.
 
-    The unknowns are the two companion matrices; the right-hand side is the
-    derivation-style sum for the queried map.  Free variables of a feasible
-    system are zeroed, so the returned witness is canonical.
+    D' is solved from the binary rows and D'' from the ternary rows, since
+    they share no unknown; each right-hand side is the derivation-style sum
+    for the queried map.  Free variables are zeroed, so the returned witness
+    is canonical.
     """
     n = algebra.dim
     if d_map.dim != n:
@@ -209,23 +211,22 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
     c, d = algebra.c, algebra.d
     units = [vunit(n, i) for i in range(n)]
     du = [d_map.apply(u) for u in units]
-    unknowns = 2 * n * n
-    rows = _identity_rows(c, 2, [], unknowns)
-    rows += _identity_rows(d, 3, [], unknowns, offset=n * n)
-    rhs: list[Fraction] = []
+    rhs_c: list[Fraction] = []
     for i, j in itertools.product(range(n), repeat=2):
-        rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
+        rhs_c.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
+    rhs_d: list[Fraction] = []
     for i, j, k in itertools.product(range(n), repeat=3):
         val = ternary_eval(d, du[i], units[j], units[k])
         val = vadd(val, ternary_eval(d, units[i], du[j], units[k]))
-        rhs.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
-    solution = solve(Matrix(len(rows), unknowns, tuple(rows)), rhs)
-    if solution is None:
-        return None
-    return QuasiWitness(
-        dprime=LinMap.unflatten(n, solution[: n * n]),
-        dprimeprime=LinMap.unflatten(n, solution[n * n:]),
-    )
+        rhs_d.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
+    companions = []
+    for tensor, arity, rhs in ((c, 2, rhs_c), (d, 3, rhs_d)):
+        rows = _identity_rows(tensor, arity, [])
+        solution = solve(Matrix(len(rows), n * n, tuple(rows)), rhs)
+        if solution is None:
+            return None
+        companions.append(LinMap.unflatten(n, solution))
+    return QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
 
 
 def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWitness) -> bool:
@@ -245,53 +246,38 @@ def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspac
     for b in h.basis:
         if not h.contains_vector(theta.map.apply(b)):
             raise MathError("automorphism does not stabilize the subspace",
-                            witness={"vector": [str(x) for x in b]})
+                            witness={"vector": vec_strs(b)})
 
 
 def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
     """Twisted derivations whose action keeps the subspace inside itself."""
     require_stabilized_subalgebra(algebra, theta, h)
-    return _stabilizer_space(algebra, theta, h)
+    return _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
 
 
-def _stabilizer_space(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
-    """:func:`stabilizer_derivations` for a subspace that has already passed
-    :func:`require_stabilized_subalgebra`."""
+def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> DerSpace:
+    """:func:`stabilizer_derivations` inside the solved single-twist space,
+    for a subspace that has already passed :func:`require_stabilized_subalgebra`.
+
+    D = sum of x_t D_t over the twisted basis keeps H inside itself iff the
+    residue of every D(b) against H vanishes, which is linear in x.
+    """
     n = algebra.dim
-    twisted = single_twist_space(algebra, theta)
-    # Membership of D(b) in H is linear in D: the residue of D(b) after
-    # elimination against H's basis must vanish coordinate by coordinate.
-    pivot_of = {p: r for r, p in enumerate(h.pivots)}
-    red = [[ZERO] * n for _ in range(n)]
-    for l in range(n):
-        red[l][l] = Fraction(1)
-    for a, r in pivot_of.items():
-        for l in range(n):
-            red[l][a] -= h.basis[r][l]
-    rows: list[Vec] = []
-    for b in h.basis:
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for p in range(n):
-                if red[l][p] == 0:
-                    continue
-                for q in range(n):
-                    if b[q] != 0:
-                        row[p * n + q] += red[l][p] * b[q]
-            rows.append(tuple(row))
-    if rows:
-        stab = nullspace(Matrix(len(rows), n * n, tuple(rows)))
-        space = subspace_intersect(twisted.space, stab)
-    else:
-        space = twisted.space
-    result = DerSpace(space=space, theta=theta, vartheta=twisted.vartheta)
-    ident = LinMap.identity(n)
+    members = twisted.maps()
+    residues = [[h.reduce(f.apply(b)) for f in members] for b in h.basis]
+    rows = tuple(tuple(res[l] for res in per_map) for per_map in residues for l in range(n))
+    coeffs = nullspace(Matrix(len(rows), twisted.dim, rows))
+    combos = Matrix(coeffs.dim, twisted.dim, coeffs.basis).mul(
+        Matrix(twisted.dim, n * n, twisted.space.basis))
+    space = Subspace.span(n * n, combos.entries)
+    result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
     for f in result.maps():
-        if not satisfies_g_derivation(algebra, f, theta.map, ident):
+        if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
-        for b in h.basis:
-            if not h.contains_vector(f.apply(b)):
-                raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
+        # Tested with coordinates(), not the Subspace.reduce the solve used, so
+        # a fault in one cannot hide itself.
+        if any(coordinates(h, f.apply(b)) is None for b in h.basis):
+            raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
     return result
 
 
@@ -384,21 +370,13 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
             if not vis_zero(mismatch):
                 terms = tuple((gens[r][0], lam[r]) for r in range(len(gens)) if lam[r] != 0)
                 return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
-    m = w.dim
-    rows: list[Vec] = []
-    rhs_flat: list[Fraction] = []
-    for _, gen_vec, gen_rhs in gens:
-        coords = coordinates(w, gen_vec)
-        if coords is None:
-            raise InternalCheckError("product vector escaped the derived algebra")
-        for l in range(n):
-            row = [ZERO] * (n * m)
-            for b in range(m):
-                row[l * m + b] = coords[b]
-            rows.append(tuple(row))
-            rhs_flat.append(gen_rhs[l])
-    solution = solve(Matrix(len(rows), n * m, tuple(rows)), rhs_flat)
-    if solution is None:
+    coords = [coordinates(w, gen_vec) for _, gen_vec, _ in gens]
+    if None in coords:
+        raise InternalCheckError("product vector escaped the derived algebra")
+    # Row l of the hat matrix solves its own system over W's coordinates.
+    system = Matrix(len(gens), w.dim, tuple(coords))
+    matrix_rows = [solve(system, [gen_rhs[l] for _, _, gen_rhs in gens]) for l in range(n)]
+    if None in matrix_rows:
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
-    matrix = Matrix(n, m, tuple(tuple(solution[l * m + b] for b in range(m)) for l in range(n)))
+    matrix = Matrix(n, w.dim, tuple(matrix_rows))
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

@@ -79,6 +79,15 @@ def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
+def vec_strs(v: Iterable[Fraction]) -> list[str]:
+    """Entries as "p" or "p/q"; InputError when one has more digits than
+    Python converts to a string (PYTHONINTMAXSTRDIGITS, 4300 by default)."""
+    try:
+        return [str(x) for x in v]
+    except ValueError as exc:
+        raise InputError(f"a rational in the result has too many digits to print: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense rational matrix; entries are a row-major tuple of row tuples."""

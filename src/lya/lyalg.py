@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Matrix, Scalar, Vec, frac, vadd, vec, vis_zero, vscale, vunit, vzero
+from .exactlin import (Matrix, Scalar, Vec, frac, vadd, vec, vec_strs, vis_zero, vscale, vunit,
+                       vzero)
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
@@ -346,7 +347,7 @@ def _check_lie(n: int, c: Tensor3) -> None:
         res = vadd(res, binary_eval(c, c[k][i], vunit(n, j)))
         if not vis_zero(res):
             raise MathError(f"Jacobi identity fails at basis triple ({i}, {j}, {k})",
-                            witness={"indices": [i, j, k], "residual": [str(x) for x in res]})
+                            witness={"indices": [i, j, k], "residual": vec_strs(res)})
 
 
 def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
@@ -387,7 +388,7 @@ class LeibnizAlgebra:
             if not vis_zero(res):
                 raise MathError(
                     f"left Leibniz identity fails at basis triple ({a}, {b}, {c})",
-                    witness={"indices": [a, b, c], "residual": [str(x) for x in res]})
+                    witness={"indices": [a, b, c], "residual": vec_strs(res)})
 
     @classmethod
     def from_tensor(cls, labels: Sequence[str], product) -> "LeibnizAlgebra":

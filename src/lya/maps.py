@@ -19,6 +19,7 @@ from .exactlin import (
     coordinates,
     invert,
     vec,
+    vec_strs,
     vunit,
 )
 from .lyalg import LYAlgebra, _first_failure, triple
@@ -150,7 +151,7 @@ def certify_automorphism(algebra: LYAlgebra, f: LinMap) -> AutCert:
         raise MathError(
             f"not a homomorphism: {kind} product at basis tuple {indices}",
             witness={"kind": kind, "indices": list(indices),
-                     "residual": [str(x) for x in residual]})
+                     "residual": vec_strs(residual)})
     return AutCert(map=f, inverse=LinMap(f.dim, inv))
 
 
@@ -211,8 +212,7 @@ def restrict_map(f: LinMap, subspace: Subspace) -> LinMap:
         if coords is None:
             raise MathError(
                 "subspace is not invariant under the map",
-                witness={"vector": [str(x) for x in b],
-                         "image": [str(x) for x in image]})
+                witness={"vector": vec_strs(b), "image": vec_strs(image)})
         cols.append(coords)
     k = subspace.dim
     return LinMap(k, Matrix(k, k, tuple(tuple(col[i] for col in cols) for i in range(k))))

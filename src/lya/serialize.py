@@ -13,15 +13,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import InputError
-from .exactlin import Matrix, Subspace, Vec, vec, vis_zero, vzero
+from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vis_zero, vzero
 from .lyalg import LeibnizAlgebra, LYAlgebra, Tensor3, Tensor4, tensor3
 from .maps import LinMap
 from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
 from .theorems import PropReport
-
-
-def vec_strs(v: Vec) -> list[str]:
-    return [str(x) for x in v]
 
 
 def strs_vec(items: Sequence, expect_len: int | None = None) -> Vec:
@@ -219,9 +215,10 @@ def dhat_result_to_dict(r: DhatResult) -> dict:
     out: dict[str, Any] = {"consistent": r.consistent}
     out["map"] = partial_map_to_dict(r.map) if r.map else None
     if r.clash:
+        coeffs = vec_strs(coeff for _, coeff in r.clash.terms)
         out["clash"] = {
-            "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": str(coeff)}
-                      for tag, coeff in r.clash.terms],
+            "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": coeff}
+                      for (tag, _), coeff in zip(r.clash.terms, coeffs)],
             "mismatch": vec_strs(r.clash.mismatch),
         }
     else:
@@ -264,6 +261,8 @@ def read_json_file(path: str | Path) -> tuple[bytes, Any]:
         raise InputError(
             f"malformed JSON in {p}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InputError(f"cannot read {p}: {exc}") from exc
 
 
 def load_json_file(path: str | Path) -> Any:

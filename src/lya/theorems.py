@@ -26,6 +26,7 @@ from .exactlin import (
     subspace_intersect,
     vadd,
     vec,
+    vec_strs,
     vis_zero,
     vscale,
     vunit,
@@ -83,12 +84,8 @@ class PropReport:
             raise InternalCheckError("failed conclusion reported without a witness")
 
 
-def _fmt_vec(v: Vec) -> list[str]:
-    return [str(x) for x in v]
-
-
 def _fmt_map(f: LinMap) -> list[list[str]]:
-    return [[str(x) for x in row] for row in f.matrix.entries]
+    return [vec_strs(row) for row in f.matrix.entries]
 
 
 def _compose_cert(algebra: LYAlgebra, outer: LinMap, inner: LinMap) -> AutCert:
@@ -235,7 +232,7 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     witness = None
     if not contained:
         bad = next(b for b in w.basis if not kernel.contains_vector(b))
-        witness = {"vector": _fmt_vec(bad), "image": _fmt_vec(defect.apply(bad))}
+        witness = {"vector": vec_strs(bad), "image": vec_strs(defect.apply(bad))}
     if is_perfect(algebra):
         if not defect.is_zero():
             ok = False
@@ -318,8 +315,8 @@ def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     """Stabilizing twisted derivations form a subspace of the twisted space;
     when the subspace is a perfect ideal the two coincide."""
     require_stabilized_subalgebra(algebra, theta, h)
-    stab = _stabilizer_space(algebra, theta, h)
     full = single_twist_space(algebra, theta)
+    stab = _stabilizer_space(algebra, full, h)
     contained = subspace_contains(full.space, stab.space)
     ideal = is_ideal(algebra, h)
     perfect = ideal and is_perfect(_extract_subalgebra(algebra, h))
@@ -369,7 +366,7 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
                   ("restriction invertible", inv is not None))
     if inv is None:
         return PropReport("P37", instance, False, hypotheses, None, None, {})
-    stab = _stabilizer_space(algebra, theta, h)
+    stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     preimages = []
     for b_idx in range(h.dim):
         coords = tuple(inv.entries[r][b_idx] for r in range(h.dim))
@@ -388,7 +385,7 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         if not inside:
             ok = False
             bad = next(v for v in values if not h.contains_vector(v))
-            witness = {"map": _fmt_map(d_map), "value": _fmt_vec(bad)}
+            witness = {"map": _fmt_map(d_map), "value": vec_strs(bad)}
         if outcome.consistent:
             for b_idx, y in enumerate(preimages):
                 x = h.basis[b_idx]
@@ -425,11 +422,12 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         restricts = False
         invertible = False
     fixes_g1 = theta.map.apply(g1v) == g1v
-    stab = _stabilizer_space(algebra, theta, h)
+    stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     z = center(algebra)
     survivors = []
     central_images = True
-    for idx, d_map in enumerate(stab.maps()):
+    stab_maps = stab.maps()
+    for idx, d_map in enumerate(stab_maps):
         good = z.contains_vector(d_map.apply(g1v)) and z.contains_vector(d_map.apply(g2v))
         central_images = central_images and good
         if good:
@@ -443,9 +441,9 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     sub = _extract_subalgebra(algebra, h)
     survivor_results = []
     for idx in survivors:
-        d_map = stab.maps()[idx]
-        w = is_quasi_derivation(sub, restrict_map(d_map, h))
-        if w is not None and not quasi_witness_satisfies(sub, restrict_map(d_map, h), w):
+        restricted_map = restrict_map(stab_maps[idx], h)
+        w = is_quasi_derivation(sub, restricted_map)
+        if w is not None and not quasi_witness_satisfies(sub, restricted_map, w):
             raise InternalCheckError("companion witness failed re-verification")
         survivor_results.append({"basis_index": idx, "quasi": w is not None})
     details = {"stab_dim": stab.dim, "survivors": survivors,

@@ -475,3 +475,41 @@ def test_dimension_mismatch_exits_2(tmp_path, monkeypatch, argv):
     assert report["verb"] == argv[0]
     assert "dimension does not match the algebra" in report["error"]
     assert "result" not in report and "witness" not in report
+
+
+BIG = "1" + "0" * 3999  # a 4000-digit integer, printable on its own
+
+
+@pytest.mark.parametrize("argv,data", [
+    (("construct", "big.json", "--from", "lie"), {"dim": 2, "binary": [[0, 1, [BIG, "0"]]]}),
+    (("construct", "big.json", "--from", "leibniz"),
+     {"dim": 2, "product": [[0, 1, [BIG, "0"]], [1, 0, ["-" + BIG, "0"]]]}),
+    (("check", "big.json"),
+     {"dim": 2, "binary": [[0, 1, [BIG, "0"]]], "ternary": [[0, 1, 0, [BIG, "0"]]]}),
+])
+def test_result_rationals_past_the_digit_limit_exit_2(tmp_path, monkeypatch, argv, data):
+    """Products of a 4000-digit coefficient have 8000 digits, more than Python
+    converts to a string; the verb ends in one error envelope."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 4000 < limit < 8000:
+        pytest.skip("needs an integer string conversion limit between 4000 and 8000 digits")
+    monkeypatch.chdir(tmp_path)
+    save_json_file("big.json", data)
+    code, text = run_cli(*argv)
+    assert code == 2
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert report["verb"] == argv[0]
+    assert "too many digits to print" in report["error"]
+    assert "result" not in report
+
+
+def test_json_integer_past_the_digit_limit_exits_2(tmp_path):
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        pytest.skip("needs an integer string conversion limit below 5000 digits")
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 1' + "0" * 5000 + "}", encoding="utf-8")
+    code, text = run_cli("check", str(path))
+    assert code == 2
+    report = json.loads(text)
+    assert report["error"].startswith(f"cannot read {path}")
+    assert "result" not in report

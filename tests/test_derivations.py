@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,9 +9,12 @@ from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (
     Matrix,
     Subspace,
+    coordinates,
     nullspace,
     rank,
+    solve,
     subspace_contains,
+    subspace_intersect,
     vadd,
     vscale,
     vunit,
@@ -23,6 +27,7 @@ from lya.lyalg import (
     catalog,
     check_axioms,
     direct_sum,
+    from_lie,
     ternary_eval,
     triple,
 )
@@ -756,3 +761,192 @@ def test_derivations_of_a_direct_sum_contain_the_summands(left, right):
         assert space.contains(embed_block(f, 0, s.dim))
     for g in derivation_space(b).maps():
         assert space.contains(embed_block(g, a.dim, s.dim))
+
+
+def test_verify_suite_solves_each_p36_twisted_space_once(monkeypatch):
+    """P36 hands its own twisted space to the stabilizer, so one suite makes
+    41 twisted solves rather than 43."""
+    from lya import theorems
+
+    counts = {"twisted": 0}
+    monkeypatch.setattr(derivations, "_twisted_space",
+                        counting(counts, "twisted", derivations._twisted_space))
+    theorems.default_catalog_reports()
+    assert counts["twisted"] == 41
+
+
+# References for the stabilizer, the quasi companions and the hat map: the
+# wider systems these solvers used to build, kept here to pin their answers.
+
+def stabilizer_reference(algebra, twisted, h):
+    """n*n-wide membership rows for H, intersected with the twisted space."""
+    n = algebra.dim
+    red = [[Fraction(int(l == p)) for p in range(n)] for l in range(n)]
+    for r, a in enumerate(h.pivots):
+        for l in range(n):
+            red[l][a] -= h.basis[r][l]
+    rows = []
+    for b in h.basis:
+        for l in range(n):
+            rows.append(tuple(red[l][p] * b[q] for p in range(n) for q in range(n)))
+    if not rows:
+        return twisted.space
+    return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, tuple(rows))))
+
+
+def quasi_reference(algebra, d_map):
+    """Both companions from one system in 2*n*n unknowns, D' first."""
+    n = algebra.dim
+    c, d = algebra.c, algebra.d
+    units = [vunit(n, i) for i in range(n)]
+    du = [d_map.apply(u) for u in units]
+    pad = (Fraction(0),) * (n * n)
+    rows = [r + pad for r in derivations._identity_rows(c, 2, [])]
+    rows += [pad + r for r in derivations._identity_rows(d, 3, [])]
+    rhs = []
+    for i, j in itertools.product(range(n), repeat=2):
+        rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        val = vadd(ternary_eval(d, du[i], units[j], units[k]),
+                   ternary_eval(d, units[i], du[j], units[k]))
+        rhs.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
+    solution = solve(Matrix(len(rows), 2 * n * n, tuple(rows)), rhs)
+    if solution is None:
+        return None
+    return QuasiWitness(LinMap.unflatten(n, solution[: n * n]),
+                        LinMap.unflatten(n, solution[n * n:]))
+
+
+def dhat_reference(algebra, d_map, theta):
+    """The n x m hat matrix from one nG x nm Kronecker system, or None."""
+    n = algebra.dim
+    w = derived_algebra(algebra)
+    m = w.dim
+    units = [vunit(n, i) for i in range(n)]
+    gens = [(algebra.c[i][j], dhat_binary_rhs(algebra, d_map, theta.map, units[i], units[j]))
+            for i in range(n) for j in range(i + 1, n)]
+    gens += [(algebra.d[i][j][k],
+              dhat_ternary_rhs(algebra, d_map, theta.map, units[i], units[j], units[k]))
+             for i, j, k in itertools.product(range(n), repeat=3)]
+    rows, rhs = [], []
+    for gen, target in gens:
+        coords = coordinates(w, gen)
+        for l in range(n):
+            row = [Fraction(0)] * (n * m)
+            row[l * m:(l + 1) * m] = coords
+            rows.append(tuple(row))
+            rhs.append(target[l])
+    solution = solve(Matrix(len(rows), n * m, tuple(rows)), rhs)
+    if solution is None:
+        return None
+    return Matrix(n, m, tuple(tuple(solution[l * m + b] for b in range(m)) for l in range(n)))
+
+
+def lie_algebra(n, brackets):
+    """from_lie on the bracket [e_i, e_j] = sum of x e_l over (i, j, l, x)."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, l, x in brackets:
+        c[i][j][l] += x
+        c[j][i][l] -= x
+    return from_lie(c)
+
+
+def h5():
+    """[x_i, y_i] = z on (x1, x2, y1, y2, z)."""
+    return lie_algebra(5, [(0, 2, 4, 1), (1, 3, 4, 1)])
+
+
+def gl2():
+    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the units E_ij at 2i + j."""
+    units = [(i, j) for i in range(2) for j in range(2)]
+    brackets = []
+    for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):
+        if j == k:
+            brackets.append((a, b, 2 * i + l, 1))
+        if l == i:
+            brackets.append((a, b, 2 * k + j, -1))
+    return lie_algebra(4, brackets)
+
+
+@functools.cache
+def narrowed_cases():
+    """(algebra, twists, subspaces) over the catalog, sl2_plus_ab1 in a seeded
+    rational basis, h5 and gl2.  The subspaces are the full and zero spaces
+    and every coordinate block (transported into the rebased basis) that is
+    a subalgebra stabilized by the twist."""
+    rebased_sum, _, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    extra = {"sl2": [chevalley_cert()], "lts_sl2": [neg_cert("lts_sl2")]}
+    algebras = [(catalog(name), None, extra.get(name, [])) for name in CATALOG_NAMES]
+    # x_i -> y_i, y_i -> -x_i, z -> z on h5
+    swap = LinMap.from_rows([[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0],
+                             [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]])
+    algebras += [(rebased_sum, p_inv, []), (h5(), None, [certify_automorphism(h5(), swap)]),
+                 (gl2(), None, [])]
+    cases = []
+    for a, to_basis, twists in algebras:
+        n = a.dim
+        for theta in [identity_cert(a)] + twists:
+            subspaces = []
+            for size in range(n + 1):
+                for block in itertools.combinations(range(n), size):
+                    units = [vunit(n, i) for i in block]
+                    if to_basis is not None:
+                        units = [to_basis.mul_vec(u) for u in units]
+                    h = Subspace.span(n, units)
+                    try:
+                        derivations.require_stabilized_subalgebra(a, theta, h)
+                    except MathError:
+                        continue
+                    subspaces.append(h)
+            cases.append((a, theta, subspaces))
+    return cases
+
+
+def test_stabilizer_matches_rows_and_intersection_reference():
+    seen = set()
+    for a, theta, subspaces in narrowed_cases():
+        twisted = single_twist_space(a, theta)
+        for h in subspaces:
+            got = derivations._stabilizer_space(a, twisted, h)
+            assert got.space == stabilizer_reference(a, twisted, h)
+            assert (got.theta, got.vartheta) == (twisted.theta, twisted.vartheta)
+            seen.add((h.dim in (0, a.dim), got.dim < twisted.dim))
+    # full, zero and proper blocks; proper blocks that do and do not cut the space down
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def reference_maps(rng, a):
+    """Derivation, centroid, zero and random maps of the algebra."""
+    n = a.dim
+    maps = list(derivation_space(a).maps())[:3]
+    maps += [LinMap.unflatten(n, flat) for flat in centroid(a).basis[:2]]
+    return maps + [LinMap.zero(n), rand_map(rng, n), rand_map(rng, n)]
+
+
+def test_split_quasi_solve_matches_the_combined_system():
+    rng = random.Random(71)
+    feasible = []
+    for a, theta, _ in narrowed_cases():
+        if theta != identity_cert(a):
+            continue
+        for d_map in reference_maps(rng, a):
+            got = is_quasi_derivation(a, d_map)
+            assert got == quasi_reference(a, d_map)
+            feasible.append(got is not None)
+    assert feasible.count(True) > 20 and feasible.count(False) > 10
+
+
+def test_row_by_row_dhat_matches_the_kronecker_system():
+    rng = random.Random(72)
+    outcomes = []
+    for a, theta, _ in narrowed_cases():
+        for d_map in reference_maps(rng, a):
+            got = dhat(a, d_map, theta)
+            want = dhat_reference(a, d_map, theta)
+            if want is None:
+                assert got.map is None and got.clash is not None
+            else:
+                assert got.map.matrix_on_domain == want
+                assert got.map.domain == derived_algebra(a)
+            outcomes.append((got.consistent, got.consistent and 0 < got.map.domain.dim < a.dim))
+    assert {(True, True), (True, False), (False, False)} <= set(outcomes)

@@ -363,3 +363,52 @@ def test_frac_rejects_other_rational_syntax(text):
     the exponent would otherwise take seconds to expand."""
     with pytest.raises(InputError, match="cannot parse rational"):
         frac(text)
+
+
+def sympy_matrix(sympy, rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
+                                          for r in rows for x in r])
+
+
+def sympy_span(sympy, columns):
+    """Canonical RREF rows of the span of sympy column vectors, as Fractions."""
+    if not columns:
+        return ()
+    red, _ = sympy.Matrix.hstack(*columns).T.rref()
+    rows = [tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i)) for i in range(red.rows)]
+    return tuple(r for r in rows if any(r))
+
+
+def test_nullspace_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in differential_cases():
+        want = sympy_span(sympy, sympy_matrix(sympy, m.entries, m.cols).nullspace())
+        assert nullspace(m).basis == want
+
+
+def intersection_cases():
+    """Subspace pairs on the rows of the rref differential matrices: each
+    matrix's row space against half of its rows plus seeded new ones, and
+    against the empty span."""
+    rng = random.Random(4243)
+    pairs = []
+    for m in differential_cases():
+        extra = random_matrix(rng, rng.randint(0, 3), m.cols, density=0.5).entries
+        other = m.entries[: m.rows // 2] + extra
+        pairs += [(m.entries, other, m.cols), (other, (), m.cols)]
+    return pairs
+
+
+def test_subspace_intersect_matches_sympy():
+    """U and V meet in the kernel of their stacked orthogonal complements."""
+    sympy = pytest.importorskip("sympy")
+    dims = set()
+    for u, v, cols in intersection_cases():
+        perp = (sympy_matrix(sympy, u, cols).nullspace()
+                + sympy_matrix(sympy, v, cols).nullspace())
+        stacked = sympy.Matrix.hstack(*perp).T if perp else sympy.zeros(0, cols)
+        want = sympy_span(sympy, stacked.nullspace())
+        got = subspace_intersect(Subspace.span(cols, u), Subspace.span(cols, v))
+        assert got.basis == want
+        dims.add((got.dim > 0, got.dim < len(v)))
+    assert dims == {(False, False), (False, True), (True, False), (True, True)}
