@@ -13,10 +13,16 @@ map are solved in the unknowns they actually have: the coefficients over
 the solved twisted space, and one row of the hat matrix at a time.  Every
 solver re-checks its answer by direct evaluation, without the constraint
 matrix.
+
+Inside a verification run (:func:`lya.theorems.verify_all`) each twisted
+space is solved and re-checked once and then reused; every other call
+solves afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -122,8 +128,40 @@ def _identity_rows(tensor, arity: int, terms: Sequence[tuple]) -> list[Vec]:
     return rows
 
 
+# Twisted spaces solved in the open verification run, keyed by
+# (algebra, theta, vartheta); None when no run is open.
+_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SOLVED", default=None)
+
+
+@contextlib.contextmanager
+def _solve_cache():
+    """Reuse every twisted space solved inside the block; a nested block
+    shares the outer one's spaces."""
+    if _SOLVED.get() is not None:
+        yield
+        return
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
 def _twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
                    unsound: str) -> Subspace:
+    """:func:`_solve_twisted_space`, served from the open run's spaces when
+    this one is among them.  Only spaces whose re-checks passed are kept."""
+    solved = _SOLVED.get()
+    if solved is None:
+        return _solve_twisted_space(algebra, theta, vartheta, unsound)
+    key = (algebra, theta, vartheta)
+    if key not in solved:
+        solved[key] = _solve_twisted_space(algebra, theta, vartheta, unsound)
+    return solved[key]
+
+
+def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
+                         unsound: str) -> Subspace:
     """Nullspace of the twisted identities, each basis element re-checked.
 
     The twisted identities are not alternating in the first two slots, so
@@ -346,36 +384,52 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     vanishing combination of products has vanishing prescribed image; the
     first violating combination is returned as a clash certificate.
     """
-    n = algebra.dim
-    if d_map.dim != n:
+    if d_map.dim != algebra.dim:
         raise InputError("map dimension does not match the algebra")
+    return _dhat(algebra, _dhat_products(algebra), d_map, theta)
+
+
+def _dhat_products(algebra: LYAlgebra) -> tuple[Subspace, list, tuple[Vec, ...]]:
+    """The part of :func:`dhat` that does not depend on the map: the derived
+    algebra, the tagged product generators and the vanishing combinations
+    of the generators."""
+    n = algebra.dim
     w = derived_algebra(algebra)
-    units = [vunit(n, i) for i in range(n)]
-    gens: list[tuple[tuple, Vec, Vec]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gens.append((("binary", i, j), algebra.c[i][j],
-                         dhat_binary_rhs(algebra, d_map, theta.map, units[i], units[j])))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        gens.append((("ternary", i, j, k), algebra.d[i][j][k],
-                     dhat_ternary_rhs(algebra, d_map, theta.map, units[i], units[j], units[k])))
+    gens = [(("binary", i, j), algebra.c[i][j]) for i in range(n) for j in range(i + 1, n)]
+    gens += [(("ternary", i, j, k), algebra.d[i][j][k])
+             for i, j, k in itertools.product(range(n), repeat=3)]
+    kernel: tuple[Vec, ...] = ()
     if gens:
         gen_matrix = Matrix(n, len(gens), tuple(
-            tuple(gen[1][row] for gen in gens) for row in range(n)))
-        for lam in nullspace(gen_matrix).basis:
-            mismatch = vzero(n)
-            for coeff, (_, _, rhs) in zip(lam, gens):
-                if coeff != 0:
-                    mismatch = vadd(mismatch, vscale(coeff, rhs))
-            if not vis_zero(mismatch):
-                terms = tuple((gens[r][0], lam[r]) for r in range(len(gens)) if lam[r] != 0)
-                return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
-    coords = [coordinates(w, gen_vec) for _, gen_vec, _ in gens]
+            tuple(gen_vec[row] for _, gen_vec in gens) for row in range(n)))
+        kernel = nullspace(gen_matrix).basis
+    return w, gens, kernel
+
+
+def _dhat(algebra: LYAlgebra, products: tuple, d_map: LinMap, theta: AutCert) -> DhatResult:
+    """:func:`dhat` with :func:`_dhat_products` already computed."""
+    n = algebra.dim
+    w, gens, kernel = products
+    units = [vunit(n, i) for i in range(n)]
+    # Prescribed images, in the order of the generators.
+    rhs = [dhat_binary_rhs(algebra, d_map, theta.map, units[i], units[j])
+           for i in range(n) for j in range(i + 1, n)]
+    rhs += [dhat_ternary_rhs(algebra, d_map, theta.map, units[i], units[j], units[k])
+            for i, j, k in itertools.product(range(n), repeat=3)]
+    for lam in kernel:
+        mismatch = vzero(n)
+        for coeff, gen_rhs in zip(lam, rhs):
+            if coeff != 0:
+                mismatch = vadd(mismatch, vscale(coeff, gen_rhs))
+        if not vis_zero(mismatch):
+            terms = tuple((gens[r][0], lam[r]) for r in range(len(gens)) if lam[r] != 0)
+            return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
+    coords = [coordinates(w, gen_vec) for _, gen_vec in gens]
     if None in coords:
         raise InternalCheckError("product vector escaped the derived algebra")
     # Row l of the hat matrix solves its own system over W's coordinates.
     system = Matrix(len(gens), w.dim, tuple(coords))
-    matrix_rows = [solve(system, [gen_rhs[l] for _, _, gen_rhs in gens]) for l in range(n)]
+    matrix_rows = [solve(system, [gen_rhs[l] for gen_rhs in rhs]) for l in range(n)]
     if None in matrix_rows:
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
     matrix = Matrix(n, w.dim, tuple(matrix_rows))

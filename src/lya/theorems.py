@@ -45,10 +45,12 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .derivations import (
+    _dhat,
+    _dhat_products,
+    _solve_cache,
     _stabilizer_space,
     centroid,
     derivation_space,
-    dhat,
     dhat_ternary_rhs,
     g_derivation_space,
     is_quasi_derivation,
@@ -377,8 +379,9 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     ok = True
     witness = None
     per_map = []
+    products = _dhat_products(algebra)
     for d_map in stab.maps():
-        outcome = dhat(algebra, d_map, theta)
+        outcome = _dhat(algebra, products, d_map, theta)
         values = [dhat_ternary_rhs(algebra, d_map, theta.map, gv, hv, y)
                   for y in preimages]
         inside = all(h.contains_vector(v) for v in values)
@@ -508,22 +511,24 @@ def _run_check(algebra: LYAlgebra, spec: CheckSpec) -> PropReport:
 def verify_all(algebra: LYAlgebra, checks: Sequence[CheckSpec]) -> list[PropReport]:
     """Run every configured check; mathematical rejections become reports.
 
-    Reports come back ordered by check id, then instance label.
+    Reports come back ordered by check id, then instance label.  Each
+    twisted space the checks need is solved and re-checked once per run.
     """
     reports = []
-    for spec in checks:
-        try:
-            reports.append(_run_check(algebra, spec))
-        except MathError as exc:
-            reports.append(PropReport(
-                prop_id=spec.prop,
-                instance=spec.label,
-                hypotheses_met=False,
-                hypotheses=(("preconditions", False),),
-                conclusion_holds=None,
-                witness=None,
-                details={"error": str(exc)},
-            ))
+    with _solve_cache():
+        for spec in checks:
+            try:
+                reports.append(_run_check(algebra, spec))
+            except MathError as exc:
+                reports.append(PropReport(
+                    prop_id=spec.prop,
+                    instance=spec.label,
+                    hypotheses_met=False,
+                    hypotheses=(("preconditions", False),),
+                    conclusion_holds=None,
+                    witness=None,
+                    details={"error": str(exc)},
+                ))
     reports.sort(key=lambda r: (r.prop_id, r.instance))
     return reports
 
@@ -611,8 +616,11 @@ def default_catalog_plan() -> list[tuple[str, LYAlgebra, tuple[CheckSpec, ...]]]
 
 
 def default_catalog_reports() -> list[PropReport]:
+    """The catalog plan's reports; one run, so the plan and every algebra's
+    checks share their solved spaces."""
     reports = []
-    for _, algebra, checks in default_catalog_plan():
-        reports.extend(verify_all(algebra, checks))
+    with _solve_cache():
+        for _, algebra, checks in default_catalog_plan():
+            reports.extend(verify_all(algebra, checks))
     reports.sort(key=lambda r: (r.prop_id, r.instance))
     return reports

@@ -764,15 +764,183 @@ def test_derivations_of_a_direct_sum_contain_the_summands(left, right):
 
 
 def test_verify_suite_solves_each_p36_twisted_space_once(monkeypatch):
-    """P36 hands its own twisted space to the stabilizer, so one suite makes
-    41 twisted solves rather than 43."""
+    """One suite asks for twisted spaces 41 times but solves only its 11
+    distinct (algebra, theta, vartheta) spaces, the plan's der(h3) included."""
     from lya import theorems
 
-    counts = {"twisted": 0}
+    counts = {"lookup": 0, "solve": 0}
     monkeypatch.setattr(derivations, "_twisted_space",
-                        counting(counts, "twisted", derivations._twisted_space))
+                        counting(counts, "lookup", derivations._twisted_space))
+    monkeypatch.setattr(derivations, "_solve_twisted_space",
+                        counting(counts, "solve", derivations._solve_twisted_space))
     theorems.default_catalog_reports()
-    assert counts["twisted"] == 41
+    assert counts == {"lookup": 41, "solve": 11}
+
+
+# The run-scoped solve cache: verify_all and default_catalog_reports solve
+# each twisted space once; nothing else keeps a space.
+
+def recording_solves(monkeypatch):
+    """Record (algebra, theta, vartheta) of every real twisted solve."""
+    solved = []
+    solve = derivations._solve_twisted_space
+
+    def wrapper(algebra, theta, vartheta, unsound):
+        solved.append((algebra, theta, vartheta))
+        return solve(algebra, theta, vartheta, unsound)
+    monkeypatch.setattr(derivations, "_solve_twisted_space", wrapper)
+    return solved
+
+
+def fresh_space(algebra, theta, vartheta):
+    """The twisted space through the public solvers, with no run open."""
+    assert derivations._SOLVED.get() is None
+    ident = LinMap.identity(algebra.dim)
+    if theta == vartheta == ident:
+        return derivation_space(algebra).space
+    return g_derivation_space(algebra, certify_automorphism(algebra, theta),
+                              certify_automorphism(algebra, vartheta)).space
+
+
+def test_catalog_reports_equal_each_check_run_alone(monkeypatch):
+    from lya import theorems
+
+    served = []
+    lookup = derivations._twisted_space
+
+    def wrapper(algebra, theta, vartheta, unsound):
+        space = lookup(algebra, theta, vartheta, unsound)
+        served.append((algebra, theta, vartheta, space))
+        return space
+    monkeypatch.setattr(derivations, "_twisted_space", wrapper)
+    cached = theorems.default_catalog_reports()
+    monkeypatch.undo()
+    alone = [theorems._run_check(algebra, spec)
+             for _, algebra, checks in theorems.default_catalog_plan() for spec in checks]
+    alone.sort(key=lambda r: (r.prop_id, r.instance))
+    assert len(cached) == 28 and cached == alone
+    for algebra, theta, vartheta, space in served:
+        assert space == fresh_space(algebra, theta, vartheta)
+
+
+def test_verify_all_in_a_rational_basis_matches_uncached_checks(monkeypatch):
+    """sl2_plus_ab1 in a seeded rational basis, with the identity twist and
+    the Chevalley swap plus negation on the abelian line, transported."""
+    from lya import theorems
+
+    a, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    swap = LinMap.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    moved = certify_automorphism(a, LinMap(4, p_inv.mul(swap.matrix).mul(p)))
+    twists = {"id": identity_cert(a), "moved": moved}
+    block = Subspace.span(4, [p_inv.mul_vec(vunit(4, i)) for i in range(3)])
+    checks = []
+    for tname, theta in twists.items():
+        checks += [theorems.CheckSpec("P31", f"{tname},{vname}", theta=theta, vartheta=vartheta)
+                   for vname, vartheta in twists.items()]
+        checks += [theorems.CheckSpec(prop, tname, theta=theta) for prop in ("T32", "P35")]
+        checks.append(theorems.CheckSpec("P36", tname, theta=theta, subspace=block))
+    solved = recording_solves(monkeypatch)
+    cached = theorems.verify_all(a, checks)
+    keys = set(solved)
+    # (id, id), (id, moved), (moved, id) and (moved, moved): moved is an involution
+    assert len(solved) == len(keys) == 4
+    alone = sorted((theorems._run_check(a, spec) for spec in checks),
+                   key=lambda r: (r.prop_id, r.instance))
+    assert len(solved) == 4 + 16
+    assert cached == alone
+    assert all(r.conclusion_holds for r in cached)
+    for key in keys:
+        assert derivations._solve_twisted_space(*key, "") == fresh_space(*key)
+
+
+def test_solves_outside_a_run_are_not_kept(monkeypatch):
+    solved = recording_solves(monkeypatch)
+    sl2, chev = catalog("sl2"), chevalley_cert()
+    first = g_derivation_space(sl2, chev, chev)
+    assert g_derivation_space(sl2, chev, chev) == first
+    assert len(solved) == 2
+
+
+def test_each_catalog_run_solves_its_spaces_afresh(monkeypatch):
+    from lya import theorems
+
+    solved = recording_solves(monkeypatch)
+    first = theorems.default_catalog_reports()
+    assert len(solved) == len(set(solved)) == 11
+    assert derivations._SOLVED.get() is None
+    assert theorems.default_catalog_reports() == first
+    assert len(solved) == 22 and solved[11:] == solved[:11]
+    assert derivations._SOLVED.get() is None
+
+
+def test_each_space_is_rechecked_once_per_run(monkeypatch):
+    """Every basis map of every distinct space meets satisfies_g_derivation
+    once inside the solver, however often the checks ask for the space."""
+    from lya import theorems
+
+    rechecked, dims = [], {}
+    solving = [False]
+    solve, recheck = derivations._solve_twisted_space, derivations.satisfies_g_derivation
+
+    def solve_wrapper(algebra, theta, vartheta, unsound):
+        solving[0] = True
+        try:
+            space = solve(algebra, theta, vartheta, unsound)
+        finally:
+            solving[0] = False
+        assert (algebra, theta, vartheta) not in dims
+        dims[algebra, theta, vartheta] = space.dim
+        return space
+
+    def recheck_wrapper(algebra, f, theta, vartheta):
+        if solving[0]:
+            rechecked.append((algebra, theta, vartheta, f))
+        return recheck(algebra, f, theta, vartheta)
+    monkeypatch.setattr(derivations, "_solve_twisted_space", solve_wrapper)
+    monkeypatch.setattr(derivations, "satisfies_g_derivation", recheck_wrapper)
+    theorems.default_catalog_reports()
+    assert len(dims) == 11
+    assert len(rechecked) == len(set(rechecked)) == sum(dims.values()) > 11
+    assert {call[:3] for call in rechecked} == {key for key, dim in dims.items() if dim}
+
+
+@pytest.mark.parametrize("fault", ["solve", "recheck"])
+def test_a_failed_solve_is_not_kept(monkeypatch, fault):
+    """A solve that raises leaves nothing behind: the next call solves again."""
+    sl2, chev = catalog("sl2"), chevalley_cert()
+    if fault == "solve":
+        def broken(matrix):
+            raise InternalCheckError("nullspace failed")
+        target = ("nullspace", broken)
+    else:
+        target = ("satisfies_g_derivation", lambda *args: False)
+    solved = recording_solves(monkeypatch)
+    with derivations._solve_cache():
+        with monkeypatch.context() as patch:
+            patch.setattr(derivations, *target)
+            with pytest.raises(InternalCheckError):
+                g_derivation_space(sl2, chev, chev)
+        space = g_derivation_space(sl2, chev, chev)
+        assert len(solved) == 2
+        assert g_derivation_space(sl2, chev, chev) == space
+        assert len(solved) == 2
+    assert space.space == fresh_space(sl2, chev.map, chev.map)
+
+
+def test_verify_p37_prepares_the_hat_map_once(monkeypatch):
+    """The derived algebra, product generators and their kernel are shared
+    by every stabilizing map's hat map within one P37 check."""
+    from lya import theorems
+
+    counts = {"derived": 0, "dhat": 0}
+    monkeypatch.setattr(derivations, "derived_algebra",
+                        counting(counts, "derived", derivations.derived_algebra))
+    monkeypatch.setattr(theorems, "_dhat", counting(counts, "dhat", theorems._dhat))
+    sl2 = catalog("sl2")
+    report = theorems.verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
+                                 vunit(3, E), vunit(3, F))
+    assert counts["dhat"] == report.details["stab_dim"] >= 2
+    assert counts["derived"] == 1
 
 
 # References for the stabilizer, the quasi companions and the hat map: the
