@@ -27,10 +27,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
     Matrix,
@@ -58,8 +58,7 @@ from .structure import derived_algebra, is_subalgebra
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class DerSpace:
+class DerSpace(Record):
     """Space of maps, flattened row-major into an n*n ambient space.
 
     ``theta``/``vartheta`` record the twist the basis elements satisfy;
@@ -227,8 +226,7 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     return space
 
 
-@dataclass(frozen=True)
-class QuasiWitness:
+class QuasiWitness(Record):
     """Companion pair certifying quasi-derivation membership."""
 
     dprime: LinMap
@@ -319,8 +317,7 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     return result
 
 
-@dataclass(frozen=True)
-class PartialMap:
+class PartialMap(Record):
     """Linear map defined on a subspace; columns are ambient images of the
     subspace's canonical basis vectors."""
 
@@ -334,8 +331,7 @@ class PartialMap:
         return self.matrix_on_domain.mul_vec(coords)
 
 
-@dataclass(frozen=True)
-class DhatClash:
+class DhatClash(Record):
     """A vanishing combination of products whose prescribed images differ.
 
     ``terms`` pairs each generator tag ("binary", i, j) or ("ternary",
@@ -347,8 +343,7 @@ class DhatClash:
     mismatch: Vec
 
 
-@dataclass(frozen=True)
-class DhatResult:
+class DhatResult(Record):
     map: PartialMap | None
     clash: DhatClash | None
 

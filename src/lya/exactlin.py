@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from ._record import Record
 from .errors import InputError
 
 Scalar = Union[Fraction, int, str]
@@ -88,8 +88,7 @@ def vec_strs(v: Iterable[Fraction]) -> list[str]:
         raise InputError(f"a rational in the result has too many digits to print: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Dense rational matrix; entries are a row-major tuple of row tuples."""
 
     rows: int
@@ -288,8 +287,7 @@ def invert(m: Matrix) -> Matrix | None:
     return Matrix(n, n, tuple(row[n:] for row in r.entries))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^ambient_dim held as its unique reduced-echelon basis.
 
     Equality of subspaces is therefore plain value equality.

@@ -13,10 +13,10 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import AxiomError, InputError, MathError
 from .exactlin import (Matrix, Scalar, Vec, frac, vadd, vec, vec_strs, vis_zero, vscale, vunit,
                        vzero)
@@ -82,15 +82,13 @@ def ternary_eval(d: Tensor4, u: Vec, v: Vec, w: Vec) -> Vec:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(Record):
     axiom: str
     indices: tuple[int, ...]
     residual: Vec
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     passed: bool
     failures: tuple[AxiomFailure, ...]
 
@@ -291,8 +289,7 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
     return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class LYAlgebra:
+class LYAlgebra(Record):
     """Axiom-valid algebra; construction fails if any identity is violated."""
 
     dim: int
@@ -300,7 +297,8 @@ class LYAlgebra:
     c: Tensor3
     d: Tensor4
     # _cleared(c, d), built once at construction; every re-check only reads it.
-    _form: tuple[int, dict, dict] = field(init=False, repr=False, compare=False)
+    # Not a field: it stays out of __init__, ==, hash and repr.
+    _form: tuple[int, dict, dict]
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
@@ -365,8 +363,7 @@ def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
     return LYAlgebra.from_tensors(labels, c, d)
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
+class LeibnizAlgebra(Record):
     """Left Leibniz algebra: a(bc) = (ab)c + b(ac) on all basis triples."""
 
     dim: int
@@ -505,15 +502,15 @@ CATALOG_NAMES = (
     "leibniz2",
 )
 
-_ABELIAN_RE = re.compile(r"^abelian\(?(\d+)\)?$")
+_ABELIAN_RE = re.compile(r"abelian(?:([0-9]+)|\(([0-9]+)\))")
 
 
 @functools.lru_cache(maxsize=None)
 def catalog(name: str) -> LYAlgebra:
     """Named desk-scale instances used throughout the test batteries."""
-    m = _ABELIAN_RE.match(name)
+    m = _ABELIAN_RE.fullmatch(name)
     if m:
-        return abelian(int(m.group(1)))
+        return abelian(int(m.group(1) or m.group(2)))
     if name == "sl2":
         return from_lie(sl2_lie_tensor(), labels=("e", "f", "h"))
     if name == "h3":

@@ -7,9 +7,9 @@ fixed basis, column j being the image of basis vector j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
     Matrix,
@@ -25,8 +25,7 @@ from .exactlin import (
 from .lyalg import LYAlgebra, _first_failure, triple
 
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(Record):
     """Linear self-map in the fixed basis; column j is the image of e_j."""
 
     dim: int
@@ -116,8 +115,7 @@ def is_homomorphism(algebra: LYAlgebra, f: LinMap) -> bool:
     return _hom_defect(algebra, f) is None
 
 
-@dataclass(frozen=True)
-class AutCert:
+class AutCert(Record):
     """An automorphism together with its exact inverse.
 
     Only :func:`certify_automorphism` (which also checks the homomorphism

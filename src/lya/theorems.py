@@ -11,10 +11,10 @@ every hypothesis was verified first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
     Subspace,
@@ -63,8 +63,7 @@ from .structure import center, derived_algebra, is_ideal, is_perfect, is_subalge
 PROP_IDS = ("P31", "T32", "P33", "P34", "P35", "P36", "P37", "P38")
 
 
-@dataclass(frozen=True)
-class PropReport:
+class PropReport(Record):
     """Verdict of one check on one instance.
 
     ``conclusion_holds`` stays None whenever a hypothesis failed, and a
@@ -462,8 +461,7 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     return PropReport("P38", instance, True, hypotheses, ok, witness, details)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(Record):
     """One configured check: which verifier to run and with what data."""
 
     prop: str

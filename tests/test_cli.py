@@ -59,6 +59,18 @@ def test_export_unknown_name_exits_2(tmp_path):
     assert "unknown catalog" in report["error"]
 
 
+@pytest.mark.parametrize("name", ["abelian(3", "abelian3)", "abelian()", "abelian(3)\n"])
+def test_export_malformed_abelian_name_exits_2_with_one_report(tmp_path, name):
+    target = tmp_path / "x.json"
+    code, text = run_cli("export", name, "--out", str(target))
+    assert code == 2
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert report["verb"] == "export"
+    assert report["error"] == f"unknown catalog name {name!r}"
+    assert "result" not in report
+    assert not target.exists()
+
+
 def test_check_valid_algebra(sl2_file):
     code, report = run_json("check", str(sl2_file))
     assert code == 0

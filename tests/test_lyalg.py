@@ -240,6 +240,14 @@ def test_catalog_abelian_spelling_variants():
     assert catalog("abelian(3)") == catalog("abelian3")
 
 
+@pytest.mark.parametrize("name", ["abelian(3", "abelian3)", "abelian", "abelian()",
+                                  "abelian3\n", "abelian(3)\n", "abelian\u0663", "xabelian3"])
+def test_catalog_rejects_malformed_abelian_names(name):
+    """Only abelianN and abelian(N), with N in ASCII digits, name an abelian algebra."""
+    with pytest.raises(InputError, match="unknown catalog name"):
+        catalog(name)
+
+
 def test_symmetrized_binary_fails_ly1():
     a = catalog("sl2")
     c = [[list(v) for v in row] for row in a.c]
