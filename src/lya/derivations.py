@@ -46,7 +46,8 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _first_failure, binary_eval, ternary_eval
+from .lyalg import (LYAlgebra, _first_failure, _summed, _tensor_form, _transport,
+                    _vector_at, binary_eval, ternary_eval)
 from .maps import (
     AutCert,
     LinMap,
@@ -238,31 +239,31 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
 
     D' is solved from the binary rows and D'' from the ternary rows, since
     they share no unknown; each right-hand side is the derivation-style sum
-    for the queried map.  Free variables are zeroed, so the returned witness
-    is canonical.
+    for the queried map, with D in each slot in turn, transported on the
+    stored integer form.  Free variables are zeroed, so the returned witness
+    is canonical.  A witness is returned only after
+    :func:`quasi_witness_satisfies` has re-checked it.
     """
     n = algebra.dim
     if d_map.dim != n:
         raise InputError("map dimension does not match the algebra")
-    c, d = algebra.c, algebra.d
-    units = [vunit(n, i) for i in range(n)]
-    du = [d_map.apply(u) for u in units]
-    rhs_c: list[Fraction] = []
-    for i, j in itertools.product(range(n), repeat=2):
-        rhs_c.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
-    rhs_d: list[Fraction] = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        val = ternary_eval(d, du[i], units[j], units[k])
-        val = vadd(val, ternary_eval(d, units[i], du[j], units[k]))
-        rhs_d.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
+    m = d_map.matrix
     companions = []
-    for tensor, arity, rhs in ((c, 2, rhs_c), (d, 3, rhs_d)):
+    for tensor, arity in ((algebra.c, 2), (algebra.d, 3)):
+        keyed = _tensor_form(algebra, arity)
+        summed = _summed([(1, _transport(keyed, [m if s == t else None for s in range(arity)]))
+                          for t in range(arity)])
+        rhs = [x for idx in itertools.product(range(n), repeat=arity)
+               for x in _vector_at(summed, idx, n)]
         rows = _identity_rows(tensor, arity, [])
         solution = solve(Matrix(len(rows), n * n, tuple(rows)), rhs)
         if solution is None:
             return None
         companions.append(LinMap.unflatten(n, solution))
-    return QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
+    witness = QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
+    if not quasi_witness_satisfies(algebra, d_map, witness):
+        raise InternalCheckError("companion witness failed re-verification")
+    return witness
 
 
 def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWitness) -> bool:
@@ -384,40 +385,56 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     return _dhat(algebra, _dhat_products(algebra), d_map, theta)
 
 
-def _dhat_products(algebra: LYAlgebra) -> tuple[Subspace, list, tuple[Vec, ...]]:
+def _dhat_products(algebra: LYAlgebra) -> tuple[Subspace, list, list]:
     """The part of :func:`dhat` that does not depend on the map: the derived
     algebra, the tagged product generators and the vanishing combinations
-    of the generators."""
+    of the generators, each as its nonzero (generator index, coefficient)
+    pairs in the order of the kernel's canonical basis."""
     n = algebra.dim
     w = derived_algebra(algebra)
     gens = [(("binary", i, j), algebra.c[i][j]) for i in range(n) for j in range(i + 1, n)]
     gens += [(("ternary", i, j, k), algebra.d[i][j][k])
              for i, j, k in itertools.product(range(n), repeat=3)]
-    kernel: tuple[Vec, ...] = ()
+    kernel = []
     if gens:
         gen_matrix = Matrix(n, len(gens), tuple(
             tuple(gen_vec[row] for _, gen_vec in gens) for row in range(n)))
-        kernel = nullspace(gen_matrix).basis
+        kernel = [[(r, x) for r, x in enumerate(lam) if x]
+                  for lam in nullspace(gen_matrix).basis]
     return w, gens, kernel
+
+
+def _dhat_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> list[Vec]:
+    """:func:`dhat_binary_rhs` and :func:`dhat_ternary_rhs` on every product
+    generator, in generator order, transported on the stored integer form."""
+    n = algebra.dim
+    m, t = d_map.matrix, theta.matrix
+    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
+    # [D e_j, theta e_i] + [theta e_j, D e_i] is the (D, theta) plus the
+    # (theta, D) transport read at the swapped key (j, i).
+    scale, mixed = _summed([(1, _transport(binary, (m, t))), (1, _transport(binary, (t, m)))])
+    swapped = (scale, {(j, i, l): x for (i, j, l), x in mixed.items()})
+    binary_rhs = _summed([(2, _transport(binary, (None, None), m)), (1, swapped)])
+    ternary_rhs = _summed([(3, _transport(ternary, (None, None, None), m)),
+                           (1, _transport(ternary, (m, t, None))),
+                           (1, _transport(ternary, (None, m, t))),
+                           (1, _transport(ternary, (t, None, m)))])
+    rhs = [_vector_at(binary_rhs, (i, j), n) for i in range(n) for j in range(i + 1, n)]
+    rhs += [_vector_at(ternary_rhs, idx, n) for idx in itertools.product(range(n), repeat=3)]
+    return rhs
 
 
 def _dhat(algebra: LYAlgebra, products: tuple, d_map: LinMap, theta: AutCert) -> DhatResult:
     """:func:`dhat` with :func:`_dhat_products` already computed."""
     n = algebra.dim
     w, gens, kernel = products
-    units = [vunit(n, i) for i in range(n)]
-    # Prescribed images, in the order of the generators.
-    rhs = [dhat_binary_rhs(algebra, d_map, theta.map, units[i], units[j])
-           for i in range(n) for j in range(i + 1, n)]
-    rhs += [dhat_ternary_rhs(algebra, d_map, theta.map, units[i], units[j], units[k])
-            for i, j, k in itertools.product(range(n), repeat=3)]
+    rhs = _dhat_rhs(algebra, d_map, theta.map)
     for lam in kernel:
         mismatch = vzero(n)
-        for coeff, gen_rhs in zip(lam, rhs):
-            if coeff != 0:
-                mismatch = vadd(mismatch, vscale(coeff, gen_rhs))
+        for r, coeff in lam:
+            mismatch = vadd(mismatch, vscale(coeff, rhs[r]))
         if not vis_zero(mismatch):
-            terms = tuple((gens[r][0], lam[r]) for r in range(len(gens)) if lam[r] != 0)
+            terms = tuple((gens[r][0], coeff) for r, coeff in lam)
             return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
     coords = [coordinates(w, gen_vec) for _, gen_vec in gens]
     if None in coords:

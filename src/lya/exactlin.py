@@ -240,19 +240,34 @@ def pivot_cols(rref_rows: Sequence[Vec]) -> tuple[int, ...]:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    """Canonical basis of the right kernel { v : m.v = 0 }."""
+    """Canonical basis of the right kernel { v : m.v = 0 }.
+
+    ``rref`` takes m to its reduced echelon form R, and a second ``rref``
+    reduces R's rows with the column order reversed, which picks the
+    rightmost possible pivots.  The standard kernel basis of that second
+    form, one vector per free column f (1 at f, minus the rows' entries at
+    f on their pivots), is then already the kernel's reduced echelon basis:
+    every other entry of a vector lies right of its f, and no other vector
+    is nonzero at f.
+    """
+    cols = m.cols
     r = rref(m)
-    pivots = pivot_cols(r.entries)
+    back = rref(Matrix(r.rows, cols, tuple(row[::-1] for row in r.entries))).entries
+    # Column c of the reversed form is column cols - 1 - c of m.
+    pivots = [cols - 1 - p for p in pivot_cols(back)]
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * cols
         v[f] = ONE
-        for row_idx, p in enumerate(pivots):
-            v[p] = -r.entries[row_idx][f]
+        for row, p in zip(back, pivots):
+            x = row[cols - 1 - f]
+            if x:
+                v[p] = -x
         vectors.append(tuple(v))
-    return Subspace.span(m.cols, vectors)
+    return Subspace._from_rref(cols, tuple(vectors))
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:

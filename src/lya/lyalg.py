@@ -91,6 +91,9 @@ class AxiomFailure(Record):
 class AxiomReport(Record):
     passed: bool
     failures: tuple[AxiomFailure, ...]
+    # The _cleared(c, d) form the identities were evaluated on, which
+    # LYAlgebra keeps.  Not a field: it stays out of ==, hash and repr.
+    _form: tuple[int, dict, dict]
 
 
 def _tensor_shapes_ok(n: int, c, d) -> None:
@@ -159,6 +162,31 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     return scale, entries
 
 
+def _tensor_form(algebra: LYAlgebra, arity: int) -> Keyed:
+    """The stored integer form of the binary (arity 2) or ternary (arity 3)
+    product, as :func:`_transport` takes it."""
+    return algebra._form[0], algebra._form[arity - 1]
+
+
+def _summed(parts: Sequence[tuple[int, Keyed]]) -> Keyed:
+    """sum of w * T over the (w, T) parts, for integer weights w and keyed
+    integer forms T: their least common scale and the summed entries over
+    it, zeros included."""
+    scale = math.lcm(*(s for _, (s, _) in parts))
+    acc: dict[tuple[int, ...], int] = {}
+    for w, (s, entries) in parts:
+        factor = w * (scale // s)
+        for k, x in entries.items():
+            acc[k] = acc.get(k, 0) + factor * x
+    return scale, acc
+
+
+def _vector_at(keyed: Keyed, idx: tuple[int, ...], n: int) -> Vec:
+    """Coordinates 0 .. n - 1 of a keyed form at the basis tuple ``idx``."""
+    scale, entries = keyed
+    return tuple(Fraction(entries.get(idx + (l,), 0), scale) for l in range(n))
+
+
 def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec] | None:
     """Where post(T(e_I)) differs from the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
 
@@ -169,19 +197,14 @@ def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec]
     scan order, with a nonzero defect and the defect there, or None when the
     identity holds on every basis tuple.
     """
-    keyed = (algebra._form[0], algebra._form[len(terms[0]) - 1])
-    parts = [(1, _transport(keyed, (None,) * len(terms[0]), post))]
-    parts += [(-1, _transport(keyed, term)) for term in terms]
-    scale = math.lcm(*(s for _, (s, _) in parts))
-    acc: dict[tuple[int, ...], int] = {}
-    for sign, (s, entries) in parts:
-        factor = sign * (scale // s)
-        for k, x in entries.items():
-            acc[k] = acc.get(k, 0) + factor * x
-    first = min((k[:-1] for k, x in acc.items() if x), default=None)
+    arity = len(terms[0])
+    keyed = _tensor_form(algebra, arity)
+    defect = _summed([(1, _transport(keyed, (None,) * arity, post))]
+                     + [(-1, _transport(keyed, term)) for term in terms])
+    first = min((k[:-1] for k, x in defect[1].items() if x), default=None)
     if first is None:
         return None
-    return first, tuple(Fraction(acc.get(first + (l,), 0), scale) for l in range(algebra.dim))
+    return first, _vector_at(defect, first, algebra.dim)
 
 
 def _mac(acc: list[int], coeffs, vectors) -> None:
@@ -223,7 +246,8 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
                 if not vis_zero(res):
                     fail("LY2", (i, j, k), res)
 
-    scale, keyed_c, keyed_d = _cleared(c, d)
+    form = _cleared(c, d)
+    scale, keyed_c, keyed_d = form
     denom = scale * scale
 
     def check(tag: str, idx: tuple[int, ...], acc: list[int]) -> None:
@@ -286,7 +310,9 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
             _mac(acc, neg[k], ds[i][j])
             check("LY6", (g, h, i, j, k), acc)
 
-    return AxiomReport(passed=not failures, failures=tuple(failures))
+    report = AxiomReport(passed=not failures, failures=tuple(failures))
+    object.__setattr__(report, "_form", form)
+    return report
 
 
 class LYAlgebra(Record):
@@ -296,8 +322,9 @@ class LYAlgebra(Record):
     labels: tuple[str, ...]
     c: Tensor3
     d: Tensor4
-    # _cleared(c, d), built once at construction; every re-check only reads it.
-    # Not a field: it stays out of __init__, ==, hash and repr.
+    # _cleared(c, d), built once at construction by the axiom check; every
+    # re-check only reads it.  Not a field: it stays out of __init__, ==,
+    # hash and repr.
     _form: tuple[int, dict, dict]
 
     def __post_init__(self):
@@ -306,7 +333,7 @@ class LYAlgebra(Record):
         report = check_axioms(self.dim, self.c, self.d)
         if not report.passed:
             raise AxiomError(report)
-        object.__setattr__(self, "_form", _cleared(self.c, self.d))
+        object.__setattr__(self, "_form", report._form)
 
     @classmethod
     def from_tensors(cls, labels: Sequence[str], c, d) -> "LYAlgebra":

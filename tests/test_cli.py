@@ -10,8 +10,11 @@ import pytest
 
 import lya
 from lya.cli import main
+from lya.exactlin import Matrix
 from lya.lyalg import catalog
-from lya.serialize import algebra_from_dict, algebra_to_dict, load_json_file, save_json_file
+from lya.maps import LinMap
+from lya.serialize import (algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
+                           save_json_file)
 from test_maps import rebased
 
 
@@ -345,6 +348,21 @@ PINNED_FILES = {
 }
 
 
+def save_rebased_sum_files():
+    """sl2_plus_ab1 in a seeded rational basis P, and in that basis: a
+    derivation (ad h on sl2, zero on the line), a map that is not a
+    quasi-derivation (the first matrix unit) and the automorphism that is
+    the Chevalley swap on sl2 and -1 on the line.  A map f becomes P^-1 f P."""
+    a, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    save_json_file("sum_rebased.json", algebra_to_dict(a))
+    for name, rows in (("sum_der.json", [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+                       ("sum_e11.json", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+                       ("sum_chev.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
+                                          [0, 0, 0, -1]])):
+        f = LinMap(4, p_inv.mul(Matrix.from_rows(rows)).mul(p))
+        save_json_file(name, map_to_dict(f))
+
+
 @pytest.mark.parametrize("argv,code,digest", [
     (("der", "sl2_plus_ab1.json"), 0,
      "c801dbf97e1b5ae2276badeded247f12bee50873467142c5ea44352022984aa4"),
@@ -382,6 +400,18 @@ PINNED_FILES = {
      "6ba97a51660c1b29c18f37a5f5d613a59bed5a8583121443f6e5dd254d8783a3"),
     (("centroid", "sum_rebased.json"), 0,
      "3bc576e7ae98614ad950360244917d79c5b74ad15e8d34b5a36c932faf879a05"),
+    (("quasi", "sum_rebased.json", "--map", "sum_der.json"), 0,
+     "c72bf8f664347b31856e56ec567963362461ea47f31215ff7de55853a04f67be"),
+    (("quasi", "sum_rebased.json", "--map", "sum_e11.json"), 1,
+     "f269cb312a343ed9d9d6572607eef01290ea41b5d70bb28083cd8474f5604927"),
+    (("dhat", "sum_rebased.json", "--map", "sum_der.json"), 1,
+     "f7b6956d0b71d7c8003f0c37569403361f15a8cc0dbafda5b7b0195878dc4332"),
+    (("dhat", "sum_rebased.json", "--map", "sum_e11.json"), 1,
+     "4612fd8f0aca4e950a619ab9de97d88b77cadfe8452981fb39e2bc4fe4cae73e"),
+    (("dhat", "sum_rebased.json", "--map", "sum_der.json", "--theta", "sum_chev.json"), 1,
+     "0ec35b70a347db7d1722879b3cf2eb14cc900d162142c4ec68f4337cf65e4209"),
+    (("dhat", "sum_rebased.json", "--map", "sum_e11.json", "--theta", "sum_chev.json"), 1,
+     "45ff81d5fd21af6dd0fab1768e2b5a6197a9efc7640675358870154f7a9d6da9"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files
@@ -391,7 +421,7 @@ def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
         assert run_cli("export", name, "--out", f"{name}.json")[0] == 0
     for name, data in PINNED_FILES.items():
         save_json_file(name, data)
-    save_json_file("sum_rebased.json", algebra_to_dict(rebased(catalog("sl2_plus_ab1"), 11)[0]))
+    save_rebased_sum_files()
     got_code, text = run_cli(*argv)
     assert got_code == code
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

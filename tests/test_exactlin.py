@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from lya.exactlin import (
     frac,
     invert,
     nullspace,
+    pivot_cols,
     rank,
     rref,
     solve,
@@ -384,6 +386,105 @@ def test_nullspace_matches_sympy():
     for m in differential_cases():
         want = sympy_span(sympy, sympy_matrix(sympy, m.entries, m.cols).nullspace())
         assert nullspace(m).basis == want
+
+
+def nullspace_two_pass_reference(m):
+    """The kernel vectors read off rref(m), put in reduced echelon form by a
+    second elimination over all of them in Subspace.span."""
+    r = rref(m)
+    pivots = pivot_cols(r.entries)
+    vectors = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, p in zip(r.entries, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return Subspace.span(m.cols, vectors)
+
+
+def algebra_matrices():
+    """For the catalog, sl2_plus_ab1 in a seeded rational basis, h5 and gl2:
+    the hat map's n x (n(n-1)/2 + n^3) product-generator matrix and the tall
+    derivation constraint matrix."""
+    from lya import derivations
+    from lya.lyalg import CATALOG_NAMES, catalog
+    from test_derivations import gl2, h5
+    from test_maps import rebased
+
+    algebras = [catalog(name) for name in CATALOG_NAMES]
+    algebras += [rebased(catalog("sl2_plus_ab1"), 11)[0], h5(), gl2()]
+    out = []
+    for a in algebras:
+        n = a.dim
+        gens = [a.c[i][j] for i in range(n) for j in range(i + 1, n)]
+        gens += [a.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
+        out.append(Matrix(n, len(gens), tuple(tuple(g[l] for g in gens) for l in range(n))))
+        units = [vunit(n, i) for i in range(n)]
+        rows = derivations._identity_rows(a.c, 2, [(None, units), (units, None)])
+        rows += derivations._identity_rows(a.d, 3, [(None, units, units), (units, None, units),
+                                                     (units, units, None)])
+        out.append(Matrix(len(rows), n * n, tuple(rows)))
+    return out
+
+
+def nullspace_cases():
+    """The rref differential matrices (also run against sympy), edge shapes,
+    full-rank shapes and the solvers' matrices on known algebras."""
+    rng = random.Random(2718)
+    shapes = [Matrix.zero(0, 5), Matrix(4, 0, ((),) * 4), Matrix.zero(0, 0), Matrix.zero(6, 3),
+              Matrix.identity(5), random_matrix(rng, 8, 4), random_matrix(rng, 4, 8)]
+    return differential_cases() + shapes + algebra_matrices()
+
+
+def test_nullspace_matches_the_two_pass_reference():
+    kinds = set()
+    for m in nullspace_cases():
+        got = nullspace(m)
+        assert got.basis == nullspace_two_pass_reference(m).basis
+        assert Subspace(m.cols, got.basis) == got
+        assert_fraction_entries(Matrix(got.dim, m.cols, got.basis))
+        kinds.add((got.dim == 0, got.dim == m.cols))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_nullspace_second_pass_runs_on_the_pivot_rows(monkeypatch):
+    """Two rref calls per nullspace: the matrix itself, then its rank many
+    pivot rows."""
+    from lya import exactlin
+
+    seen = []
+
+    def recording(m):
+        seen.append(m.rows)
+        return rref(m)
+
+    for m in nullspace_cases():
+        seen.clear()
+        monkeypatch.setattr(exactlin, "rref", recording)
+        nullspace(m)
+        monkeypatch.undo()
+        assert seen == [m.rows, independent_rank(m.entries)]
+
+
+def test_nullspace_matches_the_two_pass_reference_on_drawn_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    matrices = st.tuples(st.integers(0, 6), st.integers(0, 7)).flatmap(
+        lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]).map(
+            lambda rows, cols=shape[1]: Matrix(len(rows), cols, tuple(map(tuple, rows)))))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(matrices)
+    def check(m):
+        got = nullspace(m)
+        assert got.basis == nullspace_two_pass_reference(m).basis
+        assert Subspace(m.cols, got.basis) == got
+
+    check()
 
 
 def intersection_cases():
