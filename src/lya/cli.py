@@ -2,7 +2,8 @@
 computations, and emit one canonical JSON report on standard output.
 
 Exit codes: 0 on success or a passing verdict, 1 on a mathematical failure
-(axiom violation, infeasibility, failed conclusion), 2 on an input error.
+(axiom violation, infeasibility, failed conclusion) or a failed internal
+re-check (reported with ``"internal": true``), 2 on an input or usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import InputError, MathError
+from .errors import InputError, InternalCheckError, LyaError
 from .exactlin import Subspace
 from .lyalg import LYAlgebra, catalog, check_axioms, from_leibniz, from_lie
 from .maps import LinMap, certify_automorphism, identity_cert, inner_derivation
@@ -25,7 +26,7 @@ from .derivations import (
     is_quasi_derivation,
     stabilizer_derivations,
 )
-from .structure import center, derived_algebra, is_perfect
+from .structure import center, derived_algebra
 from .theorems import (
     CheckSpec,
     default_catalog_reports,
@@ -220,7 +221,7 @@ def _cmd_derived(args, session, out) -> int:
     algebra = _load_algebra(session, args.algebra)
     w = derived_algebra(algebra)
     result = {"subspace": ser.subspace_to_dict(w), "dim": w.dim,
-              "perfect": is_perfect(algebra)}
+              "perfect": w.dim == algebra.dim}
     _emit(out, "derived", session, result, args.out)
     return 0
 
@@ -317,8 +318,17 @@ def _cmd_export(args, session, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so that it gets the error
+    report on stdout; the usage text still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lya",
         description="Exact computations with finite-dimensional Lie-Yamaguti algebras.")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -395,26 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    verb, session = None, _Session()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return INPUT_ERROR if exc.code not in (0, None) else 0
-    session = _Session()
-    try:
+        args = build_parser().parse_args(argv)
+        verb = args.verb
         return args.func(args, session, out)
-    except InputError as exc:
-        out.write(ser.canonical_json(
-            {"tool": "lya", "version": __version__, "verb": args.verb,
-             "error": str(exc), "inputs": session.inputs}))
-        return INPUT_ERROR
-    except MathError as exc:
-        payload = {"tool": "lya", "version": __version__, "verb": args.verb,
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else INPUT_ERROR
+    except LyaError as exc:
+        payload = {"tool": "lya", "version": __version__, "verb": verb,
                    "error": str(exc), "inputs": session.inputs}
-        if exc.witness is not None:
+        if isinstance(exc, InternalCheckError):
+            payload["internal"] = True
+        if getattr(exc, "witness", None) is not None:
             payload["witness"] = exc.witness
         out.write(ser.canonical_json(payload))
-        return MATH_FAILURE
+        return INPUT_ERROR if isinstance(exc, InputError) else MATH_FAILURE
 
 
 if __name__ == "__main__":

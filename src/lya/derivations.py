@@ -4,15 +4,16 @@ Each space of maps is computed as the exact nullspace of a linear system
 over the n*n entries of the unknown matrix.  Unknown entry (p, q) sits at
 flat index p*n + q, matching :meth:`LinMap.flatten`.
 
-Plain derivations, twisted derivations, the centroid and the companion
-system of a quasi-derivation are each the kernel of one identity that is
-linear in the unknown map: f of a product equals a sum of products with f
-in one slot and fixed maps in the others.  ``_identity_rows`` turns any such
-identity into constraint rows on basis tuples.  The stabilizer and the hat
-map are solved in the unknowns they actually have: the coefficients over
-the solved twisted space, and one row of the hat matrix at a time.  Every
-solver re-checks its answer by direct evaluation, without the constraint
-matrix.
+Plain derivations, twisted derivations and the centroid are each the
+kernel of one identity that is linear in the unknown map: f of a product
+equals a sum of products with f in one slot and fixed maps in the others.
+``_identity_rows`` turns any such identity into constraint rows on basis
+tuples.  The stabilizer is solved in the unknowns it actually has, the
+coefficients over the solved twisted space.  The quasi-derivation
+companions and the hat map are known only by their values on products, so
+each is one :func:`~lya.exactlin._map_through` of the product vectors onto
+their prescribed images.  Every solver re-checks its answer by direct
+evaluation, without the constraint matrix.
 
 Inside a verification run (:func:`lya.theorems.verify_all`) each twisted
 space is solved and re-checked once and then reused; every other call
@@ -36,9 +37,9 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    _map_through,
     coordinates,
     nullspace,
-    solve,
     vadd,
     vec_strs,
     vis_zero,
@@ -237,29 +238,30 @@ class QuasiWitness(Record):
 def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | None:
     """Feasibility of the companion systems for the given map.
 
-    D' is solved from the binary rows and D'' from the ternary rows, since
-    they share no unknown; each right-hand side is the derivation-style sum
-    for the queried map, with D in each slot in turn, transported on the
-    stored integer form.  Free variables are zeroed, so the returned witness
-    is canonical.  A witness is returned only after
-    :func:`quasi_witness_satisfies` has re-checked it.
+    A companion is prescribed only on products: D' sends each binary
+    product of basis vectors, and D'' each ternary one, to the
+    derivation-style sum for the queried map with D in each slot in turn.
+    Both the products and their images are read from the stored integer
+    form, and each companion is one :func:`~lya.exactlin._map_through`.
+    Its free columns are zero, so the returned witness is canonical.  A
+    witness is returned only after :func:`quasi_witness_satisfies` has
+    re-checked it.
     """
     n = algebra.dim
     if d_map.dim != n:
         raise InputError("map dimension does not match the algebra")
     m = d_map.matrix
     companions = []
-    for tensor, arity in ((algebra.c, 2), (algebra.d, 3)):
+    for arity in (2, 3):
         keyed = _tensor_form(algebra, arity)
         summed = _summed([(1, _transport(keyed, [m if s == t else None for s in range(arity)]))
                           for t in range(arity)])
-        rhs = [x for idx in itertools.product(range(n), repeat=arity)
-               for x in _vector_at(summed, idx, n)]
-        rows = _identity_rows(tensor, arity, [])
-        solution = solve(Matrix(len(rows), n * n, tuple(rows)), rhs)
+        tuples = list(itertools.product(range(n), repeat=arity))
+        solution = _map_through([_vector_at(keyed, idx, n) for idx in tuples],
+                                [_vector_at(summed, idx, n) for idx in tuples], n, n)
         if solution is None:
             return None
-        companions.append(LinMap.unflatten(n, solution))
+        companions.append(LinMap(n, solution))
     witness = QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
     if not quasi_witness_satisfies(algebra, d_map, witness):
         raise InternalCheckError("companion witness failed re-verification")
@@ -439,10 +441,7 @@ def _dhat(algebra: LYAlgebra, products: tuple, d_map: LinMap, theta: AutCert) ->
     coords = [coordinates(w, gen_vec) for _, gen_vec in gens]
     if None in coords:
         raise InternalCheckError("product vector escaped the derived algebra")
-    # Row l of the hat matrix solves its own system over W's coordinates.
-    system = Matrix(len(gens), w.dim, tuple(coords))
-    matrix_rows = [solve(system, [gen_rhs[l] for gen_rhs in rhs]) for l in range(n)]
-    if None in matrix_rows:
+    matrix = _map_through(coords, rhs, w.dim, n)
+    if matrix is None:
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
-    matrix = Matrix(n, w.dim, tuple(matrix_rows))
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

@@ -270,6 +270,27 @@ def nullspace(m: Matrix) -> "Subspace":
     return Subspace._from_rref(cols, tuple(vectors))
 
 
+def _map_through(points: Sequence[Vec], images: Sequence[Vec], dim: int,
+                 codim: int) -> Matrix | None:
+    """The codim x dim matrix X with X.p = y for every point p and its image
+    y, or None when there is none.
+
+    One ``rref`` of the rows (p | y).  A pivot in the y part is a
+    combination of the points that vanishes while the same combination of
+    the images does not.  Otherwise each pivot row, with its pivot at column
+    c, holds column c of X in its y part, and the free columns of X are
+    zero, which makes X the canonical one.
+    """
+    r = rref(Matrix(len(points), dim + codim,
+                    tuple(tuple(p) + tuple(y) for p, y in zip(points, images))))
+    columns = [vzero(codim)] * dim
+    for row, p in zip(r.entries, pivot_cols(r.entries)):
+        if p >= dim:
+            return None
+        columns[p] = row[dim:]
+    return Matrix(dim, codim, tuple(columns)).transpose()
+
+
 def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
     """One exact solution of m.x = b with free variables set to zero.
 
@@ -278,28 +299,17 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
     bv = vec(b)
     if len(bv) != m.rows:
         raise InputError(f"right-hand side length {len(bv)} does not match {m.rows} rows")
-    aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (bv[i],) for i, row in enumerate(m.entries)))
-    r = rref(aug)
-    pivots = pivot_cols(r.entries)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = r.entries[row_idx][m.cols]
-    return tuple(x)
+    x = _map_through(m.entries, [(y,) for y in bv], m.cols, 1)
+    return None if x is None else x.entries[0]
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None when singular."""
+    """Exact inverse of a square matrix, or None when singular: the map that
+    sends the columns of m to the unit vectors."""
     if m.rows != m.cols:
         raise InputError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix(n, 2 * n, tuple(m.entries[i] + vunit(n, i) for i in range(n)))
-    r = rref(aug)
-    if r.rows < n or pivot_cols(r.entries)[:n] != tuple(range(n)):
-        return None
-    return Matrix(n, n, tuple(row[n:] for row in r.entries))
+    return _map_through(m.transpose().entries, [vunit(n, i) for i in range(n)], n, n)
 
 
 class Subspace(Record):

@@ -222,18 +222,19 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     premise = all(z.contains_vector(defect.apply(vunit(n, j))) for j in range(n))
     hypotheses = (("map is a twisted derivation", True),
                   ("defect image lies in the center", premise),)
-    details = {"defect_is_zero": defect.is_zero(), "perfect": is_perfect(algebra)}
+    w = derived_algebra(algebra)
+    perfect = w.dim == n
+    details = {"defect_is_zero": defect.is_zero(), "perfect": perfect}
     if not premise:
         return PropReport("P34", instance, False, hypotheses, None, None, details)
     kernel = nullspace(defect.matrix)
-    w = derived_algebra(algebra)
     contained = subspace_contains(kernel, w)
     ok = contained
     witness = None
     if not contained:
         bad = next(b for b in w.basis if not kernel.contains_vector(b))
         witness = {"vector": vec_strs(bad), "image": vec_strs(defect.apply(bad))}
-    if is_perfect(algebra):
+    if perfect:
         if not defect.is_zero():
             ok = False
             witness = witness or {"defect": _fmt_map(defect)}

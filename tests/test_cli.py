@@ -555,3 +555,46 @@ def test_json_integer_past_the_digit_limit_exits_2(tmp_path):
     report = json.loads(text)
     assert report["error"].startswith(f"cannot read {path}")
     assert "result" not in report
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("der",), "the following arguments are required: algebra"),
+    (("bogus", "x.json"), "invalid choice: 'bogus'"),
+    ((), "the following arguments are required: verb"),
+    (("der", "a.json", "--bogus"), "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_exit_2_with_one_report(capsys, argv, message):
+    """A usage error ends in the error report on stdout, with no verb parsed;
+    the usage text stays on stderr."""
+    code, text = run_cli(*argv)
+    assert code == 2
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert message in report["error"]
+    assert report["verb"] is None and report["inputs"] == []
+    assert "result" not in report and "internal" not in report
+    assert capsys.readouterr().err.startswith("usage: lya")
+
+
+def test_help_is_unchanged(capsys):
+    code, text = run_cli("--help")
+    assert code == 0 and text == ""
+    assert capsys.readouterr().out.startswith("usage: lya")
+
+
+def test_internal_check_failure_exits_1_with_the_internal_flag(sl2_file, monkeypatch):
+    """A failed soundness re-check is reported in the error envelope, marked
+    internal, never as a traceback."""
+    from lya import derivations
+    from lya.errors import InternalCheckError
+
+    def unsound(*args):
+        raise InternalCheckError("derivation solver produced an unsound basis element")
+
+    monkeypatch.setattr(derivations, "_solve_twisted_space", unsound)
+    code, report = run_json("der", str(sl2_file))
+    assert code == 1
+    assert report["internal"] is True and report["verb"] == "der"
+    assert report["error"] == "derivation solver produced an unsound basis element"
+    assert "result" not in report and len(report["inputs"]) == 1
+    for argv in (("check", str(sl2_file)), ("der", "missing.json")):
+        assert "internal" not in run_json(*argv)[1]

@@ -12,6 +12,7 @@ from lya.exactlin import (
     coordinates,
     nullspace,
     rank,
+    rref,
     solve,
     subspace_contains,
     subspace_intersect,
@@ -1207,9 +1208,11 @@ def test_transported_dhat_rhs_matches_the_tuplewise_reference():
 
 
 def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
-    """A wrong companion from the solve ends in InternalCheckError, in process
-    and from the CLI, instead of being returned or printed."""
+    """A wrong companion from the solve ends in InternalCheckError in process,
+    and in the CLI's error report with "internal": true and exit 1, instead
+    of being returned or printed."""
     import io
+    import json
 
     from lya.cli import main
     from lya.serialize import algebra_to_dict, map_to_dict, save_json_file
@@ -1217,18 +1220,66 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
     sl2 = catalog("sl2")
     adh = LinMap.from_rows([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
     assert is_quasi_derivation(sl2, adh) is not None
-    exact = derivations.solve
+    exact = derivations._map_through
 
-    def off_by_one(m, b):
-        x = exact(m, b)
-        return None if x is None else (x[0] + 1,) + x[1:]
+    def off_by_one(points, images, dim, codim):
+        x = exact(points, images, dim, codim)
+        if x is None:
+            return None
+        first = (x.entries[0][0] + 1,) + x.entries[0][1:]
+        return Matrix(x.rows, x.cols, (first,) + x.entries[1:])
 
-    monkeypatch.setattr(derivations, "solve", off_by_one)
+    monkeypatch.setattr(derivations, "_map_through", off_by_one)
     with pytest.raises(InternalCheckError, match="companion witness failed re-verification"):
         is_quasi_derivation(sl2, adh)
     save_json_file(tmp_path / "sl2.json", algebra_to_dict(sl2))
     save_json_file(tmp_path / "adh.json", map_to_dict(adh))
     out = io.StringIO()
-    with pytest.raises(InternalCheckError, match="companion witness failed re-verification"):
-        main(["quasi", str(tmp_path / "sl2.json"), "--map", str(tmp_path / "adh.json")], out=out)
-    assert out.getvalue() == ""
+    code = main(["quasi", str(tmp_path / "sl2.json"), "--map", str(tmp_path / "adh.json")],
+                out=out)
+    report = json.loads(out.getvalue())
+    assert code == 1
+    assert report["internal"] is True and report["verb"] == "quasi"
+    assert report["error"] == "companion witness failed re-verification"
+    assert "result" not in report and len(report["inputs"]) == 2
+
+
+def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
+    """On h5: two eliminations, one per companion, each of the n product
+    coordinates plus the n image coordinates, and no constraint rows."""
+    from lya import exactlin
+
+    a = h5()
+    d_map = derivation_space(a).maps()[0]
+    widths = []
+
+    def recording(m):
+        widths.append(m.cols)
+        return rref(m)
+
+    def no_rows(*args):
+        raise AssertionError("is_quasi_derivation assembled constraint rows")
+
+    monkeypatch.setattr(exactlin, "rref", recording)
+    monkeypatch.setattr(derivations, "_identity_rows", no_rows)
+    assert is_quasi_derivation(a, d_map) is not None
+    assert widths == [2 * a.dim, 2 * a.dim]
+
+
+def test_dhat_solves_the_hat_matrix_with_one_elimination(monkeypatch):
+    """All n rows of the hat matrix come out of one rref, not one each."""
+    from lya import exactlin
+
+    a = h5()
+    products = derivations._dhat_products(a)
+    d_map = derivation_space(a).maps()[0]
+    calls = []
+
+    def recording(m):
+        calls.append(m.cols)
+        return rref(m)
+
+    monkeypatch.setattr(exactlin, "rref", recording)
+    got = derivations._dhat(a, products, d_map, identity_cert(a))
+    assert got.consistent
+    assert calls == [products[0].dim + a.dim]

@@ -7,6 +7,7 @@ import pytest
 from lya.errors import InputError
 from lya.exactlin import (
     Matrix,
+    _map_through,
     Subspace,
     coordinates,
     frac,
@@ -513,3 +514,125 @@ def test_subspace_intersect_matches_sympy():
         assert got.basis == want
         dims.add((got.dim > 0, got.dim < len(v)))
     assert dims == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# solve as it stood with its own augmented elimination, the oracle for the
+# shared _map_through behind solve, invert and the prescribed-image solvers.
+
+def solve_augmented_reference(m, b):
+    aug = Matrix(m.rows, m.cols + 1, tuple(row + (Fraction(b[i]),) for i, row in enumerate(m.entries)))
+    r = rref(aug)
+    pivots = pivot_cols(r.entries)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = r.entries[row_idx][m.cols]
+    return tuple(x)
+
+
+def map_through_by_columns(points, images, dim, codim):
+    """Row l of X from the reference solve of points . x = (image coordinate l)."""
+    m = Matrix(len(points), dim, tuple(tuple(p) for p in points))
+    rows = [solve_augmented_reference(m, [y[l] for y in images]) for l in range(codim)]
+    if None in rows:
+        return None
+    return Matrix(codim, dim, tuple(rows))
+
+
+def prescribed_image_cases():
+    """(points, images, dim, codim): images of a seeded map, of that map
+    with one image changed (often inconsistent), and of rank-deficient
+    points (free columns), plus 0-row and 0-column shapes."""
+    rng = random.Random(9001)
+    cases = []
+    for _ in range(40):
+        dim, codim = rng.randint(1, 6), rng.randint(1, 4)
+        k = rng.randint(1, dim)
+        points = random_matrix(rng, rng.randint(1, 8), k).mul(random_matrix(rng, k, dim)).entries
+        x = random_matrix(rng, codim, dim)
+        images = [x.mul_vec(p) for p in points]
+        cases.append((points, images, dim, codim))
+        bent = list(images)
+        bent[rng.randrange(len(bent))] = random_matrix(rng, 1, codim).entries[0]
+        cases.append((points, bent, dim, codim))
+    zero = (Fraction(0),)
+    cases += [((), (), 3, 2), ((), (), 0, 2), ((), (), 3, 0), ((), (), 0, 0),
+              (((),) * 3, (zero, zero, zero), 0, 1), (((),) * 2, (zero, (Fraction(1),)), 0, 1),
+              (tuple(vunit(3, i) for i in range(3)), ((),) * 3, 3, 0)]
+    return cases
+
+
+def test_solve_matches_the_augmented_reference():
+    rng = random.Random(4711)
+    kinds = set()
+    for m in differential_cases() + [Matrix.from_rows([[1, 1]]), Matrix.from_rows([[1], [1]])]:
+        for b in ([0] * m.rows, [rng.randint(-3, 3) for _ in range(m.rows)],
+                  m.mul_vec([rng.randint(-3, 3) for _ in range(m.cols)])):
+            got = solve(m, b)
+            assert got == solve_augmented_reference(m, b)
+            if got is not None:
+                assert_fraction_entries(Matrix(1, m.cols, (got,)))
+                kinds.add(("consistent", rank(m) < m.cols))
+            else:
+                kinds.add(("inconsistent", None))
+    assert kinds == {("consistent", True), ("consistent", False), ("inconsistent", None)}
+
+
+def test_map_through_matches_the_reference_column_by_column():
+    outcomes = set()
+    for points, images, dim, codim in prescribed_image_cases():
+        got = _map_through(points, images, dim, codim)
+        assert got == map_through_by_columns(points, images, dim, codim)
+        if got is not None:
+            assert (got.rows, got.cols) == (codim, dim)
+            assert all(got.mul_vec(p) == tuple(y) for p, y in zip(points, images))
+        outcomes.add((got is None, len(points) == 0 or dim == 0 or codim == 0))
+    assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_invert_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    seen = set()
+    cases = [random_matrix(rng, n, n) for n in range(1, 7) for _ in range(4)]
+    cases += [Matrix.from_rows([[1, 2], [2, 4]]), Matrix.zero(3, 3), Matrix.identity(4),
+              Matrix.zero(0, 0)]
+    for m in cases:
+        got = invert(m)
+        want = sympy_matrix(sympy, m.entries, m.cols)
+        if m.rows and want.det() == 0:
+            assert got is None
+        else:
+            inv = want.inv() if m.rows else want
+            assert got == Matrix(m.rows, m.cols, tuple(
+                tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(m.rows)))
+        seen.add(got is None)
+    assert seen == {True, False}
+
+
+def test_map_through_matches_the_reference_on_drawn_systems():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    systems = st.tuples(st.integers(0, 6), st.integers(0, 5), st.integers(0, 3)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(st.lists(entries, min_size=shape[1] + shape[2], max_size=shape[1] + shape[2]),
+                     min_size=shape[0], max_size=shape[0]),
+            st.just(shape[1]), st.just(shape[2])))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(systems)
+    def check(system):
+        rows, dim, codim = system
+        points = [tuple(r[:dim]) for r in rows]
+        images = [tuple(r[dim:]) for r in rows]
+        assert _map_through(points, images, dim, codim) == \
+            map_through_by_columns(points, images, dim, codim)
+        if codim == 1:
+            m = Matrix(len(rows), dim, tuple(points))
+            assert solve(m, [y[0] for y in images]) == \
+                solve_augmented_reference(m, [y[0] for y in images])
+
+    check()

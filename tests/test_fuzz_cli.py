@@ -149,8 +149,10 @@ def dim_of(obj):
     return dim if isinstance(dim, int) and not isinstance(dim, bool) and 0 <= dim <= 3 else 2
 
 
-def run(argv, files):
-    """Write the files, run the CLI in-process, and check its single envelope."""
+def run(argv, files, usage_errors=False):
+    """Write the files, run the CLI in-process, and check its single envelope.
+    With ``usage_errors`` the argv may also fail to parse, which ends in an
+    input error with no verb."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, obj in files.items():
@@ -162,7 +164,11 @@ def run(argv, files):
     assert code in (0, 1, 2)
     report = json.loads(text)  # exactly one JSON document
     assert text == canonical_json(report)
-    assert report["tool"] == "lya" and report["verb"] == argv[0]
+    assert report["tool"] == "lya"
+    if usage_errors and report["verb"] is None:
+        assert code == 2 and "error" in report
+    else:
+        assert report["verb"] == argv[0]
     assert ("error" in report) != ("result" in report)
     if code == 2:
         assert "error" in report
@@ -222,3 +228,44 @@ def test_config_files(data):
              "sub.json": data.draw(subspace_objects(n)),
              "config.json": data.draw(config_objects(n))}
     run(["verify", "all", "alg.json", "--config", "config.json"], files)
+
+
+VERBS = ("check", "construct", "der", "gder", "centroid", "center", "derived", "inner",
+         "quasi", "stabilizer", "dhat", "verify", "export", "bogus", "")
+# Option values, valid and not.  No --out (it would write outside the
+# temporary directory), and no --help or its abbreviation --h, which is also
+# inner's own option: argparse prints help to the real stdout and exits 0
+# without a report.
+OPTIONS = {"--map": ("id", "neg", "map.json", "missing.json"), "--theta": ("id", "map.json"),
+           "--vartheta": ("neg", "sub.json"), "--subspace": ("full", "zero", "sub.json"),
+           "--from": ("lie", "leibniz", "x"), "--config": ("config.json", "alg.json"),
+           "--g": ("1,0,0", "0,1", "x"), "--label": ("a",), "--bogus": ("1",)}
+OWN_OPTIONS = {"construct": "--from", "gder": "--theta --vartheta", "quasi": "--map",
+               "stabilizer": "--theta --subspace", "dhat": "--map --theta",
+               "verify": "--map --theta --vartheta --subspace --config --g --label"}
+TOKENS = FILES + ("id", "sl2", "p34", "p35", "all", "suite", "1,0,0", "-x", "--", "") + tuple(OPTIONS)
+
+
+@st.composite
+def argument_lists(draw):
+    """Mostly a verb, its algebra file and option pairs; else junk after the verb."""
+    argv = [draw(st.sampled_from(VERBS))]
+    if argv[0] == "verify":
+        argv.append(draw(st.sampled_from(("p34", "p35", "p38", "all", "suite", "p99"))))
+    argv.append(draw(mostly(st.just("alg.json"), st.sampled_from(TOKENS))))
+    own = [o for o in OPTIONS if o in OWN_OPTIONS.get(argv[0], "")] or sorted(OPTIONS)
+    options = mostly(st.sampled_from(own), st.sampled_from(sorted(OPTIONS)))
+    for option in draw(st.lists(options, max_size=3, unique=True)):
+        argv += [option, draw(st.sampled_from(OPTIONS[option]))]
+    junk = st.lists(st.sampled_from(TOKENS), max_size=4).map(lambda rest: argv[:1] + rest)
+    return draw(mostly(st.just(argv), junk))
+
+
+@FUZZ
+@given(argument_lists())
+def test_argument_lists(argv):
+    sl2 = algebra_to_dict(catalog("sl2"))
+    files = {"alg.json": sl2, "map.json": {"dim": 3, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+             "sub.json": {"ambient": 3, "basis": [["0", "0", "1"]]},
+             "config.json": {"checks": [{"prop": "p35", "theta": "id"}]}}
+    run(argv, files, usage_errors=True)

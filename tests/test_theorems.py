@@ -150,6 +150,53 @@ def test_p34_premise_filter_with_chevalley():
             assert r.details["defect_is_zero"]
 
 
+def counting_derived_algebra(monkeypatch, *modules):
+    """Count derived_algebra calls through every named module's binding and
+    through the one is_perfect uses."""
+    from lya import structure
+
+    calls = []
+    exact = structure.derived_algebra
+
+    def counted(algebra):
+        calls.append(algebra)
+        return exact(algebra)
+
+    for module in (structure,) + modules:
+        monkeypatch.setattr(module, "derived_algebra", counted)
+    return calls
+
+
+def test_p34_computes_the_derived_algebra_once(monkeypatch):
+    """Perfectness and the containment read one derived algebra."""
+    from lya import theorems
+
+    for name in ("sl2", "h3"):
+        a = catalog(name)
+        d_map = derivation_space(a).maps()[0]
+        calls = counting_derived_algebra(monkeypatch, theorems)
+        r = verify_p34(a, d_map, identity_cert(a))
+        monkeypatch.undo()
+        assert r.hypotheses_met and r.conclusion_holds
+        assert r.details["perfect"] is (name == "sl2")
+        assert len(calls) == 1
+
+
+def test_derived_verb_computes_the_derived_algebra_once(monkeypatch, tmp_path):
+    import io
+    import json
+
+    from lya import cli
+
+    path = tmp_path / "sl2.json"
+    assert cli.main(["export", "sl2", "--out", str(path)], out=io.StringIO()) == 0
+    calls = counting_derived_algebra(monkeypatch, cli)
+    out = io.StringIO()
+    assert cli.main(["derived", str(path)], out=out) == 0
+    assert json.loads(out.getvalue())["result"]["perfect"] is True
+    assert len(calls) == 1
+
+
 def test_p34_rejects_non_derivation():
     sl2 = catalog("sl2")
     with pytest.raises(MathError):
