@@ -520,7 +520,8 @@ def test_subspace_intersect_matches_sympy():
 # shared _map_through behind solve, invert and the prescribed-image solvers.
 
 def solve_augmented_reference(m, b):
-    aug = Matrix(m.rows, m.cols + 1, tuple(row + (Fraction(b[i]),) for i, row in enumerate(m.entries)))
+    aug = Matrix(m.rows, m.cols + 1,
+                 tuple(row + (Fraction(b[i]),) for i, row in enumerate(m.entries)))
     r = rref(aug)
     pivots = pivot_cols(r.entries)
     if m.cols in pivots:

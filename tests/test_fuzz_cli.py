@@ -243,7 +243,8 @@ OPTIONS = {"--map": ("id", "neg", "map.json", "missing.json"), "--theta": ("id",
 OWN_OPTIONS = {"construct": "--from", "gder": "--theta --vartheta", "quasi": "--map",
                "stabilizer": "--theta --subspace", "dhat": "--map --theta",
                "verify": "--map --theta --vartheta --subspace --config --g --label"}
-TOKENS = FILES + ("id", "sl2", "p34", "p35", "all", "suite", "1,0,0", "-x", "--", "") + tuple(OPTIONS)
+TOKENS = FILES + tuple(OPTIONS) + ("id", "sl2", "p34", "p35", "all", "suite", "1,0,0", "-x",
+                                   "--", "")
 
 
 @st.composite
@@ -253,7 +254,7 @@ def argument_lists(draw):
     if argv[0] == "verify":
         argv.append(draw(st.sampled_from(("p34", "p35", "p38", "all", "suite", "p99"))))
     argv.append(draw(mostly(st.just("alg.json"), st.sampled_from(TOKENS))))
-    own = [o for o in OPTIONS if o in OWN_OPTIONS.get(argv[0], "")] or sorted(OPTIONS)
+    own = OWN_OPTIONS.get(argv[0], " ".join(sorted(OPTIONS))).split()
     options = mostly(st.sampled_from(own), st.sampled_from(sorted(OPTIONS)))
     for option in draw(st.lists(options, max_size=3, unique=True)):
         argv += [option, draw(st.sampled_from(OPTIONS[option]))]
