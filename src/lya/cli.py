@@ -328,13 +328,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: an abbreviation such as --h or --the is a usage error.
     parser = _Parser(
-        prog="lya",
+        prog="lya", allow_abbrev=False,
         description="Exact computations with finite-dimensional Lie-Yamaguti algebras.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out", help="also write the output to this file")
         return p

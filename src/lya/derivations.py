@@ -7,8 +7,9 @@ flat index p*n + q, matching :meth:`LinMap.flatten`.
 Plain derivations, twisted derivations and the centroid are each the
 kernel of one identity that is linear in the unknown map: f of a product
 equals a sum of products with f in one slot and fixed maps in the others.
-``_identity_rows`` turns any such identity into constraint rows on basis
-tuples.  The stabilizer is solved in the unknowns it actually has, the
+``_identity_rows`` turns any such identity into integer constraint rows on
+basis tuples, from the algebra's stored integer form transported by the
+fixed maps.  The stabilizer is solved in the unknowns it actually has, the
 coefficients over the solved twisted space.  The quasi-derivation
 companions and the hat map are known only by their values on products, so
 each is one :func:`~lya.exactlin._map_through` of the product vectors onto
@@ -22,12 +23,11 @@ solves afresh.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
-import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,7 +44,6 @@ from .exactlin import (
     vec_strs,
     vis_zero,
     vscale,
-    vunit,
     vzero,
 )
 from .lyalg import (LYAlgebra, _first_failure, _summed, _tensor_form, _transport,
@@ -56,9 +55,6 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .structure import derived_algebra, is_subalgebra
-
-ZERO = Fraction(0)
-
 
 class DerSpace(Record):
     """Space of maps, flattened row-major into an n*n ambient space.
@@ -87,46 +83,39 @@ class DerSpace(Record):
         return self.space.contains_vector(f.flatten())
 
 
-def _identity_rows(tensor, arity: int, terms: Sequence[tuple]) -> list[Vec]:
+def _identity_rows(algebra: LYAlgebra, arity: int,
+                   terms: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Rows of the identity f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0.
 
-    ``tensor`` is the binary ``c`` (arity 2) or the ternary ``d`` (arity 3).
-    Each term lists, slot by slot, the basis images under a fixed map, with
-    None in the one slot s that the unknown f fills.  There is one row per
-    ordered basis tuple I and coordinate l; entry (p, q) of f sits at column
-    p*n + q.
+    T is the binary (arity 2) or ternary (arity 3) product, read from the
+    stored integer form.  Each term lists, slot by slot, the matrix of a
+    fixed map, with None in the one slot s that the unknown f fills, which
+    is where :func:`~lya.lyalg._transport` leaves T as it is.  There is one
+    row per ordered basis tuple I and coordinate l, in that order, with the
+    zero rows left out; entry (p, q) of f sits at column p*n + q.  The rows
+    are integers, all scaled by one common factor.
     """
-    n = len(tensor)
-    units = [vunit(n, i) for i in range(n)]
-    evaluate = binary_eval if arity == 2 else ternary_eval
-    base = {idx: functools.reduce(operator.getitem, idx, tensor)
-            for idx in itertools.product(range(n), repeat=arity)}
-    # Per term, T(..., e_a in slot s, ...) with the fixed maps in the other
-    # slots, keyed by the full index tuple; identity maps read T as it is.
-    twisted = []
-    for term in terms:
-        entries = base
-        if any(images is not None and images != units for images in term):
-            entries = {idx: evaluate(tensor, *(units[i] if images is None else images[i]
-                                               for i, images in zip(idx, term)))
-                       for idx in base}
-        twisted.append((term.index(None), entries))
-    rows: list[Vec] = []
-    for idx, value in base.items():
-        blocks = [(idx[s], [entries[idx[:s] + (a,) + idx[s + 1:]] for a in range(n)])
-                  for s, entries in twisted]
-        for l in range(n):
-            row = [ZERO] * (n * n)
-            for a, x in enumerate(value):
-                if x:
-                    row[l * n + a] += x
-            for col, images in blocks:
-                for a, image in enumerate(images):
-                    x = image[l]
-                    if x:
-                        row[col + a * n] -= x
-            rows.append(tuple(row))
-    return rows
+    n = algebra.dim
+    keyed = _tensor_form(algebra, arity)
+    forms = [(None, keyed)] + [(term.index(None), _transport(keyed, term)) for term in terms]
+    scale = math.lcm(*(s for _, (s, _) in forms))
+    rows: dict[tuple[int, ...], list[int]] = collections.defaultdict(lambda: [0] * (n * n))
+    for slot, (s, entries) in forms:
+        factor = scale // s
+        for key, x in entries.items():
+            x *= factor
+            if slot is None:
+                # Coordinate a of T(e_I) meets row l of f at column l*n + a.
+                idx, a = key[:-1], key[-1]
+                for l in range(n):
+                    rows[idx + (l,)][l * n + a] += x
+            else:
+                # T(..., f e_b, ...) is the sum over a of f[a][b] T(..., e_a, ...),
+                # so the value at a in slot s meets every b there at column a*n + b.
+                head, a, tail = key[:slot], key[slot], key[slot + 1:]
+                for b in range(n):
+                    rows[head + (b,) + tail][a * n + b] -= x
+    return [tuple(rows[k]) for k in sorted(rows) if any(rows[k])]
 
 
 # Twisted spaces solved in the open verification run, keyed by
@@ -169,10 +158,9 @@ def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     every ordered basis pair and triple carries its own rows.
     """
     n = algebra.dim
-    units = [vunit(n, i) for i in range(n)]
-    t, v = [theta.apply(u) for u in units], [vartheta.apply(u) for u in units]
-    rows = _identity_rows(algebra.c, 2, [(None, t), (v, None)])
-    rows += _identity_rows(algebra.d, 3, [(None, t, v), (v, None, t), (t, v, None)])
+    t, v = theta.matrix, vartheta.matrix
+    rows = _identity_rows(algebra, 2, [(None, t), (v, None)])
+    rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)])
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
     for flat in space.basis:
         if not satisfies_g_derivation(algebra, LinMap.unflatten(n, flat), theta, vartheta):
@@ -210,9 +198,9 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     that consequence is re-verified on the computed basis.
     """
     n = algebra.dim
-    units = [vunit(n, i) for i in range(n)]
-    rows = _identity_rows(algebra.c, 2, [(None, units)])
-    rows += _identity_rows(algebra.d, 3, [(None, units, units)])
+    ident = Matrix.identity(n)
+    rows = _identity_rows(algebra, 2, [(None, ident)])
+    rows += _identity_rows(algebra, 3, [(None, ident, ident)])
     space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
     for flat in space.basis:
         m = LinMap.unflatten(n, flat).matrix
@@ -256,7 +244,9 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
         keyed = _tensor_form(algebra, arity)
         summed = _summed([(1, _transport(keyed, [m if s == t else None for s in range(arity)]))
                           for t in range(arity)])
-        tuples = list(itertools.product(range(n), repeat=arity))
+        # Both products and both images are alternating in the first two
+        # slots, so the tuples with i < j span all the rows.
+        tuples = [idx for idx in itertools.product(range(n), repeat=arity) if idx[0] < idx[1]]
         solution = _map_through([_vector_at(keyed, idx, n) for idx in tuples],
                                 [_vector_at(summed, idx, n) for idx in tuples], n, n)
         if solution is None:

@@ -412,6 +412,10 @@ def save_rebased_sum_files():
      "0ec35b70a347db7d1722879b3cf2eb14cc900d162142c4ec68f4337cf65e4209"),
     (("dhat", "sum_rebased.json", "--map", "sum_e11.json", "--theta", "sum_chev.json"), 1,
      "45ff81d5fd21af6dd0fab1768e2b5a6197a9efc7640675358870154f7a9d6da9"),
+    (("gder", "sum_rebased.json", "--theta", "sum_chev.json"), 0,
+     "6ade14b891d622ea2dc3bdb95c7cb438ff5d9db1472721915308256a89fb26c3"),
+    (("gder", "sum_rebased.json", "--theta", "sum_chev.json", "--vartheta", "sum_chev.json"), 0,
+     "d345cc46b3cef15b937b7bfd08a3a852f1cc216cf84cb2058507cd604f6df847"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files
@@ -579,6 +583,37 @@ def test_help_is_unchanged(capsys):
     code, text = run_cli("--help")
     assert code == 0 and text == ""
     assert capsys.readouterr().out.startswith("usage: lya")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("der", "x.json", "--h"), "unrecognized arguments: --h"),
+    (("der", "x.json", "--he"), "unrecognized arguments: --he"),
+    (("gder", "x.json", "--the", "neg"), "unrecognized arguments: --the neg"),
+    (("quasi", "x.json", "--ma", "id"), "the following arguments are required: --map"),
+    (("--he", "der", "x.json"), "unrecognized arguments: --he"),
+])
+def test_abbreviated_options_are_usage_errors(capsys, argv, message):
+    """No option is matched by a prefix: an abbreviation ends in the usage
+    report, never in the help text or in the option it abbreviates."""
+    code, text = run_cli(*argv)
+    assert code == 2
+    report = json.loads(text)
+    assert message in report["error"] and report["verb"] is None
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: lya")
+
+
+def test_own_h_options_and_verb_help_are_unchanged(sl2_file, capsys):
+    """inner and verify still read their own --h; --help on a verb still prints its help."""
+    code, report = run_json("inner", str(sl2_file), "--g", "1,0,0", "--h", "0,1,0")
+    assert code == 0 and "result" in report
+    code, report = run_json("verify", "p37", str(sl2_file), "--subspace", "full",
+                            "--g", "1,0,0", "--h", "0,1,0")
+    assert code in (0, 1) and len(report["result"]["reports"]) == 1
+    capsys.readouterr()
+    code, text = run_cli("der", "x.json", "--help")
+    assert code == 0 and text == ""
+    assert capsys.readouterr().out.startswith("usage: lya der")
 
 
 def test_internal_check_failure_exits_1_with_the_internal_flag(sl2_file, monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -967,6 +968,35 @@ def stabilizer_reference(algebra, twisted, h):
     return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, tuple(rows))))
 
 
+def dense_identity_rows(tensor, arity, terms):
+    """Rows of f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0, from
+    the dense tensor: one row per ordered basis tuple I and coordinate l,
+    zero rows included; entry (p, q) of f sits at column p*n + q.  Each term
+    lists the basis images of a fixed map per slot, None where f goes."""
+    n = len(tensor)
+    units = [vunit(n, i) for i in range(n)]
+    evaluate = binary_eval if arity == 2 else ternary_eval
+    base = {idx: functools.reduce(operator.getitem, idx, tensor)
+            for idx in itertools.product(range(n), repeat=arity)}
+    twisted = []
+    for term in terms:
+        entries = {idx: evaluate(tensor, *(units[i] if images is None else images[i]
+                                           for i, images in zip(idx, term)))
+                   for idx in base}
+        twisted.append((term.index(None), entries))
+    rows = []
+    for idx, value in base.items():
+        for l in range(n):
+            row = [Fraction(0)] * (n * n)
+            for a, x in enumerate(value):
+                row[l * n + a] += x
+            for s, entries in twisted:
+                for a in range(n):
+                    row[a * n + idx[s]] -= entries[idx[:s] + (a,) + idx[s + 1:]][l]
+            rows.append(tuple(row))
+    return rows
+
+
 def quasi_reference(algebra, d_map):
     """Both companions from one system in 2*n*n unknowns, D' first."""
     n = algebra.dim
@@ -974,8 +1004,8 @@ def quasi_reference(algebra, d_map):
     units = [vunit(n, i) for i in range(n)]
     du = [d_map.apply(u) for u in units]
     pad = (Fraction(0),) * (n * n)
-    rows = [r + pad for r in derivations._identity_rows(c, 2, [])]
-    rows += [pad + r for r in derivations._identity_rows(d, 3, [])]
+    rows = [r + pad for r in dense_identity_rows(c, 2, [])]
+    rows += [pad + r for r in dense_identity_rows(d, 3, [])]
     rhs = []
     for i, j in itertools.product(range(n), repeat=2):
         rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
@@ -1041,6 +1071,13 @@ def gl2():
     return lie_algebra(4, brackets)
 
 
+# x_i -> y_i, y_i -> -x_i, z -> z on h5
+H5_SWAP = [[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
+# On gl2 (units E_ij at 2i + j): X -> -X^T and conjugation by diag(1, 2).
+GL2_TWISTS = [[[-1, 0, 0, 0], [0, 0, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1]],
+              [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]]
+
+
 @functools.cache
 def narrowed_cases():
     """(algebra, twists, subspaces) over the catalog, sl2_plus_ab1 in a seeded
@@ -1050,9 +1087,7 @@ def narrowed_cases():
     rebased_sum, _, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     extra = {"sl2": [chevalley_cert()], "lts_sl2": [neg_cert("lts_sl2")]}
     algebras = [(catalog(name), None, extra.get(name, [])) for name in CATALOG_NAMES]
-    # x_i -> y_i, y_i -> -x_i, z -> z on h5
-    swap = LinMap.from_rows([[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0],
-                             [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]])
+    swap = LinMap.from_rows(H5_SWAP)
     algebras += [(rebased_sum, p_inv, []), (h5(), None, [certify_automorphism(h5(), swap)]),
                  (gl2(), None, [])]
     cases = []
@@ -1116,11 +1151,95 @@ def transported_rhs_cases():
     algebras += [(direct_sum(catalog(x), catalog(y)), [])
                  for x, y in (("aff2", "h3"), ("leibniz2", "lts_sl2"))]
     algebras += [(rebased_sum, [LinMap(4, p_inv.mul(chev_line).mul(p))]),
-                 (h5(), [LinMap.from_rows([[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0],
-                                           [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]])]),
+                 (h5(), [LinMap.from_rows(H5_SWAP)]),
                  (gl2(), [])]
     return [(a, [identity_cert(a)] + [certify_automorphism(a, t) for t in maps])
             for a, maps in algebras]
+
+
+@functools.cache
+def row_cases():
+    """(algebra, automorphisms) for the constraint rows: the cases of
+    :func:`transported_rhs_cases` and abelian0; the Chevalley swap and
+    torus twists with denominators on sl2, lts_sl2 and sl2_plus_ab1; gl2
+    with the twists above; and h5 and gl2 in seeded rational bases, with
+    their twists transported (a map f becomes P^-1 f P)."""
+    cases = list(transported_rhs_cases())
+    cases.append((catalog("abelian0"), [identity_cert(catalog("abelian0"))]))
+    for name, twists in (("sl2", ("chevalley", "torus")), ("lts_sl2", ("neg", "chevalley", "torus")),
+                         ("sl2_plus_ab1", ("id", "torus4"))):
+        cases.append((catalog(name), [twist_cert(name, t) for t in twists]))
+    for a, twists, seed in ((gl2(), GL2_TWISTS, 5), (h5(), [H5_SWAP], 7)):
+        cases.append((a, [identity_cert(a)] + [certify_automorphism(a, LinMap.from_rows(t))
+                                               for t in twists]))
+        b, p, p_inv = rebased(a, seed)
+        cases.append((b, [identity_cert(b)] + [
+            certify_automorphism(b, LinMap(b.dim, p_inv.mul(Matrix.from_rows(t)).mul(p)))
+            for t in twists]))
+    return cases
+
+
+def test_identity_rows_match_the_dense_reference():
+    """The rows built from the stored form are the dense reference's nonzero
+    rows, in the same order, times one positive factor per call; the
+    twisted spaces, for every ordered pair of twists, and the centroid are
+    the nullspaces of the reference rows."""
+    for a, certs in row_cases():
+        n = a.dim
+        units = [vunit(n, i) for i in range(n)]
+        ident = Matrix.identity(n)
+        systems = [([(None, ident)], [(None, ident, ident)], centroid(a))]
+        for theta, vartheta in itertools.product(certs, repeat=2):
+            t, v = theta.map.matrix, vartheta.map.matrix
+            systems.append(([(None, t), (v, None)], [(None, t, v), (v, None, t), (t, v, None)],
+                            g_derivation_space(a, theta, vartheta).space))
+        for binary, ternary, space in systems:
+            reference = []
+            for arity, tensor, terms in ((2, a.c, binary), (3, a.d, ternary)):
+                got = derivations._identity_rows(a, arity, terms)
+                images = [tuple(None if m is None else [m.mul_vec(u) for u in units]
+                                for m in term) for term in terms]
+                want = [r for r in dense_identity_rows(tensor, arity, images) if any(r)]
+                assert len(got) == len(want)
+                if want:
+                    j = next(j for j, x in enumerate(want[0]) if x)
+                    factor = Fraction(got[0][j]) / want[0][j]
+                    assert factor > 0
+                    assert all(g == tuple(factor * x for x in w) for g, w in zip(got, want))
+                    assert all(type(x) is int for g in got for x in g)
+                reference += want
+            assert space == nullspace(Matrix(len(reference), n * n, tuple(reference)))
+
+
+def test_twisted_and_centroid_rows_make_no_dense_contraction(monkeypatch):
+    """The derivation, twisted and centroid solves and their re-checks read
+    the stored integer form only.  Every module binding binary_eval or
+    ternary_eval gets a counting wrapper; on h5 with theta the swap
+    x_i -> y_i, y_i -> -x_i, the dense rows made 400 calls for the twisted
+    solve alone."""
+    import sys
+    from lya import lyalg
+
+    a = h5()
+    swap, ident = certify_automorphism(a, LinMap.from_rows(H5_SWAP)), identity_cert(a)
+    counts = {"binary_eval": 0, "ternary_eval": 0}
+    wrapped = set()
+    originals = {name: getattr(lyalg, name) for name in counts}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "lya":
+            continue
+        for name, func in originals.items():
+            if getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counting(counts, name, func))
+                wrapped.add(module_name)
+    assert {"lya.lyalg", "lya.derivations"} <= wrapped
+    assert lyalg.bracket(a, vunit(5, 0), vunit(5, 2)) == vunit(5, 4)
+    assert counts["binary_eval"] == 1
+    counts["binary_eval"] = 0
+    derivation_space(a)
+    centroid(a)
+    g_derivation_space(a, swap, ident)
+    assert counts == {"binary_eval": 0, "ternary_eval": 0}
 
 
 def test_split_quasi_solve_matches_the_combined_system():
@@ -1246,15 +1365,17 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
 
 def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     """On h5: two eliminations, one per companion, each of the n product
-    coordinates plus the n image coordinates, and no constraint rows."""
+    coordinates plus the n image coordinates, and no constraint rows.  Only
+    the basis tuples with i < j give rows: 10 pairs and 50 triples, where
+    every ordered tuple gave 25 and 125."""
     from lya import exactlin
 
     a = h5()
     d_map = derivation_space(a).maps()[0]
-    widths = []
+    shapes = []
 
     def recording(m):
-        widths.append(m.cols)
+        shapes.append((m.rows, m.cols))
         return rref(m)
 
     def no_rows(*args):
@@ -1263,7 +1384,7 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     monkeypatch.setattr(exactlin, "rref", recording)
     monkeypatch.setattr(derivations, "_identity_rows", no_rows)
     assert is_quasi_derivation(a, d_map) is not None
-    assert widths == [2 * a.dim, 2 * a.dim]
+    assert shapes == [(10, 2 * a.dim), (50, 2 * a.dim)]
 
 
 def test_dhat_solves_the_hat_matrix_with_one_elimination(monkeypatch):

@@ -421,10 +421,10 @@ def algebra_matrices():
         gens = [a.c[i][j] for i in range(n) for j in range(i + 1, n)]
         gens += [a.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
         out.append(Matrix(n, len(gens), tuple(tuple(g[l] for g in gens) for l in range(n))))
-        units = [vunit(n, i) for i in range(n)]
-        rows = derivations._identity_rows(a.c, 2, [(None, units), (units, None)])
-        rows += derivations._identity_rows(a.d, 3, [(None, units, units), (units, None, units),
-                                                     (units, units, None)])
+        ident = Matrix.identity(n)
+        rows = derivations._identity_rows(a, 2, [(None, ident), (ident, None)])
+        rows += derivations._identity_rows(a, 3, [(None, ident, ident), (ident, None, ident),
+                                                  (ident, ident, None)])
         out.append(Matrix(len(rows), n * n, tuple(rows)))
     return out
 

@@ -233,9 +233,10 @@ def test_config_files(data):
 VERBS = ("check", "construct", "der", "gder", "centroid", "center", "derived", "inner",
          "quasi", "stabilizer", "dhat", "verify", "export", "bogus", "")
 # Option values, valid and not.  No --out (it would write outside the
-# temporary directory), and no --help or its abbreviation --h, which is also
-# inner's own option: argparse prints help to the real stdout and exits 0
-# without a report.
+# temporary directory) and no --help, which prints help to the real stdout
+# and exits 0 without a report.  Its prefixes --h and --he are among the
+# tokens: no option is matched by a prefix, so they are usage errors except
+# where --h is the verb's own option (inner and verify).
 OPTIONS = {"--map": ("id", "neg", "map.json", "missing.json"), "--theta": ("id", "map.json"),
            "--vartheta": ("neg", "sub.json"), "--subspace": ("full", "zero", "sub.json"),
            "--from": ("lie", "leibniz", "x"), "--config": ("config.json", "alg.json"),
@@ -244,7 +245,7 @@ OWN_OPTIONS = {"construct": "--from", "gder": "--theta --vartheta", "quasi": "--
                "stabilizer": "--theta --subspace", "dhat": "--map --theta",
                "verify": "--map --theta --vartheta --subspace --config --g --label"}
 TOKENS = FILES + tuple(OPTIONS) + ("id", "sl2", "p34", "p35", "all", "suite", "1,0,0", "-x",
-                                   "--", "")
+                                   "--h", "--he", "--", "")
 
 
 @st.composite
