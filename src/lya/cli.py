@@ -307,10 +307,9 @@ def _cmd_verify(args, session, out) -> int:
 
 
 def _cmd_export(args, session, out) -> int:
-    algebra = catalog(args.name)
-    payload = ser.algebra_to_dict(algebra)
     if not args.out:
         raise InputError("export needs --out FILE")
+    payload = ser.algebra_to_dict(catalog(args.name))
     ser.save_json_file(args.out, payload)
     digest = hashlib.sha256(Path(args.out).read_bytes()).hexdigest()
     result = {"name": args.name, "path": args.out, "sha256": digest}

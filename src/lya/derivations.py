@@ -46,8 +46,8 @@ from .exactlin import (
     vscale,
     vzero,
 )
-from .lyalg import (LYAlgebra, _first_failure, _summed, _tensor_form, _transport,
-                    _vector_at, binary_eval, ternary_eval)
+from .lyalg import (LYAlgebra, _first_failure, _product, _summed, _tensor_form, _transport,
+                    _vector_at)
 from .maps import (
     AutCert,
     LinMap,
@@ -348,19 +348,19 @@ class DhatResult(Record):
 def dhat_binary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
                     g: Vec, h: Vec) -> Vec:
     """Prescribed image of the binary product of (g, h)."""
-    val = vscale(2, d_map.apply(binary_eval(algebra.c, g, h)))
-    val = vadd(val, binary_eval(algebra.c, d_map.apply(h), theta.apply(g)))
-    val = vadd(val, binary_eval(algebra.c, theta.apply(h), d_map.apply(g)))
+    val = vscale(2, d_map.apply(_product(algebra, (g, h))))
+    val = vadd(val, _product(algebra, (d_map.apply(h), theta.apply(g))))
+    val = vadd(val, _product(algebra, (theta.apply(h), d_map.apply(g))))
     return val
 
 
 def dhat_ternary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
                      g: Vec, h: Vec, i: Vec) -> Vec:
     """Prescribed image of the ternary product of (g, h, i)."""
-    val = vscale(3, d_map.apply(ternary_eval(algebra.d, g, h, i)))
-    val = vadd(val, ternary_eval(algebra.d, d_map.apply(g), theta.apply(h), i))
-    val = vadd(val, ternary_eval(algebra.d, g, d_map.apply(h), theta.apply(i)))
-    val = vadd(val, ternary_eval(algebra.d, theta.apply(g), h, d_map.apply(i)))
+    val = vscale(3, d_map.apply(_product(algebra, (g, h, i))))
+    val = vadd(val, _product(algebra, (d_map.apply(g), theta.apply(h), i)))
+    val = vadd(val, _product(algebra, (g, d_map.apply(h), theta.apply(i))))
+    val = vadd(val, _product(algebra, (theta.apply(g), h, d_map.apply(i))))
     return val
 
 
@@ -384,9 +384,12 @@ def _dhat_products(algebra: LYAlgebra) -> tuple[Subspace, list, list]:
     pairs in the order of the kernel's canonical basis."""
     n = algebra.dim
     w = derived_algebra(algebra)
-    gens = [(("binary", i, j), algebra.c[i][j]) for i in range(n) for j in range(i + 1, n)]
-    gens += [(("ternary", i, j, k), algebra.d[i][j][k])
-             for i, j, k in itertools.product(range(n), repeat=3)]
+    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
+    # Every generator, zeros included: their order fixes the clash terms.
+    gens = [(("binary", i, j), _vector_at(binary, (i, j), n))
+            for i in range(n) for j in range(i + 1, n)]
+    gens += [(("ternary", *idx), _vector_at(ternary, idx, n))
+             for idx in itertools.product(range(n), repeat=3)]
     kernel = []
     if gens:
         gen_matrix = Matrix(n, len(gens), tuple(

@@ -4,7 +4,10 @@ An algebra is a pair of tensors over a fixed basis: ``c[i][j]`` holds the
 coordinates of the binary product of basis elements i and j, ``d[i][j][k]``
 those of the ternary product.  Values of :class:`LYAlgebra` are always
 axiom-valid; candidate tensors that may fail the axioms only ever exist as
-raw nested tuples paired with an :class:`AxiomReport`.
+raw nested tuples paired with an :class:`AxiomReport`.  Every product of a
+constructed algebra is evaluated on its stored integer form (see
+:func:`_transport`); :func:`binary_eval` contracts only the raw tensors of
+a Lie or Leibniz product before it is lifted.
 """
 
 from __future__ import annotations
@@ -57,28 +60,6 @@ def binary_eval(c: Tensor3, u: Vec, v: Vec) -> Vec:
             for l, x in enumerate(row[j]):
                 if x:
                     out[l] += ab * x
-    return tuple(out)
-
-
-def ternary_eval(d: Tensor4, u: Vec, v: Vec, w: Vec) -> Vec:
-    """Trilinear contraction of three coordinate vectors against ``d``."""
-    out = list(vzero(len(d)))
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        plane = d[i]
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            row = plane[j]
-            for k, e in enumerate(w):
-                if not e:
-                    continue
-                abe = ab * e
-                for l, x in enumerate(row[k]):
-                    if x:
-                        out[l] += abe * x
     return tuple(out)
 
 
@@ -185,6 +166,32 @@ def _vector_at(keyed: Keyed, idx: tuple[int, ...], n: int) -> Vec:
     """Coordinates 0 .. n - 1 of a keyed form at the basis tuple ``idx``."""
     scale, entries = keyed
     return tuple(Fraction(entries.get(idx + (l,), 0), scale) for l in range(n))
+
+
+def _nonzero_vectors(keyed: Keyed, n: int) -> list[tuple[tuple[int, ...], Vec]]:
+    """Each basis tuple at which a keyed form with no zero entries is
+    nonzero, in sorted order, paired with its vector there."""
+    return [(idx, _vector_at(keyed, idx, n)) for idx in sorted({key[:-1] for key in keyed[1]})]
+
+
+def _columns(n: int, vectors: Sequence[Vec]) -> Matrix:
+    """The n x k matrix whose columns are the k given vectors: as a map in a
+    :func:`_transport` slot, it sends e_i to the i-th vector."""
+    return Matrix(n, len(vectors), tuple(tuple(v[a] for v in vectors) for a in range(n)))
+
+
+def _transported(algebra: LYAlgebra, maps: Sequence[Matrix | None]) -> Keyed:
+    """The stored form of the product with one slot per map, transported by
+    the maps."""
+    return _transport(_tensor_form(algebra, len(maps)), maps)
+
+
+def _product(algebra: LYAlgebra, vectors: Sequence[Vec]) -> Vec:
+    """The binary (two vectors) or ternary (three) product of coordinate
+    vectors, read from the stored integer form."""
+    n = algebra.dim
+    keyed = _transported(algebra, [_columns(n, [v]) for v in vectors])
+    return _vector_at(keyed, (0,) * len(vectors), n)
 
 
 def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec] | None:
@@ -346,7 +353,7 @@ def bracket(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> Vec
     gv, hv = vec(g), vec(h)
     if len(gv) != algebra.dim or len(hv) != algebra.dim:
         raise InputError("vector length does not match algebra dimension")
-    return binary_eval(algebra.c, gv, hv)
+    return _product(algebra, (gv, hv))
 
 
 def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequence[Scalar]) -> Vec:
@@ -354,7 +361,7 @@ def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequ
     gv, hv, iv = vec(g), vec(h), vec(i)
     if any(len(v) != algebra.dim for v in (gv, hv, iv)):
         raise InputError("vector length does not match algebra dimension")
-    return ternary_eval(algebra.d, gv, hv, iv)
+    return _product(algebra, (gv, hv, iv))
 
 
 def _check_lie(n: int, c: Tensor3) -> None:

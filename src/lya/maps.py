@@ -20,9 +20,8 @@ from .exactlin import (
     invert,
     vec,
     vec_strs,
-    vunit,
 )
-from .lyalg import LYAlgebra, _first_failure, triple
+from .lyalg import LYAlgebra, _columns, _first_failure, _transported, _vector_at
 
 
 class LinMap(Record):
@@ -192,7 +191,8 @@ def inner_derivation(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar
     gv, hv = vec(g), vec(h)
     if len(gv) != n or len(hv) != n:
         raise InputError("vector length does not match algebra dimension")
-    cols = [triple(algebra, gv, hv, vunit(n, k)) for k in range(n)]
+    keyed = _transported(algebra, (_columns(n, [gv]), _columns(n, [hv]), None))
+    cols = [_vector_at(keyed, (0, 0, k), n) for k in range(n)]
     result = LinMap.from_columns(cols) if n else LinMap.zero(0)
     if not satisfies_derivation(algebra, result):
         raise InternalCheckError("inner map failed the derivation identities")

@@ -14,7 +14,8 @@ from typing import Any, Sequence
 
 from .errors import InputError
 from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vis_zero, vzero
-from .lyalg import LeibnizAlgebra, LYAlgebra, Tensor3, Tensor4, tensor3
+from .lyalg import (LeibnizAlgebra, LYAlgebra, Tensor3, Tensor4, _nonzero_vectors, _tensor_form,
+                    tensor3)
 from .maps import LinMap
 from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
 from .theorems import PropReport
@@ -114,17 +115,11 @@ def algebra_from_dict(data: dict) -> LYAlgebra:
 
 
 def algebra_to_dict(algebra: LYAlgebra) -> dict:
-    binary = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            if not vis_zero(algebra.c[i][j]):
-                binary.append([i, j, vec_strs(algebra.c[i][j])])
-    ternary = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            for k in range(algebra.dim):
-                if not vis_zero(algebra.d[i][j][k]):
-                    ternary.append([i, j, k, vec_strs(algebra.d[i][j][k])])
+    # Both products are alternating in their first two slots, so the tuples
+    # with i < j carry every product.
+    binary, ternary = ([[*idx, vec_strs(v)]
+                        for idx, v in _nonzero_vectors(_tensor_form(algebra, arity), algebra.dim)
+                        if idx[0] < idx[1]] for arity in (2, 3))
     return {
         "dim": algebra.dim,
         "labels": list(algebra.labels),

@@ -1,48 +1,51 @@
-"""Structural subspaces and predicates: center, derived algebra, ideals."""
+"""Structural subspaces and predicates: center, derived algebra, ideals.
+
+Every product is read from the algebra's stored integer form: a condition
+on a subspace H transports the form once, with the matrix of H's basis in
+the slots that H fills, and then tests each nonzero product vector once.
+"""
 
 from __future__ import annotations
 
-import itertools
+import collections
 
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import Matrix, Subspace, nullspace, vis_zero, vunit
-from .lyalg import LYAlgebra, binary_eval, ternary_eval
+from .exactlin import Matrix, Subspace, nullspace
+from .lyalg import LYAlgebra, _columns, _nonzero_vectors, _tensor_form, _transported
+
+
+def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
+    """Whether every product with its slots transported by ``maps`` lies in H."""
+    return all(h.contains_vector(v)
+               for _, v in _nonzero_vectors(_transported(algebra, maps), algebra.dim))
 
 
 def center(algebra: LYAlgebra) -> Subspace:
     """Solutions g of: [g, e_j] = 0, {g, e_j, e_k} = 0, {e_j, e_k, g} = 0.
 
-    The remaining placement {e_j, g, e_k} = 0 is a consequence and is
-    re-verified after solving rather than added to the system.
+    There is one row per placement of g and coordinate of the product, and
+    one column per coordinate of g.  The remaining placement {e_j, g, e_k}
+    = 0 is a consequence and is re-verified after solving rather than added
+    to the system.
     """
     n = algebra.dim
-    c, d = algebra.c, algebra.d
-    rows = []
-    for j in range(n):
-        for l in range(n):
-            rows.append(tuple(c[i][j][l] for i in range(n)))
-    for j, k in itertools.product(range(n), repeat=2):
-        for l in range(n):
-            rows.append(tuple(d[i][j][k][l] for i in range(n)))
-            rows.append(tuple(d[j][k][i][l] for i in range(n)))
-    space = nullspace(Matrix(len(rows), n, tuple(rows)))
-    for g in space.basis:
-        for j, k in itertools.product(range(n), repeat=2):
-            if not vis_zero(ternary_eval(d, vunit(n, j), g, vunit(n, k))):
-                raise InternalCheckError("central element fails the middle-slot identity")
+    rows: dict[tuple[int, ...], list[int]] = collections.defaultdict(lambda: [0] * n)
+    for (i, j, l), x in _tensor_form(algebra, 2)[1].items():
+        rows[0, j, l][i] = x
+    for (i, j, k, l), x in _tensor_form(algebra, 3)[1].items():
+        rows[1, j, k, l][i] = x
+        rows[2, i, j, l][k] = x
+    space = nullspace(Matrix(len(rows), n, tuple(tuple(r) for r in rows.values())))
+    if _transported(algebra, (None, _columns(n, space.basis), None))[1]:
+        raise InternalCheckError("central element fails the middle-slot identity")
     return space
 
 
 def derived_algebra(algebra: LYAlgebra) -> Subspace:
     """Span of all binary and ternary products of basis elements."""
     n = algebra.dim
-    vectors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vectors.append(algebra.c[i][j])
-    for i, j, k in itertools.product(range(n), repeat=3):
-        vectors.append(algebra.d[i][j][k])
-    return Subspace.span(n, vectors)
+    return Subspace.span(n, [v for arity in (2, 3)
+                             for _, v in _nonzero_vectors(_tensor_form(algebra, arity), n)])
 
 
 def is_perfect(algebra: LYAlgebra) -> bool:
@@ -53,14 +56,8 @@ def is_subalgebra(algebra: LYAlgebra, h: Subspace) -> bool:
     """Closure of the subspace under both products, tested on its basis."""
     if h.ambient_dim != algebra.dim:
         raise InputError("subspace ambient dimension does not match the algebra")
-    for a in h.basis:
-        for b in h.basis:
-            if not h.contains_vector(binary_eval(algebra.c, a, b)):
-                return False
-            for c in h.basis:
-                if not h.contains_vector(ternary_eval(algebra.d, a, b, c)):
-                    return False
-    return True
+    basis = _columns(algebra.dim, h.basis)
+    return _inside(algebra, h, (basis, basis)) and _inside(algebra, h, (basis, basis, basis))
 
 
 def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
@@ -72,24 +69,13 @@ def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     """
     if h.ambient_dim != algebra.dim:
         raise InputError("subspace ambient dimension does not match the algebra")
-    n = algebra.dim
-    units = [vunit(n, j) for j in range(n)]
-    for b in h.basis:
-        for j in range(n):
-            if not h.contains_vector(binary_eval(algebra.c, b, units[j])):
-                return False
-            for k in range(n):
-                if not h.contains_vector(ternary_eval(algebra.d, b, units[j], units[k])):
-                    return False
-    for b in h.basis:
-        for j in range(n):
-            if not h.contains_vector(binary_eval(algebra.c, units[j], b)):
-                raise InternalCheckError("ideal fails the implied right-bracket containment")
-            for k in range(n):
-                if not h.contains_vector(ternary_eval(algebra.d, units[j], b, units[k])):
-                    raise InternalCheckError("ideal fails the implied middle-slot containment")
-                if not h.contains_vector(ternary_eval(algebra.d, units[j], units[k], b)):
-                    raise InternalCheckError("ideal fails the implied last-slot containment")
+    basis = _columns(algebra.dim, h.basis)
+    if not (_inside(algebra, h, (basis, None)) and _inside(algebra, h, (basis, None, None))):
+        return False
+    for maps, where in (((None, basis), "right-bracket"), ((None, basis, None), "middle-slot"),
+                        ((None, None, basis), "last-slot")):
+        if not _inside(algebra, h, maps):
+            raise InternalCheckError(f"ideal fails the implied {where} containment")
     return True
 
 
@@ -100,20 +86,10 @@ def is_abelian_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     """
     if not is_ideal(algebra, h):
         raise MathError("subspace is not an ideal")
-    n = algebra.dim
-    units = [vunit(n, j) for j in range(n)]
-    for a in h.basis:
-        for b in h.basis:
-            if not vis_zero(binary_eval(algebra.c, a, b)):
-                return False
-            for j in range(n):
-                if not vis_zero(ternary_eval(algebra.d, units[j], a, b)):
-                    return False
-    for a in h.basis:
-        for b in h.basis:
-            for j in range(n):
-                if not vis_zero(ternary_eval(algebra.d, a, units[j], b)):
-                    raise InternalCheckError("abelian ideal fails an implied vanishing")
-                if not vis_zero(ternary_eval(algebra.d, a, b, units[j])):
-                    raise InternalCheckError("abelian ideal fails an implied vanishing")
+    basis = _columns(algebra.dim, h.basis)
+    if _transported(algebra, (basis, basis))[1] or _transported(algebra, (None, basis, basis))[1]:
+        return False
+    if _transported(algebra, (basis, None, basis))[1] \
+            or _transported(algebra, (basis, basis, None))[1]:
+        raise InternalCheckError("abelian ideal fails an implied vanishing")
     return True

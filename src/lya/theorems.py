@@ -27,12 +27,11 @@ from .exactlin import (
     vadd,
     vec,
     vec_strs,
-    vis_zero,
     vscale,
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, binary_eval, ternary_eval
+from .lyalg import LYAlgebra, _columns, _transported, _vector_at
 from .maps import (
     AutCert,
     LinMap,
@@ -247,15 +246,16 @@ def verify_p35(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     algebra the two spaces meet only in zero."""
     meet = subspace_intersect(centroid(algebra), single_twist_space(algebra, theta).space)
     n = algebra.dim
-    units = [vunit(n, i) for i in range(n)]
-    ok = True
+    maps = [LinMap.unflatten(n, flat) for flat in meet.basis]
+    # f_t e_i sits in column t*n + i of the last slot; the witness is the
+    # last failing (map, basis triple).
+    cols = _columns(n, [f.matrix.col(i) for f in maps for i in range(n)])
+    failing = {key[:-1] for key in _transported(algebra, (None, None, cols))[1]}
+    ok = not failing
     witness = None
-    for flat in meet.basis:
-        f = LinMap.unflatten(n, flat)
-        for g, h, i in itertools.product(range(n), repeat=3):
-            if not vis_zero(ternary_eval(algebra.d, units[g], units[h], f.apply(units[i]))):
-                ok = False
-                witness = {"map": _fmt_map(f), "indices": [g, h, i]}
+    if failing:
+        g, h, col = max(failing, key=lambda k: (k[2] // n, k[0], k[1], k[2] % n))
+        witness = {"map": _fmt_map(maps[col // n]), "indices": [g, h, col % n]}
     centerless = center(algebra).dim == 0
     if centerless and meet.dim != 0:
         ok = False
@@ -289,26 +289,21 @@ def _extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
                 name = algebra.labels[i]
                 break
         labels.append(name if name is not None else f"b{len(labels) + 1}")
-    c = []
-    d = []
-    for a in h.basis:
-        c_row = []
-        d_row = []
-        for b in h.basis:
-            prod = coordinates(h, binary_eval(algebra.c, a, b))
-            if prod is None:
-                raise InternalCheckError("subalgebra closure failed during extraction")
-            c_row.append(prod)
-            d_plane = []
-            for e in h.basis:
-                t = coordinates(h, ternary_eval(algebra.d, a, b, e))
-                if t is None:
-                    raise InternalCheckError("subalgebra closure failed during extraction")
-                d_plane.append(t)
-            d_row.append(tuple(d_plane))
-        c.append(tuple(c_row))
-        d.append(tuple(d_row))
-    return LYAlgebra(k, tuple(labels), tuple(c), tuple(d))
+    n = algebra.dim
+    basis = _columns(n, h.basis)
+    binary = _transported(algebra, (basis, basis))
+    ternary = _transported(algebra, (basis, basis, basis))
+
+    def inside(keyed, idx):
+        coords = coordinates(h, _vector_at(keyed, idx, n))
+        if coords is None:
+            raise InternalCheckError("subalgebra closure failed during extraction")
+        return coords
+
+    c = tuple(tuple(inside(binary, (a, b)) for b in range(k)) for a in range(k))
+    d = tuple(tuple(tuple(inside(ternary, (a, b, e)) for e in range(k)) for b in range(k))
+              for a in range(k))
+    return LYAlgebra(k, tuple(labels), c, d)
 
 
 def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,

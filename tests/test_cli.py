@@ -10,11 +10,11 @@ import pytest
 
 import lya
 from lya.cli import main
-from lya.exactlin import Matrix
+from lya.exactlin import Matrix, Subspace
 from lya.lyalg import catalog
 from lya.maps import LinMap
 from lya.serialize import (algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
-                           save_json_file)
+                           save_json_file, subspace_to_dict)
 from test_maps import rebased
 
 
@@ -72,6 +72,20 @@ def test_export_malformed_abelian_name_exits_2_with_one_report(tmp_path, name):
     assert report["error"] == f"unknown catalog name {name!r}"
     assert "result" not in report
     assert not target.exists()
+
+
+def test_export_without_out_builds_no_algebra(monkeypatch):
+    """A missing --out is reported before the catalog algebra is built:
+    abelian(40) took seconds to build only to be refused."""
+    import lya.cli
+
+    calls = []
+    monkeypatch.setattr(lya.cli, "catalog", lambda name: calls.append(name) or catalog(name))
+    code, text = run_cli("export", "abelian(40)")
+    assert code == 2
+    assert calls == []
+    assert json.loads(text) == {"error": "export needs --out FILE", "inputs": [], "tool": "lya",
+                                "verb": "export", "version": lya.__version__}
 
 
 def test_check_valid_algebra(sl2_file):
@@ -351,10 +365,14 @@ PINNED_FILES = {
 def save_rebased_sum_files():
     """sl2_plus_ab1 in a seeded rational basis P, and in that basis: a
     derivation (ad h on sl2, zero on the line), a map that is not a
-    quasi-derivation (the first matrix unit) and the automorphism that is
-    the Chevalley swap on sl2 and -1 on the line.  A map f becomes P^-1 f P."""
+    quasi-derivation (the first matrix unit), the automorphism that is
+    the Chevalley swap on sl2 and -1 on the line, and the subspaces
+    span(e) and sl2.  A map f becomes P^-1 f P and a vector v becomes P^-1 v."""
     a, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     save_json_file("sum_rebased.json", algebra_to_dict(a))
+    sl2 = [p_inv.col(i) for i in range(3)]
+    save_json_file("sum_line.json", subspace_to_dict(Subspace.span(4, sl2[:1])))
+    save_json_file("sum_block.json", subspace_to_dict(Subspace.span(4, sl2)))
     for name, rows in (("sum_der.json", [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                        ("sum_e11.json", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                        ("sum_chev.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
@@ -416,6 +434,27 @@ def save_rebased_sum_files():
      "6ade14b891d622ea2dc3bdb95c7cb438ff5d9db1472721915308256a89fb26c3"),
     (("gder", "sum_rebased.json", "--theta", "sum_chev.json", "--vartheta", "sum_chev.json"), 0,
      "d345cc46b3cef15b937b7bfd08a3a852f1cc216cf84cb2058507cd604f6df847"),
+    (("center", "sl2_plus_ab1.json"), 0,
+     "527ed1c5a0daf5fdbe63c4b762d559e32987570d2c2ab10ea4737c2a1a7b4676"),
+    (("center", "sum_rebased.json"), 0,
+     "683e342c60646f70638a8109604c1e106b54eb62277e16f4aeafd965651d6bcf"),
+    (("derived", "sl2_plus_ab1.json"), 0,
+     "8ae1da67636397416dd515a72097a484957f197eef74217fc4c4e4c5d89a7c9a"),
+    (("derived", "sum_rebased.json"), 0,
+     "bd7afde0cd0954175e93cceecafde8629d93d516f21a3c7ebf0270b623637ee0"),
+    (("inner", "sl2_plus_ab1.json", "--g", "1,0,0,0", "--h", "0,1,0,0"), 0,
+     "b4d8d4924dbf8f03ae3cf4d53daa9028dc26b3a7c1550fe4ba55792630678e96"),
+    (("inner", "sum_rebased.json", "--g", "1,0,0,0", "--h", "0,1,0,0"), 0,
+     "b94adb4d5da6e55af146f08ba5a9884928a32a15cf0259e4dfa03a179a8eb706"),
+    (("verify", "p35", "sum_rebased.json", "--theta", "sum_chev.json"), 0,
+     "8dca73e39c4319b8b2d4d955fcb22498518e7ec3e80bd17a67359a7931423339"),
+    (("verify", "p36", "sum_rebased.json", "--theta", "sum_chev.json",
+      "--subspace", "sum_block.json"), 0,
+     "cfb97592d3adb94970cfcc41e8d1a020c3920dc71374e2a4c6c077e3152db26b"),
+    # g and h are P^-1 e and P^-1 f, so the inner map is ad h on span(e).
+    (("verify", "p37", "sum_rebased.json", "--theta", "id", "--subspace", "sum_line.json",
+      "--g=-132/139,102/139,72/139,-84/139", "--h=-145/139,131/139,-22/139,5/278"), 0,
+     "494490d0e557e4b45fd28a1b0856c9f6fa2e5e6d35f2bf59059b7d1c85ec3f8c"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files

@@ -31,7 +31,6 @@ from lya.lyalg import (
     check_axioms,
     direct_sum,
     from_lie,
-    ternary_eval,
     triple,
 )
 from lya.maps import (
@@ -61,6 +60,7 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.structure import derived_algebra
+from test_lyalg import contraction_oracle_ternary
 from test_maps import rand_map, rebased, shifted
 
 E, F, H = 0, 1, 2
@@ -618,9 +618,9 @@ def centroid_recheck_reference(algebra, f):
             return "centroid member fails the right-slot identity"
     for i, j, k in itertools.product(range(n), repeat=3):
         want = f.apply(d[i][j][k])
-        if ternary_eval(d, units[i], fu[j], units[k]) != want:
+        if contraction_oracle_ternary(d, units[i], fu[j], units[k]) != want:
             return "centroid member fails the middle-slot identity"
-        if ternary_eval(d, units[i], units[j], fu[k]) != want:
+        if contraction_oracle_ternary(d, units[i], units[j], fu[k]) != want:
             return "centroid member fails the last-slot identity"
     return None
 
@@ -635,9 +635,9 @@ def quasi_witness_satisfies_reference(algebra, d_map, witness):
         if lhs != witness.dprime.apply(c[i][j]):
             return False
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = ternary_eval(d, du[i], units[j], units[k])
-        lhs = vadd(lhs, ternary_eval(d, units[i], du[j], units[k]))
-        lhs = vadd(lhs, ternary_eval(d, units[i], units[j], du[k]))
+        lhs = contraction_oracle_ternary(d, du[i], units[j], units[k])
+        lhs = vadd(lhs, contraction_oracle_ternary(d, units[i], du[j], units[k]))
+        lhs = vadd(lhs, contraction_oracle_ternary(d, units[i], units[j], du[k]))
         if lhs != witness.dprimeprime.apply(d[i][j][k]):
             return False
     return True
@@ -975,7 +975,7 @@ def dense_identity_rows(tensor, arity, terms):
     lists the basis images of a fixed map per slot, None where f goes."""
     n = len(tensor)
     units = [vunit(n, i) for i in range(n)]
-    evaluate = binary_eval if arity == 2 else ternary_eval
+    evaluate = binary_eval if arity == 2 else contraction_oracle_ternary
     base = {idx: functools.reduce(operator.getitem, idx, tensor)
             for idx in itertools.product(range(n), repeat=arity)}
     twisted = []
@@ -1010,9 +1010,9 @@ def quasi_reference(algebra, d_map):
     for i, j in itertools.product(range(n), repeat=2):
         rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
     for i, j, k in itertools.product(range(n), repeat=3):
-        val = vadd(ternary_eval(d, du[i], units[j], units[k]),
-                   ternary_eval(d, units[i], du[j], units[k]))
-        rhs.extend(vadd(val, ternary_eval(d, units[i], units[j], du[k])))
+        val = vadd(contraction_oracle_ternary(d, du[i], units[j], units[k]),
+                   contraction_oracle_ternary(d, units[i], du[j], units[k]))
+        rhs.extend(vadd(val, contraction_oracle_ternary(d, units[i], units[j], du[k])))
     solution = solve(Matrix(len(rows), 2 * n * n, tuple(rows)), rhs)
     if solution is None:
         return None
@@ -1213,33 +1213,32 @@ def test_identity_rows_match_the_dense_reference():
 
 def test_twisted_and_centroid_rows_make_no_dense_contraction(monkeypatch):
     """The derivation, twisted and centroid solves and their re-checks read
-    the stored integer form only.  Every module binding binary_eval or
-    ternary_eval gets a counting wrapper; on h5 with theta the swap
-    x_i -> y_i, y_i -> -x_i, the dense rows made 400 calls for the twisted
-    solve alone."""
+    the stored integer form only.  ternary_eval is gone, and binary_eval is
+    bound only in lya.lyalg, where the raw tensor constructors use it; it
+    gets a counting wrapper.  On h5 with theta the swap x_i -> y_i,
+    y_i -> -x_i, the dense rows made 400 calls for the twisted solve alone."""
     import sys
     from lya import lyalg
 
+    assert not hasattr(lyalg, "ternary_eval")
     a = h5()
     swap, ident = certify_automorphism(a, LinMap.from_rows(H5_SWAP)), identity_cert(a)
-    counts = {"binary_eval": 0, "ternary_eval": 0}
+    counts = {"binary_eval": 0}
+    original = lyalg.binary_eval
     wrapped = set()
-    originals = {name: getattr(lyalg, name) for name in counts}
     for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] != "lya":
-            continue
-        for name, func in originals.items():
-            if getattr(module, name, None) is func:
-                monkeypatch.setattr(module, name, counting(counts, name, func))
-                wrapped.add(module_name)
-    assert {"lya.lyalg", "lya.derivations"} <= wrapped
-    assert lyalg.bracket(a, vunit(5, 0), vunit(5, 2)) == vunit(5, 4)
-    assert counts["binary_eval"] == 1
+        if module_name.split(".")[0] == "lya" and getattr(module, "binary_eval", None) is original:
+            monkeypatch.setattr(module, "binary_eval", counting(counts, "binary_eval", original))
+            wrapped.add(module_name)
+    assert wrapped == {"lya.lyalg"}
+    h5()
+    assert counts["binary_eval"] > 0
     counts["binary_eval"] = 0
+    assert lyalg.bracket(a, vunit(5, 0), vunit(5, 2)) == vunit(5, 4)
     derivation_space(a)
     centroid(a)
     g_derivation_space(a, swap, ident)
-    assert counts == {"binary_eval": 0, "ternary_eval": 0}
+    assert counts == {"binary_eval": 0}
 
 
 def test_split_quasi_solve_matches_the_combined_system():
