@@ -5,10 +5,9 @@ order, with optional class-level defaults, as a frozen dataclass does.  The
 record then behaves as that dataclass: construction by position or keyword
 followed by ``__post_init__``, ``AttributeError`` on assignment and
 deletion, ``==`` by exact type and field tuple, ``hash`` of the field tuple,
-and the same ``repr``.  Annotated names that start with ``_`` are not
-fields: they stay out of ``__init__``, ``==``, ``hash`` and ``repr``, and
-``__post_init__`` may set them with ``object.__setattr__``.  The fields are
-the class's own annotations, so a record is not meant to be subclassed.
+and the same ``repr``.  ``__post_init__`` may replace a field's value with
+``object.__setattr__``.  The fields are the class's own annotations, so a
+record is not meant to be subclassed.
 
 The dataclass machinery (``dataclasses`` and the ``inspect`` it imports, and
 one ``exec`` per generated method) costs a fresh process tens of
@@ -24,7 +23,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        names = tuple(cls.__annotations__)
         cls._fields = names
         cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         # attrgetter of a single name returns the bare value, not a 1-tuple.

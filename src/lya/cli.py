@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import InputError, InternalCheckError, LyaError
 from .exactlin import Subspace
-from .lyalg import LYAlgebra, catalog, check_axioms, from_leibniz, from_lie
+from .lyalg import LYAlgebra, _check_form, catalog, from_leibniz, from_lie
 from .maps import LinMap, certify_automorphism, identity_cert, inner_derivation
 from .derivations import (
     centroid,
@@ -160,8 +161,8 @@ def _checks_from_config(session: _Session, config: dict, algebra: LYAlgebra,
 
 def _cmd_check(args, session, out) -> int:
     data = session.load(args.algebra)
-    n, labels, c, d = ser.raw_algebra_from_dict(data)
-    report = check_axioms(n, c, d)
+    n, _, form = ser.raw_algebra_from_dict(data)
+    report = _check_form(n, form)
     result = {
         "passed": report.passed,
         "failures": [
@@ -403,11 +404,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """``--g -1/2,3`` as ``--g=-1/2,3`` for inner and verify, up to a ``--``.
+
+    argparse reads a value that starts with '-' as an option unless the
+    whole value is one number, so a vector whose first coordinate is
+    negative would be refused; a following option, as in ``--g --h``, is
+    left alone and stays a usage error.
+    """
+    if argv[:1] not in (["inner"], ["verify"]):
+        return argv
+    out: list[str] = []
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[k:]
+        if out and out[-1] in ("--g", "--h", "--g1", "--g2") and re.match(r"-[0-9]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     verb, session = None, _Session()
     try:
-        args = build_parser().parse_args(argv)
+        argv = list(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(_attach_vector_values(argv))
         verb = args.verb
         return args.func(args, session, out)
     except SystemExit as exc:  # --help

@@ -1,13 +1,17 @@
 """Lie-Yamaguti algebras given by exact structure constants.
 
-An algebra is a pair of tensors over a fixed basis: ``c[i][j]`` holds the
-coordinates of the binary product of basis elements i and j, ``d[i][j][k]``
-those of the ternary product.  Values of :class:`LYAlgebra` are always
-axiom-valid; candidate tensors that may fail the axioms only ever exist as
-raw nested tuples paired with an :class:`AxiomReport`.  Every product of a
-constructed algebra is evaluated on its stored integer form (see
-:func:`_transport`); :func:`binary_eval` contracts only the raw tensors of
-a Lie or Leibniz product before it is lifted.
+An algebra stores its two products only as one cleared integer form: the
+least common denominator L of every structure constant, and the nonzero
+coordinates of L times each product, keyed (i, j, l) for coordinate l of
+the binary product of basis elements i and j and (i, j, k, l) for the
+ternary product of i, j and k.  The form is canonical, so two algebras are
+equal exactly when their structure constants are; ``c[i][j]`` and
+``d[i][j][k]`` are dense views computed from it.  Values of
+:class:`LYAlgebra` are always axiom-valid; candidate constants that may fail
+the axioms only ever exist as raw nested tuples or a raw form paired with an
+:class:`AxiomReport`.  Every product is evaluated on the form (see
+:func:`_transport`); :func:`binary_eval` contracts only the raw product of
+a :class:`LeibnizAlgebra`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .exactlin import (Matrix, Scalar, Vec, frac, vadd, vec, vec_strs, vis_zero,
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
+# (L, binary entries, ternary entries), as the module docstring describes.
+Form = tuple[int, dict, dict]
+Keyed = tuple[int, dict[tuple[int, ...], int]]
 
 AXIOM_TAGS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
 
@@ -36,14 +43,6 @@ def tensor3(data: Sequence[Sequence[Sequence[Scalar]]]) -> Tensor3:
 
 def tensor4(data: Sequence[Sequence[Sequence[Sequence[Scalar]]]]) -> Tensor4:
     return tuple(tuple(tuple(vec(v) for v in plane) for plane in row) for row in data)
-
-
-def zero_tensor3(n: int) -> Tensor3:
-    return tuple(tuple(vzero(n) for _ in range(n)) for _ in range(n))
-
-
-def zero_tensor4(n: int) -> Tensor4:
-    return tuple(tuple(tuple(vzero(n) for _ in range(n)) for _ in range(n)) for _ in range(n))
 
 
 def binary_eval(c: Tensor3, u: Vec, v: Vec) -> Vec:
@@ -72,44 +71,69 @@ class AxiomFailure(Record):
 class AxiomReport(Record):
     passed: bool
     failures: tuple[AxiomFailure, ...]
-    # The _cleared(c, d) form the identities were evaluated on, which
-    # LYAlgebra keeps.  Not a field: it stays out of ==, hash and repr.
-    _form: tuple[int, dict, dict]
 
 
-def _tensor_shapes_ok(n: int, c, d) -> None:
-    if len(c) != n or any(len(row) != n or any(len(v) != n for v in row) for row in c):
+def _has_shape(tensor, n: int, depth: int) -> bool:
+    """Whether a nested tensor holds n entries on each of its ``depth`` levels."""
+    return len(tensor) == n and (depth == 1 or all(_has_shape(t, n, depth - 1) for t in tensor))
+
+
+def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
+    """The canonical form of the products with entries x / scale, for integer
+    or Fraction x keyed as in the form: the least common denominator of
+    their values, and their nonzero entries times it."""
+    lcd = math.lcm(*{x.denominator for part in (binary, ternary) for x in part.values()})
+    parts = [{k: x.numerator * (lcd // x.denominator) for k, x in part.items() if x}
+             for part in (binary, ternary)]
+    scale *= lcd
+    common = math.gcd(scale, *(x for part in parts for x in part.values()))
+    return scale // common, *({k: x // common for k, x in part.items()} for part in parts)
+
+
+def _form_of(binary: dict, ternary: dict) -> Form:
+    """The canonical form of the products whose vectors are given by basis
+    tuple, (i, j) for the binary and (i, j, k) for the ternary product."""
+    return _cleared(1, *({idx + (l,): x for idx, v in part.items() for l, x in enumerate(v)}
+                         for part in (binary, ternary)))
+
+
+def _dense_form(n: int, c: Tensor3, d: Tensor4) -> Form:
+    """Dense tensors c and d of dimension n as a form over scale 1, not yet
+    made canonical by :func:`_cleared`."""
+    if not _has_shape(c, n, 3):
         raise InputError("binary tensor shape does not match dimension")
-    if len(d) != n or any(
-        len(row) != n or any(len(plane) != n or any(len(v) != n for v in plane) for plane in row)
-        for row in d
-    ):
+    if not _has_shape(d, n, 4):
         raise InputError("ternary tensor shape does not match dimension")
+    return 1, _entries(c, 3), _entries(d, 4)
 
 
-Keyed = tuple[int, dict[tuple[int, ...], int]]
+def _entries(tensor, depth: int) -> dict:
+    """The nonzero entries of a dense tensor with ``depth`` index levels,
+    the last one a vector's coordinate, keyed as in the form."""
+    if depth == 1:
+        return {(l,): x for l, x in enumerate(tensor) if x}
+    return {(i, *key): x for i, sub in enumerate(tensor)
+            for key, x in _entries(sub, depth - 1).items()}
 
 
-def _cleared(c: Tensor3, d: Tensor4) -> tuple[int, dict, dict]:
-    """The tensor pair in integers: the least common denominator L of every
-    entry of ``c`` and ``d``, and the nonzero coordinates of L*c and L*d,
-    keyed by (i, j, l) and (i, j, k, l) for coordinate l of the product of
-    basis elements i, j[, k].
-    """
-    scale = math.lcm(*{x.denominator for row in c for v in row for x in v},
-                     *{x.denominator for plane in d for row in plane for v in row for x in v})
-    cs = {(i, j, l): x.numerator * (scale // x.denominator)
-          for i, row in enumerate(c) for j, v in enumerate(row) for l, x in enumerate(v) if x}
-    ds = {(i, j, k, l): x.numerator * (scale // x.denominator)
-          for i, plane in enumerate(d) for j, row in enumerate(plane)
-          for k, v in enumerate(row) for l, x in enumerate(v) if x}
-    return scale, cs, ds
+def _iterated(entries: dict) -> dict:
+    """The entries of T(T(e_i, e_j), e_k), keyed (i, j, k, l), for the
+    integer entries of a binary product T: the sum over a of
+    T(i, j, a) T(a, k, l), over the square of T's scale."""
+    by_first: dict[int, list] = {}
+    for (a, k, l), y in entries.items():
+        by_first.setdefault(a, []).append((k, l, y))
+    out: dict[tuple[int, ...], int] = {}
+    for (i, j, a), x in entries.items():
+        for k, l, y in by_first.get(a, ()):
+            out[i, j, k, l] = out.get((i, j, k, l), 0) + x * y
+    return out
 
 
 def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None = None) -> Keyed:
     """T(M_0 e_i, M_1 e_j[, M_2 e_k]) on every basis tuple, in integers.
 
-    ``keyed`` is T's scale and cleared entries from the :func:`_cleared` form,
+    ``keyed`` is T's scale and entries from a stored form (:func:`_tensor_form`),
     ``maps`` holds one matrix for each argument slot and ``post``, when
     given, is applied to every product.  Each map is cleared of denominators
     and applied as a mode product over the nonzero entries, one slot at a
@@ -146,7 +170,20 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
 def _tensor_form(algebra: LYAlgebra, arity: int) -> Keyed:
     """The stored integer form of the binary (arity 2) or ternary (arity 3)
     product, as :func:`_transport` takes it."""
-    return algebra._form[0], algebra._form[arity - 1]
+    return algebra.form[0], algebra.form[arity - 1]
+
+
+def _dense(keyed: Keyed, n: int, arity: int):
+    """The keyed form's vectors as nested tuples over ``arity`` basis
+    indices: the dense c for arity 2, d for arity 3."""
+    vectors, zero = dict(_nonzero_vectors(keyed, n)), vzero(n)
+
+    def nest(idx: tuple[int, ...]):
+        if len(idx) == arity:
+            return vectors.get(idx, zero)
+        return tuple(nest(idx + (i,)) for i in range(n))
+
+    return nest(())
 
 
 def _summed(parts: Sequence[tuple[int, Keyed]]) -> Keyed:
@@ -222,39 +259,38 @@ def _mac(acc: list[int], coeffs, vectors) -> None:
 
 
 def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
-    """Evaluate the six defining identities on all basis tuples.
+    """Evaluate the six defining identities of dense tensors: they are
+    cleared once and checked as a form by :func:`_check_form`."""
+    return _check_form(n, _cleared(*_dense_form(n, c, d)))
 
-    The two alternating conditions are checked directly on the tensors; the
-    remaining identities are evaluated on every ordered tuple of basis
+
+def _check_form(n: int, form: Form) -> AxiomReport:
+    """Evaluate the six defining identities on all basis tuples of a form.
+
+    The two alternating conditions are read off the entries, in the order
+    of a scan over the basis tuples (LY2 with its last index outermost);
+    the remaining identities are evaluated on every ordered tuple of basis
     indices, which is complete by multilinearity.  They run in integers on
     the nonzeros of the tensors scaled by their common denominator L, where
     each identity is homogeneous of degree two (LY3's linear ternary terms
     carry one extra factor L), so a residual is its accumulator over L*L.
     """
-    _tensor_shapes_ok(n, c, d)
+    scale, keyed_c, keyed_d = form
     failures: list[AxiomFailure] = []
 
     def fail(tag: str, idx: tuple[int, ...], res: Vec) -> None:
         failures.append(AxiomFailure(tag, idx, res))
 
-    for i in range(n):
-        if not vis_zero(c[i][i]):
-            fail("LY1", (i, i), c[i][i])
-        for j in range(i + 1, n):
-            res = vadd(c[i][j], c[j][i])
-            if not vis_zero(res):
-                fail("LY1", (i, j), res)
-    for k in range(n):
-        for i in range(n):
-            if not vis_zero(d[i][i][k]):
-                fail("LY2", (i, i, k), d[i][i][k])
-            for j in range(i + 1, n):
-                res = vadd(d[i][j][k], d[j][i][k])
-                if not vis_zero(res):
-                    fail("LY2", (i, j, k), res)
+    for tag, keyed in (("LY1", keyed_c), ("LY2", keyed_d)):
+        # T(e_i, e_j, ...) + T(e_j, e_i, ...) at each pair i <= j that some
+        # entry has in its first two slots; with i = j the set has one key.
+        for *rest, i, j in sorted({(*key[2:-1], *sorted(key[:2])) for key in keyed}):
+            keys = {(i, j, *rest), (j, i, *rest)}
+            res = tuple(Fraction(sum(keyed.get(key + (l,), 0) for key in keys), scale)
+                        for l in range(n))
+            if any(res):
+                fail(tag, (i, j, *rest), res)
 
-    form = _cleared(c, d)
-    scale, keyed_c, keyed_d = form
     denom = scale * scale
 
     def check(tag: str, idx: tuple[int, ...], acc: list[int]) -> None:
@@ -317,35 +353,47 @@ def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
             _mac(acc, neg[k], ds[i][j])
             check("LY6", (g, h, i, j, k), acc)
 
-    report = AxiomReport(passed=not failures, failures=tuple(failures))
-    object.__setattr__(report, "_form", form)
-    return report
+    return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
 class LYAlgebra(Record):
-    """Axiom-valid algebra; construction fails if any identity is violated."""
+    """Axiom-valid algebra; construction fails if any identity is violated.
+
+    ``form`` holds the products as ``(scale, binary, ternary)`` entries,
+    integers or Fractions over the scale keyed as the module docstring
+    says; construction makes it the canonical cleared form, which only this
+    module reads.  So ``==`` on the fields compares structure constants,
+    ``hash`` reads the form's entries, and ``repr`` shows the dense ``c``
+    and ``d`` as a dataclass with those fields would.
+    """
 
     dim: int
     labels: tuple[str, ...]
-    c: Tensor3
-    d: Tensor4
-    # _cleared(c, d), built once at construction by the axiom check; every
-    # re-check only reads it.  Not a field: it stays out of __init__, ==,
-    # hash and repr.
-    _form: tuple[int, dict, dict]
+    form: Form
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise InputError("label count does not match dimension")
-        report = check_axioms(self.dim, self.c, self.d)
+        object.__setattr__(self, "form", _cleared(*self.form))
+        report = _check_form(self.dim, self.form)
         if not report.passed:
             raise AxiomError(report)
-        object.__setattr__(self, "_form", report._form)
+
+    def __hash__(self):
+        scale, binary, ternary = self.form
+        return hash((self.dim, self.labels, scale,
+                     frozenset(binary.items()), frozenset(ternary.items())))
+
+    def __repr__(self):
+        return f"LYAlgebra(dim={self.dim!r}, labels={self.labels!r}, c={self.c!r}, d={self.d!r})"
+
+    c = property(lambda self: _dense(_tensor_form(self, 2), self.dim, 2))
+    d = property(lambda self: _dense(_tensor_form(self, 3), self.dim, 3))
 
     @classmethod
     def from_tensors(cls, labels: Sequence[str], c, d) -> "LYAlgebra":
         labels = tuple(str(x) for x in labels)
-        return cls(len(labels), labels, tensor3(c), tensor4(d))
+        return cls(len(labels), labels, _dense_form(len(labels), tensor3(c), tensor4(d)))
 
 
 def bracket(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> Vec:
@@ -364,20 +412,25 @@ def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequ
     return _product(algebra, (gv, hv, iv))
 
 
-def _check_lie(n: int, c: Tensor3) -> None:
-    for i in range(n):
-        if not vis_zero(c[i][i]):
-            raise MathError(f"bracket of basis element {i} with itself is nonzero",
-                            witness={"indices": [i, i]})
-        for j in range(n):
-            if not vis_zero(vadd(c[i][j], c[j][i])):
-                raise MathError(f"bracket is not antisymmetric at basis pair ({i}, {j})",
-                                witness={"indices": [i, j]})
-    for i, j, k in itertools.product(range(n), repeat=3):
-        res = binary_eval(c, c[i][j], vunit(n, k))
-        res = vadd(res, binary_eval(c, c[j][k], vunit(n, i)))
-        res = vadd(res, binary_eval(c, c[k][i], vunit(n, j)))
-        if not vis_zero(res):
+def _check_lie(n: int, scale: int, binary: dict, iterated: dict) -> None:
+    """Alternation and the Jacobi identity of a cleared bracket, the latter
+    read off :func:`_iterated` of it; an error names the first failing basis
+    pair or triple of a scan in lexicographic order."""
+    bad = sorted((min(i, j), max(i, j)) for (i, j, l), x in binary.items()
+                 if i == j or x + binary.get((j, i, l), 0))
+    if bad:
+        i, j = bad[0]
+        raise MathError(f"bracket of basis element {i} with itself is nonzero" if i == j
+                        else f"bracket is not antisymmetric at basis pair ({i}, {j})",
+                        witness={"indices": [i, j]})
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] can be
+    # nonzero only at a rotation of a nonzero iterated bracket.
+    rotations = {t for a, b, e, _ in iterated for t in ((a, b, e), (e, a, b), (b, e, a))}
+    for i, j, k in sorted(rotations):
+        terms = ((i, j, k), (j, k, i), (k, i, j))
+        res = tuple(Fraction(sum(iterated.get(t + (l,), 0) for t in terms), scale * scale)
+                    for l in range(n))
+        if any(res):
             raise MathError(f"Jacobi identity fails at basis triple ({i}, {j}, {k})",
                             witness={"indices": [i, j, k], "residual": vec_strs(res)})
 
@@ -386,15 +439,13 @@ def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
     """Lift a Lie bracket tensor: ternary product is the iterated bracket."""
     c = tensor3(lie_tensor)
     n = len(c)
-    _check_lie(n, c)
+    scale, binary, _ = _cleared(1, _entries(c, 3), {})
+    ternary = _iterated(binary)
+    _check_lie(n, scale, binary, ternary)
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(n))
-    d = tuple(
-        tuple(
-            tuple(binary_eval(c, c[i][j], vunit(n, k)) for k in range(n))
-            for j in range(n))
-        for i in range(n))
-    return LYAlgebra.from_tensors(labels, c, d)
+    binary = {k: scale * x for k, x in binary.items()}
+    return LYAlgebra(n, tuple(str(x) for x in labels), (scale * scale, binary, ternary))
 
 
 class LeibnizAlgebra(Record):
@@ -409,7 +460,7 @@ class LeibnizAlgebra(Record):
             raise InputError("label count does not match dimension")
         p = self.product
         n = self.dim
-        if len(p) != n or any(len(row) != n or any(len(v) != n for v in row) for row in p):
+        if not _has_shape(p, n, 3):
             raise InputError("product tensor shape does not match dimension")
         for a, b, c in itertools.product(range(n), repeat=3):
             lhs = binary_eval(p, vunit(n, a), p[b][c])
@@ -429,19 +480,13 @@ class LeibnizAlgebra(Record):
 
 def from_leibniz(b: LeibnizAlgebra) -> LYAlgebra:
     """Skew-symmetrized half product plus minus-a-quarter iterated product."""
-    n = b.dim
-    p = b.product
-    half = frac("1/2")
-    quarter = frac("-1/4")
-    c = tuple(
-        tuple(vscale(half, vadd(p[i][j], vscale(-1, p[j][i]))) for j in range(n))
-        for i in range(n))
-    d = tuple(
-        tuple(
-            tuple(vscale(quarter, binary_eval(p, p[i][j], vunit(n, k))) for k in range(n))
-            for j in range(n))
-        for i in range(n))
-    return LYAlgebra.from_tensors(b.labels, c, d)
+    scale, product, _ = _cleared(1, _entries(b.product, 3), {})
+    # Over 4 scale^2, the binary product is 2 scale (p(e_i, e_j) - p(e_j, e_i))
+    # and the ternary minus the iterated product.
+    swapped = {(j, i, l): x for (i, j, l), x in product.items()}
+    binary = _summed([(2 * scale, (1, product)), (-2 * scale, (1, swapped))])[1]
+    ternary = {k: -x for k, x in _iterated(product).items()}
+    return LYAlgebra(b.dim, b.labels, (4 * scale * scale, binary, ternary))
 
 
 def _unique_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -455,33 +500,17 @@ def _unique_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ..
 
 def direct_sum(a: LYAlgebra, b: LYAlgebra) -> LYAlgebra:
     """Block sum: products inside each summand, zero across blocks."""
-    n, m = a.dim, b.dim
-    total = n + m
-
-    def embed_a(v: Vec) -> Vec:
-        return v + vzero(m)
-
-    def embed_b(v: Vec) -> Vec:
-        return vzero(n) + v
-
-    c = [[vzero(total) for _ in range(total)] for _ in range(total)]
-    d = [[[vzero(total) for _ in range(total)] for _ in range(total)] for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            c[i][j] = embed_a(a.c[i][j])
-            for k in range(n):
-                d[i][j][k] = embed_a(a.d[i][j][k])
-    for i in range(m):
-        for j in range(m):
-            c[n + i][n + j] = embed_b(b.c[i][j])
-            for k in range(m):
-                d[n + i][n + j][n + k] = embed_b(b.d[i][j][k])
-    return LYAlgebra.from_tensors(_unique_labels(a.labels, b.labels), c, d)
+    scale = math.lcm(a.form[0], b.form[0])
+    parts: list[dict] = [{}, {}]
+    for (s, *products), shift in ((a.form, 0), (b.form, a.dim)):
+        for part, entries in zip(parts, products):
+            part.update({tuple(i + shift for i in key): x * (scale // s)
+                         for key, x in entries.items()})
+    return LYAlgebra(a.dim + b.dim, _unique_labels(a.labels, b.labels), (scale, *parts))
 
 
 def abelian(n: int) -> LYAlgebra:
-    labels = tuple(f"a{i + 1}" for i in range(n))
-    return LYAlgebra.from_tensors(labels, zero_tensor3(n), zero_tensor4(n))
+    return LYAlgebra(n, tuple(f"a{i + 1}" for i in range(n)), (1, {}, {}))
 
 
 def sl2_lie_tensor() -> Tensor3:
@@ -553,7 +582,7 @@ def catalog(name: str) -> LYAlgebra:
         return from_lie(aff2_tensor(), labels=("e1", "e2"))
     if name == "lts_sl2":
         base = catalog("sl2")
-        return LYAlgebra.from_tensors(base.labels, zero_tensor3(3), base.d)
+        return LYAlgebra(3, base.labels, (base.form[0], {}, base.form[2]))
     if name == "sl2_plus_ab1":
         return direct_sum(catalog("sl2"), abelian(1))
     if name == "leibniz2":

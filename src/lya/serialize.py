@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import InputError
-from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vis_zero, vzero
-from .lyalg import (LeibnizAlgebra, LYAlgebra, Tensor3, Tensor4, _nonzero_vectors, _tensor_form,
-                    tensor3)
+from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vscale, vzero
+from .lyalg import (Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _nonzero_vectors,
+                    _tensor_form, tensor3)
 from .maps import LinMap
 from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
 from .theorems import PropReport
@@ -69,17 +69,17 @@ def _get_entries(data: dict, key: str) -> list:
     return entries
 
 
-def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Tensor4]:
-    """Decode tensors without checking the axioms.
+def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
+    """An algebra file's dimension, labels and nonzero product vectors by
+    basis tuple.
 
     Binary entries are [i, j, coeffs] with i < j, ternary entries are
-    [i, j, k, coeffs] with i < j; the alternating counterparts are filled in
-    and everything unlisted is zero.
+    [i, j, k, coeffs] with i < j; each is entered with its negated (j, i)
+    twin, and everything unlisted is zero.
     """
     n = _get_dim(data)
     labels = _get_labels(data, n)
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    d = [[[list(vzero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    binary, ternary = {}, {}
     seen_binary = set()
     for entry in _get_entries(data, "binary"):
         _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
@@ -89,8 +89,8 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
         _require((i, j) not in seen_binary, f"duplicate binary entry ({i}, {j})")
         seen_binary.add((i, j))
         v = strs_vec(coeffs, n)
-        c[i][j] = list(v)
-        c[j][i] = [-x for x in v]
+        if any(v):
+            binary[i, j], binary[j, i] = v, vscale(-1, v)
     seen_ternary = set()
     for entry in _get_entries(data, "ternary"):
         _require(isinstance(entry, list) and len(entry) == 4,
@@ -102,16 +102,20 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Tensor3, Te
         _require((i, j, k) not in seen_ternary, f"duplicate ternary entry ({i}, {j}, {k})")
         seen_ternary.add((i, j, k))
         v = strs_vec(coeffs, n)
-        d[i][j][k] = list(v)
-        d[j][i][k] = [-x for x in v]
-    c_t = tuple(tuple(tuple(x for x in row) for row in plane) for plane in c)
-    d_t = tuple(tuple(tuple(tuple(x for x in v) for v in plane) for plane in cube) for cube in d)
-    return n, labels, c_t, d_t
+        if any(v):
+            ternary[i, j, k], ternary[j, i, k] = v, vscale(-1, v)
+    return n, labels, binary, ternary
+
+
+def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Form]:
+    """Decode an algebra file into its cleared form, without checking the
+    axioms."""
+    n, labels, binary, ternary = _product_vectors(data)
+    return n, labels, _form_of(binary, ternary)
 
 
 def algebra_from_dict(data: dict) -> LYAlgebra:
-    n, labels, c, d = raw_algebra_from_dict(data)
-    return LYAlgebra(n, labels, c, d)
+    return LYAlgebra(*raw_algebra_from_dict(data))
 
 
 def algebra_to_dict(algebra: LYAlgebra) -> dict:
@@ -130,12 +134,9 @@ def algebra_to_dict(algebra: LYAlgebra) -> dict:
 
 def lie_tensor_from_dict(data: dict) -> tuple[Tensor3, tuple[str, ...]]:
     """Binary-only algebra file read as a Lie bracket tensor."""
-    n, labels, c, d = raw_algebra_from_dict(data)
-    for plane in d:
-        for row in plane:
-            for v in row:
-                _require(vis_zero(v), "a Lie input must not carry ternary entries")
-    return c, labels
+    n, labels, binary, ternary = _product_vectors(data)
+    _require(not ternary, "a Lie input must not carry ternary entries")
+    return tuple(tuple(binary.get((i, j), vzero(n)) for j in range(n)) for i in range(n)), labels
 
 
 def leibniz_from_dict(data: dict) -> LeibnizAlgebra:

@@ -31,7 +31,7 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _columns, _transported, _vector_at
+from .lyalg import LYAlgebra, _columns, _form_of, _nonzero_vectors, _transported
 from .maps import (
     AutCert,
     LinMap,
@@ -291,19 +291,18 @@ def _extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
         labels.append(name if name is not None else f"b{len(labels) + 1}")
     n = algebra.dim
     basis = _columns(n, h.basis)
-    binary = _transported(algebra, (basis, basis))
-    ternary = _transported(algebra, (basis, basis, basis))
 
-    def inside(keyed, idx):
-        coords = coordinates(h, _vector_at(keyed, idx, n))
-        if coords is None:
-            raise InternalCheckError("subalgebra closure failed during extraction")
-        return coords
+    def inside(keyed):
+        """The coordinates in H's basis of a transported form's products."""
+        vectors = {}
+        for idx, v in _nonzero_vectors(keyed, n):
+            vectors[idx] = coordinates(h, v)
+            if vectors[idx] is None:
+                raise InternalCheckError("subalgebra closure failed during extraction")
+        return vectors
 
-    c = tuple(tuple(inside(binary, (a, b)) for b in range(k)) for a in range(k))
-    d = tuple(tuple(tuple(inside(ternary, (a, b, e)) for e in range(k)) for b in range(k))
-              for a in range(k))
-    return LYAlgebra(k, tuple(labels), c, d)
+    products = [inside(_transported(algebra, (basis,) * arity)) for arity in (2, 3)]
+    return LYAlgebra(k, tuple(labels), _form_of(*products))
 
 
 def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,

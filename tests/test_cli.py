@@ -455,6 +455,10 @@ def save_rebased_sum_files():
     (("verify", "p37", "sum_rebased.json", "--theta", "id", "--subspace", "sum_line.json",
       "--g=-132/139,102/139,72/139,-84/139", "--h=-145/139,131/139,-22/139,5/278"), 0,
      "494490d0e557e4b45fd28a1b0856c9f6fa2e5e6d35f2bf59059b7d1c85ec3f8c"),
+    # The same, each vector after a space: a leading minus sign is no option.
+    (("verify", "p37", "sum_rebased.json", "--theta", "id", "--subspace", "sum_line.json",
+      "--g", "-132/139,102/139,72/139,-84/139", "--h", "-145/139,131/139,-22/139,5/278"), 0,
+     "494490d0e557e4b45fd28a1b0856c9f6fa2e5e6d35f2bf59059b7d1c85ec3f8c"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files
@@ -653,6 +657,26 @@ def test_own_h_options_and_verb_help_are_unchanged(sl2_file, capsys):
     code, text = run_cli("der", "x.json", "--help")
     assert code == 0 and text == ""
     assert capsys.readouterr().out.startswith("usage: lya der")
+
+
+def test_negative_vectors_parse_after_a_space(sl2_file, capsys):
+    """--g -1/2,0,0 reads as --g=-1/2,0,0 for every vector option; an option
+    where the value should be, or a missing value, is still a usage error."""
+    alg = str(sl2_file)
+    for attached in (["inner", alg, "--g=-1/2,0,0", "--h=-1,1,0"],
+                     ["verify", "p38", alg, "--subspace", "full", "--g1=-1,0,0", "--g2=0,-2,0"],
+                     ["verify", "p37", alg, "--subspace", "full", "--g=-1,0,0", "--h=0,-1,0"]):
+        spaced = [part for arg in attached for part in arg.split("=")]
+        assert run_cli(*spaced) == run_cli(*attached)
+        assert run_cli(*attached)[0] in (0, 1)
+    for argv, message in (
+            (("inner", alg, "--g", "--h", "0,1,0"), "argument --g: expected one"),
+            (("inner", alg, "--g", "-1,0,0", "--h"), "argument --h: expected one"),
+            (("inner", alg, "--h", "0,1,0", "--g", "-h"), "argument --g: expected one"),
+            (("inner", alg, "--", "--g", "-1,0,0"), "required: --g, --h")):
+        code, text = run_cli(*argv)
+        assert code == 2 and message in json.loads(text)["error"], argv
+    capsys.readouterr()
 
 
 def test_internal_check_failure_exits_1_with_the_internal_flag(sl2_file, monkeypatch):

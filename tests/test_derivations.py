@@ -11,6 +11,7 @@ from lya.exactlin import (
     Matrix,
     Subspace,
     coordinates,
+    invert,
     nullspace,
     rank,
     rref,
@@ -25,6 +26,7 @@ from lya.exactlin import (
 )
 from lya.lyalg import (
     CATALOG_NAMES,
+    LYAlgebra,
     binary_eval,
     bracket,
     catalog,
@@ -60,7 +62,7 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.structure import derived_algebra
-from test_lyalg import contraction_oracle_ternary
+from test_lyalg import contraction_oracle_ternary, transport
 from test_maps import rand_map, rebased, shifted
 
 E, F, H = 0, 1, 2
@@ -735,14 +737,14 @@ def test_solvers_and_rechecks_reuse_the_stored_form(monkeypatch):
 
 
 def test_verify_suite_builds_the_form_once_per_algebra(monkeypatch):
+    """Each algebra the suite builds has its form checked once."""
     from lya import lyalg, theorems
 
-    counts = {"form": 0, "check": 0}
-    monkeypatch.setattr(lyalg, "_cleared", counting(counts, "form", lyalg._cleared))
-    monkeypatch.setattr(lyalg, "check_axioms", counting(counts, "check", lyalg.check_axioms))
+    counts = {"check": 0}
+    monkeypatch.setattr(lyalg, "_check_form", counting(counts, "check", lyalg._check_form))
     lyalg.catalog.cache_clear()
     theorems.default_catalog_reports()
-    assert 0 < counts["form"] == counts["check"] <= 10
+    assert 0 < counts["check"] <= 10
 
 
 def embed_block(f, offset, total):
@@ -1214,8 +1216,8 @@ def test_identity_rows_match_the_dense_reference():
 def test_twisted_and_centroid_rows_make_no_dense_contraction(monkeypatch):
     """The derivation, twisted and centroid solves and their re-checks read
     the stored integer form only.  ternary_eval is gone, and binary_eval is
-    bound only in lya.lyalg, where the raw tensor constructors use it; it
-    gets a counting wrapper.  On h5 with theta the swap x_i -> y_i,
+    bound only in lya.lyalg, where LeibnizAlgebra's identity check uses it;
+    it gets a counting wrapper.  On h5 with theta the swap x_i -> y_i,
     y_i -> -x_i, the dense rows made 400 calls for the twisted solve alone."""
     import sys
     from lya import lyalg
@@ -1231,7 +1233,7 @@ def test_twisted_and_centroid_rows_make_no_dense_contraction(monkeypatch):
             monkeypatch.setattr(module, "binary_eval", counting(counts, "binary_eval", original))
             wrapped.add(module_name)
     assert wrapped == {"lya.lyalg"}
-    h5()
+    lyalg.leibniz2()
     assert counts["binary_eval"] > 0
     counts["binary_eval"] = 0
     assert lyalg.bracket(a, vunit(5, 0), vunit(5, 2)) == vunit(5, 4)
@@ -1403,3 +1405,65 @@ def test_dhat_solves_the_hat_matrix_with_one_elimination(monkeypatch):
     got = derivations._dhat(a, products, d_map, identity_cert(a))
     assert got.consistent
     assert calls == [products[0].dim + a.dim]
+
+
+# -- basis covariance of the solvers ---------------------------------------------
+
+@functools.cache
+def covariance_cases():
+    """(algebra, twists): the catalog (from_leibniz of leibniz2 among it), two
+    direct sums, h5 and gl2, each with the automorphisms used above."""
+    twists = {"sl2": [chevalley_cert().map], "lts_sl2": [neg_cert("lts_sl2").map]}
+    cases = [(catalog(name), twists.get(name, [])) for name in CATALOG_NAMES]
+    cases += [(direct_sum(catalog("aff2"), catalog("h3")), []),
+              (direct_sum(catalog("lts_sl2"), catalog("abelian1")), []),
+              (h5(), [LinMap.from_rows(H5_SWAP)]),
+              (gl2(), [LinMap.from_rows(rows) for rows in GL2_TWISTS])]
+    return cases
+
+
+def test_solver_spaces_are_basis_covariant():
+    """For rational P drawn by hypothesis and A' = P.A (products
+    P^-1 T(P e_i, P e_j[, P e_k])): der A' = P^-1 (der A) P, the same for the
+    centroid, and the (theta, vartheta)-derivations of A' are the conjugates
+    of those of A for the conjugated twists, theta = vartheta or not."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    def draws(k):
+        n = covariance_cases()[k][0].dim
+        return st.tuples(st.just(k), st.lists(st.lists(entries, min_size=n, max_size=n),
+                                              min_size=n, max_size=n))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @hypothesis.given(st.sampled_from(range(len(covariance_cases()))).flatmap(draws))
+    def check(case):
+        k, rows = case
+        a, twists = covariance_cases()[k]
+        n = a.dim
+        p = Matrix.from_rows(rows)
+        p_inv = invert(p)
+        hypothesis.assume(p_inv is not None)
+        moved = LYAlgebra.from_tensors(a.labels, *transport(a.c, a.d, p, p_inv))
+
+        def conj(f):
+            return LinMap(n, p_inv.mul(f.matrix).mul(p))
+
+        def conjugated(maps):
+            return Subspace.span(n * n, [conj(f).flatten() for f in maps])
+
+        assert derivation_space(moved).space == conjugated(derivation_space(a).maps())
+        assert centroid(moved) == conjugated(LinMap.unflatten(n, row)
+                                             for row in centroid(a).basis)
+        maps = [LinMap.identity(n)] + twists
+        for theta, vartheta in itertools.product(maps, repeat=2):
+            if (theta, vartheta) == (maps[0], maps[0]):
+                continue
+            space = g_derivation_space(a, certify_automorphism(a, theta),
+                                       certify_automorphism(a, vartheta))
+            moved_space = g_derivation_space(moved, certify_automorphism(moved, conj(theta)),
+                                             certify_automorphism(moved, conj(vartheta)))
+            assert moved_space.space == conjugated(space.maps())
+
+    check()

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from lya.cli import main  # noqa: E402
 from lya.lyalg import CATALOG_NAMES, catalog  # noqa: E402
 from lya.serialize import algebra_to_dict, canonical_json  # noqa: E402
+from test_stored_form import compare_with_dense_loader  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=list(HealthCheck))
@@ -197,6 +198,14 @@ def test_algebra_files(obj):
     run(["check", "alg.json"], {"alg.json": obj})
     run(["der", "alg.json"], {"alg.json": obj})
     run(["construct", "alg.json", "--from", "lie"], {"alg.json": obj})
+
+
+@FUZZ
+@given(algebra_objects() | json_values)
+def test_loader_matches_the_dense_reference(obj):
+    """The algebra loader agrees with the dense loader it replaced on every
+    drawn object: the same InputError message or the same tensors."""
+    compare_with_dense_loader(obj)
 
 
 @FUZZ

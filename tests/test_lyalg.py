@@ -26,11 +26,17 @@ from lya.lyalg import (
     tensor3,
     tensor4,
     triple,
-    zero_tensor3,
-    zero_tensor4,
 )
 
 E, F, H = 0, 1, 2  # sl2 basis order used by the catalog
+
+
+def zero_tensor3(n):
+    return tuple(tuple(vzero(n) for _ in range(n)) for _ in range(n))
+
+
+def zero_tensor4(n):
+    return tuple(zero_tensor3(n) for _ in range(n))
 
 
 def _support(v):
@@ -362,22 +368,31 @@ def axiom_oracle(n, c, d):
     return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
-def change_basis(a, seed):
-    """Structure constants of ``a`` in a seeded random rational basis."""
+def random_basis(n, seed):
+    """A seeded random invertible rational P and its inverse."""
     rng = random.Random(seed)
-    n = a.dim
     while True:
         p = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
                                for _ in range(n)] for _ in range(n)])
         p_inv = invert(p)
         if p_inv is not None:
-            break
+            return p, p_inv
+
+
+def transport(c, d, p, p_inv):
+    """Structure constants c, d in the basis of P's columns."""
+    n = len(c)
     cols = [p.col(i) for i in range(n)]
-    c = [[p_inv.mul_vec(contraction_oracle_binary(a.c, cols[i], cols[j])) for j in range(n)]
+    c = [[p_inv.mul_vec(contraction_oracle_binary(c, cols[i], cols[j])) for j in range(n)]
          for i in range(n)]
-    d = [[[p_inv.mul_vec(contraction_oracle_ternary(a.d, cols[i], cols[j], cols[k]))
+    d = [[[p_inv.mul_vec(contraction_oracle_ternary(d, cols[i], cols[j], cols[k]))
            for k in range(n)] for j in range(n)] for i in range(n)]
     return tensor3(c), tensor4(d)
+
+
+def change_basis(a, seed):
+    """Structure constants of ``a`` in a seeded random rational basis."""
+    return transport(a.c, a.d, *random_basis(a.dim, seed))
 
 
 def corrupt(rng, c, d, denominator):
@@ -449,7 +464,7 @@ def test_stored_form_equals_the_dense_tensors(name):
     """The integer form kept on the algebra holds every nonzero of c and d,
     each times the least common denominator of all entries, and nothing else."""
     a = stored_form_algebras()[name]
-    scale, cs, ds = a._form
+    scale, cs, ds = a.form
     entries = [(i, j, l, x) for i, row in enumerate(a.c) for j, v in enumerate(row)
                for l, x in enumerate(v)]
     dense_d = [(i, j, k, l, x) for i, plane in enumerate(a.d) for j, row in enumerate(plane)
@@ -464,7 +479,7 @@ def test_stored_form_equals_the_dense_tensors(name):
 
 
 def test_rebased_form_has_denominators():
-    assert stored_form_algebras()["rebased"]._form[0] > 1
+    assert stored_form_algebras()["rebased"].form[0] > 1
 
 
 # SHA-256 of repr(catalog(name)), taken before the integer form was stored.
@@ -481,14 +496,34 @@ CATALOG_REPR_SHA256 = {
 }
 
 
+def restored(a, seed):
+    """``a`` moved to a seeded rational basis, and moved back."""
+    p, p_inv = random_basis(a.dim, seed)
+    moved = LYAlgebra.from_tensors(a.labels, *transport(a.c, a.d, p, p_inv))
+    return moved, LYAlgebra.from_tensors(a.labels, *transport(moved.c, moved.d, p_inv, p))
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_equality_hash_and_repr_ignore_the_stored_form(name, tmp_path):
+    """A loaded copy equals the catalog algebra, hashes the same and prints
+    the same repr; so does the algebra built from its dense tensors, as a
+    direct sum with the zero algebra on either side and after a rational
+    change of basis and back, whatever scale each construction cleared
+    over.  Unequal catalog algebras compare unequal."""
     from lya.serialize import algebra_from_dict, algebra_to_dict, load_json_file, save_json_file
 
     a = catalog(name)
     save_json_file(tmp_path / "a.json", algebra_to_dict(a))
     b = algebra_from_dict(load_json_file(tmp_path / "a.json"))
     assert a is not b and a == b
-    assert hash(a) == hash(b) == hash((a.dim, a.labels, a.c, a.d))
+    assert hash(a) == hash(b)
     assert repr(a) == repr(b)
     assert hashlib.sha256(repr(a).encode()).hexdigest() == CATALOG_REPR_SHA256[name]
+    moved, back = restored(a, seed=3)
+    assert moved.form[0] > 1 or not (a.form[1] or a.form[2])
+    zero = abelian(0)
+    ways = [LYAlgebra.from_tensors(a.labels, a.c, a.d), direct_sum(a, zero),
+            LYAlgebra(a.dim, a.labels, direct_sum(zero, a).form), back]
+    for other in ways:
+        assert other == a and hash(other) == hash(a) and repr(other) == repr(a)
+    assert all(catalog(other) != a for other in CATALOG_NAMES if other != name)

@@ -48,9 +48,9 @@ def test_lts_export_has_only_ternary():
 
 def test_loader_expands_alternating_symmetry():
     data = {"dim": 2, "labels": ["x", "y"], "binary": [[0, 1, ["1", "0"]]], "ternary": []}
-    n, labels, c, d = raw_algebra_from_dict(data)
-    assert c[0][1] == parse_vector_arg("1,0")
-    assert c[1][0] == parse_vector_arg("-1,0")
+    n, labels, (scale, binary, ternary) = raw_algebra_from_dict(data)
+    assert (n, labels, scale, ternary) == (2, ("x", "y"), 1, {})
+    assert binary == {(0, 1, 0): 1, (1, 0, 0): -1}
 
 
 def test_loader_rejects_lower_triangle_entries():

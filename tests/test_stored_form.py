@@ -1,0 +1,363 @@
+"""Algebras store only their cleared integer form.
+
+The dense JSON loader, direct sum and LY1/LY2 scans below are the code that
+built and checked dense Fraction tensors before an algebra stored only its
+form; they are kept here as references for the form-level code that
+replaced them.  The structural pin makes the dense views ``c`` and ``d``
+fail on any read and holds every benchmark verb, the built-in suite and the
+loader to the bytes they printed when the dense tensors were stored.
+"""
+
+import hashlib
+import io
+import math
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from lya.cli import main
+from lya.errors import AxiomError, InputError
+from lya.exactlin import Matrix, invert, vadd, vis_zero, vzero
+from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
+                       from_leibniz, leibniz2, tensor3, tensor4)
+from lya.maps import LinMap
+from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
+                           algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
+                           raw_algebra_from_dict, save_json_file, strs_vec)
+from test_derivations import GL2_TWISTS, H5_SWAP, gl2, h5
+from test_maps import rebased
+from test_structure import without_dense_tensors
+
+# -- dense references --------------------------------------------------------
+
+
+def dense_loader(data):
+    """The algebra file as dense tensors (n, labels, c, d), every InputError
+    message as the loader raised it."""
+    n = _get_dim(data)
+    labels = _get_labels(data, n)
+    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
+    d = [[[list(vzero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    seen_binary = set()
+    for entry in _get_entries(data, "binary"):
+        _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
+        i, j, coeffs = entry
+        _require(_is_int(i) and _is_int(j), "binary indices must be integers")
+        _require(0 <= i < j < n, f"binary indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
+        _require((i, j) not in seen_binary, f"duplicate binary entry ({i}, {j})")
+        seen_binary.add((i, j))
+        v = strs_vec(coeffs, n)
+        c[i][j] = list(v)
+        c[j][i] = [-x for x in v]
+    seen_ternary = set()
+    for entry in _get_entries(data, "ternary"):
+        _require(isinstance(entry, list) and len(entry) == 4,
+                 "ternary entry must be [i, j, k, coeffs]")
+        i, j, k, coeffs = entry
+        _require(all(_is_int(x) for x in (i, j, k)), "ternary indices must be integers")
+        _require(0 <= i < j < n and 0 <= k < n,
+                 "ternary indices must satisfy 0 <= i < j < dim and 0 <= k < dim, "
+                 f"got ({i}, {j}, {k})")
+        _require((i, j, k) not in seen_ternary, f"duplicate ternary entry ({i}, {j}, {k})")
+        seen_ternary.add((i, j, k))
+        v = strs_vec(coeffs, n)
+        d[i][j][k] = list(v)
+        d[j][i][k] = [-x for x in v]
+    c_t = tuple(tuple(tuple(x for x in row) for row in plane) for plane in c)
+    d_t = tuple(tuple(tuple(tuple(x for x in v) for v in plane) for plane in cube) for cube in d)
+    return n, labels, c_t, d_t
+
+
+def dense_direct_sum(a, b):
+    """Block sum of the dense tensors, as LYAlgebra.from_tensors input."""
+    n, m = a.dim, b.dim
+    total = n + m
+    c = [[vzero(total) for _ in range(total)] for _ in range(total)]
+    d = [[[vzero(total) for _ in range(total)] for _ in range(total)] for _ in range(total)]
+    ac, ad, bc, bd = a.c, a.d, b.c, b.d
+    for i in range(n):
+        for j in range(n):
+            c[i][j] = ac[i][j] + vzero(m)
+            for k in range(n):
+                d[i][j][k] = ad[i][j][k] + vzero(m)
+    for i in range(m):
+        for j in range(m):
+            c[n + i][n + j] = vzero(n) + bc[i][j]
+            for k in range(m):
+                d[n + i][n + j][n + k] = vzero(n) + bd[i][j][k]
+    return c, d
+
+
+def dense_alternation_failures(n, c, d):
+    """The LY1 and LY2 failures of the dense scans, in their order."""
+    failures = []
+    for i in range(n):
+        if not vis_zero(c[i][i]):
+            failures.append(("LY1", (i, i), c[i][i]))
+        for j in range(i + 1, n):
+            res = vadd(c[i][j], c[j][i])
+            if not vis_zero(res):
+                failures.append(("LY1", (i, j), res))
+    for k in range(n):
+        for i in range(n):
+            if not vis_zero(d[i][i][k]):
+                failures.append(("LY2", (i, i, k), d[i][i][k]))
+            for j in range(i + 1, n):
+                res = vadd(d[i][j][k], d[j][i][k])
+                if not vis_zero(res):
+                    failures.append(("LY2", (i, j, k), res))
+    return failures
+
+
+def form_values(n, form):
+    """The rational structure constants of a form whose entries are nonzero
+    integers at keys inside dimension n, keyed as in the form."""
+    scale, binary, ternary = form
+    assert all(type(x) is int and x for part in (binary, ternary) for x in part.values())
+    assert all(len(key) == 3 and max(key) < n for key in binary)
+    assert all(len(key) == 4 and max(key) < n for key in ternary)
+    return {key: Fraction(x, scale) for part in (binary, ternary) for key, x in part.items()}
+
+
+def assert_form_is(n, form, c, d):
+    """The form is the canonical cleared form of the dense tensors c, d: their
+    nonzero entries times their least common denominator."""
+    values = {(i, j, l): x for i, row in enumerate(c) for j, v in enumerate(row)
+              for l, x in enumerate(v) if x}
+    values.update({(i, j, k, l): x for i, plane in enumerate(d) for j, row in enumerate(plane)
+                   for k, v in enumerate(row) for l, x in enumerate(v) if x})
+    assert form_values(n, form) == values
+    assert form[0] == math.lcm(*(x.denominator for x in values.values()))
+
+
+def compare_with_dense_loader(obj):
+    """The loader and its dense reference agree on ``obj``: the same
+    InputError message, or the form of the same tensors with the same
+    axiom report."""
+    try:
+        want = dense_loader(obj)
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            raw_algebra_from_dict(obj)
+        assert str(err.value) == str(exc)
+        return
+    n, labels, form = raw_algebra_from_dict(obj)
+    assert (n, labels) == want[:2]
+    assert_form_is(n, form, *want[2:])
+    report = check_axioms(n, *want[2:])
+    try:
+        assert algebra_from_dict(obj).form == form and report.passed
+    except AxiomError as exc:
+        assert exc.report == report and not report.passed
+
+
+def test_loader_matches_the_dense_reference_on_the_catalog_and_hand_cases():
+    cases = [algebra_to_dict(catalog(name)) for name in ("sl2", "lts_sl2", "abelian3", "aff2")]
+    cases += [
+        {"dim": 2, "binary": [[0, 1, ["1/2", "-2/3"]]], "ternary": [[0, 1, 1, ["0", "3/4"]]]},
+        {"dim": 2, "binary": [[0, 1, ["0", "0"]]]},
+        {"dim": 3, "binary": [[0, 1, ["1", "0", "0"]], [0, 1, ["1", "0", "0"]]]},
+        {"dim": 3, "binary": [[1, 0, ["1", "0", "0"]]]},
+        {"dim": 3, "ternary": [[0, 1, 3, ["1", "0", "0"]]]},
+        {"dim": 3, "ternary": [[0, 1, 2, ["1", "0"]]]},
+        {"dim": 2, "labels": ["x"]},
+        {"dim": -1},
+        {"dim": 2, "binary": [[0, True, ["1", "0"]]]},
+    ]
+    for obj in cases:
+        compare_with_dense_loader(obj)
+
+
+def rebased_pair():
+    """sl2 and h3 in seeded rational bases with different denominators."""
+    (a, _, _), (b, _, _) = rebased(catalog("sl2"), 11), rebased(catalog("h3"), 5)
+    assert a.form[0] != b.form[0] and a.form[0] > 1 and b.form[0] > 1
+    return a, b
+
+
+@pytest.mark.parametrize("left,right", [("sl2", "h3"), ("lts_sl2", "aff2"),
+                                        ("abelian2", "sl2"), ("sl2", "abelian0"), (None, None)])
+def test_direct_sum_matches_the_dense_reference(left, right):
+    a, b = rebased_pair() if left is None else (catalog(left), catalog(right))
+    s = direct_sum(a, b)
+    c, d = dense_direct_sum(a, b)
+    assert_form_is(s.dim, s.form, c, d)
+    assert s == LYAlgebra.from_tensors(s.labels, c, d)
+    assert s.c == tuple(map(tuple, c)) and s.d == tuple(tuple(map(tuple, p)) for p in d)
+
+
+def alternation_cases():
+    """Hand-built tensors whose alternation fails: one of sl2's tensors with
+    diagonal, symmetric and half-negated entries, in ternary slots k that
+    run against the pair order."""
+    sl2 = catalog("sl2")
+    c0 = [[list(v) for v in row] for row in sl2.c]
+    d0 = [[[list(v) for v in plane] for plane in row] for row in sl2.d]
+    cases = []
+    c = [[list(v) for v in row] for row in c0]
+    c[1][1] = [Fraction(1, 2), 0, 0]
+    c[2][0] = list(c[0][2])
+    c[2][1] = [0, Fraction(-3, 5), 0]
+    cases.append((c, d0))
+    d = [[[list(v) for v in plane] for plane in row] for row in d0]
+    d[2][2][0] = [0, 0, Fraction(7, 3)]
+    d[1][0][2] = [Fraction(1, 2) * x for x in d[1][0][2]]
+    d[0][0][1] = [1, 0, 0]
+    d[2][1][0] = [0, 4, 0]
+    cases.append((c0, d))
+    cases.append((c, d))
+    return [(tensor3(c), tensor4(d)) for c, d in cases]
+
+
+def test_alternation_failures_match_the_dense_reference():
+    for c, d in alternation_cases():
+        report = check_axioms(3, c, d)
+        want = dense_alternation_failures(3, c, d)
+        got = [(f.axiom, f.indices, f.residual) for f in report.failures
+               if f.axiom in ("LY1", "LY2")]
+        assert got == want and len(want) >= 3
+        assert [f.axiom for f in report.failures[:len(want)]] == [w[0] for w in want]
+        with pytest.raises(AxiomError) as err:
+            LYAlgebra.from_tensors(("e", "f", "h"), c, d)
+        assert err.value.report == report
+
+
+# -- the dense views are never read -------------------------------------------
+
+def write_benchmark_files(name, rebase):
+    """alg.json, theta.json, known.json and random.json in the current
+    directory: h5 or gl2 in the standard basis or the seed-7 rational basis
+    P, its twist (moved to P^-1 theta P), ad of its first basis vector (a
+    derivation) and the first matrix unit.  Returns the algebra."""
+    a, twist = {"h5": (h5(), H5_SWAP), "gl2": (gl2(), GL2_TWISTS[0])}[name]
+    theta = Matrix.from_rows(twist)
+    if rebase:
+        a, p, p_inv = rebased(a, 7)
+        theta = p_inv.mul(theta).mul(p)
+    n = a.dim
+    e = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    save_json_file("alg.json", algebra_to_dict(a))
+    save_json_file("theta.json", map_to_dict(LinMap(n, theta)))
+    save_json_file("known.json", map_to_dict(LinMap.from_columns([bracket(a, e[0], x)
+                                                                 for x in e])))
+    save_json_file("random.json", map_to_dict(LinMap.from_columns([e[0]] + [vzero(n)] * (n - 1))))
+    return a
+
+
+# The benchmark's eight jobs on one algebra.
+BENCHMARK_JOBS = (("check",), ("der",), ("centroid",), ("gder", "--theta", "theta.json"),
+                  ("quasi", "--map", "known.json"), ("dhat", "--map", "known.json"),
+                  ("quasi", "--map", "random.json"), ("dhat", "--map", "random.json"))
+
+
+def benchmark_digest():
+    """SHA-256 over the exit code and stdout of every benchmark job, in order."""
+    digest = hashlib.sha256()
+    for verb, *options in BENCHMARK_JOBS:
+        out = io.StringIO()
+        code = main([verb, "alg.json", *options], out=out)
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+# benchmark_digest() on each (algebra, rebased) case, and the SHA-256 of
+# `lya verify suite`, taken while algebras stored dense tensors.
+PINNED_DIGESTS = {
+    ("h5", False):
+        "69e69418a15ec83214c0b4e7b893abac3b6d0192248a1f204a7b45c88c6dcf3f",
+    ("h5", True):
+        "1229e6eac7b2bd47af566ebcbf4baf3237b68099a2f93adf6490dd099ed9c60e",
+    ("gl2", False):
+        "3aa519ac1814e821d407381f2590aa6c01de608aa1417839c4955a6a1a83f3e6",
+    ("gl2", True):
+        "664f8e22b14c49e21d4a8a8f19f19142396401b0801869255436c87129926ac1",
+}
+SUITE_SHA256 = "1be63bcfc6df1bbc6b390dab524c688dfa7f5ad1fc9aa5fdfa02c92ad3fe5708"
+
+
+def test_answers_never_read_the_dense_views(tmp_path, monkeypatch):
+    """With c and d failing on any read, the loader, every benchmark job on
+    h5 and gl2 in both bases and the built-in suite give the old answers."""
+    built = {}
+    for case in PINNED_DIGESTS:
+        (tmp_path / "-".join(map(str, case))).mkdir()
+        monkeypatch.chdir(tmp_path / "-".join(map(str, case)))
+        built[case] = write_benchmark_files(*case)
+    without_dense_tensors(monkeypatch)
+    for case, digest in PINNED_DIGESTS.items():
+        monkeypatch.chdir(tmp_path / "-".join(map(str, case)))
+        loaded = algebra_from_dict(load_json_file("alg.json"))
+        assert loaded == built[case] and hash(loaded) == hash(built[case])
+        assert benchmark_digest() == digest, case
+    catalog.cache_clear()
+    out = io.StringIO()
+    assert main(["verify", "suite"], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_SHA256
+    with pytest.raises(AssertionError, match="dense tensor d"):
+        catalog("sl2").d
+
+
+def test_loading_a_large_abelian_algebra_allocates_little():
+    """{"dim": 32} is loaded and checked as an empty form; the dense
+    loader's 32^3 zero vectors took about 21 MB at their peak, the form
+    and its check about 3 MB."""
+    tracemalloc.start()
+    try:
+        a = algebra_from_dict({"dim": 32})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.form == (1, {}, {}) and peak < 8_000_000
+
+
+# -- from_leibniz ---------------------------------------------------------------
+
+def aff2_on_a_line():
+    """The hemisemidirect product of aff2 ([e1, e2] = e1) with the line on
+    which e2 acts by 1: (x, u)(y, v) = ([x, y], x.v), a left Leibniz algebra
+    that is not Lie, whose iterated product is nonzero."""
+    p = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    p[0][1][0], p[1][0][0], p[1][2][2] = 1, -1, 1
+    return LeibnizAlgebra.from_tensor(("e1", "e2", "v"), p)
+
+
+def test_from_leibniz_passes_the_axioms_in_every_basis():
+    """Kinyon and Weinstein: the skew-symmetrized half product and minus a
+    quarter of the iterated product of a left Leibniz algebra form an LY
+    algebra.  Checked on leibniz2 and aff2_on_a_line, and on rational
+    rebasings of them drawn by hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bases = {"leibniz2": leibniz2(), "aff2_on_a_line": aff2_on_a_line()}
+    assert any(from_leibniz(bases["aff2_on_a_line"]).form[2].values())
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def cases(name):
+        n = bases[name].dim
+        return st.tuples(st.just(name), st.lists(st.lists(entries, min_size=n, max_size=n),
+                                                 min_size=n, max_size=n))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @hypothesis.given(st.sampled_from(sorted(bases)).flatmap(cases))
+    def check(case):
+        name, rows = case
+        b = bases[name]
+        n = b.dim
+        p = Matrix.from_rows(rows)
+        p_inv = invert(p)
+        hypothesis.assume(p_inv is not None)
+        cols = [p.col(i) for i in range(n)]
+
+        def product(u, v):
+            return tuple(sum((u[i] * v[j] * b.product[i][j][l]
+                              for i in range(n) for j in range(n)), Fraction(0))
+                         for l in range(n))
+
+        moved = LeibnizAlgebra.from_tensor(b.labels, [
+            [p_inv.mul_vec(product(cols[i], cols[j])) for j in range(n)] for i in range(n)])
+        for leibniz in (b, moved):
+            a = from_leibniz(leibniz)
+            assert check_axioms(a.dim, a.c, a.d).passed
+
+    check()

@@ -263,15 +263,13 @@ def coordinates_in(h, v):
 
 
 def extract_subalgebra_reference(a, h):
-    k = h.dim
     c = [[coordinates_in(h, bi(a.c, x, y)) for y in h.basis] for x in h.basis]
     d = [[[coordinates_in(h, tri(a.d, x, y, z)) for z in h.basis] for y in h.basis]
           for x in h.basis]
     labels = [next((a.labels[i] for i in range(a.dim) if row == vunit(a.dim, i)), None)
               for row in h.basis]
     labels = [lab if lab is not None else f"b{t + 1}" for t, lab in enumerate(labels)]
-    return LYAlgebra(k, tuple(labels), tuple(map(tuple, c)),
-                     tuple(tuple(map(tuple, plane)) for plane in d))
+    return LYAlgebra.from_tensors(labels, c, d)
 
 
 def p35_reference(a, meet):
@@ -432,65 +430,48 @@ def test_dhat_and_inner_match_the_dense_references():
 
 # -- the dense tensors are never read ----------------------------------------
 
-class Untouchable:
-    """Stands in for a dense tensor: any use of it fails the test."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def refuse(self, *_args):
-        raise AssertionError(f"the dense tensor {self.name} was read")
-
-    __getitem__ = __iter__ = __len__ = __bool__ = __eq__ = __hash__ = __contains__ = refuse
+def refuse(name, _algebra):
+    raise AssertionError(f"the dense tensor {name} was read")
 
 
-def without_dense_tensors(a):
-    """A copy of ``a`` whose c and d fail on any use; its stored form is kept."""
-    copy = object.__new__(LYAlgebra)
-    copy.__dict__.update(dim=a.dim, labels=a.labels, c=Untouchable("c"), d=Untouchable("d"),
-                         _form=a._form)
-    return copy
+def without_dense_tensors(monkeypatch):
+    """Make the dense views c and d of every algebra fail on any read."""
+    for name in ("c", "d"):
+        monkeypatch.setattr(LYAlgebra, name, property(functools.partial(refuse, name)))
 
 
-def test_products_are_read_from_the_stored_form_only():
-    rng = random.Random(37)
+def stored_form_answers(a, twist, rng):
+    """The answer of every reader and solver that once read c or d."""
+    n = a.dim
+    theta = certify_automorphism(a, twist) if twist else identity_cert(a)
+    g, h, i = (rand_vec(rng, n) for _ in range(3))
+    d_map = derivation_space(a).maps()[0]
+    out = [theta, bracket(a, g, h), triple(a, g, h, i), inner_derivation(a, g, h), center(a),
+           derived_algebra(a), algebra_to_dict(a)]
+    for s in (Subspace.full(n), Subspace.zero(n), center(a), derived_algebra(a)):
+        out += [is_subalgebra(a, s), is_ideal(a, s)]
+        if is_ideal(a, s):
+            out.append(is_abelian_ideal(a, s))
+        if is_subalgebra(a, s):
+            out.append(_extract_subalgebra(a, s))
+    return out + [
+        verify_p35(a, theta), dhat_binary_rhs(a, d_map, theta.map, g, h),
+        dhat_ternary_rhs(a, d_map, theta.map, g, h, i), _dhat_products(a),
+        dhat(a, d_map, theta), derivation_space(a), centroid(a),
+        g_derivation_space(a, theta, theta), is_quasi_derivation(a, d_map)]
+
+
+def test_products_are_read_from_the_stored_form_only(monkeypatch):
     rebased_sum, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     chev = LinMap(4, p_inv.mul(Matrix.from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p))
     sl2_chev = LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    for a, twist in ((rebased_sum, chev), (catalog("sl2"), sl2_chev),
-                     (catalog("sl2_plus_ab1"), None)):
-        b, n = without_dense_tensors(a), a.dim
-        theta = certify_automorphism(b, twist) if twist else identity_cert(b)
-        assert theta == (certify_automorphism(a, twist) if twist else identity_cert(a))
-        g, h, i = (rand_vec(rng, n) for _ in range(3))
-        d_map = derivation_space(a).maps()[0]
-        assert bracket(b, g, h) == bracket(a, g, h)
-        assert triple(b, g, h, i) == triple(a, g, h, i)
-        assert inner_derivation(b, g, h) == inner_derivation(a, g, h)
-        assert center(b) == center(a)
-        assert derived_algebra(b) == derived_algebra(a)
-        assert algebra_to_dict(b) == algebra_to_dict(a)
-        for s in (Subspace.full(n), Subspace.zero(n), center(a), derived_algebra(a)):
-            assert is_subalgebra(b, s) == is_subalgebra(a, s)
-            assert is_ideal(b, s) == is_ideal(a, s)
-            if is_ideal(a, s):
-                assert is_abelian_ideal(b, s) == is_abelian_ideal(a, s)
-            if is_subalgebra(a, s):
-                assert _extract_subalgebra(b, s) == _extract_subalgebra(a, s)
-        assert verify_p35(b, theta) == verify_p35(a, theta)
-        assert dhat_binary_rhs(b, d_map, theta.map, g, h) \
-            == dhat_binary_rhs(a, d_map, theta.map, g, h)
-        assert dhat_ternary_rhs(b, d_map, theta.map, g, h, i) \
-            == dhat_ternary_rhs(a, d_map, theta.map, g, h, i)
-        assert _dhat_products(b) == _dhat_products(a)
-        assert dhat(b, d_map, theta) == dhat(a, d_map, theta)
-        assert derivation_space(b) == derivation_space(a)
-        assert centroid(b) == centroid(a)
-        assert g_derivation_space(b, theta, theta) == g_derivation_space(a, theta, theta)
-        assert is_quasi_derivation(b, d_map) == is_quasi_derivation(a, d_map)
+    cases = ((rebased_sum, chev), (catalog("sl2"), sl2_chev), (catalog("sl2_plus_ab1"), None))
+    want = [stored_form_answers(a, twist, random.Random(37)) for a, twist in cases]
+    without_dense_tensors(monkeypatch)
+    assert [stored_form_answers(a, twist, random.Random(37)) for a, twist in cases] == want
     with pytest.raises(AssertionError, match="dense tensor c"):
-        without_dense_tensors(rebased_sum).c[0]
+        rebased_sum.c
 
 
 # -- basis covariance ----------------------------------------------------------
