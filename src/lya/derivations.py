@@ -11,9 +11,10 @@ equals a sum of products with f in one slot and fixed maps in the others.
 basis tuples, from the algebra's stored integer form transported by the
 fixed maps.  The stabilizer is solved in the unknowns it actually has, the
 coefficients over the solved twisted space.  The quasi-derivation
-companions and the hat map are known only by their values on products, so
-each is one :func:`~lya.exactlin._map_through` of the product vectors onto
-their prescribed images.  Every solver re-checks its answer by direct
+companions and the hat map are known only by their values on products: each
+companion is one :func:`~lya.exactlin._map_through` of the product vectors
+onto their prescribed images, and the hat map one ``rref`` of the rows
+(product | prescribed image).  Every solver re-checks its answer by direct
 evaluation, without the constraint matrix.
 
 Inside a verification run (:func:`lya.theorems.verify_all`) each twisted
@@ -37,9 +38,11 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    _kernel,
     _map_through,
     coordinates,
     nullspace,
+    rref,
     vadd,
     vec_strs,
     vis_zero,
@@ -296,9 +299,10 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     residues = [[h.reduce(f.apply(b)) for f in members] for b in h.basis]
     rows = tuple(tuple(res[l] for res in per_map) for per_map in residues for l in range(n))
     coeffs = nullspace(Matrix(len(rows), twisted.dim, rows))
+    # Both factors are reduced echelon bases, so their product is one too.
     combos = Matrix(coeffs.dim, twisted.dim, coeffs.basis).mul(
         Matrix(twisted.dim, n * n, twisted.space.basis))
-    space = Subspace.span(n * n, combos.entries)
+    space = Subspace._from_rref(n * n, combos.entries)
     result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
     for f in result.maps():
         if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
@@ -368,35 +372,39 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     """Induced map on the derived algebra, when the prescriptions agree.
 
     The defining formulas only prescribe images of products, so the unknown
-    map lives on the span of all products.  Consistency demands that every
-    vanishing combination of products has vanishing prescribed image; the
-    first violating combination is returned as a clash certificate.
+    map lives on the span of all products.  One ``rref`` of the rows
+    (product | prescribed image), one per product generator, decides it.
+    A pivot in the image part means some vanishing combination of products
+    has a nonzero prescribed image; the canonical kernel of the generators
+    is then walked up to the first such combination, which is returned as
+    the clash certificate.  Otherwise the product parts of the rows are the
+    derived algebra's canonical basis and the image parts the map's values
+    on it.
     """
-    if d_map.dim != algebra.dim:
-        raise InputError("map dimension does not match the algebra")
-    return _dhat(algebra, _dhat_products(algebra), d_map, theta)
-
-
-def _dhat_products(algebra: LYAlgebra) -> tuple[Subspace, list, list]:
-    """The part of :func:`dhat` that does not depend on the map: the derived
-    algebra, the tagged product generators and the vanishing combinations
-    of the generators, each as its nonzero (generator index, coefficient)
-    pairs in the order of the kernel's canonical basis."""
     n = algebra.dim
-    w = derived_algebra(algebra)
-    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
+    if d_map.dim != n:
+        raise InputError("map dimension does not match the algebra")
+    forms = {"binary": _tensor_form(algebra, 2), "ternary": _tensor_form(algebra, 3)}
     # Every generator, zeros included: their order fixes the clash terms.
-    gens = [(("binary", i, j), _vector_at(binary, (i, j), n))
-            for i in range(n) for j in range(i + 1, n)]
-    gens += [(("ternary", *idx), _vector_at(ternary, idx, n))
-             for idx in itertools.product(range(n), repeat=3)]
-    kernel = []
-    if gens:
-        gen_matrix = Matrix(n, len(gens), tuple(
-            tuple(gen_vec[row] for _, gen_vec in gens) for row in range(n)))
-        kernel = [[(r, x) for r, x in enumerate(lam) if x]
-                  for lam in nullspace(gen_matrix).basis]
-    return w, gens, kernel
+    tags = [("binary", i, j) for i in range(n) for j in range(i + 1, n)]
+    tags += [("ternary", *idx) for idx in itertools.product(range(n), repeat=3)]
+    gens = [_vector_at(forms[tag[0]], tag[1:], n) for tag in tags]
+    rhs = _dhat_rhs(algebra, d_map, theta.map)
+    r = rref(Matrix(len(gens), 2 * n, tuple(g + y for g, y in zip(gens, rhs)))).entries
+    if any(vis_zero(row[:n]) for row in r):
+        for lam in _kernel(Matrix(n, len(gens), tuple(zip(*gens)))):
+            mismatch = vzero(n)
+            for k, coeff in lam:
+                mismatch = vadd(mismatch, vscale(coeff, rhs[k]))
+            if not vis_zero(mismatch):
+                terms = tuple((tags[k], coeff) for k, coeff in lam)
+                return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
+        raise InternalCheckError("prescriptions passed the kernel test but did not solve")
+    w = Subspace._from_rref(n, tuple(row[:n] for row in r))
+    if w != derived_algebra(algebra):
+        raise InternalCheckError("product vector escaped the derived algebra")
+    matrix = Matrix(w.dim, n, tuple(row[n:] for row in r)).transpose()
+    return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)
 
 
 def _dhat_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> list[Vec]:
@@ -417,24 +425,3 @@ def _dhat_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> list[Vec]:
     rhs = [_vector_at(binary_rhs, (i, j), n) for i in range(n) for j in range(i + 1, n)]
     rhs += [_vector_at(ternary_rhs, idx, n) for idx in itertools.product(range(n), repeat=3)]
     return rhs
-
-
-def _dhat(algebra: LYAlgebra, products: tuple, d_map: LinMap, theta: AutCert) -> DhatResult:
-    """:func:`dhat` with :func:`_dhat_products` already computed."""
-    n = algebra.dim
-    w, gens, kernel = products
-    rhs = _dhat_rhs(algebra, d_map, theta.map)
-    for lam in kernel:
-        mismatch = vzero(n)
-        for r, coeff in lam:
-            mismatch = vadd(mismatch, vscale(coeff, rhs[r]))
-        if not vis_zero(mismatch):
-            terms = tuple((gens[r][0], coeff) for r, coeff in lam)
-            return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
-    coords = [coordinates(w, gen_vec) for _, gen_vec in gens]
-    if None in coords:
-        raise InternalCheckError("product vector escaped the derived algebra")
-    matrix = _map_through(coords, rhs, w.dim, n)
-    if matrix is None:
-        raise InternalCheckError("prescriptions passed the kernel test but did not solve")
-    return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

@@ -3,9 +3,10 @@
 Reduced row echelon forms, nullspaces, and canonically represented
 subspaces (reduced row echelon bases).  Values are ``Fraction``; ``rref``
 eliminates fraction-free over integer rows with their content removed and
-divides by the pivots once at the end.  Every value is immutable and every
-function is pure, so results are reproducible bit for bit and safe to share
-across threads.
+divides by the pivots once at the end.  Every kernel, prescribed-image map
+and intersection is read off a single ``rref``.  Every value is immutable
+and every function is pure, so results are reproducible bit for bit and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._record import Record
 from .errors import InputError
@@ -239,35 +240,39 @@ def pivot_cols(rref_rows: Sequence[Vec]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """Canonical basis of the right kernel { v : m.v = 0 }.
+def _kernel(m: Matrix) -> Iterator[list[tuple[int, Fraction]]]:
+    """The canonical basis of the right kernel { v : m.v = 0 }, one vector
+    at a time, each as its nonzero (column, value) pairs in column order.
 
-    ``rref`` takes m to its reduced echelon form R, and a second ``rref``
-    reduces R's rows with the column order reversed, which picks the
-    rightmost possible pivots.  The standard kernel basis of that second
-    form, one vector per free column f (1 at f, minus the rows' entries at
-    f on their pivots), is then already the kernel's reduced echelon basis:
-    every other entry of a vector lies right of its f, and no other vector
-    is nonzero at f.
+    One ``rref`` of m with its column order reversed picks the rightmost
+    possible pivots; the reduced form depends only on m's row space, so m
+    itself goes in.  The standard kernel basis of that form, one vector per
+    free column f (1 at f, minus the rows' entries at f on their pivots),
+    is then already the kernel's reduced echelon basis: every other entry
+    of a vector lies right of its f, and no other vector is nonzero at f.
     """
     cols = m.cols
-    r = rref(m)
-    back = rref(Matrix(r.rows, cols, tuple(row[::-1] for row in r.entries))).entries
-    # Column c of the reversed form is column cols - 1 - c of m.
-    pivots = [cols - 1 - p for p in pivot_cols(back)]
-    pivot_set = set(pivots)
-    vectors = []
+    back = rref(Matrix(m.rows, cols, tuple(row[::-1] for row in m.entries))).entries
+    # Column c of the reversed form is column cols - 1 - c of m; the rows
+    # are read last first, so that their pivots come in column order.
+    rows = [(cols - 1 - p, row) for p, row in zip(pivot_cols(back), back)][::-1]
+    pivot_set = {p for p, _ in rows}
     for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * cols
-        v[f] = ONE
-        for row, p in zip(back, pivots):
-            x = row[cols - 1 - f]
-            if x:
-                v[p] = -x
+        if f not in pivot_set:
+            c = cols - 1 - f
+            yield [(f, ONE)] + [(p, -row[c]) for p, row in rows if row[c]]
+
+
+def nullspace(m: Matrix) -> "Subspace":
+    """Canonical basis of the right kernel { v : m.v = 0 }: the vectors of
+    :func:`_kernel`, dense."""
+    vectors = []
+    for pairs in _kernel(m):
+        v = [ZERO] * m.cols
+        for c, x in pairs:
+            v[c] = x
         vectors.append(tuple(v))
-    return Subspace._from_rref(cols, tuple(vectors))
+    return Subspace._from_rref(m.cols, tuple(vectors))
 
 
 def _map_through(points: Sequence[Vec], images: Sequence[Vec], dim: int,
@@ -407,28 +412,19 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient matrix.
+    """Intersection by Zassenhaus's method: one ``rref`` of the rows (a_i | a_i)
+    and (b_j | 0).
 
-    A vector in both spans is sum(x_i a_i) = sum(y_j b_j); solve for the
-    coefficient pairs and map the x-part back through a's basis.
+    A combination of the rows whose first half vanishes has sum(x_i a_i) =
+    -sum(y_j b_j) as its second half, a vector of both spans, and every such
+    vector arises so.  Those rows come last in the reduced form, so their
+    second halves are already the intersection's reduced echelon basis.
     """
     _check_same_ambient(a, b)
     n = a.ambient_dim
-    p, q = a.dim, b.dim
-    if p == 0 or q == 0:
-        return Subspace.zero(n)
-    m = Matrix(n, p + q, tuple(
-        tuple(a.basis[i][row] for i in range(p)) + tuple(-b.basis[j][row] for j in range(q))
-        for row in range(n)))
-    ker = nullspace(m)
-    vectors = []
-    for k in ker.basis:
-        w = vzero(n)
-        for i in range(p):
-            if k[i] != 0:
-                w = vadd(w, vscale(k[i], a.basis[i]))
-        vectors.append(w)
-    return Subspace.span(n, vectors)
+    r = rref(Matrix(a.dim + b.dim, 2 * n,
+                    tuple(v + v for v in a.basis) + tuple(v + vzero(n) for v in b.basis)))
+    return Subspace._from_rref(n, tuple(row[n:] for row in r.entries if vis_zero(row[:n])))
 
 
 def subspace_contains(a: Subspace, item: Union[Subspace, Sequence[Scalar]]) -> bool:

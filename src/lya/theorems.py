@@ -44,12 +44,11 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .derivations import (
-    _dhat,
-    _dhat_products,
     _solve_cache,
     _stabilizer_space,
     centroid,
     derivation_space,
+    dhat,
     dhat_ternary_rhs,
     g_derivation_space,
     is_quasi_derivation,
@@ -372,9 +371,8 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     ok = True
     witness = None
     per_map = []
-    products = _dhat_products(algebra)
     for d_map in stab.maps():
-        outcome = _dhat(algebra, products, d_map, theta)
+        outcome = dhat(algebra, d_map, theta)
         values = [dhat_ternary_rhs(algebra, d_map, theta.map, gv, hv, y)
                   for y in preimages]
         inside = all(h.contains_vector(v) for v in values)

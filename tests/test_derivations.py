@@ -935,20 +935,16 @@ def test_a_failed_solve_is_not_kept(monkeypatch, fault):
     assert space.space == fresh_space(sl2, chev.map, chev.map)
 
 
-def test_verify_p37_prepares_the_hat_map_once(monkeypatch):
-    """The derived algebra, product generators and their kernel are shared
-    by every stabilizing map's hat map within one P37 check."""
+def test_verify_p37_solves_one_hat_map_per_stabilizing_map(monkeypatch):
+    """P37 calls the public dhat once for each basis map of the stabilizer."""
     from lya import theorems
 
-    counts = {"derived": 0, "dhat": 0}
-    monkeypatch.setattr(derivations, "derived_algebra",
-                        counting(counts, "derived", derivations.derived_algebra))
-    monkeypatch.setattr(theorems, "_dhat", counting(counts, "dhat", theorems._dhat))
+    counts = {"dhat": 0}
+    monkeypatch.setattr(theorems, "dhat", counting(counts, "dhat", theorems.dhat))
     sl2 = catalog("sl2")
     report = theorems.verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
                                  vunit(3, E), vunit(3, F))
     assert counts["dhat"] == report.details["stab_dim"] >= 2
-    assert counts["derived"] == 1
 
 
 # References for the stabilizer, the quasi companions and the hat map: the
@@ -1110,6 +1106,16 @@ def narrowed_cases():
                     subspaces.append(h)
             cases.append((a, theta, subspaces))
     return cases
+
+
+def test_stabilizer_basis_is_already_in_reduced_echelon_form():
+    """The coefficient kernel times the twisted basis is its own reduced
+    echelon form, which is why the stabilizer skips Subspace.span."""
+    for a, theta, subspaces in narrowed_cases():
+        twisted = single_twist_space(a, theta)
+        for h in subspaces:
+            basis = derivations._stabilizer_space(a, twisted, h).space.basis
+            assert Subspace.span(a.dim ** 2, basis).basis == basis
 
 
 def test_stabilizer_matches_rows_and_intersection_reference():
@@ -1315,12 +1321,11 @@ def test_transported_dhat_rhs_matches_the_tuplewise_reference():
     rng = random.Random(82)
     seen = set()
     for a, certs in transported_rhs_cases():
-        products = derivations._dhat_products(a)
         for theta in certs:
             for d_map in reference_maps(rng, a):
                 assert derivations._dhat_rhs(a, d_map, theta.map) == \
                     dhat_rhs_tuplewise(a, d_map, theta.map)
-                got = derivations._dhat(a, products, d_map, theta)
+                got = dhat(a, d_map, theta)
                 want = dhat_tuplewise_reference(a, d_map, theta)
                 assert got == want
                 seen.add((got.consistent, theta == identity_cert(a)))
@@ -1388,23 +1393,102 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     assert shapes == [(10, 2 * a.dim), (50, 2 * a.dim)]
 
 
-def test_dhat_solves_the_hat_matrix_with_one_elimination(monkeypatch):
-    """All n rows of the hat matrix come out of one rref, not one each."""
+def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch):
+    """On h5: one rref of the G x 2n rows (product | image), one row per
+    product generator, and the rref of the guard's derived_algebra; the
+    generator kernel is never read."""
     from lya import exactlin
 
     a = h5()
-    products = derivations._dhat_products(a)
+    n = a.dim
     d_map = derivation_space(a).maps()[0]
-    calls = []
+    shapes = []
 
     def recording(m):
-        calls.append(m.cols)
+        shapes.append((m.rows, m.cols))
         return rref(m)
 
+    def no_kernel(m):
+        raise AssertionError("dhat read the generator kernel of a consistent map")
+
     monkeypatch.setattr(exactlin, "rref", recording)
-    got = derivations._dhat(a, products, d_map, identity_cert(a))
-    assert got.consistent
-    assert calls == [products[0].dim + a.dim]
+    monkeypatch.setattr(derivations, "rref", recording)
+    monkeypatch.setattr(derivations, "_kernel", no_kernel)
+    assert dhat(a, d_map, identity_cert(a)).consistent
+    assert shapes[0] == (n * (n - 1) // 2 + n ** 3, 2 * n)
+    assert len(shapes) == 2 and shapes[1][1] == n
+
+
+def first_clash_index(algebra, d_map, theta):
+    """Position of the first canonical kernel vector of the dense generator
+    matrix whose prescribed images do not cancel."""
+    n = algebra.dim
+    gens = [algebra.c[i][j] for i in range(n) for j in range(i + 1, n)]
+    gens += [algebra.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
+    rhs = dhat_rhs_tuplewise(algebra, d_map, theta.map)
+    kernel = nullspace(Matrix(n, len(gens), tuple(zip(*gens)))).basis
+    return next(k for k, lam in enumerate(kernel)
+                if any(sum(c * y[l] for c, y in zip(lam, rhs)) for l in range(n)))
+
+
+def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(monkeypatch):
+    """The kernel is walked only for an inconsistent map, and only as far as
+    the first vector whose images do not cancel."""
+    rng = random.Random(73)
+    kernel = derivations._kernel
+    drawn = []
+
+    def counted(m):
+        for lam in kernel(m):
+            drawn.append(lam)
+            yield lam
+
+    monkeypatch.setattr(derivations, "_kernel", counted)
+    clash_at = []
+    for a, theta, _ in narrowed_cases():
+        for d_map in reference_maps(rng, a):
+            drawn.clear()
+            got = dhat(a, d_map, theta)
+            if got.consistent:
+                assert drawn == []
+            else:
+                assert len(drawn) == first_clash_index(a, d_map, theta) + 1
+                clash_at.append(len(drawn))
+    assert len(clash_at) > 10 and max(clash_at) > 1
+
+
+def test_dhat_guards_fire_with_their_messages(monkeypatch):
+    """A domain other than the derived algebra, or an inconsistent
+    elimination whose kernel walk finds no clash, is an internal failure."""
+    sl2 = catalog("sl2")
+    theta = identity_cert(sl2)
+    zero, ident = LinMap.zero(3), LinMap.identity(3)
+    assert dhat(sl2, zero, theta).consistent and not dhat(sl2, ident, theta).consistent
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "derived_algebra", lambda a: Subspace.zero(a.dim))
+        with pytest.raises(InternalCheckError, match="escaped the derived algebra"):
+            dhat(sl2, zero, theta)
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "_kernel", lambda m: iter(()))
+        with pytest.raises(InternalCheckError, match="passed the kernel test but did not solve"):
+            dhat(sl2, ident, theta)
+
+
+def test_dhat_on_algebras_without_products():
+    """abelian(0) has no product generators and abelian1 only zero ones; the
+    hat map of any map is the empty map on the zero domain, in the bytes it
+    always had."""
+    from lya.lyalg import abelian
+    from lya.serialize import canonical_json, dhat_result_to_dict
+
+    for n in (0, 1):
+        a = abelian(n)
+        matrix = "[\n      []\n    ]" if n else "[]"
+        want = ('{\n  "clash": null,\n  "consistent": true,\n  "map": {\n    "domain": {\n'
+                f'      "ambient": {n},\n      "basis": []\n    }},\n'
+                f'    "matrix": {matrix}\n  }}\n}}\n')
+        for d_map in (LinMap.identity(n), LinMap.zero(n), rand_map(random.Random(74), n)):
+            assert canonical_json(dhat_result_to_dict(dhat(a, d_map, identity_cert(a)))) == want
 
 
 # -- basis covariance of the solvers ---------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from lya.errors import InputError
 from lya.exactlin import (
     Matrix,
+    _kernel,
     _map_through,
     Subspace,
     coordinates,
@@ -449,15 +450,15 @@ def test_nullspace_matches_the_two_pass_reference():
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_nullspace_second_pass_runs_on_the_pivot_rows(monkeypatch):
-    """Two rref calls per nullspace: the matrix itself, then its rank many
-    pivot rows."""
+def test_nullspace_runs_one_rref_on_the_matrix_rows(monkeypatch):
+    """One rref call per nullspace, on m's own rows with the columns
+    reversed."""
     from lya import exactlin
 
     seen = []
 
     def recording(m):
-        seen.append(m.rows)
+        seen.append(m.entries)
         return rref(m)
 
     for m in nullspace_cases():
@@ -465,7 +466,26 @@ def test_nullspace_second_pass_runs_on_the_pivot_rows(monkeypatch):
         monkeypatch.setattr(exactlin, "rref", recording)
         nullspace(m)
         monkeypatch.undo()
-        assert seen == [m.rows, independent_rank(m.entries)]
+        assert seen == [tuple(row[::-1] for row in m.entries)]
+
+
+def dense_kernel(m):
+    """The vectors of _kernel(m), dense, after checking that each lists its
+    nonzero entries in column order."""
+    vectors = []
+    for pairs in _kernel(m):
+        columns = [c for c, _ in pairs]
+        assert columns == sorted(set(columns)) and all(x != 0 for _, x in pairs)
+        v = [Fraction(0)] * m.cols
+        for c, x in pairs:
+            v[c] = x
+        vectors.append(tuple(v))
+    return tuple(vectors)
+
+
+def test_kernel_reader_gives_the_nullspace_basis():
+    for m in nullspace_cases():
+        assert dense_kernel(m) == nullspace(m).basis
 
 
 def test_nullspace_matches_the_two_pass_reference_on_drawn_matrices():
@@ -484,6 +504,7 @@ def test_nullspace_matches_the_two_pass_reference_on_drawn_matrices():
         got = nullspace(m)
         assert got.basis == nullspace_two_pass_reference(m).basis
         assert Subspace(m.cols, got.basis) == got
+        assert dense_kernel(m) == got.basis
 
     check()
 
@@ -514,6 +535,40 @@ def test_subspace_intersect_matches_sympy():
         assert got.basis == want
         dims.add((got.dim > 0, got.dim < len(v)))
     assert dims == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def subspace_intersect_kernel_reference(a, b):
+    """The intersection as it stood: the kernel of the stacked coefficient
+    matrix, mapped back through a's basis and spanned."""
+    n, p, q = a.ambient_dim, a.dim, b.dim
+    if p == 0 or q == 0:
+        return Subspace.zero(n)
+    m = Matrix(n, p + q, tuple(tuple(a.basis[i][row] for i in range(p))
+                               + tuple(-b.basis[j][row] for j in range(q))
+                               for row in range(n)))
+    vectors = [[sum((k[i] * a.basis[i][col] for i in range(p)), Fraction(0))
+                for col in range(n)] for k in nullspace(m).basis]
+    return Subspace.span(n, vectors)
+
+
+def test_subspace_intersect_matches_the_kernel_reference_on_edge_pairs():
+    """Zero and full subspaces on either side, nested pairs both ways, and
+    the sympy cases."""
+    rng = random.Random(4244)
+    pairs = [(Subspace.span(cols, u), Subspace.span(cols, v))
+             for u, v, cols in intersection_cases()]
+    for n in (0, 1, 4):
+        small = Subspace.span(n, random_matrix(rng, n // 2, n).entries)
+        big = subspace_sum(small, Subspace.span(n, random_matrix(rng, 1, n).entries))
+        for s in (Subspace.zero(n), Subspace.full(n), small, big):
+            pairs += [(s, Subspace.zero(n)), (Subspace.zero(n), s), (s, Subspace.full(n)),
+                      (Subspace.full(n), s), (s, s)]
+        pairs += [(small, big), (big, small)]
+    for a, b in pairs:
+        got = subspace_intersect(a, b)
+        assert got == subspace_intersect_kernel_reference(a, b)
+        assert Subspace(got.ambient_dim, got.basis) == got
+    assert any(subspace_contains(b, a) and 0 < a.dim < b.dim for a, b in pairs)
 
 
 # solve as it stood with its own augmented elimination, the oracle for the
