@@ -10,8 +10,8 @@ equal exactly when their structure constants are; ``c[i][j]`` and
 :class:`LYAlgebra` are always axiom-valid; candidate constants that may fail
 the axioms only ever exist as raw nested tuples or a raw form paired with an
 :class:`AxiomReport`.  Every product is evaluated on the form (see
-:func:`_transport`); :func:`binary_eval` contracts only the raw product of
-a :class:`LeibnizAlgebra`.
+:func:`_transport`).  A :class:`LeibnizAlgebra` keeps its one product in
+the same cleared form, keyed (i, j, l).
 """
 
 from __future__ import annotations
@@ -25,41 +25,14 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
-from .exactlin import (Matrix, Scalar, Vec, frac, vadd, vec, vec_strs, vis_zero, vscale, vunit,
-                       vzero)
+from .exactlin import Matrix, Scalar, Vec, vec, vec_strs, vzero
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
-Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
 Form = tuple[int, dict, dict]
 Keyed = tuple[int, dict[tuple[int, ...], int]]
 
 AXIOM_TAGS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
-
-
-def tensor3(data: Sequence[Sequence[Sequence[Scalar]]]) -> Tensor3:
-    return tuple(tuple(vec(v) for v in row) for row in data)
-
-
-def tensor4(data: Sequence[Sequence[Sequence[Sequence[Scalar]]]]) -> Tensor4:
-    return tuple(tuple(tuple(vec(v) for v in plane) for plane in row) for row in data)
-
-
-def binary_eval(c: Tensor3, u: Vec, v: Vec) -> Vec:
-    """Bilinear contraction of two coordinate vectors against ``c``."""
-    out = list(vzero(len(c)))
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = c[i]
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            for l, x in enumerate(row[j]):
-                if x:
-                    out[l] += ab * x
-    return tuple(out)
 
 
 class AxiomFailure(Record):
@@ -71,11 +44,6 @@ class AxiomFailure(Record):
 class AxiomReport(Record):
     passed: bool
     failures: tuple[AxiomFailure, ...]
-
-
-def _has_shape(tensor, n: int, depth: int) -> bool:
-    """Whether a nested tensor holds n entries on each of its ``depth`` levels."""
-    return len(tensor) == n and (depth == 1 or all(_has_shape(t, n, depth - 1) for t in tensor))
 
 
 def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
@@ -97,31 +65,26 @@ def _form_of(binary: dict, ternary: dict) -> Form:
                          for part in (binary, ternary)))
 
 
-def _dense_form(n: int, c: Tensor3, d: Tensor4) -> Form:
-    """Dense tensors c and d of dimension n as a form over scale 1, not yet
-    made canonical by :func:`_cleared`."""
-    if not _has_shape(c, n, 3):
-        raise InputError("binary tensor shape does not match dimension")
-    if not _has_shape(d, n, 4):
-        raise InputError("ternary tensor shape does not match dimension")
-    return 1, _entries(c, 3), _entries(d, 4)
-
-
-def _entries(tensor, depth: int) -> dict:
-    """The nonzero entries of a dense tensor with ``depth`` index levels,
-    the last one a vector's coordinate, keyed as in the form."""
+def _entries(tensor, n: int, depth: int, what: str) -> dict:
+    """The nonzero entries of a dense nested tensor with ``depth`` index
+    levels, the last one a vector's coordinate, as Fractions keyed as in the
+    form; an InputError names the ``what`` tensor when a level does not
+    hold n entries."""
+    if len(tensor) != n:
+        raise InputError(f"{what} tensor shape does not match dimension")
     if depth == 1:
-        return {(l,): x for l, x in enumerate(tensor) if x}
+        return {(l,): x for l, x in enumerate(vec(tensor)) if x}
     return {(i, *key): x for i, sub in enumerate(tensor)
-            for key, x in _entries(sub, depth - 1).items()}
+            for key, x in _entries(sub, n, depth - 1, what).items()}
 
 
-def _iterated(entries: dict) -> dict:
-    """The entries of T(T(e_i, e_j), e_k), keyed (i, j, k, l), for the
-    integer entries of a binary product T: the sum over a of
-    T(i, j, a) T(a, k, l), over the square of T's scale."""
+def _iterated(entries: dict, outer: dict | None = None) -> dict:
+    """The entries of S(T(e_i, e_j), e_k), keyed (i, j, k, l), for the
+    integer entries of binary products T and S, where S is ``outer`` or else
+    T itself: the sum over a of T(i, j, a) S(a, k, l), over the product of
+    their scales."""
     by_first: dict[int, list] = {}
-    for (a, k, l), y in entries.items():
+    for (a, k, l), y in (entries if outer is None else outer).items():
         by_first.setdefault(a, []).append((k, l, y))
     out: dict[tuple[int, ...], int] = {}
     for (i, j, a), x in entries.items():
@@ -258,10 +221,10 @@ def _mac(acc: list[int], coeffs, vectors) -> None:
             acc[l] += x * y
 
 
-def check_axioms(n: int, c: Tensor3, d: Tensor4) -> AxiomReport:
-    """Evaluate the six defining identities of dense tensors: they are
-    cleared once and checked as a form by :func:`_check_form`."""
-    return _check_form(n, _cleared(*_dense_form(n, c, d)))
+def check_axioms(n: int, c, d) -> AxiomReport:
+    """Evaluate the six defining identities of dense nested tensors c and d:
+    they are cleared once and checked as a form by :func:`_check_form`."""
+    return _check_form(n, _cleared(1, _entries(c, n, 3, "binary"), _entries(d, n, 4, "ternary")))
 
 
 def _check_form(n: int, form: Form) -> AxiomReport:
@@ -269,8 +232,9 @@ def _check_form(n: int, form: Form) -> AxiomReport:
 
     The two alternating conditions are read off the entries, in the order
     of a scan over the basis tuples (LY2 with its last index outermost);
-    the remaining identities are evaluated on every ordered tuple of basis
-    indices, which is complete by multilinearity.  They run in integers on
+    the remaining identities are evaluated in lexicographic order on every
+    ordered tuple of basis indices at which one of their terms can be
+    nonzero, which is complete by multilinearity.  They run in integers on
     the nonzeros of the tensors scaled by their common denominator L, where
     each identity is homogeneous of degree two (LY3's linear ternary terms
     carry one extra factor L), so a residual is its accumulator over L*L.
@@ -311,7 +275,10 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     d_1 = [[[ds[a][j][k] for a in idx] for k in idx] for j in idx]
     d_2 = [[[ds[i][a][k] for a in idx] for k in idx] for i in idx]
 
-    for g, h, i in itertools.product(idx, repeat=3):
+    # An LY3 term is nonzero only at a rotation of a ternary key or of a
+    # nonzero binary pair followed by any index.
+    heads = {key[:3] for key in keyed_d} | {(i, j, k) for i, j, _ in keyed_c for k in idx}
+    for g, h, i in sorted({t for a, b, e in heads for t in ((a, b, e), (e, a, b), (b, e, a))}):
         acc = [0] * n
         for cyc in (ds[g][h][i], ds[h][i][g], ds[i][g][h]):
             for l, x in cyc:
@@ -393,7 +360,8 @@ class LYAlgebra(Record):
     @classmethod
     def from_tensors(cls, labels: Sequence[str], c, d) -> "LYAlgebra":
         labels = tuple(str(x) for x in labels)
-        return cls(len(labels), labels, _dense_form(len(labels), tensor3(c), tensor4(d)))
+        n = len(labels)
+        return cls(n, labels, (1, _entries(c, n, 3, "binary"), _entries(d, n, 4, "ternary")))
 
 
 def bracket(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> Vec:
@@ -437,9 +405,8 @@ def _check_lie(n: int, scale: int, binary: dict, iterated: dict) -> None:
 
 def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
     """Lift a Lie bracket tensor: ternary product is the iterated bracket."""
-    c = tensor3(lie_tensor)
-    n = len(c)
-    scale, binary, _ = _cleared(1, _entries(c, 3), {})
+    n = len(lie_tensor)
+    scale, binary, _ = _cleared(1, _entries(lie_tensor, n, 3, "bracket"), {})
     ternary = _iterated(binary)
     _check_lie(n, scale, binary, ternary)
     if labels is None:
@@ -449,38 +416,57 @@ def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
 
 
 class LeibnizAlgebra(Record):
-    """Left Leibniz algebra: a(bc) = (ab)c + b(ac) on all basis triples."""
+    """Left Leibniz algebra: a(bc) = (ab)c + b(ac) on all basis triples.
+
+    ``form`` holds the product as ``(scale, entries)``, integers or
+    Fractions over the scale keyed (i, j, l) as the module docstring says;
+    construction makes it the canonical cleared form and checks the
+    identity on it in integers.  So ``==`` compares structure constants,
+    ``hash`` reads the entries, and ``repr`` shows the dense ``product`` as
+    a dataclass with that field would.
+    """
 
     dim: int
     labels: tuple[str, ...]
-    product: Tensor3
+    form: Keyed
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise InputError("label count does not match dimension")
-        p = self.product
-        n = self.dim
-        if not _has_shape(p, n, 3):
-            raise InputError("product tensor shape does not match dimension")
-        for a, b, c in itertools.product(range(n), repeat=3):
-            lhs = binary_eval(p, vunit(n, a), p[b][c])
-            rhs = vadd(binary_eval(p, p[a][b], vunit(n, c)),
-                       binary_eval(p, vunit(n, b), p[a][c]))
-            res = vadd(lhs, vscale(-1, rhs))
-            if not vis_zero(res):
-                raise MathError(
-                    f"left Leibniz identity fails at basis triple ({a}, {b}, {c})",
-                    witness={"indices": [a, b, c], "residual": vec_strs(res)})
+        scale, product, _ = _cleared(*self.form, {})
+        object.__setattr__(self, "form", (scale, product))
+        # left[j, k, i, l] is coordinate l of e_i(e_j e_k), so a(bc) and b(ac)
+        # at the basis triple (a, b, c) sit at the keys (b, c, a) and (a, c, b).
+        left = _iterated(product, {(j, i, l): x for (i, j, l), x in product.items()})
+        defect = _summed([(1, (1, {(i, j, k, l): x for (j, k, i, l), x in left.items()})),
+                          (-1, (1, {(i, j, k, l): x for (i, k, j, l), x in left.items()})),
+                          (-1, (1, _iterated(product)))])[1]
+        first = min((key[:3] for key, x in defect.items() if x), default=None)
+        if first is not None:
+            res = _vector_at((scale * scale, defect), first, self.dim)
+            raise MathError(f"left Leibniz identity fails at basis triple {first}",
+                            witness={"indices": list(first), "residual": vec_strs(res)})
+
+    def __hash__(self):
+        scale, product = self.form
+        return hash((self.dim, self.labels, scale, frozenset(product.items())))
+
+    def __repr__(self):
+        return (f"LeibnizAlgebra(dim={self.dim!r}, labels={self.labels!r}, "
+                f"product={self.product!r})")
+
+    product = property(lambda self: _dense(self.form, self.dim, 2))
 
     @classmethod
     def from_tensor(cls, labels: Sequence[str], product) -> "LeibnizAlgebra":
         labels = tuple(str(x) for x in labels)
-        return cls(len(labels), labels, tensor3(product))
+        n = len(labels)
+        return cls(n, labels, (1, _entries(product, n, 3, "product")))
 
 
 def from_leibniz(b: LeibnizAlgebra) -> LYAlgebra:
     """Skew-symmetrized half product plus minus-a-quarter iterated product."""
-    scale, product, _ = _cleared(1, _entries(b.product, 3), {})
+    scale, product = b.form
     # Over 4 scale^2, the binary product is 2 scale (p(e_i, e_j) - p(e_j, e_i))
     # and the ternary minus the iterated product.
     swapped = {(j, i, l): x for (i, j, l), x in product.items()}
@@ -513,44 +499,33 @@ def abelian(n: int) -> LYAlgebra:
     return LYAlgebra(n, tuple(f"a{i + 1}" for i in range(n)), (1, {}, {}))
 
 
+def _lie_tensor(n: int, brackets: dict) -> Tensor3:
+    """The dense bracket of dimension n with [e_i, e_j] = -[e_j, e_i] = x e_l
+    for each ((i, j, l), x) in ``brackets``, and all others zero."""
+    entries = {}
+    for (i, j, l), x in brackets.items():
+        entries[i, j, l], entries[j, i, l] = x, -x
+    return _dense((1, entries), n, 2)
+
+
 def sl2_lie_tensor() -> Tensor3:
     """Chevalley basis (e, f, h): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    n = 3
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    e, f, h = 0, 1, 2
-
-    def put(i, j, target, coeff):
-        c[i][j][target] = frac(coeff)
-        c[j][i][target] = frac(-coeff)
-
-    put(e, f, h, 1)
-    put(h, e, e, 2)
-    put(h, f, f, -2)
-    return tensor3(c)
+    return _lie_tensor(3, {(0, 1, 2): 1, (2, 0, 0): 2, (2, 1, 1): -2})
 
 
 def heisenberg_tensor() -> Tensor3:
     """Basis (x, y, z) with [x,y] = z."""
-    n = 3
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    c[0][1][2] = frac(1)
-    c[1][0][2] = frac(-1)
-    return tensor3(c)
+    return _lie_tensor(3, {(0, 1, 2): 1})
 
 
 def aff2_tensor() -> Tensor3:
     """Basis (e1, e2) with [e1,e2] = e1."""
-    c = [[list(vzero(2)) for _ in range(2)] for _ in range(2)]
-    c[0][1][0] = frac(1)
-    c[1][0][0] = frac(-1)
-    return tensor3(c)
+    return _lie_tensor(2, {(0, 1, 0): 1})
 
 
 def leibniz2() -> LeibnizAlgebra:
     """Two-dimensional left Leibniz algebra: x.x = z, all other products zero."""
-    p = [[list(vzero(2)) for _ in range(2)] for _ in range(2)]
-    p[0][0][1] = frac(1)
-    return LeibnizAlgebra.from_tensor(("x", "z"), p)
+    return LeibnizAlgebra(2, ("x", "z"), (1, {(0, 0, 1): 1}))
 
 
 CATALOG_NAMES = (

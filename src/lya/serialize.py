@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from .errors import InputError
 from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vscale, vzero
 from .lyalg import (Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _nonzero_vectors,
-                    _tensor_form, tensor3)
+                    _tensor_form)
 from .maps import LinMap
 from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
 from .theorems import PropReport
@@ -143,7 +143,7 @@ def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
     """Product entries [i, j, coeffs] with no symmetry assumed."""
     n = _get_dim(data)
     labels = _get_labels(data, n)
-    p = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
+    product = {}
     seen = set()
     for entry in _get_entries(data, "product"):
         _require(isinstance(entry, list) and len(entry) == 3, "product entry must be [i, j, coeffs]")
@@ -152,8 +152,8 @@ def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
         _require(0 <= i < n and 0 <= j < n, f"product indices out of range: ({i}, {j})")
         _require((i, j) not in seen, f"duplicate product entry ({i}, {j})")
         seen.add((i, j))
-        p[i][j] = list(strs_vec(coeffs, n))
-    return LeibnizAlgebra(n, labels, tensor3(p))
+        product.update({(i, j, l): x for l, x in enumerate(strs_vec(coeffs, n)) if x})
+    return LeibnizAlgebra(n, labels, (1, product))
 
 
 def map_from_dict(data: dict) -> LinMap:

@@ -31,8 +31,6 @@ from lya.lyalg import (
     aff2_tensor,
     leibniz2,
     sl2_lie_tensor,
-    tensor3,
-    tensor4,
     triple,
 )
 from lya.maps import (
@@ -101,13 +99,13 @@ def test_criterion_1_axiom_soundness():
     sl2 = catalog("sl2")
     c = [[list(v) for v in row] for row in sl2.c]
     c[E][F][2] = -c[E][F][2]
-    report = check_axioms(3, tensor3(c), sl2.d)
+    report = check_axioms(3, c, sl2.d)
     assert not report.passed
     assert report.failures[0].axiom == "LY1" and report.failures[0].indices == (E, F)
     # one sign flip in the ternary tensor: LY2
     d = [[[list(v) for v in plane] for plane in row] for row in sl2.d]
     d[E][F][E][0] = -d[E][F][E][0]
-    report = check_axioms(3, sl2.c, tensor4(d))
+    report = check_axioms(3, sl2.c, d)
     assert not report.passed
     assert report.failures[0].axiom == "LY2" and report.failures[0].indices[:2] == (E, F)
     _verdict(1, "axioms hold on the catalog and constructions; sign flips"

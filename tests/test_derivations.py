@@ -27,7 +27,6 @@ from lya.exactlin import (
 from lya.lyalg import (
     CATALOG_NAMES,
     LYAlgebra,
-    binary_eval,
     bracket,
     catalog,
     check_axioms,
@@ -62,7 +61,7 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.structure import derived_algebra
-from test_lyalg import contraction_oracle_ternary, transport
+from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary, transport
 from test_maps import rand_map, rebased, shifted
 
 E, F, H = 0, 1, 2
@@ -616,7 +615,7 @@ def centroid_recheck_reference(algebra, f):
     units = [vunit(n, i) for i in range(n)]
     fu = [f.apply(u) for u in units]
     for i, j in itertools.product(range(n), repeat=2):
-        if binary_eval(c, units[i], fu[j]) != f.apply(c[i][j]):
+        if contraction_oracle_binary(c, units[i], fu[j]) != f.apply(c[i][j]):
             return "centroid member fails the right-slot identity"
     for i, j, k in itertools.product(range(n), repeat=3):
         want = f.apply(d[i][j][k])
@@ -633,7 +632,8 @@ def quasi_witness_satisfies_reference(algebra, d_map, witness):
     units = [vunit(n, i) for i in range(n)]
     du = [d_map.apply(u) for u in units]
     for i, j in itertools.product(range(n), repeat=2):
-        lhs = vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j]))
+        lhs = vadd(contraction_oracle_binary(c, du[i], units[j]),
+                   contraction_oracle_binary(c, units[i], du[j]))
         if lhs != witness.dprime.apply(c[i][j]):
             return False
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -973,7 +973,7 @@ def dense_identity_rows(tensor, arity, terms):
     lists the basis images of a fixed map per slot, None where f goes."""
     n = len(tensor)
     units = [vunit(n, i) for i in range(n)]
-    evaluate = binary_eval if arity == 2 else contraction_oracle_ternary
+    evaluate = contraction_oracle_binary if arity == 2 else contraction_oracle_ternary
     base = {idx: functools.reduce(operator.getitem, idx, tensor)
             for idx in itertools.product(range(n), repeat=arity)}
     twisted = []
@@ -1006,7 +1006,8 @@ def quasi_reference(algebra, d_map):
     rows += [pad + r for r in dense_identity_rows(d, 3, [])]
     rhs = []
     for i, j in itertools.product(range(n), repeat=2):
-        rhs.extend(vadd(binary_eval(c, du[i], units[j]), binary_eval(c, units[i], du[j])))
+        rhs.extend(vadd(contraction_oracle_binary(c, du[i], units[j]),
+                        contraction_oracle_binary(c, units[i], du[j])))
     for i, j, k in itertools.product(range(n), repeat=3):
         val = vadd(contraction_oracle_ternary(d, du[i], units[j], units[k]),
                    contraction_oracle_ternary(d, units[i], du[j], units[k]))
@@ -1219,34 +1220,21 @@ def test_identity_rows_match_the_dense_reference():
             assert space == nullspace(Matrix(len(reference), n * n, tuple(reference)))
 
 
-def test_twisted_and_centroid_rows_make_no_dense_contraction(monkeypatch):
+def test_twisted_and_centroid_rows_make_no_dense_contraction():
     """The derivation, twisted and centroid solves and their re-checks read
-    the stored integer form only.  ternary_eval is gone, and binary_eval is
-    bound only in lya.lyalg, where LeibnizAlgebra's identity check uses it;
-    it gets a counting wrapper.  On h5 with theta the swap x_i -> y_i,
-    y_i -> -x_i, the dense rows made 400 calls for the twisted solve alone."""
+    the stored integer form only: no lya module keeps a dense contraction
+    (ternary_eval, binary_eval) or a dense tensor builder (tensor3,
+    tensor4).  On h5 with theta the swap x_i -> y_i, y_i -> -x_i, the dense
+    rows made 400 binary_eval calls for the twisted solve alone."""
     import sys
+
     from lya import lyalg
 
-    assert not hasattr(lyalg, "ternary_eval")
-    a = h5()
-    swap, ident = certify_automorphism(a, LinMap.from_rows(H5_SWAP)), identity_cert(a)
-    counts = {"binary_eval": 0}
-    original = lyalg.binary_eval
-    wrapped = set()
+    names = ("ternary_eval", "binary_eval", "tensor3", "tensor4")
+    assert not [name for name in names if hasattr(lyalg, name)]
     for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "lya" and getattr(module, "binary_eval", None) is original:
-            monkeypatch.setattr(module, "binary_eval", counting(counts, "binary_eval", original))
-            wrapped.add(module_name)
-    assert wrapped == {"lya.lyalg"}
-    lyalg.leibniz2()
-    assert counts["binary_eval"] > 0
-    counts["binary_eval"] = 0
-    assert lyalg.bracket(a, vunit(5, 0), vunit(5, 2)) == vunit(5, 4)
-    derivation_space(a)
-    centroid(a)
-    g_derivation_space(a, swap, ident)
-    assert counts == {"binary_eval": 0}
+        if module_name.split(".")[0] == "lya":
+            assert not [name for name in names if hasattr(module, name)], module_name
 
 
 def test_split_quasi_solve_matches_the_combined_system():

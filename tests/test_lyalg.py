@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lya.errors import AxiomError, InputError, MathError
-from lya.exactlin import Matrix, invert, vadd, vec, vscale, vunit, vzero
+from lya.exactlin import Matrix, invert, vadd, vec, vec_strs, vscale, vsub, vunit, vzero
 from lya.lyalg import (
     CATALOG_NAMES,
     AxiomFailure,
@@ -23,8 +23,6 @@ from lya.lyalg import (
     from_lie,
     leibniz2,
     sl2_lie_tensor,
-    tensor3,
-    tensor4,
     triple,
 )
 
@@ -44,7 +42,8 @@ def _support(v):
 
 
 def contraction_oracle_binary(c, g, h):
-    """Scalar-by-scalar tensor contraction, coded independently of binary_eval."""
+    """Scalar-by-scalar contraction of two coordinate vectors against a dense
+    product tensor, coded independently of the stored form."""
     terms = [(g[a] * h[b], c[a][b]) for a in _support(g) for b in _support(h)]
     return tuple(sum((x * v[k] for x, v in terms), Fraction(0)) for k in range(len(c)))
 
@@ -200,6 +199,63 @@ def test_leibniz_identity_rejection():
     assert "Leibniz" in str(err.value)
 
 
+def leibniz_reference(labels, p):
+    """The dense check LeibnizAlgebra made before it stored the cleared form:
+    a(bc) - (ab)c - b(ac) contracted in Fractions on every basis triple, in
+    lexicographic order.  Returns the MathError message and witness of the
+    first failure, or else the reprs of the algebra and of its from_leibniz
+    image (half the commutator, minus a quarter of (ab)c)."""
+    n = len(p)
+    p = tuple(tuple(vec(v) for v in row) for row in p)
+    e = [vunit(n, i) for i in range(n)]
+
+    def mul(u, v):
+        return contraction_oracle_binary(p, u, v)
+
+    for a, b, c in itertools.product(range(n), repeat=3):
+        res = vsub(mul(e[a], p[b][c]), vadd(mul(p[a][b], e[c]), mul(e[b], p[a][c])))
+        if any(res):
+            return (f"left Leibniz identity fails at basis triple ({a}, {b}, {c})",
+                    {"indices": [a, b, c], "residual": vec_strs(res)})
+    c = tuple(tuple(vscale(Fraction(1, 2), vsub(p[i][j], p[j][i])) for j in range(n))
+              for i in range(n))
+    d = tuple(tuple(tuple(vscale(Fraction(-1, 4), mul(p[i][j], e[k])) for k in range(n))
+                    for j in range(n)) for i in range(n))
+    return (f"LeibnizAlgebra(dim={n!r}, labels={labels!r}, product={p!r})",
+            f"LYAlgebra(dim={n!r}, labels={labels!r}, c={c!r}, d={d!r})")
+
+
+def test_leibniz_check_matches_the_dense_reference():
+    """On seeded random products of dimension 1-3: the same verdict, error
+    message and witness as the dense check, the same reprs for the algebra
+    and its from_leibniz image, and one value for every scaling of a form."""
+    rng = random.Random(2001)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        density = rng.choice([0.05, 0.15, 0.3])
+        p = [[[Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+               if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+        labels = tuple(f"b{i}" for i in range(n))
+        want = leibniz_reference(labels, p)
+        try:
+            b = LeibnizAlgebra.from_tensor(labels, p)
+        except MathError as err:
+            assert (str(err), err.witness) == want
+            verdicts.append(False)
+            continue
+        verdicts.append(True)
+        assert (repr(b), repr(from_leibniz(b))) == want
+        scale, entries = b.form
+        k = rng.choice([2, 6, 35])
+        for form in ((k * scale, {key: k * x for key, x in entries.items()}),
+                     (1, {key: Fraction(x, scale) for key, x in entries.items()})):
+            twin = LeibnizAlgebra(n, labels, form)
+            assert twin == b and hash(twin) == hash(b) and twin.form == b.form
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 150
+
+
 def test_zero_product_leibniz_gives_abelian():
     b = LeibnizAlgebra.from_tensor(("u", "v"), zero_tensor3(2))
     a = from_leibniz(b)
@@ -258,7 +314,7 @@ def test_symmetrized_binary_fails_ly1():
     a = catalog("sl2")
     c = [[list(v) for v in row] for row in a.c]
     c[F][E] = [x for x in c[E][F]]  # symmetrize one pair
-    report = check_axioms(3, tensor3(c), a.d)
+    report = check_axioms(3, c, a.d)
     assert not report.passed
     assert any(f.axiom == "LY1" and f.indices == (E, F) for f in report.failures)
 
@@ -267,7 +323,7 @@ def test_single_sign_flip_in_ternary_fails_ly2():
     a = catalog("sl2")
     d = [[[list(v) for v in plane] for plane in row] for row in a.d]
     d[E][F][E] = [-x for x in d[E][F][E]]
-    report = check_axioms(3, a.c, tensor4(d))
+    report = check_axioms(3, a.c, d)
     assert not report.passed
     assert any(f.axiom == "LY2" and f.indices[:2] == (E, F) for f in report.failures)
 
@@ -277,7 +333,7 @@ def test_broken_jacobi_fails_ly3():
     c = [[list(v) for v in row] for row in sl2_lie_tensor()]
     c[H][E] = [-x for x in c[H][E]]
     c[E][H] = [-x for x in c[E][H]]
-    report = check_axioms(3, tensor3(c), zero_tensor4(3))
+    report = check_axioms(3, c, zero_tensor4(3))
     assert not report.passed
     assert {f.axiom for f in report.failures} == {"LY3"}
 
@@ -288,7 +344,7 @@ def test_corrupted_ternary_entry_fails_higher_axiom():
     # keep the alternating symmetry so LY1/LY2 still hold
     d[E][F][H][0] += Fraction(1)
     d[F][E][H][0] -= Fraction(1)
-    report = check_axioms(3, a.c, tensor4(d))
+    report = check_axioms(3, a.c, d)
     assert not report.passed
     tags = {f.axiom for f in report.failures}
     assert tags and tags <= {"LY3", "LY4", "LY5", "LY6"}
@@ -387,7 +443,7 @@ def transport(c, d, p, p_inv):
          for i in range(n)]
     d = [[[p_inv.mul_vec(contraction_oracle_ternary(d, cols[i], cols[j], cols[k]))
            for k in range(n)] for j in range(n)] for i in range(n)]
-    return tensor3(c), tensor4(d)
+    return c, d
 
 
 def change_basis(a, seed):
@@ -414,7 +470,7 @@ def corrupt(rng, c, d, denominator):
             d[i][j][k][l] += q
             if alternating and i != j:
                 d[j][i][k][l] -= q
-    return tensor3(c), tensor4(d)
+    return c, d
 
 
 def test_check_axioms_matches_oracle_on_catalog():

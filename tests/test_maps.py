@@ -8,7 +8,7 @@ import pytest
 from lya.derivations import derivation_space, g_derivation_space
 from lya.errors import InputError, MathError
 from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vsub, vunit, vzero
-from lya.lyalg import CATALOG_NAMES, LYAlgebra, binary_eval, catalog
+from lya.lyalg import CATALOG_NAMES, LYAlgebra, catalog
 from lya.maps import (
     AutCert,
     LinMap,
@@ -22,7 +22,7 @@ from lya.maps import (
     satisfies_derivation,
     satisfies_g_derivation,
 )
-from test_lyalg import contraction_oracle_ternary
+from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary
 
 E, F, H = 0, 1, 2
 
@@ -231,8 +231,8 @@ def satisfies_g_derivation_reference(algebra, f, theta, vartheta):
     for i in range(n):
         for j in range(n):
             lhs = f.apply(algebra.c[i][j])
-            rhs = vadd(binary_eval(algebra.c, fi[i], ti[j]),
-                       binary_eval(algebra.c, vi[i], fi[j]))
+            rhs = vadd(contraction_oracle_binary(algebra.c, fi[i], ti[j]),
+                       contraction_oracle_binary(algebra.c, vi[i], fi[j]))
             if lhs != rhs:
                 return False
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -251,7 +251,7 @@ def hom_defect_reference(algebra, f):
     for i in range(n):
         for j in range(n):
             lhs = f.apply(algebra.c[i][j])
-            rhs = binary_eval(algebra.c, images[i], images[j])
+            rhs = contraction_oracle_binary(algebra.c, images[i], images[j])
             if lhs != rhs:
                 return ("binary", (i, j), vsub(lhs, rhs))
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -273,7 +273,7 @@ def rebased(a, seed):
         if p_inv is not None:
             break
     cols = [p.col(i) for i in range(n)]
-    c = [[p_inv.mul_vec(binary_eval(a.c, cols[i], cols[j])) for j in range(n)]
+    c = [[p_inv.mul_vec(contraction_oracle_binary(a.c, cols[i], cols[j])) for j in range(n)]
          for i in range(n)]
     d = [[[p_inv.mul_vec(contraction_oracle_ternary(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
           for j in range(n)] for i in range(n)]

@@ -19,7 +19,7 @@ from lya.derivations import (DerSpace, DhatClash, DhatResult, PartialMap, QuasiW
                              derivation_space, g_derivation_space, is_quasi_derivation)
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import (CATALOG_NAMES, AxiomFailure, AxiomReport, LeibnizAlgebra, LYAlgebra,
-                       catalog, check_axioms, leibniz2)
+                       catalog, check_axioms, leibniz2, sl2_lie_tensor)
 from lya.maps import AutCert, LinMap, identity_cert
 from lya.structure import center, derived_algebra
 from lya.theorems import CheckSpec, PropReport, default_catalog_plan, default_catalog_reports
@@ -30,7 +30,7 @@ FIELDS = {
     Matrix: ("rows", "cols", "entries"),
     Subspace: ("ambient_dim", "basis"),
     LYAlgebra: ("dim", "labels", "form"),
-    LeibnizAlgebra: ("dim", "labels", "product"),
+    LeibnizAlgebra: ("dim", "labels", "form"),
     AxiomFailure: ("axiom", "indices", "residual"),
     AxiomReport: ("passed", "failures"),
     LinMap: ("dim", "matrix"),
@@ -58,9 +58,12 @@ def _twin(cls):
 
 
 TWINS = {cls: _twin(cls) for cls in FIELDS}
-# LYAlgebra prints the dense c and d, as the dataclass with these fields did.
+# LYAlgebra prints the dense c and d, and LeibnizAlgebra its dense product,
+# as the dataclasses with these fields did.
 DENSE_LYALGEBRA = dataclasses.make_dataclass(
     "LYAlgebra", [(f, object) for f in ("dim", "labels", "c", "d")], frozen=True)
+DENSE_LEIBNIZALGEBRA = dataclasses.make_dataclass(
+    "LeibnizAlgebra", [(f, object) for f in ("dim", "labels", "product")], frozen=True)
 
 
 def _collect():
@@ -88,7 +91,7 @@ def _collect():
                         for j, v in enumerate(row)) for i, row in enumerate(sl2.c))
     report = check_axioms(sl2.dim, bad_c, sl2.d)
     add(report, *report.failures[:3])
-    add(leibniz2())
+    add(leibniz2(), LeibnizAlgebra.from_tensor(("e", "f", "h"), sl2_lie_tensor()))
     for _, algebra, specs in default_catalog_plan():
         for spec in specs:
             add(spec, spec.subspace, spec.map)
@@ -123,12 +126,14 @@ def test_records_match_their_dataclass_twin(cls):
     twin, names = TWINS[cls], _names(cls)
     pairs = [(x, twin(*(getattr(x, n) for n in names))) for x in INSTANCES[cls]]
     for x, tx in pairs:
-        if cls is LYAlgebra:
+        if cls in (LYAlgebra, LeibnizAlgebra):
             # The form's dicts leave the twin unhashable; the algebra hashes
             # its form's entries.
-            assert repr(x) == repr(DENSE_LYALGEBRA(x.dim, x.labels, x.c, x.d))
+            dense = (DENSE_LYALGEBRA(x.dim, x.labels, x.c, x.d) if cls is LYAlgebra
+                     else DENSE_LEIBNIZALGEBRA(x.dim, x.labels, x.product))
+            assert repr(x) == repr(dense)
             assert _outcome(lambda: hash(tx))[0] is TypeError
-            assert hash(x) == hash(LYAlgebra(x.dim, x.labels, x.form))
+            assert hash(x) == hash(cls(x.dim, x.labels, x.form))
         else:
             assert repr(x) == repr(tx)
             assert _outcome(lambda: hash(x)) == _outcome(lambda: hash(tx))
@@ -166,7 +171,8 @@ def test_bad_constructor_calls_raise_the_dataclass_type_error(cls):
 
 
 def test_defaults_and_the_stored_form():
-    """Defaults fill the omitted fields; an algebra stores its form, not c and d."""
+    """Defaults fill the omitted fields; an algebra stores its form, not c
+    and d, and a Leibniz algebra its form, not the dense product."""
     spec = CheckSpec("P31")
     assert repr(spec) == repr(TWINS[CheckSpec]("P31"))
     assert (spec.label, spec.theta, spec.g2) == ("", None, None)
@@ -175,6 +181,9 @@ def test_defaults_and_the_stored_form():
     assert set(vars(a)) == {"dim", "labels", "form"}
     with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
         LYAlgebra(a.dim, a.labels, a.form, c=a.c)
+    b = leibniz2()
+    assert "form" not in repr(b) and b.form == (1, {(0, 0, 1): 1})
+    assert set(vars(b)) == {"dim", "labels", "form"}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

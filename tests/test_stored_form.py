@@ -18,9 +18,9 @@ import pytest
 
 from lya.cli import main
 from lya.errors import AxiomError, InputError
-from lya.exactlin import Matrix, invert, vadd, vis_zero, vzero
+from lya.exactlin import Matrix, invert, vadd, vec, vis_zero, vscale, vzero
 from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
-                       from_leibniz, leibniz2, tensor3, tensor4)
+                       from_leibniz, leibniz2)
 from lya.maps import LinMap
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
                            algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
@@ -192,22 +192,17 @@ def alternation_cases():
     diagonal, symmetric and half-negated entries, in ternary slots k that
     run against the pair order."""
     sl2 = catalog("sl2")
-    c0 = [[list(v) for v in row] for row in sl2.c]
-    d0 = [[[list(v) for v in plane] for plane in row] for row in sl2.d]
-    cases = []
-    c = [[list(v) for v in row] for row in c0]
-    c[1][1] = [Fraction(1, 2), 0, 0]
-    c[2][0] = list(c[0][2])
-    c[2][1] = [0, Fraction(-3, 5), 0]
-    cases.append((c, d0))
-    d = [[[list(v) for v in plane] for plane in row] for row in d0]
-    d[2][2][0] = [0, 0, Fraction(7, 3)]
-    d[1][0][2] = [Fraction(1, 2) * x for x in d[1][0][2]]
-    d[0][0][1] = [1, 0, 0]
-    d[2][1][0] = [0, 4, 0]
-    cases.append((c0, d))
-    cases.append((c, d))
-    return [(tensor3(c), tensor4(d)) for c, d in cases]
+    c0, d0 = sl2.c, sl2.d
+    c = [list(row) for row in c0]
+    c[1][1] = vec([Fraction(1, 2), 0, 0])
+    c[2][0] = c[0][2]
+    c[2][1] = vec([0, Fraction(-3, 5), 0])
+    d = [[list(plane) for plane in row] for row in d0]
+    d[2][2][0] = vec([0, 0, Fraction(7, 3)])
+    d[1][0][2] = vscale(Fraction(1, 2), d[1][0][2])
+    d[0][0][1] = vec([1, 0, 0])
+    d[2][1][0] = vec([0, 4, 0])
+    return [(c, d0), (c0, d), (c, d)]
 
 
 def test_alternation_failures_match_the_dense_reference():

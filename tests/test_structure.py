@@ -17,7 +17,7 @@ from lya.derivations import (
 from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (Matrix, Subspace, invert, nullspace, subspace_contains, vadd, vscale,
                           vunit)
-from lya.lyalg import CATALOG_NAMES, LYAlgebra, bracket, catalog, direct_sum, triple
+from lya.lyalg import CATALOG_NAMES, LeibnizAlgebra, LYAlgebra, bracket, catalog, direct_sum, triple
 from lya.maps import LinMap, certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
 from lya.structure import (
@@ -432,9 +432,10 @@ def refuse(name, _algebra):
 
 
 def without_dense_tensors(monkeypatch):
-    """Make the dense views c and d of every algebra fail on any read."""
-    for name in ("c", "d"):
-        monkeypatch.setattr(LYAlgebra, name, property(functools.partial(refuse, name)))
+    """Make the dense views c and d of every algebra, and the dense product
+    of every Leibniz algebra, fail on any read."""
+    for cls, name in ((LYAlgebra, "c"), (LYAlgebra, "d"), (LeibnizAlgebra, "product")):
+        monkeypatch.setattr(cls, name, property(functools.partial(refuse, name)))
 
 
 def stored_form_answers(a, twist, rng):
