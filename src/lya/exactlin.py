@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -130,11 +131,13 @@ class Matrix(Record):
         return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product, computed in integers over each factor's common scale."""
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [other.col(j) for j in range(other.cols)]
-        data = tuple(tuple(vdot(r, c) for c in cols) for r in self.entries)
-        return Matrix(self.rows, other.cols, data)
+        (a, left), (b, right) = _common_scale(self.entries), _common_scale(other.entries)
+        return Matrix(self.rows, other.cols, tuple(
+            tuple(Fraction(x, a * b) if x else ZERO for x in r)
+            for r in _integer_product(left, right, other.cols)))
 
     def mul_vec(self, v: Sequence[Scalar]) -> Vec:
         w = vec(v)
@@ -166,10 +169,39 @@ class Matrix(Record):
 
 def _integer_row(r: Vec) -> list[int]:
     """``r`` times the lcm of its denominators: same row space, integer entries."""
-    den = math.lcm(*[x.denominator for x in r])
+    return _common_scale((r,))[1][0]
+
+
+def _common_scale(rows: Sequence[Vec]) -> tuple[int, list[list[int]]]:
+    """The lcm L of every denominator in ``rows``, and the rows times L."""
+    den = math.lcm(*{x.denominator for r in rows for x in r})
     if den == 1:
-        return [x.numerator for x in r]
-    return [x.numerator * (den // x.denominator) for x in r]
+        return den, [[x.numerator for x in r] for r in rows]
+    return den, [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+
+
+def _integer_product(a: Sequence[list[int]], b: Sequence[list[int]], cols: int) -> list[list[int]]:
+    """The product of integer matrices given by their rows; b has ``cols`` columns."""
+    bt = list(zip(*b)) if b else [()] * cols
+    return [[sum(map(operator.mul, r, c)) for c in bt] for r in a]
+
+
+def _integer_basis(basis: Sequence[Vec]) -> list[tuple[int, list[int]]]:
+    """A reduced echelon basis as (pivot, row cleared by :func:`_integer_row`)
+    pairs, the form :func:`_member` reads."""
+    return [(p, _integer_row(r)) for p, r in zip(pivot_cols(basis), basis)]
+
+
+def _member(basis: Sequence[tuple[int, list[int]]], w: Sequence[int]) -> bool:
+    """Whether the integer vector w lies in the span of an :func:`_integer_basis`.
+
+    Each row clears w at its pivot, fraction-free; the other rows are zero
+    there, so w is a member exactly when nothing is left.
+    """
+    for p, r in basis:
+        if w[p] and (w := _eliminate(w, r, r[p], w[p])) is None:
+            return True
+    return not any(w)
 
 
 def _eliminate(row: list[int], prow: list[int], a: int, b: int) -> list[int] | None:
@@ -368,11 +400,15 @@ class Subspace(Record):
     def pivots(self) -> tuple[int, ...]:
         return pivot_cols(self.basis)
 
-    def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Residue of v after elimination against the basis; zero iff v is a member."""
-        w = list(vec(v))
+    def _vector(self, v: Sequence[Scalar]) -> Vec:
+        w = vec(v)
         if len(w) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
+        return w
+
+    def reduce(self, v: Sequence[Scalar]) -> Vec:
+        """Residue of v after elimination against the basis; zero iff v is a member."""
+        w = list(self._vector(v))
         for row, p in zip(self.basis, self.pivots):
             c = w[p]
             if c != 0:
@@ -381,14 +417,13 @@ class Subspace(Record):
         return tuple(w)
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return vis_zero(self.reduce(v))
+        """Membership, tested in integers by :func:`_member`."""
+        return _member(_integer_basis(self.basis), _integer_row(self._vector(v)))
 
 
 def coordinates(s: Subspace, v: Sequence[Scalar]) -> Vec | None:
     """Coefficients of v in s's canonical basis, or None when v is outside s."""
-    w = list(vec(v))
-    if len(w) != s.ambient_dim:
-        raise InputError("vector length does not match ambient dimension")
+    w = list(s._vector(v))
     coords = []
     for row, p in zip(s.basis, s.pivots):
         c = w[p]

@@ -266,19 +266,25 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     cs = [[[] for _ in idx] for _ in idx]
     for (i, j, l), x in keyed_c.items():
         cs[i][j].append((l, x))
-    ds = [[[[] for _ in idx] for _ in idx] for _ in idx]
-    for (i, j, k, l), x in keyed_d.items():
-        ds[i][j][k].append((l, x))
     # Transposes that put the contracted slot last: c_1[j][a] = c[a][j],
-    # d_1[j][k][a] = d[a][j][k] and d_2[i][k][a] = d[i][a][k].
+    # d_1[j][k][a] = d[a][j][k] and d_2[i][k][a] = d[i][a][k].  Only the
+    # ternary rows that occur are built; the others share one empty row.
     c_1 = [[cs[a][j] for a in idx] for j in idx]
-    d_1 = [[[ds[a][j][k] for a in idx] for k in idx] for j in idx]
-    d_2 = [[[ds[i][a][k] for a in idx] for k in idx] for i in idx]
+    empty = [()] * n
+    ds, d_1, d_2 = ([[empty] * n for _ in idx] for _ in range(3))
+    for (i, j, k, l), x in keyed_d.items():
+        for rows, r, s, a in ((ds, i, j, k), (d_1, j, k, i), (d_2, i, k, j)):
+            if rows[r][s] is empty:
+                rows[r][s] = [[] for _ in idx]
+            rows[r][s][a].append((l, x))
+
+    def rotations(heads):
+        return sorted({t for a, b, e in heads for t in ((a, b, e), (e, a, b), (b, e, a))})
 
     # An LY3 term is nonzero only at a rotation of a ternary key or of a
-    # nonzero binary pair followed by any index.
-    heads = {key[:3] for key in keyed_d} | {(i, j, k) for i, j, _ in keyed_c for k in idx}
-    for g, h, i in sorted({t for a, b, e in heads for t in ((a, b, e), (e, a, b), (b, e, a))}):
+    # nonzero binary pair followed by any index; an LY4 term only at the latter.
+    pairs = {(i, j, k) for i, j, _ in keyed_c for k in idx}
+    for g, h, i in rotations({key[:3] for key in keyed_d} | pairs):
         acc = [0] * n
         for cyc in (ds[g][h][i], ds[h][i][g], ds[i][g][h]):
             for l, x in cyc:
@@ -288,9 +294,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
         _mac(acc, cs[i][g], c_1[h])
         check("LY3", (g, h, i), acc)
 
-    for g, h, i in itertools.product(idx, repeat=3):
-        if not (cs[g][h] or cs[h][i] or cs[i][g]):
-            continue
+    for g, h, i in rotations(pairs):
         for j in idx:
             acc = [0] * n
             _mac(acc, cs[g][h], d_1[i][j])
@@ -301,7 +305,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     # Every LY5 and LY6 term carries a factor d[g][h], so pairs (g, h) with
     # a zero ternary row contribute nothing.
     ghs = [(g, h, ds[g][h], [[(a, -x) for a, x in v] for v in ds[g][h]])
-           for g, h in itertools.product(idx, repeat=2) if any(ds[g][h])]
+           for g, h in sorted({key[:2] for key in keyed_d})]
 
     for g, h, dgh, neg in ghs:
         for i, j in itertools.product(idx, repeat=2):

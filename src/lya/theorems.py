@@ -19,6 +19,10 @@ from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
     Subspace,
     Vec,
+    _common_scale,
+    _integer_basis,
+    _integer_product,
+    _member,
     coordinates,
     invert,
     nullspace,
@@ -126,33 +130,51 @@ def transported_bracket(theta: AutCert, f: LinMap, g: LinMap) -> LinMap:
     return left.sub(right)
 
 
+def _integer_maps(n: int, flats: Sequence[Vec]) -> list[list[list[int]]]:
+    """Flattened n x n maps as integer matrices over one common scale."""
+    _, rows = _common_scale(flats)
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in rows]
+
+
+def _products_minus(n: int, a, b, c, d) -> list[list[int]]:
+    """ab - cd for integer n x n matrices."""
+    return [[x - y for x, y in zip(r, s)]
+            for r, s in zip(_integer_product(a, b, n), _integer_product(c, d, n))]
+
+
 def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropReport:
     """The double-twist space, with the transported bracket, maps onto the
-    plain derivation algebra through composition with the inverse twist."""
+    plain derivation algebra through composition with the inverse twist.
+
+    The bracket algebra runs in integers: with θ⁻¹ and the basis maps f_i
+    cleared over one scale s, each f_i is pulled back once, p_i = θ⁻¹f_i,
+    so s³[f_i, f_j]_θ is f_i p_j - f_j p_i.  Its pull-back s⁴θ⁻¹[f_i, f_j]_θ
+    is compared with [p_i, p_j] and gives s⁵[[f_i, f_j]_θ, f_k]_θ.
+    """
     twisted = g_derivation_space(algebra, theta, theta)
     plain = derivation_space(algebra)
-    n2 = algebra.dim ** 2
+    n = algebra.dim
     images = [compose(theta.inverse, f).flatten() for f in twisted.maps()]
     lands = all(plain.space.contains_vector(v) for v in images)
-    image_dim = Subspace.span(n2, images).dim
+    image_dim = Subspace.span(n * n, images).dim
     bijective = image_dim == twisted.dim == plain.dim
-    maps = twisted.maps()
+    inv, *maps = _integer_maps(n, (theta.inverse.flatten(),) + twisted.space.basis)
+    pulled = [(f, _integer_product(inv, f, n)) for f in maps]
+    members = _integer_basis(twisted.space.basis)
     closure_binary = True
     hom_property = True
     brackets = []
-    for f, g in itertools.product(maps, repeat=2):
-        br = transported_bracket(theta, f, g)
-        brackets.append(br)
-        if not twisted.contains(br):
+    for (f, p), (g, q) in itertools.product(pulled, repeat=2):
+        br = _products_minus(n, f, q, g, p)
+        back = _integer_product(inv, br, n)
+        brackets.append((br, back))
+        if not _member(members, sum(br, [])):
             closure_binary = False
-        lhs = compose(theta.inverse, br)
-        rhs = commutator(compose(theta.inverse, f), compose(theta.inverse, g))
-        if lhs != rhs:
+        if back != _products_minus(n, p, q, q, p):
             hom_property = False
     closure_ternary = True
-    for br, h in itertools.product(brackets, maps):
-        t = transported_bracket(theta, br, h)
-        if not twisted.contains(t):
+    for (br, back), (h, p) in itertools.product(brackets, pulled):
+        if not _member(members, sum(_products_minus(n, br, p, h, back), [])):
             closure_ternary = False
     ok = lands and bijective and closure_binary and closure_ternary and hom_property
     witness = None if ok else {
@@ -172,13 +194,16 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
 def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropReport:
     """Commutators of plain and single-twist derivations land in the space
     tagged by the parity of the twists, for an involution commuting with
-    every member of both spaces."""
+    every member of both spaces.
+
+    The commutators run in integers, over one scale for both bases."""
     plain = derivation_space(algebra)
     twisted = single_twist_space(algebra, theta)
     involutive = compose(theta.map, theta.map) == LinMap.identity(algebra.dim)
     commutes = True
     bad_map = None
-    for f in plain.maps() + twisted.maps():
+    maps = plain.maps() + twisted.maps()
+    for f in maps:
         if not commutator(theta.map, f).is_zero():
             commutes = False
             bad_map = f
@@ -194,16 +219,17 @@ def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
         if bad_map is not None:
             details["non_commuting_map"] = _fmt_map(bad_map)
         return PropReport("P33", instance, False, hypotheses, None, None, details)
-    spaces = {0: plain, 1: twisted}
+    n = algebra.dim
+    indexed = list(enumerate(_integer_maps(n, plain.space.basis + twisted.space.basis)))
+    parts = (indexed[:plain.dim], indexed[plain.dim:])
+    members = [_integer_basis(space.space.basis) for space in (plain, twisted)]
     ok = True
     witness = None
     for k, l in itertools.product((0, 1), repeat=2):
-        target = spaces[(k + l) % 2]
-        for f in spaces[k].maps():
-            for g in spaces[l].maps():
-                if not target.contains(commutator(f, g)):
-                    ok = False
-                    witness = {"k": k, "l": l, "commutator": _fmt_map(commutator(f, g))}
+        for (a, f), (b, g) in itertools.product(parts[k], parts[l]):
+            if not _member(members[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
+                ok = False
+                witness = {"k": k, "l": l, "commutator": _fmt_map(commutator(maps[a], maps[b]))}
     return PropReport("P33", instance, True, hypotheses, ok, witness, details)
 
 

@@ -7,6 +7,7 @@ import pytest
 from lya.errors import InputError
 from lya.exactlin import (
     Matrix,
+    _integer_basis,
     _kernel,
     _map_through,
     Subspace,
@@ -692,3 +693,97 @@ def test_map_through_matches_the_reference_on_drawn_systems():
                 solve_augmented_reference(m, [y[0] for y in images])
 
     check()
+
+
+# -- the integer product and membership kernels ----------------------------------
+
+def fraction_product(a, b):
+    """Reference product: plain Fraction sums over row-column pairs."""
+    return [[sum((a.entries[i][t] * b.entries[t][j] for t in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def fraction_member(s, v):
+    """Reference membership: Fraction elimination against the reduced basis."""
+    w = [Fraction(x) for x in v]
+    for row, p in zip(s.basis, s.pivots):
+        c = w[p]
+        w = [x - c * y for x, y in zip(w, row)]
+    return not any(w)
+
+
+def big_fractions():
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    large = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 25))
+    return st.one_of(small, small, large, st.just(Fraction(0)))
+
+
+def test_matrix_mul_matches_fraction_products():
+    """Matrix.mul equals the Fraction reference on drawn shapes, 0 x k and
+    k x 0 included, with small and very large denominators, and every entry
+    of every product is a Fraction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = big_fractions()
+
+    def shapes(dims):
+        r, k, c = dims
+        return st.tuples(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r),
+                         st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k),
+                         st.just(dims))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(shapes))
+    def check(case):
+        left, right, (r, k, c) = case
+        a = Matrix(r, k, tuple(tuple(row) for row in left))
+        b = Matrix(k, c, tuple(tuple(row) for row in right))
+        got = a.mul(b)
+        assert (got.rows, got.cols) == (r, c)
+        assert [list(row) for row in got.entries] == fraction_product(a, b)
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+
+    check()
+    for r, k, c in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (2, 0, 0)):
+        got = Matrix.zero(r, k).mul(Matrix.zero(k, c))
+        assert got == Matrix.zero(r, c)
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+    ints = Matrix(2, 2, ((1, 2), (3, 4)))
+    assert ints.mul(ints).entries == ((7, 10), (15, 22))
+    assert all(type(x) is Fraction for row in ints.mul(ints).entries for x in row)
+
+
+def test_contains_vector_matches_fraction_elimination():
+    """contains_vector equals Fraction elimination on drawn subspaces and
+    vectors (members built as combinations, and arbitrary vectors), ambient
+    dimension 0 included, with very large denominators."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = big_fractions()
+
+    def cases(n):
+        vectors = st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4)
+        return st.tuples(st.just(n), vectors, vectors, st.lists(entries, min_size=4, max_size=4))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(st.integers(0, 5).flatmap(cases))
+    def check(case):
+        n, spanning, others, coeffs = case
+        s = Subspace.span(n, spanning)
+        combo = [sum((c * v[i] for c, v in zip(coeffs, spanning)), Fraction(0)) for i in range(n)]
+        for v in [combo] + others:
+            assert s.contains_vector(v) == fraction_member(s, v)
+        assert s.contains_vector(combo)
+        for v in spanning:
+            assert s.contains_vector(v)
+
+    check()
+    assert Subspace.zero(0).contains_vector([])
+    assert Subspace.full(0).contains_vector(())
+    with pytest.raises(InputError, match="does not match ambient"):
+        Subspace.zero(0).contains_vector([1])
+    line = Subspace.span(2, [[Fraction(1, 10 ** 40), Fraction(3, 7 ** 30)]])
+    assert line.contains_vector([Fraction(7 ** 30, 3), 10 ** 40])
+    assert not line.contains_vector([Fraction(7 ** 30, 3), 10 ** 40 + 1])
+    assert [p for p, _ in _integer_basis(line.basis)] == list(line.pivots)

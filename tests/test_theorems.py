@@ -1,9 +1,13 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
+from lya import theorems
+from lya.derivations import DerSpace
 from lya.errors import InternalCheckError, MathError
-from lya.exactlin import Subspace, coordinates, vunit, vzero
+from lya.exactlin import Matrix, Subspace, coordinates, vis_zero, vunit, vzero
 from lya.lyalg import catalog, check_axioms
 from lya.maps import (
     LinMap,
@@ -14,6 +18,7 @@ from lya.derivations import derivation_space, g_derivation_space
 from lya.theorems import (
     CheckSpec,
     PropReport,
+    default_catalog_plan,
     default_catalog_reports,
     extract_subalgebra,
     reports_pass,
@@ -397,3 +402,215 @@ def test_report_invariants_enforced_by_construction():
         PropReport("P31", "x", False, (), True, None, {})
     with pytest.raises(InternalCheckError):
         PropReport("P31", "x", True, (), False, None, {})
+
+
+# -- the integer bracket algebra of T32 and P33 against Fraction references ------
+
+def fraction_compose(f, g):
+    """f after g in plain Fraction sums, independent of Matrix.mul."""
+    n = f.dim
+    a, b = f.matrix.entries, g.matrix.entries
+    return LinMap.from_rows([[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
+                              for j in range(n)] for i in range(n)], n)
+
+
+def fraction_commutator(f, g):
+    return fraction_compose(f, g).sub(fraction_compose(g, f))
+
+
+def fraction_contains(space, f, tested):
+    """Membership by Fraction elimination (Subspace.reduce); records f."""
+    tested.append(f.flatten())
+    return vis_zero(space.space.reduce(f.flatten()))
+
+
+def reference_t32(algebra, theta, instance="", tested=None):
+    """verify_t32 as it was written over Fraction products: every bracket,
+    hom-property and membership test, in the same order.  The spaces come
+    from ``theorems``, so a patched solver reaches both implementations."""
+    tested = [] if tested is None else tested
+    twisted = theorems.g_derivation_space(algebra, theta, theta)
+    plain = theorems.derivation_space(algebra)
+    inv = theta.inverse
+    images = [fraction_compose(inv, f).flatten() for f in twisted.maps()]
+    lands = all(vis_zero(plain.space.reduce(v)) for v in images)
+    image_dim = Subspace.span(algebra.dim ** 2, images).dim
+    bijective = image_dim == twisted.dim == plain.dim
+
+    def bracket(f, g):
+        return fraction_compose(f, fraction_compose(inv, g)).sub(
+            fraction_compose(g, fraction_compose(inv, f)))
+
+    maps = twisted.maps()
+    closure_binary = hom_property = closure_ternary = True
+    brackets = []
+    for f, g in itertools.product(maps, repeat=2):
+        br = bracket(f, g)
+        brackets.append(br)
+        if not fraction_contains(twisted, br, tested):
+            closure_binary = False
+        if fraction_compose(inv, br) != fraction_commutator(fraction_compose(inv, f),
+                                                            fraction_compose(inv, g)):
+            hom_property = False
+    for br, h in itertools.product(brackets, maps):
+        if not fraction_contains(twisted, bracket(br, h), tested):
+            closure_ternary = False
+    ok = lands and bijective and closure_binary and closure_ternary and hom_property
+    witness = None if ok else {
+        "lands": lands, "bijective": bijective, "closure_binary": closure_binary,
+        "closure_ternary": closure_ternary, "hom_property": hom_property}
+    return PropReport("T32", instance, True, (("theta certified", True),), ok, witness,
+                      {"twisted_dim": twisted.dim, "plain_dim": plain.dim})
+
+
+def reference_p33(algebra, theta, instance="", tested=None):
+    """verify_p33 as it was written over Fraction products."""
+    tested = [] if tested is None else tested
+    plain = theorems.derivation_space(algebra)
+    twisted = theorems.single_twist_space(algebra, theta)
+    involutive = fraction_compose(theta.map, theta.map) == LinMap.identity(algebra.dim)
+    bad_map = next((f for f in plain.maps() + twisted.maps()
+                    if not fraction_commutator(theta.map, f).is_zero()), None)
+    hypotheses = (("theta is involutive", involutive),
+                  ("theta commutes with both spaces", bad_map is None))
+    details = {"plain_dim": plain.dim, "twisted_dim": twisted.dim,
+               "intersection_dim": theorems.subspace_intersect(plain.space, twisted.space).dim}
+    if not (involutive and bad_map is None):
+        if bad_map is not None:
+            details["non_commuting_map"] = [[str(x) for x in row] for row in bad_map.matrix.entries]
+        return PropReport("P33", instance, False, hypotheses, None, None, details)
+    spaces = {0: plain, 1: twisted}
+    ok, witness = True, None
+    for k, l in itertools.product((0, 1), repeat=2):
+        for f in spaces[k].maps():
+            for g in spaces[l].maps():
+                br = fraction_commutator(f, g)
+                if not fraction_contains(spaces[(k + l) % 2], br, tested):
+                    ok = False
+                    witness = {"k": k, "l": l,
+                               "commutator": [[str(x) for x in row] for row in br.matrix.entries]}
+    return PropReport("P33", instance, True, hypotheses, ok, witness, details)
+
+
+def bracket_instances():
+    """(algebra, theta, label) for every T32 and P33 check of the suite, h3
+    with theta = id, and each of those after a seeded rational change of basis."""
+    from test_maps import rebased
+
+    cases = []
+    for _, algebra, checks in default_catalog_plan():
+        cases += [(algebra, spec.theta, spec.label) for spec in checks
+                  if spec.prop in ("T32", "P33")]
+    h3 = catalog("h3")
+    cases.append((h3, identity_cert(h3), "h3[theta=id]"))
+    moved = []
+    for seed, (algebra, theta, label) in enumerate(cases):
+        other, p, p_inv = rebased(algebra, 100 + seed)
+        conj = LinMap(other.dim, p_inv.mul(theta.map.matrix).mul(p))
+        moved.append((other, certify_automorphism(other, conj), label + "[rebased]"))
+    return cases + moved
+
+
+def test_t32_and_p33_equal_their_fraction_references():
+    """Full report equality, details and witnesses included, on every suite
+    instance, on h3 with theta = id and after a rational change of basis."""
+    seen = set()
+    for algebra, theta, label in bracket_instances():
+        assert verify_t32(algebra, theta, label) == reference_t32(algebra, theta, label)
+        got = verify_p33(algebra, theta, label)
+        assert got == reference_p33(algebra, theta, label)
+        seen.add((got.hypotheses_met, got.conclusion_holds))
+    assert (True, True) in seen and (False, None) in seen
+
+
+def primitive(v):
+    """The primitive integer vector on the positive ray of v."""
+    den = math.lcm(*[Fraction(x).denominator for x in v])
+    ints = [int(Fraction(x) * den) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def recorded_members(monkeypatch):
+    """Wrap the verifiers' membership test; returns the tested vectors."""
+    seen = []
+    member = theorems._member
+
+    def record(basis, w):
+        seen.append(primitive(w))
+        return member(basis, w)
+
+    monkeypatch.setattr(theorems, "_member", record)
+    return seen
+
+
+def test_every_bracket_test_of_the_reference_still_runs(monkeypatch):
+    """The integer verifiers test the same brackets, up to a positive scale,
+    in the same order as the references: m^2 binary and m^3 ternary ones for
+    T32, one per ordered pair of each parity for P33."""
+    seen = recorded_members(monkeypatch)
+    for algebra, theta, label in bracket_instances():
+        for verify, reference in ((verify_t32, reference_t32), (verify_p33, reference_p33)):
+            tested = []
+            reference(algebra, theta, label, tested)
+            seen.clear()
+            verify(algebra, theta, label)
+            assert seen == [primitive(v) for v in tested]
+    a = catalog("abelian2")
+    seen.clear()
+    verify_t32(a, identity_cert(a))
+    assert len(seen) == 4 ** 2 + 4 ** 3
+
+
+def corrupted(space, how):
+    """A wrong space in place of a solved one: its last basis map dropped,
+    or a matrix unit added."""
+    n2 = space.space.ambient_dim
+    vectors = space.space.basis[:-1] if how == "drop" else space.space.basis + (vunit(n2, 1),)
+    return DerSpace(Subspace.span(n2, vectors), space.theta, space.vartheta)
+
+
+def twists(a):
+    """The identity, and the negated identity where it is an automorphism."""
+    yield identity_cert(a)
+    try:
+        yield certify_automorphism(a, LinMap.identity(a.dim).scale(-1))
+    except MathError:
+        pass
+
+
+@pytest.mark.parametrize("how", ["drop", "add"])
+def test_corrupted_twisted_spaces_give_the_reference_witness(monkeypatch, how):
+    """With the solved twisted space replaced by a wrong one, the failing
+    reports, witness dicts included, equal the references'."""
+    solve_pair = theorems.g_derivation_space
+    solve_single = theorems.single_twist_space
+    monkeypatch.setattr(theorems, "g_derivation_space",
+                        lambda *args: corrupted(solve_pair(*args), how))
+    monkeypatch.setattr(theorems, "single_twist_space",
+                        lambda *args: corrupted(solve_single(*args), how))
+    failed = set()
+    for name in ("sl2", "abelian2", "h3", "lts_sl2"):
+        a = catalog(name)
+        for theta in twists(a):
+            for verify, reference in ((verify_t32, reference_t32), (verify_p33, reference_p33)):
+                got = verify(a, theta, name)
+                assert got == reference(a, theta, name)
+                if got.conclusion_holds is False:
+                    failed.add(got.prop_id)
+                    assert got.witness
+    assert failed == {"T32", "P33"}
+
+
+def test_t32_makes_a_linear_number_of_fraction_products(monkeypatch):
+    """On abelian2 (m = 4 basis maps) T32 made 9m^2 + 4m^3 + m = 404
+    Matrix.mul calls over Fraction products; the bracket algebra now runs on
+    cleared integers, and only the m images theta^-1 f are Fraction products."""
+    a = catalog("abelian2")
+    theta = identity_cert(a)
+    calls = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    report = verify_t32(a, theta)
+    assert report.conclusion_holds and report.details["twisted_dim"] == 4
+    assert len(calls) == 4
