@@ -52,18 +52,9 @@ class _Session:
         return data
 
 
-def _envelope(verb: str, session: _Session, result) -> dict:
-    return {
-        "tool": "lya",
-        "version": __version__,
-        "verb": verb,
-        "inputs": session.inputs,
-        "result": result,
-    }
-
-
 def _emit(out, verb: str, session: _Session, result, out_path: str | None = None) -> None:
-    text = ser.canonical_json(_envelope(verb, session, result))
+    text = ser.canonical_json({"tool": "lya", "version": __version__, "verb": verb,
+                               "inputs": session.inputs, "result": result})
     # The file goes first: a failed write leaves only the error report on stdout.
     if out_path:
         ser.write_text_file(out_path, text)
@@ -74,89 +65,66 @@ def _load_algebra(session: _Session, path: str) -> LYAlgebra:
     return ser.algebra_from_dict(session.load(path))
 
 
-def _load_map(session: _Session, ref: str, algebra: LYAlgebra) -> LinMap:
-    if ref == "id":
-        return LinMap.identity(algebra.dim)
-    if ref == "neg":
-        return LinMap.identity(algebra.dim).scale(-1)
-    return ser.map_from_dict(session.load(ref))
+# Literal references, and each kind's inline key, size key and parser.
+_LITERALS = {("map", "id"): LinMap.identity,
+             ("map", "neg"): lambda n: LinMap.identity(n).scale(-1),
+             ("subspace", "full"): Subspace.full, ("subspace", "zero"): Subspace.zero}
+_INLINE = {"map": ("matrix", "dim", ser.map_from_dict),
+           "subspace": ("basis", "ambient", ser.subspace_from_dict)}
+
+
+def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path | None = None):
+    """A map or subspace from a reference: a literal (``id``/``neg`` or
+    ``full``/``zero``), a file path (relative to ``base``, a config's folder,
+    when one is given), or a config's ``{"file": ...}`` or inline
+    ``{"matrix": ...}``/``{"basis": ...}``."""
+    inline, size, parse = _INLINE[kind]
+    if isinstance(ref, str) and (kind, ref) in _LITERALS:
+        return _LITERALS[kind, ref](algebra.dim)
+    if isinstance(ref, dict) and "file" in ref:
+        ref = ref["file"]
+        if not isinstance(ref, str):
+            raise InputError(f"a config 'file' reference must be a string, got {ref!r}")
+    elif isinstance(ref, dict) and inline in ref:
+        return parse({size: algebra.dim, inline: ref[inline]})
+    if not isinstance(ref, str):
+        raise InputError(f"cannot resolve {kind} reference {ref!r}")
+    return parse(session.load(ref if base is None else str(base / ref)))
 
 
 def _load_cert(session: _Session, ref: str | None, algebra: LYAlgebra):
     if ref is None:
         return identity_cert(algebra)
-    return certify_automorphism(algebra, _load_map(session, ref, algebra))
+    return certify_automorphism(algebra, _resolve(session, "map", ref, algebra))
 
 
-def _load_subspace(session: _Session, ref: str, algebra: LYAlgebra) -> Subspace:
-    if ref == "full":
-        return Subspace.full(algebra.dim)
-    if ref == "zero":
-        return Subspace.zero(algebra.dim)
-    return ser.subspace_from_dict(session.load(ref))
+def _text(raw: dict, key: str) -> str:
+    if not isinstance(raw[key], str):
+        raise InputError(f"check field {key!r} must be a string, got {raw[key]!r}")
+    return raw[key]
 
 
-def _vector(arg: str, algebra: LYAlgebra):
-    return ser.parse_vector_arg(arg, algebra.dim)
-
-
-def _config_path(base: Path, name) -> str:
-    if not isinstance(name, str):
-        raise InputError(f"a config 'file' reference must be a string, got {name!r}")
-    return str(base / name)
-
-
-def _resolve_config_map(session: _Session, ref, algebra: LYAlgebra, base: Path) -> LinMap:
-    if isinstance(ref, str):
-        if ref in ("id", "neg"):
-            return _load_map(session, ref, algebra)
-        return ser.map_from_dict(session.load(str(base / ref)))
-    if isinstance(ref, dict):
-        if "file" in ref:
-            return ser.map_from_dict(session.load(_config_path(base, ref["file"])))
-        if "matrix" in ref:
-            return ser.map_from_dict({"dim": algebra.dim, "matrix": ref["matrix"]})
-    raise InputError(f"cannot resolve map reference {ref!r}")
-
-
-def _resolve_config_subspace(session: _Session, ref, algebra: LYAlgebra, base: Path) -> Subspace:
-    if isinstance(ref, str):
-        if ref in ("full", "zero"):
-            return _load_subspace(session, ref, algebra)
-        return ser.subspace_from_dict(session.load(str(base / ref)))
-    if isinstance(ref, dict):
-        if "file" in ref:
-            return ser.subspace_from_dict(session.load(_config_path(base, ref["file"])))
-        if "basis" in ref:
-            return ser.subspace_from_dict({"ambient": algebra.dim, "basis": ref["basis"]})
-    raise InputError(f"cannot resolve subspace reference {ref!r}")
-
-
-def _checks_from_config(session: _Session, config: dict, algebra: LYAlgebra,
-                        base: Path) -> list[CheckSpec]:
-    if not isinstance(config, dict) or not isinstance(config.get("checks", None), list):
-        raise InputError("config must be an object with a 'checks' list")
-    checks = []
-    for raw in config["checks"]:
-        if not isinstance(raw, dict) or "prop" not in raw:
-            raise InputError("each check needs at least a 'prop' field")
-        kwargs = {"prop": str(raw["prop"]).upper(), "label": str(raw.get("label", ""))}
-        if "theta" in raw:
-            kwargs["theta"] = certify_automorphism(
-                algebra, _resolve_config_map(session, raw["theta"], algebra, base))
-        if "vartheta" in raw:
-            kwargs["vartheta"] = certify_automorphism(
-                algebra, _resolve_config_map(session, raw["vartheta"], algebra, base))
-        if "subspace" in raw:
-            kwargs["subspace"] = _resolve_config_subspace(
-                session, raw["subspace"], algebra, base)
-        if "map" in raw:
-            kwargs["map"] = _resolve_config_map(session, raw["map"], algebra, base)
-        for key in ("g", "h", "g1", "g2"):
-            if key in raw:
-                kwargs[key] = _vector(str(raw[key]), algebra)
-        checks.append(CheckSpec(**kwargs))
-    return checks
+def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = None) -> CheckSpec:
+    """A check from a dict keyed by ``CheckSpec``'s fields: a config entry,
+    or the flags of ``verify <prop>``."""
+    if not isinstance(raw, dict) or "prop" not in raw:
+        raise InputError("each check needs at least a 'prop' field")
+    for key in raw:
+        if key not in CheckSpec._fields:
+            raise InputError(f"unknown check field {key!r}")
+    spec = {key: _text(raw, key) for key in ("prop", "label") if key in raw}
+    spec["prop"] = spec["prop"].upper()
+    for key in ("theta", "vartheta"):
+        if key in raw:
+            spec[key] = certify_automorphism(algebra,
+                                             _resolve(session, "map", raw[key], algebra, base))
+    for key in ("subspace", "map"):
+        if key in raw:
+            spec[key] = _resolve(session, key, raw[key], algebra, base)
+    for key in ("g", "h", "g1", "g2"):
+        if key in raw:
+            spec[key] = ser.parse_vector_arg(_text(raw, key), algebra.dim)
+    return CheckSpec(**spec)
 
 
 def _cmd_check(args, session, out) -> int:
@@ -229,8 +197,8 @@ def _cmd_derived(args, session, out) -> int:
 
 def _cmd_inner(args, session, out) -> int:
     algebra = _load_algebra(session, args.algebra)
-    g = _vector(args.g, algebra)
-    h = _vector(args.h, algebra)
+    g = ser.parse_vector_arg(args.g, algebra.dim)
+    h = ser.parse_vector_arg(args.h, algebra.dim)
     result = {"map": ser.map_to_dict(inner_derivation(algebra, g, h))}
     _emit(out, "inner", session, result, args.out)
     return 0
@@ -238,7 +206,7 @@ def _cmd_inner(args, session, out) -> int:
 
 def _cmd_quasi(args, session, out) -> int:
     algebra = _load_algebra(session, args.algebra)
-    d_map = _load_map(session, args.map, algebra)
+    d_map = _resolve(session, "map", args.map, algebra)
     witness = is_quasi_derivation(algebra, d_map)
     result = {"feasible": witness is not None,
               "witness": ser.quasi_witness_to_dict(witness) if witness else None}
@@ -249,7 +217,7 @@ def _cmd_quasi(args, session, out) -> int:
 def _cmd_stabilizer(args, session, out) -> int:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
-    h = _load_subspace(session, args.subspace, algebra)
+    h = _resolve(session, "subspace", args.subspace, algebra)
     space = stabilizer_derivations(algebra, theta, h)
     _emit(out, "stabilizer", session, ser.derspace_to_dict(space), args.out)
     return 0
@@ -257,54 +225,37 @@ def _cmd_stabilizer(args, session, out) -> int:
 
 def _cmd_dhat(args, session, out) -> int:
     algebra = _load_algebra(session, args.algebra)
-    d_map = _load_map(session, args.map, algebra)
+    d_map = _resolve(session, "map", args.map, algebra)
     theta = _load_cert(session, args.theta, algebra)
     result = ser.dhat_result_to_dict(dhat(algebra, d_map, theta))
     _emit(out, "dhat", session, result, args.out)
     return 0 if result["consistent"] else MATH_FAILURE
 
 
-def _verify_suite(args, session, out) -> int:
-    reports = default_catalog_reports()
-    result = {"reports": [ser.report_to_dict(r) for r in reports],
-              "all_pass": reports_pass(reports)}
-    _emit(out, "verify", session, result, args.out)
-    return 0 if reports_pass(reports) else MATH_FAILURE
-
-
 def _cmd_verify(args, session, out) -> int:
     prop = args.prop.lower()
     if prop == "suite":
-        return _verify_suite(args, session, out)
-    algebra_path = args.algebra
-    if algebra_path is None:
-        raise InputError("verify needs an algebra file (except 'verify suite')")
-    algebra = _load_algebra(session, algebra_path)
-    if prop == "all":
-        if not args.config:
-            raise InputError("verify all needs --config FILE")
-        config = session.load(args.config)
-        checks = _checks_from_config(session, config, algebra, Path(args.config).parent)
+        reports = default_catalog_reports()
     else:
-        kwargs = {"prop": prop.upper(), "label": args.label or ""}
-        if args.theta:
-            kwargs["theta"] = _load_cert(session, args.theta, algebra)
-        if args.vartheta:
-            kwargs["vartheta"] = _load_cert(session, args.vartheta, algebra)
-        if args.subspace:
-            kwargs["subspace"] = _load_subspace(session, args.subspace, algebra)
-        if args.map:
-            kwargs["map"] = _load_map(session, args.map, algebra)
-        for key in ("g", "h", "g1", "g2"):
-            value = getattr(args, key)
-            if value is not None:
-                kwargs[key] = _vector(value, algebra)
-        checks = [CheckSpec(**kwargs)]
-    reports = verify_all(algebra, checks)
+        if args.algebra is None:
+            raise InputError("verify needs an algebra file (except 'verify suite')")
+        algebra = _load_algebra(session, args.algebra)
+        if prop != "all":
+            raws = [{key: getattr(args, key) for key in CheckSpec._fields
+                     if getattr(args, key) is not None} | {"prop": prop}]
+            base = None
+        elif not args.config:
+            raise InputError("verify all needs --config FILE")
+        else:
+            config = session.load(args.config)
+            if not isinstance(config, dict) or not isinstance(config.get("checks"), list):
+                raise InputError("config must be an object with a 'checks' list")
+            raws, base = config["checks"], Path(args.config).parent
+        reports = verify_all(algebra, [_check_spec(session, raw, algebra, base) for raw in raws])
     result = {"reports": [ser.report_to_dict(r) for r in reports],
               "all_pass": reports_pass(reports)}
     _emit(out, "verify", session, result, args.out)
-    return 0 if reports_pass(reports) else MATH_FAILURE
+    return 0 if result["all_pass"] else MATH_FAILURE
 
 
 def _cmd_export(args, session, out) -> int:
@@ -334,16 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with finite-dimensional Lie-Yamaguti algebras.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, out="also write the output to this file", **kwargs):
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--out", help="also write the output to this file")
+        p.add_argument("--out", help=out)
         return p
 
     p = add("check", _cmd_check, help="verify the axioms of an algebra file")
     p.add_argument("algebra")
 
-    p = add("construct", _cmd_construct, help="build an algebra from a Lie or Leibniz file")
+    p = add("construct", _cmd_construct, out="also write the built algebra file",
+            help="build an algebra from a Lie or Leibniz file")
     p.add_argument("algebra")
     p.add_argument("--from", dest="source", choices=("lie", "leibniz"), required=True)
 
@@ -398,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1")
     p.add_argument("--g2")
 
-    p = add("export", _cmd_export, help="write a catalog algebra to a file")
+    p = add("export", _cmd_export, out="the algebra file to write (required)",
+            help="write a catalog algebra to a file")
     p.add_argument("name")
 
     return parser

@@ -7,6 +7,7 @@ fixed basis, column j being the image of basis vector j.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from ._record import Record
@@ -153,7 +154,13 @@ def certify_automorphism(algebra: LYAlgebra, f: LinMap) -> AutCert:
 
 
 def identity_cert(algebra: LYAlgebra) -> AutCert:
-    ident = LinMap.identity(algebra.dim)
+    return _identity_cert(algebra.dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_cert(n: int) -> AutCert:
+    """The identity certificate of dimension n, its inverse checked once."""
+    ident = LinMap.identity(n)
     return AutCert(map=ident, inverse=ident)
 
 

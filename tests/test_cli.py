@@ -13,8 +13,8 @@ from lya.cli import main
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import catalog
 from lya.maps import LinMap
-from lya.serialize import (algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
-                           save_json_file, subspace_to_dict)
+from lya.serialize import (algebra_from_dict, algebra_to_dict, canonical_json, load_json_file,
+                           map_to_dict, save_json_file, subspace_to_dict)
 from test_maps import rebased
 
 
@@ -509,19 +509,124 @@ def test_non_list_entry_fields_exit_2(tmp_path, verb, data, field):
     assert "result" not in report
 
 
+def run_config(sl2_file, tmp_path, check):
+    cfg = tmp_path / "config.json"
+    save_json_file(cfg, {"checks": [check]})
+    code, report = run_json("verify", "all", str(sl2_file), "--config", str(cfg))
+    assert "result" not in report
+    return code, report["error"]
+
+
 @pytest.mark.parametrize("check", [
     {"prop": "p35", "theta": {"file": 5}},
     {"prop": "p31", "vartheta": {"file": None}},
     {"prop": "p36", "subspace": {"file": ["line.json"]}},
 ])
 def test_non_string_config_file_reference_exits_2(sl2_file, tmp_path, check):
-    cfg = tmp_path / "config.json"
-    save_json_file(cfg, {"checks": [check]})
-    code, text = run_cli("verify", "all", str(sl2_file), "--config", str(cfg))
+    code, error = run_config(sl2_file, tmp_path, check)
     assert code == 2
-    report = json.loads(text)
-    assert "'file' reference must be a string" in report["error"]
-    assert "result" not in report
+    assert "'file' reference must be a string" in error
+
+
+def test_unknown_config_field_exits_2(sl2_file, tmp_path):
+    """A misspelt key is refused, not dropped: P35 would otherwise run with
+    theta = id and pass."""
+    code, error = run_config(sl2_file, tmp_path, {"prop": "p35", "thetaa": "neg"})
+    assert code == 2
+    assert error == "unknown check field 'thetaa'"
+
+
+@pytest.mark.parametrize("check,field", [
+    ({"prop": "p35", "label": None}, "label"),
+    ({"prop": "p37", "subspace": "full", "g": ["1", "0", "0"], "h": "0,1,0"}, "g"),
+    ({"prop": "p37", "subspace": "full", "g": "1,0,0", "h": 0}, "h"),
+    ({"prop": "p38", "subspace": "full", "g1": {"x": 1}, "g2": "0,1,0"}, "g1"),
+    ({"prop": "p38", "subspace": "full", "g1": "1,0,0", "g2": True}, "g2"),
+    ({"prop": 35}, "prop"),
+])
+def test_non_string_config_field_exits_2(sl2_file, tmp_path, check, field):
+    code, error = run_config(sl2_file, tmp_path, check)
+    assert code == 2
+    assert error.startswith(f"check field {field!r} must be a string")
+
+
+SL2_FILES = {
+    "chev": {"dim": 3, "matrix": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]},
+    "ident": {"dim": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "adh": {"dim": 3, "matrix": [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]},
+    "line": {"ambient": 3, "basis": [["0", "0", "1"]]},
+}
+SL2_LITERALS = {"chev": "id", "ident": "id", "adh": "neg", "line": "full"}
+# The check of each prop: reference fields name a file of SL2_FILES.
+PROP_CHECKS = {
+    "p31": {"theta": "chev", "vartheta": "ident"},
+    "t32": {"theta": "chev"},
+    "p33": {"theta": "chev"},
+    "p34": {"theta": "ident", "map": "adh"},
+    "p35": {"theta": "chev"},
+    "p36": {"theta": "chev", "subspace": "line"},
+    "p37": {"theta": "ident", "subspace": "line", "g": "0,0,1", "h": "-1/2,0,3"},
+    "p38": {"theta": "chev", "subspace": "line", "g1": "0,0,1", "g2": "0,0,-2"},
+}
+VECTOR_FIELDS = ("g", "h", "g1", "g2")
+
+
+@pytest.mark.parametrize("prop", sorted(PROP_CHECKS))
+@pytest.mark.parametrize("style", ["literal", "path", "config-relative", "file", "inline"])
+def test_flags_and_config_entry_give_the_same_check(tmp_path, monkeypatch, prop, style):
+    """``verify <prop>`` with flags and ``verify all`` with a one-entry
+    config give the same result bytes and hash the same input files.  The
+    config's folder holds its own copies of the files, with other bytes, so
+    a reference read from the wrong folder shows in the hashes."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    Path("cfg").mkdir()
+    for name, obj in SL2_FILES.items():
+        save_json_file(f"{name}.json", obj)
+        Path("cfg", f"{name}.json").write_text(json.dumps(obj, indent=1), encoding="utf-8")
+    in_cfg = style in ("config-relative", "file", "inline")
+    config = "cfg/config.json" if in_cfg else "config.json"
+    argv, check = ["verify", prop, "sl2.json", "--label", "x"], {"prop": prop, "label": "x"}
+    for key, value in PROP_CHECKS[prop].items():
+        if key in VECTOR_FIELDS:
+            flag, ref = value, value
+        elif style == "literal":
+            flag = ref = SL2_LITERALS[value]
+        else:
+            flag = f"cfg/{value}.json" if in_cfg else f"{value}.json"
+            ref = {"file": f"{value}.json"} if style == "file" else f"{value}.json"
+            if style == "inline":
+                ref = {k: v for k, v in SL2_FILES[value].items() if k in ("matrix", "basis")}
+        argv += [f"--{key}", flag]
+        check[key] = ref
+    save_json_file(config, {"checks": [check]})
+    flag_code, by_flags = run_json(*argv)
+    config_code, by_config = run_json("verify", "all", "sl2.json", "--config", config)
+    assert (config_code, canonical_json(by_config["result"])) == \
+        (flag_code, canonical_json(by_flags["result"]))
+    assert by_config["inputs"][1]["path"] == config
+    read_by_config = [by_config["inputs"][0]] + by_config["inputs"][2:]
+    assert read_by_config == (by_flags["inputs"][:1] if style == "inline" else by_flags["inputs"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "p35", "sl2.json", "--theta", ""),
+    ("gder", "sl2.json", "--theta", ""),
+    ("verify", "all", "sl2.json", "--config", "config.json"),
+    ("verify", "p36", "sl2.json", "--subspace", ""),
+    ("stabilizer", "sl2.json", "--subspace", ""),
+])
+def test_empty_reference_is_the_same_input_error_in_every_form(tmp_path, monkeypatch, argv):
+    """An empty reference names no file: ``verify <prop>`` no longer reads
+    it as an absent flag."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    save_json_file("config.json", {"checks": [{"prop": "p35", "theta": ""}]})
+    code, report = run_json(*argv)
+    assert code == 2
+    _, gder = run_json("gder", "sl2.json", "--theta", "")
+    assert report["error"] == gder["error"]
+    assert report["error"].startswith("cannot read .: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from lya.derivations import derivation_space, g_derivation_space
 from lya.errors import InputError, MathError
 from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vsub, vunit, vzero
 from lya.lyalg import CATALOG_NAMES, LYAlgebra, catalog
+from lya import maps
 from lya.maps import (
     AutCert,
     LinMap,
@@ -16,12 +17,14 @@ from lya.maps import (
     certify_automorphism,
     commutator,
     compose,
+    identity_cert,
     inner_derivation,
     is_homomorphism,
     restrict_map,
     satisfies_derivation,
     satisfies_g_derivation,
 )
+from lya.theorems import default_catalog_reports
 from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary
 
 E, F, H = 0, 1, 2
@@ -99,6 +102,32 @@ def test_certify_identity():
         a = catalog(name)
         cert = certify_automorphism(a, LinMap.identity(a.dim))
         assert cert.inverse == LinMap.identity(a.dim)
+
+
+def test_identity_cert_is_built_and_checked_once_per_dimension(monkeypatch):
+    """The inverse check runs once per dimension; algebras of one dimension
+    share the certificate."""
+    algebras = [catalog(name) for name in CATALOG_NAMES]
+    maps._identity_cert.cache_clear()
+    calls = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    for a in algebras:
+        cert = identity_cert(a)
+        assert cert.map == cert.inverse == LinMap.identity(a.dim)
+    assert len(calls) == 2 * len({a.dim for a in algebras})
+    assert identity_cert(catalog("sl2")) is identity_cert(catalog("h3"))
+
+
+def test_verify_suite_matrix_products(monkeypatch):
+    """One ``verify suite`` makes 94 ``Matrix.mul`` calls: 26 identity
+    certificates over 3 dimensions check their inverse 3 times, not 26."""
+    maps._identity_cert.cache_clear()
+    calls = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    default_catalog_reports()
+    assert len(calls) == 94
 
 
 def test_certify_negated_identity_on_lts():
