@@ -29,6 +29,7 @@ from .derivations import (
 )
 from .structure import center, derived_algebra
 from .theorems import (
+    CHECKS,
     CheckSpec,
     default_catalog_reports,
     reports_pass,
@@ -77,7 +78,7 @@ def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path |
     """A map or subspace from a reference: a literal (``id``/``neg`` or
     ``full``/``zero``), a file path (relative to ``base``, a config's folder,
     when one is given), or a config's ``{"file": ...}`` or inline
-    ``{"matrix": ...}``/``{"basis": ...}``."""
+    ``{"matrix": ...}``/``{"basis": ...}``.  An empty path names no file."""
     inline, size, parse = _INLINE[kind]
     if isinstance(ref, str) and (kind, ref) in _LITERALS:
         return _LITERALS[kind, ref](algebra.dim)
@@ -87,6 +88,8 @@ def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path |
             raise InputError(f"a config 'file' reference must be a string, got {ref!r}")
     elif isinstance(ref, dict) and inline in ref:
         return parse({size: algebra.dim, inline: ref[inline]})
+    if ref == "":
+        raise InputError(f"empty {kind} reference")
     if not isinstance(ref, str):
         raise InputError(f"cannot resolve {kind} reference {ref!r}")
     return parse(session.load(ref if base is None else str(base / ref)))
@@ -106,14 +109,19 @@ def _text(raw: dict, key: str) -> str:
 
 def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = None) -> CheckSpec:
     """A check from a dict keyed by ``CheckSpec``'s fields: a config entry,
-    or the flags of ``verify <prop>``."""
+    or the flags of ``verify <prop>``.  A field the check does not take is
+    refused before any reference is read."""
     if not isinstance(raw, dict) or "prop" not in raw:
         raise InputError("each check needs at least a 'prop' field")
     for key in raw:
         if key not in CheckSpec._fields:
             raise InputError(f"unknown check field {key!r}")
     spec = {key: _text(raw, key) for key in ("prop", "label") if key in raw}
-    spec["prop"] = spec["prop"].upper()
+    prop = spec["prop"] = spec["prop"].upper()
+    if prop in CHECKS:
+        for key in raw:
+            if key not in ("prop", "label", *CHECKS[prop][1]):
+                raise InputError(f"{prop} takes no field {key!r}")
     for key in ("theta", "vartheta"):
         if key in raw:
             spec[key] = certify_automorphism(algebra,
@@ -241,17 +249,22 @@ def _cmd_verify(args, session, out) -> int:
             raise InputError("verify needs an algebra file (except 'verify suite')")
         algebra = _load_algebra(session, args.algebra)
         if prop != "all":
-            raws = [{key: getattr(args, key) for key in CheckSpec._fields
-                     if getattr(args, key) is not None} | {"prop": prop}]
-            base = None
+            specs = [_check_spec(session, {key: getattr(args, key) for key in CheckSpec._fields
+                                           if getattr(args, key) is not None} | {"prop": prop},
+                                 algebra)]
         elif not args.config:
             raise InputError("verify all needs --config FILE")
         else:
             config = session.load(args.config)
             if not isinstance(config, dict) or not isinstance(config.get("checks"), list):
                 raise InputError("config must be an object with a 'checks' list")
-            raws, base = config["checks"], Path(args.config).parent
-        reports = verify_all(algebra, [_check_spec(session, raw, algebra, base) for raw in raws])
+            specs = []
+            for k, raw in enumerate(config["checks"]):
+                try:
+                    specs.append(_check_spec(session, raw, algebra, Path(args.config).parent))
+                except InputError as exc:
+                    raise InputError(f"checks[{k}]: {exc}") from exc
+        reports = verify_all(algebra, specs)
     result = {"reports": [ser.report_to_dict(r) for r in reports],
               "all_pass": reports_pass(reports)}
     _emit(out, "verify", session, result, args.out)

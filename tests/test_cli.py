@@ -509,11 +509,16 @@ def test_non_list_entry_fields_exit_2(tmp_path, verb, data, field):
     assert "result" not in report
 
 
-def run_config(sl2_file, tmp_path, check):
+def run_json_config(sl2_file, tmp_path, check):
     cfg = tmp_path / "config.json"
     save_json_file(cfg, {"checks": [check]})
     code, report = run_json("verify", "all", str(sl2_file), "--config", str(cfg))
     assert "result" not in report
+    return code, report
+
+
+def run_config(sl2_file, tmp_path, check):
+    code, report = run_json_config(sl2_file, tmp_path, check)
     return code, report["error"]
 
 
@@ -533,7 +538,7 @@ def test_unknown_config_field_exits_2(sl2_file, tmp_path):
     theta = id and pass."""
     code, error = run_config(sl2_file, tmp_path, {"prop": "p35", "thetaa": "neg"})
     assert code == 2
-    assert error == "unknown check field 'thetaa'"
+    assert error == "checks[0]: unknown check field 'thetaa'"
 
 
 @pytest.mark.parametrize("check,field", [
@@ -547,7 +552,53 @@ def test_unknown_config_field_exits_2(sl2_file, tmp_path):
 def test_non_string_config_field_exits_2(sl2_file, tmp_path, check, field):
     code, error = run_config(sl2_file, tmp_path, check)
     assert code == 2
-    assert error.startswith(f"check field {field!r} must be a string")
+    assert error.startswith(f"checks[0]: check field {field!r} must be a string")
+
+
+def test_config_error_names_its_entry(sl2_file, tmp_path):
+    """An input error in a config names the entry it comes from; the same
+    error from flags has no position."""
+    cfg = tmp_path / "config.json"
+    save_json_file(cfg, {"checks": [{"prop": "p35"}, {"prop": "t32", "label": "x"},
+                                    {"prop": "p37", "subspace": "full", "g": 1, "h": "0,0,0"}]})
+    code, report = run_json("verify", "all", str(sl2_file), "--config", str(cfg))
+    assert code == 2
+    assert report["error"] == "checks[2]: check field 'g' must be a string, got 1"
+    save_json_file(cfg, {"checks": [{"prop": "p35"}, 7]})
+    _, report = run_json("verify", "all", str(sl2_file), "--config", str(cfg))
+    assert report["error"] == "checks[1]: each check needs at least a 'prop' field"
+    code, report = run_json("verify", "p36", str(sl2_file), "--subspace", str(tmp_path / "no.json"))
+    assert code == 2 and report["error"].startswith("cannot read ")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("verify", "p31", "sl2.json", "--subspace", "full"), "P31 takes no field 'subspace'"),
+    (("verify", "p35", "sl2.json", "--vartheta", "chev.json"), "P35 takes no field 'vartheta'"),
+    (("verify", "t32", "sl2.json", "--label", "x", "--g", "1,0,0"), "T32 takes no field 'g'"),
+    (("verify", "p34", "sl2.json", "--map", "id", "--subspace", "zero"),
+     "P34 takes no field 'subspace'"),
+])
+def test_field_the_check_does_not_take_exits_2(tmp_path, monkeypatch, argv, error):
+    """A flag the check would ignore is refused before any file is read."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    save_json_file("chev.json", SL2_FILES["chev"])
+    code, report = run_json(*argv)
+    assert (code, report["error"]) == (2, error)
+    assert [item["path"] for item in report["inputs"]] == ["sl2.json"]
+
+
+@pytest.mark.parametrize("check,error", [
+    ({"prop": "p35", "vartheta": "neg"}, "checks[0]: P35 takes no field 'vartheta'"),
+    ({"prop": "p35", "vartheta": "chev.json"}, "checks[0]: P35 takes no field 'vartheta'"),
+    ({"prop": "p38", "label": "x", "subspace": "full", "g1": "0,0,1", "g2": "0,0,1", "h": "1,0,0"},
+     "checks[0]: P38 takes no field 'h'"),
+])
+def test_config_field_the_check_does_not_take_exits_2(sl2_file, tmp_path, check, error):
+    save_json_file(tmp_path / "chev.json", SL2_FILES["chev"])
+    code, report = run_json_config(sl2_file, tmp_path, check)
+    assert (code, report["error"]) == (2, error)
+    assert len(report["inputs"]) == 2  # the algebra and the config only
 
 
 SL2_FILES = {
@@ -609,24 +660,38 @@ def test_flags_and_config_entry_give_the_same_check(tmp_path, monkeypatch, prop,
     assert read_by_config == (by_flags["inputs"][:1] if style == "inline" else by_flags["inputs"])
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "p35", "sl2.json", "--theta", ""),
-    ("gder", "sl2.json", "--theta", ""),
-    ("verify", "all", "sl2.json", "--config", "config.json"),
-    ("verify", "p36", "sl2.json", "--subspace", ""),
-    ("stabilizer", "sl2.json", "--subspace", ""),
-])
-def test_empty_reference_is_the_same_input_error_in_every_form(tmp_path, monkeypatch, argv):
-    """An empty reference names no file: ``verify <prop>`` no longer reads
-    it as an absent flag."""
+EMPTY_REFERENCES = [
+    (("verify", "p35", "sl2.json", "--theta", ""), "empty map reference"),
+    (("gder", "sl2.json", "--theta", ""), "empty map reference"),
+    (("verify", "all", "sl2.json", "--config", "config.json"), "checks[0]: empty map reference"),
+    (("verify", "p36", "sl2.json", "--subspace", ""), "empty subspace reference"),
+    (("stabilizer", "sl2.json", "--subspace", ""), "empty subspace reference"),
+    (("gder", "sl2.json", "--vartheta", ""), "empty map reference"),
+    (("stabilizer", "sl2.json", "--theta", "", "--subspace", "full"), "empty map reference"),
+    (("quasi", "sl2.json", "--map", ""), "empty map reference"),
+    (("dhat", "sl2.json", "--map", ""), "empty map reference"),
+    (("dhat", "sl2.json", "--map", "id", "--theta", ""), "empty map reference"),
+    (("verify", "p34", "sl2.json", "--map", ""), "empty map reference"),
+    (("verify", "all", "sl2.json", "--config", "cfg/file.json"),
+     "checks[1]: empty subspace reference"),
+]
+
+
+@pytest.mark.parametrize("argv,error", [pytest.param(*case, id=f"argv{k}")
+                                        for k, case in enumerate(EMPTY_REFERENCES)])
+def test_empty_reference_is_the_same_input_error_in_every_form(tmp_path, monkeypatch, argv,
+                                                               error):
+    """An empty reference names no file, as a flag, a config field or a
+    config's ``{"file": ""}``: the error says so, and names no folder."""
     monkeypatch.chdir(tmp_path)
     run_cli("export", "sl2", "--out", "sl2.json")
     save_json_file("config.json", {"checks": [{"prop": "p35", "theta": ""}]})
+    Path("cfg").mkdir()
+    save_json_file("cfg/file.json", {"checks": [{"prop": "p35"},
+                                                {"prop": "p36", "subspace": {"file": ""}}]})
     code, report = run_json(*argv)
-    assert code == 2
-    _, gder = run_json("gder", "sl2.json", "--theta", "")
-    assert report["error"] == gder["error"]
-    assert report["error"].startswith("cannot read .: ")
+    assert (code, report["error"]) == (2, error)
+    assert report["inputs"][0]["path"] == "sl2.json" and len(report["inputs"]) <= 2
 
 
 @pytest.mark.parametrize("argv", [

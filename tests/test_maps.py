@@ -120,14 +120,15 @@ def test_identity_cert_is_built_and_checked_once_per_dimension(monkeypatch):
 
 
 def test_verify_suite_matrix_products(monkeypatch):
-    """One ``verify suite`` makes 94 ``Matrix.mul`` calls: 26 identity
-    certificates over 3 dimensions check their inverse 3 times, not 26."""
+    """One ``verify suite`` makes 96 ``Matrix.mul`` calls: 26 identity
+    certificates over 3 dimensions check their inverse 3 times, not 26, and
+    each of the two P37 checks forms its preimages in one product."""
     maps._identity_cert.cache_clear()
     calls = []
     mul = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
     default_catalog_reports()
-    assert len(calls) == 94
+    assert len(calls) == 96
 
 
 def test_certify_negated_identity_on_lts():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -377,6 +378,17 @@ def test_verify_all_records_precondition_rejection():
     assert reports_pass(reports)
 
 
+def test_verify_all_calls_the_verifier_the_module_holds(monkeypatch):
+    """A wrapper set on a verifier's module attribute, as lyabench's tracer
+    sets one, is the function a check runs."""
+    calls = []
+    verify = theorems.verify_p35
+    monkeypatch.setattr(theorems, "verify_p35", lambda *args: calls.append(args) or verify(*args))
+    sl2 = catalog("sl2")
+    assert verify_all(sl2, [CheckSpec("P35", "x")]) == [verify_p35(sl2, identity_cert(sl2), "x")]
+    assert len(calls) == 1
+
+
 def test_verify_all_orders_reports_deterministically():
     sl2 = catalog("sl2")
     checks = [
@@ -614,3 +626,170 @@ def test_t32_makes_a_linear_number_of_fraction_products(monkeypatch):
     report = verify_t32(a, theta)
     assert report.conclusion_holds and report.details["twisted_dim"] == 4
     assert len(calls) == 4
+
+
+# -- pinned reports of the failing branches ---------------------------------------
+#
+# The suite passes every check, so its digest never reaches the code that
+# builds a failing hypothesis or a witness.  Each case below reaches one such
+# branch, honestly where an instance exists and through a patched solver or
+# oracle otherwise; its canonical report is pinned.
+
+BRANCH_CASES = {}
+
+
+def branch_case(digest):
+    def register(case):
+        BRANCH_CASES[case.__name__] = (case, digest)
+        return case
+    return register
+
+
+def h3_scaled():
+    """h3 with theta = diag(2, 1, 2), and a twisted derivation whose twist
+    defect is not central."""
+    h3 = catalog("h3")
+    theta = certify_automorphism(h3, LinMap.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    return h3, theta, g_derivation_space(h3, theta, identity_cert(h3)).maps()[1]
+
+
+def sum_blocks():
+    a = catalog("sl2_plus_ab1")
+    return (a, identity_cert(a), Subspace.span(4, [vunit(4, 0), vunit(4, 1), vunit(4, 2)]),
+            Subspace.span(4, [vunit(4, 3)]))
+
+
+@branch_case("c3acaa2afa5597c0676656fe7fc99e0365f090cd00e87a3ae93006aafbe4206d")
+def p31_paired_space_gains_a_map(patch):
+    solve = theorems.g_derivation_space
+    patch(g_derivation_space=lambda *args: corrupted(solve(*args), "add"))
+    sl2 = catalog("sl2")
+    return verify_p31(sl2, chevalley_cert(), identity_cert(sl2), "paired+1")
+
+
+@branch_case("b3cf2f8d047bc31ab531fa00866e5e90ba2052cfaeca031f55848ee7326ecff5")
+def p31_target_space_gains_a_map(patch):
+    solve = theorems.single_twist_space
+    patch(single_twist_space=lambda *args: corrupted(solve(*args), "add"))
+    sl2 = catalog("sl2")
+    return verify_p31(sl2, chevalley_cert(), identity_cert(sl2), "target+1")
+
+
+@branch_case("b481608f49c115034dfa0c92a962a663a2ea317954330d522b0b3ff6815c2925")
+def p33_theta_does_not_commute(patch):
+    return verify_p33(catalog("sl2"), chevalley_cert(), "chevalley")
+
+
+@branch_case("bf993f96ebd143588309e90b13433005e31ac3b11a9e699e718bd87d7fa12573")
+def p34_defect_not_central(patch):
+    h3, theta, d_map = h3_scaled()
+    return verify_p34(h3, d_map, theta, "premise")
+
+
+@branch_case("df6a261af4a6be5d8aba2091d9d1fd0c537dd36d9a1680b3fffb07f2eb81ac2c")
+def p34_derived_vector_outside_the_kernel(patch):
+    patch(center=lambda a: Subspace.full(a.dim),
+          derived_algebra=lambda a: Subspace.span(3, [vunit(3, 0), vunit(3, 1)]))
+    h3, theta, d_map = h3_scaled()
+    return verify_p34(h3, d_map, theta, "vector")
+
+
+@branch_case("c03d6a4d8b08d1069277478be3724b16afb3437b65e694138f46b4594bda38e1")
+def p34_perfect_with_a_vector_outside_the_kernel(patch):
+    patch(center=lambda a: Subspace.full(a.dim), derived_algebra=lambda a: Subspace.full(a.dim))
+    h3, theta, d_map = h3_scaled()
+    return verify_p34(h3, d_map, theta, "perfect vector")
+
+
+@branch_case("f4125d23d7adf2017990f395cc3ff6c55d31d66498a8af05fa6d58386d4bb378")
+def p34_perfect_with_a_nonzero_defect(patch):
+    patch(center=lambda a: Subspace.full(a.dim), derived_algebra=lambda a: Subspace.full(a.dim),
+          nullspace=lambda m: Subspace.full(3))
+    h3, theta, d_map = h3_scaled()
+    return verify_p34(h3, d_map, theta, "defect")
+
+
+def stabilizer_branch(patch, how, block):
+    solve = theorems._stabilizer_space
+    patch(_stabilizer_space=lambda *args: corrupted(solve(*args), how))
+    a, theta, sl2_block, ab_block = sum_blocks()
+    h = sl2_block if block == "sl2" else ab_block
+    return verify_p36(a, theta, h, f"{block} {how}")
+
+
+@branch_case("6e2a5b797f2695a504b5bd9300a6ad9d61b5a9b27a630f56380303602e7dba25")
+def p36_not_contained(patch):
+    return stabilizer_branch(patch, "add", "ab")
+
+
+@branch_case("807b932f15cddcc192ebb75546f9984be137d35a4037c6ecc4577aa90d924652")
+def p36_perfect_but_unequal(patch):
+    return stabilizer_branch(patch, "drop", "sl2")
+
+
+@branch_case("d4e378fd2ed794203b863057e1bae1d898897ddd839f899dbd59020b25f8ea94")
+def p36_perfect_and_not_contained(patch):
+    return stabilizer_branch(patch, "add", "sl2")
+
+
+@branch_case("5c4c3d8291434d346d57d06f500f92051dd046779696053b9ada372a96cfec66")
+def p37_inner_map_escapes(patch):
+    sl2 = catalog("sl2")
+    return verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
+                      vunit(3, F), vunit(3, H), "escape")
+
+
+@branch_case("ff8546eed51a9f4ec72d6406cdb1064e4e9074feeace4251d5762726b3b32ff7")
+def p37_singular_restriction(patch):
+    a = catalog("abelian2")
+    return verify_p37(a, identity_cert(a), Subspace.full(2), vunit(2, 0), vunit(2, 1), "singular")
+
+
+@branch_case("32f4a8da9346847e70d999c11e8794ab01448a707c8a5bf5de475ae887895ba7")
+def p37_value_outside_the_subspace(patch):
+    rhs = theorems.dhat_ternary_rhs
+    patch(dhat_ternary_rhs=lambda *args: tuple(x + y for x, y in zip(rhs(*args), vunit(3, H))))
+    sl2 = catalog("sl2")
+    return verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
+                      vunit(3, E), vunit(3, F), "outside")
+
+
+@branch_case("f0abe48c2233b39e670c8918ac101eddf1ce74d5cae4dc12c67866bfde1ceada")
+def p38_some_maps_survive(patch):
+    a, theta, _, ab_block = sum_blocks()
+    return verify_p38(a, theta, ab_block, vunit(4, 3), vunit(4, 0), "survivors")
+
+
+@branch_case("00803e5b19078670a2e4fde4732f4517733d009b7c62dabdc90481fd0dfcb2ec")
+def p38_restriction_is_no_quasi_derivation(patch):
+    patch(is_quasi_derivation=lambda *args: None)
+    a = catalog("abelian2")
+    return verify_p38(a, identity_cert(a), Subspace.zero(2), vzero(2), vzero(2), "quasi")
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_failing_branch_reports_are_pinned(monkeypatch, name):
+    """The canonical JSON of each failing-branch report, as the verifiers
+    wrote it before they were simplified."""
+    from lya.serialize import canonical_json, report_to_dict
+
+    def patch(**names):
+        for attr, value in names.items():
+            monkeypatch.setattr(theorems, attr, value)
+
+    case, digest = BRANCH_CASES[name]
+    text = canonical_json(report_to_dict(case(patch)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,basis,labels", [
+    ("sl2_plus_ab1", [(1, 0, 0, 0), (0, 0, 0, 1)], ("e", "a1")),
+    ("sl2_plus_ab1", [(1, 0, 0, 0), (0, 0, 1, 1)], ("e", "b2")),
+    ("abelian3", [(1, 1, 0), (0, 0, 1)], ("b1", "a3")),
+    ("abelian3", [(1, 0, 1), (0, 1, 2)], ("b1", "b2")),
+])
+def test_extracted_labels_name_unit_rows_only(name, basis, labels):
+    """A unit row keeps its basis label; any other row is b<position>."""
+    a = catalog(name)
+    h = Subspace.span(a.dim, [tuple(Fraction(x) for x in row) for row in basis])
+    assert extract_subalgebra(a, h).labels == labels
