@@ -29,8 +29,8 @@ from .derivations import (
 )
 from .structure import center, derived_algebra
 from .theorems import (
-    CHECKS,
     CheckSpec,
+    check_fields,
     default_catalog_reports,
     reports_pass,
     verify_all,
@@ -46,11 +46,14 @@ class _Session:
 
     def __init__(self):
         self.inputs: list[dict] = []
+        self._read: dict[str, object] = {}
 
-    def load(self, path: str) -> dict:
-        raw, data = ser.read_json_file(path)
-        self.inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
-        return data
+    def load(self, path: str):
+        """The JSON value in the file; each path string is read and listed once."""
+        if path not in self._read:
+            raw, self._read[path] = ser.read_json_file(path)
+            self.inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+        return self._read[path]
 
 
 def _emit(out, verb: str, session: _Session, result, out_path: str | None = None) -> None:
@@ -109,19 +112,16 @@ def _text(raw: dict, key: str) -> str:
 
 def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = None) -> CheckSpec:
     """A check from a dict keyed by ``CheckSpec``'s fields: a config entry,
-    or the flags of ``verify <prop>``.  A field the check does not take is
-    refused before any reference is read."""
+    or the flags of ``verify <prop>``.  The fields are checked against the
+    check (:func:`~lya.theorems.check_fields`) before any reference is read."""
     if not isinstance(raw, dict) or "prop" not in raw:
         raise InputError("each check needs at least a 'prop' field")
     for key in raw:
         if key not in CheckSpec._fields:
             raise InputError(f"unknown check field {key!r}")
     spec = {key: _text(raw, key) for key in ("prop", "label") if key in raw}
-    prop = spec["prop"] = spec["prop"].upper()
-    if prop in CHECKS:
-        for key in raw:
-            if key not in ("prop", "label", *CHECKS[prop][1]):
-                raise InputError(f"{prop} takes no field {key!r}")
+    spec["prop"] = spec["prop"].upper()
+    check_fields(spec["prop"], list(raw))
     for key in ("theta", "vartheta"):
         if key in raw:
             spec[key] = certify_automorphism(algebra,

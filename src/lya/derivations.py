@@ -49,8 +49,8 @@ from .exactlin import (
     vscale,
     vzero,
 )
-from .lyalg import (LYAlgebra, _first_failure, _product, _summed, _tensor_form, _transport,
-                    _vector_at)
+from .lyalg import (Keyed, LYAlgebra, _columns, _first_failure, _summed, _tensor_form,
+                    _transport, _vector_at)
 from .maps import (
     AutCert,
     LinMap,
@@ -307,9 +307,9 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     for f in result.maps():
         if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
-        # Tested with coordinates(), not the Subspace.reduce the solve used, so
-        # a fault in one cannot hide itself.
-        if any(coordinates(h, f.apply(b)) is None for b in h.basis):
+        # Tested in integers by contains_vector, not by the Fraction residues
+        # the solve read, so a fault in one cannot hide itself.
+        if not all(h.contains_vector(f.apply(b)) for b in h.basis):
             raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
     return result
 
@@ -349,23 +349,42 @@ class DhatResult(Record):
         return self.map is not None
 
 
+def _prescriptions(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> tuple[Keyed, Keyed]:
+    """The hat map's prescribed images as multilinear forms, transported on
+    the stored integer form: at (i, j) the image 2D[e_i, e_j] + [De_j, θe_i]
+    + [θe_j, De_i] of the binary product, and at (i, j, k) the image
+    3D{e_i, e_j, e_k} + {De_i, θe_j, e_k} + {e_i, De_j, θe_k} + {θe_i, e_j, De_k}
+    of the ternary one."""
+    m, t = d_map.matrix, theta.matrix
+    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
+    # [De_j, θe_i] + [θe_j, De_i] is the (D, θ) plus the (θ, D) transport
+    # read at the swapped key (j, i).
+    scale, mixed = _summed([(1, _transport(binary, (m, t))), (1, _transport(binary, (t, m)))])
+    swapped = (scale, {(j, i, l): x for (i, j, l), x in mixed.items()})
+    return (_summed([(2, _transport(binary, (None, None), m)), (1, swapped)]),
+            _summed([(3, _transport(ternary, (None, None, None), m)),
+                     (1, _transport(ternary, (m, t, None))),
+                     (1, _transport(ternary, (None, m, t))),
+                     (1, _transport(ternary, (t, None, m)))]))
+
+
+def _values(form: Keyed, n: int, fixed: Sequence[Vec], last: Sequence[Vec]) -> list[Vec]:
+    """A multilinear form at (fixed..., y) for each y in ``last``, from one
+    transport."""
+    keyed = _transport(form, [_columns(n, [v]) for v in fixed] + [_columns(n, last)])
+    return [_vector_at(keyed, (0,) * len(fixed) + (k,), n) for k in range(len(last))]
+
+
 def dhat_binary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
                     g: Vec, h: Vec) -> Vec:
     """Prescribed image of the binary product of (g, h)."""
-    val = vscale(2, d_map.apply(_product(algebra, (g, h))))
-    val = vadd(val, _product(algebra, (d_map.apply(h), theta.apply(g))))
-    val = vadd(val, _product(algebra, (theta.apply(h), d_map.apply(g))))
-    return val
+    return _values(_prescriptions(algebra, d_map, theta)[0], algebra.dim, [g], [h])[0]
 
 
 def dhat_ternary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
                      g: Vec, h: Vec, i: Vec) -> Vec:
     """Prescribed image of the ternary product of (g, h, i)."""
-    val = vscale(3, d_map.apply(_product(algebra, (g, h, i))))
-    val = vadd(val, _product(algebra, (d_map.apply(g), theta.apply(h), i)))
-    val = vadd(val, _product(algebra, (g, d_map.apply(h), theta.apply(i))))
-    val = vadd(val, _product(algebra, (theta.apply(g), h, d_map.apply(i))))
-    return val
+    return _values(_prescriptions(algebra, d_map, theta)[1], algebra.dim, [g, h], [i])[0]
 
 
 def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
@@ -384,12 +403,13 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     n = algebra.dim
     if d_map.dim != n:
         raise InputError("map dimension does not match the algebra")
-    forms = {"binary": _tensor_form(algebra, 2), "ternary": _tensor_form(algebra, 3)}
+    products = {"binary": _tensor_form(algebra, 2), "ternary": _tensor_form(algebra, 3)}
+    images = dict(zip(products, _prescriptions(algebra, d_map, theta.map)))
     # Every generator, zeros included: their order fixes the clash terms.
     tags = [("binary", i, j) for i in range(n) for j in range(i + 1, n)]
     tags += [("ternary", *idx) for idx in itertools.product(range(n), repeat=3)]
-    gens = [_vector_at(forms[tag[0]], tag[1:], n) for tag in tags]
-    rhs = _dhat_rhs(algebra, d_map, theta.map)
+    gens = [_vector_at(products[tag[0]], tag[1:], n) for tag in tags]
+    rhs = [_vector_at(images[tag[0]], tag[1:], n) for tag in tags]
     r = rref(Matrix(len(gens), 2 * n, tuple(g + y for g, y in zip(gens, rhs)))).entries
     if any(vis_zero(row[:n]) for row in r):
         for lam in _kernel(Matrix(n, len(gens), tuple(zip(*gens)))):
@@ -405,23 +425,3 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
         raise InternalCheckError("product vector escaped the derived algebra")
     matrix = Matrix(w.dim, n, tuple(row[n:] for row in r)).transpose()
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)
-
-
-def _dhat_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> list[Vec]:
-    """:func:`dhat_binary_rhs` and :func:`dhat_ternary_rhs` on every product
-    generator, in generator order, transported on the stored integer form."""
-    n = algebra.dim
-    m, t = d_map.matrix, theta.matrix
-    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
-    # [D e_j, theta e_i] + [theta e_j, D e_i] is the (D, theta) plus the
-    # (theta, D) transport read at the swapped key (j, i).
-    scale, mixed = _summed([(1, _transport(binary, (m, t))), (1, _transport(binary, (t, m)))])
-    swapped = (scale, {(j, i, l): x for (i, j, l), x in mixed.items()})
-    binary_rhs = _summed([(2, _transport(binary, (None, None), m)), (1, swapped)])
-    ternary_rhs = _summed([(3, _transport(ternary, (None, None, None), m)),
-                           (1, _transport(ternary, (m, t, None))),
-                           (1, _transport(ternary, (None, m, t))),
-                           (1, _transport(ternary, (t, None, m)))])
-    rhs = [_vector_at(binary_rhs, (i, j), n) for i in range(n) for j in range(i + 1, n)]
-    rhs += [_vector_at(ternary_rhs, idx, n) for idx in itertools.product(range(n), repeat=3)]
-    return rhs

@@ -186,22 +186,23 @@ def _integer_product(a: Sequence[list[int]], b: Sequence[list[int]], cols: int) 
     return [[sum(map(operator.mul, r, c)) for c in bt] for r in a]
 
 
-def _integer_basis(basis: Sequence[Vec]) -> list[tuple[int, list[int]]]:
-    """A reduced echelon basis as (pivot, row cleared by :func:`_integer_row`)
-    pairs, the form :func:`_member` reads."""
-    return [(p, _integer_row(r)) for p, r in zip(pivot_cols(basis), basis)]
+def _integer_basis(basis: Sequence[Vec]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """A reduced echelon basis cleared once: its common scale S and each
+    basis vector's (pivot, S times the vector), the form :func:`_member` reads."""
+    scale, rows = _common_scale(basis)
+    return scale, list(zip(pivot_cols(basis), rows))
 
 
-def _member(basis: Sequence[tuple[int, list[int]]], w: Sequence[int]) -> bool:
+def _member(basis: tuple[int, Sequence[tuple[int, list[int]]]], w: Sequence[int]) -> bool:
     """Whether the integer vector w lies in the span of an :func:`_integer_basis`.
 
-    Each row clears w at its pivot, fraction-free; the other rows are zero
-    there, so w is a member exactly when nothing is left.
+    The basis vectors are zero at each other's pivots, so w's only candidate
+    combination has w[p] as the coefficient of the vector with pivot p: w
+    is a member exactly when S w = sum of w[p] S b over the basis.
     """
-    for p, r in basis:
-        if w[p] and (w := _eliminate(w, r, r[p], w[p])) is None:
-            return True
-    return not any(w)
+    scale, rows = basis
+    terms = [(w[p], r) for p, r in rows if w[p]]
+    return all(scale * x == sum(c * r[j] for c, r in terms) for j, x in enumerate(w))
 
 
 def _eliminate(row: list[int], prow: list[int], a: int, b: int) -> list[int] | None:
@@ -407,14 +408,15 @@ class Subspace(Record):
         return w
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Residue of v after elimination against the basis; zero iff v is a member."""
-        w = list(self._vector(v))
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c != 0:
-                for j in range(self.ambient_dim):
-                    w[j] -= c * row[j]
-        return tuple(w)
+        """Residue of v against the basis, zero iff v is a member.
+
+        The basis vectors are zero at each other's pivots, so v's
+        coefficients are read off as its entries at the pivots: the residue
+        is v minus the sum of v[p] times the basis vector with pivot p.
+        """
+        w = self._vector(v)
+        terms = [(w[p], row) for p, row in zip(self.pivots, self.basis) if w[p]]
+        return tuple(x - sum((c * row[j] for c, row in terms), ZERO) for j, x in enumerate(w))
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         """Membership, tested in integers by :func:`_member`."""
@@ -422,18 +424,10 @@ class Subspace(Record):
 
 
 def coordinates(s: Subspace, v: Sequence[Scalar]) -> Vec | None:
-    """Coefficients of v in s's canonical basis, or None when v is outside s."""
-    w = list(s._vector(v))
-    coords = []
-    for row, p in zip(s.basis, s.pivots):
-        c = w[p]
-        coords.append(c)
-        if c != 0:
-            for j in range(s.ambient_dim):
-                w[j] -= c * row[j]
-    if not vis_zero(tuple(w)):
-        return None
-    return tuple(coords)
+    """Coefficients of v in s's canonical basis, or None when v is outside s:
+    v's entries at the pivots, when its :meth:`Subspace.reduce` residue vanishes."""
+    w = s._vector(v)
+    return None if any(s.reduce(w)) else tuple(w[p] for p in s.pivots)
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Matrix, Scalar, Vec, vec, vec_strs, vzero
+from .exactlin import Matrix, Scalar, Vec, _common_scale, vec, vec_strs, vzero
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
@@ -114,9 +114,8 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     for s, m in slots:
         if m is None:
             continue
-        m_scale = math.lcm(*{x.denominator for row in m.entries for x in row})
-        spread = [[(i, x.numerator * (m_scale // x.denominator)) for i, x in enumerate(row) if x]
-                  for row in m.entries]
+        m_scale, rows = _common_scale(m.entries)
+        spread = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
         if m_scale == 1 and all(w == [(a, 1)] for a, w in enumerate(spread)):
             continue
         scale *= m_scale

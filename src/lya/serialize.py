@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InputError
 from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vscale, vzero
 from .lyalg import (Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _nonzero_vectors,
                     _tensor_form)
 from .maps import LinMap
-from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
-from .theorems import PropReport
+
+if TYPE_CHECKING:
+    from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
+    from .theorems import PropReport
 
 
 def strs_vec(items: Sequence, expect_len: int | None = None) -> Vec:
@@ -69,6 +71,34 @@ def _get_entries(data: dict, key: str) -> list:
     return entries
 
 
+# Each entry kind: its number of indices, whether the first two must rise,
+# and how an index out of range reads.
+_ENTRY_KINDS = {
+    "binary": (2, True, "indices must satisfy 0 <= i < j < dim, got "),
+    "ternary": (3, True, "indices must satisfy 0 <= i < j < dim and 0 <= k < dim, got "),
+    "product": (2, False, "indices out of range: "),
+}
+
+
+def _entry_vectors(data: dict, kind: str, n: int) -> dict[tuple[int, ...], Vec]:
+    """The coefficient vectors of a file's ``kind`` entries, [i, j, coeffs]
+    or [i, j, k, coeffs], keyed by their indices; each entry's shape,
+    indices, range and uniqueness are checked in that order."""
+    arity, rising, out_of_range = _ENTRY_KINDS[kind]
+    vectors: dict[tuple[int, ...], Vec] = {}
+    for entry in _get_entries(data, kind):
+        _require(isinstance(entry, list) and len(entry) == arity + 1,
+                 f"{kind} entry must be [{', '.join('ijk'[:arity])}, coeffs]")
+        *idx, coeffs = entry
+        idx = tuple(idx)
+        _require(all(_is_int(x) for x in idx), f"{kind} indices must be integers")
+        _require(all(0 <= x < n for x in idx) and (idx[0] < idx[1] or not rising),
+                 f"{kind} {out_of_range}{idx}")
+        _require(idx not in vectors, f"duplicate {kind} entry {idx}")
+        vectors[idx] = strs_vec(coeffs, n)
+    return vectors
+
+
 def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
     """An algebra file's dimension, labels and nonzero product vectors by
     basis tuple.
@@ -79,32 +109,14 @@ def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
     """
     n = _get_dim(data)
     labels = _get_labels(data, n)
-    binary, ternary = {}, {}
-    seen_binary = set()
-    for entry in _get_entries(data, "binary"):
-        _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
-        i, j, coeffs = entry
-        _require(_is_int(i) and _is_int(j), "binary indices must be integers")
-        _require(0 <= i < j < n, f"binary indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
-        _require((i, j) not in seen_binary, f"duplicate binary entry ({i}, {j})")
-        seen_binary.add((i, j))
-        v = strs_vec(coeffs, n)
-        if any(v):
-            binary[i, j], binary[j, i] = v, vscale(-1, v)
-    seen_ternary = set()
-    for entry in _get_entries(data, "ternary"):
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "ternary entry must be [i, j, k, coeffs]")
-        i, j, k, coeffs = entry
-        _require(all(_is_int(x) for x in (i, j, k)), "ternary indices must be integers")
-        _require(0 <= i < j < n and 0 <= k < n,
-                 f"ternary indices must satisfy 0 <= i < j < dim and 0 <= k < dim, got ({i}, {j}, {k})")
-        _require((i, j, k) not in seen_ternary, f"duplicate ternary entry ({i}, {j}, {k})")
-        seen_ternary.add((i, j, k))
-        v = strs_vec(coeffs, n)
-        if any(v):
-            ternary[i, j, k], ternary[j, i, k] = v, vscale(-1, v)
-    return n, labels, binary, ternary
+    products = []
+    for kind in ("binary", "ternary"):
+        part = {}
+        for (i, j, *k), v in _entry_vectors(data, kind, n).items():
+            if any(v):
+                part[(i, j, *k)], part[(j, i, *k)] = v, vscale(-1, v)
+        products.append(part)
+    return n, labels, *products
 
 
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Form]:
@@ -143,16 +155,8 @@ def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
     """Product entries [i, j, coeffs] with no symmetry assumed."""
     n = _get_dim(data)
     labels = _get_labels(data, n)
-    product = {}
-    seen = set()
-    for entry in _get_entries(data, "product"):
-        _require(isinstance(entry, list) and len(entry) == 3, "product entry must be [i, j, coeffs]")
-        i, j, coeffs = entry
-        _require(_is_int(i) and _is_int(j), "product indices must be integers")
-        _require(0 <= i < n and 0 <= j < n, f"product indices out of range: ({i}, {j})")
-        _require((i, j) not in seen, f"duplicate product entry ({i}, {j})")
-        seen.add((i, j))
-        product.update({(i, j, l): x for l, x in enumerate(strs_vec(coeffs, n)) if x})
+    product = {(i, j, l): x for (i, j), v in _entry_vectors(data, "product", n).items()
+               for l, x in enumerate(v) if x}
     return LeibnizAlgebra(n, labels, (1, product))
 
 

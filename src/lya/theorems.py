@@ -49,12 +49,13 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .derivations import (
+    _prescriptions,
     _solve_cache,
     _stabilizer_space,
+    _values,
     centroid,
     derivation_space,
     dhat,
-    dhat_ternary_rhs,
     g_derivation_space,
     is_quasi_derivation,
     require_stabilized_subalgebra,
@@ -329,13 +330,17 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     # row b of inv^T times the basis rows: the preimage of H's basis vector b
     preimages = inv.transpose().mul(Matrix(h.dim, n, h.basis)).entries
+    # linearity of the prescription across fixed combinations of preimages
+    weights = [(Fraction(2), Fraction(3)), (Fraction(-1), Fraction(5, 2))] if h.dim >= 2 else []
+    points = [*preimages, *(vadd(vscale(s, preimages[0]), vscale(t, preimages[1]))
+                            for s, t in weights)]
     ok = True
     witness = None
     per_map = []
     for d_map in stab.maps():
         outcome = dhat(algebra, d_map, theta)
-        values = [dhat_ternary_rhs(algebra, d_map, theta.map, gv, hv, y)
-                  for y in preimages]
+        values = _values(_prescriptions(algebra, d_map, theta.map)[1], n, [gv, hv], points)
+        values, combos = values[:h.dim], values[h.dim:]
         bad = next((v for v in values if not h.contains_vector(v)), None)
         if bad is not None:
             ok = False
@@ -343,15 +348,10 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         if outcome.consistent and any(outcome.map.apply(x) != v
                                       for x, v in zip(h.basis, values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
-        # linearity of the prescription across fixed combinations of preimages
-        if len(preimages) >= 2:
-            for s, t in ((Fraction(2), Fraction(3)), (Fraction(-1), Fraction(5, 2))):
-                y = vadd(vscale(s, preimages[0]), vscale(t, preimages[1]))
-                combo = dhat_ternary_rhs(algebra, d_map, theta.map, gv, hv, y)
-                expect = vadd(vscale(s, values[0]), vscale(t, values[1]))
-                if combo != expect:
-                    ok = False
-                    witness = {"map": _fmt_map(d_map), "linearity": False}
+        for (s, t), combo in zip(weights, combos):
+            if combo != vadd(vscale(s, values[0]), vscale(t, values[1])):
+                ok = False
+                witness = {"map": _fmt_map(d_map), "linearity": False}
         per_map.append({"globally_consistent": outcome.consistent,
                         "values_inside": bad is None})
     details = {"stab_dim": stab.dim, "per_map": per_map}
@@ -436,13 +436,24 @@ CHECKS = {
 }
 
 
+def check_fields(prop: str, given: Sequence[str]) -> None:
+    """Raise the InputError for a check ``prop`` given the CheckSpec fields
+    ``given``: an unknown check, then a field it does not take, then a
+    missing field it needs."""
+    if prop not in CHECKS:
+        raise InputError(f"unknown check {prop!r}")
+    _, fields, needs = CHECKS[prop]
+    for key in given:
+        if key not in ("prop", "label", *fields):
+            raise InputError(f"{prop} takes no field {key!r}")
+    if any(key not in given for key in fields if key not in ("theta", "vartheta")):
+        raise InputError(f"{prop} needs {needs}")
+
+
 def _run_check(algebra: LYAlgebra, spec: CheckSpec) -> PropReport:
-    if spec.prop not in CHECKS:
-        raise InputError(f"unknown check {spec.prop!r}")
-    verifier, fields, needs = CHECKS[spec.prop]
+    check_fields(spec.prop, [key for key in CheckSpec._fields if getattr(spec, key) is not None])
+    verifier, fields, _ = CHECKS[spec.prop]
     args = [getattr(spec, key) for key in fields]
-    if any(arg is None for key, arg in zip(fields, args) if key not in ("theta", "vartheta")):
-        raise InputError(f"{spec.prop} needs {needs}")
     return globals()[verifier](
         algebra, *[identity_cert(algebra) if arg is None else arg for arg in args], spec.label)
 

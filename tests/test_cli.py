@@ -432,8 +432,9 @@ def save_rebased_sum_files():
      "45ff81d5fd21af6dd0fab1768e2b5a6197a9efc7640675358870154f7a9d6da9"),
     (("gder", "sum_rebased.json", "--theta", "sum_chev.json"), 0,
      "6ade14b891d622ea2dc3bdb95c7cb438ff5d9db1472721915308256a89fb26c3"),
+    # sum_chev.json is named twice and read and listed once.
     (("gder", "sum_rebased.json", "--theta", "sum_chev.json", "--vartheta", "sum_chev.json"), 0,
-     "d345cc46b3cef15b937b7bfd08a3a852f1cc216cf84cb2058507cd604f6df847"),
+     "978fd99337ffbfa829585a628b8e968d80d35f4aee3829d3a2cbb3850ba2c239"),
     (("center", "sl2_plus_ab1.json"), 0,
      "527ed1c5a0daf5fdbe63c4b762d559e32987570d2c2ab10ea4737c2a1a7b4676"),
     (("center", "sum_rebased.json"), 0,
@@ -599,6 +600,66 @@ def test_config_field_the_check_does_not_take_exits_2(sl2_file, tmp_path, check,
     code, report = run_json_config(sl2_file, tmp_path, check)
     assert (code, report["error"]) == (2, error)
     assert len(report["inputs"]) == 2  # the algebra and the config only
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("verify", "p39", "sl2.json", "--theta", "missing.json"), "unknown check 'P39'"),
+    (("verify", "p37", "sl2.json", "--subspace", "missing.json"),
+     "P37 needs a subspace and two elements"),
+    (("verify", "p34", "sl2.json", "--theta", "missing.json"), "P34 needs a map"),
+])
+def test_check_fields_are_checked_before_any_file_is_read(tmp_path, monkeypatch, argv, error):
+    """An unknown check or a missing field is the error, not the file that
+    a reference names and that is not there."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    code, report = run_json(*argv)
+    assert (code, report["error"]) == (2, error)
+    assert [item["path"] for item in report["inputs"]] == ["sl2.json"]
+
+
+@pytest.mark.parametrize("check,error", [
+    ({"prop": "p39"}, "checks[0]: unknown check 'P39'"),
+    ({"prop": "p39", "theta": "missing.json"}, "checks[0]: unknown check 'P39'"),
+    ({"prop": "p37", "subspace": "full"}, "checks[0]: P37 needs a subspace and two elements"),
+    ({"prop": "p36", "theta": "missing.json"}, "checks[0]: P36 needs a subspace"),
+])
+def test_config_check_fields_are_checked_first(sl2_file, tmp_path, check, error):
+    """A config entry's check errors name the entry, as its other input
+    errors do, and come before any reference is read."""
+    code, report = run_json_config(sl2_file, tmp_path, check)
+    assert (code, report["error"]) == (2, error)
+    assert len(report["inputs"]) == 2  # the algebra and the config only
+
+
+def test_a_file_named_twice_is_read_and_listed_once(tmp_path, monkeypatch):
+    """Each path string is read, parsed and listed in ``inputs`` once per
+    invocation, from flags and from a config alike; another spelling of the
+    path is another input."""
+    from lya import serialize
+
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    save_json_file("chev.json", SL2_FILES["chev"])
+    save_json_file("line.json", SL2_FILES["line"])
+    reads = []
+    read = serialize.read_json_file
+    monkeypatch.setattr(serialize, "read_json_file", lambda path: reads.append(path) or read(path))
+    for vartheta, paths in (("chev.json", ["sl2.json", "chev.json"]),
+                            ("./chev.json", ["sl2.json", "chev.json", "./chev.json"])):
+        reads.clear()
+        code, report = run_json("verify", "p31", "sl2.json", "--theta", "chev.json",
+                                "--vartheta", vartheta)
+        assert code == 0 and reads == paths
+        assert [item["path"] for item in report["inputs"]] == paths
+    reads.clear()
+    save_json_file("config.json", {"checks": [
+        {"prop": "p36", "subspace": "line.json", "theta": "chev.json"},
+        {"prop": "p31", "theta": {"file": "chev.json"}, "vartheta": "chev.json"},
+        {"prop": "p36", "subspace": {"file": "line.json"}}]})
+    code, report = run_json("verify", "all", "sl2.json", "--config", "config.json")
+    assert code == 0 and reads == ["sl2.json", "config.json", "chev.json", "line.json"]
+    assert [item["path"] for item in report["inputs"]] == reads
 
 
 SL2_FILES = {

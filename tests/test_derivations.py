@@ -27,6 +27,7 @@ from lya.exactlin import (
 from lya.lyalg import (
     CATALOG_NAMES,
     LYAlgebra,
+    _vector_at,
     bracket,
     catalog,
     check_axioms,
@@ -1281,6 +1282,14 @@ def dhat_rhs_tuplewise(algebra, d_map, theta):
     return rhs
 
 
+def prescribed_images(algebra, d_map, theta):
+    """The hat map's prescription forms read at every product generator."""
+    n = algebra.dim
+    binary, ternary = derivations._prescriptions(algebra, d_map, theta)
+    rhs = [_vector_at(binary, (i, j), n) for i in range(n) for j in range(i + 1, n)]
+    return rhs + [_vector_at(ternary, idx, n) for idx in itertools.product(range(n), repeat=3)]
+
+
 def dhat_tuplewise_reference(algebra, d_map, theta):
     n = algebra.dim
     w = derived_algebra(algebra)
@@ -1311,7 +1320,7 @@ def test_transported_dhat_rhs_matches_the_tuplewise_reference():
     for a, certs in transported_rhs_cases():
         for theta in certs:
             for d_map in reference_maps(rng, a):
-                assert derivations._dhat_rhs(a, d_map, theta.map) == \
+                assert prescribed_images(a, d_map, theta.map) == \
                     dhat_rhs_tuplewise(a, d_map, theta.map)
                 got = dhat(a, d_map, theta)
                 want = dhat_tuplewise_reference(a, d_map, theta)

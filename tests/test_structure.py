@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from lya.derivations import (
     dhat_ternary_rhs,
     g_derivation_space,
     is_quasi_derivation,
+    require_stabilized_subalgebra,
+    single_twist_space,
+    stabilizer_derivations,
 )
 from lya.errors import InternalCheckError, MathError
-from lya.exactlin import (Matrix, Subspace, invert, nullspace, subspace_contains, vadd, vscale,
-                          vunit)
+from lya.exactlin import (Matrix, Subspace, invert, nullspace, rank, subspace_contains, vadd,
+                          vscale, vunit)
 from lya.lyalg import CATALOG_NAMES, LeibnizAlgebra, LYAlgebra, bracket, catalog, direct_sum, triple
 from lya.maps import LinMap, certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
@@ -30,7 +34,8 @@ from lya.structure import (
 )
 from lya import theorems
 from lya.theorems import _extract_subalgebra, _fmt_map, default_catalog_plan, verify_p35
-from test_derivations import gl2, h5
+from test_derivations import (covariance_cases, gl2, h5, quasi_reference,
+                              stabilizer_reference)
 from test_lyalg import contraction_oracle_binary as bi, contraction_oracle_ternary as tri
 from test_maps import rand_map, rebased
 
@@ -525,3 +530,118 @@ def test_structure_is_basis_covariant():
                 assert is_abelian_ideal(moved, move(h)) == is_abelian_ideal(a, h)
 
     check()
+
+
+def dense_prescriptions(a, d_map, theta):
+    """Each product generator of ``a`` paired with its prescribed image from
+    the dense reference formulas, in generator order."""
+    n = a.dim
+    dense = types.SimpleNamespace(c=a.c, d=a.d)
+    u = [vunit(n, i) for i in range(n)]
+    out = [(dense.c[i][j], dhat_binary_rhs_reference(dense, d_map, theta, u[i], u[j]))
+           for i in range(n) for j in range(i + 1, n)]
+    return out + [(dense.d[i][j][k],
+                   dhat_ternary_rhs_reference(dense, d_map, theta, u[i], u[j], u[k]))
+                  for i, j, k in itertools.product(range(n), repeat=3)]
+
+
+def stabilized_subalgebras(a, theta):
+    """The center, the derived algebra and the plan's subspaces of the right
+    size that are subalgebras which theta maps into themselves."""
+    found = []
+    for h in [center(a), derived_algebra(a)] + [s for s in plan_subspaces()
+                                               if s.ambient_dim == a.dim]:
+        try:
+            require_stabilized_subalgebra(a, theta, h)
+        except MathError:
+            continue
+        if h not in found:
+            found.append(h)
+    return found
+
+
+def test_stabilizer_hat_map_and_quasi_are_basis_covariant():
+    """For rational P drawn by hypothesis, A' = P.A, f' = P^-1 f P for maps
+    and H' = P^-1 H:
+    - the stabilizer of H' for theta' is the conjugate of the reference
+      stabilizer of H for theta;
+    - the hat map of D' for theta' is consistent exactly when that of D for
+      theta is and when the dense prescriptions of A' agree, and then it
+      sends every product generator of A' to its dense prescribed image and
+      P^-1 x to P^-1 D^(x);
+    - D' is a quasi-derivation of A' exactly when D is one of A and the
+      dense reference system of A' is solvable, and then on the products of
+      A' the companions of D' are the conjugates of D's and the reference's.
+    A consistently wrong identity stays covariant, so the dense references
+    anchor each answer."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    seen = set()
+
+    def draws(k):
+        n = covariance_cases()[k][0].dim
+        return st.tuples(st.just(k), st.lists(st.lists(entries, min_size=n, max_size=n),
+                                              min_size=n, max_size=n))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @hypothesis.given(st.sampled_from(range(len(covariance_cases()))).flatmap(draws))
+    def check(case):
+        k, rows = case
+        a, twists = covariance_cases()[k]
+        n = a.dim
+        p = Matrix.from_rows(rows)
+        p_inv = invert(p)
+        hypothesis.assume(p_inv is not None)
+        moved = transported(a, p, p_inv)
+
+        def conj(f):
+            return LinMap(n, p_inv.mul(f.matrix).mul(p))
+
+        def pull(f, v):
+            """f of A read in the basis of A': P^-1 f(P v)."""
+            return p_inv.mul_vec(f.apply(p.mul_vec(v)))
+
+        maps = list(derivation_space(a).maps()[:2]) + [LinMap.unflatten(n, centroid(a).basis[0]),
+                                                       rand_map(random.Random(k), n)]
+        for twist in [LinMap.identity(n)] + twists:
+            theta = certify_automorphism(a, twist)
+            theta_moved = certify_automorphism(moved, conj(twist))
+            twisted = single_twist_space(a, theta)
+            for h in stabilized_subalgebras(a, theta):
+                h_moved = Subspace.span(n, [p_inv.mul_vec(v) for v in h.basis])
+                got = stabilizer_derivations(moved, theta_moved, h_moved)
+                want = stabilizer_reference(a, twisted, h).basis
+                assert got.space == Subspace.span(n * n, [
+                    conj(LinMap.unflatten(n, flat)).flatten() for flat in want])
+                seen.add(("stabilizer cut", got.dim < twisted.dim))
+            for d_map in maps:
+                base, got = dhat(a, d_map, theta), dhat(moved, conj(d_map), theta_moved)
+                pairs = dense_prescriptions(moved, conj(d_map), conj(twist))
+                gens = Matrix(len(pairs), n, tuple(g for g, _ in pairs))
+                joined = Matrix(len(pairs), 2 * n, tuple(g + y for g, y in pairs))
+                assert got.consistent == base.consistent == (rank(gens) == rank(joined))
+                seen.add(("dhat consistent", got.consistent))
+                if got.consistent:
+                    assert all(got.map.apply(g) == y for g, y in pairs if any(g))
+                    assert all(got.map.apply(p_inv.mul_vec(x))
+                               == p_inv.mul_vec(base.map.apply(x))
+                               for x in base.map.domain.basis)
+        u = [vunit(n, i) for i in range(n)]
+        for d_map in maps:
+            base, got = is_quasi_derivation(a, d_map), is_quasi_derivation(moved, conj(d_map))
+            ref = quasi_reference(moved, conj(d_map))
+            assert (got is None) == (base is None) == (ref is None)
+            seen.add(("quasi feasible", got is not None))
+            if got is not None:
+                for i, j in itertools.product(range(n), repeat=2):
+                    v = bracket(moved, u[i], u[j])
+                    assert got.dprime.apply(v) == pull(base.dprime, v) == ref.dprime.apply(v)
+                    for w in u:
+                        v = triple(moved, u[i], u[j], w)
+                        assert got.dprimeprime.apply(v) == pull(base.dprimeprime, v) \
+                            == ref.dprimeprime.apply(v)
+
+    check()
+    assert seen == {(kind, flag) for kind in ("stabilizer cut", "dhat consistent", "quasi feasible")
+                    for flag in (True, False)}

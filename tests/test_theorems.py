@@ -7,7 +7,7 @@ import pytest
 
 from lya import theorems
 from lya.derivations import DerSpace
-from lya.errors import InternalCheckError, MathError
+from lya.errors import InputError, InternalCheckError, MathError
 from lya.exactlin import Matrix, Subspace, coordinates, vis_zero, vunit, vzero
 from lya.lyalg import catalog, check_axioms
 from lya.maps import (
@@ -389,6 +389,21 @@ def test_verify_all_calls_the_verifier_the_module_holds(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("spec,error", [
+    (CheckSpec("P39"), "unknown check 'P39'"),
+    (CheckSpec("P31", subspace=Subspace.full(3)), "P31 takes no field 'subspace'"),
+    (CheckSpec("P35", "x", map=LinMap.identity(3)), "P35 takes no field 'map'"),
+    (CheckSpec("P37", subspace=Subspace.full(3), g=vunit(3, E)),
+     "P37 needs a subspace and two elements"),
+])
+def test_library_checks_are_held_to_the_command_line_rule(spec, error):
+    """A CheckSpec built in code gets the input errors the command line
+    gives for the same fields, from the same rule."""
+    with pytest.raises(InputError) as exc:
+        verify_all(catalog("sl2"), [spec])
+    assert str(exc.value) == error
+
+
 def test_verify_all_orders_reports_deterministically():
     sl2 = catalog("sl2")
     checks = [
@@ -747,8 +762,9 @@ def p37_singular_restriction(patch):
 
 @branch_case("32f4a8da9346847e70d999c11e8794ab01448a707c8a5bf5de475ae887895ba7")
 def p37_value_outside_the_subspace(patch):
-    rhs = theorems.dhat_ternary_rhs
-    patch(dhat_ternary_rhs=lambda *args: tuple(x + y for x, y in zip(rhs(*args), vunit(3, H))))
+    values = theorems._values
+    patch(_values=lambda *args: [tuple(x + y for x, y in zip(v, vunit(3, H)))
+                                 for v in values(*args)])
     sl2 = catalog("sl2")
     return verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
                       vunit(3, E), vunit(3, F), "outside")
