@@ -40,6 +40,7 @@ from .exactlin import (
     Vec,
     _kernel,
     _map_through,
+    _member,
     coordinates,
     nullspace,
     rref,
@@ -54,6 +55,7 @@ from .lyalg import (Keyed, LYAlgebra, _columns, _first_failure, _summed, _tensor
 from .maps import (
     AutCert,
     LinMap,
+    _maps_of,
     identity_cert,
     satisfies_g_derivation,
 )
@@ -79,11 +81,10 @@ class DerSpace(Record):
         return math.isqrt(self.space.ambient_dim)
 
     def maps(self) -> tuple[LinMap, ...]:
-        n = self.alg_dim
-        return tuple(LinMap.unflatten(n, row) for row in self.space.basis)
+        return _maps_of(self.space)
 
     def contains(self, f: LinMap) -> bool:
-        return self.space.contains_vector(f.flatten())
+        return _member(self.space, sum(f.matrix.form[1], ()))
 
 
 def _identity_rows(algebra: LYAlgebra, arity: int,
@@ -164,9 +165,9 @@ def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     t, v = theta.matrix, vartheta.matrix
     rows = _identity_rows(algebra, 2, [(None, t), (v, None)])
     rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)])
-    space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
-    for flat in space.basis:
-        if not satisfies_g_derivation(algebra, LinMap.unflatten(n, flat), theta, vartheta):
+    space = nullspace(Matrix(len(rows), n * n, (1, rows)))
+    for f in _maps_of(space):
+        if not satisfies_g_derivation(algebra, f, theta, vartheta):
             raise InternalCheckError(unsound)
     return space
 
@@ -204,9 +205,9 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     ident = Matrix.identity(n)
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
-    space = nullspace(Matrix(len(rows), n * n, tuple(rows)))
-    for flat in space.basis:
-        m = LinMap.unflatten(n, flat).matrix
+    space = nullspace(Matrix(len(rows), n * n, (1, rows)))
+    for f in _maps_of(space):
+        m = f.matrix
         if _first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
         # The first failing basis triple decides which message is raised.
@@ -298,11 +299,9 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     members = twisted.maps()
     residues = [[h.reduce(f.apply(b)) for f in members] for b in h.basis]
     rows = tuple(tuple(res[l] for res in per_map) for per_map in residues for l in range(n))
-    coeffs = nullspace(Matrix(len(rows), twisted.dim, rows))
+    coeffs = nullspace(Matrix(len(rows), twisted.dim, (1, rows)))
     # Both factors are reduced echelon bases, so their product is one too.
-    combos = Matrix(coeffs.dim, twisted.dim, coeffs.basis).mul(
-        Matrix(twisted.dim, n * n, twisted.space.basis))
-    space = Subspace._from_rref(n * n, combos.entries)
+    space = Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
     result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
     for f in result.maps():
         if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
@@ -400,19 +399,24 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     derived algebra's canonical basis and the image parts the map's values
     on it.
     """
-    n = algebra.dim
-    if d_map.dim != n:
+    if d_map.dim != algebra.dim:
         raise InputError("map dimension does not match the algebra")
+    return _dhat(algebra, _prescriptions(algebra, d_map, theta.map))
+
+
+def _dhat(algebra: LYAlgebra, prescriptions: tuple[Keyed, Keyed]) -> DhatResult:
+    """:func:`dhat` from the map's :func:`_prescriptions`, already built."""
+    n = algebra.dim
     products = {"binary": _tensor_form(algebra, 2), "ternary": _tensor_form(algebra, 3)}
-    images = dict(zip(products, _prescriptions(algebra, d_map, theta.map)))
+    images = dict(zip(products, prescriptions))
     # Every generator, zeros included: their order fixes the clash terms.
     tags = [("binary", i, j) for i in range(n) for j in range(i + 1, n)]
     tags += [("ternary", *idx) for idx in itertools.product(range(n), repeat=3)]
     gens = [_vector_at(products[tag[0]], tag[1:], n) for tag in tags]
     rhs = [_vector_at(images[tag[0]], tag[1:], n) for tag in tags]
-    r = rref(Matrix(len(gens), 2 * n, tuple(g + y for g, y in zip(gens, rhs)))).entries
-    if any(vis_zero(row[:n]) for row in r):
-        for lam in _kernel(Matrix(n, len(gens), tuple(zip(*gens)))):
+    scale, r = rref(Matrix(len(gens), 2 * n, (1, tuple(g + y for g, y in zip(gens, rhs))))).form
+    if any(not any(row[:n]) for row in r):
+        for lam in _kernel(Matrix(n, len(gens), (1, tuple(zip(*gens))))):
             mismatch = vzero(n)
             for k, coeff in lam:
                 mismatch = vadd(mismatch, vscale(coeff, rhs[k]))
@@ -420,8 +424,8 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
                 terms = tuple((tags[k], coeff) for k, coeff in lam)
                 return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
-    w = Subspace._from_rref(n, tuple(row[:n] for row in r))
+    w = Subspace._from_rref(Matrix(len(r), n, (scale, tuple(row[:n] for row in r))))
     if w != derived_algebra(algebra):
         raise InternalCheckError("product vector escaped the derived algebra")
-    matrix = Matrix(w.dim, n, tuple(row[n:] for row in r)).transpose()
+    matrix = Matrix(len(r), n, (scale, tuple(row[n:] for row in r))).transpose()
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

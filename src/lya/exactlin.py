@@ -1,12 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Reduced row echelon forms, nullspaces, and canonically represented
-subspaces (reduced row echelon bases).  Values are ``Fraction``; ``rref``
-eliminates fraction-free over integer rows with their content removed and
-divides by the pivots once at the end.  Every kernel, prescribed-image map
-and intersection is read off a single ``rref``.  Every value is immutable
-and every function is pure, so results are reproducible bit for bit and
-safe to share across threads.
+Matrices, reduced row echelon forms, nullspaces, and canonically
+represented subspaces (reduced row echelon bases).  A matrix is stored
+cleared, once, when it is built: the least common denominator of its
+entries and its integer rows scaled by it (see :func:`_clear`).  A subspace
+is the stored matrix of its reduced echelon basis.  Products, membership and
+elimination read the stored integers; ``Matrix.entries`` and
+``Subspace.basis`` are ``Fraction`` views for output and for the paths that
+are rational.  ``rref`` eliminates fraction-free over integer rows with
+their content removed and divides by the pivots once at the end.  Every
+kernel, prescribed-image map and intersection is read off a single
+``rref``.  Every value is immutable and every function is pure, so results
+are reproducible bit for bit and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .errors import InputError
 
 Scalar = Union[Fraction, int, str]
 Vec = tuple[Fraction, ...]
+# A matrix's stored form: the scale L and the rows of L times its entries.
+Cleared = tuple[int, tuple[tuple[int, ...], ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,10 +84,6 @@ def vis_zero(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
-
-
 def vec_strs(v: Iterable[Fraction]) -> list[str]:
     """Entries as "p" or "p/q"; InputError when one has more digits than
     Python converts to a string (PYTHONINTMAXSTRDIGITS, 4300 by default)."""
@@ -90,19 +93,56 @@ def vec_strs(v: Iterable[Fraction]) -> list[str]:
         raise InputError(f"a rational in the result has too many digits to print: {exc}") from exc
 
 
+def _clear(scale: int, rows: Sequence[Sequence[Fraction | int]]) -> Cleared:
+    """The canonical cleared form of the rationals x / scale, for rows of
+    integer or Fraction values x and a positive integer scale: their least
+    common denominator L, and the rows of each of them times L.  Equal
+    rationals give equal forms.  Every matrix, every algebra's products and
+    every vector that integer code takes are cleared here, once."""
+    lcd = math.lcm(*{x.denominator for r in rows for x in r})
+    # Integer values, the common case, skip the multiplication by 1.
+    ints = ([list(map(int, r)) for r in rows] if lcd == 1 else
+            [[x.numerator * (lcd // x.denominator) for x in r] for r in rows])
+    scale *= lcd
+    common = math.gcd(scale, *itertools.chain.from_iterable(ints))
+    if common > 1:
+        scale, ints = scale // common, [[x // common for x in r] for r in ints]
+    return scale, tuple(map(tuple, ints))
+
+
+def _view(scale: int, ints: Iterable[int]) -> Vec:
+    """The rationals x / scale of integers x, as Fractions."""
+    return tuple(Fraction(x, scale) if x else ZERO for x in ints)
+
+
 class Matrix(Record):
-    """Dense rational matrix; entries are a row-major tuple of row tuples."""
+    """Dense rational matrix, stored cleared.
+
+    ``form`` is given as a positive integer scale and ``rows`` rows of
+    ``cols`` integers or Fractions, the entries being those values over the
+    scale; construction makes it the canonical form of :func:`_clear`.  So
+    ``==`` and ``hash`` compare entries, and ``repr`` shows the
+    ``entries`` view as a dataclass with that field would.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Vec, ...]
+    form: Cleared
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise InputError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
+        scale, data = self.form
+        if len(data) != self.rows:
+            raise InputError(f"expected {self.rows} rows, got {len(data)}")
+        for r in data:
             if len(r) != self.cols:
                 raise InputError(f"expected {self.cols} columns, got {len(r)}")
+        object.__setattr__(self, "form", _clear(scale, data))
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    # The entries as Fractions, row by row.
+    entries = property(lambda self: tuple(_view(self.form[0], r) for r in self.form[1]))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -111,101 +151,69 @@ class Matrix(Record):
             if not data:
                 raise InputError("column count required for a matrix with no rows")
             cols = len(data[0])
-        return cls(len(data), cols, data)
+        return cls(len(data), cols, (1, data))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(vunit(n, i) for i in range(n)))
+        return cls(n, n, (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(vzero(cols) for _ in range(rows)))
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
+        return cls(rows, cols, (1, ((0,) * cols,) * rows))
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        return _view(self.form[0], (r[j] for r in self.form[1]))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
+        scale, data = self.form
+        return Matrix(self.cols, self.rows, (scale, tuple(tuple(r[j] for r in data)
+                                                          for j in range(self.cols))))
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """The product, computed in integers over each factor's common scale."""
+        """The product of the stored integer rows, over the product of the scales."""
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        (a, left), (b, right) = _common_scale(self.entries), _common_scale(other.entries)
-        return Matrix(self.rows, other.cols, tuple(
-            tuple(Fraction(x, a * b) if x else ZERO for x in r)
-            for r in _integer_product(left, right, other.cols)))
+        (a, left), (b, right) = self.form, other.form
+        return Matrix(self.rows, other.cols, (a * b, _integer_product(left, right, other.cols)))
 
     def mul_vec(self, v: Sequence[Scalar]) -> Vec:
+        """The image of v, computed in integers with v cleared."""
         w = vec(v)
         if len(w) != self.cols:
             raise InputError(f"vector length {len(w)} does not match {self.cols} columns")
-        return tuple(vdot(r, w) for r in self.entries)
+        (a, data), (b, (ints,)) = self.form, _clear(1, [w])
+        return _view(a * b, [sum(map(operator.mul, r, ints)) for r in data])
 
     def add(self, other: "Matrix") -> "Matrix":
+        """The sum, over the product of the scales."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shapes differ")
-        return Matrix(self.rows, self.cols,
-                      tuple(vadd(a, b) for a, b in zip(self.entries, other.entries)))
+        (a, left), (b, right) = self.form, other.form
+        return Matrix(self.rows, self.cols, (a * b, tuple(
+            tuple(b * x + a * y for x, y in zip(r, s)) for r, s in zip(left, right))))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shapes differ")
-        return Matrix(self.rows, self.cols,
-                      tuple(vsub(a, b) for a, b in zip(self.entries, other.entries)))
+        return self.add(other.scale(-1))
 
     def scale(self, a: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(vscale(a, r) for r in self.entries))
+        a = frac(a)
+        scale, data = self.form
+        return Matrix(self.rows, self.cols, (scale, tuple(tuple(a * x for x in r) for r in data)))
 
     def is_zero(self) -> bool:
-        return all(vis_zero(r) for r in self.entries)
+        return not any(map(any, self.form[1]))
 
     def flatten(self) -> Vec:
-        return tuple(itertools.chain.from_iterable(self.entries))
+        return _view(self.form[0], itertools.chain.from_iterable(self.form[1]))
 
 
-def _integer_row(r: Vec) -> list[int]:
-    """``r`` times the lcm of its denominators: same row space, integer entries."""
-    return _common_scale((r,))[1][0]
-
-
-def _common_scale(rows: Sequence[Vec]) -> tuple[int, list[list[int]]]:
-    """The lcm L of every denominator in ``rows``, and the rows times L."""
-    den = math.lcm(*{x.denominator for r in rows for x in r})
-    if den == 1:
-        return den, [[x.numerator for x in r] for r in rows]
-    return den, [[x.numerator * (den // x.denominator) for x in r] for r in rows]
-
-
-def _integer_product(a: Sequence[list[int]], b: Sequence[list[int]], cols: int) -> list[list[int]]:
+def _integer_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int) -> list:
     """The product of integer matrices given by their rows; b has ``cols`` columns."""
     bt = list(zip(*b)) if b else [()] * cols
     return [[sum(map(operator.mul, r, c)) for c in bt] for r in a]
 
 
-def _integer_basis(basis: Sequence[Vec]) -> tuple[int, list[tuple[int, list[int]]]]:
-    """A reduced echelon basis cleared once: its common scale S and each
-    basis vector's (pivot, S times the vector), the form :func:`_member` reads."""
-    scale, rows = _common_scale(basis)
-    return scale, list(zip(pivot_cols(basis), rows))
-
-
-def _member(basis: tuple[int, Sequence[tuple[int, list[int]]]], w: Sequence[int]) -> bool:
-    """Whether the integer vector w lies in the span of an :func:`_integer_basis`.
-
-    The basis vectors are zero at each other's pivots, so w's only candidate
-    combination has w[p] as the coefficient of the vector with pivot p: w
-    is a member exactly when S w = sum of w[p] S b over the basis.
-    """
-    scale, rows = basis
-    terms = [(w[p], r) for p, r in rows if w[p]]
-    return all(scale * x == sum(c * r[j] for c, r in terms) for j, x in enumerate(w))
-
-
-def _eliminate(row: list[int], prow: list[int], a: int, b: int) -> list[int] | None:
+def _eliminate(row: Sequence[int], prow: Sequence[int], a: int, b: int) -> list[int] | None:
     """``row`` with its entry ``b`` over the pivot ``a`` of ``prow`` cleared,
     divided by its content; None when nothing is left."""
     g = math.gcd(a, b)
@@ -222,16 +230,16 @@ def _eliminate(row: list[int], prow: list[int], a: int, b: int) -> list[int] | N
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row echelon form of ``m``, zero rows dropped.
 
-    Gauss-Jordan runs fraction-free on integer rows: eliminating column
-    ``pc`` replaces a row by ``a*row - b*pivot_row`` and divides it by its
-    content (the gcd of its entries), which keeps the integers small
+    Gauss-Jordan runs fraction-free on the stored integer rows: eliminating
+    column ``pc`` replaces a row by ``a*row - b*pivot_row`` and divides it by
+    its content (the gcd of its entries), which keeps the integers small
     without changing the row space.  Each pivot row is divided by its pivot
     once at the end; the reduced echelon form is unique, so this is the
     same matrix that Fraction elimination gives.
     """
     ncols = m.cols
-    pending = [r for r in map(_integer_row, m.entries) if any(r)]
-    done: list[tuple[int, list[int]]] = []
+    pending = [r for r in m.form[1] if any(r)]
+    done: list[tuple[int, Sequence[int]]] = []
     for pc in range(ncols):
         if not pending:
             break
@@ -254,15 +262,17 @@ def rref(m: Matrix) -> Matrix:
             if b:
                 done[k] = (p, _eliminate(r, prow, a, b))
         done.append((pc, prow))
-    return Matrix(len(done), ncols, tuple(
-        tuple(Fraction(x, r[p]) if x else ZERO for x in r) for p, r in done))
+    # Over the lcm L of the pivots, row r divided by its pivot a is L // a times r.
+    scale = math.lcm(*(r[p] for p, r in done))
+    return Matrix(len(done), ncols, (scale, tuple(
+        tuple(x * (scale // r[p]) for x in r) for p, r in done)))
 
 
 def rank(m: Matrix) -> int:
     return rref(m).rows
 
 
-def pivot_cols(rref_rows: Sequence[Vec]) -> tuple[int, ...]:
+def pivot_cols(rref_rows: Sequence[Sequence]) -> tuple[int, ...]:
     """Pivot column of each row of a reduced-echelon row list."""
     out = []
     for r in rref_rows:
@@ -285,7 +295,8 @@ def _kernel(m: Matrix) -> Iterator[list[tuple[int, Fraction]]]:
     of a vector lies right of its f, and no other vector is nonzero at f.
     """
     cols = m.cols
-    back = rref(Matrix(m.rows, cols, tuple(row[::-1] for row in m.entries))).entries
+    scale, data = m.form
+    back = rref(Matrix(m.rows, cols, (scale, tuple(row[::-1] for row in data)))).entries
     # Column c of the reversed form is column cols - 1 - c of m; the rows
     # are read last first, so that their pivots come in column order.
     rows = [(cols - 1 - p, row) for p, row in zip(pivot_cols(back), back)][::-1]
@@ -299,16 +310,11 @@ def _kernel(m: Matrix) -> Iterator[list[tuple[int, Fraction]]]:
 def nullspace(m: Matrix) -> "Subspace":
     """Canonical basis of the right kernel { v : m.v = 0 }: the vectors of
     :func:`_kernel`, dense."""
-    vectors = []
-    for pairs in _kernel(m):
-        v = [ZERO] * m.cols
-        for c, x in pairs:
-            v[c] = x
-        vectors.append(tuple(v))
-    return Subspace._from_rref(m.cols, tuple(vectors))
+    vectors = [[v.get(c, 0) for c in range(m.cols)] for v in map(dict, _kernel(m))]
+    return Subspace._from_rref(Matrix(len(vectors), m.cols, (1, vectors)))
 
 
-def _map_through(points: Sequence[Vec], images: Sequence[Vec], dim: int,
+def _map_through(points: Sequence[Sequence], images: Sequence[Sequence], dim: int,
                  codim: int) -> Matrix | None:
     """The codim x dim matrix X with X.p = y for every point p and its image
     y, or None when there is none.
@@ -319,14 +325,14 @@ def _map_through(points: Sequence[Vec], images: Sequence[Vec], dim: int,
     c, holds column c of X in its y part, and the free columns of X are
     zero, which makes X the canonical one.
     """
-    r = rref(Matrix(len(points), dim + codim,
-                    tuple(tuple(p) + tuple(y) for p, y in zip(points, images))))
-    columns = [vzero(codim)] * dim
-    for row, p in zip(r.entries, pivot_cols(r.entries)):
+    scale, r = rref(Matrix(len(points), dim + codim,
+                           (1, tuple(tuple(p) + tuple(y) for p, y in zip(points, images))))).form
+    columns = [(0,) * codim] * dim
+    for row, p in zip(r, pivot_cols(r)):
         if p >= dim:
             return None
         columns[p] = row[dim:]
-    return Matrix(dim, codim, tuple(columns)).transpose()
+    return Matrix(dim, codim, (scale, tuple(columns))).transpose()
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
@@ -337,35 +343,40 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
     bv = vec(b)
     if len(bv) != m.rows:
         raise InputError(f"right-hand side length {len(bv)} does not match {m.rows} rows")
-    x = _map_through(m.entries, [(y,) for y in bv], m.cols, 1)
+    # m is its stored rows over its scale s, so m.x = b is rows.x = s b.
+    scale, data = m.form
+    x = _map_through(data, [(scale * y,) for y in bv], m.cols, 1)
     return None if x is None else x.entries[0]
 
 
 def invert(m: Matrix) -> Matrix | None:
     """Exact inverse of a square matrix, or None when singular: the map that
-    sends the columns of m to the unit vectors."""
+    sends the columns of m to the unit vectors, that is each stored integer
+    column, s times m's for the stored scale s, to s times its unit vector."""
     if m.rows != m.cols:
         raise InputError("only square matrices can be inverted")
     n = m.rows
-    return _map_through(m.transpose().entries, [vunit(n, i) for i in range(n)], n, n)
+    scale, data = m.transpose().form
+    return _map_through(data, [[scale * int(i == j) for j in range(n)] for i in range(n)], n, n)
 
 
 class Subspace(Record):
-    """Subspace of Q^ambient_dim held as its unique reduced-echelon basis.
+    """Subspace of Q^n held as its unique reduced-echelon basis: the rows of
+    the stored matrix ``echelon``.
 
-    Equality of subspaces is therefore plain value equality.
+    Equality of subspaces is therefore plain value equality; ``repr`` shows
+    ``ambient_dim`` and the ``basis`` view as a dataclass with those fields
+    would.
     """
 
-    ambient_dim: int
-    basis: tuple[Vec, ...]
+    echelon: Matrix
 
     def __post_init__(self):
-        for r in self.basis:
-            if len(r) != self.ambient_dim:
-                raise InputError("basis vector length does not match ambient dimension")
-        canon = rref(Matrix(len(self.basis), self.ambient_dim, self.basis)).entries
-        if canon != self.basis:
+        if rref(self.echelon) != self.echelon:
             raise InputError("basis is not in reduced row echelon form")
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
@@ -373,33 +384,29 @@ class Subspace(Record):
         for r in rows:
             if len(r) != ambient_dim:
                 raise InputError("spanning vector length does not match ambient dimension")
-        return cls._from_rref(ambient_dim, rref(Matrix(len(rows), ambient_dim, rows)).entries)
+        return cls._from_rref(rref(Matrix(len(rows), ambient_dim, (1, rows))))
 
     @classmethod
-    def _from_rref(cls, ambient_dim: int, basis: tuple[Vec, ...]) -> "Subspace":
-        """Subspace whose basis is already a reduced row echelon form of the
-        right width; skips the validating ``rref`` of ``__post_init__``."""
+    def _from_rref(cls, echelon: Matrix) -> "Subspace":
+        """Subspace whose basis is the rows of a matrix already in reduced
+        row echelon form; skips the validating ``rref`` of ``__post_init__``."""
         space = object.__new__(cls)
-        object.__setattr__(space, "ambient_dim", ambient_dim)
-        object.__setattr__(space, "basis", basis)
+        object.__setattr__(space, "echelon", echelon)
         return space
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_rref(ambient_dim, ())
+        return cls._from_rref(Matrix.zero(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_rref(ambient_dim, tuple(vunit(ambient_dim, i)
-                                                 for i in range(ambient_dim)))
+        return cls._from_rref(Matrix.identity(ambient_dim))
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return pivot_cols(self.basis)
+    ambient_dim = property(lambda self: self.echelon.cols)
+    dim = property(lambda self: self.echelon.rows)
+    # The basis vectors as Fractions.
+    basis = property(lambda self: self.echelon.entries)
+    pivots = property(lambda self: pivot_cols(self.echelon.form[1]))
 
     def _vector(self, v: Sequence[Scalar]) -> Vec:
         w = vec(v)
@@ -408,26 +415,41 @@ class Subspace(Record):
         return w
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Residue of v against the basis, zero iff v is a member.
-
-        The basis vectors are zero at each other's pivots, so v's
-        coefficients are read off as its entries at the pivots: the residue
-        is v minus the sum of v[p] times the basis vector with pivot p.
-        """
-        w = self._vector(v)
-        terms = [(w[p], row) for p, row in zip(self.pivots, self.basis) if w[p]]
-        return tuple(x - sum((c * row[j] for c, row in terms), ZERO) for j, x in enumerate(w))
+        """Residue of v against the basis, zero iff v is a member: the
+        :func:`_residue` of v cleared, over both scales."""
+        scale, (w,) = _clear(1, [self._vector(v)])
+        return _view(scale * self.echelon.form[0], _residue(self, w))
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         """Membership, tested in integers by :func:`_member`."""
-        return _member(_integer_basis(self.basis), _integer_row(self._vector(v)))
+        return _member(self, _clear(1, [self._vector(v)])[1][0])
+
+
+def _residue(s: Subspace, w: Sequence[int]) -> list[int]:
+    """S w minus the combination of s's basis that agrees with w at the
+    pivots, for an integer vector w and the scale S of s's stored basis:
+    zero exactly when w lies in s.
+
+    The basis vectors are zero at each other's pivots, so w's only candidate
+    combination has w[p] as the coefficient of the vector with pivot p,
+    which is S times that vector in the stored rows.
+    """
+    scale, rows = s.echelon.form
+    terms = [(w[p], r) for p, r in zip(s.pivots, rows) if w[p]]
+    return [scale * x - sum(c * r[j] for c, r in terms) for j, x in enumerate(w)]
+
+
+def _member(s: Subspace, w: Sequence[int]) -> bool:
+    """Whether the integer vector w lies in s; a positive multiple of w
+    gives the same answer, so a map or basis in any scale is read as stored."""
+    return not any(_residue(s, w))
 
 
 def coordinates(s: Subspace, v: Sequence[Scalar]) -> Vec | None:
     """Coefficients of v in s's canonical basis, or None when v is outside s:
-    v's entries at the pivots, when its :meth:`Subspace.reduce` residue vanishes."""
+    v's entries at the pivots, when v is a member."""
     w = s._vector(v)
-    return None if any(s.reduce(w)) else tuple(w[p] for p in s.pivots)
+    return tuple(w[p] for p in s.pivots) if s.contains_vector(w) else None
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -436,13 +458,15 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """The span of both stored bases: a span does not change when each basis
+    keeps its own scale."""
     _check_same_ambient(a, b)
-    return Subspace.span(a.ambient_dim, a.basis + b.basis)
+    return Subspace.span(a.ambient_dim, a.echelon.form[1] + b.echelon.form[1])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by Zassenhaus's method: one ``rref`` of the rows (a_i | a_i)
-    and (b_j | 0).
+    and (b_j | 0), each basis in its stored scale.
 
     A combination of the rows whose first half vanishes has sum(x_i a_i) =
     -sum(y_j b_j) as its second half, a vector of both spans, and every such
@@ -451,14 +475,15 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """
     _check_same_ambient(a, b)
     n = a.ambient_dim
-    r = rref(Matrix(a.dim + b.dim, 2 * n,
-                    tuple(v + v for v in a.basis) + tuple(v + vzero(n) for v in b.basis)))
-    return Subspace._from_rref(n, tuple(row[n:] for row in r.entries if vis_zero(row[:n])))
+    rows = tuple(r + r for r in a.echelon.form[1]) + tuple(r + (0,) * n for r in b.echelon.form[1])
+    scale, r = rref(Matrix(len(rows), 2 * n, (1, rows))).form
+    meet = tuple(row[n:] for row in r if not any(row[:n]))
+    return Subspace._from_rref(Matrix(len(meet), n, (scale, meet)))
 
 
 def subspace_contains(a: Subspace, item: Union[Subspace, Sequence[Scalar]]) -> bool:
     """Whether a vector or a whole subspace lies inside ``a``."""
     if isinstance(item, Subspace):
         _check_same_ambient(a, item)
-        return all(a.contains_vector(v) for v in item.basis)
+        return all(_member(a, r) for r in item.echelon.form[1])
     return a.contains_vector(item)

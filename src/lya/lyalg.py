@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Matrix, Scalar, Vec, _common_scale, vec, vec_strs, vzero
+from .exactlin import Matrix, Scalar, Vec, _clear, vec, vec_strs, vzero
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
@@ -48,14 +48,12 @@ class AxiomReport(Record):
 
 def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
     """The canonical form of the products with entries x / scale, for integer
-    or Fraction x keyed as in the form: the least common denominator of
-    their values, and their nonzero entries times it."""
-    lcd = math.lcm(*{x.denominator for part in (binary, ternary) for x in part.values()})
-    parts = [{k: x.numerator * (lcd // x.denominator) for k, x in part.items() if x}
-             for part in (binary, ternary)]
-    scale *= lcd
-    common = math.gcd(scale, *(x for part in parts for x in part.values()))
-    return scale // common, *({k: x // common for k, x in part.items()} for part in parts)
+    or Fraction x keyed as in the form: their nonzero entries cleared by
+    :func:`~lya.exactlin._clear`."""
+    parts = [{k: x for k, x in part.items() if x} for part in (binary, ternary)]
+    scale, (values,) = _clear(scale, [[x for part in parts for x in part.values()]])
+    cleared = iter(values)
+    return scale, *({k: next(cleared) for k in part} for part in parts)
 
 
 def _form_of(binary: dict, ternary: dict) -> Form:
@@ -98,8 +96,8 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
 
     ``keyed`` is T's scale and entries from a stored form (:func:`_tensor_form`),
     ``maps`` holds one matrix for each argument slot and ``post``, when
-    given, is applied to every product.  Each map is cleared of denominators
-    and applied as a mode product over the nonzero entries, one slot at a
+    given, is applied to every product.  Each map is applied from its stored
+    integer rows as a mode product over the nonzero entries, one slot at a
     time; None and identity matrices are skipped.  Returns the scale and the
     scaled nonzero coordinates, keyed like ``keyed``.
     """
@@ -108,13 +106,10 @@ def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None 
     # spreads to i: T(m e_i) = sum_a m[a][i] T(e_a).  On the product
     # coordinate, l spreads to r with weight post[r][l], so post enters
     # transposed.
-    slots = list(enumerate(maps))
+    slots = [(s, m.form) for s, m in enumerate(maps) if m is not None]
     if post is not None:
-        slots.append((len(maps), post.transpose()))
-    for s, m in slots:
-        if m is None:
-            continue
-        m_scale, rows = _common_scale(m.entries)
+        slots.append((len(maps), (post.form[0], tuple(zip(*post.form[1])))))
+    for s, (m_scale, rows) in slots:
         spread = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
         if m_scale == 1 and all(w == [(a, 1)] for a, w in enumerate(spread)):
             continue
@@ -176,7 +171,7 @@ def _nonzero_vectors(keyed: Keyed, n: int) -> list[tuple[tuple[int, ...], Vec]]:
 def _columns(n: int, vectors: Sequence[Vec]) -> Matrix:
     """The n x k matrix whose columns are the k given vectors: as a map in a
     :func:`_transport` slot, it sends e_i to the i-th vector."""
-    return Matrix(n, len(vectors), tuple(tuple(v[a] for v in vectors) for a in range(n)))
+    return Matrix(n, len(vectors), (1, tuple(tuple(v[a] for v in vectors) for a in range(n))))
 
 
 def _transported(algebra: LYAlgebra, maps: Sequence[Matrix | None]) -> Keyed:

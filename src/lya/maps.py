@@ -8,6 +8,7 @@ fixed basis, column j being the image of basis vector j.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 from ._record import Record
@@ -22,7 +23,7 @@ from .exactlin import (
     vec,
     vec_strs,
 )
-from .lyalg import LYAlgebra, _columns, _first_failure, _transported, _vector_at
+from .lyalg import LYAlgebra, _columns, _first_failure, _transported
 
 
 class LinMap(Record):
@@ -52,15 +53,14 @@ class LinMap(Record):
     @classmethod
     def from_columns(cls, cols: Sequence[Vec]) -> "LinMap":
         n = len(cols)
-        return cls(n, Matrix(n, n, tuple(tuple(col[i] for col in cols) for i in range(n))))
+        return cls(n, Matrix(n, n, (1, tuple(tuple(col[i] for col in cols) for i in range(n)))))
 
     @classmethod
     def unflatten(cls, n: int, flat: Sequence[Scalar]) -> "LinMap":
         entries = vec(flat)
         if len(entries) != n * n:
             raise InputError(f"expected {n * n} entries, got {len(entries)}")
-        rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-        return cls(n, Matrix(n, n, rows))
+        return cls(n, Matrix(n, n, (1, tuple(entries[i * n:(i + 1) * n] for i in range(n)))))
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         return self.matrix.mul_vec(v)
@@ -79,6 +79,15 @@ class LinMap(Record):
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
+
+
+def _maps_of(space: Subspace) -> tuple[LinMap, ...]:
+    """The maps whose flattened matrices are a space's basis vectors, read
+    from its stored integer rows."""
+    n = math.isqrt(space.ambient_dim)
+    scale, rows = space.echelon.form
+    return tuple(LinMap(n, Matrix(n, n, (scale, tuple(r[i * n:(i + 1) * n] for i in range(n)))))
+                 for r in rows)
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -198,9 +207,10 @@ def inner_derivation(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar
     gv, hv = vec(g), vec(h)
     if len(gv) != n or len(hv) != n:
         raise InputError("vector length does not match algebra dimension")
-    keyed = _transported(algebra, (_columns(n, [gv]), _columns(n, [hv]), None))
-    cols = [_vector_at(keyed, (0, 0, k), n) for k in range(n)]
-    result = LinMap.from_columns(cols) if n else LinMap.zero(0)
+    # Entry (l, k) of the map is coordinate l of the product at (g, h, e_k).
+    scale, entries = _transported(algebra, (_columns(n, [gv]), _columns(n, [hv]), None))
+    result = LinMap(n, Matrix(n, n, (scale, tuple(
+        tuple(entries.get((0, 0, k, l), 0) for k in range(n)) for l in range(n)))))
     if not satisfies_derivation(algebra, result):
         raise InternalCheckError("inner map failed the derivation identities")
     return result
@@ -219,5 +229,4 @@ def restrict_map(f: LinMap, subspace: Subspace) -> LinMap:
                 "subspace is not invariant under the map",
                 witness={"vector": vec_strs(b), "image": vec_strs(image)})
         cols.append(coords)
-    k = subspace.dim
-    return LinMap(k, Matrix(k, k, tuple(tuple(col[i] for col in cols) for i in range(k))))
+    return LinMap.from_columns(cols)

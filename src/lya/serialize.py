@@ -16,7 +16,7 @@ from .errors import InputError
 from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vscale, vzero
 from .lyalg import (Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _nonzero_vectors,
                     _tensor_form)
-from .maps import LinMap
+from .maps import LinMap, _maps_of
 
 if TYPE_CHECKING:
     from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
@@ -165,7 +165,7 @@ def map_from_dict(data: dict) -> LinMap:
     matrix = data.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == n, "'matrix' must have dim rows")
     rows = [strs_vec(row, n) for row in matrix]
-    return LinMap(n, Matrix(n, n, tuple(rows)))
+    return LinMap(n, Matrix(n, n, (1, rows)))
 
 
 def map_to_dict(f: LinMap) -> dict:
@@ -196,7 +196,7 @@ def derspace_to_dict(space: DerSpace) -> dict:
 
 
 def map_space_to_dict(space: Subspace, alg_dim: int) -> dict:
-    maps = [map_to_dict(LinMap.unflatten(alg_dim, row))["matrix"] for row in space.basis]
+    maps = [map_to_dict(f)["matrix"] for f in _maps_of(space)]
     return {"alg_dim": alg_dim, "dim": space.dim, "maps": maps}
 
 

@@ -1,8 +1,9 @@
 """Structural subspaces and predicates: center, derived algebra, ideals.
 
 Every product is read from the algebra's stored integer form: a condition
-on a subspace H transports the form once, with the matrix of H's basis in
-the slots that H fills, and then tests each nonzero product vector once.
+on a subspace H transports the form once, with the transpose of H's stored
+basis matrix in the slots that H fills, and then tests each nonzero product
+vector once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import collections
 
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import Matrix, Subspace, nullspace
-from .lyalg import LYAlgebra, _columns, _nonzero_vectors, _tensor_form, _transported
+from .lyalg import LYAlgebra, _nonzero_vectors, _tensor_form, _transported
 
 
 def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
@@ -35,8 +36,8 @@ def center(algebra: LYAlgebra) -> Subspace:
     for (i, j, k, l), x in _tensor_form(algebra, 3)[1].items():
         rows[1, j, k, l][i] = x
         rows[2, i, j, l][k] = x
-    space = nullspace(Matrix(len(rows), n, tuple(tuple(r) for r in rows.values())))
-    if _transported(algebra, (None, _columns(n, space.basis), None))[1]:
+    space = nullspace(Matrix(len(rows), n, (1, tuple(rows.values()))))
+    if _transported(algebra, (None, space.echelon.transpose(), None))[1]:
         raise InternalCheckError("central element fails the middle-slot identity")
     return space
 
@@ -56,7 +57,7 @@ def is_subalgebra(algebra: LYAlgebra, h: Subspace) -> bool:
     """Closure of the subspace under both products, tested on its basis."""
     if h.ambient_dim != algebra.dim:
         raise InputError("subspace ambient dimension does not match the algebra")
-    basis = _columns(algebra.dim, h.basis)
+    basis = h.echelon.transpose()
     return _inside(algebra, h, (basis, basis)) and _inside(algebra, h, (basis, basis, basis))
 
 
@@ -69,7 +70,7 @@ def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     """
     if h.ambient_dim != algebra.dim:
         raise InputError("subspace ambient dimension does not match the algebra")
-    basis = _columns(algebra.dim, h.basis)
+    basis = h.echelon.transpose()
     if not (_inside(algebra, h, (basis, None)) and _inside(algebra, h, (basis, None, None))):
         return False
     for maps, where in (((None, basis), "right-bracket"), ((None, basis, None), "middle-slot"),
@@ -86,7 +87,7 @@ def is_abelian_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     """
     if not is_ideal(algebra, h):
         raise MathError("subspace is not an ideal")
-    basis = _columns(algebra.dim, h.basis)
+    basis = h.echelon.transpose()
     if _transported(algebra, (basis, basis))[1] or _transported(algebra, (None, basis, basis))[1]:
         return False
     if _transported(algebra, (basis, None, basis))[1] \

@@ -20,8 +20,6 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
-    _common_scale,
-    _integer_basis,
     _integer_product,
     _member,
     coordinates,
@@ -36,10 +34,11 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _columns, _form_of, _nonzero_vectors, _transported
+from .lyalg import LYAlgebra, _form_of, _nonzero_vectors, _transported
 from .maps import (
     AutCert,
     LinMap,
+    _maps_of,
     certify_automorphism,
     commutator,
     compose,
@@ -49,13 +48,13 @@ from .maps import (
     satisfies_g_derivation,
 )
 from .derivations import (
+    _dhat,
     _prescriptions,
     _solve_cache,
     _stabilizer_space,
     _values,
     centroid,
     derivation_space,
-    dhat,
     g_derivation_space,
     is_quasi_derivation,
     require_stabilized_subalgebra,
@@ -96,9 +95,10 @@ def verify_p31(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert,
     paired = g_derivation_space(algebra, theta, vartheta)
     target = single_twist_space(
         algebra, certify_automorphism(algebra, compose(vartheta.inverse, theta.map)))
-    image_vectors = [compose(vartheta.inverse, f).flatten() for f in paired.maps()]
-    all_land = all(target.space.contains_vector(v) for v in image_vectors)
-    image_dim = Subspace.span(algebra.dim ** 2, image_vectors).dim
+    images = [compose(vartheta.inverse, f) for f in paired.maps()]
+    all_land = all(target.contains(f) for f in images)
+    # Each map's stored rows are a positive multiple of it: the span is the same.
+    image_dim = Subspace.span(algebra.dim ** 2, [sum(f.matrix.form[1], ()) for f in images]).dim
     ok = all_land and image_dim == paired.dim == target.dim
     dims = {"paired_dim": paired.dim, "target_dim": target.dim, "image_dim": image_dim}
     hypotheses = (("theta certified", True), ("vartheta certified", True))
@@ -113,12 +113,6 @@ def transported_bracket(theta: AutCert, f: LinMap, g: LinMap) -> LinMap:
     return left.sub(right)
 
 
-def _integer_maps(n: int, flats: Sequence[Vec]) -> list[list[list[int]]]:
-    """Flattened n x n maps as integer matrices over one common scale."""
-    _, rows = _common_scale(flats)
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in rows]
-
-
 def _products_minus(n: int, a, b, c, d) -> list[list[int]]:
     """ab - cd for integer n x n matrices."""
     return [[x - y for x, y in zip(r, s)]
@@ -129,21 +123,22 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     """The double-twist space, with the transported bracket, maps onto the
     plain derivation algebra through composition with the inverse twist.
 
-    The bracket algebra runs in integers: with θ⁻¹ and the basis maps f_i
-    cleared over one scale s, each f_i is pulled back once, p_i = θ⁻¹f_i,
-    so s³[f_i, f_j]_θ is f_i p_j - f_j p_i.  Its pull-back s⁴θ⁻¹[f_i, f_j]_θ
-    is compared with [p_i, p_j] and gives s⁵[[f_i, f_j]_θ, f_k]_θ.
+    The bracket algebra runs on the stored integer matrices: with θ⁻¹ and
+    the basis maps f_i stored over scales s and s_i, each f_i is pulled back
+    once, p_i = θ⁻¹f_i, so s s_i s_j [f_i, f_j]_θ is f_i p_j - f_j p_i.  Its
+    pull-back is compared with [p_i, p_j] and gives [[f_i, f_j]_θ, f_k]_θ,
+    each over a positive product of scales, which membership does not see.
     """
     twisted = g_derivation_space(algebra, theta, theta)
     plain = derivation_space(algebra)
     n = algebra.dim
-    images = [compose(theta.inverse, f).flatten() for f in twisted.maps()]
-    lands = all(plain.space.contains_vector(v) for v in images)
-    image_dim = Subspace.span(n * n, images).dim
+    maps = twisted.maps()
+    images = [compose(theta.inverse, f) for f in maps]
+    lands = all(plain.contains(f) for f in images)
+    image_dim = Subspace.span(n * n, [sum(f.matrix.form[1], ()) for f in images]).dim
     bijective = image_dim == twisted.dim == plain.dim
-    inv, *maps = _integer_maps(n, (theta.inverse.flatten(),) + twisted.space.basis)
-    pulled = [(f, _integer_product(inv, f, n)) for f in maps]
-    members = _integer_basis(twisted.space.basis)
+    inv = theta.inverse.matrix.form[1]
+    pulled = [(f, _integer_product(inv, f, n)) for f in (g.matrix.form[1] for g in maps)]
     closure_binary = True
     hom_property = True
     brackets = []
@@ -151,13 +146,13 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
         br = _products_minus(n, f, q, g, p)
         back = _integer_product(inv, br, n)
         brackets.append((br, back))
-        if not _member(members, sum(br, [])):
+        if not _member(twisted.space, sum(br, [])):
             closure_binary = False
         if back != _products_minus(n, p, q, q, p):
             hom_property = False
     closure_ternary = True
     for (br, back), (h, p) in itertools.product(brackets, pulled):
-        if not _member(members, sum(_products_minus(n, br, p, h, back), [])):
+        if not _member(twisted.space, sum(_products_minus(n, br, p, h, back), [])):
             closure_ternary = False
     ok = lands and bijective and closure_binary and closure_ternary and hom_property
     witness = None if ok else {
@@ -172,7 +167,8 @@ def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     tagged by the parity of the twists, for an involution commuting with
     every member of both spaces.
 
-    The commutators run in integers, over one scale for both bases."""
+    The commutators run on the stored integer matrices; each is over the
+    product of its two maps' scales, which membership does not see."""
     plain = derivation_space(algebra)
     twisted = single_twist_space(algebra, theta)
     involutive = compose(theta.map, theta.map) == LinMap.identity(algebra.dim)
@@ -190,14 +186,14 @@ def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
             details["non_commuting_map"] = _fmt_map(bad_map)
         return PropReport("P33", instance, False, hypotheses, None, None, details)
     n = algebra.dim
-    indexed = list(enumerate(_integer_maps(n, plain.space.basis + twisted.space.basis)))
+    indexed = [(a, f.matrix.form[1]) for a, f in enumerate(maps)]
     parts = (indexed[:plain.dim], indexed[plain.dim:])
-    members = [_integer_basis(space.space.basis) for space in (plain, twisted)]
+    spaces = (plain.space, twisted.space)
     ok = True
     witness = None
     for k, l in itertools.product((0, 1), repeat=2):
         for (a, f), (b, g) in itertools.product(parts[k], parts[l]):
-            if not _member(members[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
+            if not _member(spaces[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
                 ok = False
                 witness = {"k": k, "l": l, "commutator": _fmt_map(commutator(maps[a], maps[b]))}
     return PropReport("P33", instance, True, hypotheses, ok, witness, details)
@@ -213,7 +209,8 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     defect = commutator(d_map, theta.map)
     z = center(algebra)
     n = algebra.dim
-    premise = all(z.contains_vector(defect.apply(vunit(n, j))) for j in range(n))
+    # The image of e_j is column j of the defect.
+    premise = all(_member(z, col) for col in zip(*defect.matrix.form[1]))
     hypotheses = (("map is a twisted derivation", True),
                   ("defect image lies in the center", premise),)
     w = derived_algebra(algebra)
@@ -223,7 +220,7 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     if not premise:
         return PropReport("P34", instance, False, hypotheses, None, None, details)
     kernel = nullspace(defect.matrix)
-    bad = next((b for b in w.basis if not kernel.contains_vector(b)), None)
+    bad = next((b for b, r in zip(w.basis, w.echelon.form[1]) if not _member(kernel, r)), None)
     ok = bad is None and (zero_defect or not perfect)
     witness = None
     if bad is not None:
@@ -239,10 +236,12 @@ def verify_p35(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     algebra the two spaces meet only in zero."""
     meet = subspace_intersect(centroid(algebra), single_twist_space(algebra, theta).space)
     n = algebra.dim
-    maps = [LinMap.unflatten(n, flat) for flat in meet.basis]
-    # f_t e_i sits in column t*n + i of the last slot; the witness is the
-    # last failing (map, basis triple).
-    cols = _columns(n, [f.matrix.col(i) for f in maps for i in range(n)])
+    maps = _maps_of(meet)
+    # f_t e_i sits in column t*n + i of the last slot, each map in its stored
+    # scale, which no zero test sees; the witness is the last failing (map,
+    # basis triple).
+    cols = Matrix(n, n * len(maps), (1, tuple(
+        tuple(x for f in maps for x in f.matrix.form[1][a]) for a in range(n))))
     failing = {key[:-1] for key in _transported(algebra, (None, None, cols))[1]}
     ok = not failing
     witness = None
@@ -269,7 +268,7 @@ def _extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
     n = algebra.dim
     units = {vunit(n, i): label for i, label in enumerate(algebra.labels)}
     labels = tuple(units.get(row, f"b{k}") for k, row in enumerate(h.basis, 1))
-    basis = _columns(n, h.basis)
+    basis = h.echelon.transpose()
 
     def inside(keyed):
         """The coordinates in H's basis of a transported form's products."""
@@ -329,7 +328,7 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         return PropReport("P37", instance, False, hypotheses, None, None, {})
     stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     # row b of inv^T times the basis rows: the preimage of H's basis vector b
-    preimages = inv.transpose().mul(Matrix(h.dim, n, h.basis)).entries
+    preimages = inv.transpose().mul(h.echelon).entries
     # linearity of the prescription across fixed combinations of preimages
     weights = [(Fraction(2), Fraction(3)), (Fraction(-1), Fraction(5, 2))] if h.dim >= 2 else []
     points = [*preimages, *(vadd(vscale(s, preimages[0]), vscale(t, preimages[1]))
@@ -338,8 +337,9 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     witness = None
     per_map = []
     for d_map in stab.maps():
-        outcome = dhat(algebra, d_map, theta)
-        values = _values(_prescriptions(algebra, d_map, theta.map)[1], n, [gv, hv], points)
+        prescriptions = _prescriptions(algebra, d_map, theta.map)
+        outcome = _dhat(algebra, prescriptions)
+        values = _values(prescriptions[1], n, [gv, hv], points)
         values, combos = values[:h.dim], values[h.dim:]
         bad = next((v for v in values if not h.contains_vector(v)), None)
         if bad is not None:

@@ -306,8 +306,8 @@ def _quasi_probe_system(algebra, d_map):
         val = vadd(val, triple(algebra, units[i], units[j], du[k]))
         rhs.extend(val)
     n_rows = len(rhs)
-    m = Matrix(n_rows, 2 * n * n, tuple(
-        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows)))
+    m = Matrix(n_rows, 2 * n * n, (1, tuple(
+        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows))))
     return m, tuple(rhs)
 
 
@@ -326,7 +326,7 @@ def test_criterion_10_quasi_derivations():
     assert is_quasi_derivation(sl2, rejected) is None
     m, rhs = _quasi_probe_system(sl2, rejected)
     aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (rhs[i],) for i, row in enumerate(m.entries)))
+                 (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
     assert rank(aug) > rank(m)
     _verdict(10, "derivations and centroid members admit verified companion"
                  " pairs; an explicit endomorphism is rejected with a rank gap")

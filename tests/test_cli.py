@@ -460,6 +460,21 @@ def save_rebased_sum_files():
     (("verify", "p37", "sum_rebased.json", "--theta", "id", "--subspace", "sum_line.json",
       "--g", "-132/139,102/139,72/139,-84/139", "--h", "-145/139,131/139,-22/139,5/278"), 0,
      "494490d0e557e4b45fd28a1b0856c9f6fa2e5e6d35f2bf59059b7d1c85ec3f8c"),
+    # The integer map algebra of T32, P31, P33 and P34 on rational maps.
+    (("verify", "t32", "sum_rebased.json", "--theta", "sum_chev.json"), 0,
+     "f38244519e86aa3671aa0fc533dfc8f83f4bb31a67b9cc8f034d4c1cdd0ed52b"),
+    (("verify", "t32", "sum_rebased.json", "--theta", "id"), 0,
+     "bb299c1bd19b95b0349769b34919c7178992fcf1ae85479b681777bacb5a23a7"),
+    # With sum_chev.json P33's hypotheses fail before any commutator.
+    (("verify", "p33", "sum_rebased.json", "--theta", "id"), 0,
+     "16835f77a95795c72b50daad53d29ab0c3dfc936d2002f841d4dab8f5e631f46"),
+    (("verify", "p31", "sum_rebased.json", "--theta", "sum_chev.json", "--vartheta", "id"), 0,
+     "de9166c39a4649251d7b7d58e10d25402e19b6e931ed074bffae6a31abde93d2"),
+    (("verify", "p34", "sum_rebased.json", "--map", "sum_der.json"), 0,
+     "6e9a9e9711b177d02c41f93cbc454a7bc4ef19688076f94e3a18f4cd6d815975"),
+    (("stabilizer", "sum_rebased.json", "--theta", "sum_chev.json",
+      "--subspace", "sum_block.json"), 0,
+     "5ae4b2724d2843ecba3a9cb1d42637159e12adb13902acca23aa6cbc895f37d6"),
 ])
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files

@@ -91,8 +91,8 @@ def probe_constraint_matrix(algebra, residual):
     n = algebra.dim
     columns = [residual(LinMap.unflatten(n, vunit(n * n, flat))) for flat in range(n * n)]
     rows = len(columns[0]) if columns else 0
-    return Matrix(rows, n * n, tuple(
-        tuple(columns[q][r] for q in range(n * n)) for r in range(rows)))
+    return Matrix(rows, n * n, (1, tuple(
+        tuple(columns[q][r] for q in range(n * n)) for r in range(rows))))
 
 
 def twisted_residual(algebra, theta, vartheta):
@@ -207,8 +207,8 @@ def quasi_system_by_probing(algebra, d_map):
         val = vadd(val, triple(algebra, units[i], du[j], units[k]))
         val = vadd(val, triple(algebra, units[i], units[j], du[k]))
         rhs.extend(val)
-    m = Matrix(n_rows, 2 * n * n, tuple(
-        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows)))
+    m = Matrix(n_rows, 2 * n * n, (1, tuple(
+        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows))))
     return m, tuple(rhs)
 
 
@@ -243,7 +243,7 @@ def joint_quasi_projection(algebra):
                 row[x_idx(a, k)] += d[i][j][a][l]
                 row[2 * n * n + x_idx(l, a)] -= d[i][j][k][a]
             rows.append(tuple(row))
-    ker = nullspace(Matrix(len(rows), unknowns, tuple(rows)))
+    ker = nullspace(Matrix(len(rows), unknowns, (1, tuple(rows))))
     return Subspace.span(n * n, [k[: n * n] for k in ker.basis])
 
 
@@ -470,7 +470,7 @@ def test_assembled_row_spaces_match_for_small_dims():
         probe_rows = Subspace.span(n2, probe.entries)
         for space in (derivation_space(a).space,
                       g_derivation_space(a, identity_cert(a), identity_cert(a)).space):
-            annihilator = nullspace(Matrix(space.dim, n2, space.basis))
+            annihilator = nullspace(Matrix(space.dim, n2, (1, space.basis)))
             assert probe_rows == annihilator
 
 
@@ -491,7 +491,7 @@ def test_quasi_feasible_set_is_strict_on_sl2():
     # the rejection is certified by a rank gap in the probed companion system
     m, rhs = quasi_system_by_probing(a, rejected)
     aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (rhs[i],) for i, row in enumerate(m.entries)))
+                 (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
     assert rank(aug) > rank(m)
 
 
@@ -500,7 +500,7 @@ def test_quasi_probed_assembler_matches_solver_on_accepted_maps():
     d_map = derivation_space(a).maps()[0]
     m, rhs = quasi_system_by_probing(a, d_map)
     aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (rhs[i],) for i, row in enumerate(m.entries)))
+                 (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
     assert rank(aug) == rank(m)
     assert is_quasi_derivation(a, d_map) is not None
 
@@ -937,15 +937,19 @@ def test_a_failed_solve_is_not_kept(monkeypatch, fault):
 
 
 def test_verify_p37_solves_one_hat_map_per_stabilizing_map(monkeypatch):
-    """P37 calls the public dhat once for each basis map of the stabilizer."""
+    """P37 solves the hat map once, and builds its prescription forms once,
+    for each basis map of the stabilizer."""
     from lya import theorems
 
-    counts = {"dhat": 0}
-    monkeypatch.setattr(theorems, "dhat", counting(counts, "dhat", theorems.dhat))
+    counts = {"dhat": 0, "prescriptions": 0}
+    monkeypatch.setattr(theorems, "_dhat", counting(counts, "dhat", theorems._dhat))
+    prescriptions = counting(counts, "prescriptions", derivations._prescriptions)
+    monkeypatch.setattr(theorems, "_prescriptions", prescriptions)
+    monkeypatch.setattr(derivations, "_prescriptions", prescriptions)
     sl2 = catalog("sl2")
     report = theorems.verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
                                  vunit(3, E), vunit(3, F))
-    assert counts["dhat"] == report.details["stab_dim"] >= 2
+    assert counts["dhat"] == counts["prescriptions"] == report.details["stab_dim"] >= 2
 
 
 # References for the stabilizer, the quasi companions and the hat map: the
@@ -964,7 +968,7 @@ def stabilizer_reference(algebra, twisted, h):
             rows.append(tuple(red[l][p] * b[q] for p in range(n) for q in range(n)))
     if not rows:
         return twisted.space
-    return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, tuple(rows))))
+    return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, (1, tuple(rows)))))
 
 
 def dense_identity_rows(tensor, arity, terms):
@@ -1013,7 +1017,7 @@ def quasi_reference(algebra, d_map):
         val = vadd(contraction_oracle_ternary(d, du[i], units[j], units[k]),
                    contraction_oracle_ternary(d, units[i], du[j], units[k]))
         rhs.extend(vadd(val, contraction_oracle_ternary(d, units[i], units[j], du[k])))
-    solution = solve(Matrix(len(rows), 2 * n * n, tuple(rows)), rhs)
+    solution = solve(Matrix(len(rows), 2 * n * n, (1, tuple(rows))), rhs)
     if solution is None:
         return None
     return QuasiWitness(LinMap.unflatten(n, solution[: n * n]),
@@ -1039,10 +1043,10 @@ def dhat_reference(algebra, d_map, theta):
             row[l * m:(l + 1) * m] = coords
             rows.append(tuple(row))
             rhs.append(target[l])
-    solution = solve(Matrix(len(rows), n * m, tuple(rows)), rhs)
+    solution = solve(Matrix(len(rows), n * m, (1, tuple(rows))), rhs)
     if solution is None:
         return None
-    return Matrix(n, m, tuple(tuple(solution[l * m + b] for b in range(m)) for l in range(n)))
+    return Matrix(n, m, (1, tuple(tuple(solution[l * m + b] for b in range(m)) for l in range(n))))
 
 
 def lie_algebra(n, brackets):
@@ -1218,7 +1222,7 @@ def test_identity_rows_match_the_dense_reference():
                     assert all(g == tuple(factor * x for x in w) for g, w in zip(got, want))
                     assert all(type(x) is int for g in got for x in g)
                 reference += want
-            assert space == nullspace(Matrix(len(reference), n * n, tuple(reference)))
+            assert space == nullspace(Matrix(len(reference), n * n, (1, tuple(reference))))
 
 
 def test_twisted_and_centroid_rows_make_no_dense_contraction():
@@ -1296,8 +1300,8 @@ def dhat_tuplewise_reference(algebra, d_map, theta):
     gens = [(("binary", i, j), algebra.c[i][j]) for i in range(n) for j in range(i + 1, n)]
     gens += [(("ternary", i, j, k), algebra.d[i][j][k])
              for i, j, k in itertools.product(range(n), repeat=3)]
-    gen_matrix = Matrix(n, len(gens), tuple(
-        tuple(gen_vec[row] for _, gen_vec in gens) for row in range(n)))
+    gen_matrix = Matrix(n, len(gens), (1, tuple(
+        tuple(gen_vec[row] for _, gen_vec in gens) for row in range(n))))
     kernel = nullspace(gen_matrix).basis
     rhs = dhat_rhs_tuplewise(algebra, d_map, theta.map)
     for lam in kernel:
@@ -1308,9 +1312,9 @@ def dhat_tuplewise_reference(algebra, d_map, theta):
         if not vis_zero(mismatch):
             terms = tuple((gens[r][0], lam[r]) for r in range(len(gens)) if lam[r] != 0)
             return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
-    system = Matrix(len(gens), w.dim, tuple(coordinates(w, gen_vec) for _, gen_vec in gens))
+    system = Matrix(len(gens), w.dim, (1, tuple(coordinates(w, gen_vec) for _, gen_vec in gens)))
     matrix_rows = [solve(system, [gen_rhs[l] for gen_rhs in rhs]) for l in range(n)]
-    matrix = Matrix(n, w.dim, tuple(matrix_rows))
+    matrix = Matrix(n, w.dim, (1, tuple(matrix_rows)))
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)
 
 
@@ -1349,7 +1353,7 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
         if x is None:
             return None
         first = (x.entries[0][0] + 1,) + x.entries[0][1:]
-        return Matrix(x.rows, x.cols, (first,) + x.entries[1:])
+        return Matrix(x.rows, x.cols, (1, (first,) + x.entries[1:]))
 
     monkeypatch.setattr(derivations, "_map_through", off_by_one)
     with pytest.raises(InternalCheckError, match="companion witness failed re-verification"):
@@ -1423,7 +1427,7 @@ def first_clash_index(algebra, d_map, theta):
     gens = [algebra.c[i][j] for i in range(n) for j in range(i + 1, n)]
     gens += [algebra.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
     rhs = dhat_rhs_tuplewise(algebra, d_map, theta.map)
-    kernel = nullspace(Matrix(n, len(gens), tuple(zip(*gens)))).basis
+    kernel = nullspace(Matrix(n, len(gens), (1, tuple(zip(*gens))))).basis
     return next(k for k, lam in enumerate(kernel)
                 if any(sum(c * y[l] for c, y in zip(lam, rhs)) for l in range(n)))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 from lya.errors import InputError
 from lya.exactlin import (
     Matrix,
-    _integer_basis,
     _kernel,
     _map_through,
     Subspace,
@@ -81,7 +81,7 @@ def rref_reference(m):
         pr += 1
         if pr == nrows:
             break
-    return Matrix(pr, ncols, tuple(tuple(r) for r in rows[:pr]))
+    return Matrix(pr, ncols, (1, tuple(tuple(r) for r in rows[:pr])))
 
 
 def differential_cases():
@@ -109,8 +109,8 @@ def differential_cases():
         rows = [r for r in base.entries for _ in range(2)] + [(Fraction(0),) * 7] * 3
         rows += [tuple(Fraction(-3, 2) * x for x in r) for r in base.entries]
         rng.shuffle(rows)
-        cases.append(Matrix(len(rows), 7, tuple(rows)))
-    cases += [Matrix.zero(0, 5), Matrix(4, 0, ((),) * 4), Matrix.zero(0, 0), Matrix.zero(6, 3)]
+        cases.append(Matrix(len(rows), 7, (1, tuple(rows))))
+    cases += [Matrix.zero(0, 5), Matrix(4, 0, (1, ((),) * 4)), Matrix.zero(0, 0), Matrix.zero(6, 3)]
     return cases
 
 
@@ -146,7 +146,7 @@ def test_rref_matches_reference_on_generated_matrices():
     @hypothesis.given(st.integers(0, 6).flatmap(
         lambda cols: st.lists(st.lists(st.one_of(st.just(Fraction(0)), entry),
                                        min_size=cols, max_size=cols), max_size=8)
-        .map(lambda rows: Matrix(len(rows), cols, tuple(map(tuple, rows))))))
+        .map(lambda rows: Matrix(len(rows), cols, (1, tuple(map(tuple, rows)))))))
     def check(m):
         got = rref(m)
         assert got == rref_reference(m)
@@ -223,7 +223,7 @@ def test_solve_postconditions_random():
         b = vec([rng.randint(-4, 4) for _ in range(m.rows)])
         x = solve(m, b)
         aug = Matrix(m.rows, m.cols + 1,
-                     tuple(r + (b[i],) for i, r in enumerate(m.entries)))
+                     (1, tuple(r + (b[i],) for i, r in enumerate(m.entries))))
         if x is None:
             assert independent_rank(aug.entries) > independent_rank(m.entries)
         else:
@@ -250,7 +250,7 @@ def test_subspace_span_canonicalizes():
 
 def test_subspace_rejects_non_rref_basis():
     with pytest.raises(InputError):
-        Subspace(2, (vec([2, 0]),))
+        Subspace(Matrix.from_rows([[2, 0]]))
 
 
 def test_constructed_subspaces_pass_the_public_validation():
@@ -262,7 +262,7 @@ def test_constructed_subspaces_pass_the_public_validation():
         m = random_matrix(rng, rows, cols, density=density)
         spaces += [Subspace.span(cols, m.entries), nullspace(m)]
     for s in spaces:
-        assert Subspace(s.ambient_dim, s.basis) == s
+        assert Subspace(Matrix(s.dim, s.ambient_dim, (1, s.basis))) == s
 
 
 def test_sum_of_axes_is_full_plane():
@@ -422,12 +422,12 @@ def algebra_matrices():
         n = a.dim
         gens = [a.c[i][j] for i in range(n) for j in range(i + 1, n)]
         gens += [a.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
-        out.append(Matrix(n, len(gens), tuple(tuple(g[l] for g in gens) for l in range(n))))
+        out.append(Matrix(n, len(gens), (1, tuple(tuple(g[l] for g in gens) for l in range(n)))))
         ident = Matrix.identity(n)
         rows = derivations._identity_rows(a, 2, [(None, ident), (ident, None)])
         rows += derivations._identity_rows(a, 3, [(None, ident, ident), (ident, None, ident),
                                                   (ident, ident, None)])
-        out.append(Matrix(len(rows), n * n, tuple(rows)))
+        out.append(Matrix(len(rows), n * n, (1, tuple(rows))))
     return out
 
 
@@ -435,7 +435,7 @@ def nullspace_cases():
     """The rref differential matrices (also run against sympy), edge shapes,
     full-rank shapes and the solvers' matrices on known algebras."""
     rng = random.Random(2718)
-    shapes = [Matrix.zero(0, 5), Matrix(4, 0, ((),) * 4), Matrix.zero(0, 0), Matrix.zero(6, 3),
+    shapes = [Matrix.zero(0, 5), Matrix(4, 0, (1, ((),) * 4)), Matrix.zero(0, 0), Matrix.zero(6, 3),
               Matrix.identity(5), random_matrix(rng, 8, 4), random_matrix(rng, 4, 8)]
     return differential_cases() + shapes + algebra_matrices()
 
@@ -445,8 +445,8 @@ def test_nullspace_matches_the_two_pass_reference():
     for m in nullspace_cases():
         got = nullspace(m)
         assert got.basis == nullspace_two_pass_reference(m).basis
-        assert Subspace(m.cols, got.basis) == got
-        assert_fraction_entries(Matrix(got.dim, m.cols, got.basis))
+        assert Subspace(Matrix(got.dim, m.cols, (1, got.basis))) == got
+        assert_fraction_entries(Matrix(got.dim, m.cols, (1, got.basis)))
         kinds.add((got.dim == 0, got.dim == m.cols))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -497,14 +497,14 @@ def test_nullspace_matches_the_two_pass_reference_on_drawn_matrices():
     matrices = st.tuples(st.integers(0, 6), st.integers(0, 7)).flatmap(
         lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
                                min_size=shape[0], max_size=shape[0]).map(
-            lambda rows, cols=shape[1]: Matrix(len(rows), cols, tuple(map(tuple, rows)))))
+            lambda rows, cols=shape[1]: Matrix(len(rows), cols, (1, tuple(map(tuple, rows))))))
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @hypothesis.given(matrices)
     def check(m):
         got = nullspace(m)
         assert got.basis == nullspace_two_pass_reference(m).basis
-        assert Subspace(m.cols, got.basis) == got
+        assert Subspace(Matrix(got.dim, m.cols, (1, got.basis))) == got
         assert dense_kernel(m) == got.basis
 
     check()
@@ -544,9 +544,9 @@ def subspace_intersect_kernel_reference(a, b):
     n, p, q = a.ambient_dim, a.dim, b.dim
     if p == 0 or q == 0:
         return Subspace.zero(n)
-    m = Matrix(n, p + q, tuple(tuple(a.basis[i][row] for i in range(p))
+    m = Matrix(n, p + q, (1, tuple(tuple(a.basis[i][row] for i in range(p))
                                + tuple(-b.basis[j][row] for j in range(q))
-                               for row in range(n)))
+                               for row in range(n))))
     vectors = [[sum((k[i] * a.basis[i][col] for i in range(p)), Fraction(0))
                 for col in range(n)] for k in nullspace(m).basis]
     return Subspace.span(n, vectors)
@@ -568,7 +568,7 @@ def test_subspace_intersect_matches_the_kernel_reference_on_edge_pairs():
     for a, b in pairs:
         got = subspace_intersect(a, b)
         assert got == subspace_intersect_kernel_reference(a, b)
-        assert Subspace(got.ambient_dim, got.basis) == got
+        assert Subspace(Matrix(got.dim, got.ambient_dim, (1, got.basis))) == got
     assert any(subspace_contains(b, a) and 0 < a.dim < b.dim for a, b in pairs)
 
 
@@ -577,7 +577,7 @@ def test_subspace_intersect_matches_the_kernel_reference_on_edge_pairs():
 
 def solve_augmented_reference(m, b):
     aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (Fraction(b[i]),) for i, row in enumerate(m.entries)))
+                 (1, tuple(row + (Fraction(b[i]),) for i, row in enumerate(m.entries))))
     r = rref(aug)
     pivots = pivot_cols(r.entries)
     if m.cols in pivots:
@@ -590,11 +590,11 @@ def solve_augmented_reference(m, b):
 
 def map_through_by_columns(points, images, dim, codim):
     """Row l of X from the reference solve of points . x = (image coordinate l)."""
-    m = Matrix(len(points), dim, tuple(tuple(p) for p in points))
+    m = Matrix(len(points), dim, (1, tuple(tuple(p) for p in points)))
     rows = [solve_augmented_reference(m, [y[l] for y in images]) for l in range(codim)]
     if None in rows:
         return None
-    return Matrix(codim, dim, tuple(rows))
+    return Matrix(codim, dim, (1, tuple(rows)))
 
 
 def prescribed_image_cases():
@@ -629,7 +629,7 @@ def test_solve_matches_the_augmented_reference():
             got = solve(m, b)
             assert got == solve_augmented_reference(m, b)
             if got is not None:
-                assert_fraction_entries(Matrix(1, m.cols, (got,)))
+                assert_fraction_entries(Matrix(1, m.cols, (1, (got,))))
                 kinds.add(("consistent", rank(m) < m.cols))
             else:
                 kinds.add(("inconsistent", None))
@@ -662,8 +662,8 @@ def test_invert_matches_sympy():
             assert got is None
         else:
             inv = want.inv() if m.rows else want
-            assert got == Matrix(m.rows, m.cols, tuple(
-                tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(m.rows)))
+            assert got == Matrix(m.rows, m.cols, (1, tuple(
+                tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(m.rows))))
         seen.add(got is None)
     assert seen == {True, False}
 
@@ -688,7 +688,7 @@ def test_map_through_matches_the_reference_on_drawn_systems():
         assert _map_through(points, images, dim, codim) == \
             map_through_by_columns(points, images, dim, codim)
         if codim == 1:
-            m = Matrix(len(rows), dim, tuple(points))
+            m = Matrix(len(rows), dim, (1, tuple(points)))
             assert solve(m, [y[0] for y in images]) == \
                 solve_augmented_reference(m, [y[0] for y in images])
 
@@ -720,36 +720,56 @@ def big_fractions():
 
 
 def test_matrix_mul_matches_fraction_products():
-    """Matrix.mul equals the Fraction reference on drawn shapes, 0 x k and
-    k x 0 included, with small and very large denominators, and every entry
-    of every product is a Fraction."""
+    """Matrix.mul, mul_vec, transpose, add, sub, scale and flatten equal
+    Fraction references on drawn shapes, 0 x k and k x 0 included, with
+    small and very large denominators; a matrix built from Fractions equals,
+    and hashes as, the same matrix built from integers over a scale; and
+    every entry of every view is a Fraction."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     entries = big_fractions()
 
+    def rows(r, k):
+        return st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r)
+
     def shapes(dims):
         r, k, c = dims
-        return st.tuples(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r),
-                         st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k),
-                         st.just(dims))
+        return st.tuples(rows(r, k), rows(r, k), rows(k, c), rows(1, k), entries,
+                         st.integers(1, 10 ** 20), st.just(dims))
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @hypothesis.given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(shapes))
     def check(case):
-        left, right, (r, k, c) = case
-        a = Matrix(r, k, tuple(tuple(row) for row in left))
-        b = Matrix(k, c, tuple(tuple(row) for row in right))
+        left, other, right, (v,), t, extra, (r, k, c) = case
+        a = Matrix(r, k, (1, tuple(tuple(row) for row in left)))
+        o = Matrix(r, k, (1, tuple(tuple(row) for row in other)))
+        b = Matrix(k, c, (1, tuple(tuple(row) for row in right)))
         got = a.mul(b)
         assert (got.rows, got.cols) == (r, c)
         assert [list(row) for row in got.entries] == fraction_product(a, b)
-        assert all(type(x) is Fraction for row in got.entries for x in row)
+        assert a.mul_vec(v) == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0))
+                                     for row in left)
+        assert a.transpose().entries == tuple(tuple(row[i] for row in left) for i in range(k))
+        assert a.add(o).entries == tuple(tuple(x + y for x, y in zip(p, q))
+                                         for p, q in zip(left, other))
+        assert a.sub(o).entries == tuple(tuple(x - y for x, y in zip(p, q))
+                                         for p, q in zip(left, other))
+        assert a.scale(t).entries == tuple(tuple(t * x for x in row) for row in left)
+        assert a.flatten() == tuple(x for row in left for x in row)
+        # The same entries as integers over a scale that is not the least one.
+        scale = extra * math.lcm(*(x.denominator for row in left for x in row))
+        ints = Matrix(r, k, (scale, tuple(tuple(int(x * scale) for x in row) for row in left)))
+        assert ints == a and hash(ints) == hash(a) and ints.form == a.form
+        views = [got.entries, a.transpose().entries, a.add(o).entries, a.sub(o).entries,
+                 a.scale(t).entries, ints.entries, (a.mul_vec(v), a.flatten())]
+        assert all(type(x) is Fraction for view in views for row in view for x in row)
 
     check()
     for r, k, c in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (2, 0, 0)):
         got = Matrix.zero(r, k).mul(Matrix.zero(k, c))
         assert got == Matrix.zero(r, c)
         assert all(type(x) is Fraction for row in got.entries for x in row)
-    ints = Matrix(2, 2, ((1, 2), (3, 4)))
+    ints = Matrix(2, 2, (1, ((1, 2), (3, 4))))
     assert ints.mul(ints).entries == ((7, 10), (15, 22))
     assert all(type(x) is Fraction for row in ints.mul(ints).entries for x in row)
 
@@ -786,4 +806,8 @@ def test_contains_vector_matches_fraction_elimination():
     line = Subspace.span(2, [[Fraction(1, 10 ** 40), Fraction(3, 7 ** 30)]])
     assert line.contains_vector([Fraction(7 ** 30, 3), 10 ** 40])
     assert not line.contains_vector([Fraction(7 ** 30, 3), 10 ** 40 + 1])
-    assert [p for p, _ in _integer_basis(line.basis)[1]] == list(line.pivots)
+    # The stored basis is cleared over its least scale S, each pivot entry S.
+    scale, rows = line.echelon.form
+    assert [tuple(Fraction(x, scale) for x in row) for row in rows] == list(line.basis)
+    assert [row[p] for p, row in zip(line.pivots, rows)] == [scale] * line.dim
+    assert math.gcd(scale, *itertools.chain.from_iterable(rows)) == 1

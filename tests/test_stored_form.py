@@ -1,4 +1,4 @@
-"""Algebras store only their cleared integer form.
+"""Algebras, maps and subspaces store only their cleared integer forms.
 
 The dense JSON loader, direct sum and LY1/LY2 scans below are the code that
 built and checked dense Fraction tensors before an algebra stored only its
@@ -11,17 +11,21 @@ loader to the bytes they printed when the dense tensors were stored.
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from lya import exactlin
 from lya.cli import main
+from lya.derivations import derivation_space
 from lya.errors import AxiomError, InputError
-from lya.exactlin import Matrix, invert, vadd, vec, vis_zero, vscale, vzero
+from lya.exactlin import (Matrix, Subspace, invert, subspace_contains, vadd, vec, vis_zero, vscale,
+                          vzero)
 from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
                        from_leibniz, leibniz2)
-from lya.maps import LinMap
+from lya.maps import LinMap, compose, satisfies_g_derivation
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
                            algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
                            raw_algebra_from_dict, save_json_file, strs_vec)
@@ -356,3 +360,43 @@ def test_from_leibniz_passes_the_axioms_in_every_basis():
             assert check_axioms(a.dim, a.c, a.d).passed
 
     check()
+
+
+# -- maps and subspaces ------------------------------------------------------
+
+
+def test_a_stored_map_or_basis_is_never_cleared_again(monkeypatch):
+    """Subspaces, maps and algebras are cleared once, when they are built.
+    Membership, images and the twisted derivation re-check then read them
+    as stored and clear only their vector arguments; a composite is cleared
+    once, as it is built, from the integer product of the stored factors."""
+    alg, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    n = alg.dim
+    space = Subspace.span(n, [p_inv.col(i) for i in range(3)])
+    theta = LinMap(n, p_inv.mul(Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
+                                                  [0, 0, 0, -1]])).mul(p))
+    ders = derivation_space(alg)
+    f, ident = ders.maps()[0], LinMap.identity(n)
+    v = vec(["1/3", "-2", "5/7", "0"])
+    image, product = f.apply(v), theta.matrix.mul(f.matrix)
+    cleared = []
+    clear = exactlin._clear
+
+    def recording(scale, rows):
+        cleared.append([x for r in rows for x in r])
+        return clear(scale, rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lya") and getattr(module, "_clear", None) is clear:
+            monkeypatch.setattr(module, "_clear", recording)
+    for _ in range(3):
+        assert not space.contains_vector(v)
+        assert f.apply(v) == image
+        assert satisfies_g_derivation(alg, f, ident, ident)
+        assert not satisfies_g_derivation(alg, theta, ident, ident)
+        assert subspace_contains(space, space) and ders.contains(f)
+    assert cleared == [list(v)] * 6
+    cleared.clear()
+    composites = [compose(theta, f) for _ in range(3)]
+    assert len(cleared) == 3 and all(type(x) is int for values in cleared for x in values)
+    assert all(g.matrix == product for g in composites)

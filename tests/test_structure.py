@@ -194,7 +194,7 @@ def center_reference(a):
         for l in range(n):
             rows.append(tuple(d[i][j][k][l] for i in range(n)))
             rows.append(tuple(d[j][k][i][l] for i in range(n)))
-    space = nullspace(Matrix(len(rows), n, tuple(rows)))
+    space = nullspace(Matrix(len(rows), n, (1, tuple(rows))))
     e = units(n)
     for g in space.basis:
         for j, k in itertools.product(range(n), repeat=2):
@@ -259,8 +259,8 @@ def is_abelian_ideal_reference(a, h):
 
 def coordinates_in(h, v):
     """Coefficients of v over h's basis, by a solve independent of lya's."""
-    coeffs = nullspace(Matrix(h.ambient_dim, h.dim + 1, tuple(
-        tuple(b[r] for b in h.basis) + (-v[r],) for r in range(h.ambient_dim))))
+    coeffs = nullspace(Matrix(h.ambient_dim, h.dim + 1, (1, tuple(
+        tuple(b[r] for b in h.basis) + (-v[r],) for r in range(h.ambient_dim)))))
     last = [x for x in coeffs.basis if x[-1]]
     assert last, "product outside the subalgebra"
     return tuple(x / last[0][-1] for x in last[0][:-1])
@@ -618,8 +618,8 @@ def test_stabilizer_hat_map_and_quasi_are_basis_covariant():
             for d_map in maps:
                 base, got = dhat(a, d_map, theta), dhat(moved, conj(d_map), theta_moved)
                 pairs = dense_prescriptions(moved, conj(d_map), conj(twist))
-                gens = Matrix(len(pairs), n, tuple(g for g, _ in pairs))
-                joined = Matrix(len(pairs), 2 * n, tuple(g + y for g, y in pairs))
+                gens = Matrix(len(pairs), n, (1, tuple(g for g, _ in pairs)))
+                joined = Matrix(len(pairs), 2 * n, (1, tuple(g + y for g, y in pairs)))
                 assert got.consistent == base.consistent == (rank(gens) == rank(joined))
                 seen.add(("dhat consistent", got.consistent))
                 if got.consistent:
