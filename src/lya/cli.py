@@ -9,10 +9,18 @@ re-check (reported with ``"internal": true``), 2 on an input or usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import re
 import sys
 from pathlib import Path
+
+try:  # The interpreter's own SHA-256: hashlib would load OpenSSL to hash a few KB.
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from .errors import InputError, InternalCheckError, LyaError
@@ -52,7 +60,7 @@ class _Session:
         """The JSON value in the file; each path string is read and listed once."""
         if path not in self._read:
             raw, self._read[path] = ser.read_json_file(path)
-            self.inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+            self.inputs.append({"path": path, "sha256": _sha256(raw).hexdigest()})
         return self._read[path]
 
 
@@ -276,7 +284,7 @@ def _cmd_export(args, session, out) -> int:
         raise InputError("export needs --out FILE")
     payload = ser.algebra_to_dict(catalog(args.name))
     ser.save_json_file(args.out, payload)
-    digest = hashlib.sha256(Path(args.out).read_bytes()).hexdigest()
+    digest = _sha256(Path(args.out).read_bytes()).hexdigest()
     result = {"name": args.name, "path": args.out, "sha256": digest}
     _emit(out, "export", session, result, None)
     return 0
@@ -412,5 +420,15 @@ def main(argv=None, out=None) -> int:
         return INPUT_ERROR if isinstance(exc, InputError) else MATH_FAILURE
 
 
+def run() -> int:
+    """The ``lya`` process: :func:`main` on the command line, then every
+    object still alive is frozen, so the collections at interpreter exit
+    skip a heap that the OS frees anyway.  In-process callers use main,
+    which freezes nothing."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,14 +11,21 @@ from __future__ import annotations
 import collections
 
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import Matrix, Subspace, nullspace
+from .exactlin import Matrix, Subspace, _member, nullspace
 from .lyalg import LYAlgebra, _nonzero_vectors, _tensor_form, _transported
 
 
 def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
-    """Whether every product with its slots transported by ``maps`` lies in H."""
-    return all(h.contains_vector(v)
-               for _, v in _nonzero_vectors(_transported(algebra, maps), algebra.dim))
+    """Whether every product with its slots transported by ``maps`` lies in H.
+
+    Each product is tested as its integer vector over the transported form's
+    scale, which :func:`_member` reads as stored.
+    """
+    vectors: dict[tuple[int, ...], list[int]] = collections.defaultdict(
+        lambda: [0] * algebra.dim)
+    for key, x in _transported(algebra, maps)[1].items():
+        vectors[key[:-1]][key[-1]] = x
+    return all(_member(h, w) for w in vectors.values())
 
 
 def center(algebra: LYAlgebra) -> Subspace:

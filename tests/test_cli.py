@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -47,6 +48,13 @@ def test_export_round_trip(tmp_path):
         assert reloaded.c == original.c and reloaded.d == original.d
         assert reloaded.labels == original.labels
         assert report["result"]["name"] == name
+
+
+def test_export_reports_the_sha256_of_the_written_file(tmp_path):
+    path = tmp_path / "sl2.json"
+    code, report = run_json("export", "sl2", "--out", str(path))
+    assert code == 0
+    assert report["result"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_export_abelian_has_empty_sections(tmp_path):
@@ -490,21 +498,54 @@ def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+SRC = str(Path(lya.__file__).resolve().parents[1])
+
+
+def run_module(cwd, argv, **env):
+    """``python -m lya.cli`` in a fresh process, with src on its path."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "lya.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120, check=False)
+
+
 @pytest.mark.parametrize("argv", [("verify", "suite"), ("der", "sum_rebased.json")])
 def test_stdout_is_the_same_under_any_hash_seed(tmp_path, argv):
     """Fresh processes with different string-hash seeds print the same bytes."""
     save_json_file(tmp_path / "sum_rebased.json",
                    algebra_to_dict(rebased(catalog("sl2_plus_ab1"), 11)[0]))
-    src = str(Path(lya.__file__).resolve().parents[1])
     outputs = set()
     for seed in ("0", "1", "4242"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-m", "lya.cli", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, timeout=120, check=False)
+        proc = run_module(tmp_path, argv, PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "suite"), 0),
+    (("dhat", "sl2_plus_ab1.json", "--map", "id"), 1),
+    (("der",), 2),
+])
+def test_module_entry_point_prints_what_main_prints(tmp_path, monkeypatch, argv, code):
+    """The process entry point (run) gives main's exit code and stdout bytes,
+    and main called in-process freezes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("export", "sl2_plus_ab1", "--out", "sl2_plus_ab1.json")[0] == 0
+    proc = run_module(tmp_path, argv)
+    assert proc.returncode == code, proc.stderr
+    frozen = gc.get_freeze_count()
+    assert run_cli(*argv) == (code, proc.stdout.decode("utf-8"))
+    assert gc.get_freeze_count() == frozen
+
+
+def test_importing_the_cli_loads_no_openssl_hashlib():
+    """A fresh interpreter, without site hooks, imports lya.cli without hashlib."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import lya.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("verb,data,field", [
