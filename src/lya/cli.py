@@ -64,7 +64,7 @@ class _Session:
         return self._read[path]
 
 
-def _emit(out, verb: str, session: _Session, result, out_path: str | None = None) -> None:
+def _emit(out, verb: str, session: _Session, result, out_path: str | None) -> None:
     text = ser.canonical_json({"tool": "lya", "version": __version__, "verb": verb,
                                "inputs": session.inputs, "result": result})
     # The file goes first: a failed write leaves only the error report on stdout.
@@ -106,10 +106,12 @@ def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path |
     return parse(session.load(ref if base is None else str(base / ref)))
 
 
-def _load_cert(session: _Session, ref: str | None, algebra: LYAlgebra):
+def _load_cert(session: _Session, ref, algebra: LYAlgebra, base: Path | None = None):
+    """The certified automorphism a map reference names (see :func:`_resolve`),
+    or the identity when no reference is given."""
     if ref is None:
         return identity_cert(algebra)
-    return certify_automorphism(algebra, _resolve(session, "map", ref, algebra))
+    return certify_automorphism(algebra, _resolve(session, "map", ref, algebra, base))
 
 
 def _text(raw: dict, key: str) -> str:
@@ -132,8 +134,9 @@ def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = 
     check_fields(spec["prop"], list(raw))
     for key in ("theta", "vartheta"):
         if key in raw:
-            spec[key] = certify_automorphism(algebra,
-                                             _resolve(session, "map", raw[key], algebra, base))
+            if raw[key] is None:  # a null field names no map; only an absent one is the identity
+                raise InputError("cannot resolve map reference None")
+            spec[key] = _load_cert(session, raw[key], algebra, base)
     for key in ("subspace", "map"):
         if key in raw:
             spec[key] = _resolve(session, key, raw[key], algebra, base)
@@ -143,7 +146,7 @@ def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = 
     return CheckSpec(**spec)
 
 
-def _cmd_check(args, session, out) -> int:
+def _cmd_check(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     n, _, form = ser.raw_algebra_from_dict(data)
     report = _check_form(n, form)
@@ -155,11 +158,10 @@ def _cmd_check(args, session, out) -> int:
             for f in report.failures
         ],
     }
-    _emit(out, "check", session, result, args.out)
-    return 0 if report.passed else MATH_FAILURE
+    return result, 0 if report.passed else MATH_FAILURE
 
 
-def _cmd_construct(args, session, out) -> int:
+def _cmd_construct(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     if args.source == "lie":
         tensor, labels = ser.lie_tensor_from_dict(data)
@@ -167,88 +169,71 @@ def _cmd_construct(args, session, out) -> int:
     else:
         algebra = from_leibniz(ser.leibniz_from_dict(data))
     result = {"algebra": ser.algebra_to_dict(algebra)}
-    if args.out:
-        ser.save_json_file(args.out, result["algebra"])
-    _emit(out, "construct", session, result, None)
-    return 0
+    if args.file:
+        ser.save_json_file(args.file, result["algebra"])
+    return result, 0
 
 
-def _cmd_der(args, session, out) -> int:
+def _cmd_der(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    space = derivation_space(algebra)
-    _emit(out, "der", session, ser.derspace_to_dict(space), args.out)
-    return 0
+    return ser.derspace_to_dict(derivation_space(algebra)), 0
 
 
-def _cmd_gder(args, session, out) -> int:
+def _cmd_gder(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     vartheta = _load_cert(session, args.vartheta, algebra)
-    space = g_derivation_space(algebra, theta, vartheta)
-    _emit(out, "gder", session, ser.derspace_to_dict(space), args.out)
-    return 0
+    return ser.derspace_to_dict(g_derivation_space(algebra, theta, vartheta)), 0
 
 
-def _cmd_centroid(args, session, out) -> int:
+def _cmd_centroid(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    space = centroid(algebra)
-    _emit(out, "centroid", session, ser.map_space_to_dict(space, algebra.dim), args.out)
-    return 0
+    return ser.map_space_to_dict(centroid(algebra), algebra.dim), 0
 
 
-def _cmd_center(args, session, out) -> int:
+def _cmd_center(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    _emit(out, "center", session, ser.subspace_to_dict(center(algebra)), args.out)
-    return 0
+    return ser.subspace_to_dict(center(algebra)), 0
 
 
-def _cmd_derived(args, session, out) -> int:
+def _cmd_derived(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     w = derived_algebra(algebra)
-    result = {"subspace": ser.subspace_to_dict(w), "dim": w.dim,
-              "perfect": w.dim == algebra.dim}
-    _emit(out, "derived", session, result, args.out)
-    return 0
+    return {"subspace": ser.subspace_to_dict(w), "dim": w.dim, "perfect": w.dim == algebra.dim}, 0
 
 
-def _cmd_inner(args, session, out) -> int:
+def _cmd_inner(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     g = ser.parse_vector_arg(args.g, algebra.dim)
     h = ser.parse_vector_arg(args.h, algebra.dim)
-    result = {"map": ser.map_to_dict(inner_derivation(algebra, g, h))}
-    _emit(out, "inner", session, result, args.out)
-    return 0
+    return {"map": ser.map_to_dict(inner_derivation(algebra, g, h))}, 0
 
 
-def _cmd_quasi(args, session, out) -> int:
+def _cmd_quasi(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     d_map = _resolve(session, "map", args.map, algebra)
     witness = is_quasi_derivation(algebra, d_map)
     result = {"feasible": witness is not None,
               "witness": ser.quasi_witness_to_dict(witness) if witness else None}
-    _emit(out, "quasi", session, result, args.out)
-    return 0 if witness is not None else MATH_FAILURE
+    return result, 0 if witness is not None else MATH_FAILURE
 
 
-def _cmd_stabilizer(args, session, out) -> int:
+def _cmd_stabilizer(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     h = _resolve(session, "subspace", args.subspace, algebra)
-    space = stabilizer_derivations(algebra, theta, h)
-    _emit(out, "stabilizer", session, ser.derspace_to_dict(space), args.out)
-    return 0
+    return ser.derspace_to_dict(stabilizer_derivations(algebra, theta, h)), 0
 
 
-def _cmd_dhat(args, session, out) -> int:
+def _cmd_dhat(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     d_map = _resolve(session, "map", args.map, algebra)
     theta = _load_cert(session, args.theta, algebra)
     result = ser.dhat_result_to_dict(dhat(algebra, d_map, theta))
-    _emit(out, "dhat", session, result, args.out)
-    return 0 if result["consistent"] else MATH_FAILURE
+    return result, 0 if result["consistent"] else MATH_FAILURE
 
 
-def _cmd_verify(args, session, out) -> int:
+def _cmd_verify(args, session) -> tuple[dict, int]:
     prop = args.prop.lower()
     if prop == "suite":
         reports = default_catalog_reports()
@@ -275,19 +260,15 @@ def _cmd_verify(args, session, out) -> int:
         reports = verify_all(algebra, specs)
     result = {"reports": [ser.report_to_dict(r) for r in reports],
               "all_pass": reports_pass(reports)}
-    _emit(out, "verify", session, result, args.out)
-    return 0 if result["all_pass"] else MATH_FAILURE
+    return result, 0 if result["all_pass"] else MATH_FAILURE
 
 
-def _cmd_export(args, session, out) -> int:
-    if not args.out:
+def _cmd_export(args, session) -> tuple[dict, int]:
+    if not args.file:
         raise InputError("export needs --out FILE")
-    payload = ser.algebra_to_dict(catalog(args.name))
-    ser.save_json_file(args.out, payload)
-    digest = _sha256(Path(args.out).read_bytes()).hexdigest()
-    result = {"name": args.name, "path": args.out, "sha256": digest}
-    _emit(out, "export", session, result, None)
-    return 0
+    ser.save_json_file(args.file, ser.algebra_to_dict(catalog(args.name)))
+    digest = _sha256(Path(args.file).read_bytes()).hexdigest()
+    return {"name": args.name, "path": args.file, "sha256": digest}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,16 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with finite-dimensional Lie-Yamaguti algebras.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, out="also write the output to this file", **kwargs):
+    # construct and export write their own file, so their --out goes to
+    # args.file and the report is written to stdout only.
+    def add(name, func, out="also write the output to this file", dest="out", **kwargs):
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--out", help=out)
+        p.add_argument("--out", dest=dest, metavar="OUT", help=out)
         return p
 
     p = add("check", _cmd_check, help="verify the axioms of an algebra file")
     p.add_argument("algebra")
 
-    p = add("construct", _cmd_construct, out="also write the built algebra file",
+    p = add("construct", _cmd_construct, out="also write the built algebra file", dest="file",
             help="build an algebra from a Lie or Leibniz file")
     p.add_argument("algebra")
     p.add_argument("--from", dest="source", choices=("lie", "leibniz"), required=True)
@@ -371,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1")
     p.add_argument("--g2")
 
-    p = add("export", _cmd_export, out="the algebra file to write (required)",
+    p = add("export", _cmd_export, out="the algebra file to write (required)", dest="file",
             help="write a catalog algebra to a file")
     p.add_argument("name")
 
@@ -406,7 +389,9 @@ def main(argv=None, out=None) -> int:
         argv = list(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(_attach_vector_values(argv))
         verb = args.verb
-        return args.func(args, session, out)
+        result, code = args.func(args, session)
+        _emit(out, verb, session, result, getattr(args, "out", None))
+        return code
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else INPUT_ERROR
     except LyaError as exc:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Matrix, Scalar, Vec, _clear, vec, vec_strs, vzero
+from .exactlin import Matrix, Scalar, Vec, _clear, _view, vec, vec_strs, vzero
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
@@ -133,7 +133,7 @@ def _tensor_form(algebra: LYAlgebra, arity: int) -> Keyed:
 def _dense(keyed: Keyed, n: int, arity: int):
     """The keyed form's vectors as nested tuples over ``arity`` basis
     indices: the dense c for arity 2, d for arity 3."""
-    vectors, zero = dict(_nonzero_vectors(keyed, n)), vzero(n)
+    vectors, zero = {idx: _view(keyed[0], v) for idx, v in _vectors(keyed, n)}, vzero(n)
 
     def nest(idx: tuple[int, ...]):
         if len(idx) == arity:
@@ -162,10 +162,13 @@ def _vector_at(keyed: Keyed, idx: tuple[int, ...], n: int) -> Vec:
     return tuple(Fraction(entries.get(idx + (l,), 0), scale) for l in range(n))
 
 
-def _nonzero_vectors(keyed: Keyed, n: int) -> list[tuple[tuple[int, ...], Vec]]:
+def _vectors(keyed: Keyed, n: int) -> list[tuple[tuple[int, ...], list[int]]]:
     """Each basis tuple at which a keyed form with no zero entries is
-    nonzero, in sorted order, paired with its vector there."""
-    return [(idx, _vector_at(keyed, idx, n)) for idx in sorted({key[:-1] for key in keyed[1]})]
+    nonzero, in sorted order, paired with its integer vector there over the
+    form's scale."""
+    entries = keyed[1]
+    return [(idx, [entries.get(idx + (l,), 0) for l in range(n)])
+            for idx in sorted({key[:-1] for key in entries})]
 
 
 def _columns(n: int, vectors: Sequence[Vec]) -> Matrix:
@@ -378,39 +381,32 @@ def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequ
     return _product(algebra, (gv, hv, iv))
 
 
-def _check_lie(n: int, scale: int, binary: dict, iterated: dict) -> None:
-    """Alternation and the Jacobi identity of a cleared bracket, the latter
-    read off :func:`_iterated` of it; an error names the first failing basis
-    pair or triple of a scan in lexicographic order."""
-    bad = sorted((min(i, j), max(i, j)) for (i, j, l), x in binary.items()
-                 if i == j or x + binary.get((j, i, l), 0))
-    if bad:
-        i, j = bad[0]
+def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
+    """Lift a Lie bracket tensor: ternary product is the iterated bracket.
+
+    The lift is built and its axioms checked as for any algebra; a bracket
+    that is not a Lie bracket fails that check, and its error names the
+    check's first failure.  LY1 is alternation.  Once it holds, so does LY2,
+    and LY3 is twice the Jacobi identity at the same basis triples, so any
+    other first failure is LY3 with its residual halved.
+    """
+    n = len(lie_tensor)
+    scale, binary, _ = _cleared(1, _entries(lie_tensor, n, 3, "bracket"), {})
+    if labels is None:
+        labels = tuple(f"e{i + 1}" for i in range(n))
+    form = (scale * scale, {k: scale * x for k, x in binary.items()}, _iterated(binary))
+    try:
+        return LYAlgebra(n, tuple(str(x) for x in labels), form)
+    except AxiomError as exc:
+        first = exc.report.failures[0]
+    if first.axiom == "LY1":
+        i, j = first.indices
         raise MathError(f"bracket of basis element {i} with itself is nonzero" if i == j
                         else f"bracket is not antisymmetric at basis pair ({i}, {j})",
                         witness={"indices": [i, j]})
-    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] can be
-    # nonzero only at a rotation of a nonzero iterated bracket.
-    rotations = {t for a, b, e, _ in iterated for t in ((a, b, e), (e, a, b), (b, e, a))}
-    for i, j, k in sorted(rotations):
-        terms = ((i, j, k), (j, k, i), (k, i, j))
-        res = tuple(Fraction(sum(iterated.get(t + (l,), 0) for t in terms), scale * scale)
-                    for l in range(n))
-        if any(res):
-            raise MathError(f"Jacobi identity fails at basis triple ({i}, {j}, {k})",
-                            witness={"indices": [i, j, k], "residual": vec_strs(res)})
-
-
-def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
-    """Lift a Lie bracket tensor: ternary product is the iterated bracket."""
-    n = len(lie_tensor)
-    scale, binary, _ = _cleared(1, _entries(lie_tensor, n, 3, "bracket"), {})
-    ternary = _iterated(binary)
-    _check_lie(n, scale, binary, ternary)
-    if labels is None:
-        labels = tuple(f"e{i + 1}" for i in range(n))
-    binary = {k: scale * x for k, x in binary.items()}
-    return LYAlgebra(n, tuple(str(x) for x in labels), (scale * scale, binary, ternary))
+    raise MathError(f"Jacobi identity fails at basis triple {first.indices}",
+                    witness={"indices": list(first.indices),
+                             "residual": vec_strs(x / 2 for x in first.residual)})
 
 
 class LeibnizAlgebra(Record):

@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InputError
-from .exactlin import Matrix, Subspace, Vec, vec, vec_strs, vscale, vzero
-from .lyalg import (Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _nonzero_vectors,
-                    _tensor_form)
+from .exactlin import Matrix, Subspace, Vec, _view, vec, vec_strs, vscale, vzero
+from .lyalg import Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _tensor_form, _vectors
 from .maps import LinMap, _maps_of
 
 if TYPE_CHECKING:
@@ -133,8 +132,8 @@ def algebra_from_dict(data: dict) -> LYAlgebra:
 def algebra_to_dict(algebra: LYAlgebra) -> dict:
     # Both products are alternating in their first two slots, so the tuples
     # with i < j carry every product.
-    binary, ternary = ([[*idx, vec_strs(v)]
-                        for idx, v in _nonzero_vectors(_tensor_form(algebra, arity), algebra.dim)
+    binary, ternary = ([[*idx, vec_strs(_view(algebra.form[0], v))]
+                        for idx, v in _vectors(_tensor_form(algebra, arity), algebra.dim)
                         if idx[0] < idx[1]] for arity in (2, 3))
     return {
         "dim": algebra.dim,
@@ -185,19 +184,17 @@ def subspace_to_dict(s: Subspace) -> dict:
     return {"ambient": s.ambient_dim, "basis": [vec_strs(row) for row in s.basis]}
 
 
-def derspace_to_dict(space: DerSpace) -> dict:
-    return {
-        "alg_dim": space.alg_dim,
-        "dim": space.dim,
-        "maps": [map_to_dict(f)["matrix"] for f in space.maps()],
-        "theta": map_to_dict(space.theta.map) if space.theta else None,
-        "vartheta": map_to_dict(space.vartheta.map) if space.vartheta else None,
-    }
-
-
 def map_space_to_dict(space: Subspace, alg_dim: int) -> dict:
     maps = [map_to_dict(f)["matrix"] for f in _maps_of(space)]
     return {"alg_dim": alg_dim, "dim": space.dim, "maps": maps}
+
+
+def derspace_to_dict(space: DerSpace) -> dict:
+    """:func:`map_space_to_dict` with the twist the maps satisfy."""
+    return map_space_to_dict(space.space, space.alg_dim) | {
+        "theta": map_to_dict(space.theta.map) if space.theta else None,
+        "vartheta": map_to_dict(space.vartheta.map) if space.vartheta else None,
+    }
 
 
 def quasi_witness_to_dict(w: QuasiWitness) -> dict:

@@ -12,7 +12,7 @@ import collections
 
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import Matrix, Subspace, _member, nullspace
-from .lyalg import LYAlgebra, _nonzero_vectors, _tensor_form, _transported
+from .lyalg import LYAlgebra, _tensor_form, _transported, _vectors
 
 
 def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
@@ -21,11 +21,7 @@ def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
     Each product is tested as its integer vector over the transported form's
     scale, which :func:`_member` reads as stored.
     """
-    vectors: dict[tuple[int, ...], list[int]] = collections.defaultdict(
-        lambda: [0] * algebra.dim)
-    for key, x in _transported(algebra, maps)[1].items():
-        vectors[key[:-1]][key[-1]] = x
-    return all(_member(h, w) for w in vectors.values())
+    return all(_member(h, w) for _, w in _vectors(_transported(algebra, maps), algebra.dim))
 
 
 def center(algebra: LYAlgebra) -> Subspace:
@@ -53,7 +49,7 @@ def derived_algebra(algebra: LYAlgebra) -> Subspace:
     """Span of all binary and ternary products of basis elements."""
     n = algebra.dim
     return Subspace.span(n, [v for arity in (2, 3)
-                             for _, v in _nonzero_vectors(_tensor_form(algebra, arity), n)])
+                             for _, v in _vectors(_tensor_form(algebra, arity), n)])
 
 
 def is_perfect(algebra: LYAlgebra) -> bool:

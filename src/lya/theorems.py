@@ -22,7 +22,6 @@ from .exactlin import (
     Vec,
     _integer_product,
     _member,
-    coordinates,
     invert,
     nullspace,
     subspace_contains,
@@ -34,7 +33,7 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _form_of, _nonzero_vectors, _transported
+from .lyalg import LYAlgebra, _transported, _vectors
 from .maps import (
     AutCert,
     LinMap,
@@ -264,23 +263,30 @@ def extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
 
 
 def _extract_subalgebra(algebra: LYAlgebra, h: Subspace) -> LYAlgebra:
-    """:func:`extract_subalgebra` for a subspace already known to be a subalgebra."""
-    n = algebra.dim
+    """:func:`extract_subalgebra` for a subspace already known to be a subalgebra.
+
+    Each product of H's basis is read as an integer vector over its form's
+    scale; a member of H has its entries at H's pivots as its coordinates
+    in H's canonical basis, over the same scale.
+    """
+    n, pivots = algebra.dim, h.pivots
     units = {vunit(n, i): label for i, label in enumerate(algebra.labels)}
     labels = tuple(units.get(row, f"b{k}") for k, row in enumerate(h.basis, 1))
     basis = h.echelon.transpose()
 
     def inside(keyed):
-        """The coordinates in H's basis of a transported form's products."""
-        vectors = {}
-        for idx, v in _nonzero_vectors(keyed, n):
-            vectors[idx] = coordinates(h, v)
-            if vectors[idx] is None:
+        """The scale and the H-coordinates of a transported form's products."""
+        entries = {}
+        for idx, w in _vectors(keyed, n):
+            if not _member(h, w):
                 raise InternalCheckError("subalgebra closure failed during extraction")
-        return vectors
+            entries.update({idx + (k,): w[p] for k, p in enumerate(pivots)})
+        return keyed[0], entries
 
-    products = [inside(_transported(algebra, (basis,) * arity)) for arity in (2, 3)]
-    return LYAlgebra(h.dim, labels, _form_of(*products))
+    (s2, binary), (s3, ternary) = (inside(_transported(algebra, (basis,) * arity))
+                                   for arity in (2, 3))
+    return LYAlgebra(h.dim, labels, (s2 * s3, {k: s3 * x for k, x in binary.items()},
+                                     {k: s2 * x for k, x in ternary.items()}))
 
 
 def verify_p36(algebra: LYAlgebra, theta: AutCert, h: Subspace,

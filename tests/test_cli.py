@@ -946,6 +946,21 @@ def test_own_h_options_and_verb_help_are_unchanged(sl2_file, capsys):
     assert capsys.readouterr().out.startswith("usage: lya der")
 
 
+@pytest.mark.parametrize("verb,usage,line", [
+    ("construct", "usage: lya construct [-h] [--out OUT] --from {lie,leibniz} algebra\n",
+     "--out OUT             also write the built algebra file"),
+    ("export", "usage: lya export [-h] [--out OUT] name\n",
+     "--out OUT   the algebra file to write (required)"),
+])
+def test_file_writing_verbs_still_show_out_in_help(capsys, verb, usage, line):
+    """construct and export write their own file, not the report, under
+    another name than --out's; their help still shows the option as --out OUT."""
+    code, text = run_cli(verb, "--help")
+    assert code == 0 and text == ""
+    out = capsys.readouterr().out
+    assert out.startswith(usage) and f"\n  {line}\n" in out
+
+
 def test_negative_vectors_parse_after_a_space(sl2_file, capsys):
     """--g -1/2,0,0 reads as --g=-1/2,0,0 for every vector option; an option
     where the value should be, or a missing value, is still a usage error."""

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -164,12 +165,123 @@ def test_from_lie_rejects_non_jacobi():
     with pytest.raises(MathError) as err:
         from_lie(c)
     assert "Jacobi" in str(err.value)
+    assert str(err.value) == "Jacobi identity fails at basis triple (0, 1, 2)"
+    assert err.value.witness == {"indices": [0, 1, 2], "residual": ["0", "1", "0"]}
 
 
 def test_from_lie_rejects_non_antisymmetric():
     c = [[[Fraction(1)]]]
-    with pytest.raises(MathError):
+    with pytest.raises(MathError) as err:
         from_lie(c)
+    assert str(err.value) == "bracket of basis element 0 with itself is nonzero"
+    assert err.value.witness == {"indices": [0, 0]}
+
+
+def lie_bracket(n, entries, antisymmetric=True):
+    """The dense bracket of dimension n with x added at [e_i, e_j]_l, and -x
+    at [e_j, e_i]_l when ``antisymmetric``, for each (i, j, l, x)."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, l, x in entries:
+        c[i][j][l] += x
+        if antisymmetric:
+            c[j][i][l] -= x
+    return c
+
+
+@pytest.mark.parametrize("c, message, witness", [
+    (lie_bracket(2, [(1, 1, 1, Fraction(3, 2))], antisymmetric=False),
+     "bracket of basis element 1 with itself is nonzero", {"indices": [1, 1]}),
+    (lie_bracket(3, [(0, 1, 0, Fraction(1)), (2, 2, 2, Fraction(1))], antisymmetric=False),
+     "bracket is not antisymmetric at basis pair (0, 1)", {"indices": [0, 1]}),
+    (lie_bracket(3, [(0, 1, 0, Fraction(1, 2)), (0, 2, 1, Fraction(2, 3)),
+                     (1, 2, 2, Fraction(1, 5))]),
+     "Jacobi identity fails at basis triple (0, 1, 2)",
+     {"indices": [0, 1, 2], "residual": ["0", "1/5", "0"]}),
+], ids=["self-bracket", "non-antisymmetric", "jacobi"])
+def test_from_lie_errors_are_pinned(c, message, witness):
+    """The message and witness of each kind of bracket error, pinned."""
+    with pytest.raises(MathError) as err:
+        from_lie(c)
+    assert type(err.value) is MathError
+    assert (str(err.value), err.value.witness) == (message, witness)
+
+
+def iterated_bracket(c):
+    """[[e_i, e_j], e_k] as a list of Fractions, keyed (i, j, k)."""
+    n = len(c)
+    return {(i, j, k): [sum((x * c[a][k][l] for a, x in support), Fraction(0)) for l in range(n)]
+            for i, j in itertools.product(range(n), repeat=2)
+            for support in [[(a, x) for a, x in enumerate(c[i][j]) if x]]
+            for k in range(n)}
+
+
+def lie_error_reference(c):
+    """The error of the dense scan that checked a bracket before it was lifted,
+    as (message, witness), or None for a Lie bracket: the first bad basis
+    pair (i, j) with i <= j in lexicographic order, then the first basis
+    triple in lexicographic order where sum_cyc [[e_i, e_j], e_k] is nonzero."""
+    n = len(c)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if i == j and any(c[i][i]):
+            return f"bracket of basis element {i} with itself is nonzero", {"indices": [i, i]}
+        if i < j and any(x + y for x, y in zip(c[i][j], c[j][i])):
+            return f"bracket is not antisymmetric at basis pair ({i}, {j})", {"indices": [i, j]}
+    iterated = iterated_bracket(c)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        res = [sum(col) for col in zip(iterated[i, j, k], iterated[j, k, i], iterated[k, i, j])]
+        if any(res):
+            return (f"Jacobi identity fails at basis triple ({i}, {j}, {k})",
+                    {"indices": [i, j, k], "residual": vec_strs(res)})
+    return None
+
+
+def drawn_bracket(rng, rebased):
+    """A bracket of dimension at most 5 with a few rational entries, one in
+    five of them not antisymmetric; one in ten is one of the ``rebased``
+    brackets with at most one antisymmetric change."""
+    if rng.random() < 0.1:
+        c = [[list(v) for v in row] for row in rng.choice(rebased)]
+        n = len(c)
+        if rng.random() < 0.5:
+            i, j, l = rng.sample(range(n), 2) + [rng.randrange(n)]
+            x = Fraction(rng.choice([-1, 1, 2]), rng.choice([1, 3]))
+            c[i][j][l] += x
+            c[j][i][l] -= x
+        return c
+    n = rng.randint(1, 5)
+    entries = [(*(rng.randrange(n) for _ in range(3)),
+                Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3])))
+               for _ in range(rng.randint(0, 4))]
+    return lie_bracket(n, entries, antisymmetric=rng.random() < 0.8)
+
+
+def test_from_lie_matches_the_dense_bracket_scan_on_drawn_brackets():
+    """from_lie reads its bracket errors from the lifted algebra's axiom
+    check; on 1200 seeded brackets each error equals the dense scan's, with
+    the Jacobi residual as the scan gave it, and each Lie bracket lifts to
+    the algebra with the bracket as c and the iterated bracket as d."""
+    rng = random.Random(2023)
+    rebased = [change_basis(catalog(name), seed)[0] for name in ("sl2", "h3", "aff2")
+               for seed in range(4)]
+    seen = collections.Counter()
+    for _ in range(1200):
+        c = drawn_bracket(rng, rebased)
+        n, want = len(c), lie_error_reference(c)
+        if want is None:
+            a, iterated = from_lie(c), iterated_bracket(c)
+            assert a.c == tuple(tuple(tuple(v) for v in row) for row in c)
+            assert a.d == tuple(tuple(tuple(tuple(iterated[i, j, k]) for k in range(n))
+                                      for j in range(n)) for i in range(n))
+            seen["lie", any(x.denominator > 1 for row in c for v in row for x in v)] += 1
+            continue
+        with pytest.raises(MathError) as err:
+            from_lie(c)
+        assert (str(err.value), err.value.witness) == want
+        residual = want[1].get("residual", ())
+        seen[" ".join(want[0].split()[:2]), any("/" in x for x in residual)] += 1
+    assert min(seen[key] for key in [("lie", False), ("lie", True), ("bracket of", False),
+                                     ("bracket is", False), ("Jacobi identity", False),
+                                     ("Jacobi identity", True)]) >= 20, seen
 
 
 def test_leibniz2_collapses_to_abelian_like():

@@ -22,13 +22,15 @@ from lya.cli import main
 from lya.derivations import derivation_space
 from lya.errors import AxiomError, InputError
 from lya.exactlin import (Matrix, Subspace, invert, subspace_contains, vadd, vec, vis_zero, vscale,
-                          vzero)
+                          vunit, vzero)
 from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
                        from_leibniz, leibniz2)
 from lya.maps import LinMap, compose, satisfies_g_derivation
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
                            algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
                            raw_algebra_from_dict, save_json_file, strs_vec)
+from lya.structure import derived_algebra, is_subalgebra
+from lya.theorems import extract_subalgebra
 from test_derivations import GL2_TWISTS, H5_SWAP, gl2, h5
 from test_maps import rebased
 from test_structure import without_dense_tensors
@@ -400,3 +402,47 @@ def test_a_stored_map_or_basis_is_never_cleared_again(monkeypatch):
     composites = [compose(theta, f) for _ in range(3)]
     assert len(cleared) == 3 and all(type(x) is int for values in cleared for x in values)
     assert all(g.matrix == product for g in composites)
+
+
+def recorded_clear_sites(monkeypatch) -> list[str]:
+    """Records where each ``_clear`` call comes from: the type of the value
+    whose construction clears, ``Matrix`` or ``LYAlgebra``, or else the name
+    of the function that called it."""
+    sites = []
+    clear = exactlin._clear
+
+    def recording(scale, rows):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_cleared":
+            frame = frame.f_back
+        built = frame.f_code.co_name == "__post_init__"
+        sites.append(type(frame.f_locals["self"]).__name__ if built else frame.f_code.co_name)
+        return clear(scale, rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lya") and getattr(module, "_clear", None) is clear:
+            monkeypatch.setattr(module, "_clear", recording)
+    return sites
+
+
+def test_subalgebra_paths_clear_no_product_vector(monkeypatch):
+    """is_subalgebra, derived_algebra and extract_subalgebra read every
+    product as an integer vector over its form's scale and clear none of
+    them: each ``_clear`` call they make builds a stored matrix (H's basis
+    transposed, or the derived algebra's span), and extract_subalgebra's
+    only other call builds the new algebra."""
+    alg, _, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    cases = [(catalog("sl2"), Subspace.span(3, [vunit(3, 0)])),
+             (catalog("sl2_plus_ab1"), Subspace.span(4, [vunit(4, i) for i in range(3)])),
+             (alg, Subspace.span(4, [p_inv.col(i) for i in range(3)]))]
+    sites = recorded_clear_sites(monkeypatch)
+    for a, h in cases:
+        sites.clear()
+        assert is_subalgebra(a, h)
+        assert set(sites) <= {"Matrix"}
+        sites.clear()
+        derived_algebra(a)
+        assert set(sites) <= {"Matrix"}
+        sites.clear()
+        assert extract_subalgebra(a, h).dim == h.dim
+        assert sites.count("LYAlgebra") == 1 and set(sites) <= {"Matrix", "LYAlgebra"}, sites
