@@ -38,9 +38,11 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    _images,
     _kernel,
     _map_through,
     _member,
+    _residue,
     coordinates,
     nullspace,
     rref,
@@ -50,11 +52,12 @@ from .exactlin import (
     vscale,
     vzero,
 )
-from .lyalg import (Keyed, LYAlgebra, _columns, _first_failure, _summed, _tensor_form,
-                    _transport, _vector_at)
+from .lyalg import (Keyed, LYAlgebra, _first_failure, _summed, _tensor_form, _transport,
+                    _values, _vector_at)
 from .maps import (
     AutCert,
     LinMap,
+    _map_rows,
     _maps_of,
     identity_cert,
     satisfies_g_derivation,
@@ -276,8 +279,8 @@ def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspac
     itself, and InputError when H has the wrong ambient dimension."""
     if not is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
-    for b in h.basis:
-        if not h.contains_vector(theta.map.apply(b)):
+    for b, w in zip(h.basis, _images(theta.map.matrix.form[1], h)):
+        if not _member(h, w):
             raise MathError("automorphism does not stabilize the subspace",
                             witness={"vector": vec_strs(b)})
 
@@ -293,12 +296,13 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     for a subspace that has already passed :func:`require_stabilized_subalgebra`.
 
     D = sum of x_t D_t over the twisted basis keeps H inside itself iff the
-    residue of every D(b) against H vanishes, which is linear in x.
+    residue of every D(b) against H vanishes, which is linear in x.  The
+    basis maps are read as integer rows over the space's one scale, so the
+    residues of their images are integers over one scale too.
     """
     n = algebra.dim
-    members = twisted.maps()
-    residues = [[h.reduce(f.apply(b)) for f in members] for b in h.basis]
-    rows = tuple(tuple(res[l] for res in per_map) for per_map in residues for l in range(n))
+    residues = [[_residue(h, w) for w in _images(f, h)] for f in _map_rows(twisted.space)]
+    rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
     coeffs = nullspace(Matrix(len(rows), twisted.dim, (1, rows)))
     # Both factors are reduced echelon bases, so their product is one too.
     space = Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
@@ -306,9 +310,9 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     for f in result.maps():
         if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
-        # Tested in integers by contains_vector, not by the Fraction residues
-        # the solve read, so a fault in one cannot hide itself.
-        if not all(h.contains_vector(f.apply(b)) for b in h.basis):
+        # Tested by membership, not by the residues the solve read, so a
+        # fault in one cannot hide itself.
+        if not all(_member(h, w) for w in _images(f.matrix.form[1], h)):
             raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
     return result
 
@@ -365,13 +369,6 @@ def _prescriptions(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> tuple[Ke
                      (1, _transport(ternary, (m, t, None))),
                      (1, _transport(ternary, (None, m, t))),
                      (1, _transport(ternary, (t, None, m)))]))
-
-
-def _values(form: Keyed, n: int, fixed: Sequence[Vec], last: Sequence[Vec]) -> list[Vec]:
-    """A multilinear form at (fixed..., y) for each y in ``last``, from one
-    transport."""
-    keyed = _transport(form, [_columns(n, [v]) for v in fixed] + [_columns(n, last)])
-    return [_vector_at(keyed, (0,) * len(fixed) + (k,), n) for k in range(len(last))]
 
 
 def dhat_binary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,

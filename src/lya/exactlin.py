@@ -93,6 +93,11 @@ def vec_strs(v: Iterable[Fraction]) -> list[str]:
         raise InputError(f"a rational in the result has too many digits to print: {exc}") from exc
 
 
+def _matrix_strs(m: Matrix) -> list[list[str]]:
+    """A matrix's entries as rows of :func:`vec_strs`, as reports write them."""
+    return [vec_strs(row) for row in m.entries]
+
+
 def _clear(scale: int, rows: Sequence[Sequence[Fraction | int]]) -> Cleared:
     """The canonical cleared form of the rationals x / scale, for rows of
     integer or Fraction values x and a positive integer scale: their least
@@ -443,6 +448,14 @@ def _member(s: Subspace, w: Sequence[int]) -> bool:
     """Whether the integer vector w lies in s; a positive multiple of w
     gives the same answer, so a map or basis in any scale is read as stored."""
     return not any(_residue(s, w))
+
+
+def _images(rows: Sequence[Sequence[int]], s: Subspace) -> list[list[int]]:
+    """The image of each of s's stored basis vectors under the matrix with
+    integer rows ``rows``, over the product of that matrix's scale and s's.
+    :func:`_member` and :func:`_residue` read an image as it is, and a
+    member's entries at s's pivots are its coordinates over that scale."""
+    return [[sum(map(operator.mul, r, b)) for r in rows] for b in s.echelon.form[1]]
 
 
 def coordinates(s: Subspace, v: Sequence[Scalar]) -> Vec | None:

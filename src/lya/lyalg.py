@@ -183,12 +183,12 @@ def _transported(algebra: LYAlgebra, maps: Sequence[Matrix | None]) -> Keyed:
     return _transport(_tensor_form(algebra, len(maps)), maps)
 
 
-def _product(algebra: LYAlgebra, vectors: Sequence[Vec]) -> Vec:
-    """The binary (two vectors) or ternary (three) product of coordinate
-    vectors, read from the stored integer form."""
-    n = algebra.dim
-    keyed = _transported(algebra, [_columns(n, [v]) for v in vectors])
-    return _vector_at(keyed, (0,) * len(vectors), n)
+def _values(keyed: Keyed, n: int, fixed: Sequence[Vec], last: Sequence[Vec]) -> list[Vec]:
+    """A keyed multilinear form at (fixed..., y) for each y in ``last``, from
+    one transport: the one evaluator of a form at vectors, behind ``bracket``,
+    ``triple``, inner derivations and the hat map's prescribed images."""
+    keyed = _transport(keyed, [_columns(n, [v]) for v in fixed] + [_columns(n, last)])
+    return [_vector_at(keyed, (0,) * len(fixed) + (k,), n) for k in range(len(last))]
 
 
 def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec] | None:
@@ -370,7 +370,7 @@ def bracket(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> Vec
     gv, hv = vec(g), vec(h)
     if len(gv) != algebra.dim or len(hv) != algebra.dim:
         raise InputError("vector length does not match algebra dimension")
-    return _product(algebra, (gv, hv))
+    return _values(_tensor_form(algebra, 2), algebra.dim, [gv], [hv])[0]
 
 
 def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequence[Scalar]) -> Vec:
@@ -378,7 +378,7 @@ def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequ
     gv, hv, iv = vec(g), vec(h), vec(i)
     if any(len(v) != algebra.dim for v in (gv, hv, iv)):
         raise InputError("vector length does not match algebra dimension")
-    return _product(algebra, (gv, hv, iv))
+    return _values(_tensor_form(algebra, 3), algebra.dim, [gv, hv], [iv])[0]
 
 
 def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:

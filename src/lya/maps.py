@@ -18,12 +18,15 @@ from .exactlin import (
     Scalar,
     Subspace,
     Vec,
-    coordinates,
+    _images,
+    _member,
+    _view,
     invert,
     vec,
     vec_strs,
+    vunit,
 )
-from .lyalg import LYAlgebra, _columns, _first_failure, _transported
+from .lyalg import LYAlgebra, _first_failure, _tensor_form, _values
 
 
 class LinMap(Record):
@@ -81,13 +84,18 @@ class LinMap(Record):
         return self.matrix.is_zero()
 
 
-def _maps_of(space: Subspace) -> tuple[LinMap, ...]:
-    """The maps whose flattened matrices are a space's basis vectors, read
-    from its stored integer rows."""
+def _map_rows(space: Subspace) -> list[tuple[tuple[int, ...], ...]]:
+    """The basis maps of a space of flattened n x n maps as integer rows, all
+    over the scale of the space's stored basis: each stored basis vector
+    read row by row."""
     n = math.isqrt(space.ambient_dim)
-    scale, rows = space.echelon.form
-    return tuple(LinMap(n, Matrix(n, n, (scale, tuple(r[i * n:(i + 1) * n] for i in range(n)))))
-                 for r in rows)
+    return [tuple(r[i * n:(i + 1) * n] for i in range(n)) for r in space.echelon.form[1]]
+
+
+def _maps_of(space: Subspace) -> tuple[LinMap, ...]:
+    """The maps whose flattened matrices are a space's basis vectors."""
+    scale = space.echelon.form[0]
+    return tuple(LinMap(len(m), Matrix(len(m), len(m), (scale, m))) for m in _map_rows(space))
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -207,26 +215,23 @@ def inner_derivation(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar
     gv, hv = vec(g), vec(h)
     if len(gv) != n or len(hv) != n:
         raise InputError("vector length does not match algebra dimension")
-    # Entry (l, k) of the map is coordinate l of the product at (g, h, e_k).
-    scale, entries = _transported(algebra, (_columns(n, [gv]), _columns(n, [hv]), None))
-    result = LinMap(n, Matrix(n, n, (scale, tuple(
-        tuple(entries.get((0, 0, k, l), 0) for k in range(n)) for l in range(n)))))
+    units = [vunit(n, k) for k in range(n)]
+    result = LinMap.from_columns(_values(_tensor_form(algebra, 3), n, [gv, hv], units))
     if not satisfies_derivation(algebra, result):
         raise InternalCheckError("inner map failed the derivation identities")
     return result
 
 
 def restrict_map(f: LinMap, subspace: Subspace) -> LinMap:
-    """Matrix of f on an invariant subspace, in the subspace's canonical basis."""
+    """Matrix of f on an invariant subspace, in the subspace's canonical basis:
+    column k holds the image of basis vector k read at the pivots."""
     if f.dim != subspace.ambient_dim:
         raise InputError("map dimension does not match ambient dimension")
-    cols = []
-    for b in subspace.basis:
-        image = f.apply(b)
-        coords = coordinates(subspace, image)
-        if coords is None:
-            raise MathError(
-                "subspace is not invariant under the map",
-                witness={"vector": vec_strs(b), "image": vec_strs(image)})
-        cols.append(coords)
-    return LinMap.from_columns(cols)
+    scale = f.matrix.form[0] * subspace.echelon.form[0]
+    images = _images(f.matrix.form[1], subspace)
+    for b, w in zip(subspace.basis, images):
+        if not _member(subspace, w):
+            raise MathError("subspace is not invariant under the map",
+                            witness={"vector": vec_strs(b), "image": vec_strs(_view(scale, w))})
+    rows = tuple(tuple(w[p] for w in images) for p in subspace.pivots)
+    return LinMap(subspace.dim, Matrix(subspace.dim, subspace.dim, (scale, rows)))

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InputError
-from .exactlin import Matrix, Subspace, Vec, _view, vec, vec_strs, vscale, vzero
+from .exactlin import Matrix, Subspace, Vec, _matrix_strs, _view, vec, vec_strs, vscale, vzero
 from .lyalg import Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _tensor_form, _vectors
 from .maps import LinMap, _maps_of
 
@@ -168,7 +168,7 @@ def map_from_dict(data: dict) -> LinMap:
 
 
 def map_to_dict(f: LinMap) -> dict:
-    return {"dim": f.dim, "matrix": [vec_strs(row) for row in f.matrix.entries]}
+    return {"dim": f.dim, "matrix": _matrix_strs(f.matrix)}
 
 
 def subspace_from_dict(data: dict) -> Subspace:
@@ -185,7 +185,7 @@ def subspace_to_dict(s: Subspace) -> dict:
 
 
 def map_space_to_dict(space: Subspace, alg_dim: int) -> dict:
-    maps = [map_to_dict(f)["matrix"] for f in _maps_of(space)]
+    maps = [_matrix_strs(f.matrix) for f in _maps_of(space)]
     return {"alg_dim": alg_dim, "dim": space.dim, "maps": maps}
 
 
@@ -204,7 +204,7 @@ def quasi_witness_to_dict(w: QuasiWitness) -> dict:
 def partial_map_to_dict(p: PartialMap) -> dict:
     return {
         "domain": subspace_to_dict(p.domain),
-        "matrix": [vec_strs(row) for row in p.matrix_on_domain.entries],
+        "matrix": _matrix_strs(p.matrix_on_domain),
     }
 
 
@@ -260,6 +260,8 @@ def read_json_file(path: str | Path) -> tuple[bytes, Any]:
         ) from exc
     except ValueError as exc:  # an integer literal past the digit limit
         raise InputError(f"cannot read {p}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise InputError(f"cannot read {p}: JSON nested too deeply: {exc}") from exc
 
 
 def load_json_file(path: str | Path) -> Any:

@@ -21,6 +21,7 @@ from .exactlin import (
     Subspace,
     Vec,
     _integer_product,
+    _matrix_strs,
     _member,
     invert,
     nullspace,
@@ -33,10 +34,11 @@ from .exactlin import (
     vunit,
     vzero,
 )
-from .lyalg import LYAlgebra, _transported, _vectors
+from .lyalg import LYAlgebra, _transported, _values, _vectors
 from .maps import (
     AutCert,
     LinMap,
+    _map_rows,
     _maps_of,
     certify_automorphism,
     commutator,
@@ -51,7 +53,6 @@ from .derivations import (
     _prescriptions,
     _solve_cache,
     _stabilizer_space,
-    _values,
     centroid,
     derivation_space,
     g_derivation_space,
@@ -83,8 +84,16 @@ class PropReport(Record):
             raise InternalCheckError("failed conclusion reported without a witness")
 
 
-def _fmt_map(f: LinMap) -> list[list[str]]:
-    return [vec_strs(row) for row in f.matrix.entries]
+def _pulled_back(inverse: LinMap, space: Subspace, target: Subspace):
+    """Each basis map f of a space of maps with its pull-back through
+    ``inverse``, formed once in integer rows; whether every pull-back lies
+    in ``target``; and the dimension of their span.  The maps share the
+    space's scale, so the pull-backs share one positive scale, which
+    membership and the span do not see."""
+    n, inv = inverse.dim, inverse.matrix.form[1]
+    pulled = [(f, _integer_product(inv, f, n)) for f in _map_rows(space)]
+    flat = [sum(p, []) for _, p in pulled]
+    return pulled, all(_member(target, w) for w in flat), Subspace.span(n * n, flat).dim
 
 
 def verify_p31(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert,
@@ -94,10 +103,7 @@ def verify_p31(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert,
     paired = g_derivation_space(algebra, theta, vartheta)
     target = single_twist_space(
         algebra, certify_automorphism(algebra, compose(vartheta.inverse, theta.map)))
-    images = [compose(vartheta.inverse, f) for f in paired.maps()]
-    all_land = all(target.contains(f) for f in images)
-    # Each map's stored rows are a positive multiple of it: the span is the same.
-    image_dim = Subspace.span(algebra.dim ** 2, [sum(f.matrix.form[1], ()) for f in images]).dim
+    _, all_land, image_dim = _pulled_back(vartheta.inverse, paired.space, target.space)
     ok = all_land and image_dim == paired.dim == target.dim
     dims = {"paired_dim": paired.dim, "target_dim": target.dim, "image_dim": image_dim}
     hypotheses = (("theta certified", True), ("vartheta certified", True))
@@ -122,22 +128,20 @@ def verify_t32(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     """The double-twist space, with the transported bracket, maps onto the
     plain derivation algebra through composition with the inverse twist.
 
-    The bracket algebra runs on the stored integer matrices: with θ⁻¹ and
-    the basis maps f_i stored over scales s and s_i, each f_i is pulled back
-    once, p_i = θ⁻¹f_i, so s s_i s_j [f_i, f_j]_θ is f_i p_j - f_j p_i.  Its
-    pull-back is compared with [p_i, p_j] and gives [[f_i, f_j]_θ, f_k]_θ,
-    each over a positive product of scales, which membership does not see.
+    The map algebra runs on integer matrices: with θ⁻¹ stored over the
+    scale s and the basis maps f_i read over the space's one scale S, each
+    f_i is pulled back once (:func:`_pulled_back`), p_i = θ⁻¹f_i, which
+    serves the membership test in the plain space, the span and the
+    brackets: s S² [f_i, f_j]_θ is f_i p_j - f_j p_i.  Its pull-back is
+    compared with [p_i, p_j] and gives [[f_i, f_j]_θ, f_k]_θ, each over a
+    positive product of scales, which membership does not see.
     """
     twisted = g_derivation_space(algebra, theta, theta)
     plain = derivation_space(algebra)
     n = algebra.dim
-    maps = twisted.maps()
-    images = [compose(theta.inverse, f) for f in maps]
-    lands = all(plain.contains(f) for f in images)
-    image_dim = Subspace.span(n * n, [sum(f.matrix.form[1], ()) for f in images]).dim
-    bijective = image_dim == twisted.dim == plain.dim
     inv = theta.inverse.matrix.form[1]
-    pulled = [(f, _integer_product(inv, f, n)) for f in (g.matrix.form[1] for g in maps)]
+    pulled, lands, image_dim = _pulled_back(theta.inverse, twisted.space, plain.space)
+    bijective = image_dim == twisted.dim == plain.dim
     closure_binary = True
     hom_property = True
     brackets = []
@@ -182,7 +186,7 @@ def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     }
     if not involutive or bad_map is not None:
         if bad_map is not None:
-            details["non_commuting_map"] = _fmt_map(bad_map)
+            details["non_commuting_map"] = _matrix_strs(bad_map.matrix)
         return PropReport("P33", instance, False, hypotheses, None, None, details)
     n = algebra.dim
     indexed = [(a, f.matrix.form[1]) for a, f in enumerate(maps)]
@@ -194,7 +198,8 @@ def verify_p33(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
         for (a, f), (b, g) in itertools.product(parts[k], parts[l]):
             if not _member(spaces[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
                 ok = False
-                witness = {"k": k, "l": l, "commutator": _fmt_map(commutator(maps[a], maps[b]))}
+                witness = {"k": k, "l": l,
+                           "commutator": _matrix_strs(commutator(maps[a], maps[b]).matrix)}
     return PropReport("P33", instance, True, hypotheses, ok, witness, details)
 
 
@@ -225,7 +230,7 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     if bad is not None:
         witness = {"vector": vec_strs(bad), "image": vec_strs(defect.apply(bad))}
     elif not ok:
-        witness = {"defect": _fmt_map(defect)}
+        witness = {"defect": _matrix_strs(defect.matrix)}
     return PropReport("P34", instance, True, hypotheses, ok, witness, details)
 
 
@@ -235,18 +240,18 @@ def verify_p35(algebra: LYAlgebra, theta: AutCert, instance: str = "") -> PropRe
     algebra the two spaces meet only in zero."""
     meet = subspace_intersect(centroid(algebra), single_twist_space(algebra, theta).space)
     n = algebra.dim
-    maps = _maps_of(meet)
-    # f_t e_i sits in column t*n + i of the last slot, each map in its stored
+    maps = _map_rows(meet)
+    # f_t e_i sits in column t*n + i of the last slot, over the space's one
     # scale, which no zero test sees; the witness is the last failing (map,
     # basis triple).
     cols = Matrix(n, n * len(maps), (1, tuple(
-        tuple(x for f in maps for x in f.matrix.form[1][a]) for a in range(n))))
+        tuple(x for f in maps for x in f[a]) for a in range(n))))
     failing = {key[:-1] for key in _transported(algebra, (None, None, cols))[1]}
     ok = not failing
     witness = None
     if failing:
         g, h, col = max(failing, key=lambda k: (k[2] // n, k[0], k[1], k[2] % n))
-        witness = {"map": _fmt_map(maps[col // n]), "indices": [g, h, col % n]}
+        witness = {"map": _matrix_strs(_maps_of(meet)[col // n].matrix), "indices": [g, h, col % n]}
     centerless = center(algebra).dim == 0
     if centerless and meet.dim != 0:
         ok = False
@@ -350,14 +355,14 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         bad = next((v for v in values if not h.contains_vector(v)), None)
         if bad is not None:
             ok = False
-            witness = {"map": _fmt_map(d_map), "value": vec_strs(bad)}
+            witness = {"map": _matrix_strs(d_map.matrix), "value": vec_strs(bad)}
         if outcome.consistent and any(outcome.map.apply(x) != v
                                       for x, v in zip(h.basis, values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
         for (s, t), combo in zip(weights, combos):
             if combo != vadd(vscale(s, values[0]), vscale(t, values[1])):
                 ok = False
-                witness = {"map": _fmt_map(d_map), "linearity": False}
+                witness = {"map": _matrix_strs(d_map.matrix), "linearity": False}
         per_map.append({"globally_consistent": outcome.consistent,
                         "values_inside": bad is None})
     details = {"stab_dim": stab.dim, "per_map": per_map}
@@ -372,12 +377,9 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     g1v, g2v = vec(g1), vec(g2)
     inner = inner_derivation(algebra, g1v, g2v)
     try:
-        restricted = restrict_map(inner, h)
-        restricts = True
-        invertible = invert(restricted.matrix) is not None
+        restricts, invertible = True, invert(restrict_map(inner, h).matrix) is not None
     except MathError:
-        restricts = False
-        invertible = False
+        restricts = invertible = False
     fixes_g1 = theta.map.apply(g1v) == g1v
     stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     z = center(algebra)

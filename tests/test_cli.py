@@ -891,6 +891,24 @@ def test_json_integer_past_the_digit_limit_exits_2(tmp_path):
     assert "result" not in report
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "deep.json"),
+    ("gder", "sl2.json", "--theta", "deep.json"),
+    ("verify", "all", "sl2.json", "--config", "deep.json"),
+])
+def test_deeply_nested_json_exits_2_with_one_report(tmp_path, argv):
+    """An algebra file, a map file and a config nested past the interpreter's
+    recursion limit each end in one error envelope, with no traceback."""
+    assert run_cli("export", "sl2", "--out", str(tmp_path / "sl2.json"))[0] == 0
+    (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    proc = run_module(tmp_path, argv)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    report = json.loads(proc.stdout)  # exactly one JSON document on stdout
+    assert report["verb"] == argv[0]
+    assert report["error"].startswith("cannot read deep.json: JSON nested too deeply")
+    assert "result" not in report
+
+
 @pytest.mark.parametrize("argv,message", [
     (("der",), "the following arguments are required: algebra"),
     (("bogus", "x.json"), "invalid choice: 'bogus'"),

@@ -19,13 +19,14 @@ import pytest
 
 from lya import exactlin
 from lya.cli import main
-from lya.derivations import derivation_space
+from lya.derivations import (derivation_space, require_stabilized_subalgebra,
+                             stabilizer_derivations)
 from lya.errors import AxiomError, InputError
-from lya.exactlin import (Matrix, Subspace, invert, subspace_contains, vadd, vec, vis_zero, vscale,
-                          vunit, vzero)
+from lya.exactlin import (Matrix, Subspace, coordinates, invert, subspace_contains, vadd, vec,
+                          vis_zero, vscale, vunit, vzero)
 from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
                        from_leibniz, leibniz2)
-from lya.maps import LinMap, compose, satisfies_g_derivation
+from lya.maps import LinMap, certify_automorphism, compose, restrict_map, satisfies_g_derivation
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
                            algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
                            raw_algebra_from_dict, save_json_file, strs_vec)
@@ -446,3 +447,30 @@ def test_subalgebra_paths_clear_no_product_vector(monkeypatch):
         sites.clear()
         assert extract_subalgebra(a, h).dim == h.dim
         assert sites.count("LYAlgebra") == 1 and set(sites) <= {"Matrix", "LYAlgebra"}, sites
+
+
+def test_stabilizer_paths_clear_no_basis_vector_or_image(monkeypatch):
+    """restrict_map, require_stabilized_subalgebra and stabilizer_derivations
+    take each map's images of H's stored basis as integers: on a rational H
+    every ``_clear`` call they make builds a new matrix, none clears a basis
+    vector or an image for ``mul_vec``, ``contains_vector`` or ``reduce``.
+    restrict_map builds only the restricted matrix, which equals the one
+    read off the ``Fraction`` coordinates."""
+    alg, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    n = alg.dim
+    h = Subspace.span(n, [p_inv.col(i) for i in range(3)])
+    assert h.echelon.form[0] > 1
+    swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    theta = certify_automorphism(alg, LinMap(n, p_inv.mul(swap).mul(p)))
+    sites = recorded_clear_sites(monkeypatch)
+    require_stabilized_subalgebra(alg, theta, h)
+    assert set(sites) == {"Matrix"}, sites
+    sites.clear()
+    stab = stabilizer_derivations(alg, theta, h)
+    assert stab.dim > 0 and set(sites) == {"Matrix"}, sites
+    maps = (theta.map, *stab.maps())
+    for f in maps:
+        sites.clear()
+        restricted = restrict_map(f, h)
+        assert sites == ["Matrix"]
+        assert restricted == LinMap.from_columns([coordinates(h, f.apply(b)) for b in h.basis])

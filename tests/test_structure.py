@@ -33,7 +33,7 @@ from lya.structure import (
     is_subalgebra,
 )
 from lya import theorems
-from lya.theorems import _extract_subalgebra, _fmt_map, default_catalog_plan, verify_p35
+from lya.theorems import _extract_subalgebra, default_catalog_plan, verify_p35
 from test_derivations import (covariance_cases, gl2, h5, quasi_reference,
                               stabilizer_reference)
 from test_lyalg import contraction_oracle_binary as bi, contraction_oracle_ternary as tri
@@ -286,7 +286,8 @@ def p35_reference(a, meet):
         for g, h, i in itertools.product(range(n), repeat=3):
             if any(tri(a.d, e[g], e[h], f.apply(e[i]))):
                 ok = False
-                witness = {"map": _fmt_map(f), "indices": [g, h, i]}
+                witness = {"map": [[str(x) for x in row] for row in f.matrix.entries],
+                           "indices": [g, h, i]}
     centerless = center_reference(a).dim == 0
     if centerless and meet.dim != 0:
         ok = False

@@ -459,9 +459,9 @@ def reference_t32(algebra, theta, instance="", tested=None):
     twisted = theorems.g_derivation_space(algebra, theta, theta)
     plain = theorems.derivation_space(algebra)
     inv = theta.inverse
-    images = [fraction_compose(inv, f).flatten() for f in twisted.maps()]
-    lands = all(vis_zero(plain.space.reduce(v)) for v in images)
-    image_dim = Subspace.span(algebra.dim ** 2, images).dim
+    images = [fraction_compose(inv, f) for f in twisted.maps()]
+    lands = all(fraction_contains(plain, f, tested) for f in images)
+    image_dim = Subspace.span(algebra.dim ** 2, [f.flatten() for f in images]).dim
     bijective = image_dim == twisted.dim == plain.dim
 
     def bracket(f, g):
@@ -572,9 +572,10 @@ def recorded_members(monkeypatch):
 
 
 def test_every_bracket_test_of_the_reference_still_runs(monkeypatch):
-    """The integer verifiers test the same brackets, up to a positive scale,
-    in the same order as the references: m^2 binary and m^3 ternary ones for
-    T32, one per ordered pair of each parity for P33."""
+    """The integer verifiers test the same pull-backs and brackets, up to a
+    positive scale, in the same order as the references: for T32 the m
+    pull-backs theta^-1 f, then m^2 binary and m^3 ternary brackets; for P33
+    one commutator per ordered pair of each parity."""
     seen = recorded_members(monkeypatch)
     for algebra, theta, label in bracket_instances():
         for verify, reference in ((verify_t32, reference_t32), (verify_p33, reference_p33)):
@@ -586,7 +587,7 @@ def test_every_bracket_test_of_the_reference_still_runs(monkeypatch):
     a = catalog("abelian2")
     seen.clear()
     verify_t32(a, identity_cert(a))
-    assert len(seen) == 4 ** 2 + 4 ** 3
+    assert len(seen) == 4 + 4 ** 2 + 4 ** 3
 
 
 def corrupted(space, how):
@@ -631,8 +632,8 @@ def test_corrupted_twisted_spaces_give_the_reference_witness(monkeypatch, how):
 
 def test_t32_makes_a_linear_number_of_fraction_products(monkeypatch):
     """On abelian2 (m = 4 basis maps) T32 made 9m^2 + 4m^3 + m = 404
-    Matrix.mul calls over Fraction products; the bracket algebra now runs on
-    cleared integers, and only the m images theta^-1 f are Fraction products."""
+    Matrix.mul calls over Fraction products; the bracket algebra and the m
+    pull-backs theta^-1 f now run on integer rows, with no Matrix.mul."""
     a = catalog("abelian2")
     theta = identity_cert(a)
     calls = []
@@ -640,7 +641,7 @@ def test_t32_makes_a_linear_number_of_fraction_products(monkeypatch):
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
     report = verify_t32(a, theta)
     assert report.conclusion_holds and report.details["twisted_dim"] == 4
-    assert len(calls) == 4
+    assert len(calls) == 0
 
 
 # -- pinned reports of the failing branches ---------------------------------------
