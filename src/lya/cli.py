@@ -22,28 +22,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from . import __version__
-from .errors import InputError, InternalCheckError, LyaError
-from .exactlin import Subspace
-from .lyalg import LYAlgebra, _check_form, catalog, from_leibniz, from_lie
-from .maps import LinMap, certify_automorphism, identity_cert, inner_derivation
-from .derivations import (
-    centroid,
-    derivation_space,
-    dhat,
-    g_derivation_space,
-    is_quasi_derivation,
-    stabilizer_derivations,
-)
-from .structure import center, derived_algebra
-from .theorems import (
-    CheckSpec,
-    check_fields,
-    default_catalog_reports,
-    reports_pass,
-    verify_all,
-)
+from . import __version__, derivations, exactlin, lyalg, maps, structure, theorems
 from . import serialize as ser
+from .errors import InputError, InternalCheckError, LyaError
 
 MATH_FAILURE = 1
 INPUT_ERROR = 2
@@ -73,19 +54,22 @@ def _emit(out, verb: str, session: _Session, result, out_path: str | None) -> No
     out.write(text)
 
 
-def _load_algebra(session: _Session, path: str) -> LYAlgebra:
+def _load_algebra(session: _Session, path: str) -> lyalg.LYAlgebra:
     return ser.algebra_from_dict(session.load(path))
 
 
-# Literal references, and each kind's inline key, size key and parser.
-_LITERALS = {("map", "id"): LinMap.identity,
-             ("map", "neg"): lambda n: LinMap.identity(n).scale(-1),
-             ("subspace", "full"): Subspace.full, ("subspace", "zero"): Subspace.zero}
-_INLINE = {"map": ("matrix", "dim", ser.map_from_dict),
-           "subspace": ("basis", "ambient", ser.subspace_from_dict)}
+# Literal references, and each kind's inline key, size key and parser, read
+# when a reference is resolved: importing this module runs no layer.
+_LITERALS = {("map", "id"): lambda n: maps.LinMap.identity(n),
+             ("map", "neg"): lambda n: maps.LinMap.identity(n).scale(-1),
+             ("subspace", "full"): lambda n: exactlin.Subspace.full(n),
+             ("subspace", "zero"): lambda n: exactlin.Subspace.zero(n)}
+_INLINE = {"map": ("matrix", "dim", lambda data: ser.map_from_dict(data)),
+           "subspace": ("basis", "ambient", lambda data: ser.subspace_from_dict(data))}
 
 
-def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path | None = None):
+def _resolve(session: _Session, kind: str, ref, algebra: lyalg.LYAlgebra,
+             base: Path | None = None):
     """A map or subspace from a reference: a literal (``id``/``neg`` or
     ``full``/``zero``), a file path (relative to ``base``, a config's folder,
     when one is given), or a config's ``{"file": ...}`` or inline
@@ -106,12 +90,12 @@ def _resolve(session: _Session, kind: str, ref, algebra: LYAlgebra, base: Path |
     return parse(session.load(ref if base is None else str(base / ref)))
 
 
-def _load_cert(session: _Session, ref, algebra: LYAlgebra, base: Path | None = None):
+def _load_cert(session: _Session, ref, algebra: lyalg.LYAlgebra, base: Path | None = None):
     """The certified automorphism a map reference names (see :func:`_resolve`),
     or the identity when no reference is given."""
     if ref is None:
-        return identity_cert(algebra)
-    return certify_automorphism(algebra, _resolve(session, "map", ref, algebra, base))
+        return maps.identity_cert(algebra)
+    return maps.certify_automorphism(algebra, _resolve(session, "map", ref, algebra, base))
 
 
 def _text(raw: dict, key: str) -> str:
@@ -120,18 +104,19 @@ def _text(raw: dict, key: str) -> str:
     return raw[key]
 
 
-def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = None) -> CheckSpec:
+def _check_spec(session: _Session, raw, algebra: lyalg.LYAlgebra,
+                base: Path | None = None) -> theorems.CheckSpec:
     """A check from a dict keyed by ``CheckSpec``'s fields: a config entry,
     or the flags of ``verify <prop>``.  The fields are checked against the
     check (:func:`~lya.theorems.check_fields`) before any reference is read."""
     if not isinstance(raw, dict) or "prop" not in raw:
         raise InputError("each check needs at least a 'prop' field")
     for key in raw:
-        if key not in CheckSpec._fields:
+        if key not in theorems.CheckSpec._fields:
             raise InputError(f"unknown check field {key!r}")
     spec = {key: _text(raw, key) for key in ("prop", "label") if key in raw}
     spec["prop"] = spec["prop"].upper()
-    check_fields(spec["prop"], list(raw))
+    theorems.check_fields(spec["prop"], list(raw))
     for key in ("theta", "vartheta"):
         if key in raw:
             if raw[key] is None:  # a null field names no map; only an absent one is the identity
@@ -143,13 +128,13 @@ def _check_spec(session: _Session, raw, algebra: LYAlgebra, base: Path | None = 
     for key in ("g", "h", "g1", "g2"):
         if key in raw:
             spec[key] = ser.parse_vector_arg(_text(raw, key), algebra.dim)
-    return CheckSpec(**spec)
+    return theorems.CheckSpec(**spec)
 
 
 def _cmd_check(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     n, _, form = ser.raw_algebra_from_dict(data)
-    report = _check_form(n, form)
+    report = lyalg._check_form(n, form)
     result = {
         "passed": report.passed,
         "failures": [
@@ -165,9 +150,9 @@ def _cmd_construct(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     if args.source == "lie":
         tensor, labels = ser.lie_tensor_from_dict(data)
-        algebra = from_lie(tensor, labels)
+        algebra = lyalg.from_lie(tensor, labels)
     else:
-        algebra = from_leibniz(ser.leibniz_from_dict(data))
+        algebra = lyalg.from_leibniz(ser.leibniz_from_dict(data))
     result = {"algebra": ser.algebra_to_dict(algebra)}
     if args.file:
         ser.save_json_file(args.file, result["algebra"])
@@ -176,29 +161,29 @@ def _cmd_construct(args, session) -> tuple[dict, int]:
 
 def _cmd_der(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    return ser.derspace_to_dict(derivation_space(algebra)), 0
+    return ser.derspace_to_dict(derivations.derivation_space(algebra)), 0
 
 
 def _cmd_gder(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     vartheta = _load_cert(session, args.vartheta, algebra)
-    return ser.derspace_to_dict(g_derivation_space(algebra, theta, vartheta)), 0
+    return ser.derspace_to_dict(derivations.g_derivation_space(algebra, theta, vartheta)), 0
 
 
 def _cmd_centroid(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    return ser.map_space_to_dict(centroid(algebra), algebra.dim), 0
+    return ser.map_space_to_dict(derivations.centroid(algebra), algebra.dim), 0
 
 
 def _cmd_center(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    return ser.subspace_to_dict(center(algebra)), 0
+    return ser.subspace_to_dict(structure.center(algebra)), 0
 
 
 def _cmd_derived(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    w = derived_algebra(algebra)
+    w = structure.derived_algebra(algebra)
     return {"subspace": ser.subspace_to_dict(w), "dim": w.dim, "perfect": w.dim == algebra.dim}, 0
 
 
@@ -206,13 +191,13 @@ def _cmd_inner(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     g = ser.parse_vector_arg(args.g, algebra.dim)
     h = ser.parse_vector_arg(args.h, algebra.dim)
-    return {"map": ser.map_to_dict(inner_derivation(algebra, g, h))}, 0
+    return {"map": ser.map_to_dict(maps.inner_derivation(algebra, g, h))}, 0
 
 
 def _cmd_quasi(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     d_map = _resolve(session, "map", args.map, algebra)
-    witness = is_quasi_derivation(algebra, d_map)
+    witness = derivations.is_quasi_derivation(algebra, d_map)
     result = {"feasible": witness is not None,
               "witness": ser.quasi_witness_to_dict(witness) if witness else None}
     return result, 0 if witness is not None else MATH_FAILURE
@@ -222,29 +207,29 @@ def _cmd_stabilizer(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     h = _resolve(session, "subspace", args.subspace, algebra)
-    return ser.derspace_to_dict(stabilizer_derivations(algebra, theta, h)), 0
+    return ser.derspace_to_dict(derivations.stabilizer_derivations(algebra, theta, h)), 0
 
 
 def _cmd_dhat(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     d_map = _resolve(session, "map", args.map, algebra)
     theta = _load_cert(session, args.theta, algebra)
-    result = ser.dhat_result_to_dict(dhat(algebra, d_map, theta))
+    result = ser.dhat_result_to_dict(derivations.dhat(algebra, d_map, theta))
     return result, 0 if result["consistent"] else MATH_FAILURE
 
 
 def _cmd_verify(args, session) -> tuple[dict, int]:
     prop = args.prop.lower()
     if prop == "suite":
-        reports = default_catalog_reports()
+        reports = theorems.default_catalog_reports()
     else:
         if args.algebra is None:
             raise InputError("verify needs an algebra file (except 'verify suite')")
         algebra = _load_algebra(session, args.algebra)
         if prop != "all":
-            specs = [_check_spec(session, {key: getattr(args, key) for key in CheckSpec._fields
-                                           if getattr(args, key) is not None} | {"prop": prop},
-                                 algebra)]
+            given = {key: getattr(args, key) for key in theorems.CheckSpec._fields
+                     if getattr(args, key) is not None}
+            specs = [_check_spec(session, given | {"prop": prop}, algebra)]
         elif not args.config:
             raise InputError("verify all needs --config FILE")
         else:
@@ -257,16 +242,16 @@ def _cmd_verify(args, session) -> tuple[dict, int]:
                     specs.append(_check_spec(session, raw, algebra, Path(args.config).parent))
                 except InputError as exc:
                     raise InputError(f"checks[{k}]: {exc}") from exc
-        reports = verify_all(algebra, specs)
+        reports = theorems.verify_all(algebra, specs)
     result = {"reports": [ser.report_to_dict(r) for r in reports],
-              "all_pass": reports_pass(reports)}
+              "all_pass": theorems.reports_pass(reports)}
     return result, 0 if result["all_pass"] else MATH_FAILURE
 
 
 def _cmd_export(args, session) -> tuple[dict, int]:
     if not args.file:
         raise InputError("export needs --out FILE")
-    ser.save_json_file(args.file, ser.algebra_to_dict(catalog(args.name)))
+    ser.save_json_file(args.file, ser.algebra_to_dict(lyalg.catalog(args.name)))
     digest = _sha256(Path(args.file).read_bytes()).hexdigest()
     return {"name": args.name, "path": args.file, "sha256": digest}, 0
 
@@ -280,84 +265,74 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _out(text="also write the output to this file", dest="out"):
+    """The --out option.  construct and export write their own file, so
+    theirs goes to args.file and the report is written to stdout only."""
+    return _arg("--out", dest=dest, metavar="OUT", help=text)
+
+
+_ALGEBRA = _arg("algebra")
+_MAP_REF = "map file, or 'id'/'neg'"
+_SUBSPACE_REF = "subspace file, or 'full'/'zero'"
+_COEFFS = "comma-separated rational coefficients"
+
+# Each verb's handler, help and arguments, in the order the usage lists them.
+_VERBS = {
+    "check": (_cmd_check, "verify the axioms of an algebra file", [_out(), _ALGEBRA]),
+    "construct": (_cmd_construct, "build an algebra from a Lie or Leibniz file", [
+        _out("also write the built algebra file", "file"), _ALGEBRA,
+        _arg("--from", dest="source", choices=("lie", "leibniz"), required=True)]),
+    "der": (_cmd_der, "derivation space", [_out(), _ALGEBRA]),
+    "gder": (_cmd_gder, "twisted derivation space", [
+        _out(), _ALGEBRA, _arg("--theta", help=_MAP_REF), _arg("--vartheta", help=_MAP_REF)]),
+    "centroid": (_cmd_centroid, "centroid", [_out(), _ALGEBRA]),
+    "center": (_cmd_center, "center subspace", [_out(), _ALGEBRA]),
+    "derived": (_cmd_derived, "derived algebra subspace", [_out(), _ALGEBRA]),
+    "inner": (_cmd_inner, "inner derivation of two elements", [
+        _out(), _ALGEBRA, _arg("--g", required=True, help=_COEFFS),
+        _arg("--h", required=True, help=_COEFFS)]),
+    "quasi": (_cmd_quasi, "quasi-derivation feasibility of a map", [
+        _out(), _ALGEBRA, _arg("--map", required=True, help=_MAP_REF)]),
+    "stabilizer": (_cmd_stabilizer, "twisted derivations stabilizing a subspace", [
+        _out(), _ALGEBRA, _arg("--theta", help=_MAP_REF),
+        _arg("--subspace", required=True, help=_SUBSPACE_REF)]),
+    "dhat": (_cmd_dhat, "induced hat map on the derived algebra", [
+        _out(), _ALGEBRA, _arg("--map", required=True, help=_MAP_REF),
+        _arg("--theta", help=_MAP_REF)]),
+    "verify": (_cmd_verify,
+               "run one check (p31..p38, t32), a config ('all'), or the built-in 'suite'", [
+        _out(), _arg("prop", help="p31, t32, p33..p38, all, or suite"),
+        _arg("algebra", nargs="?"),
+        _arg("--config", help="JSON config with a 'checks' list (for 'all')"),
+        _arg("--label", help="instance label for the report"),
+        _arg("--theta", help=_MAP_REF), _arg("--vartheta", help=_MAP_REF),
+        _arg("--subspace", help=_SUBSPACE_REF), _arg("--map", help=_MAP_REF),
+        _arg("--g"), _arg("--h"), _arg("--g1"), _arg("--g2")]),
+    "export": (_cmd_export, "write a catalog algebra to a file", [
+        _out("the algebra file to write (required)", "file"), _arg("name")]),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line.  Given a verb, only that verb's
+    subparser is built, under the usage line that names every verb, so a
+    process parses its own verb's arguments and no other's."""
     # No prefix matching: an abbreviation such as --h or --the is a usage error.
     parser = _Parser(
         prog="lya", allow_abbrev=False,
         description="Exact computations with finite-dimensional Lie-Yamaguti algebras.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    # construct and export write their own file, so their --out goes to
-    # args.file and the report is written to stdout only.
-    def add(name, func, out="also write the output to this file", dest="out", **kwargs):
-        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in _VERBS if verb is None else (verb,):
+        func, text, arguments = _VERBS[name]
+        p = sub.add_parser(name, allow_abbrev=False, help=text)
         p.set_defaults(func=func)
-        p.add_argument("--out", dest=dest, metavar="OUT", help=out)
-        return p
-
-    p = add("check", _cmd_check, help="verify the axioms of an algebra file")
-    p.add_argument("algebra")
-
-    p = add("construct", _cmd_construct, out="also write the built algebra file", dest="file",
-            help="build an algebra from a Lie or Leibniz file")
-    p.add_argument("algebra")
-    p.add_argument("--from", dest="source", choices=("lie", "leibniz"), required=True)
-
-    p = add("der", _cmd_der, help="derivation space")
-    p.add_argument("algebra")
-
-    p = add("gder", _cmd_gder, help="twisted derivation space")
-    p.add_argument("algebra")
-    p.add_argument("--theta", help="map file, or 'id'/'neg'")
-    p.add_argument("--vartheta", help="map file, or 'id'/'neg'")
-
-    p = add("centroid", _cmd_centroid, help="centroid")
-    p.add_argument("algebra")
-
-    p = add("center", _cmd_center, help="center subspace")
-    p.add_argument("algebra")
-
-    p = add("derived", _cmd_derived, help="derived algebra subspace")
-    p.add_argument("algebra")
-
-    p = add("inner", _cmd_inner, help="inner derivation of two elements")
-    p.add_argument("algebra")
-    p.add_argument("--g", required=True, help="comma-separated rational coefficients")
-    p.add_argument("--h", required=True, help="comma-separated rational coefficients")
-
-    p = add("quasi", _cmd_quasi, help="quasi-derivation feasibility of a map")
-    p.add_argument("algebra")
-    p.add_argument("--map", required=True, help="map file, or 'id'/'neg'")
-
-    p = add("stabilizer", _cmd_stabilizer, help="twisted derivations stabilizing a subspace")
-    p.add_argument("algebra")
-    p.add_argument("--theta", help="map file, or 'id'/'neg'")
-    p.add_argument("--subspace", required=True, help="subspace file, or 'full'/'zero'")
-
-    p = add("dhat", _cmd_dhat, help="induced hat map on the derived algebra")
-    p.add_argument("algebra")
-    p.add_argument("--map", required=True, help="map file, or 'id'/'neg'")
-    p.add_argument("--theta", help="map file, or 'id'/'neg'")
-
-    p = add("verify", _cmd_verify,
-            help="run one check (p31..p38, t32), a config ('all'), or the built-in 'suite'")
-    p.add_argument("prop", help="p31, t32, p33..p38, all, or suite")
-    p.add_argument("algebra", nargs="?")
-    p.add_argument("--config", help="JSON config with a 'checks' list (for 'all')")
-    p.add_argument("--label", help="instance label for the report")
-    p.add_argument("--theta", help="map file, or 'id'/'neg'")
-    p.add_argument("--vartheta", help="map file, or 'id'/'neg'")
-    p.add_argument("--subspace", help="subspace file, or 'full'/'zero'")
-    p.add_argument("--map", help="map file, or 'id'/'neg'")
-    p.add_argument("--g")
-    p.add_argument("--h")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-
-    p = add("export", _cmd_export, out="the algebra file to write (required)", dest="file",
-            help="write a catalog algebra to a file")
-    p.add_argument("name")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -387,7 +362,8 @@ def main(argv=None, out=None) -> int:
     verb, session = None, _Session()
     try:
         argv = list(sys.argv[1:] if argv is None else argv)
-        args = build_parser().parse_args(_attach_vector_values(argv))
+        named = argv[0] if argv[:1] and argv[0] in _VERBS else None
+        args = build_parser(named).parse_args(_attach_vector_values(argv))
         verb = args.verb
         result, code = args.func(args, session)
         _emit(out, verb, session, result, getattr(args, "out", None))

@@ -30,7 +30,7 @@ import contextvars
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
@@ -43,6 +43,8 @@ from .exactlin import (
     _map_through,
     _member,
     _residue,
+    _times,
+    _view,
     coordinates,
     nullspace,
     rref,
@@ -168,7 +170,7 @@ def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     t, v = theta.matrix, vartheta.matrix
     rows = _identity_rows(algebra, 2, [(None, t), (v, None)])
     rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)])
-    space = nullspace(Matrix(len(rows), n * n, (1, rows)))
+    space = nullspace(Matrix._uncleared(len(rows), n * n, (1, rows)))
     for f in _maps_of(space):
         if not satisfies_g_derivation(algebra, f, theta, vartheta):
             raise InternalCheckError(unsound)
@@ -208,7 +210,7 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     ident = Matrix.identity(n)
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
-    space = nullspace(Matrix(len(rows), n * n, (1, rows)))
+    space = nullspace(Matrix._uncleared(len(rows), n * n, (1, rows)))
     for f in _maps_of(space):
         m = f.matrix
         if _first_failure(algebra, m, [(None, m)]) is not None:
@@ -303,7 +305,7 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     n = algebra.dim
     residues = [[_residue(h, w) for w in _images(f, h)] for f in _map_rows(twisted.space)]
     rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
-    coeffs = nullspace(Matrix(len(rows), twisted.dim, (1, rows)))
+    coeffs = nullspace(Matrix._uncleared(len(rows), twisted.dim, (1, rows)))
     # Both factors are reduced echelon bases, so their product is one too.
     space = Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
     result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
@@ -329,6 +331,17 @@ class PartialMap(Record):
         if coords is None:
             raise MathError("vector lies outside the map's domain")
         return self.matrix_on_domain.mul_vec(coords)
+
+    def _on_basis(self, s: Subspace) -> Iterator[Vec]:
+        """:meth:`apply` on each of s's basis vectors in turn, read from the
+        stored integers: a member of the domain has its entries at the
+        domain's pivots as its coordinates, over s's scale."""
+        (a, rows), (b, m) = s.echelon.form, self.matrix_on_domain.form
+        pivots = self.domain.pivots
+        for r in rows:
+            if not _member(self.domain, r):
+                raise MathError("vector lies outside the map's domain")
+            yield _view(a * b, _times(m, [r[p] for p in pivots]))
 
 
 class DhatClash(Record):

@@ -159,6 +159,18 @@ class Matrix(Record):
         return cls(len(data), cols, (1, data))
 
     @classmethod
+    def _uncleared(cls, rows: int, cols: int, form: Cleared) -> "Matrix":
+        """A matrix held in the integer form given, neither checked nor
+        cleared: only as the input of :func:`rref` or :func:`nullspace`,
+        whose row space no common factor changes.  A solver's constraint
+        rows, integers over one scale, reach the elimination this way
+        without the two passes over every entry that clearing makes; such a
+        matrix need not equal the cleared one with the same entries."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, form=form)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
 
@@ -187,7 +199,7 @@ class Matrix(Record):
         if len(w) != self.cols:
             raise InputError(f"vector length {len(w)} does not match {self.cols} columns")
         (a, data), (b, (ints,)) = self.form, _clear(1, [w])
-        return _view(a * b, [sum(map(operator.mul, r, ints)) for r in data])
+        return _view(a * b, _times(data, ints))
 
     def add(self, other: "Matrix") -> "Matrix":
         """The sum, over the product of the scales."""
@@ -210,6 +222,11 @@ class Matrix(Record):
 
     def flatten(self) -> Vec:
         return _view(self.form[0], itertools.chain.from_iterable(self.form[1]))
+
+
+def _times(rows: Sequence[Sequence[int]], w: Sequence[int]) -> list[int]:
+    """The integer matrix with rows ``rows`` times the integer vector w."""
+    return [sum(map(operator.mul, r, w)) for r in rows]
 
 
 def _integer_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int) -> list:
@@ -293,15 +310,16 @@ def _kernel(m: Matrix) -> Iterator[list[tuple[int, Fraction]]]:
     at a time, each as its nonzero (column, value) pairs in column order.
 
     One ``rref`` of m with its column order reversed picks the rightmost
-    possible pivots; the reduced form depends only on m's row space, so m
-    itself goes in.  The standard kernel basis of that form, one vector per
-    free column f (1 at f, minus the rows' entries at f on their pivots),
-    is then already the kernel's reduced echelon basis: every other entry
-    of a vector lies right of its f, and no other vector is nonzero at f.
+    possible pivots; the reduced form depends only on m's row space, so m's
+    stored rows go in reversed and not cleared again.  The standard kernel
+    basis of that form, one vector per free column f (1 at f, minus the
+    rows' entries at f on their pivots), is then already the kernel's
+    reduced echelon basis: every other entry of a vector lies right of its
+    f, and no other vector is nonzero at f.
     """
     cols = m.cols
     scale, data = m.form
-    back = rref(Matrix(m.rows, cols, (scale, tuple(row[::-1] for row in data)))).entries
+    back = rref(Matrix._uncleared(m.rows, cols, (scale, tuple(row[::-1] for row in data)))).entries
     # Column c of the reversed form is column cols - 1 - c of m; the rows
     # are read last first, so that their pivots come in column order.
     rows = [(cols - 1 - p, row) for p, row in zip(pivot_cols(back), back)][::-1]
@@ -455,7 +473,7 @@ def _images(rows: Sequence[Sequence[int]], s: Subspace) -> list[list[int]]:
     integer rows ``rows``, over the product of that matrix's scale and s's.
     :func:`_member` and :func:`_residue` read an image as it is, and a
     member's entries at s's pivots are its coordinates over that scale."""
-    return [[sum(map(operator.mul, r, b)) for r in rows] for b in s.echelon.form[1]]
+    return [_times(rows, b) for b in s.echelon.form[1]]
 
 
 def coordinates(s: Subspace, v: Sequence[Scalar]) -> Vec | None:

@@ -39,7 +39,7 @@ def center(algebra: LYAlgebra) -> Subspace:
     for (i, j, k, l), x in _tensor_form(algebra, 3)[1].items():
         rows[1, j, k, l][i] = x
         rows[2, i, j, l][k] = x
-    space = nullspace(Matrix(len(rows), n, (1, tuple(rows.values()))))
+    space = nullspace(Matrix._uncleared(len(rows), n, (1, tuple(rows.values()))))
     if _transported(algebra, (None, space.echelon.transpose(), None))[1]:
         raise InternalCheckError("central element fails the middle-slot identity")
     return space

@@ -20,11 +20,13 @@ from .exactlin import (
     Matrix,
     Subspace,
     Vec,
+    _clear,
+    _images,
     _integer_product,
     _matrix_strs,
     _member,
+    _times,
     invert,
-    nullspace,
     subspace_contains,
     subspace_intersect,
     vadd,
@@ -223,8 +225,9 @@ def verify_p34(algebra: LYAlgebra, d_map: LinMap, theta: AutCert,
     details = {"defect_is_zero": zero_defect, "perfect": perfect}
     if not premise:
         return PropReport("P34", instance, False, hypotheses, None, None, details)
-    kernel = nullspace(defect.matrix)
-    bad = next((b for b, r in zip(w.basis, w.echelon.form[1]) if not _member(kernel, r)), None)
+    # W lies in the defect's kernel when the defect sends each of its basis vectors to zero.
+    images = _images(defect.matrix.form[1], w)
+    bad = next((b for b, image in zip(w.basis, images) if any(image)), None)
     ok = bad is None and (zero_defect or not perfect)
     witness = None
     if bad is not None:
@@ -352,12 +355,12 @@ def verify_p37(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         outcome = _dhat(algebra, prescriptions)
         values = _values(prescriptions[1], n, [gv, hv], points)
         values, combos = values[:h.dim], values[h.dim:]
-        bad = next((v for v in values if not h.contains_vector(v)), None)
+        # The values are cleared once, together, for membership.
+        bad = next((v for v, w in zip(values, _clear(1, values)[1]) if not _member(h, w)), None)
         if bad is not None:
             ok = False
             witness = {"map": _matrix_strs(d_map.matrix), "value": vec_strs(bad)}
-        if outcome.consistent and any(outcome.map.apply(x) != v
-                                      for x, v in zip(h.basis, values)):
+        if outcome.consistent and any(x != v for x, v in zip(outcome.map._on_basis(h), values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
         for (s, t), combo in zip(weights, combos):
             if combo != vadd(vscale(s, values[0]), vscale(t, values[1])):
@@ -380,13 +383,15 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
         restricts, invertible = True, invert(restrict_map(inner, h).matrix) is not None
     except MathError:
         restricts = invertible = False
-    fixes_g1 = theta.map.apply(g1v) == g1v
+    # g1 and g2 are cleared once, over one scale, and every map acts on them in integers.
+    _, (c1, c2) = _clear(1, [g1v, g2v])
+    t_scale, t = theta.map.matrix.form
+    fixes_g1 = _times(t, c1) == [t_scale * x for x in c1]
     stab = _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
     z = center(algebra)
-    stab_maps = stab.maps()
-    survivors = [idx for idx, d_map in enumerate(stab_maps)
-                 if z.contains_vector(d_map.apply(g1v)) and z.contains_vector(d_map.apply(g2v))]
-    central_images = len(survivors) == len(stab_maps)
+    survivors = [idx for idx, f in enumerate(_map_rows(stab.space))
+                 if _member(z, _times(f, c1)) and _member(z, _times(f, c2))]
+    central_images = len(survivors) == stab.dim
     hypotheses = (
         ("inner map restricts invertibly", restricts and invertible),
         ("theta fixes the first element", fixes_g1),
@@ -395,6 +400,7 @@ def verify_p38(algebra: LYAlgebra, theta: AutCert, h: Subspace,
     )
     sub = _extract_subalgebra(algebra, h)
     survivor_results = []
+    stab_maps = stab.maps()
     for idx in survivors:
         restricted_map = restrict_map(stab_maps[idx], h)
         w = is_quasi_derivation(sub, restricted_map)

@@ -85,10 +85,10 @@ def test_export_malformed_abelian_name_exits_2_with_one_report(tmp_path, name):
 def test_export_without_out_builds_no_algebra(monkeypatch):
     """A missing --out is reported before the catalog algebra is built:
     abelian(40) took seconds to build only to be refused."""
-    import lya.cli
+    import lya.lyalg
 
     calls = []
-    monkeypatch.setattr(lya.cli, "catalog", lambda name: calls.append(name) or catalog(name))
+    monkeypatch.setattr(lya.lyalg, "catalog", lambda name: calls.append(name) or catalog(name))
     code, text = run_cli("export", "abelian(40)")
     assert code == 2
     assert calls == []

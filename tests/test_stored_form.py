@@ -26,12 +26,13 @@ from lya.exactlin import (Matrix, Subspace, coordinates, invert, subspace_contai
                           vis_zero, vscale, vunit, vzero)
 from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms, direct_sum,
                        from_leibniz, leibniz2)
-from lya.maps import LinMap, certify_automorphism, compose, restrict_map, satisfies_g_derivation
+from lya.maps import (LinMap, certify_automorphism, compose, identity_cert, restrict_map,
+                      satisfies_g_derivation)
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
                            algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
                            raw_algebra_from_dict, save_json_file, strs_vec)
 from lya.structure import derived_algebra, is_subalgebra
-from lya.theorems import extract_subalgebra
+from lya.theorems import extract_subalgebra, verify_p37, verify_p38
 from test_derivations import GL2_TWISTS, H5_SWAP, gl2, h5
 from test_maps import rebased
 from test_structure import without_dense_tensors
@@ -474,3 +475,28 @@ def test_stabilizer_paths_clear_no_basis_vector_or_image(monkeypatch):
         restricted = restrict_map(f, h)
         assert sites == ["Matrix"]
         assert restricted == LinMap.from_columns([coordinates(h, f.apply(b)) for b in h.basis])
+
+
+def test_p37_and_p38_clear_no_single_vector(monkeypatch):
+    """verify_p37 clears each stabilizing map's hat-map values once,
+    together, and verify_p38 clears g1 and g2 once, together, for every map
+    and the twist to act on in integers: neither clears a vector on its own
+    through ``mul_vec``, ``contains_vector`` or ``reduce``.  The cases are
+    the suite's, the CI config's and one on a subspace with a rational
+    basis vector."""
+    sl2, total = catalog("sl2"), catalog("sl2_plus_ab1")
+    e_line = Subspace.span(3, [vunit(3, 0)])
+    tilted = Subspace.span(4, [(2, 0, 0, 1)])
+    cases = [(verify_p37, sl2, e_line, vunit(3, 0), vunit(3, 1)),
+             (verify_p37, sl2, e_line, (1, 0, 0), (0, Fraction(-1, 2), 0)),
+             (verify_p38, sl2, e_line, vunit(3, 0), vunit(3, 1)),
+             (verify_p38, sl2, e_line, (-2, 0, 0), (0, 1, 0)),
+             (verify_p38, sl2, e_line, vzero(3), vzero(3)),
+             (verify_p38, total, tilted, (0, 0, 0, 1), (2, 0, 0, 1))]
+    sites = recorded_clear_sites(monkeypatch)
+    for verify, alg, h, g, hh in cases:
+        sites.clear()
+        report = verify(alg, identity_cert(alg), h, g, hh)
+        assert set(sites) <= {"Matrix", "LYAlgebra", verify.__name__}, sites
+        clears = 1 if verify is verify_p38 else report.details["stab_dim"]
+        assert sites.count(verify.__name__) == clears

@@ -196,7 +196,7 @@ def test_derived_verb_computes_the_derived_algebra_once(monkeypatch, tmp_path):
 
     path = tmp_path / "sl2.json"
     assert cli.main(["export", "sl2", "--out", str(path)], out=io.StringIO()) == 0
-    calls = counting_derived_algebra(monkeypatch, cli)
+    calls = counting_derived_algebra(monkeypatch)
     out = io.StringIO()
     assert cli.main(["derived", str(path)], out=out) == 0
     assert json.loads(out.getvalue())["result"]["perfect"] is True
@@ -720,7 +720,7 @@ def p34_perfect_with_a_vector_outside_the_kernel(patch):
 @branch_case("f4125d23d7adf2017990f395cc3ff6c55d31d66498a8af05fa6d58386d4bb378")
 def p34_perfect_with_a_nonzero_defect(patch):
     patch(center=lambda a: Subspace.full(a.dim), derived_algebra=lambda a: Subspace.full(a.dim),
-          nullspace=lambda m: Subspace.full(3))
+          _images=lambda rows, s: [[0] * len(rows) for _ in range(s.dim)])
     h3, theta, d_map = h3_scaled()
     return verify_p34(h3, d_map, theta, "defect")
 
