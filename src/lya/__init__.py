@@ -13,10 +13,11 @@ is in ``sys.modules`` and bound here from the start, but its code runs on
 the first read of any of its attributes, ``__dict__`` included, exactly
 once; that first read is thread-safe.  A re-exported name loads its layer
 when it is read.  So a ``lya`` process runs only the layers its verb uses:
-``check``, ``construct``, ``export`` and ``inner`` run ``serialize`` and
-what it imports (``exactlin``, ``lyalg``, ``maps``); ``center`` and
-``derived`` add ``structure``; the solvers add ``structure`` and
-``derivations``; only ``verify`` runs ``theorems``.
+``check``, ``construct`` and ``export`` run ``serialize`` and what it
+imports (``exactlin``, ``lyalg``); ``inner`` adds ``maps``; ``center`` and
+``derived`` add ``structure``; the solvers add ``maps`` and
+``derivations``, and the stabilizer and a consistent hat map
+``structure``; only ``verify`` runs ``theorems``.
 """
 
 import _thread

@@ -13,9 +13,10 @@ fixed maps.  The stabilizer is solved in the unknowns it actually has, the
 coefficients over the solved twisted space.  The quasi-derivation
 companions and the hat map are known only by their values on products: each
 companion is one :func:`~lya.exactlin._map_through` of the product vectors
-onto their prescribed images, and the hat map one ``rref`` of the rows
-(product | prescribed image).  Every solver re-checks its answer by direct
-evaluation, without the constraint matrix.
+onto their prescribed images, and the hat map one
+:func:`~lya.exactlin._rref` of the rows (product | prescribed image).
+Every solver hands its integer rows straight to the elimination, and
+re-checks its answer by direct evaluation, without the constraint matrix.
 
 Inside a verification run (:func:`lya.theorems.verify_all`) each twisted
 space is solved and re-checked once and then reused; every other call
@@ -32,6 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from . import structure
 from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
 from .exactlin import (
@@ -40,22 +42,17 @@ from .exactlin import (
     Vec,
     _images,
     _kernel,
+    _kernel_space,
     _map_through,
     _member,
     _residue,
+    _rref,
     _times,
     _view,
     coordinates,
-    nullspace,
-    rref,
-    vadd,
     vec_strs,
-    vis_zero,
-    vscale,
-    vzero,
 )
-from .lyalg import (Keyed, LYAlgebra, _first_failure, _summed, _tensor_form, _transport,
-                    _values, _vector_at)
+from .lyalg import Keyed, LYAlgebra, _first_failure, _summed, _tensor_form, _transport, _values
 from .maps import (
     AutCert,
     LinMap,
@@ -64,7 +61,6 @@ from .maps import (
     identity_cert,
     satisfies_g_derivation,
 )
-from .structure import derived_algebra, is_subalgebra
 
 class DerSpace(Record):
     """Space of maps, flattened row-major into an n*n ambient space.
@@ -92,8 +88,8 @@ class DerSpace(Record):
         return _member(self.space, sum(f.matrix.form[1], ()))
 
 
-def _identity_rows(algebra: LYAlgebra, arity: int,
-                   terms: Sequence[tuple]) -> list[tuple[int, ...]]:
+def _identity_rows(algebra: LYAlgebra, arity: int, terms: Sequence[tuple],
+                   alternating: bool = False) -> list[tuple[int, ...]]:
     """Rows of the identity f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0.
 
     T is the binary (arity 2) or ternary (arity 3) product, read from the
@@ -102,7 +98,10 @@ def _identity_rows(algebra: LYAlgebra, arity: int,
     is where :func:`~lya.lyalg._transport` leaves T as it is.  There is one
     row per ordered basis tuple I and coordinate l, in that order, with the
     zero rows left out; entry (p, q) of f sits at column p*n + q.  The rows
-    are integers, all scaled by one common factor.
+    are integers, all scaled by one common factor.  An ``alternating``
+    identity changes sign when the first two basis vectors of I swap, so
+    only the tuples with i < j are kept: the others give zero rows or the
+    negatives of kept ones.
     """
     n = algebra.dim
     keyed = _tensor_form(algebra, arity)
@@ -116,14 +115,17 @@ def _identity_rows(algebra: LYAlgebra, arity: int,
             if slot is None:
                 # Coordinate a of T(e_I) meets row l of f at column l*n + a.
                 idx, a = key[:-1], key[-1]
-                for l in range(n):
-                    rows[idx + (l,)][l * n + a] += x
+                if idx[0] < idx[1] or not alternating:
+                    for l in range(n):
+                        rows[idx + (l,)][l * n + a] += x
             else:
                 # T(..., f e_b, ...) is the sum over a of f[a][b] T(..., e_a, ...),
                 # so the value at a in slot s meets every b there at column a*n + b.
                 head, a, tail = key[:slot], key[slot], key[slot + 1:]
                 for b in range(n):
-                    rows[head + (b,) + tail][a * n + b] -= x
+                    idx = head + (b,) + tail
+                    if idx[0] < idx[1] or not alternating:
+                        rows[idx][a * n + b] -= x
     return [tuple(rows[k]) for k in sorted(rows) if any(rows[k])]
 
 
@@ -163,14 +165,17 @@ def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
                          unsound: str) -> Subspace:
     """Nullspace of the twisted identities, each basis element re-checked.
 
-    The twisted identities are not alternating in the first two slots, so
-    every ordered basis pair and triple carries its own rows.
+    Both products are alternating in their first two slots, so the twisted
+    identities are too when θ = ϑ, plain derivations included, and only the
+    basis tuples with i < j carry rows then.  Otherwise every ordered basis
+    pair and triple carries its own rows.
     """
     n = algebra.dim
     t, v = theta.matrix, vartheta.matrix
-    rows = _identity_rows(algebra, 2, [(None, t), (v, None)])
-    rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)])
-    space = nullspace(Matrix._uncleared(len(rows), n * n, (1, rows)))
+    alternating = t == v
+    rows = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
+    rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
+    space = _kernel_space(n * n, rows)
     for f in _maps_of(space):
         if not satisfies_g_derivation(algebra, f, theta, vartheta):
             raise InternalCheckError(unsound)
@@ -210,7 +215,7 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     ident = Matrix.identity(n)
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
-    space = nullspace(Matrix._uncleared(len(rows), n * n, (1, rows)))
+    space = _kernel_space(n * n, rows)
     for f in _maps_of(space):
         m = f.matrix
         if _first_failure(algebra, m, [(None, m)]) is not None:
@@ -223,6 +228,21 @@ def centroid(algebra: LYAlgebra) -> Subspace:
         if last is not None:
             raise InternalCheckError("centroid member fails the last-slot identity")
     return space
+
+
+def _paired_rows(blocks: Sequence[tuple[Keyed, Keyed, Sequence[tuple[int, ...]]]],
+                 n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The rows (u | w) of two keyed forms' vectors u and w at each of the
+    basis tuples, for each (left form, right form, tuples) block, in that
+    order: a common scale S and the integer rows (u·P | w·L), where P and L
+    are S over the two forms' scales."""
+    scale = math.lcm(*(form[0] for left, right, _ in blocks for form in (left, right)))
+    rows = []
+    for (s, u), (t, w), tuples in blocks:
+        p, l = scale // s, scale // t
+        rows += [tuple(p * u.get(idx + (k,), 0) for k in range(n))
+                 + tuple(l * w.get(idx + (k,), 0) for k in range(n)) for idx in tuples]
+    return scale, rows
 
 
 class QuasiWitness(Record):
@@ -239,7 +259,8 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
     product of basis vectors, and D'' each ternary one, to the
     derivation-style sum for the queried map with D in each slot in turn.
     Both the products and their images are read from the stored integer
-    form, and each companion is one :func:`~lya.exactlin._map_through`.
+    form, and each companion is one :func:`~lya.exactlin._map_through` of
+    their :func:`_paired_rows`.
     Its free columns are zero, so the returned witness is canonical.  A
     witness is returned only after :func:`quasi_witness_satisfies` has
     re-checked it.
@@ -256,8 +277,7 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
         # Both products and both images are alternating in the first two
         # slots, so the tuples with i < j span all the rows.
         tuples = [idx for idx in itertools.product(range(n), repeat=arity) if idx[0] < idx[1]]
-        solution = _map_through([_vector_at(keyed, idx, n) for idx in tuples],
-                                [_vector_at(summed, idx, n) for idx in tuples], n, n)
+        solution = _map_through(_paired_rows([(keyed, summed, tuples)], n)[1], n, n)
         if solution is None:
             return None
         companions.append(LinMap(n, solution))
@@ -279,7 +299,7 @@ def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWit
 def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> None:
     """Raise MathError unless H is a subalgebra that the automorphism maps into
     itself, and InputError when H has the wrong ambient dimension."""
-    if not is_subalgebra(algebra, h):
+    if not structure.is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
     for b, w in zip(h.basis, _images(theta.map.matrix.form[1], h)):
         if not _member(h, w):
@@ -305,7 +325,7 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     n = algebra.dim
     residues = [[_residue(h, w) for w in _images(f, h)] for f in _map_rows(twisted.space)]
     rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
-    coeffs = nullspace(Matrix._uncleared(len(rows), twisted.dim, (1, rows)))
+    coeffs = _kernel_space(twisted.dim, rows)
     # Both factors are reduced echelon bases, so their product is one too.
     space = Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
     result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
@@ -400,8 +420,9 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     """Induced map on the derived algebra, when the prescriptions agree.
 
     The defining formulas only prescribe images of products, so the unknown
-    map lives on the span of all products.  One ``rref`` of the rows
-    (product | prescribed image), one per product generator, decides it.
+    map lives on the span of all products.  One :func:`~lya.exactlin._rref`
+    of the integer rows (product | prescribed image), one per product
+    generator, over one scale (:func:`_paired_rows`), decides it.
     A pivot in the image part means some vanishing combination of products
     has a nonzero prescribed image; the canonical kernel of the generators
     is then walked up to the first such combination, which is returned as
@@ -417,25 +438,27 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
 def _dhat(algebra: LYAlgebra, prescriptions: tuple[Keyed, Keyed]) -> DhatResult:
     """:func:`dhat` from the map's :func:`_prescriptions`, already built."""
     n = algebra.dim
-    products = {"binary": _tensor_form(algebra, 2), "ternary": _tensor_form(algebra, 3)}
-    images = dict(zip(products, prescriptions))
     # Every generator, zeros included: their order fixes the clash terms.
-    tags = [("binary", i, j) for i in range(n) for j in range(i + 1, n)]
-    tags += [("ternary", *idx) for idx in itertools.product(range(n), repeat=3)]
-    gens = [_vector_at(products[tag[0]], tag[1:], n) for tag in tags]
-    rhs = [_vector_at(images[tag[0]], tag[1:], n) for tag in tags]
-    scale, r = rref(Matrix(len(gens), 2 * n, (1, tuple(g + y for g, y in zip(gens, rhs))))).form
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    triples = list(itertools.product(range(n), repeat=3))
+    tags = [("binary", *idx) for idx in pairs] + [("ternary", *idx) for idx in triples]
+    binary, ternary = prescriptions
+    over, rows = _paired_rows([(_tensor_form(algebra, 2), binary, pairs),
+                               (_tensor_form(algebra, 3), ternary, triples)], n)
+    scale, r = _rref(2 * n, rows)
     if any(not any(row[:n]) for row in r):
-        for lam in _kernel(Matrix(n, len(gens), (1, tuple(zip(*gens))))):
-            mismatch = vzero(n)
-            for k, coeff in lam:
-                mismatch = vadd(mismatch, vscale(coeff, rhs[k]))
-            if not vis_zero(mismatch):
-                terms = tuple((tags[k], coeff) for k, coeff in lam)
-                return DhatResult(map=None, clash=DhatClash(terms=terms, mismatch=mismatch))
+        # The product halves are the generators times one factor, which
+        # leaves their kernel as it is; the image halves are over ``over``.
+        kscale, kernel = _kernel(len(rows), zip(*(row[:n] for row in rows)))
+        for lam in kernel:
+            mismatch = [sum(c * rows[k][n + l] for k, c in lam) for l in range(n)]
+            if any(mismatch):
+                terms = tuple((tags[k], Fraction(c, kscale)) for k, c in lam)
+                return DhatResult(map=None, clash=DhatClash(
+                    terms=terms, mismatch=_view(kscale * over, mismatch)))
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
     w = Subspace._from_rref(Matrix(len(r), n, (scale, tuple(row[:n] for row in r))))
-    if w != derived_algebra(algebra):
+    if w != structure.derived_algebra(algebra):
         raise InternalCheckError("product vector escaped the derived algebra")
-    matrix = Matrix(len(r), n, (scale, tuple(row[n:] for row in r))).transpose()
+    matrix = Matrix(n, len(r), (scale, tuple(tuple(row[n + l] for row in r) for l in range(n))))
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

@@ -7,11 +7,16 @@ entries and its integer rows scaled by it (see :func:`_clear`).  A subspace
 is the stored matrix of its reduced echelon basis.  Products, membership and
 elimination read the stored integers; ``Matrix.entries`` and
 ``Subspace.basis`` are ``Fraction`` views for output and for the paths that
-are rational.  ``rref`` eliminates fraction-free over integer rows with
-their content removed and divides by the pivots once at the end.  Every
-kernel, prescribed-image map and intersection is read off a single
-``rref``.  Every value is immutable and every function is pure, so results
-are reproducible bit for bit and safe to share across threads.
+are rational.
+
+There is one elimination, :func:`_rref`.  It takes integer rows over any
+one scale as they are, since no common factor changes a row space: a
+solver's constraint rows, a stored matrix's rows, or rows put side by side
+from several integer forms.  Every reduced form, kernel, prescribed-image
+map and intersection is read off a single call; ``rref`` and ``nullspace``
+are its wrappers for a ``Matrix``.  Every value is immutable and every
+function is pure, so results are reproducible bit for bit and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -69,10 +74,6 @@ def vunit(n: int, i: int) -> Vec:
 
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(a: Scalar, v: Vec) -> Vec:
@@ -159,18 +160,6 @@ class Matrix(Record):
         return cls(len(data), cols, (1, data))
 
     @classmethod
-    def _uncleared(cls, rows: int, cols: int, form: Cleared) -> "Matrix":
-        """A matrix held in the integer form given, neither checked nor
-        cleared: only as the input of :func:`rref` or :func:`nullspace`,
-        whose row space no common factor changes.  A solver's constraint
-        rows, integers over one scale, reach the elimination this way
-        without the two passes over every entry that clearing makes; such a
-        matrix need not equal the cleared one with the same entries."""
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, form=form)
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
 
@@ -249,26 +238,32 @@ def _eliminate(row: Sequence[int], prow: Sequence[int], a: int, b: int) -> list[
     return out
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form of ``m``, zero rows dropped.
+def _rref(cols: int, rows: Iterable[Sequence[int]]) -> Cleared:
+    """The reduced row echelon form of integer rows of length ``cols``, zero
+    rows dropped, as its cleared form: the lcm L of the pivots and each row
+    divided by its pivot, times L.
 
-    Gauss-Jordan runs fraction-free on the stored integer rows: eliminating
-    column ``pc`` replaces a row by ``a*row - b*pivot_row`` and divides it by
-    its content (the gcd of its entries), which keeps the integers small
-    without changing the row space.  Each pivot row is divided by its pivot
-    once at the end; the reduced echelon form is unique, so this is the
-    same matrix that Fraction elimination gives.
+    The rows may be taken over any one scale, as no common factor changes
+    their row space.  Gauss-Jordan runs fraction-free: eliminating column
+    ``pc`` replaces a row by ``a*row - b*pivot_row`` and divides it by its
+    content (the gcd of its entries), which keeps the integers small, and a
+    row is divided by its content when it becomes a pivot row.  So every
+    pivot row is primitive, and L is the least common denominator of the
+    reduced form, which is unique: this is the form that :func:`_clear`
+    makes of the matrix that Fraction elimination gives.
     """
-    ncols = m.cols
-    pending = [r for r in m.form[1] if any(r)]
+    pending = [r for r in rows if any(r)]
     done: list[tuple[int, Sequence[int]]] = []
-    for pc in range(ncols):
+    for pc in range(cols):
         if not pending:
             break
         piv = next((i for i, r in enumerate(pending) if r[pc]), None)
         if piv is None:
             continue
         prow = pending.pop(piv)
+        c = math.gcd(*prow)
+        if c != 1:
+            prow = [x // c for x in prow]
         a = prow[pc]
         kept = []
         for r in pending:
@@ -286,12 +281,14 @@ def rref(m: Matrix) -> Matrix:
         done.append((pc, prow))
     # Over the lcm L of the pivots, row r divided by its pivot a is L // a times r.
     scale = math.lcm(*(r[p] for p, r in done))
-    return Matrix(len(done), ncols, (scale, tuple(
-        tuple(x * (scale // r[p]) for x in r) for p, r in done)))
+    return scale, tuple(tuple(x * (scale // r[p]) for x in r) for p, r in done)
 
 
-def rank(m: Matrix) -> int:
-    return rref(m).rows
+def rref(m: Matrix) -> Matrix:
+    """Unique reduced row echelon form of ``m``, zero rows dropped: the
+    :func:`_rref` of its stored rows."""
+    scale, rows = _rref(m.cols, m.form[1])
+    return Matrix(len(rows), m.cols, (scale, rows))
 
 
 def pivot_cols(rref_rows: Sequence[Sequence]) -> tuple[int, ...]:
@@ -305,57 +302,71 @@ def pivot_cols(rref_rows: Sequence[Sequence]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _kernel(m: Matrix) -> Iterator[list[tuple[int, Fraction]]]:
-    """The canonical basis of the right kernel { v : m.v = 0 }, one vector
-    at a time, each as its nonzero (column, value) pairs in column order.
+def _kernel(cols: int,
+            rows: Iterable[Sequence[int]]) -> tuple[int, Iterator[list[tuple[int, int]]]]:
+    """The canonical basis of the right kernel { v : rows.v = 0 } of integer
+    rows of length ``cols`` over any one scale: a scale S and the basis
+    vectors times S, one at a time, each as its nonzero (column, value)
+    pairs in column order.
 
-    One ``rref`` of m with its column order reversed picks the rightmost
-    possible pivots; the reduced form depends only on m's row space, so m's
-    stored rows go in reversed and not cleared again.  The standard kernel
-    basis of that form, one vector per free column f (1 at f, minus the
-    rows' entries at f on their pivots), is then already the kernel's
-    reduced echelon basis: every other entry of a vector lies right of its
-    f, and no other vector is nonzero at f.
+    One :func:`_rref` of the rows with their column order reversed picks
+    the rightmost possible pivots, and each of its rows has S at its pivot.
+    The standard kernel basis of that form, one vector per free column f (S
+    at f, minus the rows' entries at f on their pivots), is then already the
+    kernel's reduced echelon basis: every other entry of a vector lies right
+    of its f, and no other vector is nonzero at f.
     """
-    cols = m.cols
-    scale, data = m.form
-    back = rref(Matrix._uncleared(m.rows, cols, (scale, tuple(row[::-1] for row in data)))).entries
-    # Column c of the reversed form is column cols - 1 - c of m; the rows
-    # are read last first, so that their pivots come in column order.
-    rows = [(cols - 1 - p, row) for p, row in zip(pivot_cols(back), back)][::-1]
-    pivot_set = {p for p, _ in rows}
-    for f in range(cols):
-        if f not in pivot_set:
-            c = cols - 1 - f
-            yield [(f, ONE)] + [(p, -row[c]) for p, row in rows if row[c]]
+    scale, back = _rref(cols, (row[::-1] for row in rows))
+    # Column c of the reversed form is column cols - 1 - c of the rows; its
+    # rows are read last first, so that their pivots come in column order.
+    pivoted = [(cols - 1 - p, row) for p, row in zip(pivot_cols(back), back)][::-1]
+    pivots = {p for p, _ in pivoted}
+
+    def vectors():
+        for f in range(cols):
+            if f not in pivots:
+                c = cols - 1 - f
+                yield [(f, scale)] + [(p, -row[c]) for p, row in pivoted if row[c]]
+    return scale, vectors()
+
+
+def _kernel_space(cols: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+    """The right kernel of integer rows over any one scale, as the subspace
+    of the vectors of :func:`_kernel`."""
+    scale, vectors = _kernel(cols, rows)
+    dense = []
+    for v in vectors:
+        row = [0] * cols
+        for c, x in v:
+            row[c] = x
+        dense.append(row)
+    return Subspace._from_rref(Matrix(len(dense), cols, (scale, dense)))
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    """Canonical basis of the right kernel { v : m.v = 0 }: the vectors of
-    :func:`_kernel`, dense."""
-    vectors = [[v.get(c, 0) for c in range(m.cols)] for v in map(dict, _kernel(m))]
-    return Subspace._from_rref(Matrix(len(vectors), m.cols, (1, vectors)))
+    """Canonical basis of the right kernel { v : m.v = 0 }: the
+    :func:`_kernel_space` of its stored rows."""
+    return _kernel_space(m.cols, m.form[1])
 
 
-def _map_through(points: Sequence[Sequence], images: Sequence[Sequence], dim: int,
-                 codim: int) -> Matrix | None:
+def _map_through(rows: Iterable[Sequence[int]], dim: int, codim: int) -> Matrix | None:
     """The codim x dim matrix X with X.p = y for every point p and its image
-    y, or None when there is none.
+    y, or None when there is none, from the integer rows (p | y), all over
+    one scale.
 
-    One ``rref`` of the rows (p | y).  A pivot in the y part is a
-    combination of the points that vanishes while the same combination of
-    the images does not.  Otherwise each pivot row, with its pivot at column
-    c, holds column c of X in its y part, and the free columns of X are
-    zero, which makes X the canonical one.
+    One :func:`_rref` of the rows.  A pivot in the y part is a combination
+    of the points that vanishes while the same combination of the images
+    does not.  Otherwise each pivot row, with its pivot at column c, holds
+    column c of X in its y part, and the free columns of X are zero, which
+    makes X the canonical one.
     """
-    scale, r = rref(Matrix(len(points), dim + codim,
-                           (1, tuple(tuple(p) + tuple(y) for p, y in zip(points, images))))).form
+    scale, r = _rref(dim + codim, rows)
     columns = [(0,) * codim] * dim
     for row, p in zip(r, pivot_cols(r)):
         if p >= dim:
             return None
         columns[p] = row[dim:]
-    return Matrix(dim, codim, (scale, tuple(columns))).transpose()
+    return Matrix(codim, dim, (scale, tuple(tuple(c[i] for c in columns) for i in range(codim))))
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
@@ -366,9 +377,10 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Vec | None:
     bv = vec(b)
     if len(bv) != m.rows:
         raise InputError(f"right-hand side length {len(bv)} does not match {m.rows} rows")
-    # m is its stored rows over its scale s, so m.x = b is rows.x = s b.
-    scale, data = m.form
-    x = _map_through(data, [(scale * y,) for y in bv], m.cols, 1)
+    # m is its stored rows over its scale s and b is c over its scale t, so
+    # m.x = b is t rows.x = s c.
+    (s, data), (t, (c,)) = m.form, _clear(1, [bv])
+    x = _map_through([tuple(t * a for a in row) + (s * y,) for row, y in zip(data, c)], m.cols, 1)
     return None if x is None else x.entries[0]
 
 
@@ -379,8 +391,9 @@ def invert(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise InputError("only square matrices can be inverted")
     n = m.rows
-    scale, data = m.transpose().form
-    return _map_through(data, [[scale * int(i == j) for j in range(n)] for i in range(n)], n, n)
+    scale, data = m.form
+    return _map_through([col + tuple(scale * int(i == j) for j in range(n))
+                         for i, col in enumerate(zip(*data))], n, n)
 
 
 class Subspace(Record):
@@ -496,7 +509,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by Zassenhaus's method: one ``rref`` of the rows (a_i | a_i)
+    """Intersection by Zassenhaus's method: one :func:`_rref` of the rows (a_i | a_i)
     and (b_j | 0), each basis in its stored scale.
 
     A combination of the rows whose first half vanishes has sum(x_i a_i) =
@@ -507,7 +520,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
     n = a.ambient_dim
     rows = tuple(r + r for r in a.echelon.form[1]) + tuple(r + (0,) * n for r in b.echelon.form[1])
-    scale, r = rref(Matrix(len(rows), 2 * n, (1, rows))).form
+    scale, r = _rref(2 * n, rows)
     meet = tuple(row[n:] for row in r if not any(row[:n]))
     return Subspace._from_rref(Matrix(len(meet), n, (scale, meet)))
 

@@ -58,13 +58,6 @@ class LinMap(Record):
         n = len(cols)
         return cls(n, Matrix(n, n, (1, tuple(tuple(col[i] for col in cols) for i in range(n)))))
 
-    @classmethod
-    def unflatten(cls, n: int, flat: Sequence[Scalar]) -> "LinMap":
-        entries = vec(flat)
-        if len(entries) != n * n:
-            raise InputError(f"expected {n * n} entries, got {len(entries)}")
-        return cls(n, Matrix(n, n, (1, tuple(entries[i * n:(i + 1) * n] for i in range(n)))))
-
     def apply(self, v: Sequence[Scalar]) -> Vec:
         return self.matrix.mul_vec(v)
 
@@ -123,13 +116,6 @@ def _hom_defect(algebra: LYAlgebra, f: LinMap):
         if failure is not None:
             return (kind, *failure)
     return None
-
-
-def is_homomorphism(algebra: LYAlgebra, f: LinMap) -> bool:
-    """Whether f preserves both products on every basis pair and triple."""
-    if f.dim != algebra.dim:
-        raise InputError("map dimension does not match algebra dimension")
-    return _hom_defect(algebra, f) is None
 
 
 class AutCert(Record):

@@ -12,13 +12,14 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
+from . import maps
 from .errors import InputError
 from .exactlin import Matrix, Subspace, Vec, _matrix_strs, _view, vec, vec_strs, vscale, vzero
 from .lyalg import Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _tensor_form, _vectors
-from .maps import LinMap, _maps_of
 
 if TYPE_CHECKING:
     from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
+    from .maps import LinMap
     from .theorems import PropReport
 
 
@@ -164,7 +165,7 @@ def map_from_dict(data: dict) -> LinMap:
     matrix = data.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == n, "'matrix' must have dim rows")
     rows = [strs_vec(row, n) for row in matrix]
-    return LinMap(n, Matrix(n, n, (1, rows)))
+    return maps.LinMap(n, Matrix(n, n, (1, rows)))
 
 
 def map_to_dict(f: LinMap) -> dict:
@@ -185,8 +186,8 @@ def subspace_to_dict(s: Subspace) -> dict:
 
 
 def map_space_to_dict(space: Subspace, alg_dim: int) -> dict:
-    maps = [_matrix_strs(f.matrix) for f in _maps_of(space)]
-    return {"alg_dim": alg_dim, "dim": space.dim, "maps": maps}
+    return {"alg_dim": alg_dim, "dim": space.dim,
+            "maps": [_matrix_strs(f.matrix) for f in maps._maps_of(space)]}
 
 
 def derspace_to_dict(space: DerSpace) -> dict:
@@ -262,10 +263,6 @@ def read_json_file(path: str | Path) -> tuple[bytes, Any]:
         raise InputError(f"cannot read {p}: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested past the recursion limit
         raise InputError(f"cannot read {p}: JSON nested too deeply: {exc}") from exc
-
-
-def load_json_file(path: str | Path) -> Any:
-    return read_json_file(path)[1]
 
 
 def write_text_file(path: str | Path, text: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import collections
 
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import Matrix, Subspace, _member, nullspace
+from .exactlin import Subspace, _kernel_space, _member
 from .lyalg import LYAlgebra, _tensor_form, _transported, _vectors
 
 
@@ -39,7 +39,7 @@ def center(algebra: LYAlgebra) -> Subspace:
     for (i, j, k, l), x in _tensor_form(algebra, 3)[1].items():
         rows[1, j, k, l][i] = x
         rows[2, i, j, l][k] = x
-    space = nullspace(Matrix._uncleared(len(rows), n, (1, tuple(rows.values()))))
+    space = _kernel_space(n, rows.values())
     if _transported(algebra, (None, space.echelon.transpose(), None))[1]:
         raise InternalCheckError("central element fails the middle-slot identity")
     return space

@@ -112,14 +112,6 @@ def verify_p31(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert,
     return PropReport("P31", instance, True, hypotheses, ok, None if ok else dict(dims), dims)
 
 
-def transported_bracket(theta: AutCert, f: LinMap, g: LinMap) -> LinMap:
-    """Commutator pulled back through composition with the inverse twist."""
-    inv = theta.inverse
-    left = compose(f, compose(inv, g))
-    right = compose(g, compose(inv, f))
-    return left.sub(right)
-
-
 def _products_minus(n: int, a, b, c, d) -> list[list[int]]:
     """ab - cd for integer n x n matrices."""
     return [[x - y for x, y in zip(r, s)]

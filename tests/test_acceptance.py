@@ -13,7 +13,7 @@ from lya.cli import main as cli_main
 from lya.exactlin import (
     Matrix,
     Subspace,
-    rank,
+    rref,
     subspace_intersect,
     vadd,
     vscale,
@@ -68,6 +68,7 @@ from lya.theorems import (
     verify_p36,
     verify_t32,
 )
+from test_maps import unflat
 
 E, F, H = 0, 1, 2
 
@@ -289,7 +290,7 @@ def _quasi_probe_system(algebra, d_map):
     triples = list(itertools.product(range(n), repeat=3))
     columns = []
     for block, flat in itertools.product(range(2), range(n * n)):
-        probe = LinMap.unflatten(n, vunit(n * n, flat))
+        probe = unflat(n, vunit(n * n, flat))
         col = []
         for i, j in pairs:
             col.extend(probe.apply(algebra.c[i][j]) if block == 0 else vzero(n))
@@ -318,16 +319,16 @@ def test_criterion_10_quasi_derivations():
             w = is_quasi_derivation(a, d_map)
             assert w is not None and quasi_witness_satisfies(a, d_map, w)
         for flat in centroid(a).basis:
-            d_map = LinMap.unflatten(a.dim, flat)
+            d_map = unflat(a.dim, flat)
             w = is_quasi_derivation(a, d_map)
             assert w is not None and quasi_witness_satisfies(a, d_map, w)
     sl2 = catalog("sl2")
-    rejected = LinMap.unflatten(3, vunit(9, 0))  # e -> e, f -> 0, h -> 0
+    rejected = unflat(3, vunit(9, 0))  # e -> e, f -> 0, h -> 0
     assert is_quasi_derivation(sl2, rejected) is None
     m, rhs = _quasi_probe_system(sl2, rejected)
     aug = Matrix(m.rows, m.cols + 1,
                  (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
-    assert rank(aug) > rank(m)
+    assert rref(aug).rows > rref(m).rows
     _verdict(10, "derivations and centroid members admit verified companion"
                  " pairs; an explicit endomorphism is rejected with a rank gap")
 

@@ -14,7 +14,7 @@ from lya.cli import main
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import catalog
 from lya.maps import LinMap
-from lya.serialize import (algebra_from_dict, algebra_to_dict, canonical_json, load_json_file,
+from lya.serialize import (algebra_from_dict, algebra_to_dict, canonical_json, read_json_file,
                            map_to_dict, save_json_file, subspace_to_dict)
 from test_maps import rebased
 
@@ -43,7 +43,7 @@ def test_export_round_trip(tmp_path):
         path = tmp_path / f"{name}.json"
         code, report = run_json("export", name, "--out", str(path))
         assert code == 0
-        reloaded = algebra_from_dict(load_json_file(path))
+        reloaded = algebra_from_dict(read_json_file(path)[1])
         original = catalog(name)
         assert reloaded.c == original.c and reloaded.d == original.d
         assert reloaded.labels == original.labels
@@ -60,7 +60,7 @@ def test_export_reports_the_sha256_of_the_written_file(tmp_path):
 def test_export_abelian_has_empty_sections(tmp_path):
     path = tmp_path / "ab3.json"
     run_cli("export", "abelian3", "--out", str(path))
-    data = load_json_file(path)
+    data = read_json_file(path)[1]
     assert data["binary"] == [] and data["ternary"] == []
 
 
@@ -105,7 +105,7 @@ def test_check_valid_algebra(sl2_file):
 
 
 def test_check_corrupted_sign_exits_1(sl2_file, tmp_path):
-    data = load_json_file(sl2_file)
+    data = read_json_file(sl2_file)[1]
     # Flip the sign of the [e,f] coefficient.  The loader expands the
     # alternating symmetry, so LY1/LY2 stay intact; the flipped bracket is
     # inconsistent with the stored ternary tensor and LY5 is the first
@@ -210,7 +210,7 @@ def test_der_dimension_report(tmp_path):
 
 
 def test_construct_from_lie(tmp_path, sl2_file):
-    data = load_json_file(sl2_file)
+    data = read_json_file(sl2_file)[1]
     lie = {"dim": data["dim"], "labels": data["labels"], "binary": data["binary"]}
     lie_path = tmp_path / "lie.json"
     save_json_file(lie_path, lie)
@@ -218,7 +218,7 @@ def test_construct_from_lie(tmp_path, sl2_file):
     code, report = run_json("construct", str(lie_path), "--from", "lie",
                             "--out", str(out_path))
     assert code == 0
-    built = algebra_from_dict(load_json_file(out_path))
+    built = algebra_from_dict(read_json_file(out_path)[1])
     assert built.c == catalog("sl2").c and built.d == catalog("sl2").d
 
 
@@ -819,7 +819,7 @@ def test_empty_reference_is_the_same_input_error_in_every_form(tmp_path, monkeyp
 ])
 def test_unwritable_out_path_exits_2_with_one_report(sl2_file, tmp_path, argv):
     lie = tmp_path / "lie.json"
-    data = load_json_file(sl2_file)
+    data = read_json_file(sl2_file)[1]
     save_json_file(lie, {"dim": data["dim"], "binary": data["binary"]})
     target = tmp_path / "missing" / "x.json"
     args = [a.format(sl2=sl2_file, lie=lie) for a in argv]

@@ -13,7 +13,6 @@ from lya.exactlin import (
     coordinates,
     invert,
     nullspace,
-    rank,
     rref,
     solve,
     subspace_contains,
@@ -44,7 +43,7 @@ from lya.maps import (
     satisfies_derivation,
     satisfies_g_derivation,
 )
-from lya import derivations
+from lya import derivations, structure
 from lya.derivations import (
     DhatClash,
     DhatResult,
@@ -63,7 +62,7 @@ from lya.derivations import (
 )
 from lya.structure import derived_algebra
 from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary, transport
-from test_maps import rand_map, rebased, shifted
+from test_maps import rand_map, rebased, shifted, unflat
 
 E, F, H = 0, 1, 2
 
@@ -89,7 +88,7 @@ def probe_constraint_matrix(algebra, residual):
     space of maps satisfying the identity.
     """
     n = algebra.dim
-    columns = [residual(LinMap.unflatten(n, vunit(n * n, flat))) for flat in range(n * n)]
+    columns = [residual(unflat(n, vunit(n * n, flat))) for flat in range(n * n)]
     rows = len(columns[0]) if columns else 0
     return Matrix(rows, n * n, (1, tuple(
         tuple(columns[q][r] for q in range(n * n)) for r in range(rows))))
@@ -190,7 +189,7 @@ def quasi_system_by_probing(algebra, d_map):
     n_rows = (len(pairs) + len(triples)) * n
     columns = []
     for block, flat in itertools.product(range(2), range(n * n)):
-        unit_map = LinMap.unflatten(n, vunit(n * n, flat))
+        unit_map = unflat(n, vunit(n * n, flat))
         col = []
         for i, j in pairs:
             img = unit_map.apply(algebra.c[i][j]) if block == 0 else vzero(n)
@@ -437,7 +436,7 @@ def test_quasi_accepts_centroid_everywhere():
     for name in SOLVER_NAMES:
         a = catalog(name)
         for flat in centroid(a).basis:
-            d_map = LinMap.unflatten(a.dim, flat)
+            d_map = unflat(a.dim, flat)
             w = is_quasi_derivation(a, d_map)
             assert w is not None
             assert quasi_witness_satisfies(a, d_map, w)
@@ -451,7 +450,7 @@ def test_centroid_members_admit_the_forced_companion_pair():
     for name in ("sl2", "sl2_plus_ab1", "h3"):
         a = catalog(name)
         for flat in centroid(a).basis:
-            d_map = LinMap.unflatten(a.dim, flat)
+            d_map = unflat(a.dim, flat)
             forced = QuasiWitness(dprime=d_map.scale(2), dprimeprime=d_map.scale(3))
             assert quasi_witness_satisfies(a, d_map, forced)
 
@@ -482,7 +481,7 @@ def test_quasi_feasible_set_is_strict_on_sl2():
     rejected = None
     for p in range(3):
         for q in range(3):
-            unit_map = LinMap.unflatten(3, vunit(9, p * 3 + q))
+            unit_map = unflat(3, vunit(9, p * 3 + q))
             feasible = is_quasi_derivation(a, unit_map) is not None
             assert feasible == subspace_contains(qder, unit_map.flatten())
             if not feasible and rejected is None:
@@ -492,7 +491,7 @@ def test_quasi_feasible_set_is_strict_on_sl2():
     m, rhs = quasi_system_by_probing(a, rejected)
     aug = Matrix(m.rows, m.cols + 1,
                  (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
-    assert rank(aug) > rank(m)
+    assert rref(aug).rows > rref(m).rows
 
 
 def test_quasi_probed_assembler_matches_solver_on_accepted_maps():
@@ -501,7 +500,7 @@ def test_quasi_probed_assembler_matches_solver_on_accepted_maps():
     m, rhs = quasi_system_by_probing(a, d_map)
     aug = Matrix(m.rows, m.cols + 1,
                  (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
-    assert rank(aug) == rank(m)
+    assert rref(aug).rows == rref(m).rows
     assert is_quasi_derivation(a, d_map) is not None
 
 
@@ -651,12 +650,12 @@ def recheck_algebras():
 
 
 def test_centroid_recheck_matches_reference(monkeypatch):
-    # The solver's nullspace is replaced by the span of one chosen map, so
-    # the re-check sees members that may fail any of its three identities.
+    # The solver's kernel is replaced by the span of one chosen map, so the
+    # re-check sees members that may fail any of its three identities.
     rng = random.Random(43)
     cases = []
     for a in recheck_algebras():
-        members = [LinMap.unflatten(a.dim, flat) for flat in centroid(a).basis]
+        members = [unflat(a.dim, flat) for flat in centroid(a).basis]
         candidates = members + [shifted(rng, f) for f in members]
         candidates += list(derivation_space(a).maps())[:3]
         candidates += [rand_map(rng, a.dim) for _ in range(3)]
@@ -669,8 +668,8 @@ def test_centroid_recheck_matches_reference(monkeypatch):
         for f in candidates:
             if f.is_zero():
                 continue
-            monkeypatch.setattr(derivations, "nullspace",
-                                lambda m, f=f: Subspace.span(f.dim ** 2, [f.flatten()]))
+            monkeypatch.setattr(derivations, "_kernel_space",
+                                lambda cols, rows, f=f: Subspace.span(cols, [f.flatten()]))
             want = centroid_recheck_reference(a, f)
             if want is None:
                 centroid(a)
@@ -690,7 +689,7 @@ def test_quasi_witness_satisfies_matches_reference():
     for a in recheck_algebras():
         n = a.dim
         maps = list(derivation_space(a).maps())
-        maps += [LinMap.unflatten(n, flat) for flat in centroid(a).basis]
+        maps += [unflat(n, flat) for flat in centroid(a).basis]
         maps += [rand_map(rng, n) for _ in range(2)]
         for d_map in maps:
             solved = is_quasi_derivation(a, d_map)
@@ -918,9 +917,9 @@ def test_a_failed_solve_is_not_kept(monkeypatch, fault):
     """A solve that raises leaves nothing behind: the next call solves again."""
     sl2, chev = catalog("sl2"), chevalley_cert()
     if fault == "solve":
-        def broken(matrix):
-            raise InternalCheckError("nullspace failed")
-        target = ("nullspace", broken)
+        def broken(cols, rows):
+            raise InternalCheckError("kernel failed")
+        target = ("_kernel_space", broken)
     else:
         target = ("satisfies_g_derivation", lambda *args: False)
     solved = recording_solves(monkeypatch)
@@ -1020,8 +1019,8 @@ def quasi_reference(algebra, d_map):
     solution = solve(Matrix(len(rows), 2 * n * n, (1, tuple(rows))), rhs)
     if solution is None:
         return None
-    return QuasiWitness(LinMap.unflatten(n, solution[: n * n]),
-                        LinMap.unflatten(n, solution[n * n:]))
+    return QuasiWitness(unflat(n, solution[: n * n]),
+                        unflat(n, solution[n * n:]))
 
 
 def dhat_reference(algebra, d_map, theta):
@@ -1063,16 +1062,20 @@ def h5():
     return lie_algebra(5, [(0, 2, 4, 1), (1, 3, 4, 1)])
 
 
-def gl2():
-    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the units E_ij at 2i + j."""
-    units = [(i, j) for i in range(2) for j in range(2)]
+def gl(m):
+    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the units E_ij at mi + j."""
+    units = [(i, j) for i in range(m) for j in range(m)]
     brackets = []
     for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):
         if j == k:
-            brackets.append((a, b, 2 * i + l, 1))
+            brackets.append((a, b, m * i + l, 1))
         if l == i:
-            brackets.append((a, b, 2 * k + j, -1))
-    return lie_algebra(4, brackets)
+            brackets.append((a, b, m * k + j, -1))
+    return lie_algebra(m * m, brackets)
+
+
+def gl2():
+    return gl(2)
 
 
 # x_i -> y_i, y_i -> -x_i, z -> z on h5
@@ -1141,7 +1144,7 @@ def reference_maps(rng, a):
     """Derivation, centroid, zero and random maps of the algebra."""
     n = a.dim
     maps = list(derivation_space(a).maps())[:3]
-    maps += [LinMap.unflatten(n, flat) for flat in centroid(a).basis[:2]]
+    maps += [unflat(n, flat) for flat in centroid(a).basis[:2]]
     return maps + [LinMap.zero(n), rand_map(rng, n), rand_map(rng, n)]
 
 
@@ -1348,8 +1351,8 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
     assert is_quasi_derivation(sl2, adh) is not None
     exact = derivations._map_through
 
-    def off_by_one(points, images, dim, codim):
-        x = exact(points, images, dim, codim)
+    def off_by_one(rows, dim, codim):
+        x = exact(rows, dim, codim)
         if x is None:
             return None
         first = (x.entries[0][0] + 1,) + x.entries[0][1:]
@@ -1380,23 +1383,59 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     a = h5()
     d_map = derivation_space(a).maps()[0]
     shapes = []
+    eliminate = exactlin._rref
 
-    def recording(m):
-        shapes.append((m.rows, m.cols))
-        return rref(m)
+    def recording(cols, rows):
+        rows = list(rows)
+        shapes.append((len(rows), cols))
+        return eliminate(cols, rows)
 
     def no_rows(*args):
         raise AssertionError("is_quasi_derivation assembled constraint rows")
 
-    monkeypatch.setattr(exactlin, "rref", recording)
+    monkeypatch.setattr(exactlin, "_rref", recording)
     monkeypatch.setattr(derivations, "_identity_rows", no_rows)
     assert is_quasi_derivation(a, d_map) is not None
     assert shapes == [(10, 2 * a.dim), (50, 2 * a.dim)]
 
 
+def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(monkeypatch):
+    """For θ = ϑ, plain derivations included, both twisted identities change
+    sign when the first two basis vectors swap, so only the basis tuples with
+    i < j carry rows: 16 572 on gl4, where every ordered tuple gives 33 144.
+    A pair θ ≠ ϑ keeps every ordered tuple, and so does the centroid, whose
+    identity is not alternating."""
+    sizes = []
+    solve = derivations._kernel_space
+
+    def recording(cols, rows):
+        sizes.append(len(rows))
+        return solve(cols, rows)
+
+    def every_row(a, t, v):
+        """The rows of the twisted identities on every ordered basis tuple."""
+        return (len(derivations._identity_rows(a, 2, [(None, t), (v, None)]))
+                + len(derivations._identity_rows(a, 3, [(None, t, v), (v, None, t), (t, v, None)])))
+
+    monkeypatch.setattr(derivations, "_kernel_space", recording)
+    a, ident = gl(4), Matrix.identity(16)
+    assert derivation_space(a).dim == 16
+    assert sizes == [16572] and every_row(a, ident, ident) == 33144
+    b = h5()
+    swap, ident = Matrix.from_rows(H5_SWAP), Matrix.identity(5)
+    sizes.clear()
+    g_derivation_space(b, *[certify_automorphism(b, LinMap(5, m)) for m in (swap, swap)])
+    g_derivation_space(b, *[certify_automorphism(b, LinMap(5, m)) for m in (swap, ident)])
+    centroid(b)
+    assert sizes[0] < every_row(b, swap, swap)
+    assert sizes[1] == every_row(b, swap, ident)
+    assert sizes[2] == (len(derivations._identity_rows(b, 2, [(None, ident)]))
+                        + len(derivations._identity_rows(b, 3, [(None, ident, ident)])))
+
+
 def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch):
-    """On h5: one rref of the G x 2n rows (product | image), one row per
-    product generator, and the rref of the guard's derived_algebra; the
+    """On h5: one elimination of the G x 2n rows (product | image), one row
+    per product generator, and the one of the guard's derived_algebra; the
     generator kernel is never read."""
     from lya import exactlin
 
@@ -1404,16 +1443,18 @@ def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch):
     n = a.dim
     d_map = derivation_space(a).maps()[0]
     shapes = []
+    eliminate = exactlin._rref
 
-    def recording(m):
-        shapes.append((m.rows, m.cols))
-        return rref(m)
+    def recording(cols, rows):
+        rows = list(rows)
+        shapes.append((len(rows), cols))
+        return eliminate(cols, rows)
 
-    def no_kernel(m):
+    def no_kernel(cols, rows):
         raise AssertionError("dhat read the generator kernel of a consistent map")
 
-    monkeypatch.setattr(exactlin, "rref", recording)
-    monkeypatch.setattr(derivations, "rref", recording)
+    monkeypatch.setattr(exactlin, "_rref", recording)
+    monkeypatch.setattr(derivations, "_rref", recording)
     monkeypatch.setattr(derivations, "_kernel", no_kernel)
     assert dhat(a, d_map, identity_cert(a)).consistent
     assert shapes[0] == (n * (n - 1) // 2 + n ** 3, 2 * n)
@@ -1439,10 +1480,14 @@ def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(monkeypatch):
     kernel = derivations._kernel
     drawn = []
 
-    def counted(m):
-        for lam in kernel(m):
-            drawn.append(lam)
-            yield lam
+    def counted(cols, rows):
+        scale, vectors = kernel(cols, rows)
+
+        def walked():
+            for lam in vectors:
+                drawn.append(lam)
+                yield lam
+        return scale, walked()
 
     monkeypatch.setattr(derivations, "_kernel", counted)
     clash_at = []
@@ -1466,11 +1511,11 @@ def test_dhat_guards_fire_with_their_messages(monkeypatch):
     zero, ident = LinMap.zero(3), LinMap.identity(3)
     assert dhat(sl2, zero, theta).consistent and not dhat(sl2, ident, theta).consistent
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "derived_algebra", lambda a: Subspace.zero(a.dim))
+        patch.setattr(structure, "derived_algebra", lambda a: Subspace.zero(a.dim))
         with pytest.raises(InternalCheckError, match="escaped the derived algebra"):
             dhat(sl2, zero, theta)
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "_kernel", lambda m: iter(()))
+        patch.setattr(derivations, "_kernel", lambda cols, rows: (1, iter(())))
         with pytest.raises(InternalCheckError, match="passed the kernel test but did not solve"):
             dhat(sl2, ident, theta)
 
@@ -1539,7 +1584,7 @@ def test_solver_spaces_are_basis_covariant():
             return Subspace.span(n * n, [conj(f).flatten() for f in maps])
 
         assert derivation_space(moved).space == conjugated(derivation_space(a).maps())
-        assert centroid(moved) == conjugated(LinMap.unflatten(n, row)
+        assert centroid(moved) == conjugated(unflat(n, row)
                                              for row in centroid(a).basis)
         maps = [LinMap.identity(n)] + twists
         for theta, vartheta in itertools.product(maps, repeat=2):

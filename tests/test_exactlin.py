@@ -8,6 +8,7 @@ import pytest
 from lya.errors import InputError
 from lya.exactlin import (
     Matrix,
+    _clear,
     _kernel,
     _map_through,
     Subspace,
@@ -16,7 +17,6 @@ from lya.exactlin import (
     invert,
     nullspace,
     pivot_cols,
-    rank,
     rref,
     solve,
     subspace_contains,
@@ -352,7 +352,6 @@ def test_empty_matrix_shapes():
     m = Matrix.zero(0, 3)
     assert rref(m).rows == 0
     assert nullspace(m) == Subspace.full(3)
-    assert rank(m) == 0
 
 
 @pytest.mark.parametrize("text,value", [
@@ -452,34 +451,39 @@ def test_nullspace_matches_the_two_pass_reference():
 
 
 def test_nullspace_runs_one_rref_on_the_matrix_rows(monkeypatch):
-    """One rref call per nullspace, on m's own rows with the columns
-    reversed."""
+    """One elimination per nullspace, on m's own stored rows with the
+    columns reversed, neither cleared again nor read as Fractions."""
     from lya import exactlin
 
     seen = []
+    eliminate = exactlin._rref
 
-    def recording(m):
-        seen.append(m.entries)
-        return rref(m)
+    def recording(cols, rows):
+        rows = tuple(map(tuple, rows))
+        seen.append((cols, rows))
+        return eliminate(cols, rows)
 
     for m in nullspace_cases():
         seen.clear()
-        monkeypatch.setattr(exactlin, "rref", recording)
+        monkeypatch.setattr(exactlin, "_rref", recording)
         nullspace(m)
         monkeypatch.undo()
-        assert seen == [tuple(row[::-1] for row in m.entries)]
+        assert seen == [(m.cols, tuple(row[::-1] for row in m.form[1]))]
 
 
 def dense_kernel(m):
-    """The vectors of _kernel(m), dense, after checking that each lists its
-    nonzero entries in column order."""
+    """The vectors of _kernel on m's stored rows, dense, after checking that
+    each lists its nonzero integer entries in column order, its first one
+    the scale."""
     vectors = []
-    for pairs in _kernel(m):
+    scale, kernel = _kernel(m.cols, m.form[1])
+    for pairs in kernel:
         columns = [c for c, _ in pairs]
-        assert columns == sorted(set(columns)) and all(x != 0 for _, x in pairs)
+        assert columns == sorted(set(columns)) and all(type(x) is int and x for _, x in pairs)
+        assert pairs[0][1] == scale
         v = [Fraction(0)] * m.cols
         for c, x in pairs:
-            v[c] = x
+            v[c] = Fraction(x, scale)
         vectors.append(tuple(v))
     return tuple(vectors)
 
@@ -630,16 +634,23 @@ def test_solve_matches_the_augmented_reference():
             assert got == solve_augmented_reference(m, b)
             if got is not None:
                 assert_fraction_entries(Matrix(1, m.cols, (1, (got,))))
-                kinds.add(("consistent", rank(m) < m.cols))
+                kinds.add(("consistent", rref(m).rows < m.cols))
             else:
                 kinds.add(("inconsistent", None))
     assert kinds == {("consistent", True), ("consistent", False), ("inconsistent", None)}
 
 
+def map_through(points, images, dim, codim):
+    """_map_through on the rational rows (p | y), cleared to integers over one
+    scale."""
+    return _map_through(_clear(1, [tuple(p) + tuple(y) for p, y in zip(points, images)])[1],
+                        dim, codim)
+
+
 def test_map_through_matches_the_reference_column_by_column():
     outcomes = set()
     for points, images, dim, codim in prescribed_image_cases():
-        got = _map_through(points, images, dim, codim)
+        got = map_through(points, images, dim, codim)
         assert got == map_through_by_columns(points, images, dim, codim)
         if got is not None:
             assert (got.rows, got.cols) == (codim, dim)
@@ -685,7 +696,7 @@ def test_map_through_matches_the_reference_on_drawn_systems():
         rows, dim, codim = system
         points = [tuple(r[:dim]) for r in rows]
         images = [tuple(r[dim:]) for r in rows]
-        assert _map_through(points, images, dim, codim) == \
+        assert map_through(points, images, dim, codim) == \
             map_through_by_columns(points, images, dim, codim)
         if codim == 1:
             m = Matrix(len(rows), dim, (1, tuple(points)))

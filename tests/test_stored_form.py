@@ -29,7 +29,7 @@ from lya.lyalg import (LeibnizAlgebra, LYAlgebra, bracket, catalog, check_axioms
 from lya.maps import (LinMap, certify_automorphism, compose, identity_cert, restrict_map,
                       satisfies_g_derivation)
 from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
-                           algebra_from_dict, algebra_to_dict, load_json_file, map_to_dict,
+                           algebra_from_dict, algebra_to_dict, map_to_dict, read_json_file,
                            raw_algebra_from_dict, save_json_file, strs_vec)
 from lya.structure import derived_algebra, is_subalgebra
 from lya.theorems import extract_subalgebra, verify_p37, verify_p38
@@ -290,7 +290,7 @@ def test_answers_never_read_the_dense_views(tmp_path, monkeypatch):
     without_dense_tensors(monkeypatch)
     for case, digest in PINNED_DIGESTS.items():
         monkeypatch.chdir(tmp_path / "-".join(map(str, case)))
-        loaded = algebra_from_dict(load_json_file("alg.json"))
+        loaded = algebra_from_dict(read_json_file("alg.json")[1])
         assert loaded == built[case] and hash(loaded) == hash(built[case])
         assert benchmark_digest() == digest, case
     catalog.cache_clear()
@@ -406,14 +406,17 @@ def test_a_stored_map_or_basis_is_never_cleared_again(monkeypatch):
     assert all(g.matrix == product for g in composites)
 
 
-def recorded_clear_sites(monkeypatch) -> list[str]:
+def recorded_clear_sites(monkeypatch, cleared: list | None = None) -> list[str]:
     """Records where each ``_clear`` call comes from: the type of the value
     whose construction clears, ``Matrix`` or ``LYAlgebra``, or else the name
-    of the function that called it."""
+    of the function that called it.  Each cleared row goes to ``cleared``
+    when it is given."""
     sites = []
     clear = exactlin._clear
 
     def recording(scale, rows):
+        if cleared is not None:
+            cleared.extend(rows)
         frame = sys._getframe(1)
         if frame.f_code.co_name == "_cleared":
             frame = frame.f_back
@@ -500,3 +503,103 @@ def test_p37_and_p38_clear_no_single_vector(monkeypatch):
         assert set(sites) <= {"Matrix", "LYAlgebra", verify.__name__}, sites
         clears = 1 if verify is verify_p38 else report.details["stab_dim"]
         assert sites.count(verify.__name__) == clears
+
+
+def direction(row) -> tuple[Fraction, ...]:
+    """A nonzero row over its first nonzero entry: equal for two rows exactly
+    when one is a multiple of the other."""
+    lead = next(x for x in row if x)
+    return tuple(Fraction(x) / lead for x in row)
+
+
+def test_solvers_clear_no_row_of_their_own_systems(monkeypatch):
+    """The twisted, centroid, stabilizer, center, quasi and hat-map solves
+    hand their integer rows to the elimination as they are: no ``_clear``
+    call during a solve clears a multiple of a row of its system.  Each
+    system is rebuilt here from its definition, in Fractions: the identity
+    rows (θ = ϑ, θ ≠ ϑ and the centroid's), the stabilizer's residue rows,
+    the center's rows, and the rows (product | image) of the quasi
+    companions and of the hat map.  The algebra is rebased, so every scale
+    is other than 1."""
+    from lya import derivations
+    from lya.derivations import (_identity_rows, centroid, dhat, g_derivation_space,
+                                 is_quasi_derivation)
+    from lya.exactlin import _images, _residue
+    from lya.lyalg import triple
+    from lya.maps import _map_rows
+    from lya.structure import center
+
+    alg, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
+    n = alg.dim
+    basis = [vunit(n, i) for i in range(n)]
+    swap = certify_automorphism(alg, LinMap(n, p_inv.mul(Matrix.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p)))
+    ident = identity_cert(alg)
+    # The line of 2e + a: the derivations that keep it are a proper subspace.
+    h = Subspace.span(n, [p_inv.mul_vec((2, 0, 0, 1))])
+    d_map = derivation_space(alg).maps()[0]
+    a1, e1 = (LinMap(n, p_inv.mul(Matrix.from_rows([[int(i == j == k) for j in range(4)]
+                                                    for i in range(4)])).mul(p)) for k in (3, 0))
+
+    def twisted_rows(t, v):
+        return (_identity_rows(alg, 2, [(None, t), (v, None)])
+                + _identity_rows(alg, 3, [(None, t, v), (v, None, t), (t, v, None)]))
+
+    def stabilizer_rows():
+        twisted = derivation_space(alg)
+        residues = [[_residue(h, w) for w in _images(f, h)] for f in _map_rows(twisted.space)]
+        return [[r[b][l] for r in residues] for b in range(h.dim) for l in range(n)]
+
+    def center_rows():
+        rows = [[bracket(alg, g, e) for g in basis] for e in basis]
+        rows += [[triple(alg, g, e, x) for g in basis] for e in basis for x in basis]
+        rows += [[triple(alg, e, x, g) for g in basis] for e in basis for x in basis]
+        return [[v[l] for v in r] for r in rows for l in range(n)]
+
+    def product_rows(f):
+        """(product | image) on every basis pair and triple, for the
+        companion that f prescribes on products."""
+        fb = [f.apply(e) for e in basis]
+        rows = [bracket(alg, x, y) + vadd(bracket(alg, fx, y), bracket(alg, x, fy))
+                for x, fx in zip(basis, fb) for y, fy in zip(basis, fb)]
+        rows += [triple(alg, x, y, z) + vadd(vadd(triple(alg, fx, y, z), triple(alg, x, fy, z)),
+                                             triple(alg, x, y, fz))
+                 for x, fx in zip(basis, fb) for y, fy in zip(basis, fb)
+                 for z, fz in zip(basis, fb)]
+        return rows
+
+    def hat_rows(f, theta):
+        rows = [bracket(alg, x, y) + derivations.dhat_binary_rhs(alg, f, theta.map, x, y)
+                for x in basis for y in basis]
+        rows += [triple(alg, x, y, z) + derivations.dhat_ternary_rhs(alg, f, theta.map, x, y, z)
+                 for x in basis for y in basis for z in basis]
+        return rows
+
+    t, s = swap.map.matrix, ident.map.matrix
+    cases = [
+        ("twisted, θ = ϑ", twisted_rows(t, t), lambda: g_derivation_space(alg, swap, swap)),
+        ("twisted, θ ≠ ϑ", twisted_rows(t, s), lambda: g_derivation_space(alg, swap, ident)),
+        ("centroid", _identity_rows(alg, 2, [(None, s)]) + _identity_rows(alg, 3, [(None, s, s)]),
+         lambda: centroid(alg)),
+        ("stabilizer", stabilizer_rows(), lambda: stabilizer_derivations(alg, ident, h)),
+        ("center", center_rows(), lambda: center(alg)),
+        ("quasi, feasible", product_rows(d_map), lambda: is_quasi_derivation(alg, d_map)),
+        ("quasi, a1", product_rows(a1), lambda: is_quasi_derivation(alg, a1)),
+        ("quasi, infeasible", product_rows(e1), lambda: is_quasi_derivation(alg, e1)),
+        ("hat map, consistent", hat_rows(a1, swap), lambda: dhat(alg, a1, swap)),
+        ("hat map, clash", hat_rows(ident.map, ident), lambda: dhat(alg, ident.map, ident)),
+    ]
+    cleared = []
+    recorded_clear_sites(monkeypatch, cleared)
+    results, clears = {}, 0
+    for name, rows, solve in cases:
+        system = {direction(r) for r in rows if any(r)}
+        assert system, name
+        cleared.clear()
+        results[name] = solve()
+        clears += len(cleared)
+        assert not system & {direction(r) for r in cleared if any(r)}, name
+    assert clears  # the solves' own results are cleared
+    assert 0 < results["stabilizer"].dim < results["twisted, θ = ϑ"].dim
+    assert results["quasi, feasible"] is not None and results["quasi, infeasible"] is None
+    assert results["hat map, consistent"].consistent and not results["hat map, clash"].consistent

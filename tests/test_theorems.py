@@ -13,6 +13,7 @@ from lya.lyalg import catalog, check_axioms
 from lya.maps import (
     LinMap,
     certify_automorphism,
+    compose,
     identity_cert,
 )
 from lya.derivations import derivation_space, g_derivation_space
@@ -23,7 +24,6 @@ from lya.theorems import (
     default_catalog_reports,
     extract_subalgebra,
     reports_pass,
-    transported_bracket,
     verify_all,
     verify_p31,
     verify_p33,
@@ -80,6 +80,13 @@ def test_t32_identity_twist_reduces_to_commutator_closure():
     for name in ("sl2", "abelian2", "h3"):
         a = catalog(name)
         assert verify_t32(a, identity_cert(a)).conclusion_holds
+
+
+def transported_bracket(theta, f, g):
+    """The commutator pulled back through composition with the inverse
+    twist, f θ⁻¹ g - g θ⁻¹ f, in LinMap arithmetic."""
+    inv = theta.inverse
+    return compose(f, compose(inv, g)).sub(compose(g, compose(inv, f)))
 
 
 def test_transported_structure_constants_form_an_ly_algebra():
@@ -300,18 +307,18 @@ def test_p36_rejects_bad_preconditions():
     (verify_p38, (vunit(4, E), vunit(4, F))),
 ])
 def test_stabilizer_verifiers_check_their_preconditions_once(monkeypatch, verify, elements):
-    import lya.derivations
+    import lya.structure
     import lya.theorems
 
     a = catalog("sl2_plus_ab1")
     calls = []
-    original = lya.derivations.is_subalgebra
+    original = lya.structure.is_subalgebra
 
     def counted(algebra, h):
         calls.append(h)
         return original(algebra, h)
 
-    monkeypatch.setattr(lya.derivations, "is_subalgebra", counted)
+    monkeypatch.setattr(lya.structure, "is_subalgebra", counted)
     monkeypatch.setattr(lya.theorems, "is_subalgebra", counted)
     report = verify(a, identity_cert(a), Subspace.span(4, [vunit(4, E)]), *elements)
     assert report.details["stab_dim"] > 0  # the stabilizer was solved
