@@ -11,13 +11,18 @@ re-exported here.
 ``import lya`` compiles only this file and :mod:`lya.errors`.  Every layer
 is in ``sys.modules`` and bound here from the start, but its code runs on
 the first read of any of its attributes, ``__dict__`` included, exactly
-once; that first read is thread-safe.  A re-exported name loads its layer
-when it is read.  So a ``lya`` process runs only the layers its verb uses:
-``check``, ``construct`` and ``export`` run ``serialize`` and what it
-imports (``exactlin``, ``lyalg``); ``inner`` adds ``maps``; ``center`` and
+once; that first read is thread-safe.  The layers reach each other only
+through their modules (``exactlin._rref(...)``), never through a name bound
+from another layer, so running one layer's code runs no other: a layer runs
+when one of its functions is first called.  A re-exported name loads its
+layer when it is read.  So a ``lya`` process runs exactly the layers its
+verb calls: ``check``, ``construct`` and ``export`` run ``serialize``,
+``exactlin`` and ``lyalg``; ``inner`` adds ``maps``; ``center`` and
 ``derived`` add ``structure``; the solvers add ``maps`` and
 ``derivations``, and the stabilizer and a consistent hat map
-``structure``; only ``verify`` runs ``theorems``.
+``structure``; ``verify`` adds ``theorems``, and ``structure`` for every
+check but P31, T32 and P33; a usage error or an unreadable input runs
+``serialize`` alone, to write its report.
 """
 
 import _thread

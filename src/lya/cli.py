@@ -139,7 +139,7 @@ def _cmd_check(args, session) -> tuple[dict, int]:
         "passed": report.passed,
         "failures": [
             {"axiom": f.axiom, "indices": list(f.indices),
-             "residual": ser.vec_strs(f.residual)}
+             "residual": exactlin.vec_strs(f.residual)}
             for f in report.failures
         ],
     }

@@ -33,34 +33,10 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from . import structure
+from . import exactlin, lyalg, maps, structure
 from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import (
-    Matrix,
-    Subspace,
-    Vec,
-    _images,
-    _kernel,
-    _kernel_space,
-    _map_through,
-    _member,
-    _residue,
-    _rref,
-    _times,
-    _view,
-    coordinates,
-    vec_strs,
-)
-from .lyalg import Keyed, LYAlgebra, _first_failure, _summed, _tensor_form, _transport, _values
-from .maps import (
-    AutCert,
-    LinMap,
-    _map_rows,
-    _maps_of,
-    identity_cert,
-    satisfies_g_derivation,
-)
+
 
 class DerSpace(Record):
     """Space of maps, flattened row-major into an n*n ambient space.
@@ -69,9 +45,9 @@ class DerSpace(Record):
     both None means the untwisted derivation identities.
     """
 
-    space: Subspace
-    theta: AutCert | None
-    vartheta: AutCert | None
+    space: exactlin.Subspace
+    theta: maps.AutCert | None
+    vartheta: maps.AutCert | None
 
     @property
     def dim(self) -> int:
@@ -81,14 +57,14 @@ class DerSpace(Record):
     def alg_dim(self) -> int:
         return math.isqrt(self.space.ambient_dim)
 
-    def maps(self) -> tuple[LinMap, ...]:
-        return _maps_of(self.space)
+    def maps(self) -> tuple[maps.LinMap, ...]:
+        return maps._maps_of(self.space)
 
-    def contains(self, f: LinMap) -> bool:
-        return _member(self.space, sum(f.matrix.form[1], ()))
+    def contains(self, f: maps.LinMap) -> bool:
+        return exactlin._member(self.space, sum(f.matrix.form[1], ()))
 
 
-def _identity_rows(algebra: LYAlgebra, arity: int, terms: Sequence[tuple],
+def _identity_rows(algebra: lyalg.LYAlgebra, arity: int, terms: Sequence[tuple],
                    alternating: bool = False) -> list[tuple[int, ...]]:
     """Rows of the identity f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0.
 
@@ -104,8 +80,8 @@ def _identity_rows(algebra: LYAlgebra, arity: int, terms: Sequence[tuple],
     negatives of kept ones.
     """
     n = algebra.dim
-    keyed = _tensor_form(algebra, arity)
-    forms = [(None, keyed)] + [(term.index(None), _transport(keyed, term)) for term in terms]
+    keyed = lyalg._tensor_form(algebra, arity)
+    forms = [(None, keyed)] + [(term.index(None), lyalg._transport(keyed, term)) for term in terms]
     scale = math.lcm(*(s for _, (s, _) in forms))
     rows: dict[tuple[int, ...], list[int]] = collections.defaultdict(lambda: [0] * (n * n))
     for slot, (s, entries) in forms:
@@ -148,8 +124,8 @@ def _solve_cache():
         _SOLVED.reset(token)
 
 
-def _twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
-                   unsound: str) -> Subspace:
+def _twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta: maps.LinMap,
+                   unsound: str) -> exactlin.Subspace:
     """:func:`_solve_twisted_space`, served from the open run's spaces when
     this one is among them.  Only spaces whose re-checks passed are kept."""
     solved = _SOLVED.get()
@@ -161,8 +137,8 @@ def _twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     return solved[key]
 
 
-def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
-                         unsound: str) -> Subspace:
+def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta: maps.LinMap,
+                         unsound: str) -> exactlin.Subspace:
     """Nullspace of the twisted identities, each basis element re-checked.
 
     Both products are alternating in their first two slots, so the twisted
@@ -175,22 +151,23 @@ def _solve_twisted_space(algebra: LYAlgebra, theta: LinMap, vartheta: LinMap,
     alternating = t == v
     rows = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
     rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
-    space = _kernel_space(n * n, rows)
-    for f in _maps_of(space):
-        if not satisfies_g_derivation(algebra, f, theta, vartheta):
+    space = exactlin._kernel_space(n * n, rows)
+    for f in maps._maps_of(space):
+        if not maps.satisfies_g_derivation(algebra, f, theta, vartheta):
             raise InternalCheckError(unsound)
     return space
 
 
-def derivation_space(algebra: LYAlgebra) -> DerSpace:
+def derivation_space(algebra: lyalg.LYAlgebra) -> DerSpace:
     """All maps satisfying the derivation identities for both products."""
-    ident = LinMap.identity(algebra.dim)
+    ident = maps.LinMap.identity(algebra.dim)
     space = _twisted_space(algebra, ident, ident,
                            "derivation solver produced an unsound basis element")
     return DerSpace(space=space, theta=None, vartheta=None)
 
 
-def g_derivation_space(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert) -> DerSpace:
+def g_derivation_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
+                       vartheta: maps.AutCert) -> DerSpace:
     """Maps satisfying the identities twisted by the certified pair."""
     n = algebra.dim
     if theta.map.dim != n or vartheta.map.dim != n:
@@ -200,29 +177,29 @@ def g_derivation_space(algebra: LYAlgebra, theta: AutCert, vartheta: AutCert) ->
     return DerSpace(space=space, theta=theta, vartheta=vartheta)
 
 
-def single_twist_space(algebra: LYAlgebra, theta: AutCert) -> DerSpace:
+def single_twist_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert) -> DerSpace:
     """Twist only the first automorphism slot; the second stays the identity."""
-    return g_derivation_space(algebra, theta, identity_cert(algebra))
+    return g_derivation_space(algebra, theta, maps.identity_cert(algebra))
 
 
-def centroid(algebra: LYAlgebra) -> Subspace:
+def centroid(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     """Maps commuting with left multiplication in both products.
 
     Members automatically satisfy the same identity in every other slot;
     that consequence is re-verified on the computed basis.
     """
     n = algebra.dim
-    ident = Matrix.identity(n)
+    ident = exactlin.Matrix.identity(n)
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
-    space = _kernel_space(n * n, rows)
-    for f in _maps_of(space):
+    space = exactlin._kernel_space(n * n, rows)
+    for f in maps._maps_of(space):
         m = f.matrix
-        if _first_failure(algebra, m, [(None, m)]) is not None:
+        if lyalg._first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
         # The first failing basis triple decides which message is raised.
-        middle = _first_failure(algebra, m, [(None, m, None)])
-        last = _first_failure(algebra, m, [(None, None, m)])
+        middle = lyalg._first_failure(algebra, m, [(None, m, None)])
+        last = lyalg._first_failure(algebra, m, [(None, None, m)])
         if middle is not None and (last is None or middle[0] <= last[0]):
             raise InternalCheckError("centroid member fails the middle-slot identity")
         if last is not None:
@@ -230,7 +207,7 @@ def centroid(algebra: LYAlgebra) -> Subspace:
     return space
 
 
-def _paired_rows(blocks: Sequence[tuple[Keyed, Keyed, Sequence[tuple[int, ...]]]],
+def _paired_rows(blocks: Sequence[tuple[lyalg.Keyed, lyalg.Keyed, Sequence[tuple[int, ...]]]],
                  n: int) -> tuple[int, list[tuple[int, ...]]]:
     """The rows (u | w) of two keyed forms' vectors u and w at each of the
     basis tuples, for each (left form, right form, tuples) block, in that
@@ -248,11 +225,11 @@ def _paired_rows(blocks: Sequence[tuple[Keyed, Keyed, Sequence[tuple[int, ...]]]
 class QuasiWitness(Record):
     """Companion pair certifying quasi-derivation membership."""
 
-    dprime: LinMap
-    dprimeprime: LinMap
+    dprime: maps.LinMap
+    dprimeprime: maps.LinMap
 
 
-def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | None:
+def is_quasi_derivation(algebra: lyalg.LYAlgebra, d_map: maps.LinMap) -> QuasiWitness | None:
     """Feasibility of the companion systems for the given map.
 
     A companion is prescribed only on products: D' sends each binary
@@ -271,49 +248,54 @@ def is_quasi_derivation(algebra: LYAlgebra, d_map: LinMap) -> QuasiWitness | Non
     m = d_map.matrix
     companions = []
     for arity in (2, 3):
-        keyed = _tensor_form(algebra, arity)
-        summed = _summed([(1, _transport(keyed, [m if s == t else None for s in range(arity)]))
-                          for t in range(arity)])
+        keyed = lyalg._tensor_form(algebra, arity)
+        summed = lyalg._summed(
+            [(1, lyalg._transport(keyed, [m if s == t else None for s in range(arity)]))
+             for t in range(arity)])
         # Both products and both images are alternating in the first two
         # slots, so the tuples with i < j span all the rows.
         tuples = [idx for idx in itertools.product(range(n), repeat=arity) if idx[0] < idx[1]]
-        solution = _map_through(_paired_rows([(keyed, summed, tuples)], n)[1], n, n)
+        solution = exactlin._map_through(_paired_rows([(keyed, summed, tuples)], n)[1], n, n)
         if solution is None:
             return None
-        companions.append(LinMap(n, solution))
+        companions.append(maps.LinMap(n, solution))
     witness = QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
     if not quasi_witness_satisfies(algebra, d_map, witness):
         raise InternalCheckError("companion witness failed re-verification")
     return witness
 
 
-def quasi_witness_satisfies(algebra: LYAlgebra, d_map: LinMap, witness: QuasiWitness) -> bool:
+def quasi_witness_satisfies(algebra: lyalg.LYAlgebra, d_map: maps.LinMap,
+                            witness: QuasiWitness) -> bool:
     """Re-check the companion identities by direct evaluation:
     D'[x,y] = [Dx, y] + [x, Dy] and D''{x,y,z} = {Dx,y,z} + {x,Dy,z} + {x,y,Dz}."""
     m = d_map.matrix
-    return (_first_failure(algebra, witness.dprime.matrix, [(m, None), (None, m)]) is None
-            and _first_failure(algebra, witness.dprimeprime.matrix,
-                               [(m, None, None), (None, m, None), (None, None, m)]) is None)
+    return (lyalg._first_failure(algebra, witness.dprime.matrix, [(m, None), (None, m)]) is None
+            and lyalg._first_failure(algebra, witness.dprimeprime.matrix,
+                                     [(m, None, None), (None, m, None), (None, None, m)]) is None)
 
 
-def require_stabilized_subalgebra(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> None:
+def require_stabilized_subalgebra(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
+                                  h: exactlin.Subspace) -> None:
     """Raise MathError unless H is a subalgebra that the automorphism maps into
     itself, and InputError when H has the wrong ambient dimension."""
     if not structure.is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
-    for b, w in zip(h.basis, _images(theta.map.matrix.form[1], h)):
-        if not _member(h, w):
+    for b, w in zip(h.basis, exactlin._images(theta.map.matrix.form[1], h)):
+        if not exactlin._member(h, w):
             raise MathError("automorphism does not stabilize the subspace",
-                            witness={"vector": vec_strs(b)})
+                            witness={"vector": exactlin.vec_strs(b)})
 
 
-def stabilizer_derivations(algebra: LYAlgebra, theta: AutCert, h: Subspace) -> DerSpace:
+def stabilizer_derivations(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
+                           h: exactlin.Subspace) -> DerSpace:
     """Twisted derivations whose action keeps the subspace inside itself."""
     require_stabilized_subalgebra(algebra, theta, h)
     return _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
 
 
-def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> DerSpace:
+def _stabilizer_space(algebra: lyalg.LYAlgebra, twisted: DerSpace,
+                      h: exactlin.Subspace) -> DerSpace:
     """:func:`stabilizer_derivations` inside the solved single-twist space,
     for a subspace that has already passed :func:`require_stabilized_subalgebra`.
 
@@ -323,18 +305,19 @@ def _stabilizer_space(algebra: LYAlgebra, twisted: DerSpace, h: Subspace) -> Der
     residues of their images are integers over one scale too.
     """
     n = algebra.dim
-    residues = [[_residue(h, w) for w in _images(f, h)] for f in _map_rows(twisted.space)]
+    residues = [[exactlin._residue(h, w) for w in exactlin._images(f, h)]
+                for f in maps._map_rows(twisted.space)]
     rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
-    coeffs = _kernel_space(twisted.dim, rows)
+    coeffs = exactlin._kernel_space(twisted.dim, rows)
     # Both factors are reduced echelon bases, so their product is one too.
-    space = Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
+    space = exactlin.Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
     result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
     for f in result.maps():
-        if not satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
+        if not maps.satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
         # Tested by membership, not by the residues the solve read, so a
         # fault in one cannot hide itself.
-        if not all(_member(h, w) for w in _images(f.matrix.form[1], h)):
+        if not all(exactlin._member(h, w) for w in exactlin._images(f.matrix.form[1], h)):
             raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
     return result
 
@@ -343,25 +326,25 @@ class PartialMap(Record):
     """Linear map defined on a subspace; columns are ambient images of the
     subspace's canonical basis vectors."""
 
-    domain: Subspace
-    matrix_on_domain: Matrix
+    domain: exactlin.Subspace
+    matrix_on_domain: exactlin.Matrix
 
-    def apply(self, v: Sequence) -> Vec:
-        coords = coordinates(self.domain, v)
+    def apply(self, v: Sequence) -> exactlin.Vec:
+        coords = exactlin.coordinates(self.domain, v)
         if coords is None:
             raise MathError("vector lies outside the map's domain")
         return self.matrix_on_domain.mul_vec(coords)
 
-    def _on_basis(self, s: Subspace) -> Iterator[Vec]:
+    def _on_basis(self, s: exactlin.Subspace) -> Iterator[exactlin.Vec]:
         """:meth:`apply` on each of s's basis vectors in turn, read from the
         stored integers: a member of the domain has its entries at the
         domain's pivots as its coordinates, over s's scale."""
         (a, rows), (b, m) = s.echelon.form, self.matrix_on_domain.form
         pivots = self.domain.pivots
         for r in rows:
-            if not _member(self.domain, r):
+            if not exactlin._member(self.domain, r):
                 raise MathError("vector lies outside the map's domain")
-            yield _view(a * b, _times(m, [r[p] for p in pivots]))
+            yield exactlin._view(a * b, exactlin._times(m, [r[p] for p in pivots]))
 
 
 class DhatClash(Record):
@@ -373,7 +356,7 @@ class DhatClash(Record):
     """
 
     terms: tuple[tuple[tuple, Fraction], ...]
-    mismatch: Vec
+    mismatch: exactlin.Vec
 
 
 class DhatResult(Record):
@@ -385,38 +368,40 @@ class DhatResult(Record):
         return self.map is not None
 
 
-def _prescriptions(algebra: LYAlgebra, d_map: LinMap, theta: LinMap) -> tuple[Keyed, Keyed]:
+def _prescriptions(algebra: lyalg.LYAlgebra, d_map: maps.LinMap,
+                   theta: maps.LinMap) -> tuple[lyalg.Keyed, lyalg.Keyed]:
     """The hat map's prescribed images as multilinear forms, transported on
     the stored integer form: at (i, j) the image 2D[e_i, e_j] + [De_j, θe_i]
     + [θe_j, De_i] of the binary product, and at (i, j, k) the image
     3D{e_i, e_j, e_k} + {De_i, θe_j, e_k} + {e_i, De_j, θe_k} + {θe_i, e_j, De_k}
     of the ternary one."""
     m, t = d_map.matrix, theta.matrix
-    binary, ternary = _tensor_form(algebra, 2), _tensor_form(algebra, 3)
+    binary, ternary = lyalg._tensor_form(algebra, 2), lyalg._tensor_form(algebra, 3)
     # [De_j, θe_i] + [θe_j, De_i] is the (D, θ) plus the (θ, D) transport
     # read at the swapped key (j, i).
-    scale, mixed = _summed([(1, _transport(binary, (m, t))), (1, _transport(binary, (t, m)))])
+    scale, mixed = lyalg._summed([(1, lyalg._transport(binary, (m, t))),
+                                  (1, lyalg._transport(binary, (t, m)))])
     swapped = (scale, {(j, i, l): x for (i, j, l), x in mixed.items()})
-    return (_summed([(2, _transport(binary, (None, None), m)), (1, swapped)]),
-            _summed([(3, _transport(ternary, (None, None, None), m)),
-                     (1, _transport(ternary, (m, t, None))),
-                     (1, _transport(ternary, (None, m, t))),
-                     (1, _transport(ternary, (t, None, m)))]))
+    return (lyalg._summed([(2, lyalg._transport(binary, (None, None), m)), (1, swapped)]),
+            lyalg._summed([(3, lyalg._transport(ternary, (None, None, None), m)),
+                           (1, lyalg._transport(ternary, (m, t, None))),
+                           (1, lyalg._transport(ternary, (None, m, t))),
+                           (1, lyalg._transport(ternary, (t, None, m)))]))
 
 
-def dhat_binary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
-                    g: Vec, h: Vec) -> Vec:
+def dhat_binary_rhs(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.LinMap,
+                    g: exactlin.Vec, h: exactlin.Vec) -> exactlin.Vec:
     """Prescribed image of the binary product of (g, h)."""
-    return _values(_prescriptions(algebra, d_map, theta)[0], algebra.dim, [g], [h])[0]
+    return lyalg._values(_prescriptions(algebra, d_map, theta)[0], algebra.dim, [g], [h])[0]
 
 
-def dhat_ternary_rhs(algebra: LYAlgebra, d_map: LinMap, theta: LinMap,
-                     g: Vec, h: Vec, i: Vec) -> Vec:
+def dhat_ternary_rhs(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.LinMap,
+                     g: exactlin.Vec, h: exactlin.Vec, i: exactlin.Vec) -> exactlin.Vec:
     """Prescribed image of the ternary product of (g, h, i)."""
-    return _values(_prescriptions(algebra, d_map, theta)[1], algebra.dim, [g, h], [i])[0]
+    return lyalg._values(_prescriptions(algebra, d_map, theta)[1], algebra.dim, [g, h], [i])[0]
 
 
-def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
+def dhat(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.AutCert) -> DhatResult:
     """Induced map on the derived algebra, when the prescriptions agree.
 
     The defining formulas only prescribe images of products, so the unknown
@@ -435,7 +420,7 @@ def dhat(algebra: LYAlgebra, d_map: LinMap, theta: AutCert) -> DhatResult:
     return _dhat(algebra, _prescriptions(algebra, d_map, theta.map))
 
 
-def _dhat(algebra: LYAlgebra, prescriptions: tuple[Keyed, Keyed]) -> DhatResult:
+def _dhat(algebra: lyalg.LYAlgebra, prescriptions: tuple[lyalg.Keyed, lyalg.Keyed]) -> DhatResult:
     """:func:`dhat` from the map's :func:`_prescriptions`, already built."""
     n = algebra.dim
     # Every generator, zeros included: their order fixes the clash terms.
@@ -443,22 +428,24 @@ def _dhat(algebra: LYAlgebra, prescriptions: tuple[Keyed, Keyed]) -> DhatResult:
     triples = list(itertools.product(range(n), repeat=3))
     tags = [("binary", *idx) for idx in pairs] + [("ternary", *idx) for idx in triples]
     binary, ternary = prescriptions
-    over, rows = _paired_rows([(_tensor_form(algebra, 2), binary, pairs),
-                               (_tensor_form(algebra, 3), ternary, triples)], n)
-    scale, r = _rref(2 * n, rows)
+    over, rows = _paired_rows([(lyalg._tensor_form(algebra, 2), binary, pairs),
+                               (lyalg._tensor_form(algebra, 3), ternary, triples)], n)
+    scale, r = exactlin._rref(2 * n, rows)
     if any(not any(row[:n]) for row in r):
         # The product halves are the generators times one factor, which
         # leaves their kernel as it is; the image halves are over ``over``.
-        kscale, kernel = _kernel(len(rows), zip(*(row[:n] for row in rows)))
+        kscale, kernel = exactlin._kernel(len(rows), zip(*(row[:n] for row in rows)))
         for lam in kernel:
             mismatch = [sum(c * rows[k][n + l] for k, c in lam) for l in range(n)]
             if any(mismatch):
                 terms = tuple((tags[k], Fraction(c, kscale)) for k, c in lam)
                 return DhatResult(map=None, clash=DhatClash(
-                    terms=terms, mismatch=_view(kscale * over, mismatch)))
+                    terms=terms, mismatch=exactlin._view(kscale * over, mismatch)))
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
-    w = Subspace._from_rref(Matrix(len(r), n, (scale, tuple(row[:n] for row in r))))
+    w = exactlin.Subspace._from_rref(
+        exactlin.Matrix(len(r), n, (scale, tuple(row[:n] for row in r))))
     if w != structure.derived_algebra(algebra):
         raise InternalCheckError("product vector escaped the derived algebra")
-    matrix = Matrix(n, len(r), (scale, tuple(tuple(row[n + l] for row in r) for l in range(n))))
+    matrix = exactlin.Matrix(n, len(r),
+                             (scale, tuple(tuple(row[n + l] for row in r) for l in range(n))))
     return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)

@@ -23,11 +23,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from . import exactlin
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
-from .exactlin import Matrix, Scalar, Vec, _clear, _view, vec, vec_strs, vzero
 
-Tensor3 = tuple[tuple[Vec, ...], ...]
+# A string, so that loading this module runs no other layer.
+Tensor3 = tuple[tuple["exactlin.Vec", ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
 Form = tuple[int, dict, dict]
 Keyed = tuple[int, dict[tuple[int, ...], int]]
@@ -38,7 +39,7 @@ AXIOM_TAGS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
 class AxiomFailure(Record):
     axiom: str
     indices: tuple[int, ...]
-    residual: Vec
+    residual: exactlin.Vec
 
 
 class AxiomReport(Record):
@@ -51,7 +52,7 @@ def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
     or Fraction x keyed as in the form: their nonzero entries cleared by
     :func:`~lya.exactlin._clear`."""
     parts = [{k: x for k, x in part.items() if x} for part in (binary, ternary)]
-    scale, (values,) = _clear(scale, [[x for part in parts for x in part.values()]])
+    scale, (values,) = exactlin._clear(scale, [[x for part in parts for x in part.values()]])
     cleared = iter(values)
     return scale, *({k: next(cleared) for k in part} for part in parts)
 
@@ -71,7 +72,7 @@ def _entries(tensor, n: int, depth: int, what: str) -> dict:
     if len(tensor) != n:
         raise InputError(f"{what} tensor shape does not match dimension")
     if depth == 1:
-        return {(l,): x for l, x in enumerate(vec(tensor)) if x}
+        return {(l,): x for l, x in enumerate(exactlin.vec(tensor)) if x}
     return {(i, *key): x for i, sub in enumerate(tensor)
             for key, x in _entries(sub, n, depth - 1, what).items()}
 
@@ -91,7 +92,8 @@ def _iterated(entries: dict, outer: dict | None = None) -> dict:
     return out
 
 
-def _transport(keyed: Keyed, maps: Sequence[Matrix | None], post: Matrix | None = None) -> Keyed:
+def _transport(keyed: Keyed, maps: Sequence[exactlin.Matrix | None],
+               post: exactlin.Matrix | None = None) -> Keyed:
     """T(M_0 e_i, M_1 e_j[, M_2 e_k]) on every basis tuple, in integers.
 
     ``keyed`` is T's scale and entries from a stored form (:func:`_tensor_form`),
@@ -133,7 +135,8 @@ def _tensor_form(algebra: LYAlgebra, arity: int) -> Keyed:
 def _dense(keyed: Keyed, n: int, arity: int):
     """The keyed form's vectors as nested tuples over ``arity`` basis
     indices: the dense c for arity 2, d for arity 3."""
-    vectors, zero = {idx: _view(keyed[0], v) for idx, v in _vectors(keyed, n)}, vzero(n)
+    vectors = {idx: exactlin._view(keyed[0], v) for idx, v in _vectors(keyed, n)}
+    zero = exactlin.vzero(n)
 
     def nest(idx: tuple[int, ...]):
         if len(idx) == arity:
@@ -156,7 +159,7 @@ def _summed(parts: Sequence[tuple[int, Keyed]]) -> Keyed:
     return scale, acc
 
 
-def _vector_at(keyed: Keyed, idx: tuple[int, ...], n: int) -> Vec:
+def _vector_at(keyed: Keyed, idx: tuple[int, ...], n: int) -> exactlin.Vec:
     """Coordinates 0 .. n - 1 of a keyed form at the basis tuple ``idx``."""
     scale, entries = keyed
     return tuple(Fraction(entries.get(idx + (l,), 0), scale) for l in range(n))
@@ -171,19 +174,21 @@ def _vectors(keyed: Keyed, n: int) -> list[tuple[tuple[int, ...], list[int]]]:
             for idx in sorted({key[:-1] for key in entries})]
 
 
-def _columns(n: int, vectors: Sequence[Vec]) -> Matrix:
+def _columns(n: int, vectors: Sequence[exactlin.Vec]) -> exactlin.Matrix:
     """The n x k matrix whose columns are the k given vectors: as a map in a
     :func:`_transport` slot, it sends e_i to the i-th vector."""
-    return Matrix(n, len(vectors), (1, tuple(tuple(v[a] for v in vectors) for a in range(n))))
+    return exactlin.Matrix(n, len(vectors),
+                           (1, tuple(tuple(v[a] for v in vectors) for a in range(n))))
 
 
-def _transported(algebra: LYAlgebra, maps: Sequence[Matrix | None]) -> Keyed:
+def _transported(algebra: LYAlgebra, maps: Sequence[exactlin.Matrix | None]) -> Keyed:
     """The stored form of the product with one slot per map, transported by
     the maps."""
     return _transport(_tensor_form(algebra, len(maps)), maps)
 
 
-def _values(keyed: Keyed, n: int, fixed: Sequence[Vec], last: Sequence[Vec]) -> list[Vec]:
+def _values(keyed: Keyed, n: int, fixed: Sequence[exactlin.Vec],
+            last: Sequence[exactlin.Vec]) -> list[exactlin.Vec]:
     """A keyed multilinear form at (fixed..., y) for each y in ``last``, from
     one transport: the one evaluator of a form at vectors, behind ``bracket``,
     ``triple``, inner derivations and the hat map's prescribed images."""
@@ -191,7 +196,8 @@ def _values(keyed: Keyed, n: int, fixed: Sequence[Vec], last: Sequence[Vec]) -> 
     return [_vector_at(keyed, (0,) * len(fixed) + (k,), n) for k in range(len(last))]
 
 
-def _first_failure(algebra: LYAlgebra, post: Matrix, terms) -> tuple[tuple, Vec] | None:
+def _first_failure(algebra: LYAlgebra, post: exactlin.Matrix,
+                   terms) -> tuple[tuple, exactlin.Vec] | None:
     """Where post(T(e_I)) differs from the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
 
     ``terms`` is a nonempty list with one map (or None) per argument slot
@@ -239,7 +245,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     scale, keyed_c, keyed_d = form
     failures: list[AxiomFailure] = []
 
-    def fail(tag: str, idx: tuple[int, ...], res: Vec) -> None:
+    def fail(tag: str, idx: tuple[int, ...], res: exactlin.Vec) -> None:
         failures.append(AxiomFailure(tag, idx, res))
 
     for tag, keyed in (("LY1", keyed_c), ("LY2", keyed_d)):
@@ -365,17 +371,19 @@ class LYAlgebra(Record):
         return cls(n, labels, (1, _entries(c, n, 3, "binary"), _entries(d, n, 4, "ternary")))
 
 
-def bracket(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> Vec:
+def bracket(algebra: LYAlgebra, g: Sequence[exactlin.Scalar],
+            h: Sequence[exactlin.Scalar]) -> exactlin.Vec:
     """Binary product of two coordinate vectors."""
-    gv, hv = vec(g), vec(h)
+    gv, hv = exactlin.vec(g), exactlin.vec(h)
     if len(gv) != algebra.dim or len(hv) != algebra.dim:
         raise InputError("vector length does not match algebra dimension")
     return _values(_tensor_form(algebra, 2), algebra.dim, [gv], [hv])[0]
 
 
-def triple(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar], i: Sequence[Scalar]) -> Vec:
+def triple(algebra: LYAlgebra, g: Sequence[exactlin.Scalar], h: Sequence[exactlin.Scalar],
+           i: Sequence[exactlin.Scalar]) -> exactlin.Vec:
     """Ternary product of three coordinate vectors."""
-    gv, hv, iv = vec(g), vec(h), vec(i)
+    gv, hv, iv = exactlin.vec(g), exactlin.vec(h), exactlin.vec(i)
     if any(len(v) != algebra.dim for v in (gv, hv, iv)):
         raise InputError("vector length does not match algebra dimension")
     return _values(_tensor_form(algebra, 3), algebra.dim, [gv, hv], [iv])[0]
@@ -406,7 +414,7 @@ def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
                         witness={"indices": [i, j]})
     raise MathError(f"Jacobi identity fails at basis triple {first.indices}",
                     witness={"indices": list(first.indices),
-                             "residual": vec_strs(x / 2 for x in first.residual)})
+                             "residual": exactlin.vec_strs(x / 2 for x in first.residual)})
 
 
 class LeibnizAlgebra(Record):
@@ -439,7 +447,7 @@ class LeibnizAlgebra(Record):
         if first is not None:
             res = _vector_at((scale * scale, defect), first, self.dim)
             raise MathError(f"left Leibniz identity fails at basis triple {first}",
-                            witness={"indices": list(first), "residual": vec_strs(res)})
+                            witness={"indices": list(first), "residual": exactlin.vec_strs(res)})
 
     def __hash__(self):
         scale, product = self.form

@@ -11,57 +11,46 @@ import functools
 import math
 from typing import Sequence
 
+from . import exactlin, lyalg
 from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import (
-    Matrix,
-    Scalar,
-    Subspace,
-    Vec,
-    _images,
-    _member,
-    _view,
-    invert,
-    vec,
-    vec_strs,
-    vunit,
-)
-from .lyalg import LYAlgebra, _first_failure, _tensor_form, _values
 
 
 class LinMap(Record):
     """Linear self-map in the fixed basis; column j is the image of e_j."""
 
     dim: int
-    matrix: Matrix
+    matrix: exactlin.Matrix
 
     def __post_init__(self):
         if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
             raise InputError(f"matrix is not {self.dim}x{self.dim}")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], dim: int | None = None) -> "LinMap":
+    def from_rows(cls, rows: Sequence[Sequence[exactlin.Scalar]],
+                  dim: int | None = None) -> "LinMap":
         if dim is None:
             dim = len(rows)
-        return cls(dim, Matrix.from_rows(rows, cols=dim))
+        return cls(dim, exactlin.Matrix.from_rows(rows, cols=dim))
 
     @classmethod
     def identity(cls, n: int) -> "LinMap":
-        return cls(n, Matrix.identity(n))
+        return cls(n, exactlin.Matrix.identity(n))
 
     @classmethod
     def zero(cls, n: int) -> "LinMap":
-        return cls(n, Matrix.zero(n, n))
+        return cls(n, exactlin.Matrix.zero(n, n))
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Vec]) -> "LinMap":
+    def from_columns(cls, cols: Sequence[exactlin.Vec]) -> "LinMap":
         n = len(cols)
-        return cls(n, Matrix(n, n, (1, tuple(tuple(col[i] for col in cols) for i in range(n)))))
+        rows = tuple(tuple(col[i] for col in cols) for i in range(n))
+        return cls(n, exactlin.Matrix(n, n, (1, rows)))
 
-    def apply(self, v: Sequence[Scalar]) -> Vec:
+    def apply(self, v: Sequence[exactlin.Scalar]) -> exactlin.Vec:
         return self.matrix.mul_vec(v)
 
-    def flatten(self) -> Vec:
+    def flatten(self) -> exactlin.Vec:
         return self.matrix.flatten()
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -70,14 +59,14 @@ class LinMap(Record):
     def sub(self, other: "LinMap") -> "LinMap":
         return LinMap(self.dim, self.matrix.sub(other.matrix))
 
-    def scale(self, a: Scalar) -> "LinMap":
+    def scale(self, a: exactlin.Scalar) -> "LinMap":
         return LinMap(self.dim, self.matrix.scale(a))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
 
-def _map_rows(space: Subspace) -> list[tuple[tuple[int, ...], ...]]:
+def _map_rows(space: exactlin.Subspace) -> list[tuple[tuple[int, ...], ...]]:
     """The basis maps of a space of flattened n x n maps as integer rows, all
     over the scale of the space's stored basis: each stored basis vector
     read row by row."""
@@ -85,10 +74,11 @@ def _map_rows(space: Subspace) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(r[i * n:(i + 1) * n] for i in range(n)) for r in space.echelon.form[1]]
 
 
-def _maps_of(space: Subspace) -> tuple[LinMap, ...]:
+def _maps_of(space: exactlin.Subspace) -> tuple[LinMap, ...]:
     """The maps whose flattened matrices are a space's basis vectors."""
     scale = space.echelon.form[0]
-    return tuple(LinMap(len(m), Matrix(len(m), len(m), (scale, m))) for m in _map_rows(space))
+    return tuple(LinMap(len(m), exactlin.Matrix(len(m), len(m), (scale, m)))
+                 for m in _map_rows(space))
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -104,7 +94,7 @@ def commutator(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(f.dim, f.matrix.mul(g.matrix).sub(g.matrix.mul(f.matrix)))
 
 
-def _hom_defect(algebra: LYAlgebra, f: LinMap):
+def _hom_defect(algebra: lyalg.LYAlgebra, f: LinMap):
     """First basis tuple where f fails to preserve a product, or None.
 
     Pairs are scanned before triples, each in lexicographic order; the
@@ -112,7 +102,7 @@ def _hom_defect(algebra: LYAlgebra, f: LinMap):
     """
     m = f.matrix
     for kind, arity in (("binary", 2), ("ternary", 3)):
-        failure = _first_failure(algebra, m, [(m,) * arity])
+        failure = lyalg._first_failure(algebra, m, [(m,) * arity])
         if failure is not None:
             return (kind, *failure)
     return None
@@ -129,13 +119,13 @@ class AutCert(Record):
     inverse: LinMap
 
     def __post_init__(self):
-        ident = Matrix.identity(self.map.dim)
+        ident = exactlin.Matrix.identity(self.map.dim)
         if self.map.matrix.mul(self.inverse.matrix) != ident \
                 or self.inverse.matrix.mul(self.map.matrix) != ident:
             raise InputError("certificate inverse does not invert the map")
 
 
-def certify_automorphism(algebra: LYAlgebra, f: LinMap) -> AutCert:
+def certify_automorphism(algebra: lyalg.LYAlgebra, f: LinMap) -> AutCert:
     """Certify f as an automorphism, computing its inverse exactly.
 
     Raises MathError when f is singular or fails to be a homomorphism,
@@ -143,7 +133,7 @@ def certify_automorphism(algebra: LYAlgebra, f: LinMap) -> AutCert:
     """
     if f.dim != algebra.dim:
         raise InputError("map dimension does not match algebra dimension")
-    inv = invert(f.matrix)
+    inv = exactlin.invert(f.matrix)
     if inv is None:
         raise MathError("not invertible")
     defect = _hom_defect(algebra, f)
@@ -152,11 +142,11 @@ def certify_automorphism(algebra: LYAlgebra, f: LinMap) -> AutCert:
         raise MathError(
             f"not a homomorphism: {kind} product at basis tuple {indices}",
             witness={"kind": kind, "indices": list(indices),
-                     "residual": vec_strs(residual)})
+                     "residual": exactlin.vec_strs(residual)})
     return AutCert(map=f, inverse=LinMap(f.dim, inv))
 
 
-def identity_cert(algebra: LYAlgebra) -> AutCert:
+def identity_cert(algebra: lyalg.LYAlgebra) -> AutCert:
     return _identity_cert(algebra.dim)
 
 
@@ -167,7 +157,7 @@ def _identity_cert(n: int) -> AutCert:
     return AutCert(map=ident, inverse=ident)
 
 
-def satisfies_g_derivation(algebra: LYAlgebra, f: LinMap,
+def satisfies_g_derivation(algebra: lyalg.LYAlgebra, f: LinMap,
                            theta: LinMap, vartheta: LinMap) -> bool:
     """Direct evaluation of the twisted derivation identities on basis tuples.
 
@@ -182,42 +172,44 @@ def satisfies_g_derivation(algebra: LYAlgebra, f: LinMap,
     if f.dim != n or theta.dim != n or vartheta.dim != n:
         raise InputError("map dimension does not match algebra dimension")
     m, t, v = f.matrix, theta.matrix, vartheta.matrix
-    return (_first_failure(algebra, m, [(m, t), (v, m)]) is None
-            and _first_failure(algebra, m, [(m, t, v), (v, m, t), (t, v, m)]) is None)
+    return (lyalg._first_failure(algebra, m, [(m, t), (v, m)]) is None
+            and lyalg._first_failure(algebra, m, [(m, t, v), (v, m, t), (t, v, m)]) is None)
 
 
-def satisfies_derivation(algebra: LYAlgebra, f: LinMap) -> bool:
+def satisfies_derivation(algebra: lyalg.LYAlgebra, f: LinMap) -> bool:
     ident = LinMap.identity(algebra.dim)
     return satisfies_g_derivation(algebra, f, ident, ident)
 
 
-def inner_derivation(algebra: LYAlgebra, g: Sequence[Scalar], h: Sequence[Scalar]) -> LinMap:
+def inner_derivation(algebra: lyalg.LYAlgebra, g: Sequence[exactlin.Scalar],
+                     h: Sequence[exactlin.Scalar]) -> LinMap:
     """The map sending x to the ternary product of (g, h, x).
 
     Such maps are always derivations; that consequence is re-verified here
     and a failure would indicate corrupted structure constants.
     """
     n = algebra.dim
-    gv, hv = vec(g), vec(h)
+    gv, hv = exactlin.vec(g), exactlin.vec(h)
     if len(gv) != n or len(hv) != n:
         raise InputError("vector length does not match algebra dimension")
-    units = [vunit(n, k) for k in range(n)]
-    result = LinMap.from_columns(_values(_tensor_form(algebra, 3), n, [gv, hv], units))
+    units = [exactlin.vunit(n, k) for k in range(n)]
+    result = LinMap.from_columns(lyalg._values(lyalg._tensor_form(algebra, 3), n, [gv, hv], units))
     if not satisfies_derivation(algebra, result):
         raise InternalCheckError("inner map failed the derivation identities")
     return result
 
 
-def restrict_map(f: LinMap, subspace: Subspace) -> LinMap:
+def restrict_map(f: LinMap, subspace: exactlin.Subspace) -> LinMap:
     """Matrix of f on an invariant subspace, in the subspace's canonical basis:
     column k holds the image of basis vector k read at the pivots."""
     if f.dim != subspace.ambient_dim:
         raise InputError("map dimension does not match ambient dimension")
     scale = f.matrix.form[0] * subspace.echelon.form[0]
-    images = _images(f.matrix.form[1], subspace)
+    images = exactlin._images(f.matrix.form[1], subspace)
     for b, w in zip(subspace.basis, images):
-        if not _member(subspace, w):
+        if not exactlin._member(subspace, w):
             raise MathError("subspace is not invariant under the map",
-                            witness={"vector": vec_strs(b), "image": vec_strs(_view(scale, w))})
+                            witness={"vector": exactlin.vec_strs(b),
+                                     "image": exactlin.vec_strs(exactlin._view(scale, w))})
     rows = tuple(tuple(w[p] for w in images) for p in subspace.pivots)
-    return LinMap(subspace.dim, Matrix(subspace.dim, subspace.dim, (scale, rows)))
+    return LinMap(subspace.dim, exactlin.Matrix(subspace.dim, subspace.dim, (scale, rows)))

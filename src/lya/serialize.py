@@ -10,29 +10,22 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
-from . import maps
+from . import derivations, exactlin, lyalg, maps, theorems
 from .errors import InputError
-from .exactlin import Matrix, Subspace, Vec, _matrix_strs, _view, vec, vec_strs, vscale, vzero
-from .lyalg import Form, LeibnizAlgebra, LYAlgebra, Tensor3, _form_of, _tensor_form, _vectors
-
-if TYPE_CHECKING:
-    from .derivations import DerSpace, DhatResult, PartialMap, QuasiWitness
-    from .maps import LinMap
-    from .theorems import PropReport
 
 
-def strs_vec(items: Sequence, expect_len: int | None = None) -> Vec:
+def strs_vec(items: Sequence, expect_len: int | None = None) -> exactlin.Vec:
     if not isinstance(items, (list, tuple)):
         raise InputError("expected a list of rational strings")
-    v = vec(items)
+    v = exactlin.vec(items)
     if expect_len is not None and len(v) != expect_len:
         raise InputError(f"expected {expect_len} coefficients, got {len(v)}")
     return v
 
 
-def parse_vector_arg(text: str, expect_len: int | None = None) -> Vec:
+def parse_vector_arg(text: str, expect_len: int | None = None) -> exactlin.Vec:
     """Inline vector: comma-separated rational strings."""
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     return strs_vec(parts, expect_len)
@@ -80,12 +73,12 @@ _ENTRY_KINDS = {
 }
 
 
-def _entry_vectors(data: dict, kind: str, n: int) -> dict[tuple[int, ...], Vec]:
+def _entry_vectors(data: dict, kind: str, n: int) -> dict[tuple[int, ...], exactlin.Vec]:
     """The coefficient vectors of a file's ``kind`` entries, [i, j, coeffs]
     or [i, j, k, coeffs], keyed by their indices; each entry's shape,
     indices, range and uniqueness are checked in that order."""
     arity, rising, out_of_range = _ENTRY_KINDS[kind]
-    vectors: dict[tuple[int, ...], Vec] = {}
+    vectors: dict[tuple[int, ...], exactlin.Vec] = {}
     for entry in _get_entries(data, kind):
         _require(isinstance(entry, list) and len(entry) == arity + 1,
                  f"{kind} entry must be [{', '.join('ijk'[:arity])}, coeffs]")
@@ -114,27 +107,28 @@ def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
         part = {}
         for (i, j, *k), v in _entry_vectors(data, kind, n).items():
             if any(v):
-                part[(i, j, *k)], part[(j, i, *k)] = v, vscale(-1, v)
+                part[(i, j, *k)], part[(j, i, *k)] = v, exactlin.vscale(-1, v)
         products.append(part)
     return n, labels, *products
 
 
-def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], Form]:
+def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], lyalg.Form]:
     """Decode an algebra file into its cleared form, without checking the
     axioms."""
     n, labels, binary, ternary = _product_vectors(data)
-    return n, labels, _form_of(binary, ternary)
+    return n, labels, lyalg._form_of(binary, ternary)
 
 
-def algebra_from_dict(data: dict) -> LYAlgebra:
-    return LYAlgebra(*raw_algebra_from_dict(data))
+def algebra_from_dict(data: dict) -> lyalg.LYAlgebra:
+    return lyalg.LYAlgebra(*raw_algebra_from_dict(data))
 
 
-def algebra_to_dict(algebra: LYAlgebra) -> dict:
+def algebra_to_dict(algebra: lyalg.LYAlgebra) -> dict:
     # Both products are alternating in their first two slots, so the tuples
     # with i < j carry every product.
-    binary, ternary = ([[*idx, vec_strs(_view(algebra.form[0], v))]
-                        for idx, v in _vectors(_tensor_form(algebra, arity), algebra.dim)
+    binary, ternary = ([[*idx, exactlin.vec_strs(exactlin._view(algebra.form[0], v))]
+                        for idx, v in lyalg._vectors(lyalg._tensor_form(algebra, arity),
+                                                     algebra.dim)
                         if idx[0] < idx[1]] for arity in (2, 3))
     return {
         "dim": algebra.dim,
@@ -144,53 +138,54 @@ def algebra_to_dict(algebra: LYAlgebra) -> dict:
     }
 
 
-def lie_tensor_from_dict(data: dict) -> tuple[Tensor3, tuple[str, ...]]:
+def lie_tensor_from_dict(data: dict) -> tuple[lyalg.Tensor3, tuple[str, ...]]:
     """Binary-only algebra file read as a Lie bracket tensor."""
     n, labels, binary, ternary = _product_vectors(data)
     _require(not ternary, "a Lie input must not carry ternary entries")
-    return tuple(tuple(binary.get((i, j), vzero(n)) for j in range(n)) for i in range(n)), labels
+    zero = exactlin.vzero(n)
+    return tuple(tuple(binary.get((i, j), zero) for j in range(n)) for i in range(n)), labels
 
 
-def leibniz_from_dict(data: dict) -> LeibnizAlgebra:
+def leibniz_from_dict(data: dict) -> lyalg.LeibnizAlgebra:
     """Product entries [i, j, coeffs] with no symmetry assumed."""
     n = _get_dim(data)
     labels = _get_labels(data, n)
     product = {(i, j, l): x for (i, j), v in _entry_vectors(data, "product", n).items()
                for l, x in enumerate(v) if x}
-    return LeibnizAlgebra(n, labels, (1, product))
+    return lyalg.LeibnizAlgebra(n, labels, (1, product))
 
 
-def map_from_dict(data: dict) -> LinMap:
+def map_from_dict(data: dict) -> maps.LinMap:
     n = _get_dim(data)
     matrix = data.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == n, "'matrix' must have dim rows")
     rows = [strs_vec(row, n) for row in matrix]
-    return maps.LinMap(n, Matrix(n, n, (1, rows)))
+    return maps.LinMap(n, exactlin.Matrix(n, n, (1, rows)))
 
 
-def map_to_dict(f: LinMap) -> dict:
-    return {"dim": f.dim, "matrix": _matrix_strs(f.matrix)}
+def map_to_dict(f: maps.LinMap) -> dict:
+    return {"dim": f.dim, "matrix": exactlin._matrix_strs(f.matrix)}
 
 
-def subspace_from_dict(data: dict) -> Subspace:
+def subspace_from_dict(data: dict) -> exactlin.Subspace:
     _require(isinstance(data, dict), "expected a JSON object")
     ambient = data.get("ambient")
     _require(_is_int(ambient) and ambient >= 0, "'ambient' must be a nonnegative integer")
     basis = data.get("basis", [])
     _require(isinstance(basis, list), "'basis' must be a list of vectors")
-    return Subspace.span(ambient, [strs_vec(row, ambient) for row in basis])
+    return exactlin.Subspace.span(ambient, [strs_vec(row, ambient) for row in basis])
 
 
-def subspace_to_dict(s: Subspace) -> dict:
-    return {"ambient": s.ambient_dim, "basis": [vec_strs(row) for row in s.basis]}
+def subspace_to_dict(s: exactlin.Subspace) -> dict:
+    return {"ambient": s.ambient_dim, "basis": [exactlin.vec_strs(row) for row in s.basis]}
 
 
-def map_space_to_dict(space: Subspace, alg_dim: int) -> dict:
+def map_space_to_dict(space: exactlin.Subspace, alg_dim: int) -> dict:
     return {"alg_dim": alg_dim, "dim": space.dim,
-            "maps": [_matrix_strs(f.matrix) for f in maps._maps_of(space)]}
+            "maps": [exactlin._matrix_strs(f.matrix) for f in maps._maps_of(space)]}
 
 
-def derspace_to_dict(space: DerSpace) -> dict:
+def derspace_to_dict(space: derivations.DerSpace) -> dict:
     """:func:`map_space_to_dict` with the twist the maps satisfy."""
     return map_space_to_dict(space.space, space.alg_dim) | {
         "theta": map_to_dict(space.theta.map) if space.theta else None,
@@ -198,33 +193,33 @@ def derspace_to_dict(space: DerSpace) -> dict:
     }
 
 
-def quasi_witness_to_dict(w: QuasiWitness) -> dict:
+def quasi_witness_to_dict(w: derivations.QuasiWitness) -> dict:
     return {"dprime": map_to_dict(w.dprime), "dprimeprime": map_to_dict(w.dprimeprime)}
 
 
-def partial_map_to_dict(p: PartialMap) -> dict:
+def partial_map_to_dict(p: derivations.PartialMap) -> dict:
     return {
         "domain": subspace_to_dict(p.domain),
-        "matrix": _matrix_strs(p.matrix_on_domain),
+        "matrix": exactlin._matrix_strs(p.matrix_on_domain),
     }
 
 
-def dhat_result_to_dict(r: DhatResult) -> dict:
+def dhat_result_to_dict(r: derivations.DhatResult) -> dict:
     out: dict[str, Any] = {"consistent": r.consistent}
     out["map"] = partial_map_to_dict(r.map) if r.map else None
     if r.clash:
-        coeffs = vec_strs(coeff for _, coeff in r.clash.terms)
+        coeffs = exactlin.vec_strs(coeff for _, coeff in r.clash.terms)
         out["clash"] = {
             "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": coeff}
                       for (tag, _), coeff in zip(r.clash.terms, coeffs)],
-            "mismatch": vec_strs(r.clash.mismatch),
+            "mismatch": exactlin.vec_strs(r.clash.mismatch),
         }
     else:
         out["clash"] = None
     return out
 
 
-def report_to_dict(r: PropReport) -> dict:
+def report_to_dict(r: theorems.PropReport) -> dict:
     return {
         "prop": r.prop_id,
         "instance": r.instance,

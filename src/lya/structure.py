@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import collections
 
+from . import exactlin, lyalg
 from .errors import InputError, InternalCheckError, MathError
-from .exactlin import Subspace, _kernel_space, _member
-from .lyalg import LYAlgebra, _tensor_form, _transported, _vectors
 
 
-def _inside(algebra: LYAlgebra, h: Subspace, maps) -> bool:
+def _inside(algebra: lyalg.LYAlgebra, h: exactlin.Subspace, maps) -> bool:
     """Whether every product with its slots transported by ``maps`` lies in H.
 
     Each product is tested as its integer vector over the transported form's
     scale, which :func:`_member` reads as stored.
     """
-    return all(_member(h, w) for _, w in _vectors(_transported(algebra, maps), algebra.dim))
+    return all(exactlin._member(h, w)
+               for _, w in lyalg._vectors(lyalg._transported(algebra, maps), algebra.dim))
 
 
-def center(algebra: LYAlgebra) -> Subspace:
+def center(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     """Solutions g of: [g, e_j] = 0, {g, e_j, e_k} = 0, {e_j, e_k, g} = 0.
 
     There is one row per placement of g and coordinate of the product, and
@@ -34,29 +34,29 @@ def center(algebra: LYAlgebra) -> Subspace:
     """
     n = algebra.dim
     rows: dict[tuple[int, ...], list[int]] = collections.defaultdict(lambda: [0] * n)
-    for (i, j, l), x in _tensor_form(algebra, 2)[1].items():
+    for (i, j, l), x in lyalg._tensor_form(algebra, 2)[1].items():
         rows[0, j, l][i] = x
-    for (i, j, k, l), x in _tensor_form(algebra, 3)[1].items():
+    for (i, j, k, l), x in lyalg._tensor_form(algebra, 3)[1].items():
         rows[1, j, k, l][i] = x
         rows[2, i, j, l][k] = x
-    space = _kernel_space(n, rows.values())
-    if _transported(algebra, (None, space.echelon.transpose(), None))[1]:
+    space = exactlin._kernel_space(n, rows.values())
+    if lyalg._transported(algebra, (None, space.echelon.transpose(), None))[1]:
         raise InternalCheckError("central element fails the middle-slot identity")
     return space
 
 
-def derived_algebra(algebra: LYAlgebra) -> Subspace:
+def derived_algebra(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     """Span of all binary and ternary products of basis elements."""
     n = algebra.dim
-    return Subspace.span(n, [v for arity in (2, 3)
-                             for _, v in _vectors(_tensor_form(algebra, arity), n)])
+    return exactlin.Subspace.span(n, [
+        v for arity in (2, 3) for _, v in lyalg._vectors(lyalg._tensor_form(algebra, arity), n)])
 
 
-def is_perfect(algebra: LYAlgebra) -> bool:
+def is_perfect(algebra: lyalg.LYAlgebra) -> bool:
     return derived_algebra(algebra).dim == algebra.dim
 
 
-def is_subalgebra(algebra: LYAlgebra, h: Subspace) -> bool:
+def is_subalgebra(algebra: lyalg.LYAlgebra, h: exactlin.Subspace) -> bool:
     """Closure of the subspace under both products, tested on its basis."""
     if h.ambient_dim != algebra.dim:
         raise InputError("subspace ambient dimension does not match the algebra")
@@ -64,7 +64,7 @@ def is_subalgebra(algebra: LYAlgebra, h: Subspace) -> bool:
     return _inside(algebra, h, (basis, basis)) and _inside(algebra, h, (basis, basis, basis))
 
 
-def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
+def is_ideal(algebra: lyalg.LYAlgebra, h: exactlin.Subspace) -> bool:
     """Defining conditions: [H, G] in H and {H, G, G} in H.
 
     When they hold, the implied containments with H in the other slots are
@@ -83,7 +83,7 @@ def is_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     return True
 
 
-def is_abelian_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
+def is_abelian_ideal(algebra: lyalg.LYAlgebra, h: exactlin.Subspace) -> bool:
     """[H, H] = 0 and {G, H, H} = 0 for an ideal H.
 
     The consequences {H, G, H} = {H, H, G} = 0 are asserted afterwards.
@@ -91,9 +91,10 @@ def is_abelian_ideal(algebra: LYAlgebra, h: Subspace) -> bool:
     if not is_ideal(algebra, h):
         raise MathError("subspace is not an ideal")
     basis = h.echelon.transpose()
-    if _transported(algebra, (basis, basis))[1] or _transported(algebra, (None, basis, basis))[1]:
+    if lyalg._transported(algebra, (basis, basis))[1] \
+            or lyalg._transported(algebra, (None, basis, basis))[1]:
         return False
-    if _transported(algebra, (basis, None, basis))[1] \
-            or _transported(algebra, (basis, basis, None))[1]:
+    if lyalg._transported(algebra, (basis, None, basis))[1] \
+            or lyalg._transported(algebra, (basis, basis, None))[1]:
         raise InternalCheckError("abelian ideal fails an implied vanishing")
     return True

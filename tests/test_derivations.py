@@ -43,7 +43,7 @@ from lya.maps import (
     satisfies_derivation,
     satisfies_g_derivation,
 )
-from lya import derivations, structure
+from lya import derivations, exactlin, maps, structure
 from lya.derivations import (
     DhatClash,
     DhatResult,
@@ -649,7 +649,7 @@ def recheck_algebras():
     return [catalog(name) for name in SOLVER_NAMES] + [rebased(catalog("sl2_plus_ab1"), 11)[0]]
 
 
-def test_centroid_recheck_matches_reference(monkeypatch):
+def test_centroid_recheck_matches_reference(patch_calls_from):
     # The solver's kernel is replaced by the span of one chosen map, so the
     # re-check sees members that may fail any of its three identities.
     rng = random.Random(43)
@@ -668,8 +668,8 @@ def test_centroid_recheck_matches_reference(monkeypatch):
         for f in candidates:
             if f.is_zero():
                 continue
-            monkeypatch.setattr(derivations, "_kernel_space",
-                                lambda cols, rows, f=f: Subspace.span(cols, [f.flatten()]))
+            patch_calls_from(derivations, exactlin, "_kernel_space",
+                             lambda cols, rows, f=f: Subspace.span(cols, [f.flatten()]))
             want = centroid_recheck_reference(a, f)
             if want is None:
                 centroid(a)
@@ -888,7 +888,7 @@ def test_each_space_is_rechecked_once_per_run(monkeypatch):
 
     rechecked, dims = [], {}
     solving = [False]
-    solve, recheck = derivations._solve_twisted_space, derivations.satisfies_g_derivation
+    solve, recheck = derivations._solve_twisted_space, maps.satisfies_g_derivation
 
     def solve_wrapper(algebra, theta, vartheta, unsound):
         solving[0] = True
@@ -905,7 +905,7 @@ def test_each_space_is_rechecked_once_per_run(monkeypatch):
             rechecked.append((algebra, theta, vartheta, f))
         return recheck(algebra, f, theta, vartheta)
     monkeypatch.setattr(derivations, "_solve_twisted_space", solve_wrapper)
-    monkeypatch.setattr(derivations, "satisfies_g_derivation", recheck_wrapper)
+    monkeypatch.setattr(maps, "satisfies_g_derivation", recheck_wrapper)
     theorems.default_catalog_reports()
     assert len(dims) == 11
     assert len(rechecked) == len(set(rechecked)) == sum(dims.values()) > 11
@@ -913,19 +913,19 @@ def test_each_space_is_rechecked_once_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["solve", "recheck"])
-def test_a_failed_solve_is_not_kept(monkeypatch, fault):
+def test_a_failed_solve_is_not_kept(monkeypatch, patch_calls_from, fault):
     """A solve that raises leaves nothing behind: the next call solves again."""
     sl2, chev = catalog("sl2"), chevalley_cert()
     if fault == "solve":
         def broken(cols, rows):
             raise InternalCheckError("kernel failed")
-        target = ("_kernel_space", broken)
+        target = (exactlin, "_kernel_space", broken)
     else:
-        target = ("satisfies_g_derivation", lambda *args: False)
+        target = (maps, "satisfies_g_derivation", lambda *args: False)
     solved = recording_solves(monkeypatch)
     with derivations._solve_cache():
         with monkeypatch.context() as patch:
-            patch.setattr(derivations, *target)
+            patch_calls_from(derivations, *target, patch=patch)
             with pytest.raises(InternalCheckError):
                 g_derivation_space(sl2, chev, chev)
         space = g_derivation_space(sl2, chev, chev)
@@ -941,10 +941,9 @@ def test_verify_p37_solves_one_hat_map_per_stabilizing_map(monkeypatch):
     from lya import theorems
 
     counts = {"dhat": 0, "prescriptions": 0}
-    monkeypatch.setattr(theorems, "_dhat", counting(counts, "dhat", theorems._dhat))
-    prescriptions = counting(counts, "prescriptions", derivations._prescriptions)
-    monkeypatch.setattr(theorems, "_prescriptions", prescriptions)
-    monkeypatch.setattr(derivations, "_prescriptions", prescriptions)
+    monkeypatch.setattr(derivations, "_dhat", counting(counts, "dhat", derivations._dhat))
+    monkeypatch.setattr(derivations, "_prescriptions",
+                        counting(counts, "prescriptions", derivations._prescriptions))
     sl2 = catalog("sl2")
     report = theorems.verify_p37(sl2, identity_cert(sl2), Subspace.span(3, [vunit(3, E)]),
                                  vunit(3, E), vunit(3, F))
@@ -1336,7 +1335,7 @@ def test_transported_dhat_rhs_matches_the_tuplewise_reference():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
+def test_quasi_rechecks_the_witness_it_returns(patch_calls_from, tmp_path):
     """A wrong companion from the solve ends in InternalCheckError in process,
     and in the CLI's error report with "internal": true and exit 1, instead
     of being returned or printed."""
@@ -1349,7 +1348,7 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
     sl2 = catalog("sl2")
     adh = LinMap.from_rows([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
     assert is_quasi_derivation(sl2, adh) is not None
-    exact = derivations._map_through
+    exact = exactlin._map_through
 
     def off_by_one(rows, dim, codim):
         x = exact(rows, dim, codim)
@@ -1358,7 +1357,7 @@ def test_quasi_rechecks_the_witness_it_returns(monkeypatch, tmp_path):
         first = (x.entries[0][0] + 1,) + x.entries[0][1:]
         return Matrix(x.rows, x.cols, (1, (first,) + x.entries[1:]))
 
-    monkeypatch.setattr(derivations, "_map_through", off_by_one)
+    patch_calls_from(derivations, exactlin, "_map_through", off_by_one)
     with pytest.raises(InternalCheckError, match="companion witness failed re-verification"):
         is_quasi_derivation(sl2, adh)
     save_json_file(tmp_path / "sl2.json", algebra_to_dict(sl2))
@@ -1378,8 +1377,6 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     coordinates plus the n image coordinates, and no constraint rows.  Only
     the basis tuples with i < j give rows: 10 pairs and 50 triples, where
     every ordered tuple gave 25 and 125."""
-    from lya import exactlin
-
     a = h5()
     d_map = derivation_space(a).maps()[0]
     shapes = []
@@ -1399,14 +1396,14 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
     assert shapes == [(10, 2 * a.dim), (50, 2 * a.dim)]
 
 
-def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(monkeypatch):
+def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(patch_calls_from):
     """For θ = ϑ, plain derivations included, both twisted identities change
     sign when the first two basis vectors swap, so only the basis tuples with
     i < j carry rows: 16 572 on gl4, where every ordered tuple gives 33 144.
     A pair θ ≠ ϑ keeps every ordered tuple, and so does the centroid, whose
     identity is not alternating."""
     sizes = []
-    solve = derivations._kernel_space
+    solve = exactlin._kernel_space
 
     def recording(cols, rows):
         sizes.append(len(rows))
@@ -1417,7 +1414,7 @@ def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(monkeypatch)
         return (len(derivations._identity_rows(a, 2, [(None, t), (v, None)]))
                 + len(derivations._identity_rows(a, 3, [(None, t, v), (v, None, t), (t, v, None)])))
 
-    monkeypatch.setattr(derivations, "_kernel_space", recording)
+    patch_calls_from(derivations, exactlin, "_kernel_space", recording)
     a, ident = gl(4), Matrix.identity(16)
     assert derivation_space(a).dim == 16
     assert sizes == [16572] and every_row(a, ident, ident) == 33144
@@ -1433,12 +1430,10 @@ def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(monkeypatch)
                         + len(derivations._identity_rows(b, 3, [(None, ident, ident)])))
 
 
-def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch):
+def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch, patch_calls_from):
     """On h5: one elimination of the G x 2n rows (product | image), one row
     per product generator, and the one of the guard's derived_algebra; the
     generator kernel is never read."""
-    from lya import exactlin
-
     a = h5()
     n = a.dim
     d_map = derivation_space(a).maps()[0]
@@ -1454,8 +1449,7 @@ def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch):
         raise AssertionError("dhat read the generator kernel of a consistent map")
 
     monkeypatch.setattr(exactlin, "_rref", recording)
-    monkeypatch.setattr(derivations, "_rref", recording)
-    monkeypatch.setattr(derivations, "_kernel", no_kernel)
+    patch_calls_from(derivations, exactlin, "_kernel", no_kernel)
     assert dhat(a, d_map, identity_cert(a)).consistent
     assert shapes[0] == (n * (n - 1) // 2 + n ** 3, 2 * n)
     assert len(shapes) == 2 and shapes[1][1] == n
@@ -1473,11 +1467,11 @@ def first_clash_index(algebra, d_map, theta):
                 if any(sum(c * y[l] for c, y in zip(lam, rhs)) for l in range(n)))
 
 
-def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(monkeypatch):
+def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(patch_calls_from):
     """The kernel is walked only for an inconsistent map, and only as far as
     the first vector whose images do not cancel."""
     rng = random.Random(73)
-    kernel = derivations._kernel
+    kernel = exactlin._kernel
     drawn = []
 
     def counted(cols, rows):
@@ -1489,7 +1483,7 @@ def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(monkeypatch):
                 yield lam
         return scale, walked()
 
-    monkeypatch.setattr(derivations, "_kernel", counted)
+    patch_calls_from(derivations, exactlin, "_kernel", counted)
     clash_at = []
     for a, theta, _ in narrowed_cases():
         for d_map in reference_maps(rng, a):
@@ -1503,7 +1497,7 @@ def test_inconsistent_dhat_reads_the_kernel_only_up_to_its_clash(monkeypatch):
     assert len(clash_at) > 10 and max(clash_at) > 1
 
 
-def test_dhat_guards_fire_with_their_messages(monkeypatch):
+def test_dhat_guards_fire_with_their_messages(monkeypatch, patch_calls_from):
     """A domain other than the derived algebra, or an inconsistent
     elimination whose kernel walk finds no clash, is an internal failure."""
     sl2 = catalog("sl2")
@@ -1515,7 +1509,8 @@ def test_dhat_guards_fire_with_their_messages(monkeypatch):
         with pytest.raises(InternalCheckError, match="escaped the derived algebra"):
             dhat(sl2, zero, theta)
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "_kernel", lambda cols, rows: (1, iter(())))
+        patch_calls_from(derivations, exactlin, "_kernel", lambda cols, rows: (1, iter(())),
+                         patch=patch)
         with pytest.raises(InternalCheckError, match="passed the kernel test but did not solve"):
             dhat(sl2, ident, theta)
 

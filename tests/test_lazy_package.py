@@ -78,40 +78,60 @@ def _export(tmp_path: Path) -> str:
     return str(path)
 
 
-# The layers each verb leaves unrun; it runs all the others.  The solvers
-# read the structure layer only for the stabilizer's precondition and the
-# hat map's guard, which an inconsistent hat map, like that of id on sl2,
-# never reaches.
+# The layers each command leaves unrun; it runs all the others.  In an
+# argument, {alg} is an algebra file, {zero} a map file, {bad} a file of
+# malformed JSON and {missing} a path with no file.  The solvers read the
+# structure layer only for the stabilizer's precondition and the hat map's
+# guard, which an inconsistent hat map, like that of id on sl2, never
+# reaches.  P31, T32 and P33 read no structural subspace.  An input or
+# usage error, and only that, runs no layer but serialize, which writes its
+# report, and exits 2.
+ERROR_UNUSED = set(LAYERS) - {"cli", "serialize"}
+
+
 @pytest.mark.parametrize("argv,unused", [
-    (["check"], {"maps", "derivations", "structure", "theorems"}),
-    (["der"], {"structure", "theorems"}),
-    (["gder", "--theta", "id"], {"structure", "theorems"}),
-    (["centroid"], {"structure", "theorems"}),
-    (["quasi", "--map", "id"], {"structure", "theorems"}),
-    (["dhat", "--map", "id"], {"structure", "theorems"}),
-    (["stabilizer", "--subspace", "full"], {"theorems"}),
+    (["check", "{alg}"], {"maps", "derivations", "structure", "theorems"}),
+    (["der", "{alg}"], {"structure", "theorems"}),
+    (["gder", "{alg}", "--theta", "id"], {"structure", "theorems"}),
+    (["centroid", "{alg}"], {"structure", "theorems"}),
+    (["quasi", "{alg}", "--map", "id"], {"structure", "theorems"}),
+    (["dhat", "{alg}", "--map", "id"], {"structure", "theorems"}),
+    (["stabilizer", "{alg}", "--subspace", "full"], {"theorems"}),
+    (["dhat", "{alg}", "--map", "{zero}"], {"theorems"}),
+    (["verify", "p31", "{alg}"], {"structure"}),
+    (["verify", "t32", "{alg}"], {"structure"}),
+    (["verify", "p33", "{alg}"], {"structure"}),
+    (["verify", "suite"], set()),
+    (["bogus"], ERROR_UNUSED),
+    (["der", "x.json", "--bogus"], ERROR_UNUSED),
+    (["der", "{missing}"], ERROR_UNUSED),
+    (["der", "{bad}"], ERROR_UNUSED),
 ])
 def test_each_verb_runs_only_the_layers_it_uses(tmp_path, argv, unused):
-    path = _export(tmp_path)
-    full = [argv[0], path, *argv[1:]]
-    code = RAN + ("import io, json, lya.cli\n"
-                  f"code = lya.cli.main({full!r}, out=io.StringIO())\n"
-                  "print(json.dumps([code, ran()]))\n")
-    code, ran = json.loads(fresh(code).stdout)
-    assert code in (0, 1)
+    (tmp_path / "zero.json").write_text(json.dumps({"dim": 3, "matrix": [["0"] * 3] * 3}))
+    (tmp_path / "bad.json").write_text('{"dim": 3,')
+    files = {"alg": _export(tmp_path), "zero": tmp_path / "zero.json",
+             "bad": tmp_path / "bad.json", "missing": tmp_path / "missing.json"}
+    full = [arg.format(**files) for arg in argv]
+    probe = RAN + ("import io, json, lya.cli\n"
+                   f"code = lya.cli.main({full!r}, out=io.StringIO())\n"
+                   "print(json.dumps([code, ran()]))\n")
+    code, ran = json.loads(fresh(probe).stdout)
+    assert code in ((2,) if unused == ERROR_UNUSED else (0, 1))
     assert set(ran) == set(LAYERS) - unused, ran
 
 
 # Eight threads read eight attributes at once, straight after ``import lya``:
 # some from a layer, some re-exported from lya, several layers shared.  Each
 # layer's code must run once, every read must see the finished module, and
-# the modules must agree on the classes they share.
+# every layer must reach the others through the registered module objects.
 PROBE = """
 import json, sys, threading
 sys.setswitchinterval(1e-6)
 import lya
 runs = {}
-for name in ("exactlin", "lyalg", "maps", "structure", "derivations", "theorems", "serialize"):
+names = ("exactlin", "lyalg", "maps", "structure", "derivations", "theorems", "serialize")
+for name in names:
     loader = type(sys).__getattribute__(sys.modules["lya." + name], "__spec__").loader
     def counted(module, run=loader.exec_module, name=name):
         runs[name] = runs.get(name, 0) + 1
@@ -119,7 +139,7 @@ for name in ("exactlin", "lyalg", "maps", "structure", "derivations", "theorems"
     loader.exec_module = counted
 reads = [(lya.theorems, "verify_all"), (lya, "derivation_space"), (lya.maps, "LinMap"),
          (lya, "Matrix"), (lya.serialize, "canonical_json"), (lya.structure, "center"),
-         (lya, "verify_all"), (lya.derivations, "DerSpace")]
+         (lya, "verify_all"), (lya, "catalog")]
 barrier = threading.Barrier(len(reads), timeout=60)
 errors = []
 def read(owner, attr):
@@ -134,8 +154,9 @@ for t in threads:
 for t in threads:
     t.join(60)
 alive = sum(t.is_alive() for t in threads)
-shared = (lya.maps.Matrix is lya.exactlin.Matrix
-          and lya.theorems.LinMap is lya.maps.LinMap is lya.derivations.LinMap)
+reached = [value for name in names for value in vars(sys.modules["lya." + name]).values()
+           if isinstance(value, type(sys)) and value.__name__.startswith("lya.")]
+shared = len(reached) > len(names) and all(m is sys.modules[m.__name__] for m in reached)
 print(json.dumps([errors, alive, runs, shared]))
 """
 

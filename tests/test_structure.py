@@ -19,8 +19,8 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.errors import InternalCheckError, MathError
-from lya.exactlin import (Matrix, Subspace, invert, nullspace, rref, subspace_contains, vadd,
-                          vscale, vunit)
+from lya.exactlin import (Matrix, Subspace, invert, nullspace, rref, subspace_contains,
+                          subspace_intersect, vadd, vscale, vunit)
 from lya.lyalg import CATALOG_NAMES, LeibnizAlgebra, LYAlgebra, bracket, catalog, direct_sum, triple
 from lya.maps import LinMap, certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
@@ -32,7 +32,7 @@ from lya.structure import (
     is_perfect,
     is_subalgebra,
 )
-from lya import theorems
+from lya import exactlin, theorems
 from lya.theorems import _extract_subalgebra, default_catalog_plan, verify_p35
 from test_derivations import (covariance_cases, gl2, h5, quasi_reference,
                               stabilizer_reference)
@@ -388,7 +388,7 @@ def test_structure_matches_the_dense_references():
             (True, True, True)} <= outcomes
 
 
-def test_p35_matches_the_dense_loop(monkeypatch):
+def test_p35_matches_the_dense_loop(monkeypatch, patch_calls_from):
     """On the real meets and on seeded spans of maps put in the meet's place,
     so that the dense loop finds failing triples and its witness, the last
     one, is compared."""
@@ -397,14 +397,14 @@ def test_p35_matches_the_dense_loop(monkeypatch):
     for a, _ in reference_cases():
         n = a.dim
         report = verify_p35(a, identity_cert(a))
-        meet = theorems.subspace_intersect(centroid(a), derivation_space(a).space)
+        meet = subspace_intersect(centroid(a), derivation_space(a).space)
         assert (report.conclusion_holds, report.witness, report.details) \
             == p35_reference(a, meet)
         for _ in range(3 if n else 0):
             flats = [rand_map(rng, n).flatten() for _ in range(rng.randint(0, 2))]
             flats += [vunit(n * n, rng.randrange(n * n)) for _ in range(rng.randint(1, 2))]
             meet = Subspace.span(n * n, flats)
-            monkeypatch.setattr(theorems, "subspace_intersect", lambda *_, m=meet: m)
+            patch_calls_from(theorems, exactlin, "subspace_intersect", lambda *_, m=meet: m)
             report = verify_p35(a, identity_cert(a))
             monkeypatch.undo()
             want = p35_reference(a, meet)

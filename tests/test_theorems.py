@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lya import theorems
+from lya import derivations, exactlin, lyalg, structure, theorems
 from lya.derivations import DerSpace
 from lya.errors import InputError, InternalCheckError, MathError
 from lya.exactlin import Matrix, Subspace, coordinates, vis_zero, vunit, vzero
@@ -163,11 +164,9 @@ def test_p34_premise_filter_with_chevalley():
             assert r.details["defect_is_zero"]
 
 
-def counting_derived_algebra(monkeypatch, *modules):
-    """Count derived_algebra calls through every named module's binding and
-    through the one is_perfect uses."""
-    from lya import structure
-
+def counting_derived_algebra(monkeypatch):
+    """Count derived_algebra calls, which every layer makes through the
+    structure layer."""
     calls = []
     exact = structure.derived_algebra
 
@@ -175,19 +174,16 @@ def counting_derived_algebra(monkeypatch, *modules):
         calls.append(algebra)
         return exact(algebra)
 
-    for module in (structure,) + modules:
-        monkeypatch.setattr(module, "derived_algebra", counted)
+    monkeypatch.setattr(structure, "derived_algebra", counted)
     return calls
 
 
 def test_p34_computes_the_derived_algebra_once(monkeypatch):
     """Perfectness and the containment read one derived algebra."""
-    from lya import theorems
-
     for name in ("sl2", "h3"):
         a = catalog(name)
         d_map = derivation_space(a).maps()[0]
-        calls = counting_derived_algebra(monkeypatch, theorems)
+        calls = counting_derived_algebra(monkeypatch)
         r = verify_p34(a, d_map, identity_cert(a))
         monkeypatch.undo()
         assert r.hypotheses_met and r.conclusion_holds
@@ -307,19 +303,15 @@ def test_p36_rejects_bad_preconditions():
     (verify_p38, (vunit(4, E), vunit(4, F))),
 ])
 def test_stabilizer_verifiers_check_their_preconditions_once(monkeypatch, verify, elements):
-    import lya.structure
-    import lya.theorems
-
     a = catalog("sl2_plus_ab1")
     calls = []
-    original = lya.structure.is_subalgebra
+    original = structure.is_subalgebra
 
     def counted(algebra, h):
         calls.append(h)
         return original(algebra, h)
 
-    monkeypatch.setattr(lya.structure, "is_subalgebra", counted)
-    monkeypatch.setattr(lya.theorems, "is_subalgebra", counted)
+    monkeypatch.setattr(structure, "is_subalgebra", counted)
     report = verify(a, identity_cert(a), Subspace.span(4, [vunit(4, E)]), *elements)
     assert report.details["stab_dim"] > 0  # the stabilizer was solved
     assert len(calls) == 1
@@ -461,10 +453,10 @@ def fraction_contains(space, f, tested):
 def reference_t32(algebra, theta, instance="", tested=None):
     """verify_t32 as it was written over Fraction products: every bracket,
     hom-property and membership test, in the same order.  The spaces come
-    from ``theorems``, so a patched solver reaches both implementations."""
+    from ``derivations``, so a patched solver reaches both implementations."""
     tested = [] if tested is None else tested
-    twisted = theorems.g_derivation_space(algebra, theta, theta)
-    plain = theorems.derivation_space(algebra)
+    twisted = derivations.g_derivation_space(algebra, theta, theta)
+    plain = derivations.derivation_space(algebra)
     inv = theta.inverse
     images = [fraction_compose(inv, f) for f in twisted.maps()]
     lands = all(fraction_contains(plain, f, tested) for f in images)
@@ -500,15 +492,15 @@ def reference_t32(algebra, theta, instance="", tested=None):
 def reference_p33(algebra, theta, instance="", tested=None):
     """verify_p33 as it was written over Fraction products."""
     tested = [] if tested is None else tested
-    plain = theorems.derivation_space(algebra)
-    twisted = theorems.single_twist_space(algebra, theta)
+    plain = derivations.derivation_space(algebra)
+    twisted = derivations.single_twist_space(algebra, theta)
     involutive = fraction_compose(theta.map, theta.map) == LinMap.identity(algebra.dim)
     bad_map = next((f for f in plain.maps() + twisted.maps()
                     if not fraction_commutator(theta.map, f).is_zero()), None)
     hypotheses = (("theta is involutive", involutive),
                   ("theta commutes with both spaces", bad_map is None))
     details = {"plain_dim": plain.dim, "twisted_dim": twisted.dim,
-               "intersection_dim": theorems.subspace_intersect(plain.space, twisted.space).dim}
+               "intersection_dim": exactlin.subspace_intersect(plain.space, twisted.space).dim}
     if not (involutive and bad_map is None):
         if bad_map is not None:
             details["non_commuting_map"] = [[str(x) for x in row] for row in bad_map.matrix.entries]
@@ -565,25 +557,25 @@ def primitive(v):
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def recorded_members(monkeypatch):
+def recorded_members(patch_calls_from):
     """Wrap the verifiers' membership test; returns the tested vectors."""
     seen = []
-    member = theorems._member
+    member = exactlin._member
 
     def record(basis, w):
         seen.append(primitive(w))
         return member(basis, w)
 
-    monkeypatch.setattr(theorems, "_member", record)
+    patch_calls_from(theorems, exactlin, "_member", record)
     return seen
 
 
-def test_every_bracket_test_of_the_reference_still_runs(monkeypatch):
+def test_every_bracket_test_of_the_reference_still_runs(patch_calls_from):
     """The integer verifiers test the same pull-backs and brackets, up to a
     positive scale, in the same order as the references: for T32 the m
     pull-backs theta^-1 f, then m^2 binary and m^3 ternary brackets; for P33
     one commutator per ordered pair of each parity."""
-    seen = recorded_members(monkeypatch)
+    seen = recorded_members(patch_calls_from)
     for algebra, theta, label in bracket_instances():
         for verify, reference in ((verify_t32, reference_t32), (verify_p33, reference_p33)):
             tested = []
@@ -615,15 +607,16 @@ def twists(a):
 
 
 @pytest.mark.parametrize("how", ["drop", "add"])
-def test_corrupted_twisted_spaces_give_the_reference_witness(monkeypatch, how):
+def test_corrupted_twisted_spaces_give_the_reference_witness(patch_calls_from, how):
     """With the solved twisted space replaced by a wrong one, the failing
     reports, witness dicts included, equal the references'."""
-    solve_pair = theorems.g_derivation_space
-    solve_single = theorems.single_twist_space
-    monkeypatch.setattr(theorems, "g_derivation_space",
-                        lambda *args: corrupted(solve_pair(*args), how))
-    monkeypatch.setattr(theorems, "single_twist_space",
-                        lambda *args: corrupted(solve_single(*args), how))
+    solve_pair = derivations.g_derivation_space
+    solve_single = derivations.single_twist_space
+    callers = (theorems, sys.modules[__name__])
+    patch_calls_from(callers, derivations, "g_derivation_space",
+                     lambda *args: corrupted(solve_pair(*args), how))
+    patch_calls_from(callers, derivations, "single_twist_space",
+                     lambda *args: corrupted(solve_single(*args), how))
     failed = set()
     for name in ("sl2", "abelian2", "h3", "lts_sl2"):
         a = catalog(name)
@@ -684,7 +677,7 @@ def sum_blocks():
 
 @branch_case("c3acaa2afa5597c0676656fe7fc99e0365f090cd00e87a3ae93006aafbe4206d")
 def p31_paired_space_gains_a_map(patch):
-    solve = theorems.g_derivation_space
+    solve = derivations.g_derivation_space
     patch(g_derivation_space=lambda *args: corrupted(solve(*args), "add"))
     sl2 = catalog("sl2")
     return verify_p31(sl2, chevalley_cert(), identity_cert(sl2), "paired+1")
@@ -692,7 +685,7 @@ def p31_paired_space_gains_a_map(patch):
 
 @branch_case("b3cf2f8d047bc31ab531fa00866e5e90ba2052cfaeca031f55848ee7326ecff5")
 def p31_target_space_gains_a_map(patch):
-    solve = theorems.single_twist_space
+    solve = derivations.single_twist_space
     patch(single_twist_space=lambda *args: corrupted(solve(*args), "add"))
     sl2 = catalog("sl2")
     return verify_p31(sl2, chevalley_cert(), identity_cert(sl2), "target+1")
@@ -733,7 +726,7 @@ def p34_perfect_with_a_nonzero_defect(patch):
 
 
 def stabilizer_branch(patch, how, block):
-    solve = theorems._stabilizer_space
+    solve = derivations._stabilizer_space
     patch(_stabilizer_space=lambda *args: corrupted(solve(*args), how))
     a, theta, sl2_block, ab_block = sum_blocks()
     h = sl2_block if block == "sl2" else ab_block
@@ -770,7 +763,7 @@ def p37_singular_restriction(patch):
 
 @branch_case("32f4a8da9346847e70d999c11e8794ab01448a707c8a5bf5de475ae887895ba7")
 def p37_value_outside_the_subspace(patch):
-    values = theorems._values
+    values = lyalg._values
     patch(_values=lambda *args: [tuple(x + y for x, y in zip(v, vunit(3, H)))
                                  for v in values(*args)])
     sl2 = catalog("sl2")
@@ -792,14 +785,18 @@ def p38_restriction_is_no_quasi_derivation(patch):
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
-def test_failing_branch_reports_are_pinned(monkeypatch, name):
+def test_failing_branch_reports_are_pinned(patch_calls_from, name):
     """The canonical JSON of each failing-branch report, as the verifiers
     wrote it before they were simplified."""
     from lya.serialize import canonical_json, report_to_dict
 
     def patch(**names):
+        """Each named function, in the layer that defines it, replaced for
+        the verifiers' calls only."""
         for attr, value in names.items():
-            monkeypatch.setattr(theorems, attr, value)
+            owner = next(layer for layer in (exactlin, lyalg, structure, derivations)
+                         if attr in vars(layer))
+            patch_calls_from(theorems, owner, attr, value)
 
     case, digest = BRANCH_CASES[name]
     text = canonical_json(report_to_dict(case(patch)))
