@@ -17,7 +17,6 @@ the same cleared form, keyed (i, j, l).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -78,17 +77,21 @@ def _entries(tensor, n: int, depth: int, what: str) -> dict:
 
 
 def _iterated(entries: dict, outer: dict | None = None) -> dict:
-    """The entries of S(T(e_i, e_j), e_k), keyed (i, j, k, l), for the
-    integer entries of binary products T and S, where S is ``outer`` or else
-    T itself: the sum over a of T(i, j, a) S(a, k, l), over the product of
-    their scales."""
+    """The entries of S(T(e_I), e_J), keyed (I, J, l), for the integer
+    entries of T and S keyed as in the form, where S is ``outer`` or else T
+    itself: T's last index is contracted into S's first slot, whatever the
+    number of indices before it and after that slot.  For binary products
+    this is S(T(e_i, e_j), e_k) keyed (i, j, k, l), the sum over a of
+    T(i, j, a) S(a, k, l); every value is over the product of the scales."""
     by_first: dict[int, list] = {}
-    for (a, k, l), y in (entries if outer is None else outer).items():
-        by_first.setdefault(a, []).append((k, l, y))
+    for (a, *rest), y in (entries if outer is None else outer).items():
+        by_first.setdefault(a, []).append((tuple(rest), y))
     out: dict[tuple[int, ...], int] = {}
-    for (i, j, a), x in entries.items():
-        for k, l, y in by_first.get(a, ()):
-            out[i, j, k, l] = out.get((i, j, k, l), 0) + x * y
+    for key, x in entries.items():
+        head = key[:-1]
+        for rest, y in by_first.get(key[-1], ()):
+            k = head + rest
+            out[k] = out.get(k, 0) + x * y
     return out
 
 
@@ -196,32 +199,34 @@ def _values(keyed: Keyed, n: int, fixed: Sequence[exactlin.Vec],
     return [_vector_at(keyed, (0,) * len(fixed) + (k,), n) for k in range(len(last))]
 
 
+def _defect(keyed: Keyed, post: exactlin.Matrix, terms) -> Keyed:
+    """post(T(e_I)) minus the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
+
+    ``keyed`` is the stored form of T, the binary or the ternary product,
+    and ``terms`` a nonempty list with one map (or None) for each of its
+    argument slots for each transported copy of T.  Returns the defect's
+    scale and its entries on every basis tuple, in integers, zeros included.
+    """
+    arity = len(terms[0])
+    return _summed([(1, _transport(keyed, (None,) * arity, post))]
+                   + [(-1, _transport(keyed, term)) for term in terms])
+
+
 def _first_failure(algebra: LYAlgebra, post: exactlin.Matrix,
                    terms) -> tuple[tuple, exactlin.Vec] | None:
     """Where post(T(e_I)) differs from the sum over terms of T(M_0 e_i, M_1 e_j[, M_2 e_k]).
 
-    ``terms`` is a nonempty list with one map (or None) per argument slot
-    for each transported tensor; their length picks T, the binary product
-    for two slots and the ternary for three.  Both sides are evaluated on
-    the algebra's stored integer form.  Returns the least basis tuple, in
-    scan order, with a nonzero defect and the defect there, or None when the
+    The number of slots in each term picks T, the algebra's binary product
+    for two and its ternary product for three, and :func:`_defect` evaluates
+    the identity on its stored form.  Returns the least basis tuple, in scan
+    order, with a nonzero defect and the defect there, or None when the
     identity holds on every basis tuple.
     """
-    arity = len(terms[0])
-    keyed = _tensor_form(algebra, arity)
-    defect = _summed([(1, _transport(keyed, (None,) * arity, post))]
-                     + [(-1, _transport(keyed, term)) for term in terms])
+    defect = _defect(_tensor_form(algebra, len(terms[0])), post, terms)
     first = min((k[:-1] for k, x in defect[1].items() if x), default=None)
     if first is None:
         return None
     return first, _vector_at(defect, first, algebra.dim)
-
-
-def _mac(acc: list[int], coeffs, vectors) -> None:
-    """acc += x * vectors[a] over the sparse (a, x) pairs of ``coeffs``."""
-    for a, x in coeffs:
-        for l, y in vectors[a]:
-            acc[l] += x * y
 
 
 def check_axioms(n: int, c, d) -> AxiomReport:
@@ -234,13 +239,17 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     """Evaluate the six defining identities on all basis tuples of a form.
 
     The two alternating conditions are read off the entries, in the order
-    of a scan over the basis tuples (LY2 with its last index outermost);
-    the remaining identities are evaluated in lexicographic order on every
-    ordered tuple of basis indices at which one of their terms can be
-    nonzero, which is complete by multilinearity.  They run in integers on
-    the nonzeros of the tensors scaled by their common denominator L, where
-    each identity is homogeneous of degree two (LY3's linear ternary terms
-    carry one extra factor L), so a residual is its accumulator over L*L.
+    of a scan over the basis tuples (LY2 with its last index outermost).
+    The other four are contracted from the form's integer entries, in which
+    each identity is homogeneous of degree two (LY3's ternary terms carry
+    one extra factor L, the form's scale), and their failures are listed
+    identity by identity in lexicographic order of the basis tuples.  LY3
+    and LY4 are cyclic sums of iterated products (:func:`_iterated`).  LY5
+    and LY6 say that every inner map D(g, h) = {e_g, e_h, .} is a derivation
+    of both products.  That defect is linear in the map, so it is evaluated
+    once for each map of a basis of the span of the inner maps, and only
+    when one of those defects is nonzero is each pair's defect combined
+    from them, with the pair's entries at the basis pivots as coefficients.
     """
     scale, keyed_c, keyed_d = form
     failures: list[AxiomFailure] = []
@@ -258,74 +267,53 @@ def _check_form(n: int, form: Form) -> AxiomReport:
             if any(res):
                 fail(tag, (i, j, *rest), res)
 
-    denom = scale * scale
+    def listed(tag: str, prefix: tuple[int, ...], denom: int, entries: dict) -> None:
+        nonzero = {k: x for k, x in entries.items() if x}
+        for idx, v in _vectors((denom, nonzero), n):
+            fail(tag, prefix + idx, exactlin._view(denom, v))
 
-    def check(tag: str, idx: tuple[int, ...], acc: list[int]) -> None:
-        if any(acc):
-            fail(tag, idx, tuple(Fraction(x, denom) for x in acc))
+    def cyclic(entries: dict) -> dict:
+        # The sum over the rotations of the first three indices.
+        out: dict[tuple[int, ...], int] = {}
+        for (g, h, i, *rest), x in entries.items():
+            for k in ((g, h, i, *rest), (i, g, h, *rest), (h, i, g, *rest)):
+                out[k] = out.get(k, 0) + x
+        return out
 
-    idx = range(n)
-    # The nonzeros of each product as (l, x) pairs: cs[i][j] and ds[i][j][k].
-    cs = [[[] for _ in idx] for _ in idx]
-    for (i, j, l), x in keyed_c.items():
-        cs[i][j].append((l, x))
-    # Transposes that put the contracted slot last: c_1[j][a] = c[a][j],
-    # d_1[j][k][a] = d[a][j][k] and d_2[i][k][a] = d[i][a][k].  Only the
-    # ternary rows that occur are built; the others share one empty row.
-    c_1 = [[cs[a][j] for a in idx] for j in idx]
-    empty = [()] * n
-    ds, d_1, d_2 = ([[empty] * n for _ in idx] for _ in range(3))
-    for (i, j, k, l), x in keyed_d.items():
-        for rows, r, s, a in ((ds, i, j, k), (d_1, j, k, i), (d_2, i, k, j)):
-            if rows[r][s] is empty:
-                rows[r][s] = [[] for _ in idx]
-            rows[r][s][a].append((l, x))
+    ly3 = _summed([(1, (1, _iterated(keyed_c))), (scale, (1, keyed_d))])[1]
+    listed("LY3", (), scale * scale, cyclic(ly3))
+    listed("LY4", (), scale * scale, cyclic(_iterated(keyed_c, keyed_d)))
 
-    def rotations(heads):
-        return sorted({t for a, b, e in heads for t in ((a, b, e), (e, a, b), (b, e, a))})
-
-    # An LY3 term is nonzero only at a rotation of a ternary key or of a
-    # nonzero binary pair followed by any index; an LY4 term only at the latter.
-    pairs = {(i, j, k) for i, j, _ in keyed_c for k in idx}
-    for g, h, i in rotations({key[:3] for key in keyed_d} | pairs):
-        acc = [0] * n
-        for cyc in (ds[g][h][i], ds[h][i][g], ds[i][g][h]):
-            for l, x in cyc:
-                acc[l] += scale * x
-        _mac(acc, cs[g][h], c_1[i])
-        _mac(acc, cs[h][i], c_1[g])
-        _mac(acc, cs[i][g], c_1[h])
-        check("LY3", (g, h, i), acc)
-
-    for g, h, i in rotations(pairs):
-        for j in idx:
-            acc = [0] * n
-            _mac(acc, cs[g][h], d_1[i][j])
-            _mac(acc, cs[h][i], d_1[g][j])
-            _mac(acc, cs[i][g], d_1[h][j])
-            check("LY4", (g, h, i, j), acc)
-
-    # Every LY5 and LY6 term carries a factor d[g][h], so pairs (g, h) with
-    # a zero ternary row contribute nothing.
-    ghs = [(g, h, ds[g][h], [[(a, -x) for a, x in v] for v in ds[g][h]])
-           for g, h in sorted({key[:2] for key in keyed_d})]
-
-    for g, h, dgh, neg in ghs:
-        for i, j in itertools.product(idx, repeat=2):
-            acc = [0] * n
-            _mac(acc, cs[i][j], dgh)
-            _mac(acc, neg[i], c_1[j])
-            _mac(acc, neg[j], cs[i])
-            check("LY5", (g, h, i, j), acc)
-
-    for g, h, dgh, neg in ghs:
-        for i, j, k in itertools.product(idx, repeat=3):
-            acc = [0] * n
-            _mac(acc, ds[i][j][k], dgh)
-            _mac(acc, neg[i], d_1[j][k])
-            _mac(acc, neg[j], d_2[i][k])
-            _mac(acc, neg[k], ds[i][j])
-            check("LY6", (g, h, i, j, k), acc)
+    # D(g, h) as the matrix whose column i is {e_g, e_h, e_i}, flattened row
+    # by row, for each pair with a nonzero ternary row; the others are zero.
+    pairs = sorted({key[:2] for key in keyed_d})
+    flat = [[keyed_d.get((g, h, i, l), 0) for l in range(n) for i in range(n)]
+            for g, h in pairs]
+    basis_scale, basis = exactlin._rref(n * n, flat)
+    pivots = [next(p for p, x in enumerate(row) if x) for row in basis]
+    basis_maps = [exactlin.Matrix(n, n, (basis_scale, tuple(row[l * n:(l + 1) * n]
+                                                            for l in range(n))))
+                  for row in basis]
+    for tag, keyed, arity in (("LY5", keyed_c, 2), ("LY6", keyed_d, 3)):
+        # A derivation's defect: the map applied after the product, minus
+        # the product with the map in each slot in turn.
+        defects = [_defect((scale, keyed), m, [tuple(m if s == t else None for s in range(arity))
+                                               for t in range(arity)])
+                   for m in basis_maps]
+        keys = list({k for _, entries in defects for k, x in entries.items() if x})
+        if not keys:
+            continue
+        # Basis map b is 1 at its pivot and every other one is 0 there, so
+        # D(g, h) is the sum over b of its entry at that pivot, over L, times
+        # map b, and its defect is the same sum of theirs, kept over one scale.
+        common = math.lcm(*(s for s, _ in defects))
+        dense = [[entries.get(k, 0) * (common // s) for k in keys] for s, entries in defects]
+        for (g, h), row in zip(pairs, flat):
+            acc = [0] * len(keys)
+            for p, values in zip(pivots, dense):
+                if row[p]:
+                    acc = [a + row[p] * y for a, y in zip(acc, values)]
+            listed(tag, (g, h), scale * common, dict(zip(keys, acc)))
 
     return AxiomReport(passed=not failures, failures=tuple(failures))
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lya import lyalg
 from lya.errors import AxiomError, InputError, MathError
 from lya.exactlin import Matrix, invert, vadd, vec, vec_strs, vscale, vunit, vzero
 from lya.lyalg import (
@@ -617,6 +618,75 @@ def test_check_axioms_matches_oracle_on_seeded_corruptions():
                 assert not report.passed
                 tags |= {f.axiom for f in report.failures}
     assert {"LY1", "LY2", "LY3", "LY4", "LY5", "LY6"} <= tags
+
+
+def twinned(n, binary, ternary, denominator=1):
+    """Dense c and d holding each given entry over ``denominator`` keyed
+    (i, j, l) or (i, j, k, l), and its negated twin with i and j swapped."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    d = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, *rest, l), x in [*binary.items(), *ternary.items()]:
+        tensor = c if not rest else d
+        for a, b, sign in ((i, j, 1), (j, i, -1)):
+            cell = tensor[a][b] if not rest else tensor[a][b][rest[0]]
+            cell[l] += sign * Fraction(x, denominator)
+    return c, d
+
+
+# Forms on which LY1-LY4 hold and some inner map D(g, h) is not a
+# derivation, so the failures come from combining the basis maps' defects.
+INNER_MAP_FAILURES = {
+    "LY5 only": (3, {(1, 2, 2): 1}, {(1, 2, 2, 0): -1}, {"LY5"}),
+    "LY6 only": (2, {}, {(0, 1, 1, 1): -1}, {"LY6"}),
+    "LY5 and LY6": (3, {(1, 2, 0): 1}, {(0, 2, 2, 2): 1, (0, 1, 1, 2): 1}, {"LY5", "LY6"}),
+}
+
+
+@pytest.mark.parametrize("name", INNER_MAP_FAILURES)
+def test_check_axioms_lists_inner_map_failures_as_the_oracle(name):
+    n, binary, ternary, tags = INNER_MAP_FAILURES[name]
+    c, d = twinned(n, binary, ternary)
+    report = check_axioms(n, c, d)
+    assert report == axiom_oracle(n, c, d)
+    assert {f.axiom for f in report.failures} == tags
+
+
+def test_check_axioms_matches_oracle_on_drawn_alternating_forms():
+    """Small forms alternating in their first two slots give the oracle's
+    report, failures included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def forms(n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        binary = [(i, j, l) for i, j in pairs for l in range(n)]
+        ternary = [(i, j, k, l) for i, j in pairs for k in range(n) for l in range(n)]
+        return st.tuples(st.just(n),
+                         st.dictionaries(st.sampled_from(binary), st.integers(-2, 2)),
+                         st.dictionaries(st.sampled_from(ternary), st.integers(-2, 2)),
+                         st.integers(1, 3))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @hypothesis.given(st.integers(2, 3).flatmap(forms))
+    def check(drawn):
+        n, binary, ternary, denominator = drawn
+        c, d = twinned(n, binary, ternary, denominator)
+        assert check_axioms(n, c, d) == axiom_oracle(n, c, d)
+
+    check()
+
+
+def test_inner_map_defects_are_evaluated_once_per_basis_map(monkeypatch):
+    """On sl2 + abelian(7) the inner maps D(g, h) of the six pairs g != h in
+    sl2 span ad(sl2), of dimension three, so LY5 and LY6 take three defects
+    each."""
+    calls = []
+    defect = lyalg._defect
+    monkeypatch.setattr(lyalg, "_defect", lambda *args: calls.append(args) or defect(*args))
+    a = direct_sum(catalog("sl2"), abelian(7))
+    calls.clear()
+    assert lyalg._check_form(a.dim, a.form).passed
+    assert len(calls) == 6
 
 
 def stored_form_algebras():
