@@ -19,10 +19,10 @@ layer when it is read.  So a ``lya`` process runs exactly the layers its
 verb calls: ``check``, ``construct`` and ``export`` run ``serialize``,
 ``exactlin`` and ``lyalg``; ``inner`` adds ``maps``; ``center`` and
 ``derived`` add ``structure``; the solvers add ``maps`` and
-``derivations``, and the stabilizer and a consistent hat map
-``structure``; ``verify`` adds ``theorems``, and ``structure`` for every
-check but P31, T32 and P33; a usage error or an unreadable input runs
-``serialize`` alone, to write its report.
+``derivations`` (``quasi`` only ``derivations``), and the stabilizer and
+a consistent hat map ``structure``; ``verify`` adds ``theorems``, and
+``structure`` for every check but P31, T32 and P33; a usage error or an
+unreadable input runs ``serialize`` alone, to write its report.
 """
 
 import _thread
@@ -91,8 +91,8 @@ _EXPORTS = {name: layer for layer, names in (
                  "subspace_sum"),
     ("lyalg", "LeibnizAlgebra LYAlgebra bracket catalog check_axioms direct_sum from_leibniz "
               "from_lie triple"),
-    ("maps", "AutCert LinMap certify_automorphism commutator compose identity_cert "
-             "inner_derivation restrict_map"),
+    ("maps", "AutCert certify_automorphism commutator compose identity_cert inner_derivation "
+             "restrict_map"),
     ("structure", "center derived_algebra is_abelian_ideal is_ideal is_perfect is_subalgebra"),
     ("derivations", "DerSpace QuasiWitness centroid derivation_space dhat g_derivation_space "
                     "is_quasi_derivation single_twist_space stabilizer_derivations"),

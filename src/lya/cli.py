@@ -60,8 +60,8 @@ def _load_algebra(session: _Session, path: str) -> lyalg.LYAlgebra:
 
 # Literal references, and each kind's inline key, size key and parser, read
 # when a reference is resolved: importing this module runs no layer.
-_LITERALS = {("map", "id"): lambda n: maps.LinMap.identity(n),
-             ("map", "neg"): lambda n: maps.LinMap.identity(n).scale(-1),
+_LITERALS = {("map", "id"): lambda n: exactlin.Matrix.identity(n),
+             ("map", "neg"): lambda n: exactlin.Matrix.identity(n).scale(-1),
              ("subspace", "full"): lambda n: exactlin.Subspace.full(n),
              ("subspace", "zero"): lambda n: exactlin.Subspace.zero(n)}
 _INLINE = {"map": ("matrix", "dim", lambda data: ser.map_from_dict(data)),

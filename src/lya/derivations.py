@@ -2,7 +2,7 @@
 
 Each space of maps is computed as the exact nullspace of a linear system
 over the n*n entries of the unknown matrix.  Unknown entry (p, q) sits at
-flat index p*n + q, matching :meth:`LinMap.flatten`.
+flat index p*n + q, matching :meth:`~lya.exactlin.Matrix.flatten`.
 
 Plain derivations, twisted derivations and the centroid are each the
 kernel of one identity that is linear in the unknown map: f of a product
@@ -57,11 +57,8 @@ class DerSpace(Record):
     def alg_dim(self) -> int:
         return math.isqrt(self.space.ambient_dim)
 
-    def maps(self) -> tuple[maps.LinMap, ...]:
+    def maps(self) -> tuple[exactlin.Matrix, ...]:
         return maps._maps_of(self.space)
-
-    def contains(self, f: maps.LinMap) -> bool:
-        return exactlin._member(self.space, sum(f.matrix.form[1], ()))
 
 
 def _identity_rows(algebra: lyalg.LYAlgebra, arity: int, terms: Sequence[tuple],
@@ -124,7 +121,7 @@ def _solve_cache():
         _SOLVED.reset(token)
 
 
-def _twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta: maps.LinMap,
+def _twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix, vartheta: exactlin.Matrix,
                    unsound: str) -> exactlin.Subspace:
     """:func:`_solve_twisted_space`, served from the open run's spaces when
     this one is among them.  Only spaces whose re-checks passed are kept."""
@@ -137,8 +134,8 @@ def _twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta: maps.
     return solved[key]
 
 
-def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta: maps.LinMap,
-                         unsound: str) -> exactlin.Subspace:
+def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
+                         vartheta: exactlin.Matrix, unsound: str) -> exactlin.Subspace:
     """Nullspace of the twisted identities, each basis element re-checked.
 
     Both products are alternating in their first two slots, so the twisted
@@ -147,7 +144,7 @@ def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta:
     pair and triple carries its own rows.
     """
     n = algebra.dim
-    t, v = theta.matrix, vartheta.matrix
+    t, v = theta, vartheta
     alternating = t == v
     rows = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
     rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
@@ -160,7 +157,7 @@ def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: maps.LinMap, vartheta:
 
 def derivation_space(algebra: lyalg.LYAlgebra) -> DerSpace:
     """All maps satisfying the derivation identities for both products."""
-    ident = maps.LinMap.identity(algebra.dim)
+    ident = exactlin.Matrix.identity(algebra.dim)
     space = _twisted_space(algebra, ident, ident,
                            "derivation solver produced an unsound basis element")
     return DerSpace(space=space, theta=None, vartheta=None)
@@ -170,7 +167,7 @@ def g_derivation_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
                        vartheta: maps.AutCert) -> DerSpace:
     """Maps satisfying the identities twisted by the certified pair."""
     n = algebra.dim
-    if theta.map.dim != n or vartheta.map.dim != n:
+    if theta.map.rows != n or vartheta.map.rows != n:
         raise InputError("automorphism dimension does not match the algebra")
     space = _twisted_space(algebra, theta.map, vartheta.map,
                            "twisted solver produced an unsound basis element")
@@ -193,8 +190,7 @@ def centroid(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
     space = exactlin._kernel_space(n * n, rows)
-    for f in maps._maps_of(space):
-        m = f.matrix
+    for m in maps._maps_of(space):
         if lyalg._first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
         # The first failing basis triple decides which message is raised.
@@ -225,11 +221,12 @@ def _paired_rows(blocks: Sequence[tuple[lyalg.Keyed, lyalg.Keyed, Sequence[tuple
 class QuasiWitness(Record):
     """Companion pair certifying quasi-derivation membership."""
 
-    dprime: maps.LinMap
-    dprimeprime: maps.LinMap
+    dprime: exactlin.Matrix
+    dprimeprime: exactlin.Matrix
 
 
-def is_quasi_derivation(algebra: lyalg.LYAlgebra, d_map: maps.LinMap) -> QuasiWitness | None:
+def is_quasi_derivation(algebra: lyalg.LYAlgebra,
+                        d_map: exactlin.Matrix) -> QuasiWitness | None:
     """Feasibility of the companion systems for the given map.
 
     A companion is prescribed only on products: D' sends each binary
@@ -243,14 +240,13 @@ def is_quasi_derivation(algebra: lyalg.LYAlgebra, d_map: maps.LinMap) -> QuasiWi
     re-checked it.
     """
     n = algebra.dim
-    if d_map.dim != n:
+    if (d_map.rows, d_map.cols) != (n, n):
         raise InputError("map dimension does not match the algebra")
-    m = d_map.matrix
     companions = []
     for arity in (2, 3):
         keyed = lyalg._tensor_form(algebra, arity)
         summed = lyalg._summed(
-            [(1, lyalg._transport(keyed, [m if s == t else None for s in range(arity)]))
+            [(1, lyalg._transport(keyed, [d_map if s == t else None for s in range(arity)]))
              for t in range(arity)])
         # Both products and both images are alternating in the first two
         # slots, so the tuples with i < j span all the rows.
@@ -258,20 +254,20 @@ def is_quasi_derivation(algebra: lyalg.LYAlgebra, d_map: maps.LinMap) -> QuasiWi
         solution = exactlin._map_through(_paired_rows([(keyed, summed, tuples)], n)[1], n, n)
         if solution is None:
             return None
-        companions.append(maps.LinMap(n, solution))
+        companions.append(solution)
     witness = QuasiWitness(dprime=companions[0], dprimeprime=companions[1])
     if not quasi_witness_satisfies(algebra, d_map, witness):
         raise InternalCheckError("companion witness failed re-verification")
     return witness
 
 
-def quasi_witness_satisfies(algebra: lyalg.LYAlgebra, d_map: maps.LinMap,
+def quasi_witness_satisfies(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
                             witness: QuasiWitness) -> bool:
     """Re-check the companion identities by direct evaluation:
     D'[x,y] = [Dx, y] + [x, Dy] and D''{x,y,z} = {Dx,y,z} + {x,Dy,z} + {x,y,Dz}."""
-    m = d_map.matrix
-    return (lyalg._first_failure(algebra, witness.dprime.matrix, [(m, None), (None, m)]) is None
-            and lyalg._first_failure(algebra, witness.dprimeprime.matrix,
+    m = d_map
+    return (lyalg._first_failure(algebra, witness.dprime, [(m, None), (None, m)]) is None
+            and lyalg._first_failure(algebra, witness.dprimeprime,
                                      [(m, None, None), (None, m, None), (None, None, m)]) is None)
 
 
@@ -281,7 +277,7 @@ def require_stabilized_subalgebra(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
     itself, and InputError when H has the wrong ambient dimension."""
     if not structure.is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
-    for b, w in zip(h.basis, exactlin._images(theta.map.matrix.form[1], h)):
+    for b, w in zip(h.basis, exactlin._images(theta.map.form[1], h)):
         if not exactlin._member(h, w):
             raise MathError("automorphism does not stabilize the subspace",
                             witness={"vector": exactlin.vec_strs(b)})
@@ -317,7 +313,7 @@ def _stabilizer_space(algebra: lyalg.LYAlgebra, twisted: DerSpace,
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
         # Tested by membership, not by the residues the solve read, so a
         # fault in one cannot hide itself.
-        if not all(exactlin._member(h, w) for w in exactlin._images(f.matrix.form[1], h)):
+        if not all(exactlin._member(h, w) for w in exactlin._images(f.form[1], h)):
             raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
     return result
 
@@ -368,14 +364,14 @@ class DhatResult(Record):
         return self.map is not None
 
 
-def _prescriptions(algebra: lyalg.LYAlgebra, d_map: maps.LinMap,
-                   theta: maps.LinMap) -> tuple[lyalg.Keyed, lyalg.Keyed]:
+def _prescriptions(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
+                   theta: exactlin.Matrix) -> tuple[lyalg.Keyed, lyalg.Keyed]:
     """The hat map's prescribed images as multilinear forms, transported on
     the stored integer form: at (i, j) the image 2D[e_i, e_j] + [De_j, θe_i]
     + [θe_j, De_i] of the binary product, and at (i, j, k) the image
     3D{e_i, e_j, e_k} + {De_i, θe_j, e_k} + {e_i, De_j, θe_k} + {θe_i, e_j, De_k}
     of the ternary one."""
-    m, t = d_map.matrix, theta.matrix
+    m, t = d_map, theta
     binary, ternary = lyalg._tensor_form(algebra, 2), lyalg._tensor_form(algebra, 3)
     # [De_j, θe_i] + [θe_j, De_i] is the (D, θ) plus the (θ, D) transport
     # read at the swapped key (j, i).
@@ -389,19 +385,19 @@ def _prescriptions(algebra: lyalg.LYAlgebra, d_map: maps.LinMap,
                            (1, lyalg._transport(ternary, (t, None, m)))]))
 
 
-def dhat_binary_rhs(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.LinMap,
+def dhat_binary_rhs(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: exactlin.Matrix,
                     g: exactlin.Vec, h: exactlin.Vec) -> exactlin.Vec:
     """Prescribed image of the binary product of (g, h)."""
     return lyalg._values(_prescriptions(algebra, d_map, theta)[0], algebra.dim, [g], [h])[0]
 
 
-def dhat_ternary_rhs(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.LinMap,
+def dhat_ternary_rhs(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: exactlin.Matrix,
                      g: exactlin.Vec, h: exactlin.Vec, i: exactlin.Vec) -> exactlin.Vec:
     """Prescribed image of the ternary product of (g, h, i)."""
     return lyalg._values(_prescriptions(algebra, d_map, theta)[1], algebra.dim, [g, h], [i])[0]
 
 
-def dhat(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.AutCert) -> DhatResult:
+def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert) -> DhatResult:
     """Induced map on the derived algebra, when the prescriptions agree.
 
     The defining formulas only prescribe images of products, so the unknown
@@ -415,7 +411,7 @@ def dhat(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.AutCert) -> D
     derived algebra's canonical basis and the image parts the map's values
     on it.
     """
-    if d_map.dim != algebra.dim:
+    if (d_map.rows, d_map.cols) != (algebra.dim, algebra.dim):
         raise InputError("map dimension does not match the algebra")
     return _dhat(algebra, _prescriptions(algebra, d_map, theta.map))
 

@@ -81,10 +81,6 @@ def vscale(a: Scalar, v: Vec) -> Vec:
     return tuple(a * x for x in v)
 
 
-def vis_zero(v: Vec) -> bool:
-    return all(x == 0 for x in v)
-
-
 def vec_strs(v: Iterable[Fraction]) -> list[str]:
     """Entries as "p" or "p/q"; InputError when one has more digits than
     Python converts to a string (PYTHONINTMAXSTRDIGITS, 4300 by default)."""
@@ -166,9 +162,6 @@ class Matrix(Record):
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, (1, ((0,) * cols,) * rows))
-
-    def col(self, j: int) -> Vec:
-        return _view(self.form[0], (r[j] for r in self.form[1]))
 
     def transpose(self) -> "Matrix":
         scale, data = self.form

@@ -352,12 +352,6 @@ class LYAlgebra(Record):
     c = property(lambda self: _dense(_tensor_form(self, 2), self.dim, 2))
     d = property(lambda self: _dense(_tensor_form(self, 3), self.dim, 3))
 
-    @classmethod
-    def from_tensors(cls, labels: Sequence[str], c, d) -> "LYAlgebra":
-        labels = tuple(str(x) for x in labels)
-        n = len(labels)
-        return cls(n, labels, (1, _entries(c, n, 3, "binary"), _entries(d, n, 4, "ternary")))
-
 
 def bracket(algebra: LYAlgebra, g: Sequence[exactlin.Scalar],
             h: Sequence[exactlin.Scalar]) -> exactlin.Vec:
@@ -446,12 +440,6 @@ class LeibnizAlgebra(Record):
                 f"product={self.product!r})")
 
     product = property(lambda self: _dense(self.form, self.dim, 2))
-
-    @classmethod
-    def from_tensor(cls, labels: Sequence[str], product) -> "LeibnizAlgebra":
-        labels = tuple(str(x) for x in labels)
-        n = len(labels)
-        return cls(n, labels, (1, _entries(product, n, 3, "product")))
 
 
 def from_leibniz(b: LeibnizAlgebra) -> LYAlgebra:

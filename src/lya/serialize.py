@@ -155,16 +155,16 @@ def leibniz_from_dict(data: dict) -> lyalg.LeibnizAlgebra:
     return lyalg.LeibnizAlgebra(n, labels, (1, product))
 
 
-def map_from_dict(data: dict) -> maps.LinMap:
+def map_from_dict(data: dict) -> exactlin.Matrix:
     n = _get_dim(data)
     matrix = data.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == n, "'matrix' must have dim rows")
     rows = [strs_vec(row, n) for row in matrix]
-    return maps.LinMap(n, exactlin.Matrix(n, n, (1, rows)))
+    return exactlin.Matrix(n, n, (1, rows))
 
 
-def map_to_dict(f: maps.LinMap) -> dict:
-    return {"dim": f.dim, "matrix": exactlin._matrix_strs(f.matrix)}
+def map_to_dict(f: exactlin.Matrix) -> dict:
+    return {"dim": f.rows, "matrix": exactlin._matrix_strs(f)}
 
 
 def subspace_from_dict(data: dict) -> exactlin.Subspace:
@@ -182,7 +182,7 @@ def subspace_to_dict(s: exactlin.Subspace) -> dict:
 
 def map_space_to_dict(space: exactlin.Subspace, alg_dim: int) -> dict:
     return {"alg_dim": alg_dim, "dim": space.dim,
-            "maps": [exactlin._matrix_strs(f.matrix) for f in maps._maps_of(space)]}
+            "maps": [exactlin._matrix_strs(f) for f in maps._maps_of(space)]}
 
 
 def derspace_to_dict(space: derivations.DerSpace) -> dict:

@@ -41,13 +41,13 @@ class PropReport(Record):
             raise InternalCheckError("failed conclusion reported without a witness")
 
 
-def _pulled_back(inverse: maps.LinMap, space: exactlin.Subspace, target: exactlin.Subspace):
+def _pulled_back(inverse: exactlin.Matrix, space: exactlin.Subspace, target: exactlin.Subspace):
     """Each basis map f of a space of maps with its pull-back through
     ``inverse``, formed once in integer rows; whether every pull-back lies
     in ``target``; and the dimension of their span.  The maps share the
     space's scale, so the pull-backs share one positive scale, which
     membership and the span do not see."""
-    n, inv = inverse.dim, inverse.matrix.form[1]
+    n, inv = inverse.rows, inverse.form[1]
     pulled = [(f, exactlin._integer_product(inv, f, n)) for f in maps._map_rows(space)]
     flat = [sum(p, []) for _, p in pulled]
     lands = all(exactlin._member(target, w) for w in flat)
@@ -89,7 +89,7 @@ def verify_t32(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     twisted = derivations.g_derivation_space(algebra, theta, theta)
     plain = derivations.derivation_space(algebra)
     n = algebra.dim
-    inv = theta.inverse.matrix.form[1]
+    inv = theta.inverse.form[1]
     pulled, lands, image_dim = _pulled_back(theta.inverse, twisted.space, plain.space)
     bijective = image_dim == twisted.dim == plain.dim
     closure_binary = True
@@ -124,7 +124,7 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     product of its two maps' scales, which membership does not see."""
     plain = derivations.derivation_space(algebra)
     twisted = derivations.single_twist_space(algebra, theta)
-    involutive = maps.compose(theta.map, theta.map) == maps.LinMap.identity(algebra.dim)
+    involutive = maps.compose(theta.map, theta.map) == exactlin.Matrix.identity(algebra.dim)
     members = plain.maps() + twisted.maps()
     bad_map = next((f for f in members if not maps.commutator(theta.map, f).is_zero()), None)
     hypotheses = (("theta is involutive", involutive),
@@ -136,10 +136,10 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     }
     if not involutive or bad_map is not None:
         if bad_map is not None:
-            details["non_commuting_map"] = exactlin._matrix_strs(bad_map.matrix)
+            details["non_commuting_map"] = exactlin._matrix_strs(bad_map)
         return PropReport("P33", instance, False, hypotheses, None, None, details)
     n = algebra.dim
-    indexed = [(a, f.matrix.form[1]) for a, f in enumerate(members)]
+    indexed = [(a, f.form[1]) for a, f in enumerate(members)]
     parts = (indexed[:plain.dim], indexed[plain.dim:])
     spaces = (plain.space, twisted.space)
     ok = True
@@ -149,23 +149,23 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
             if not exactlin._member(spaces[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
                 ok = False
                 bracket = maps.commutator(members[a], members[b])
-                witness = {"k": k, "l": l, "commutator": exactlin._matrix_strs(bracket.matrix)}
+                witness = {"k": k, "l": l, "commutator": exactlin._matrix_strs(bracket)}
     return PropReport("P33", instance, True, hypotheses, ok, witness, details)
 
 
-def verify_p34(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.AutCert,
+def verify_p34(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert,
                instance: str = "") -> PropReport:
     """When the twist defect of a twisted derivation lands in the center,
     the derived algebra lies in the defect's kernel; perfectness forces the
     defect to vanish outright."""
-    ident = maps.LinMap.identity(algebra.dim)
+    ident = exactlin.Matrix.identity(algebra.dim)
     if not maps.satisfies_g_derivation(algebra, d_map, theta.map, ident):
         raise MathError("map is not a twisted derivation for this automorphism")
     defect = maps.commutator(d_map, theta.map)
     z = structure.center(algebra)
     n = algebra.dim
     # The image of e_j is column j of the defect.
-    premise = all(exactlin._member(z, col) for col in zip(*defect.matrix.form[1]))
+    premise = all(exactlin._member(z, col) for col in zip(*defect.form[1]))
     hypotheses = (("map is a twisted derivation", True),
                   ("defect image lies in the center", premise),)
     w = structure.derived_algebra(algebra)
@@ -175,14 +175,15 @@ def verify_p34(algebra: lyalg.LYAlgebra, d_map: maps.LinMap, theta: maps.AutCert
     if not premise:
         return PropReport("P34", instance, False, hypotheses, None, None, details)
     # W lies in the defect's kernel when the defect sends each of its basis vectors to zero.
-    images = exactlin._images(defect.matrix.form[1], w)
+    images = exactlin._images(defect.form[1], w)
     bad = next((b for b, image in zip(w.basis, images) if any(image)), None)
     ok = bad is None and (zero_defect or not perfect)
     witness = None
     if bad is not None:
-        witness = {"vector": exactlin.vec_strs(bad), "image": exactlin.vec_strs(defect.apply(bad))}
+        witness = {"vector": exactlin.vec_strs(bad),
+                   "image": exactlin.vec_strs(defect.mul_vec(bad))}
     elif not ok:
-        witness = {"defect": exactlin._matrix_strs(defect.matrix)}
+        witness = {"defect": exactlin._matrix_strs(defect)}
     return PropReport("P34", instance, True, hypotheses, ok, witness, details)
 
 
@@ -204,7 +205,7 @@ def verify_p35(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     witness = None
     if failing:
         g, h, col = max(failing, key=lambda k: (k[2] // n, k[0], k[1], k[2] % n))
-        witness = {"map": exactlin._matrix_strs(maps._maps_of(meet)[col // n].matrix),
+        witness = {"map": exactlin._matrix_strs(maps._maps_of(meet)[col // n]),
                    "indices": [g, h, col % n]}
     centerless = structure.center(algebra).dim == 0
     if centerless and meet.dim != 0:
@@ -286,7 +287,7 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
                       ("restriction invertible", False))
         return PropReport("P37", instance, False, hypotheses, None, None,
                           {"escape": exc.witness})
-    inv = exactlin.invert(restricted.matrix)
+    inv = exactlin.invert(restricted)
     hypotheses = (("inner map restricts to the subspace", True),
                   ("restriction invertible", inv is not None))
     if inv is None:
@@ -312,13 +313,13 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
                     if not exactlin._member(h, w)), None)
         if bad is not None:
             ok = False
-            witness = {"map": exactlin._matrix_strs(d_map.matrix), "value": exactlin.vec_strs(bad)}
+            witness = {"map": exactlin._matrix_strs(d_map), "value": exactlin.vec_strs(bad)}
         if outcome.consistent and any(x != v for x, v in zip(outcome.map._on_basis(h), values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
         for (s, t), combo in zip(weights, combos):
             if combo != exactlin.vadd(exactlin.vscale(s, values[0]), exactlin.vscale(t, values[1])):
                 ok = False
-                witness = {"map": exactlin._matrix_strs(d_map.matrix), "linearity": False}
+                witness = {"map": exactlin._matrix_strs(d_map), "linearity": False}
         per_map.append({"globally_consistent": outcome.consistent,
                         "values_inside": bad is None})
     details = {"stab_dim": stab.dim, "per_map": per_map}
@@ -334,12 +335,12 @@ def verify_p38(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     inner = maps.inner_derivation(algebra, g1v, g2v)
     try:
         restricted = maps.restrict_map(inner, h)
-        restricts, invertible = True, exactlin.invert(restricted.matrix) is not None
+        restricts, invertible = True, exactlin.invert(restricted) is not None
     except MathError:
         restricts = invertible = False
     # g1 and g2 are cleared once, over one scale, and every map acts on them in integers.
     _, (c1, c2) = exactlin._clear(1, [g1v, g2v])
-    t_scale, t = theta.map.matrix.form
+    t_scale, t = theta.map.form
     fixes_g1 = exactlin._times(t, c1) == [t_scale * x for x in c1]
     stab = derivations._stabilizer_space(algebra, derivations.single_twist_space(algebra, theta), h)
     z = structure.center(algebra)
@@ -380,7 +381,7 @@ class CheckSpec(Record):
     theta: maps.AutCert | None = None
     vartheta: maps.AutCert | None = None
     subspace: exactlin.Subspace | None = None
-    map: maps.LinMap | None = None
+    map: exactlin.Matrix | None = None
     g: exactlin.Vec | None = None
     h: exactlin.Vec | None = None
     g1: exactlin.Vec | None = None
@@ -466,9 +467,10 @@ def default_catalog_plan() -> list[tuple[str, lyalg.LYAlgebra, tuple[CheckSpec, 
     h3 = lyalg.catalog("h3")
 
     sl2_id = maps.identity_cert(sl2)
-    chev = maps.certify_automorphism(sl2, maps.LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
+    chev = maps.certify_automorphism(
+        sl2, exactlin.Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
     lts_id = maps.identity_cert(lts)
-    lts_neg = maps.certify_automorphism(lts, maps.LinMap.identity(3).scale(-1))
+    lts_neg = maps.certify_automorphism(lts, exactlin.Matrix.identity(3).scale(-1))
     e_line = exactlin.Subspace.span(3, [exactlin.vunit(3, 0)])
     e_vec, f_vec = exactlin.vunit(3, 0), exactlin.vunit(3, 1)
     sl2_block = exactlin.Subspace.span(4, [exactlin.vunit(4, k) for k in range(3)])

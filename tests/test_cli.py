@@ -13,7 +13,6 @@ import lya
 from lya.cli import main
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import catalog
-from lya.maps import LinMap
 from lya.serialize import (algebra_from_dict, algebra_to_dict, canonical_json, read_json_file,
                            map_to_dict, save_json_file, subspace_to_dict)
 from test_maps import rebased
@@ -378,14 +377,14 @@ def save_rebased_sum_files():
     span(e) and sl2.  A map f becomes P^-1 f P and a vector v becomes P^-1 v."""
     a, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     save_json_file("sum_rebased.json", algebra_to_dict(a))
-    sl2 = [p_inv.col(i) for i in range(3)]
+    sl2 = p_inv.transpose().entries[:3]
     save_json_file("sum_line.json", subspace_to_dict(Subspace.span(4, sl2[:1])))
     save_json_file("sum_block.json", subspace_to_dict(Subspace.span(4, sl2)))
     for name, rows in (("sum_der.json", [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                        ("sum_e11.json", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                        ("sum_chev.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
                                           [0, 0, 0, -1]])):
-        f = LinMap(4, p_inv.mul(Matrix.from_rows(rows)).mul(p))
+        f = p_inv.mul(Matrix.from_rows(rows)).mul(p)
         save_json_file(name, map_to_dict(f))
 
 

@@ -83,7 +83,9 @@ def _export(tmp_path: Path) -> str:
 # malformed JSON and {missing} a path with no file.  The solvers read the
 # structure layer only for the stabilizer's precondition and the hat map's
 # guard, which an inconsistent hat map, like that of id on sl2, never
-# reaches.  P31, T32 and P33 read no structural subspace.  An input or
+# reaches.  The quasi-derivation solver takes its map as a matrix and
+# certifies no twist, so it runs no maps layer.  P31, T32 and P33 read no
+# structural subspace.  An input or
 # usage error, and only that, runs no layer but serialize, which writes its
 # report, and exits 2.
 ERROR_UNUSED = set(LAYERS) - {"cli", "serialize"}
@@ -94,7 +96,7 @@ ERROR_UNUSED = set(LAYERS) - {"cli", "serialize"}
     (["der", "{alg}"], {"structure", "theorems"}),
     (["gder", "{alg}", "--theta", "id"], {"structure", "theorems"}),
     (["centroid", "{alg}"], {"structure", "theorems"}),
-    (["quasi", "{alg}", "--map", "id"], {"structure", "theorems"}),
+    (["quasi", "{alg}", "--map", "id"], {"maps", "structure", "theorems"}),
     (["dhat", "{alg}", "--map", "id"], {"structure", "theorems"}),
     (["stabilizer", "{alg}", "--subspace", "full"], {"theorems"}),
     (["dhat", "{alg}", "--map", "{zero}"], {"theorems"}),
@@ -137,7 +139,7 @@ for name in names:
         runs[name] = runs.get(name, 0) + 1
         run(module)
     loader.exec_module = counted
-reads = [(lya.theorems, "verify_all"), (lya, "derivation_space"), (lya.maps, "LinMap"),
+reads = [(lya.theorems, "verify_all"), (lya, "derivation_space"), (lya.maps, "AutCert"),
          (lya, "Matrix"), (lya.serialize, "canonical_json"), (lya.structure, "center"),
          (lya, "verify_all"), (lya, "catalog")]
 barrier = threading.Barrier(len(reads), timeout=60)

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from lya.derivations import derivation_space, g_derivation_space
+from lya.derivations import derivation_space, dhat, g_derivation_space, is_quasi_derivation
 from lya.errors import InputError, MathError
 from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vunit, vzero
-from lya.lyalg import CATALOG_NAMES, LYAlgebra, catalog
+from lya.lyalg import CATALOG_NAMES, catalog
 from lya import maps
 from lya.maps import (
     AutCert,
-    LinMap,
     _hom_defect,
     certify_automorphism,
     commutator,
@@ -24,7 +23,7 @@ from lya.maps import (
     satisfies_g_derivation,
 )
 from lya.theorems import default_catalog_reports
-from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary
+from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary, from_tensors
 
 E, F, H = 0, 1, 2
 
@@ -34,12 +33,12 @@ def ad(algebra, x):
     n = algebra.dim
     from lya.lyalg import bracket
     cols = [bracket(algebra, x, vunit(n, k)) for k in range(n)]
-    return LinMap.from_columns(cols)
+    return Matrix.from_rows(cols).transpose()
 
 
 def chevalley_swap():
     # e <-> f, h -> -h in the catalog's (e, f, h) basis
-    return LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    return Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
 
 
 def rand_vec(rng, n):
@@ -47,16 +46,16 @@ def rand_vec(rng, n):
 
 
 def test_compose_identity():
-    f = LinMap.from_rows([[1, 2], [3, 4]])
-    assert compose(LinMap.identity(2), f) == f
-    assert compose(f, LinMap.identity(2)) == f
+    f = Matrix.from_rows([[1, 2], [3, 4]])
+    assert compose(Matrix.identity(2), f) == f
+    assert compose(f, Matrix.identity(2)) == f
 
 
 def test_compose_with_inverse_is_identity():
     a = catalog("sl2")
     cert = certify_automorphism(a, chevalley_swap())
-    assert compose(cert.map, cert.inverse) == LinMap.identity(3)
-    assert compose(cert.inverse, cert.map) == LinMap.identity(3)
+    assert compose(cert.map, cert.inverse) == Matrix.identity(3)
+    assert compose(cert.inverse, cert.map) == Matrix.identity(3)
 
 
 def test_compose_applies_right_factor_first():
@@ -64,13 +63,13 @@ def test_compose_applies_right_factor_first():
     ad_h, ad_e = ad(a, vunit(3, H)), ad(a, vunit(3, E))
     rng = random.Random(3)
     v = rand_vec(rng, 3)
-    assert compose(ad_h, ad_e).apply(v) == ad_h.apply(ad_e.apply(v))
+    assert compose(ad_h, ad_e).mul_vec(v) == ad_h.mul_vec(ad_e.mul_vec(v))
 
 
 def test_commutator_self_and_identity_vanish():
-    f = LinMap.from_rows([[1, 2], [0, 1]])
+    f = Matrix.from_rows([[1, 2], [0, 1]])
     assert commutator(f, f).is_zero()
-    assert commutator(LinMap.identity(2), f).is_zero()
+    assert commutator(Matrix.identity(2), f).is_zero()
 
 
 def test_sl2_commutator_of_ad_maps():
@@ -83,12 +82,12 @@ def test_sl2_commutator_of_ad_maps():
 def test_identity_is_homomorphism():
     for name in CATALOG_NAMES:
         a = catalog(name)
-        assert _hom_defect(a, LinMap.identity(a.dim)) is None
+        assert _hom_defect(a, Matrix.identity(a.dim)) is None
 
 
 def test_doubling_is_not_homomorphism_on_sl2():
     a = catalog("sl2")
-    assert _hom_defect(a, LinMap.identity(3).scale(2)) is not None
+    assert _hom_defect(a, Matrix.identity(3).scale(2)) is not None
 
 
 def test_chevalley_swap_is_homomorphism():
@@ -99,8 +98,8 @@ def test_chevalley_swap_is_homomorphism():
 def test_certify_identity():
     for name in CATALOG_NAMES:
         a = catalog(name)
-        cert = certify_automorphism(a, LinMap.identity(a.dim))
-        assert cert.inverse == LinMap.identity(a.dim)
+        cert = certify_automorphism(a, Matrix.identity(a.dim))
+        assert cert.inverse == Matrix.identity(a.dim)
 
 
 def test_identity_cert_is_built_and_checked_once_per_dimension(monkeypatch):
@@ -113,7 +112,7 @@ def test_identity_cert_is_built_and_checked_once_per_dimension(monkeypatch):
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
     for a in algebras:
         cert = identity_cert(a)
-        assert cert.map == cert.inverse == LinMap.identity(a.dim)
+        assert cert.map == cert.inverse == Matrix.identity(a.dim)
     assert len(calls) == 2 * len({a.dim for a in algebras})
     assert identity_cert(catalog("sl2")) is identity_cert(catalog("h3"))
 
@@ -134,14 +133,14 @@ def test_verify_suite_matrix_products(monkeypatch):
 
 def test_certify_negated_identity_on_lts():
     a = catalog("lts_sl2")
-    cert = certify_automorphism(a, LinMap.identity(3).scale(-1))
-    assert cert.inverse == LinMap.identity(3).scale(-1)
+    cert = certify_automorphism(a, Matrix.identity(3).scale(-1))
+    assert cert.inverse == Matrix.identity(3).scale(-1)
 
 
 def test_negated_identity_rejected_on_sl2():
     a = catalog("sl2")
     with pytest.raises(MathError) as err:
-        certify_automorphism(a, LinMap.identity(3).scale(-1))
+        certify_automorphism(a, Matrix.identity(3).scale(-1))
     assert "homomorphism" in str(err.value)
     assert err.value.witness["kind"] == "binary"
 
@@ -149,7 +148,7 @@ def test_negated_identity_rejected_on_sl2():
 def test_singular_map_rejected():
     a = catalog("abelian2")
     with pytest.raises(MathError) as err:
-        certify_automorphism(a, LinMap.zero(2))
+        certify_automorphism(a, Matrix.zero(2, 2))
     assert "invertible" in str(err.value)
 
 
@@ -170,9 +169,9 @@ def test_sl2_inner_e_f_is_ad_h():
     a = catalog("sl2")
     d_ef = inner_derivation(a, vunit(3, E), vunit(3, F))
     assert d_ef == ad(a, vunit(3, H))
-    assert d_ef.apply(vunit(3, E)) == vec([2, 0, 0])
-    assert d_ef.apply(vunit(3, F)) == vec([0, -2, 0])
-    assert d_ef.apply(vunit(3, H)) == vzero(3)
+    assert d_ef.mul_vec(vunit(3, E)) == vec([2, 0, 0])
+    assert d_ef.mul_vec(vunit(3, F)) == vec([0, -2, 0])
+    assert d_ef.mul_vec(vunit(3, H)) == vzero(3)
 
 
 def test_inner_derivations_pass_derivation_identities():
@@ -202,14 +201,14 @@ def test_inner_derivation_bilinear():
 
 def test_restrict_identity():
     s = Subspace.span(3, [[1, 0, 2], [0, 1, 1]])
-    assert restrict_map(LinMap.identity(3), s) == LinMap.identity(2)
+    assert restrict_map(Matrix.identity(3), s) == Matrix.identity(2)
 
 
 def test_restrict_inner_derivation_to_line():
     a = catalog("sl2")
     d_ef = inner_derivation(a, vunit(3, E), vunit(3, F))
     line = Subspace.span(3, [vunit(3, E)])
-    assert restrict_map(d_ef, line) == LinMap.from_rows([[2]])
+    assert restrict_map(d_ef, line) == Matrix.from_rows([[2]])
 
 
 def test_restrict_non_invariant_rejected():
@@ -225,34 +224,59 @@ def test_restrict_respects_composition():
     a = catalog("sl2")
     h_line = Subspace.span(3, [vunit(3, H)])
     f1 = inner_derivation(a, vunit(3, E), vunit(3, F))  # kills h
-    f2 = LinMap.identity(3).scale(3)
+    f2 = Matrix.identity(3).scale(3)
     left = restrict_map(compose(f1, f2), h_line)
     right = compose(restrict_map(f1, h_line), restrict_map(f2, h_line))
     assert left == right
 
 
 def test_restrict_to_zero_subspace():
-    f = LinMap.from_rows([[1, 2], [3, 4]])
+    f = Matrix.from_rows([[1, 2], [3, 4]])
     r = restrict_map(f, Subspace.zero(2))
-    assert r.dim == 0
+    assert r.rows == r.cols == 0
 
 
 def test_dimension_mismatch_rejected():
     a = catalog("sl2")
     with pytest.raises(InputError):
-        certify_automorphism(a, LinMap.identity(2))
+        certify_automorphism(a, Matrix.identity(2))
     with pytest.raises(InputError):
-        compose(LinMap.identity(2), LinMap.identity(3))
+        compose(Matrix.identity(2), Matrix.identity(3))
+
+
+# Each function that takes a map, with the matrix f in a map's slot of a
+# call on sl2 that is valid for a square f.
+MAP_TAKERS = {
+    "compose": lambda a, f: compose(f, Matrix.identity(3)),
+    "commutator": lambda a, f: commutator(Matrix.identity(3), f),
+    "certify_automorphism": lambda a, f: certify_automorphism(a, f),
+    "satisfies_g_derivation": lambda a, f: satisfies_g_derivation(
+        a, f, Matrix.identity(3), Matrix.identity(3)),
+    "satisfies_g_derivation twist": lambda a, f: satisfies_g_derivation(
+        a, Matrix.identity(3), Matrix.identity(3), f),
+    "restrict_map": lambda a, f: restrict_map(f, Subspace.full(3)),
+    "AutCert": lambda a, f: AutCert(f, f),
+    "is_quasi_derivation": lambda a, f: is_quasi_derivation(a, f),
+    "dhat": lambda a, f: dhat(a, f, identity_cert(a)),
+}
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]],
+                         ids=["3x2", "2x3"])
+@pytest.mark.parametrize("name", MAP_TAKERS)
+def test_a_map_must_be_a_square_matrix(name, rows):
+    with pytest.raises(InputError):
+        MAP_TAKERS[name](catalog("sl2"), Matrix.from_rows(rows))
 
 
 def unflat(n, flat):
     """The map whose matrix is the vector ``flat`` read row-major, as
-    ``LinMap.flatten`` writes it."""
-    return LinMap.from_rows([flat[i * n:(i + 1) * n] for i in range(n)], n)
+    ``Matrix.flatten`` writes it."""
+    return Matrix.from_rows([flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
 
 
 def test_unflatten_round_trip():
-    f = LinMap.from_rows([[1, 2], [3, 4]])
+    f = Matrix.from_rows([[1, 2], [3, 4]])
     assert f.flatten() == vec([1, 2, 3, 4])
     assert unflat(2, f.flatten()) == f
 
@@ -263,18 +287,18 @@ def test_unflatten_round_trip():
 
 def satisfies_g_derivation_reference(algebra, f, theta, vartheta):
     n = algebra.dim
-    fi = [f.apply(vunit(n, i)) for i in range(n)]
-    ti = [theta.apply(vunit(n, i)) for i in range(n)]
-    vi = [vartheta.apply(vunit(n, i)) for i in range(n)]
+    fi = [f.mul_vec(vunit(n, i)) for i in range(n)]
+    ti = [theta.mul_vec(vunit(n, i)) for i in range(n)]
+    vi = [vartheta.mul_vec(vunit(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = f.apply(algebra.c[i][j])
+            lhs = f.mul_vec(algebra.c[i][j])
             rhs = vadd(contraction_oracle_binary(algebra.c, fi[i], ti[j]),
                        contraction_oracle_binary(algebra.c, vi[i], fi[j]))
             if lhs != rhs:
                 return False
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = f.apply(algebra.d[i][j][k])
+        lhs = f.mul_vec(algebra.d[i][j][k])
         rhs = contraction_oracle_ternary(algebra.d, fi[i], ti[j], vi[k])
         rhs = vadd(rhs, contraction_oracle_ternary(algebra.d, vi[i], fi[j], ti[k]))
         rhs = vadd(rhs, contraction_oracle_ternary(algebra.d, ti[i], vi[j], fi[k]))
@@ -285,15 +309,15 @@ def satisfies_g_derivation_reference(algebra, f, theta, vartheta):
 
 def hom_defect_reference(algebra, f):
     n = algebra.dim
-    images = [f.apply(vunit(n, i)) for i in range(n)]
+    images = [f.mul_vec(vunit(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = f.apply(algebra.c[i][j])
+            lhs = f.mul_vec(algebra.c[i][j])
             rhs = contraction_oracle_binary(algebra.c, images[i], images[j])
             if lhs != rhs:
                 return ("binary", (i, j), vadd(lhs, vscale(-1, rhs)))
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = f.apply(algebra.d[i][j][k])
+        lhs = f.mul_vec(algebra.d[i][j][k])
         rhs = contraction_oracle_ternary(algebra.d, images[i], images[j], images[k])
         if lhs != rhs:
             return ("ternary", (i, j, k), vadd(lhs, vscale(-1, rhs)))
@@ -310,25 +334,25 @@ def rebased(a, seed):
         p_inv = invert(p)
         if p_inv is not None:
             break
-    cols = [p.col(i) for i in range(n)]
+    cols = p.transpose().entries
     c = [[p_inv.mul_vec(contraction_oracle_binary(a.c, cols[i], cols[j])) for j in range(n)]
          for i in range(n)]
     d = [[[p_inv.mul_vec(contraction_oracle_ternary(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
           for j in range(n)] for i in range(n)]
-    return LYAlgebra.from_tensors(a.labels, c, d), p, p_inv
+    return from_tensors(a.labels, c, d), p, p_inv
 
 
 def rand_map(rng, n):
-    return LinMap.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
-                              for _ in range(n)] for _ in range(n)])
+    return Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                              for _ in range(n)] for _ in range(n)], cols=n)
 
 
 def shifted(rng, f):
     """f with one seeded entry raised by 1/3."""
-    n = f.dim
-    rows = [list(r) for r in f.matrix.entries]
+    n = f.rows
+    rows = [list(r) for r in f.entries]
     rows[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 3)
-    return LinMap.from_rows(rows)
+    return Matrix.from_rows(rows)
 
 
 @functools.cache
@@ -349,26 +373,26 @@ def recheck_cases():
     algebras.append(rebased(catalog("sl2_plus_ab1"), seed=11))
     for a, p, p_inv in algebras:
         n = a.dim
-        ident = LinMap.identity(n)
+        ident = Matrix.identity(n)
         twists = [ident, ident.scale(-1)]
         if n >= 3:
             chev = Matrix.from_rows([[swap[i][j] if max(i, j) < 3 else int(i == j)
                                       for j in range(n)] for i in range(n)])
             if p is not None:
                 chev = p_inv.mul(chev).mul(p)
-            twists.append(LinMap(n, chev))
+            twists.append(chev)
         pairs = [(t, v) for t in twists for v in twists]
         pairs += [(rand_map(rng, n), rand_map(rng, n)) for _ in range(2)]
         solved = list(derivation_space(a).maps())
         for theta, vartheta in pairs:
-            inverses = [invert(g.matrix) for g in (theta, vartheta)]
+            inverses = [invert(g) for g in (theta, vartheta)]
             if None not in inverses and all(hom_defect_reference(a, g) is None
                                             for g in (theta, vartheta)):
-                certs = [AutCert(g, LinMap(n, inv)) for g, inv in zip((theta, vartheta), inverses)]
+                certs = [AutCert(g, inv) for g, inv in zip((theta, vartheta), inverses)]
                 solved += g_derivation_space(a, *certs).maps()
         solved = list(dict.fromkeys(solved))
         maps = solved + [shifted(rng, f) for f in solved]
-        maps += [rand_map(rng, n) for _ in range(2)] + [LinMap.zero(n)]
+        maps += [rand_map(rng, n) for _ in range(2)] + [Matrix.zero(n, n)]
         cases.append((a, pairs, maps + twists))
     return cases
 

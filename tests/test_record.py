@@ -22,9 +22,10 @@ from lya.derivations import (DerSpace, DhatClash, DhatResult, PartialMap, QuasiW
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import (CATALOG_NAMES, AxiomFailure, AxiomReport, LeibnizAlgebra, LYAlgebra,
                        catalog, check_axioms, leibniz2, sl2_lie_tensor)
-from lya.maps import AutCert, LinMap, identity_cert
+from lya.maps import AutCert, identity_cert
 from lya.structure import center, derived_algebra
 from lya.theorems import CheckSpec, PropReport, default_catalog_plan, default_catalog_reports
+from test_lyalg import leibniz_from_tensor
 
 # The fields of each type in order, a (name, default) pair where the field
 # has a default, written out here rather than read from the types.
@@ -35,7 +36,6 @@ FIELDS = {
     LeibnizAlgebra: ("dim", "labels", "form"),
     AxiomFailure: ("axiom", "indices", "residual"),
     AxiomReport: ("passed", "failures"),
-    LinMap: ("dim", "matrix"),
     AutCert: ("map", "inverse"),
     DerSpace: ("space", "theta", "vartheta"),
     QuasiWitness: ("dprime", "dprimeprime"),
@@ -95,7 +95,7 @@ def _collect():
         space = derivation_space(a)
         add(space, space.space, identity_cert(a))
         for f in space.maps()[:2]:
-            add(f, f.matrix, is_quasi_derivation(a, f))
+            add(f, is_quasi_derivation(a, f))
             result = dhat(a, f, identity_cert(a))
             add(result, result.map, result.clash)
             if result.map is not None:
@@ -105,7 +105,7 @@ def _collect():
                         for j, v in enumerate(row)) for i, row in enumerate(sl2.c))
     report = check_axioms(sl2.dim, bad_c, sl2.d)
     add(report, *report.failures[:3])
-    add(leibniz2(), LeibnizAlgebra.from_tensor(("e", "f", "h"), sl2_lie_tensor()))
+    add(leibniz2(), leibniz_from_tensor(("e", "f", "h"), sl2_lie_tensor()))
     for _, algebra, specs in default_catalog_plan():
         for spec in specs:
             add(spec, spec.subspace, spec.map)

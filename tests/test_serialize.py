@@ -1,9 +1,8 @@
 import pytest
 
 from lya.errors import InputError
-from lya.exactlin import Subspace
+from lya.exactlin import Matrix, Subspace
 from lya.lyalg import CATALOG_NAMES, catalog
-from lya.maps import LinMap
 from lya.serialize import (
     algebra_from_dict,
     algebra_to_dict,
@@ -70,7 +69,7 @@ def test_loader_rejects_duplicates_and_bad_lengths():
 
 
 def test_map_round_trip():
-    f = LinMap.from_rows([["1/2", 0], [3, "-2/7"]])
+    f = Matrix.from_rows([["1/2", 0], [3, "-2/7"]])
     assert map_from_dict(map_to_dict(f)) == f
 
 

@@ -22,7 +22,7 @@ from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (Matrix, Subspace, invert, nullspace, rref, subspace_contains,
                           subspace_intersect, vadd, vscale, vunit)
 from lya.lyalg import CATALOG_NAMES, LeibnizAlgebra, LYAlgebra, bracket, catalog, direct_sum, triple
-from lya.maps import LinMap, certify_automorphism, identity_cert, inner_derivation
+from lya.maps import certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
 from lya.structure import (
     center,
@@ -36,7 +36,8 @@ from lya import exactlin, theorems
 from lya.theorems import _extract_subalgebra, default_catalog_plan, verify_p35
 from test_derivations import (covariance_cases, gl2, h5, quasi_reference,
                               stabilizer_reference)
-from test_lyalg import contraction_oracle_binary as bi, contraction_oracle_ternary as tri
+from test_lyalg import (contraction_oracle_binary as bi, contraction_oracle_ternary as tri,
+                        from_tensors)
 from test_maps import rand_map, rebased, unflat
 
 E, F, H = 0, 1, 2
@@ -273,7 +274,7 @@ def extract_subalgebra_reference(a, h):
     labels = [next((a.labels[i] for i in range(a.dim) if row == vunit(a.dim, i)), None)
               for row in h.basis]
     labels = [lab if lab is not None else f"b{t + 1}" for t, lab in enumerate(labels)]
-    return LYAlgebra.from_tensors(labels, c, d)
+    return from_tensors(labels, c, d)
 
 
 def p35_reference(a, meet):
@@ -284,9 +285,9 @@ def p35_reference(a, meet):
     for flat in meet.basis:
         f = unflat(n, flat)
         for g, h, i in itertools.product(range(n), repeat=3):
-            if any(tri(a.d, e[g], e[h], f.apply(e[i]))):
+            if any(tri(a.d, e[g], e[h], f.mul_vec(e[i]))):
                 ok = False
-                witness = {"map": [[str(x) for x in row] for row in f.matrix.entries],
+                witness = {"map": [[str(x) for x in row] for row in f.entries],
                            "indices": [g, h, i]}
     centerless = center_reference(a).dim == 0
     if centerless and meet.dim != 0:
@@ -296,16 +297,16 @@ def p35_reference(a, meet):
 
 
 def dhat_binary_rhs_reference(a, d_map, theta, g, h):
-    val = vscale(2, d_map.apply(bi(a.c, g, h)))
-    val = vadd(val, bi(a.c, d_map.apply(h), theta.apply(g)))
-    return vadd(val, bi(a.c, theta.apply(h), d_map.apply(g)))
+    val = vscale(2, d_map.mul_vec(bi(a.c, g, h)))
+    val = vadd(val, bi(a.c, d_map.mul_vec(h), theta.mul_vec(g)))
+    return vadd(val, bi(a.c, theta.mul_vec(h), d_map.mul_vec(g)))
 
 
 def dhat_ternary_rhs_reference(a, d_map, theta, g, h, i):
-    val = vscale(3, d_map.apply(tri(a.d, g, h, i)))
-    val = vadd(val, tri(a.d, d_map.apply(g), theta.apply(h), i))
-    val = vadd(val, tri(a.d, g, d_map.apply(h), theta.apply(i)))
-    return vadd(val, tri(a.d, theta.apply(g), h, d_map.apply(i)))
+    val = vscale(3, d_map.mul_vec(tri(a.d, g, h, i)))
+    val = vadd(val, tri(a.d, d_map.mul_vec(g), theta.mul_vec(h), i))
+    val = vadd(val, tri(a.d, g, d_map.mul_vec(h), theta.mul_vec(i)))
+    return vadd(val, tri(a.d, theta.mul_vec(g), h, d_map.mul_vec(i)))
 
 
 def algebra_to_dict_reference(a):
@@ -418,7 +419,7 @@ def test_dhat_and_inner_match_the_dense_references():
     for a, _ in reference_cases():
         n = a.dim
         # The zero map's prescriptions all vanish, so its hat map is defined.
-        zero_hat = dhat(a, LinMap.zero(n), identity_cert(a)).map
+        zero_hat = dhat(a, Matrix.zero(n, n), identity_cert(a)).map
         assert zero_hat.domain == derived_algebra_reference(a)
         for _ in range(2 if n else 0):
             d_map, theta = rand_map(rng, n), rand_map(rng, n)
@@ -428,7 +429,7 @@ def test_dhat_and_inner_match_the_dense_references():
             assert dhat_ternary_rhs(a, d_map, theta, g, h, i) \
                 == dhat_ternary_rhs_reference(a, d_map, theta, g, h, i)
             cols = [tri(a.d, g, h, vunit(n, k)) for k in range(n)]
-            assert inner_derivation(a, g, h) == LinMap.from_columns(cols)
+            assert inner_derivation(a, g, h) == Matrix.from_rows(cols).transpose()
 
 
 # -- the dense tensors are never read ----------------------------------------
@@ -460,16 +461,16 @@ def stored_form_answers(a, twist, rng):
             out.append(_extract_subalgebra(a, s))
     return out + [
         verify_p35(a, theta), dhat_binary_rhs(a, d_map, theta.map, g, h),
-        dhat_ternary_rhs(a, d_map, theta.map, g, h, i), dhat(a, LinMap.zero(n), theta),
+        dhat_ternary_rhs(a, d_map, theta.map, g, h, i), dhat(a, Matrix.zero(n, n), theta),
         dhat(a, d_map, theta), derivation_space(a), centroid(a),
         g_derivation_space(a, theta, theta), is_quasi_derivation(a, d_map)]
 
 
 def test_products_are_read_from_the_stored_form_only(monkeypatch):
     rebased_sum, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
-    chev = LinMap(4, p_inv.mul(Matrix.from_rows(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p))
-    sl2_chev = LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    chev = p_inv.mul(Matrix.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p)
+    sl2_chev = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     cases = ((rebased_sum, chev), (catalog("sl2"), sl2_chev), (catalog("sl2_plus_ab1"), None))
     want = [stored_form_answers(a, twist, random.Random(37)) for a, twist in cases]
     without_dense_tensors(monkeypatch)
@@ -483,11 +484,11 @@ def test_products_are_read_from_the_stored_form_only(monkeypatch):
 def transported(a, p, p_inv):
     """``a`` in the basis of P's columns: products P^-1 T(P e_i, P e_j[, P e_k])."""
     n = a.dim
-    cols = [p.col(i) for i in range(n)]
+    cols = p.transpose().entries
     c = [[p_inv.mul_vec(bi(a.c, cols[i], cols[j])) for j in range(n)] for i in range(n)]
     d = [[[p_inv.mul_vec(tri(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
           for j in range(n)] for i in range(n)]
-    return LYAlgebra.from_tensors(a.labels, c, d)
+    return from_tensors(a.labels, c, d)
 
 
 def test_structure_is_basis_covariant():
@@ -597,15 +598,15 @@ def test_stabilizer_hat_map_and_quasi_are_basis_covariant():
         moved = transported(a, p, p_inv)
 
         def conj(f):
-            return LinMap(n, p_inv.mul(f.matrix).mul(p))
+            return p_inv.mul(f).mul(p)
 
         def pull(f, v):
             """f of A read in the basis of A': P^-1 f(P v)."""
-            return p_inv.mul_vec(f.apply(p.mul_vec(v)))
+            return p_inv.mul_vec(f.mul_vec(p.mul_vec(v)))
 
         maps = list(derivation_space(a).maps()[:2]) + [unflat(n, centroid(a).basis[0]),
                                                        rand_map(random.Random(k), n)]
-        for twist in [LinMap.identity(n)] + twists:
+        for twist in [Matrix.identity(n)] + twists:
             theta = certify_automorphism(a, twist)
             theta_moved = certify_automorphism(moved, conj(twist))
             twisted = single_twist_space(a, theta)
@@ -637,11 +638,11 @@ def test_stabilizer_hat_map_and_quasi_are_basis_covariant():
             if got is not None:
                 for i, j in itertools.product(range(n), repeat=2):
                     v = bracket(moved, u[i], u[j])
-                    assert got.dprime.apply(v) == pull(base.dprime, v) == ref.dprime.apply(v)
+                    assert got.dprime.mul_vec(v) == pull(base.dprime, v) == ref.dprime.mul_vec(v)
                     for w in u:
                         v = triple(moved, u[i], u[j], w)
-                        assert got.dprimeprime.apply(v) == pull(base.dprimeprime, v) \
-                            == ref.dprimeprime.apply(v)
+                        assert got.dprimeprime.mul_vec(v) == pull(base.dprimeprime, v) \
+                            == ref.dprimeprime.mul_vec(v)
 
     check()
     assert seen == {(kind, flag) for kind in ("stabilizer cut", "dhat consistent", "quasi feasible")

@@ -9,10 +9,9 @@ import pytest
 from lya import derivations, exactlin, lyalg, structure, theorems
 from lya.derivations import DerSpace
 from lya.errors import InputError, InternalCheckError, MathError
-from lya.exactlin import Matrix, Subspace, coordinates, vis_zero, vunit, vzero
+from lya.exactlin import Matrix, Subspace, coordinates, vunit, vzero
 from lya.lyalg import catalog, check_axioms
 from lya.maps import (
-    LinMap,
     certify_automorphism,
     compose,
     identity_cert,
@@ -41,7 +40,7 @@ E, F, H = 0, 1, 2
 
 def chevalley_cert():
     return certify_automorphism(
-        catalog("sl2"), LinMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
+        catalog("sl2"), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
 
 
 def certified_pairs():
@@ -49,8 +48,8 @@ def certified_pairs():
     lts = catalog("lts_sl2")
     ab3 = catalog("abelian3")
     chev = chevalley_cert()
-    neg = certify_automorphism(lts, LinMap.identity(3).scale(-1))
-    shear = certify_automorphism(ab3, LinMap.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 3]]))
+    neg = certify_automorphism(lts, Matrix.identity(3).scale(-1))
+    shear = certify_automorphism(ab3, Matrix.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 3]]))
     yield sl2, [identity_cert(sl2), chev]
     yield lts, [identity_cert(lts), neg]
     yield ab3, [identity_cert(ab3), shear]
@@ -85,7 +84,7 @@ def test_t32_identity_twist_reduces_to_commutator_closure():
 
 def transported_bracket(theta, f, g):
     """The commutator pulled back through composition with the inverse
-    twist, f θ⁻¹ g - g θ⁻¹ f, in LinMap arithmetic."""
+    twist, f θ⁻¹ g - g θ⁻¹ f, in map arithmetic."""
     inv = theta.inverse
     return compose(f, compose(inv, g)).sub(compose(g, compose(inv, f)))
 
@@ -115,7 +114,7 @@ def test_transported_structure_constants_form_an_ly_algebra():
 
 def test_p33_holds_on_lts_with_negation():
     lts = catalog("lts_sl2")
-    neg = certify_automorphism(lts, LinMap.identity(3).scale(-1))
+    neg = certify_automorphism(lts, Matrix.identity(3).scale(-1))
     r = verify_p33(lts, neg)
     assert r.hypotheses_met and r.conclusion_holds
     assert "intersection_dim" in r.details
@@ -209,7 +208,7 @@ def test_derived_verb_computes_the_derived_algebra_once(monkeypatch, tmp_path):
 def test_p34_rejects_non_derivation():
     sl2 = catalog("sl2")
     with pytest.raises(MathError):
-        verify_p34(sl2, LinMap.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        verify_p34(sl2, Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
                    identity_cert(sl2))
 
 
@@ -317,7 +316,7 @@ def test_stabilizer_verifiers_check_their_preconditions_once(monkeypatch, verify
     assert len(calls) == 1
     with pytest.raises(MathError, match="^subspace is not a subalgebra$"):
         verify(a, identity_cert(a), Subspace.span(4, [vunit(4, E), vunit(4, F)]), *elements)
-    swap = certify_automorphism(a, LinMap.from_rows(
+    swap = certify_automorphism(a, Matrix.from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]))
     with pytest.raises(MathError, match="^automorphism does not stabilize the subspace$"):
         verify(a, swap, Subspace.span(4, [vunit(4, E)]), *elements)
@@ -368,7 +367,7 @@ def test_verify_all_empty_config():
 
 def test_verify_all_records_precondition_rejection():
     sl2 = catalog("sl2")
-    corrupted = LinMap.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    corrupted = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     reports = verify_all(sl2, [CheckSpec("P34", "bad-map", map=corrupted)])
     assert len(reports) == 1
     r = reports[0]
@@ -391,7 +390,7 @@ def test_verify_all_calls_the_verifier_the_module_holds(monkeypatch):
 @pytest.mark.parametrize("spec,error", [
     (CheckSpec("P39"), "unknown check 'P39'"),
     (CheckSpec("P31", subspace=Subspace.full(3)), "P31 takes no field 'subspace'"),
-    (CheckSpec("P35", "x", map=LinMap.identity(3)), "P35 takes no field 'map'"),
+    (CheckSpec("P35", "x", map=Matrix.identity(3)), "P35 takes no field 'map'"),
     (CheckSpec("P37", subspace=Subspace.full(3), g=vunit(3, E)),
      "P37 needs a subspace and two elements"),
 ])
@@ -434,10 +433,10 @@ def test_report_invariants_enforced_by_construction():
 
 def fraction_compose(f, g):
     """f after g in plain Fraction sums, independent of Matrix.mul."""
-    n = f.dim
-    a, b = f.matrix.entries, g.matrix.entries
-    return LinMap.from_rows([[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
-                              for j in range(n)] for i in range(n)], n)
+    n = f.rows
+    a, b = f.entries, g.entries
+    return Matrix.from_rows([[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
+                              for j in range(n)] for i in range(n)], cols=n)
 
 
 def fraction_commutator(f, g):
@@ -447,7 +446,7 @@ def fraction_commutator(f, g):
 def fraction_contains(space, f, tested):
     """Membership by Fraction elimination (Subspace.reduce); records f."""
     tested.append(f.flatten())
-    return vis_zero(space.space.reduce(f.flatten()))
+    return not any(space.space.reduce(f.flatten()))
 
 
 def reference_t32(algebra, theta, instance="", tested=None):
@@ -494,7 +493,7 @@ def reference_p33(algebra, theta, instance="", tested=None):
     tested = [] if tested is None else tested
     plain = derivations.derivation_space(algebra)
     twisted = derivations.single_twist_space(algebra, theta)
-    involutive = fraction_compose(theta.map, theta.map) == LinMap.identity(algebra.dim)
+    involutive = fraction_compose(theta.map, theta.map) == Matrix.identity(algebra.dim)
     bad_map = next((f for f in plain.maps() + twisted.maps()
                     if not fraction_commutator(theta.map, f).is_zero()), None)
     hypotheses = (("theta is involutive", involutive),
@@ -503,7 +502,7 @@ def reference_p33(algebra, theta, instance="", tested=None):
                "intersection_dim": exactlin.subspace_intersect(plain.space, twisted.space).dim}
     if not (involutive and bad_map is None):
         if bad_map is not None:
-            details["non_commuting_map"] = [[str(x) for x in row] for row in bad_map.matrix.entries]
+            details["non_commuting_map"] = [[str(x) for x in row] for row in bad_map.entries]
         return PropReport("P33", instance, False, hypotheses, None, None, details)
     spaces = {0: plain, 1: twisted}
     ok, witness = True, None
@@ -514,7 +513,7 @@ def reference_p33(algebra, theta, instance="", tested=None):
                 if not fraction_contains(spaces[(k + l) % 2], br, tested):
                     ok = False
                     witness = {"k": k, "l": l,
-                               "commutator": [[str(x) for x in row] for row in br.matrix.entries]}
+                               "commutator": [[str(x) for x in row] for row in br.entries]}
     return PropReport("P33", instance, True, hypotheses, ok, witness, details)
 
 
@@ -532,7 +531,7 @@ def bracket_instances():
     moved = []
     for seed, (algebra, theta, label) in enumerate(cases):
         other, p, p_inv = rebased(algebra, 100 + seed)
-        conj = LinMap(other.dim, p_inv.mul(theta.map.matrix).mul(p))
+        conj = p_inv.mul(theta.map).mul(p)
         moved.append((other, certify_automorphism(other, conj), label + "[rebased]"))
     return cases + moved
 
@@ -601,7 +600,7 @@ def twists(a):
     """The identity, and the negated identity where it is an automorphism."""
     yield identity_cert(a)
     try:
-        yield certify_automorphism(a, LinMap.identity(a.dim).scale(-1))
+        yield certify_automorphism(a, Matrix.identity(a.dim).scale(-1))
     except MathError:
         pass
 
@@ -665,7 +664,7 @@ def h3_scaled():
     """h3 with theta = diag(2, 1, 2), and a twisted derivation whose twist
     defect is not central."""
     h3 = catalog("h3")
-    theta = certify_automorphism(h3, LinMap.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    theta = certify_automorphism(h3, Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
     return h3, theta, g_derivation_space(h3, theta, identity_cert(h3)).maps()[1]
 
 
