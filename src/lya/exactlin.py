@@ -195,9 +195,10 @@ class Matrix(Record):
         return self.add(other.scale(-1))
 
     def scale(self, a: Scalar) -> "Matrix":
-        a = frac(a)
-        scale, data = self.form
-        return Matrix(self.rows, self.cols, (scale, tuple(tuple(a * x for x in r) for r in data)))
+        """The stored rows times a's numerator, over the scale times its denominator."""
+        a, (scale, data) = frac(a), self.form
+        rows = tuple(tuple(a.numerator * x for x in r) for r in data)
+        return Matrix(self.rows, self.cols, (scale * a.denominator, rows))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.form[1]))

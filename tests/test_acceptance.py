@@ -5,24 +5,20 @@ values agree.  Each test prints a single verdict line so a verbose run
 reads as a checklist.
 """
 
-import io
 import itertools
 from fractions import Fraction
 
-from lya.cli import main as cli_main
 from lya.exactlin import (
     Matrix,
     Subspace,
     rref,
     subspace_intersect,
-    vadd,
     vscale,
     vunit,
     vzero,
 )
 from lya.lyalg import (
     CATALOG_NAMES,
-    bracket,
     catalog,
     check_axioms,
     from_leibniz,
@@ -31,7 +27,6 @@ from lya.lyalg import (
     aff2_tensor,
     leibniz2,
     sl2_lie_tensor,
-    triple,
 )
 from lya.maps import (
     certify_automorphism,
@@ -67,23 +62,14 @@ from lya.theorems import (
     verify_p36,
     verify_t32,
 )
-from test_maps import unflat
+from reference import (chevalley_cert, clash_sums, neg_cert, quasi_system_by_probing, run_cli,
+                       unflat)
 
 E, F, H = 0, 1, 2
 
 
 def _verdict(number: int, text: str) -> None:
     print(f"criterion {number:2d}: PASS - {text}")
-
-
-def _chev():
-    return certify_automorphism(
-        catalog("sl2"), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
-
-
-def _neg(name):
-    a = catalog(name)
-    return certify_automorphism(a, Matrix.identity(a.dim).scale(-1))
 
 
 def test_criterion_1_axiom_soundness():
@@ -135,8 +121,8 @@ def test_criterion_3_p31_dimension_equality():
     sl2 = catalog("sl2")
     lts = catalog("lts_sl2")
     instances = [
-        (sl2, [identity_cert(sl2), _chev()]),
-        (lts, [identity_cert(lts), _neg("lts_sl2")]),
+        (sl2, [identity_cert(sl2), chevalley_cert()]),
+        (lts, [identity_cert(lts), neg_cert("lts_sl2")]),
     ]
     for algebra, certs in instances:
         for theta, vartheta in itertools.product(certs, repeat=2):
@@ -155,7 +141,7 @@ def test_criterion_3_p31_dimension_equality():
 
 def test_criterion_4_t32_isomorphism():
     sl2 = catalog("sl2")
-    chev = _chev()
+    chev = chevalley_cert()
     twisted = g_derivation_space(sl2, chev, chev)
     plain = derivation_space(sl2)
     images = [compose(chev.inverse, f).flatten() for f in twisted.maps()]
@@ -173,21 +159,21 @@ def test_criterion_4_t32_isomorphism():
 
 def test_criterion_5_p33_closure_and_gating():
     lts = catalog("lts_sl2")
-    report = verify_p33(lts, _neg("lts_sl2"))
+    report = verify_p33(lts, neg_cert("lts_sl2"))
     assert report.hypotheses_met and report.conclusion_holds
     plain = derivation_space(lts)
-    twisted = single_twist_space(lts, _neg("lts_sl2"))
+    twisted = single_twist_space(lts, neg_cert("lts_sl2"))
     spaces = {0: plain, 1: twisted}
     for k, l in itertools.product((0, 1), repeat=2):
         for fa in spaces[k].maps():
             for fb in spaces[l].maps():
                 assert spaces[(k + l) % 2].space.contains_vector(commutator(fa, fb).flatten())
     sl2 = catalog("sl2")
-    gated = verify_p33(sl2, _chev())
+    gated = verify_p33(sl2, chevalley_cert())
     assert not gated.hypotheses_met
     assert gated.conclusion_holds is None
     ad_e = inner_derivation(sl2, vunit(3, H), vunit(3, E)).scale(Fraction(1, 2))
-    assert not commutator(_chev().map, ad_e).is_zero()
+    assert not commutator(chevalley_cert().map, ad_e).is_zero()
     _verdict(5, "parity closure verified on the Lie triple system; the"
                 " non-commuting swap is gated out with hypotheses_met=false")
 
@@ -199,7 +185,7 @@ def test_criterion_6_p34_perfect_centerless():
     assert is_perfect(sl2) and center(sl2).dim == 0
     z = center(sl2)
     checked = 0
-    for cert in (identity_cert(sl2), _chev()):
+    for cert in (identity_cert(sl2), chevalley_cert()):
         for d_map in single_twist_space(sl2, cert).maps():
             defect = commutator(d_map, cert.map)
             premise = all(z.contains_vector(defect.mul_vec(vunit(3, j))) for j in range(3))
@@ -217,7 +203,7 @@ def test_criterion_6_p34_perfect_centerless():
 def test_criterion_7_p35_centroid_intersection():
     sl2 = catalog("sl2")
     assert centroid(sl2).dim == 1
-    for cert in (identity_cert(sl2), _chev()):
+    for cert in (identity_cert(sl2), chevalley_cert()):
         meet = subspace_intersect(centroid(sl2), single_twist_space(sl2, cert).space)
         assert meet.dim == 0
         report = verify_p35(sl2, cert)
@@ -255,18 +241,7 @@ def test_criterion_9_dhat_consistency():
     outcome = dhat(sl2, ad_h, identity_cert(sl2))
     assert not outcome.consistent
     clash = outcome.clash
-    combo, rhs = vzero(3), vzero(3)
-    for tag, coeff in clash.terms:
-        if tag[0] == "binary":
-            _, i, j = tag
-            combo = vadd(combo, vscale(coeff, sl2.c[i][j]))
-            rhs = vadd(rhs, vscale(coeff, dhat_binary_rhs(
-                sl2, ad_h, Matrix.identity(3), vunit(3, i), vunit(3, j))))
-        else:
-            _, i, j, k = tag
-            combo = vadd(combo, vscale(coeff, sl2.d[i][j][k]))
-            rhs = vadd(rhs, vscale(coeff, dhat_ternary_rhs(
-                sl2, ad_h, Matrix.identity(3), vunit(3, i), vunit(3, j), vunit(3, k))))
+    combo, rhs = clash_sums(sl2, ad_h, clash)
     assert combo == vzero(3) and rhs == clash.mismatch and rhs != vzero(3)
     units = [vunit(3, i) for i in range(3)]
     for i in range(3):
@@ -278,36 +253,6 @@ def test_criterion_9_dhat_consistency():
             == vscale(4, ad_h.mul_vec(sl2.d[i][j][k]))
     _verdict(9, "hat map equals the derivation on the binary-only algebra;"
                 " the sl2 clash certificate re-verifies from raw tensors")
-
-
-def _quasi_probe_system(algebra, d_map):
-    n = algebra.dim
-    units = [vunit(n, i) for i in range(n)]
-    du = [d_map.mul_vec(u) for u in units]
-    pairs = list(itertools.product(range(n), repeat=2))
-    triples = list(itertools.product(range(n), repeat=3))
-    columns = []
-    for block, flat in itertools.product(range(2), range(n * n)):
-        probe = unflat(n, vunit(n * n, flat))
-        col = []
-        for i, j in pairs:
-            col.extend(probe.mul_vec(algebra.c[i][j]) if block == 0 else vzero(n))
-        for i, j, k in triples:
-            col.extend(probe.mul_vec(algebra.d[i][j][k]) if block == 1 else vzero(n))
-        columns.append(col)
-    rhs = []
-    for i, j in pairs:
-        rhs.extend(vadd(bracket(algebra, du[i], units[j]),
-                        bracket(algebra, units[i], du[j])))
-    for i, j, k in triples:
-        val = triple(algebra, du[i], units[j], units[k])
-        val = vadd(val, triple(algebra, units[i], du[j], units[k]))
-        val = vadd(val, triple(algebra, units[i], units[j], du[k]))
-        rhs.extend(val)
-    n_rows = len(rhs)
-    m = Matrix(n_rows, 2 * n * n, (1, tuple(
-        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows))))
-    return m, tuple(rhs)
 
 
 def test_criterion_10_quasi_derivations():
@@ -323,7 +268,7 @@ def test_criterion_10_quasi_derivations():
     sl2 = catalog("sl2")
     rejected = unflat(3, vunit(9, 0))  # e -> e, f -> 0, h -> 0
     assert is_quasi_derivation(sl2, rejected) is None
-    m, rhs = _quasi_probe_system(sl2, rejected)
+    m, rhs = quasi_system_by_probing(sl2, rejected)
     aug = Matrix(m.rows, m.cols + 1,
                  (1, tuple(row + (rhs[i],) for i, row in enumerate(m.entries))))
     assert rref(aug).rows > rref(m).rows
@@ -331,22 +276,16 @@ def test_criterion_10_quasi_derivations():
                  " pairs; an explicit endomorphism is rejected with a rank gap")
 
 
-def _run_cli(*argv):
-    buf = io.StringIO()
-    code = cli_main(list(argv), out=buf)
-    return code, buf.getvalue()
-
-
 def test_criterion_11_determinism(tmp_path):
     path = tmp_path / "sl2.json"
-    first_export = _run_cli("export", "sl2", "--out", str(path))
+    first_export = run_cli("export", "sl2", "--out", str(path))
     body1 = path.read_bytes()
-    second_export = _run_cli("export", "sl2", "--out", str(path))
+    second_export = run_cli("export", "sl2", "--out", str(path))
     assert first_export == second_export
     assert path.read_bytes() == body1
     for argv in (("check", str(path)), ("der", str(path)),
                  ("centroid", str(path)), ("verify", "suite")):
-        assert _run_cli(*argv) == _run_cli(*argv)
+        assert run_cli(*argv) == run_cli(*argv)
     for name in CATALOG_NAMES:
         a = catalog(name)
         b = algebra_from_dict(algebra_to_dict(a))

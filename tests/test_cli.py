@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -10,18 +9,11 @@ from pathlib import Path
 import pytest
 
 import lya
-from lya.cli import main
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import catalog
 from lya.serialize import (algebra_from_dict, algebra_to_dict, canonical_json, read_json_file,
                            map_to_dict, save_json_file, subspace_to_dict)
-from test_maps import rebased
-
-
-def run_cli(*argv):
-    buf = io.StringIO()
-    code = main(list(argv), out=buf)
-    return code, buf.getvalue()
+from reference import SUM_CHEVALLEY, rebased, run_cli
 
 
 def run_json(*argv):
@@ -382,10 +374,113 @@ def save_rebased_sum_files():
     save_json_file("sum_block.json", subspace_to_dict(Subspace.span(4, sl2)))
     for name, rows in (("sum_der.json", [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                        ("sum_e11.json", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
-                       ("sum_chev.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
-                                          [0, 0, 0, -1]])):
+                       ("sum_chev.json", SUM_CHEVALLEY)):
         f = p_inv.mul(Matrix.from_rows(rows)).mul(p)
         save_json_file(name, map_to_dict(f))
+
+
+# Input files byte for byte as `echo '<json>' > path` writes them (each
+# report lists its inputs' paths and SHA-256), and the reports on them; the
+# digests were taken as CI's console-script steps checked them.
+CI_FILES = {
+    "cfg/e_line.json": '{"ambient": 3, "basis": [["1", "0", "0"]]}',
+    "cfg/checks.json": '{"checks": [{"prop": "p35", "label": "chevalley", "theta": {"matrix": '
+                       '[["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]}}, {"prop": "p37", '
+                       '"label": "span(e)", "subspace": "e_line.json", "g": "1,0,0", '
+                       '"h": "0,-1/2,0"}, {"prop": "p38", "label": "span(e)", "subspace": '
+                       '{"file": "e_line.json"}, "g1": "-2,0,0", "g2": "0,1,0"}]}',
+    "chev.json": '{"dim": 3, "matrix": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]}',
+    "sl2_block.json": '{"ambient": 4, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+                      '["0", "0", "1", "0"]]}',
+    # The inner map that ("inner", "sl2.json", "--g", "1,0,0", "--h", "0,-1/2,0") prints.
+    "d.json": '{"dim": 3, "matrix": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]}',
+    # A rational basis vector, so each map's images of H carry a scale other than 1.
+    "tilted.json": '{"ambient": 4, "basis": [["2", "0", "0", "1"]]}',
+    "a1.json": '{"dim": 4, "matrix": [["0", "0", "0", "0"], ["0", "0", "0", "0"], '
+               '["0", "0", "0", "0"], ["0", "0", "0", "1"]]}',
+    # e -> e, f -> 0, h -> 0 has no companion pair on sl2.
+    "e11.json": '{"dim": 3, "matrix": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}',
+    "leib3.json": '{"dim": 3, "labels": ["x", "y", "z"], "product": [[0, 0, ["0", "0", "1"]], '
+                  '[0, 1, ["0", "0", "2"]], [1, 0, ["0", "0", "-1/2"]]]}',
+    "notleib.json": '{"dim": 2, "labels": ["x", "z"], "product": [[0, 0, ["1", "0"]]]}',
+    "sl2lie.json": '{"dim": 3, "labels": ["e", "f", "h"], "binary": [[0, 1, ["0", "0", "1"]], '
+                   '[0, 2, ["-2", "0", "0"]], [1, 2, ["0", "2", "0"]]]}',
+    "notjacobi.json": '{"dim": 3, "labels": ["x", "y", "z"], "binary": [[0, 1, ["1/2", "0", "0"]], '
+                      '[0, 2, ["0", "2/3", "0"]], [1, 2, ["0", "0", "1/5"]]]}',
+    # Each binary entry is read with its negated twin, so no file holds a
+    # bracket that is not antisymmetric: the entry [1, 0, ...] is refused.
+    "notanti.json": '{"dim": 2, "labels": ["x", "y"], "binary": [[1, 0, ["1", "0"]]]}',
+    # LY1-LY4 and LY6 hold; the inner maps of the basis pairs (1, 2) and (2, 1)
+    # are not derivations of the binary product.
+    "ly5only.json": '{"dim": 3, "binary": [[1, 2, ["0", "0", "1"]]], '
+                    '"ternary": [[1, 2, 2, ["-1", "0", "0"]]]}',
+}
+CI_CASES = [
+    (("verify", "p33", "sl2_plus_ab1.json"), 0,
+     "f95560489cae80002f81d11a3fe05d699bf8b6b882a9f57830ef259874833036"),
+    (("verify", "t32", "h3.json"), 0,
+     "64365e8938c6b71621ba752616bae9b5d13de26ff27cadaddd2d78c819e75f4c"),
+    (("inner", "sl2.json", "--g", "1,0,0", "--h", "0,-1/2,0"), 0,
+     "7923430ba0e7f72aaaee1d5cdc040505cbe1525ce73dc37a1658fbc8b28b8f6e"),
+    # An unreadable input gets the error report on stdout and exit 2.
+    (("der", "missing.json"), 2,
+     "47f8b6289b0f76e33d6ef548c384b2e42e22ce79f1a1a30c999e635e96e7003e"),
+    # cfg/e_line.json is named by two checks and read and listed once.
+    (("verify", "all", "sl2.json", "--config", "cfg/checks.json"), 0,
+     "0ca92e735fd4dce545c36818bbca34d3bbf1c377b47cadda904e1243c0ae9488"),
+    (("verify", "p33", "sl2.json", "--theta", "chev.json"), 0,
+     "c34f09919aad8d4e3b8b10e0a1e8c83c3c60529818a160712d7e8e7273c89d6b"),
+    (("verify", "t32", "sl2.json", "--theta", "chev.json"), 0,
+     "3a69804ef57691b782dfb878ee7b500f2e34cb0122e948090249f9a894de0118"),
+    (("verify", "p31", "sl2.json", "--theta", "chev.json", "--vartheta", "chev.json"), 0,
+     "819bf9567e8b4ff7f79d675c692714164d73bfbc7633d474f346c8b36f82cb71"),
+    (("verify", "p37", "sl2.json", "--subspace", "cfg/e_line.json", "--g", "0,1,0",
+      "--h", "0,0,1"), 0,
+     "cb327cf0db84e3fba66ee430bcc8e78eb82b461fac6826d9800cf0baa58cd174"),
+    (("verify", "p37", "sl2.json", "--subspace", "cfg/e_line.json", "--g", "1,0,0",
+      "--h", "0,1,0"), 0,
+     "92edc8cfcbcda90b56ca41004b1a2c5423ff1d845a153b2dd44fa3f2cf1ffb46"),
+    (("stabilizer", "sl2_plus_ab1.json", "--subspace", "sl2_block.json"), 0,
+     "27abc1aeb919e2125e12b93ea7fd64487bdddde4251c1f5b7e3d84c8aae74243"),
+    (("verify", "p36", "sl2_plus_ab1.json", "--subspace", "sl2_block.json"), 0,
+     "675a8c1407321a1d22195669fe47aa759caa33b09dd6782cf8445bc1447ba844"),
+    (("verify", "p34", "sl2.json", "--theta", "id", "--map", "d.json"), 0,
+     "b88d4dc23abf4004b2f31da9bf012c966f273963be3a01aa70005e2d7c5d1c10"),
+    (("stabilizer", "sl2_plus_ab1.json", "--subspace", "tilted.json"), 0,
+     "ca4cac952a44348f0996a78f834ff427b3c2324e995aa9255c72b03f379a1412"),
+    # This one restricts a stabilizing map to H.
+    (("verify", "p38", "sl2_plus_ab1.json", "--subspace", "tilted.json", "--g1", "0,0,0,1",
+      "--g2", "2,0,0,1"), 0,
+     "984eb5f6f9aba200553451ef9dfe0eca8c2218e777578e9c85638a45ffb6a693"),
+    (("verify", "p38", "sl2.json", "--subspace", "cfg/e_line.json", "--g1", "0,0,0",
+      "--g2", "0,0,0"), 0,
+     "6ec177304af6290da467117c1339485883a98825f470d8cd1766406ca589a204"),
+    # The report whose error reads "P31 takes no field 'subspace'".
+    (("verify", "p31", "sl2.json", "--subspace", "full"), 2,
+     "97d11e6d4385af64e6cdd046825586e0659237e1cb866b802a466f4dddf78ff0"),
+    (("dhat", "sl2_plus_ab1.json", "--map", "a1.json"), 0,
+     "07d83c29b9243a86a45854b21da8ac7e69e83bdea4717469eda10df07c9456b5"),
+    (("dhat", "sl2_plus_ab1.json", "--map", "id"), 1,
+     "70dfcfeb7c23e9f29982ff562740d0793e9b37873c110ad1a23836dfa78f1bfe"),
+    (("quasi", "sl2_plus_ab1.json", "--map", "a1.json"), 0,
+     "e0dc2bfaf4bc61cdd70ff82b59aefab9c6a5372ecd244632c0e4ff757f4f6d3c"),
+    (("quasi", "sl2.json", "--map", "e11.json"), 1,
+     "20d486d42bf8d80be5a1e3e85036bda51fa913b8182bde2bda1a9c2044d91190"),
+    (("gder", "sl2.json", "--theta", "chev.json"), 0,
+     "4cf9e0a4ea422c42bcbde23d49d249d6f1da242ea8393240b5af95f0ce555685"),
+    (("construct", "leib3.json", "--from", "leibniz"), 0,
+     "6cd8a0400b614dd87fc5ecebc0baa1285ed27ea602a1e3f3982417a57d13e944"),
+    (("construct", "notleib.json", "--from", "leibniz"), 1,
+     "a12f49cf85f662ca99f3e1d8aa4e816571133a4e8dc6f4ed013ab118111925c4"),
+    (("construct", "sl2lie.json", "--from", "lie"), 0,
+     "e7c3fe72c7aad4da992681ec2c96c323a72aa8b477bc434b85f87db1abe30f6d"),
+    (("construct", "notjacobi.json", "--from", "lie"), 1,
+     "ff471aede3b7c19d16bbe3fc23a7171018ca75acf3768529b07a49629ddf04d2"),
+    (("construct", "notanti.json", "--from", "lie"), 2,
+     "e3ca3f9ac27cb2f27c1bd6b78ad1317e855c410f20b6d3f185f336aa0c3e1dca"),
+    (("check", "ly5only.json"), 1,
+     "22a68222f7f04217945c1f107eff3731ff97fc7c57a754acba31339452c4dfdf"),
+]
 
 
 @pytest.mark.parametrize("argv,code,digest", [
@@ -482,16 +577,22 @@ def save_rebased_sum_files():
     (("stabilizer", "sum_rebased.json", "--theta", "sum_chev.json",
       "--subspace", "sum_block.json"), 0,
      "5ae4b2724d2843ecba3a9cb1d42637159e12adb13902acca23aa6cbc895f37d6"),
-])
+] + CI_CASES)
 def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
     """Exit code and stdout bytes of the solver verbs on exported catalog files
-    and on sl2_plus_ab1 in a seeded rational basis."""
+    and on sl2_plus_ab1 in a seeded rational basis, and of the CI_CASES on
+    the CI_FILES."""
     monkeypatch.chdir(tmp_path)
-    for name in ("sl2", "lts_sl2", "sl2_plus_ab1"):
+    for name in ("sl2", "lts_sl2", "sl2_plus_ab1", "h3"):
         assert run_cli("export", name, "--out", f"{name}.json")[0] == 0
-    for name, data in PINNED_FILES.items():
-        save_json_file(name, data)
-    save_rebased_sum_files()
+    if (argv, code, digest) in CI_CASES:
+        for name, text in CI_FILES.items():
+            Path(name).parent.mkdir(exist_ok=True)
+            Path(name).write_bytes(f"{text}\n".encode())
+    else:
+        for name, data in PINNED_FILES.items():
+            save_json_file(name, data)
+        save_rebased_sum_files()
     got_code, text = run_cli(*argv)
     assert got_code == code
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

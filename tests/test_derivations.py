@@ -1,6 +1,5 @@
 import functools
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from lya.exactlin import (
     rref,
     solve,
     subspace_contains,
-    subspace_intersect,
     vadd,
     vscale,
     vunit,
@@ -29,7 +27,6 @@ from lya.lyalg import (
     catalog,
     check_axioms,
     direct_sum,
-    from_lie,
     triple,
 )
 from lya.maps import (
@@ -58,23 +55,15 @@ from lya.derivations import (
     stabilizer_derivations,
 )
 from lya.structure import derived_algebra
-from test_lyalg import (contraction_oracle_binary, contraction_oracle_ternary, from_tensors,
-                        transport)
-from test_maps import rand_map, rebased, shifted, unflat
+from reference import (CHEVALLEY, GL2_TWISTS, H5_SWAP, SUM_CHEVALLEY, chevalley_cert, clash_sums,
+                       contraction_oracle_binary, contraction_oracle_ternary, covariance_cases,
+                       dense_identity_rows, from_tensors, gl, gl2, h5, neg_cert, quasi_reference,
+                       quasi_system_by_probing, rand_map, rebased, shifted, stabilizer_reference,
+                       transported, unflat)
 
 E, F, H = 0, 1, 2
 
 SOLVER_NAMES = ("abelian2", "sl2", "h3", "aff2", "lts_sl2", "sl2_plus_ab1", "leibniz2")
-
-
-def chevalley_cert():
-    return certify_automorphism(
-        catalog("sl2"), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
-
-
-def neg_cert(name):
-    a = catalog(name)
-    return certify_automorphism(a, Matrix.identity(a.dim).scale(-1))
 
 
 def probe_constraint_matrix(algebra, residual):
@@ -172,43 +161,6 @@ def probe_twisted_space(algebra, theta, vartheta):
     return nullspace(probe_constraint_matrix(algebra, twisted_residual(algebra, theta, vartheta)))
 
 
-def quasi_system_by_probing(algebra, d_map):
-    """Oracle assembler for the companion system: probe each unknown entry.
-
-    Returns (matrix, rhs) with unknowns ordered as (dprime, dprimeprime),
-    assembled by plugging unit matrices into the companion side and reading
-    the right-hand side off direct product evaluations.
-    """
-    n = algebra.dim
-    units = [vunit(n, i) for i in range(n)]
-    du = [d_map.mul_vec(u) for u in units]
-    pairs = list(itertools.product(range(n), repeat=2))
-    triples = list(itertools.product(range(n), repeat=3))
-    n_rows = (len(pairs) + len(triples)) * n
-    columns = []
-    for block, flat in itertools.product(range(2), range(n * n)):
-        unit_map = unflat(n, vunit(n * n, flat))
-        col = []
-        for i, j in pairs:
-            img = unit_map.mul_vec(algebra.c[i][j]) if block == 0 else vzero(n)
-            col.extend(img)
-        for i, j, k in triples:
-            img = unit_map.mul_vec(algebra.d[i][j][k]) if block == 1 else vzero(n)
-            col.extend(img)
-        columns.append(col)
-    rhs = []
-    for i, j in pairs:
-        rhs.extend(vadd(bracket(algebra, du[i], units[j]), bracket(algebra, units[i], du[j])))
-    for i, j, k in triples:
-        val = triple(algebra, du[i], units[j], units[k])
-        val = vadd(val, triple(algebra, units[i], du[j], units[k]))
-        val = vadd(val, triple(algebra, units[i], units[j], du[k]))
-        rhs.extend(val)
-    m = Matrix(n_rows, 2 * n * n, (1, tuple(
-        tuple(columns[q][r] for q in range(2 * n * n)) for r in range(n_rows))))
-    return m, tuple(rhs)
-
-
 def joint_quasi_projection(algebra):
     """Space of all maps admitting companions, via a joint nullspace.
 
@@ -260,7 +212,7 @@ def test_derivation_space_matches_probe_oracle():
 
 
 TWISTS = {
-    "chevalley": [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    "chevalley": CHEVALLEY,
     "torus": [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]],
     "torus4": [[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]],
 }
@@ -568,19 +520,7 @@ def test_dhat_inconsistent_for_nonzero_derivation_of_sl2():
     clash = r.clash
     assert clash is not None
     # re-verify the certificate from the raw tensors
-    combo = vzero(3)
-    rhs = vzero(3)
-    for tag, coeff in clash.terms:
-        if tag[0] == "binary":
-            _, i, j = tag
-            combo = vadd(combo, vscale(coeff, a.c[i][j]))
-            rhs = vadd(rhs, vscale(coeff, dhat_binary_rhs(
-                a, ad_h, Matrix.identity(3), vunit(3, i), vunit(3, j))))
-        else:
-            _, i, j, k = tag
-            combo = vadd(combo, vscale(coeff, a.d[i][j][k]))
-            rhs = vadd(rhs, vscale(coeff, dhat_ternary_rhs(
-                a, ad_h, Matrix.identity(3), vunit(3, i), vunit(3, j), vunit(3, k))))
+    combo, rhs = clash_sums(a, ad_h, clash)
     assert combo == vzero(3)
     assert rhs == clash.mismatch
     assert rhs != vzero(3)
@@ -718,7 +658,7 @@ def test_solvers_and_rechecks_reuse_the_stored_form(monkeypatch):
     from lya import lyalg, theorems
 
     sl2, (rebased_sum, _, _) = catalog("sl2"), rebased(catalog("sl2_plus_ab1"), 11)
-    chev = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    chev = Matrix.from_rows(CHEVALLEY)
     adh = Matrix.from_rows([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
     counts = {"form": 0}
     monkeypatch.setattr(lyalg, "_cleared", counting(counts, "form", lyalg._cleared))
@@ -835,7 +775,7 @@ def test_verify_all_in_a_rational_basis_matches_uncached_checks(monkeypatch):
     from lya import theorems
 
     a, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
-    swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    swap = Matrix.from_rows(SUM_CHEVALLEY)
     moved = certify_automorphism(a, p_inv.mul(swap).mul(p))
     twists = {"id": identity_cert(a), "moved": moved}
     block = Subspace.span(4, [p_inv.mul_vec(vunit(4, i)) for i in range(3)])
@@ -948,77 +888,9 @@ def test_verify_p37_solves_one_hat_map_per_stabilizing_map(monkeypatch):
     assert counts["dhat"] == counts["prescriptions"] == report.details["stab_dim"] >= 2
 
 
-# References for the stabilizer, the quasi companions and the hat map: the
-# wider systems these solvers used to build, kept here to pin their answers.
-
-def stabilizer_reference(algebra, twisted, h):
-    """n*n-wide membership rows for H, intersected with the twisted space."""
-    n = algebra.dim
-    red = [[Fraction(int(l == p)) for p in range(n)] for l in range(n)]
-    for r, a in enumerate(h.pivots):
-        for l in range(n):
-            red[l][a] -= h.basis[r][l]
-    rows = []
-    for b in h.basis:
-        for l in range(n):
-            rows.append(tuple(red[l][p] * b[q] for p in range(n) for q in range(n)))
-    if not rows:
-        return twisted.space
-    return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, (1, tuple(rows)))))
-
-
-def dense_identity_rows(tensor, arity, terms):
-    """Rows of f(T(e_I)) - sum over terms of T(..., f e_{I_s}, ...) = 0, from
-    the dense tensor: one row per ordered basis tuple I and coordinate l,
-    zero rows included; entry (p, q) of f sits at column p*n + q.  Each term
-    lists the basis images of a fixed map per slot, None where f goes."""
-    n = len(tensor)
-    units = [vunit(n, i) for i in range(n)]
-    evaluate = contraction_oracle_binary if arity == 2 else contraction_oracle_ternary
-    base = {idx: functools.reduce(operator.getitem, idx, tensor)
-            for idx in itertools.product(range(n), repeat=arity)}
-    twisted = []
-    for term in terms:
-        entries = {idx: evaluate(tensor, *(units[i] if images is None else images[i]
-                                           for i, images in zip(idx, term)))
-                   for idx in base}
-        twisted.append((term.index(None), entries))
-    rows = []
-    for idx, value in base.items():
-        for l in range(n):
-            row = [Fraction(0)] * (n * n)
-            for a, x in enumerate(value):
-                row[l * n + a] += x
-            for s, entries in twisted:
-                for a in range(n):
-                    row[a * n + idx[s]] -= entries[idx[:s] + (a,) + idx[s + 1:]][l]
-            rows.append(tuple(row))
-    return rows
-
-
-def quasi_reference(algebra, d_map):
-    """Both companions from one system in 2*n*n unknowns, D' first."""
-    n = algebra.dim
-    c, d = algebra.c, algebra.d
-    units = [vunit(n, i) for i in range(n)]
-    du = [d_map.mul_vec(u) for u in units]
-    pad = (Fraction(0),) * (n * n)
-    rows = [r + pad for r in dense_identity_rows(c, 2, [])]
-    rows += [pad + r for r in dense_identity_rows(d, 3, [])]
-    rhs = []
-    for i, j in itertools.product(range(n), repeat=2):
-        rhs.extend(vadd(contraction_oracle_binary(c, du[i], units[j]),
-                        contraction_oracle_binary(c, units[i], du[j])))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        val = vadd(contraction_oracle_ternary(d, du[i], units[j], units[k]),
-                   contraction_oracle_ternary(d, units[i], du[j], units[k]))
-        rhs.extend(vadd(val, contraction_oracle_ternary(d, units[i], units[j], du[k])))
-    solution = solve(Matrix(len(rows), 2 * n * n, (1, tuple(rows))), rhs)
-    if solution is None:
-        return None
-    return QuasiWitness(unflat(n, solution[: n * n]),
-                        unflat(n, solution[n * n:]))
-
+# A reference for the hat map (those for the stabilizer and the quasi
+# companions are in ``reference``): the wider system it used to build, kept
+# here to pin its answers.
 
 def dhat_reference(algebra, d_map, theta):
     """The n x m hat matrix from one nG x nm Kronecker system, or None."""
@@ -1043,43 +915,6 @@ def dhat_reference(algebra, d_map, theta):
     if solution is None:
         return None
     return Matrix(n, m, (1, tuple(tuple(solution[l * m + b] for b in range(m)) for l in range(n))))
-
-
-def lie_algebra(n, brackets):
-    """from_lie on the bracket [e_i, e_j] = sum of x e_l over (i, j, l, x)."""
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, j, l, x in brackets:
-        c[i][j][l] += x
-        c[j][i][l] -= x
-    return from_lie(c)
-
-
-def h5():
-    """[x_i, y_i] = z on (x1, x2, y1, y2, z)."""
-    return lie_algebra(5, [(0, 2, 4, 1), (1, 3, 4, 1)])
-
-
-def gl(m):
-    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the units E_ij at mi + j."""
-    units = [(i, j) for i in range(m) for j in range(m)]
-    brackets = []
-    for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):
-        if j == k:
-            brackets.append((a, b, m * i + l, 1))
-        if l == i:
-            brackets.append((a, b, m * k + j, -1))
-    return lie_algebra(m * m, brackets)
-
-
-def gl2():
-    return gl(2)
-
-
-# x_i -> y_i, y_i -> -x_i, z -> z on h5
-H5_SWAP = [[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
-# On gl2 (units E_ij at 2i + j): X -> -X^T and conjugation by diag(1, 2).
-GL2_TWISTS = [[[-1, 0, 0, 0], [0, 0, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1]],
-              [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]]
 
 
 @functools.cache
@@ -1154,9 +989,8 @@ def transported_rhs_cases():
     rebased sum the Chevalley swap with the line negated, and on h5 the swap
     x_i -> y_i, y_i -> -x_i."""
     rebased_sum, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
-    chev_line = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     twists = {
-        "sl2": [[[0, 1, 0], [1, 0, 0], [0, 0, -1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]],
+        "sl2": [CHEVALLEY, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]],
         "h3": [[[0, -1, 0], [1, 0, 0], [0, 0, 1]]],
         "lts_sl2": [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]],
     }
@@ -1164,7 +998,7 @@ def transported_rhs_cases():
                 for name in CATALOG_NAMES]
     algebras += [(direct_sum(catalog(x), catalog(y)), [])
                  for x, y in (("aff2", "h3"), ("leibniz2", "lts_sl2"))]
-    algebras += [(rebased_sum, [p_inv.mul(chev_line).mul(p)]),
+    algebras += [(rebased_sum, [p_inv.mul(Matrix.from_rows(SUM_CHEVALLEY)).mul(p)]),
                  (h5(), [Matrix.from_rows(H5_SWAP)]),
                  (gl2(), [])]
     return [(a, [identity_cert(a)] + [certify_automorphism(a, t) for t in maps])
@@ -1176,7 +1010,7 @@ def row_cases():
     """(algebra, automorphisms) for the constraint rows: the cases of
     :func:`transported_rhs_cases` and abelian0; the Chevalley swap and
     torus twists with denominators on sl2, lts_sl2 and sl2_plus_ab1; gl2
-    with the twists above; and h5 and gl2 in seeded rational bases, with
+    with GL2_TWISTS; and h5 and gl2 in seeded rational bases, with
     their twists transported (a map f becomes P^-1 f P)."""
     cases = list(transported_rhs_cases())
     cases.append((catalog("abelian0"), [identity_cert(catalog("abelian0"))]))
@@ -1532,19 +1366,6 @@ def test_dhat_on_algebras_without_products():
 
 # -- basis covariance of the solvers ---------------------------------------------
 
-@functools.cache
-def covariance_cases():
-    """(algebra, twists): the catalog (from_leibniz of leibniz2 among it), two
-    direct sums, h5 and gl2, each with the automorphisms used above."""
-    twists = {"sl2": [chevalley_cert().map], "lts_sl2": [neg_cert("lts_sl2").map]}
-    cases = [(catalog(name), twists.get(name, [])) for name in CATALOG_NAMES]
-    cases += [(direct_sum(catalog("aff2"), catalog("h3")), []),
-              (direct_sum(catalog("lts_sl2"), catalog("abelian1")), []),
-              (h5(), [Matrix.from_rows(H5_SWAP)]),
-              (gl2(), [Matrix.from_rows(rows) for rows in GL2_TWISTS])]
-    return cases
-
-
 def test_solver_spaces_are_basis_covariant():
     """For rational P drawn by hypothesis and A' = P.A (products
     P^-1 T(P e_i, P e_j[, P e_k])): der A' = P^-1 (der A) P, the same for the
@@ -1568,7 +1389,7 @@ def test_solver_spaces_are_basis_covariant():
         p = Matrix.from_rows(rows)
         p_inv = invert(p)
         hypothesis.assume(p_inv is not None)
-        moved = from_tensors(a.labels, *transport(a.c, a.d, p, p_inv))
+        moved = transported(a, p, p_inv)
 
         def conj(f):
             return p_inv.mul(f).mul(p)

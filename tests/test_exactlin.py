@@ -411,8 +411,7 @@ def algebra_matrices():
     derivation constraint matrix."""
     from lya import derivations
     from lya.lyalg import CATALOG_NAMES, catalog
-    from test_derivations import gl2, h5
-    from test_maps import rebased
+    from reference import gl2, h5, rebased
 
     algebras = [catalog(name) for name in CATALOG_NAMES]
     algebras += [rebased(catalog("sl2_plus_ab1"), 11)[0], h5(), gl2()]
@@ -780,6 +779,12 @@ def test_matrix_mul_matches_fraction_products():
         got = Matrix.zero(r, k).mul(Matrix.zero(k, c))
         assert got == Matrix.zero(r, c)
         assert all(type(x) is Fraction for row in got.entries for x in row)
+    # A negative non-integer factor and 0 give the canonical form of the entries.
+    left = ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(-2, 5)))
+    for t in (Fraction(-3, 2), Fraction(0), Fraction(-1)):
+        want = Matrix(2, 2, (1, tuple(tuple(t * x for x in row) for row in left)))
+        got = Matrix(2, 2, (1, left)).scale(t)
+        assert got.entries == want.entries and got.form == want.form
     ints = Matrix(2, 2, (1, ((1, 2), (3, 4))))
     assert ints.mul(ints).entries == ((7, 10), (15, 22))
     assert all(type(x) is Fraction for row in ints.mul(ints).entries for x in row)

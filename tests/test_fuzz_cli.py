@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from lya.cli import main  # noqa: E402
 from lya.lyalg import CATALOG_NAMES, catalog  # noqa: E402
 from lya.serialize import algebra_to_dict, canonical_json  # noqa: E402
-from test_stored_form import compare_with_dense_loader  # noqa: E402
+from reference import compare_with_dense_loader  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=list(HealthCheck))

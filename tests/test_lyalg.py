@@ -9,7 +9,7 @@ import pytest
 
 from lya import lyalg
 from lya.errors import AxiomError, InputError, MathError
-from lya.exactlin import Matrix, invert, vadd, vec, vec_strs, vscale, vunit, vzero
+from lya.exactlin import vadd, vec, vec_strs, vscale, vunit, vzero
 from lya.lyalg import (
     CATALOG_NAMES,
     AxiomFailure,
@@ -27,6 +27,8 @@ from lya.lyalg import (
     sl2_lie_tensor,
     triple,
 )
+from reference import (contraction_oracle_binary, contraction_oracle_ternary, from_tensors,
+                       leibniz_from_tensor, lie_bracket, rebased, transported)
 
 E, F, H = 0, 1, 2  # sl2 basis order used by the catalog
 
@@ -37,43 +39,6 @@ def zero_tensor3(n):
 
 def zero_tensor4(n):
     return tuple(zero_tensor3(n) for _ in range(n))
-
-
-def keyed(tensor, key=()):
-    """The nonzero entries of a dense nested tensor as Fractions, keyed by
-    their indices, the last one a vector's coordinate, as a stored form
-    keys them."""
-    if tensor and not isinstance(tensor[0], (list, tuple)):
-        return {key + (l,): Fraction(x) for l, x in enumerate(tensor) if x}
-    return {k: x for i, sub in enumerate(tensor) for k, x in keyed(sub, key + (i,)).items()}
-
-
-def from_tensors(labels, c, d):
-    """The algebra of the dense structure tensors c[i][j][l] and
-    d[i][j][k][l], every entry taken as given."""
-    return LYAlgebra(len(labels), tuple(labels), (1, keyed(c), keyed(d)))
-
-
-def leibniz_from_tensor(labels, product):
-    """The Leibniz algebra of the dense product tensor product[i][j][l]."""
-    return LeibnizAlgebra(len(labels), tuple(labels), (1, keyed(product)))
-
-
-def _support(v):
-    return [a for a, x in enumerate(v) if x]
-
-
-def contraction_oracle_binary(c, g, h):
-    """Scalar-by-scalar contraction of two coordinate vectors against a dense
-    product tensor, coded independently of the stored form."""
-    terms = [(g[a] * h[b], c[a][b]) for a in _support(g) for b in _support(h)]
-    return tuple(sum((x * v[k] for x, v in terms), Fraction(0)) for k in range(len(c)))
-
-
-def contraction_oracle_ternary(d, g, h, i):
-    terms = [(g[a] * h[b] * i[e], d[a][b][e])
-             for a in _support(g) for b in _support(h) for e in _support(i)]
-    return tuple(sum((x * v[k] for x, v in terms), Fraction(0)) for k in range(len(d)))
 
 
 def rand_vec(rng, n):
@@ -198,17 +163,6 @@ def test_from_lie_rejects_non_antisymmetric():
     assert err.value.witness == {"indices": [0, 0]}
 
 
-def lie_bracket(n, entries, antisymmetric=True):
-    """The dense bracket of dimension n with x added at [e_i, e_j]_l, and -x
-    at [e_j, e_i]_l when ``antisymmetric``, for each (i, j, l, x)."""
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, l, x in entries:
-        c[i][j][l] += x
-        if antisymmetric:
-            c[j][i][l] -= x
-    return c
-
-
 @pytest.mark.parametrize("c, message, witness", [
     (lie_bracket(2, [(1, 1, 1, Fraction(3, 2))], antisymmetric=False),
      "bracket of basis element 1 with itself is nonzero", {"indices": [1, 1]}),
@@ -256,12 +210,12 @@ def lie_error_reference(c):
     return None
 
 
-def drawn_bracket(rng, rebased):
+def drawn_bracket(rng, rebased_brackets):
     """A bracket of dimension at most 5 with a few rational entries, one in
-    five of them not antisymmetric; one in ten is one of the ``rebased``
-    brackets with at most one antisymmetric change."""
+    five of them not antisymmetric; one in ten is one of ``rebased_brackets``
+    with at most one antisymmetric change."""
     if rng.random() < 0.1:
-        c = [[list(v) for v in row] for row in rng.choice(rebased)]
+        c = [[list(v) for v in row] for row in rng.choice(rebased_brackets)]
         n = len(c)
         if rng.random() < 0.5:
             i, j, l = rng.sample(range(n), 2) + [rng.randrange(n)]
@@ -282,11 +236,11 @@ def test_from_lie_matches_the_dense_bracket_scan_on_drawn_brackets():
     the Jacobi residual as the scan gave it, and each Lie bracket lifts to
     the algebra with the bracket as c and the iterated bracket as d."""
     rng = random.Random(2023)
-    rebased = [change_basis(catalog(name), seed)[0] for name in ("sl2", "h3", "aff2")
-               for seed in range(4)]
+    rebased_brackets = [rebased(catalog(name), seed)[0].c for name in ("sl2", "h3", "aff2")
+                        for seed in range(4)]
     seen = collections.Counter()
     for _ in range(1200):
-        c = drawn_bracket(rng, rebased)
+        c = drawn_bracket(rng, rebased_brackets)
         n, want = len(c), lie_error_reference(c)
         if want is None:
             a, iterated = from_lie(c), iterated_bracket(c)
@@ -557,33 +511,6 @@ def axiom_oracle(n, c, d):
     return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
-def random_basis(n, seed):
-    """A seeded random invertible rational P and its inverse."""
-    rng = random.Random(seed)
-    while True:
-        p = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-                               for _ in range(n)] for _ in range(n)])
-        p_inv = invert(p)
-        if p_inv is not None:
-            return p, p_inv
-
-
-def transport(c, d, p, p_inv):
-    """Structure constants c, d in the basis of P's columns."""
-    n = len(c)
-    cols = p.transpose().entries
-    c = [[p_inv.mul_vec(contraction_oracle_binary(c, cols[i], cols[j])) for j in range(n)]
-         for i in range(n)]
-    d = [[[p_inv.mul_vec(contraction_oracle_ternary(d, cols[i], cols[j], cols[k]))
-           for k in range(n)] for j in range(n)] for i in range(n)]
-    return c, d
-
-
-def change_basis(a, seed):
-    """Structure constants of ``a`` in a seeded random rational basis."""
-    return transport(a.c, a.d, *random_basis(a.dim, seed))
-
-
 def corrupt(rng, c, d, denominator):
     """Add p/denominator to a few random coordinates, half the time keeping
     the alternating symmetry of the touched pair."""
@@ -614,7 +541,8 @@ def test_check_axioms_matches_oracle_on_catalog():
 
 def test_check_axioms_matches_oracle_after_rational_change_of_basis():
     a = catalog("sl2_plus_ab1")
-    c, d = change_basis(a, seed=11)
+    moved = rebased(a, seed=11)[0]
+    c, d = moved.c, moved.d
     assert any(x.denominator > 1 for row in c for v in row for x in v)
     report = check_axioms(a.dim, c, d)
     assert report.passed
@@ -626,8 +554,8 @@ def test_check_axioms_matches_oracle_on_seeded_corruptions():
     # (c, d, corruptions per denominator); the dense four-dimensional case
     # is the slowest for the oracle, so it gets one of each.
     bases = [(catalog(name).c, catalog(name).d, 4) for name in ("sl2", "lts_sl2", "aff2")]
-    bases.append((*change_basis(catalog("sl2"), seed=5), 4))
-    bases.append((*change_basis(catalog("sl2_plus_ab1"), seed=11), 1))
+    bases += [(moved.c, moved.d, count) for moved, count in
+              ((rebased(catalog("sl2"), 5)[0], 4), (rebased(catalog("sl2_plus_ab1"), 11)[0], 1))]
     tags = set()
     for c0, d0, count in bases:
         for denominator in (2, 5):
@@ -710,11 +638,10 @@ def test_inner_map_defects_are_evaluated_once_per_basis_map(monkeypatch):
 
 
 def stored_form_algebras():
-    sl2_sum = catalog("sl2_plus_ab1")
-    rebased = from_tensors(sl2_sum.labels, *change_basis(sl2_sum, seed=11))
     return {**{name: catalog(name) for name in CATALOG_NAMES},
             "sl2+h3": direct_sum(catalog("sl2"), catalog("h3")),
-            "from_leibniz": from_leibniz(leibniz2()), "rebased": rebased}
+            "from_leibniz": from_leibniz(leibniz2()),
+            "rebased": rebased(catalog("sl2_plus_ab1"), 11)[0]}
 
 
 @pytest.mark.parametrize("name", stored_form_algebras())
@@ -756,9 +683,8 @@ CATALOG_REPR_SHA256 = {
 
 def restored(a, seed):
     """``a`` moved to a seeded rational basis, and moved back."""
-    p, p_inv = random_basis(a.dim, seed)
-    moved = from_tensors(a.labels, *transport(a.c, a.d, p, p_inv))
-    return moved, from_tensors(a.labels, *transport(moved.c, moved.d, p_inv, p))
+    moved, p, p_inv = rebased(a, seed)
+    return moved, transported(moved, p_inv, p)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

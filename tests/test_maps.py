@@ -23,7 +23,8 @@ from lya.maps import (
     satisfies_g_derivation,
 )
 from lya.theorems import default_catalog_reports
-from test_lyalg import contraction_oracle_binary, contraction_oracle_ternary, from_tensors
+from reference import (CHEVALLEY, chevalley_cert, contraction_oracle_binary,
+                       contraction_oracle_ternary, neg_cert, rand_map, rebased, shifted, unflat)
 
 E, F, H = 0, 1, 2
 
@@ -34,11 +35,6 @@ def ad(algebra, x):
     from lya.lyalg import bracket
     cols = [bracket(algebra, x, vunit(n, k)) for k in range(n)]
     return Matrix.from_rows(cols).transpose()
-
-
-def chevalley_swap():
-    # e <-> f, h -> -h in the catalog's (e, f, h) basis
-    return Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
 
 
 def rand_vec(rng, n):
@@ -52,8 +48,7 @@ def test_compose_identity():
 
 
 def test_compose_with_inverse_is_identity():
-    a = catalog("sl2")
-    cert = certify_automorphism(a, chevalley_swap())
+    cert = chevalley_cert()
     assert compose(cert.map, cert.inverse) == Matrix.identity(3)
     assert compose(cert.inverse, cert.map) == Matrix.identity(3)
 
@@ -92,7 +87,7 @@ def test_doubling_is_not_homomorphism_on_sl2():
 
 def test_chevalley_swap_is_homomorphism():
     a = catalog("sl2")
-    assert _hom_defect(a, chevalley_swap()) is None
+    assert _hom_defect(a, Matrix.from_rows(CHEVALLEY)) is None
 
 
 def test_certify_identity():
@@ -132,8 +127,7 @@ def test_verify_suite_matrix_products(monkeypatch):
 
 
 def test_certify_negated_identity_on_lts():
-    a = catalog("lts_sl2")
-    cert = certify_automorphism(a, Matrix.identity(3).scale(-1))
+    cert = neg_cert("lts_sl2")
     assert cert.inverse == Matrix.identity(3).scale(-1)
 
 
@@ -269,12 +263,6 @@ def test_a_map_must_be_a_square_matrix(name, rows):
         MAP_TAKERS[name](catalog("sl2"), Matrix.from_rows(rows))
 
 
-def unflat(n, flat):
-    """The map whose matrix is the vector ``flat`` read row-major, as
-    ``Matrix.flatten`` writes it."""
-    return Matrix.from_rows([flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
-
-
 def test_unflatten_round_trip():
     f = Matrix.from_rows([[1, 2], [3, 4]])
     assert f.flatten() == vec([1, 2, 3, 4])
@@ -324,37 +312,6 @@ def hom_defect_reference(algebra, f):
     return None
 
 
-def rebased(a, seed):
-    """``a`` in a seeded random rational basis P: products are P^-1 c(Pe_i, Pe_j)."""
-    rng = random.Random(seed)
-    n = a.dim
-    while True:
-        p = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-                               for _ in range(n)] for _ in range(n)])
-        p_inv = invert(p)
-        if p_inv is not None:
-            break
-    cols = p.transpose().entries
-    c = [[p_inv.mul_vec(contraction_oracle_binary(a.c, cols[i], cols[j])) for j in range(n)]
-         for i in range(n)]
-    d = [[[p_inv.mul_vec(contraction_oracle_ternary(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
-          for j in range(n)] for i in range(n)]
-    return from_tensors(a.labels, c, d), p, p_inv
-
-
-def rand_map(rng, n):
-    return Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
-                              for _ in range(n)] for _ in range(n)], cols=n)
-
-
-def shifted(rng, f):
-    """f with one seeded entry raised by 1/3."""
-    n = f.rows
-    rows = [list(r) for r in f.entries]
-    rows[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 3)
-    return Matrix.from_rows(rows)
-
-
 @functools.cache
 def recheck_cases():
     """(algebra, twist pairs, maps) over the catalog and a rebased sum algebra.
@@ -368,7 +325,6 @@ def recheck_cases():
     """
     rng = random.Random(41)
     cases = []
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
     algebras = [(catalog(name), None, None) for name in CATALOG_NAMES]
     algebras.append(rebased(catalog("sl2_plus_ab1"), seed=11))
     for a, p, p_inv in algebras:
@@ -376,7 +332,7 @@ def recheck_cases():
         ident = Matrix.identity(n)
         twists = [ident, ident.scale(-1)]
         if n >= 3:
-            chev = Matrix.from_rows([[swap[i][j] if max(i, j) < 3 else int(i == j)
+            chev = Matrix.from_rows([[CHEVALLEY[i][j] if max(i, j) < 3 else int(i == j)
                                       for j in range(n)] for i in range(n)])
             if p is not None:
                 chev = p_inv.mul(chev).mul(p)

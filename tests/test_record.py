@@ -25,7 +25,7 @@ from lya.lyalg import (CATALOG_NAMES, AxiomFailure, AxiomReport, LeibnizAlgebra,
 from lya.maps import AutCert, identity_cert
 from lya.structure import center, derived_algebra
 from lya.theorems import CheckSpec, PropReport, default_catalog_plan, default_catalog_reports
-from test_lyalg import leibniz_from_tensor
+from reference import leibniz_from_tensor
 
 # The fields of each type in order, a (name, default) pair where the field
 # has a default, written out here rather than read from the types.

@@ -1,16 +1,15 @@
 """Algebras, maps and subspaces store only their cleared integer forms.
 
-The dense JSON loader, direct sum and LY1/LY2 scans below are the code that
-built and checked dense Fraction tensors before an algebra stored only its
-form; they are kept here as references for the form-level code that
-replaced them.  The structural pin makes the dense views ``c`` and ``d``
+The dense JSON loader (in ``reference``), direct sum and LY1/LY2 scans are
+the code that built and checked dense Fraction tensors before an algebra
+stored only its form; they are kept as references for the form-level code
+that replaced them.  The structural pin makes the dense views ``c`` and ``d``
 fail on any read and holds every benchmark verb, the built-in suite and the
 loader to the bytes they printed when the dense tensors were stored.
 """
 
 import hashlib
 import io
-import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -21,60 +20,21 @@ from lya import exactlin
 from lya.cli import main
 from lya.derivations import (derivation_space, require_stabilized_subalgebra,
                              stabilizer_derivations)
-from lya.errors import AxiomError, InputError
+from lya.errors import AxiomError
 from lya.exactlin import (Matrix, Subspace, coordinates, invert, subspace_contains, vadd, vec,
                           vscale, vunit, vzero)
 from lya.lyalg import bracket, catalog, check_axioms, direct_sum, from_leibniz, leibniz2
 from lya.maps import (certify_automorphism, compose, identity_cert, restrict_map,
                       satisfies_g_derivation)
-from lya.serialize import (_get_dim, _get_entries, _get_labels, _is_int, _require,
-                           algebra_from_dict, algebra_to_dict, map_to_dict, read_json_file,
-                           raw_algebra_from_dict, save_json_file, strs_vec)
+from lya.serialize import (algebra_from_dict, algebra_to_dict, map_to_dict, read_json_file,
+                           save_json_file)
 from lya.structure import derived_algebra, is_subalgebra
 from lya.theorems import extract_subalgebra, verify_p37, verify_p38
-from test_derivations import GL2_TWISTS, H5_SWAP, gl2, h5
-from test_lyalg import from_tensors, leibniz_from_tensor
-from test_maps import rebased
-from test_structure import without_dense_tensors
+from reference import (GL2_TWISTS, H5_SWAP, SUM_CHEVALLEY, assert_form_is,
+                       compare_with_dense_loader, from_tensors, gl2, h5, leibniz_from_tensor,
+                       rebased, transported_leibniz, without_dense_tensors)
 
 # -- dense references --------------------------------------------------------
-
-
-def dense_loader(data):
-    """The algebra file as dense tensors (n, labels, c, d), every InputError
-    message as the loader raised it."""
-    n = _get_dim(data)
-    labels = _get_labels(data, n)
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    d = [[[list(vzero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    seen_binary = set()
-    for entry in _get_entries(data, "binary"):
-        _require(isinstance(entry, list) and len(entry) == 3, "binary entry must be [i, j, coeffs]")
-        i, j, coeffs = entry
-        _require(_is_int(i) and _is_int(j), "binary indices must be integers")
-        _require(0 <= i < j < n, f"binary indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
-        _require((i, j) not in seen_binary, f"duplicate binary entry ({i}, {j})")
-        seen_binary.add((i, j))
-        v = strs_vec(coeffs, n)
-        c[i][j] = list(v)
-        c[j][i] = [-x for x in v]
-    seen_ternary = set()
-    for entry in _get_entries(data, "ternary"):
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "ternary entry must be [i, j, k, coeffs]")
-        i, j, k, coeffs = entry
-        _require(all(_is_int(x) for x in (i, j, k)), "ternary indices must be integers")
-        _require(0 <= i < j < n and 0 <= k < n,
-                 "ternary indices must satisfy 0 <= i < j < dim and 0 <= k < dim, "
-                 f"got ({i}, {j}, {k})")
-        _require((i, j, k) not in seen_ternary, f"duplicate ternary entry ({i}, {j}, {k})")
-        seen_ternary.add((i, j, k))
-        v = strs_vec(coeffs, n)
-        d[i][j][k] = list(v)
-        d[j][i][k] = [-x for x in v]
-    c_t = tuple(tuple(tuple(x for x in row) for row in plane) for plane in c)
-    d_t = tuple(tuple(tuple(tuple(x for x in v) for v in plane) for plane in cube) for cube in d)
-    return n, labels, c_t, d_t
 
 
 def dense_direct_sum(a, b):
@@ -116,48 +76,6 @@ def dense_alternation_failures(n, c, d):
                 if any(res):
                     failures.append(("LY2", (i, j, k), res))
     return failures
-
-
-def form_values(n, form):
-    """The rational structure constants of a form whose entries are nonzero
-    integers at keys inside dimension n, keyed as in the form."""
-    scale, binary, ternary = form
-    assert all(type(x) is int and x for part in (binary, ternary) for x in part.values())
-    assert all(len(key) == 3 and max(key) < n for key in binary)
-    assert all(len(key) == 4 and max(key) < n for key in ternary)
-    return {key: Fraction(x, scale) for part in (binary, ternary) for key, x in part.items()}
-
-
-def assert_form_is(n, form, c, d):
-    """The form is the canonical cleared form of the dense tensors c, d: their
-    nonzero entries times their least common denominator."""
-    values = {(i, j, l): x for i, row in enumerate(c) for j, v in enumerate(row)
-              for l, x in enumerate(v) if x}
-    values.update({(i, j, k, l): x for i, plane in enumerate(d) for j, row in enumerate(plane)
-                   for k, v in enumerate(row) for l, x in enumerate(v) if x})
-    assert form_values(n, form) == values
-    assert form[0] == math.lcm(*(x.denominator for x in values.values()))
-
-
-def compare_with_dense_loader(obj):
-    """The loader and its dense reference agree on ``obj``: the same
-    InputError message, or the form of the same tensors with the same
-    axiom report."""
-    try:
-        want = dense_loader(obj)
-    except InputError as exc:
-        with pytest.raises(InputError) as err:
-            raw_algebra_from_dict(obj)
-        assert str(err.value) == str(exc)
-        return
-    n, labels, form = raw_algebra_from_dict(obj)
-    assert (n, labels) == want[:2]
-    assert_form_is(n, form, *want[2:])
-    report = check_axioms(n, *want[2:])
-    try:
-        assert algebra_from_dict(obj).form == form and report.passed
-    except AxiomError as exc:
-        assert exc.report == report and not report.passed
 
 
 def test_loader_matches_the_dense_reference_on_the_catalog_and_hand_cases():
@@ -351,16 +269,7 @@ def test_from_leibniz_passes_the_axioms_in_every_basis():
         p = Matrix.from_rows(rows)
         p_inv = invert(p)
         hypothesis.assume(p_inv is not None)
-        cols = p.transpose().entries
-
-        def product(u, v):
-            return tuple(sum((u[i] * v[j] * b.product[i][j][l]
-                              for i in range(n) for j in range(n)), Fraction(0))
-                         for l in range(n))
-
-        moved = leibniz_from_tensor(b.labels, [
-            [p_inv.mul_vec(product(cols[i], cols[j])) for j in range(n)] for i in range(n)])
-        for leibniz in (b, moved):
+        for leibniz in (b, transported_leibniz(b, p, p_inv)):
             a = from_leibniz(leibniz)
             assert check_axioms(a.dim, a.c, a.d).passed
 
@@ -378,8 +287,7 @@ def test_a_stored_map_or_basis_is_never_cleared_again(monkeypatch):
     alg, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     n = alg.dim
     space = Subspace.span(n, p_inv.transpose().entries[:3])
-    theta = p_inv.mul(Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0],
-                                        [0, 0, 0, -1]])).mul(p)
+    theta = p_inv.mul(Matrix.from_rows(SUM_CHEVALLEY)).mul(p)
     ders = derivation_space(alg)
     f, ident = ders.maps()[0], Matrix.identity(n)
     v = vec(["1/3", "-2", "5/7", "0"])
@@ -465,8 +373,7 @@ def test_stabilizer_paths_clear_no_basis_vector_or_image(monkeypatch):
     n = alg.dim
     h = Subspace.span(n, p_inv.transpose().entries[:3])
     assert h.echelon.form[0] > 1
-    swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-    theta = certify_automorphism(alg, p_inv.mul(swap).mul(p))
+    theta = certify_automorphism(alg, p_inv.mul(Matrix.from_rows(SUM_CHEVALLEY)).mul(p))
     sites = recorded_clear_sites(monkeypatch)
     require_stabilized_subalgebra(alg, theta, h)
     assert set(sites) == {"Matrix"}, sites
@@ -534,8 +441,7 @@ def test_solvers_clear_no_row_of_their_own_systems(monkeypatch):
     alg, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
     n = alg.dim
     basis = [vunit(n, i) for i in range(n)]
-    swap = certify_automorphism(alg, p_inv.mul(Matrix.from_rows(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p))
+    swap = certify_automorphism(alg, p_inv.mul(Matrix.from_rows(SUM_CHEVALLEY)).mul(p))
     ident = identity_cert(alg)
     # The line of 2e + a: the derivations that keep it are a proper subspace.
     h = Subspace.span(n, [p_inv.mul_vec((2, 0, 0, 1))])

@@ -21,7 +21,7 @@ from lya.derivations import (
 from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (Matrix, Subspace, invert, nullspace, rref, subspace_contains,
                           subspace_intersect, vadd, vscale, vunit)
-from lya.lyalg import CATALOG_NAMES, LeibnizAlgebra, LYAlgebra, bracket, catalog, direct_sum, triple
+from lya.lyalg import CATALOG_NAMES, bracket, catalog, direct_sum, triple
 from lya.maps import certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
 from lya.structure import (
@@ -34,11 +34,10 @@ from lya.structure import (
 )
 from lya import exactlin, theorems
 from lya.theorems import _extract_subalgebra, default_catalog_plan, verify_p35
-from test_derivations import (covariance_cases, gl2, h5, quasi_reference,
-                              stabilizer_reference)
-from test_lyalg import (contraction_oracle_binary as bi, contraction_oracle_ternary as tri,
-                        from_tensors)
-from test_maps import rand_map, rebased, unflat
+from reference import (CHEVALLEY, SUM_CHEVALLEY, contraction_oracle_binary as bi,
+                       contraction_oracle_ternary as tri, covariance_cases, from_tensors, gl2,
+                       h5, quasi_reference, rand_map, rebased, stabilizer_reference, transported,
+                       unflat, without_dense_tensors)
 
 E, F, H = 0, 1, 2
 
@@ -434,17 +433,6 @@ def test_dhat_and_inner_match_the_dense_references():
 
 # -- the dense tensors are never read ----------------------------------------
 
-def refuse(name, _algebra):
-    raise AssertionError(f"the dense tensor {name} was read")
-
-
-def without_dense_tensors(monkeypatch):
-    """Make the dense views c and d of every algebra, and the dense product
-    of every Leibniz algebra, fail on any read."""
-    for cls, name in ((LYAlgebra, "c"), (LYAlgebra, "d"), (LeibnizAlgebra, "product")):
-        monkeypatch.setattr(cls, name, property(functools.partial(refuse, name)))
-
-
 def stored_form_answers(a, twist, rng):
     """The answer of every reader and solver that once read c or d."""
     n = a.dim
@@ -468,9 +456,8 @@ def stored_form_answers(a, twist, rng):
 
 def test_products_are_read_from_the_stored_form_only(monkeypatch):
     rebased_sum, p, p_inv = rebased(catalog("sl2_plus_ab1"), 11)
-    chev = p_inv.mul(Matrix.from_rows(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])).mul(p)
-    sl2_chev = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    chev = p_inv.mul(Matrix.from_rows(SUM_CHEVALLEY)).mul(p)
+    sl2_chev = Matrix.from_rows(CHEVALLEY)
     cases = ((rebased_sum, chev), (catalog("sl2"), sl2_chev), (catalog("sl2_plus_ab1"), None))
     want = [stored_form_answers(a, twist, random.Random(37)) for a, twist in cases]
     without_dense_tensors(monkeypatch)
@@ -480,16 +467,6 @@ def test_products_are_read_from_the_stored_form_only(monkeypatch):
 
 
 # -- basis covariance ----------------------------------------------------------
-
-def transported(a, p, p_inv):
-    """``a`` in the basis of P's columns: products P^-1 T(P e_i, P e_j[, P e_k])."""
-    n = a.dim
-    cols = p.transpose().entries
-    c = [[p_inv.mul_vec(bi(a.c, cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    d = [[[p_inv.mul_vec(tri(a.d, cols[i], cols[j], cols[k])) for k in range(n)]
-          for j in range(n)] for i in range(n)]
-    return from_tensors(a.labels, c, d)
-
 
 def test_structure_is_basis_covariant():
     """center(P.A) = P^-1 center(A), the same for the derived algebra, and

@@ -34,13 +34,9 @@ from lya.theorems import (
     verify_p38,
     verify_t32,
 )
+from reference import chevalley_cert, neg_cert, rebased
 
 E, F, H = 0, 1, 2
-
-
-def chevalley_cert():
-    return certify_automorphism(
-        catalog("sl2"), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
 
 
 def certified_pairs():
@@ -48,7 +44,7 @@ def certified_pairs():
     lts = catalog("lts_sl2")
     ab3 = catalog("abelian3")
     chev = chevalley_cert()
-    neg = certify_automorphism(lts, Matrix.identity(3).scale(-1))
+    neg = neg_cert("lts_sl2")
     shear = certify_automorphism(ab3, Matrix.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 3]]))
     yield sl2, [identity_cert(sl2), chev]
     yield lts, [identity_cert(lts), neg]
@@ -114,8 +110,7 @@ def test_transported_structure_constants_form_an_ly_algebra():
 
 def test_p33_holds_on_lts_with_negation():
     lts = catalog("lts_sl2")
-    neg = certify_automorphism(lts, Matrix.identity(3).scale(-1))
-    r = verify_p33(lts, neg)
+    r = verify_p33(lts, neg_cert("lts_sl2"))
     assert r.hypotheses_met and r.conclusion_holds
     assert "intersection_dim" in r.details
 
@@ -520,8 +515,6 @@ def reference_p33(algebra, theta, instance="", tested=None):
 def bracket_instances():
     """(algebra, theta, label) for every T32 and P33 check of the suite, h3
     with theta = id, and each of those after a seeded rational change of basis."""
-    from test_maps import rebased
-
     cases = []
     for _, algebra, checks in default_catalog_plan():
         cases += [(algebra, spec.theta, spec.label) for spec in checks
@@ -596,11 +589,11 @@ def corrupted(space, how):
     return DerSpace(Subspace.span(n2, vectors), space.theta, space.vartheta)
 
 
-def twists(a):
+def twists(name):
     """The identity, and the negated identity where it is an automorphism."""
-    yield identity_cert(a)
+    yield identity_cert(catalog(name))
     try:
-        yield certify_automorphism(a, Matrix.identity(a.dim).scale(-1))
+        yield neg_cert(name)
     except MathError:
         pass
 
@@ -619,7 +612,7 @@ def test_corrupted_twisted_spaces_give_the_reference_witness(patch_calls_from, h
     failed = set()
     for name in ("sl2", "abelian2", "h3", "lts_sl2"):
         a = catalog(name)
-        for theta in twists(a):
+        for theta in twists(name):
             for verify, reference in ((verify_t32, reference_t32), (verify_p33, reference_p33)):
                 got = verify(a, theta, name)
                 assert got == reference(a, theta, name)
