@@ -91,10 +91,10 @@ _EXPORTS = {name: layer for layer, names in (
                  "subspace_sum"),
     ("lyalg", "LeibnizAlgebra LYAlgebra bracket catalog check_axioms direct_sum from_leibniz "
               "from_lie triple"),
-    ("maps", "AutCert certify_automorphism commutator compose identity_cert inner_derivation "
-             "restrict_map"),
+    ("maps", "AutCert basis_maps certify_automorphism commutator compose identity_cert "
+             "inner_derivation restrict_map"),
     ("structure", "center derived_algebra is_abelian_ideal is_ideal is_perfect is_subalgebra"),
-    ("derivations", "DerSpace QuasiWitness centroid derivation_space dhat g_derivation_space "
+    ("derivations", "QuasiWitness centroid derivation_space dhat g_derivation_space "
                     "is_quasi_derivation single_twist_space stabilizer_derivations"),
     ("theorems", "CheckSpec PropReport default_catalog_reports extract_subalgebra reports_pass "
                  "verify_all"),

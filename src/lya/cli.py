@@ -161,14 +161,15 @@ def _cmd_construct(args, session) -> tuple[dict, int]:
 
 def _cmd_der(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
-    return ser.derspace_to_dict(derivations.derivation_space(algebra)), 0
+    return ser.derspace_to_dict(derivations.derivation_space(algebra), algebra.dim), 0
 
 
 def _cmd_gder(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     vartheta = _load_cert(session, args.vartheta, algebra)
-    return ser.derspace_to_dict(derivations.g_derivation_space(algebra, theta, vartheta)), 0
+    space = derivations.g_derivation_space(algebra, theta, vartheta)
+    return ser.derspace_to_dict(space, algebra.dim, theta.map, vartheta.map), 0
 
 
 def _cmd_centroid(args, session) -> tuple[dict, int]:
@@ -207,7 +208,9 @@ def _cmd_stabilizer(args, session) -> tuple[dict, int]:
     algebra = _load_algebra(session, args.algebra)
     theta = _load_cert(session, args.theta, algebra)
     h = _resolve(session, "subspace", args.subspace, algebra)
-    return ser.derspace_to_dict(derivations.stabilizer_derivations(algebra, theta, h)), 0
+    space = derivations.stabilizer_derivations(algebra, theta, h)
+    ident = exactlin.Matrix.identity(algebra.dim)
+    return ser.derspace_to_dict(space, algebra.dim, theta.map, ident), 0
 
 
 def _cmd_dhat(args, session) -> tuple[dict, int]:

@@ -2,7 +2,10 @@
 
 Each space of maps is computed as the exact nullspace of a linear system
 over the n*n entries of the unknown matrix.  Unknown entry (p, q) sits at
-flat index p*n + q, matching :meth:`~lya.exactlin.Matrix.flatten`.
+flat index p*n + q, matching :meth:`~lya.exactlin.Matrix.flatten`.  Every
+solver of a space of maps returns that nullspace, the canonical
+:class:`~lya.exactlin.Subspace` of the flattened maps, and
+:func:`~lya.maps.basis_maps` reads its basis maps.
 
 Plain derivations, twisted derivations and the centroid are each the
 kernel of one identity that is linear in the unknown map: f of a product
@@ -36,29 +39,6 @@ from typing import Iterator, Sequence
 from . import exactlin, lyalg, maps, structure
 from ._record import Record
 from .errors import InputError, InternalCheckError, MathError
-
-
-class DerSpace(Record):
-    """Space of maps, flattened row-major into an n*n ambient space.
-
-    ``theta``/``vartheta`` record the twist the basis elements satisfy;
-    both None means the untwisted derivation identities.
-    """
-
-    space: exactlin.Subspace
-    theta: maps.AutCert | None
-    vartheta: maps.AutCert | None
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def alg_dim(self) -> int:
-        return math.isqrt(self.space.ambient_dim)
-
-    def maps(self) -> tuple[exactlin.Matrix, ...]:
-        return maps._maps_of(self.space)
 
 
 def _identity_rows(algebra: lyalg.LYAlgebra, arity: int, terms: Sequence[tuple],
@@ -121,27 +101,29 @@ def _solve_cache():
         _SOLVED.reset(token)
 
 
-def _twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix, vartheta: exactlin.Matrix,
-                   unsound: str) -> exactlin.Subspace:
+def _twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
+                   vartheta: exactlin.Matrix) -> exactlin.Subspace:
     """:func:`_solve_twisted_space`, served from the open run's spaces when
     this one is among them.  Only spaces whose re-checks passed are kept."""
     solved = _SOLVED.get()
     if solved is None:
-        return _solve_twisted_space(algebra, theta, vartheta, unsound)
+        return _solve_twisted_space(algebra, theta, vartheta)
     key = (algebra, theta, vartheta)
     if key not in solved:
-        solved[key] = _solve_twisted_space(algebra, theta, vartheta, unsound)
+        solved[key] = _solve_twisted_space(algebra, theta, vartheta)
     return solved[key]
 
 
 def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
-                         vartheta: exactlin.Matrix, unsound: str) -> exactlin.Subspace:
+                         vartheta: exactlin.Matrix) -> exactlin.Subspace:
     """Nullspace of the twisted identities, each basis element re-checked.
 
     Both products are alternating in their first two slots, so the twisted
     identities are too when θ = ϑ, plain derivations included, and only the
     basis tuples with i < j carry rows then.  Otherwise every ordered basis
-    pair and triple carries its own rows.
+    pair and triple carries its own rows.  A basis element that fails its
+    re-check is reported as the derivation solver's when θ = ϑ = id and as
+    the twisted solver's otherwise.
     """
     n = algebra.dim
     t, v = theta, vartheta
@@ -149,32 +131,33 @@ def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
     rows = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
     rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
     space = exactlin._kernel_space(n * n, rows)
-    for f in maps._maps_of(space):
+    for f in maps.basis_maps(space):
         if not maps.satisfies_g_derivation(algebra, f, theta, vartheta):
-            raise InternalCheckError(unsound)
+            solver = "derivation" if t == v == exactlin.Matrix.identity(n) else "twisted"
+            raise InternalCheckError(f"{solver} solver produced an unsound basis element")
     return space
 
 
-def derivation_space(algebra: lyalg.LYAlgebra) -> DerSpace:
+def derivation_space(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     """All maps satisfying the derivation identities for both products."""
     ident = exactlin.Matrix.identity(algebra.dim)
-    space = _twisted_space(algebra, ident, ident,
-                           "derivation solver produced an unsound basis element")
-    return DerSpace(space=space, theta=None, vartheta=None)
+    return _twisted_space(algebra, ident, ident)
+
+
+def _twist(algebra: lyalg.LYAlgebra, theta: maps.AutCert) -> exactlin.Matrix:
+    """θ's matrix, refused when θ acts on a space of another dimension."""
+    if maps._dim(theta.map) != algebra.dim:
+        raise InputError("automorphism dimension does not match the algebra")
+    return theta.map
 
 
 def g_derivation_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
-                       vartheta: maps.AutCert) -> DerSpace:
+                       vartheta: maps.AutCert) -> exactlin.Subspace:
     """Maps satisfying the identities twisted by the certified pair."""
-    n = algebra.dim
-    if theta.map.rows != n or vartheta.map.rows != n:
-        raise InputError("automorphism dimension does not match the algebra")
-    space = _twisted_space(algebra, theta.map, vartheta.map,
-                           "twisted solver produced an unsound basis element")
-    return DerSpace(space=space, theta=theta, vartheta=vartheta)
+    return _twisted_space(algebra, _twist(algebra, theta), _twist(algebra, vartheta))
 
 
-def single_twist_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert) -> DerSpace:
+def single_twist_space(algebra: lyalg.LYAlgebra, theta: maps.AutCert) -> exactlin.Subspace:
     """Twist only the first automorphism slot; the second stays the identity."""
     return g_derivation_space(algebra, theta, maps.identity_cert(algebra))
 
@@ -190,7 +173,7 @@ def centroid(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     rows = _identity_rows(algebra, 2, [(None, ident)])
     rows += _identity_rows(algebra, 3, [(None, ident, ident)])
     space = exactlin._kernel_space(n * n, rows)
-    for m in maps._maps_of(space):
+    for m in maps.basis_maps(space):
         if lyalg._first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
         # The first failing basis triple decides which message is raised.
@@ -274,26 +257,28 @@ def quasi_witness_satisfies(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
 def require_stabilized_subalgebra(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
                                   h: exactlin.Subspace) -> None:
     """Raise MathError unless H is a subalgebra that the automorphism maps into
-    itself, and InputError when H has the wrong ambient dimension."""
+    itself, and InputError when θ or H has the wrong dimension."""
+    t = _twist(algebra, theta)
     if not structure.is_subalgebra(algebra, h):
         raise MathError("subspace is not a subalgebra")
-    for b, w in zip(h.basis, exactlin._images(theta.map.form[1], h)):
+    for b, w in zip(h.basis, exactlin._images(t.form[1], h)):
         if not exactlin._member(h, w):
             raise MathError("automorphism does not stabilize the subspace",
                             witness={"vector": exactlin.vec_strs(b)})
 
 
 def stabilizer_derivations(algebra: lyalg.LYAlgebra, theta: maps.AutCert,
-                           h: exactlin.Subspace) -> DerSpace:
+                           h: exactlin.Subspace) -> exactlin.Subspace:
     """Twisted derivations whose action keeps the subspace inside itself."""
     require_stabilized_subalgebra(algebra, theta, h)
-    return _stabilizer_space(algebra, single_twist_space(algebra, theta), h)
+    return _stabilizer_space(algebra, theta.map, single_twist_space(algebra, theta), h)
 
 
-def _stabilizer_space(algebra: lyalg.LYAlgebra, twisted: DerSpace,
-                      h: exactlin.Subspace) -> DerSpace:
-    """:func:`stabilizer_derivations` inside the solved single-twist space,
-    for a subspace that has already passed :func:`require_stabilized_subalgebra`.
+def _stabilizer_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
+                      twisted: exactlin.Subspace, h: exactlin.Subspace) -> exactlin.Subspace:
+    """:func:`stabilizer_derivations` inside the solved single-twist space of
+    θ's matrix, for a subspace that has already passed
+    :func:`require_stabilized_subalgebra`.
 
     D = sum of x_t D_t over the twisted basis keeps H inside itself iff the
     residue of every D(b) against H vanishes, which is linear in x.  The
@@ -302,20 +287,20 @@ def _stabilizer_space(algebra: lyalg.LYAlgebra, twisted: DerSpace,
     """
     n = algebra.dim
     residues = [[exactlin._residue(h, w) for w in exactlin._images(f, h)]
-                for f in maps._map_rows(twisted.space)]
+                for f in maps._map_rows(twisted)]
     rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
     coeffs = exactlin._kernel_space(twisted.dim, rows)
     # Both factors are reduced echelon bases, so their product is one too.
-    space = exactlin.Subspace._from_rref(coeffs.echelon.mul(twisted.space.echelon))
-    result = DerSpace(space=space, theta=twisted.theta, vartheta=twisted.vartheta)
-    for f in result.maps():
-        if not maps.satisfies_g_derivation(algebra, f, twisted.theta.map, twisted.vartheta.map):
+    space = exactlin.Subspace._from_rref(coeffs.echelon.mul(twisted.echelon))
+    ident = exactlin.Matrix.identity(n)
+    for f in maps.basis_maps(space):
+        if not maps.satisfies_g_derivation(algebra, f, theta, ident):
             raise InternalCheckError("stabilizer solver produced an unsound basis element")
         # Tested by membership, not by the residues the solve read, so a
         # fault in one cannot hide itself.
         if not all(exactlin._member(h, w) for w in exactlin._images(f.form[1], h)):
             raise InternalCheckError("stabilizer solver produced a non-stabilizing map")
-    return result
+    return space
 
 
 class PartialMap(Record):
@@ -413,7 +398,7 @@ def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert) 
     """
     if (d_map.rows, d_map.cols) != (algebra.dim, algebra.dim):
         raise InputError("map dimension does not match the algebra")
-    return _dhat(algebra, _prescriptions(algebra, d_map, theta.map))
+    return _dhat(algebra, _prescriptions(algebra, d_map, _twist(algebra, theta)))
 
 
 def _dhat(algebra: lyalg.LYAlgebra, prescriptions: tuple[lyalg.Keyed, lyalg.Keyed]) -> DhatResult:

@@ -42,8 +42,11 @@ class AxiomFailure(Record):
 
 
 class AxiomReport(Record):
-    passed: bool
     failures: tuple[AxiomFailure, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
@@ -290,7 +293,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
     flat = [[keyed_d.get((g, h, i, l), 0) for l in range(n) for i in range(n)]
             for g, h in pairs]
     basis_scale, basis = exactlin._rref(n * n, flat)
-    pivots = [next(p for p, x in enumerate(row) if x) for row in basis]
+    pivots = exactlin.pivot_cols(basis)
     basis_maps = [exactlin.Matrix(n, n, (basis_scale, tuple(row[l * n:(l + 1) * n]
                                                             for l in range(n))))
                   for row in basis]
@@ -315,7 +318,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
                     acc = [a + row[p] * y for a, y in zip(acc, values)]
             listed(tag, (g, h), scale * common, dict(zip(keys, acc)))
 
-    return AxiomReport(passed=not failures, failures=tuple(failures))
+    return AxiomReport(failures=tuple(failures))
 
 
 class LYAlgebra(Record):

@@ -32,8 +32,9 @@ def _map_rows(space: exactlin.Subspace) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(r[i * n:(i + 1) * n] for i in range(n)) for r in space.echelon.form[1]]
 
 
-def _maps_of(space: exactlin.Subspace) -> tuple[exactlin.Matrix, ...]:
-    """The maps whose flattened matrices are a space's basis vectors."""
+def basis_maps(space: exactlin.Subspace) -> tuple[exactlin.Matrix, ...]:
+    """The maps whose flattened matrices are the canonical basis vectors of a
+    space of n x n maps, such as a solved derivation space or the centroid."""
     scale = space.echelon.form[0]
     return tuple(exactlin.Matrix(len(m), len(m), (scale, m)) for m in _map_rows(space))
 

@@ -182,14 +182,16 @@ def subspace_to_dict(s: exactlin.Subspace) -> dict:
 
 def map_space_to_dict(space: exactlin.Subspace, alg_dim: int) -> dict:
     return {"alg_dim": alg_dim, "dim": space.dim,
-            "maps": [exactlin._matrix_strs(f) for f in maps._maps_of(space)]}
+            "maps": [exactlin._matrix_strs(f) for f in maps.basis_maps(space)]}
 
 
-def derspace_to_dict(space: derivations.DerSpace) -> dict:
-    """:func:`map_space_to_dict` with the twist the maps satisfy."""
-    return map_space_to_dict(space.space, space.alg_dim) | {
-        "theta": map_to_dict(space.theta.map) if space.theta else None,
-        "vartheta": map_to_dict(space.vartheta.map) if space.vartheta else None,
+def derspace_to_dict(space: exactlin.Subspace, alg_dim: int, theta: exactlin.Matrix | None = None,
+                     vartheta: exactlin.Matrix | None = None) -> dict:
+    """:func:`map_space_to_dict` with the twist the maps satisfy; no twist
+    means the untwisted derivation identities."""
+    return map_space_to_dict(space, alg_dim) | {
+        "theta": None if theta is None else map_to_dict(theta),
+        "vartheta": None if vartheta is None else map_to_dict(vartheta),
     }
 
 

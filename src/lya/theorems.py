@@ -22,17 +22,21 @@ from .errors import InputError, InternalCheckError, MathError
 class PropReport(Record):
     """Verdict of one check on one instance.
 
-    ``conclusion_holds`` stays None whenever a hypothesis failed, and a
-    False conclusion always carries a re-verifiable witness.
+    ``hypotheses_met`` is read off ``hypotheses``: it holds when every named
+    hypothesis does.  ``conclusion_holds`` stays None whenever a hypothesis
+    failed, and a False conclusion always carries a re-verifiable witness.
     """
 
     prop_id: str
     instance: str
-    hypotheses_met: bool
     hypotheses: tuple[tuple[str, bool], ...]
     conclusion_holds: bool | None
     witness: dict | None
     details: dict
+
+    @property
+    def hypotheses_met(self) -> bool:
+        return all(ok for _, ok in self.hypotheses)
 
     def __post_init__(self):
         if self.conclusion_holds is not None and not self.hypotheses_met:
@@ -61,11 +65,11 @@ def verify_p31(algebra: lyalg.LYAlgebra, theta: maps.AutCert, vartheta: maps.Aut
     paired = derivations.g_derivation_space(algebra, theta, vartheta)
     target = derivations.single_twist_space(
         algebra, maps.certify_automorphism(algebra, maps.compose(vartheta.inverse, theta.map)))
-    _, all_land, image_dim = _pulled_back(vartheta.inverse, paired.space, target.space)
+    _, all_land, image_dim = _pulled_back(vartheta.inverse, paired, target)
     ok = all_land and image_dim == paired.dim == target.dim
     dims = {"paired_dim": paired.dim, "target_dim": target.dim, "image_dim": image_dim}
     hypotheses = (("theta certified", True), ("vartheta certified", True))
-    return PropReport("P31", instance, True, hypotheses, ok, None if ok else dict(dims), dims)
+    return PropReport("P31", instance, hypotheses, ok, None if ok else dict(dims), dims)
 
 
 def _products_minus(n: int, a, b, c, d) -> list[list[int]]:
@@ -90,7 +94,7 @@ def verify_t32(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     plain = derivations.derivation_space(algebra)
     n = algebra.dim
     inv = theta.inverse.form[1]
-    pulled, lands, image_dim = _pulled_back(theta.inverse, twisted.space, plain.space)
+    pulled, lands, image_dim = _pulled_back(theta.inverse, twisted, plain)
     bijective = image_dim == twisted.dim == plain.dim
     closure_binary = True
     hom_property = True
@@ -99,19 +103,19 @@ def verify_t32(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
         br = _products_minus(n, f, q, g, p)
         back = exactlin._integer_product(inv, br, n)
         brackets.append((br, back))
-        if not exactlin._member(twisted.space, sum(br, [])):
+        if not exactlin._member(twisted, sum(br, [])):
             closure_binary = False
         if back != _products_minus(n, p, q, q, p):
             hom_property = False
     closure_ternary = True
     for (br, back), (h, p) in itertools.product(brackets, pulled):
-        if not exactlin._member(twisted.space, sum(_products_minus(n, br, p, h, back), [])):
+        if not exactlin._member(twisted, sum(_products_minus(n, br, p, h, back), [])):
             closure_ternary = False
     ok = lands and bijective and closure_binary and closure_ternary and hom_property
     witness = None if ok else {
         "lands": lands, "bijective": bijective, "closure_binary": closure_binary,
         "closure_ternary": closure_ternary, "hom_property": hom_property}
-    return PropReport("T32", instance, True, (("theta certified", True),), ok, witness,
+    return PropReport("T32", instance, (("theta certified", True),), ok, witness,
                       {"twisted_dim": twisted.dim, "plain_dim": plain.dim})
 
 
@@ -125,23 +129,23 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     plain = derivations.derivation_space(algebra)
     twisted = derivations.single_twist_space(algebra, theta)
     involutive = maps.compose(theta.map, theta.map) == exactlin.Matrix.identity(algebra.dim)
-    members = plain.maps() + twisted.maps()
+    members = maps.basis_maps(plain) + maps.basis_maps(twisted)
     bad_map = next((f for f in members if not maps.commutator(theta.map, f).is_zero()), None)
     hypotheses = (("theta is involutive", involutive),
                   ("theta commutes with both spaces", bad_map is None))
     details = {
         "plain_dim": plain.dim,
         "twisted_dim": twisted.dim,
-        "intersection_dim": exactlin.subspace_intersect(plain.space, twisted.space).dim,
+        "intersection_dim": exactlin.subspace_intersect(plain, twisted).dim,
     }
     if not involutive or bad_map is not None:
         if bad_map is not None:
             details["non_commuting_map"] = exactlin._matrix_strs(bad_map)
-        return PropReport("P33", instance, False, hypotheses, None, None, details)
+        return PropReport("P33", instance, hypotheses, None, None, details)
     n = algebra.dim
     indexed = [(a, f.form[1]) for a, f in enumerate(members)]
     parts = (indexed[:plain.dim], indexed[plain.dim:])
-    spaces = (plain.space, twisted.space)
+    spaces = (plain, twisted)
     ok = True
     witness = None
     for k, l in itertools.product((0, 1), repeat=2):
@@ -150,7 +154,7 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
                 ok = False
                 bracket = maps.commutator(members[a], members[b])
                 witness = {"k": k, "l": l, "commutator": exactlin._matrix_strs(bracket)}
-    return PropReport("P33", instance, True, hypotheses, ok, witness, details)
+    return PropReport("P33", instance, hypotheses, ok, witness, details)
 
 
 def verify_p34(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert,
@@ -173,7 +177,7 @@ def verify_p34(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.Aut
     zero_defect = defect.is_zero()
     details = {"defect_is_zero": zero_defect, "perfect": perfect}
     if not premise:
-        return PropReport("P34", instance, False, hypotheses, None, None, details)
+        return PropReport("P34", instance, hypotheses, None, None, details)
     # W lies in the defect's kernel when the defect sends each of its basis vectors to zero.
     images = exactlin._images(defect.form[1], w)
     bad = next((b for b, image in zip(w.basis, images) if any(image)), None)
@@ -184,7 +188,7 @@ def verify_p34(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.Aut
                    "image": exactlin.vec_strs(defect.mul_vec(bad))}
     elif not ok:
         witness = {"defect": exactlin._matrix_strs(defect)}
-    return PropReport("P34", instance, True, hypotheses, ok, witness, details)
+    return PropReport("P34", instance, hypotheses, ok, witness, details)
 
 
 def verify_p35(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = "") -> PropReport:
@@ -192,7 +196,7 @@ def verify_p35(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     everything into the kernel of every inner derivation; on a centerless
     algebra the two spaces meet only in zero."""
     meet = exactlin.subspace_intersect(
-        derivations.centroid(algebra), derivations.single_twist_space(algebra, theta).space)
+        derivations.centroid(algebra), derivations.single_twist_space(algebra, theta))
     n = algebra.dim
     rows = maps._map_rows(meet)
     # f_t e_i sits in column t*n + i of the last slot, over the space's one
@@ -205,13 +209,13 @@ def verify_p35(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     witness = None
     if failing:
         g, h, col = max(failing, key=lambda k: (k[2] // n, k[0], k[1], k[2] % n))
-        witness = {"map": exactlin._matrix_strs(maps._maps_of(meet)[col // n]),
+        witness = {"map": exactlin._matrix_strs(maps.basis_maps(meet)[col // n]),
                    "indices": [g, h, col % n]}
     centerless = structure.center(algebra).dim == 0
     if centerless and meet.dim != 0:
         ok = False
         witness = witness or {"intersection_dim": meet.dim}
-    return PropReport("P35", instance, True, (("theta certified", True),), ok, witness,
+    return PropReport("P35", instance, (("theta certified", True),), ok, witness,
                       {"intersection_dim": meet.dim, "centerless": centerless})
 
 
@@ -255,16 +259,16 @@ def verify_p36(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     when the subspace is a perfect ideal the two coincide."""
     derivations.require_stabilized_subalgebra(algebra, theta, h)
     full = derivations.single_twist_space(algebra, theta)
-    stab = derivations._stabilizer_space(algebra, full, h)
-    contained = exactlin.subspace_contains(full.space, stab.space)
+    stab = derivations._stabilizer_space(algebra, theta.map, full, h)
+    contained = exactlin.subspace_contains(full, stab)
     ideal = structure.is_ideal(algebra, h)
     perfect = ideal and structure.is_perfect(_extract_subalgebra(algebra, h))
-    equal = stab.space == full.space
+    equal = stab == full
     ok = contained and (equal or not perfect)
     dims = {"stab_dim": stab.dim, "full_dim": full.dim}
     details = dims | {"ideal": ideal, "perfect_ideal": perfect, "equal": equal}
     hypotheses = (("subalgebra", True), ("theta stabilizes it", True))
-    return PropReport("P36", instance, True, hypotheses, ok, None if ok else dims, details)
+    return PropReport("P36", instance, hypotheses, ok, None if ok else dims, details)
 
 
 def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspace,
@@ -285,14 +289,15 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     except MathError as exc:
         hypotheses = (("inner map restricts to the subspace", False),
                       ("restriction invertible", False))
-        return PropReport("P37", instance, False, hypotheses, None, None,
+        return PropReport("P37", instance, hypotheses, None, None,
                           {"escape": exc.witness})
     inv = exactlin.invert(restricted)
     hypotheses = (("inner map restricts to the subspace", True),
                   ("restriction invertible", inv is not None))
     if inv is None:
-        return PropReport("P37", instance, False, hypotheses, None, None, {})
-    stab = derivations._stabilizer_space(algebra, derivations.single_twist_space(algebra, theta), h)
+        return PropReport("P37", instance, hypotheses, None, None, {})
+    stab = derivations._stabilizer_space(
+        algebra, theta.map, derivations.single_twist_space(algebra, theta), h)
     # row b of inv^T times the basis rows: the preimage of H's basis vector b
     preimages = inv.transpose().mul(h.echelon).entries
     # linearity of the prescription across fixed combinations of preimages
@@ -303,7 +308,7 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     ok = True
     witness = None
     per_map = []
-    for d_map in stab.maps():
+    for d_map in maps.basis_maps(stab):
         prescriptions = derivations._prescriptions(algebra, d_map, theta.map)
         outcome = derivations._dhat(algebra, prescriptions)
         values = lyalg._values(prescriptions[1], n, [gv, hv], points)
@@ -323,7 +328,7 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
         per_map.append({"globally_consistent": outcome.consistent,
                         "values_inside": bad is None})
     details = {"stab_dim": stab.dim, "per_map": per_map}
-    return PropReport("P37", instance, True, hypotheses, ok, witness, details)
+    return PropReport("P37", instance, hypotheses, ok, witness, details)
 
 
 def verify_p38(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspace,
@@ -342,9 +347,10 @@ def verify_p38(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     _, (c1, c2) = exactlin._clear(1, [g1v, g2v])
     t_scale, t = theta.map.form
     fixes_g1 = exactlin._times(t, c1) == [t_scale * x for x in c1]
-    stab = derivations._stabilizer_space(algebra, derivations.single_twist_space(algebra, theta), h)
+    stab = derivations._stabilizer_space(
+        algebra, theta.map, derivations.single_twist_space(algebra, theta), h)
     z = structure.center(algebra)
-    survivors = [idx for idx, f in enumerate(maps._map_rows(stab.space))
+    survivors = [idx for idx, f in enumerate(maps._map_rows(stab))
                  if all(exactlin._member(z, exactlin._times(f, c)) for c in (c1, c2))]
     central_images = len(survivors) == stab.dim
     hypotheses = (
@@ -355,22 +361,21 @@ def verify_p38(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     )
     sub = _extract_subalgebra(algebra, h)
     survivor_results = []
-    stab_maps = stab.maps()
+    stab_maps = maps.basis_maps(stab)
     for idx in survivors:
         restricted_map = maps.restrict_map(stab_maps[idx], h)
         w = derivations.is_quasi_derivation(sub, restricted_map)
         survivor_results.append({"basis_index": idx, "quasi": w is not None})
     details = {"stab_dim": stab.dim, "survivors": survivors,
                "survivor_results": survivor_results}
-    met = restricts and invertible and fixes_g1 and central_images
-    if not met:
-        return PropReport("P38", instance, False, hypotheses, None, None, details)
+    if not (restricts and invertible and fixes_g1 and central_images):
+        return PropReport("P38", instance, hypotheses, None, None, details)
     ok = all(r["quasi"] for r in survivor_results)
     witness = None
     if not ok:
         bad = next(r for r in survivor_results if not r["quasi"])
         witness = {"basis_index": bad["basis_index"]}
-    return PropReport("P38", instance, True, hypotheses, ok, witness, details)
+    return PropReport("P38", instance, hypotheses, ok, witness, details)
 
 
 class CheckSpec(Record):
@@ -442,7 +447,6 @@ def verify_all(algebra: lyalg.LYAlgebra, checks: Sequence[CheckSpec]) -> list[Pr
                 reports.append(PropReport(
                     prop_id=spec.prop,
                     instance=spec.label,
-                    hypotheses_met=False,
                     hypotheses=(("preconditions", False),),
                     conclusion_holds=None,
                     witness=None,
@@ -522,7 +526,7 @@ def default_catalog_plan() -> list[tuple[str, lyalg.LYAlgebra, tuple[CheckSpec, 
     h3_id = maps.identity_cert(h3)
     h3_checks = [
         CheckSpec("P34", "h3[D=basis0,theta=id]", theta=h3_id,
-                  map=derivations.derivation_space(h3).maps()[0]),
+                  map=maps.basis_maps(derivations.derivation_space(h3))[0]),
     ]
 
     return [

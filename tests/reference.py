@@ -333,8 +333,8 @@ def stabilizer_reference(algebra, twisted, h):
         for l in range(n):
             rows.append(tuple(red[l][p] * b[q] for p in range(n) for q in range(n)))
     if not rows:
-        return twisted.space
-    return subspace_intersect(twisted.space, nullspace(Matrix(len(rows), n * n, (1, tuple(rows)))))
+        return twisted
+    return subspace_intersect(twisted, nullspace(Matrix(len(rows), n * n, (1, tuple(rows)))))
 
 
 def dense_identity_rows(tensor, arity, terms):

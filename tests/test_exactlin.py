@@ -417,9 +417,9 @@ def algebra_matrices():
     algebras += [rebased(catalog("sl2_plus_ab1"), 11)[0], h5(), gl2()]
     out = []
     for a in algebras:
-        n = a.dim
-        gens = [a.c[i][j] for i in range(n) for j in range(i + 1, n)]
-        gens += [a.d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
+        n, c, d = a.dim, a.c, a.d
+        gens = [c[i][j] for i in range(n) for j in range(i + 1, n)]
+        gens += [d[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)]
         out.append(Matrix(n, len(gens), (1, tuple(tuple(g[l] for g in gens) for l in range(n)))))
         ident = Matrix.identity(n)
         rows = derivations._identity_rows(a, 2, [(None, ident), (ident, None)])
