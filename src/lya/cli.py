@@ -149,8 +149,7 @@ def _cmd_check(args, session) -> tuple[dict, int]:
 def _cmd_construct(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     if args.source == "lie":
-        tensor, labels = ser.lie_tensor_from_dict(data)
-        algebra = lyalg.from_lie(tensor, labels)
+        algebra = lyalg.from_lie(*ser.lie_bracket_from_dict(data))
     else:
         algebra = lyalg.from_leibniz(ser.leibniz_from_dict(data))
     result = {"algebra": ser.algebra_to_dict(algebra)}

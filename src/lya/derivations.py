@@ -370,18 +370,6 @@ def _prescriptions(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
                            (1, lyalg._transport(ternary, (t, None, m)))]))
 
 
-def dhat_binary_rhs(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: exactlin.Matrix,
-                    g: exactlin.Vec, h: exactlin.Vec) -> exactlin.Vec:
-    """Prescribed image of the binary product of (g, h)."""
-    return lyalg._values(_prescriptions(algebra, d_map, theta)[0], algebra.dim, [g], [h])[0]
-
-
-def dhat_ternary_rhs(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: exactlin.Matrix,
-                     g: exactlin.Vec, h: exactlin.Vec, i: exactlin.Vec) -> exactlin.Vec:
-    """Prescribed image of the ternary product of (g, h, i)."""
-    return lyalg._values(_prescriptions(algebra, d_map, theta)[1], algebra.dim, [g, h], [i])[0]
-
-
 def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert) -> DhatResult:
     """Induced map on the derived algebra, when the prescriptions agree.
 

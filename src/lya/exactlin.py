@@ -100,8 +100,16 @@ def _clear(scale: int, rows: Sequence[Sequence[Fraction | int]]) -> Cleared:
     integer or Fraction values x and a positive integer scale: their least
     common denominator L, and the rows of each of them times L.  Equal
     rationals give equal forms.  Every matrix, every algebra's products and
-    every vector that integer code takes are cleared here, once."""
-    lcd = math.lcm(*{x.denominator for r in rows for x in r})
+    every vector that integer code takes are cleared here, once; a scale
+    that is not a positive integer, or a value that is not an integer or a
+    Fraction, is refused with InputError."""
+    if type(scale) is not int or scale < 1:
+        raise InputError(f"scale must be a positive integer, got {scale!r}")
+    try:
+        lcd = math.lcm(*{x.denominator for r in rows for x in r})
+    except AttributeError:
+        bad = next(x for r in rows for x in r if not hasattr(x, "denominator"))
+        raise InputError(f"not an integer or Fraction: {bad!r}") from None
     # Integer values, the common case, skip the multiplication by 1.
     ints = ([list(map(int, r)) for r in rows] if lcd == 1 else
             [[x.numerator * (lcd // x.denominator) for x in r] for r in rows])
@@ -122,7 +130,8 @@ class Matrix(Record):
 
     ``form`` is given as a positive integer scale and ``rows`` rows of
     ``cols`` integers or Fractions, the entries being those values over the
-    scale; construction makes it the canonical form of :func:`_clear`.  So
+    scale; construction refuses any other form with InputError and makes
+    it the canonical form of :func:`_clear`.  So
     ``==`` and ``hash`` compare entries, and ``repr`` shows the
     ``entries`` view as a dataclass with that field would.
     """

@@ -6,12 +6,15 @@ coordinates of L times each product, keyed (i, j, l) for coordinate l of
 the binary product of basis elements i and j and (i, j, k, l) for the
 ternary product of i, j and k.  The form is canonical, so two algebras are
 equal exactly when their structure constants are; ``c[i][j]`` and
-``d[i][j][k]`` are dense views computed from it.  Values of
-:class:`LYAlgebra` are always axiom-valid; candidate constants that may fail
-the axioms only ever exist as raw nested tuples or a raw form paired with an
-:class:`AxiomReport`.  Every product is evaluated on the form (see
-:func:`_transport`).  A :class:`LeibnizAlgebra` keeps its one product in
-the same cleared form, keyed (i, j, l).
+``d[i][j][k]`` are dense views computed from it.  Structure constants
+enter only as such a form, integers or Fractions over a positive integer
+scale, and every form is cleared by :func:`_cleared`, which refuses a
+malformed one with InputError.  Values of :class:`LYAlgebra` are always
+axiom-valid; candidate constants that may fail the axioms only ever exist
+as a raw form paired with an :class:`AxiomReport`.  Every product is
+evaluated on the form (see :func:`_transport`).  A :class:`LeibnizAlgebra`
+keeps its one product in the same cleared form, keyed (i, j, l), and
+:func:`from_lie` takes a Lie bracket so keyed.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from . import exactlin
 from ._record import Record
 from .errors import AxiomError, InputError, MathError
 
-# A string, so that loading this module runs no other layer.
-Tensor3 = tuple[tuple["exactlin.Vec", ...], ...]
 # (L, binary entries, ternary entries), as the module docstring describes.
 Form = tuple[int, dict, dict]
 Keyed = tuple[int, dict[tuple[int, ...], int]]
@@ -49,34 +50,21 @@ class AxiomReport(Record):
         return not self.failures
 
 
-def _cleared(scale: int, binary: dict, ternary: dict) -> Form:
-    """The canonical form of the products with entries x / scale, for integer
-    or Fraction x keyed as in the form: their nonzero entries cleared by
-    :func:`~lya.exactlin._clear`."""
-    parts = [{k: x for k, x in part.items() if x} for part in (binary, ternary)]
-    scale, (values,) = exactlin._clear(scale, [[x for part in parts for x in part.values()]])
+def _cleared(n: int, scale: int, binary: dict, ternary: dict) -> Form:
+    """The canonical form of the products of dimension n with entries
+    x / scale, for integer or Fraction x keyed as in the form: their
+    nonzero entries cleared by :func:`~lya.exactlin._clear`.  A key that is
+    not 3 (binary) or 4 (ternary) integer indices in range(n) is refused
+    with InputError, as :func:`~lya.exactlin._clear` refuses a bad scale or
+    value."""
+    for arity, part in ((3, binary), (4, ternary)):
+        for key in part:
+            if not (type(key) is tuple and len(key) == arity
+                    and all(type(i) is int and 0 <= i < n for i in key)):
+                raise InputError(f"key {key!r} is not {arity} indices in range({n})")
+    scale, (values,) = exactlin._clear(scale, [[*binary.values(), *ternary.values()]])
     cleared = iter(values)
-    return scale, *({k: next(cleared) for k in part} for part in parts)
-
-
-def _form_of(binary: dict, ternary: dict) -> Form:
-    """The canonical form of the products whose vectors are given by basis
-    tuple, (i, j) for the binary and (i, j, k) for the ternary product."""
-    return _cleared(1, *({idx + (l,): x for idx, v in part.items() for l, x in enumerate(v)}
-                         for part in (binary, ternary)))
-
-
-def _entries(tensor, n: int, depth: int, what: str) -> dict:
-    """The nonzero entries of a dense nested tensor with ``depth`` index
-    levels, the last one a vector's coordinate, as Fractions keyed as in the
-    form; an InputError names the ``what`` tensor when a level does not
-    hold n entries."""
-    if len(tensor) != n:
-        raise InputError(f"{what} tensor shape does not match dimension")
-    if depth == 1:
-        return {(l,): x for l, x in enumerate(exactlin.vec(tensor)) if x}
-    return {(i, *key): x for i, sub in enumerate(tensor)
-            for key, x in _entries(sub, n, depth - 1, what).items()}
+    return scale, *({k: x for k, x in zip(part, cleared) if x} for part in (binary, ternary))
 
 
 def _iterated(entries: dict, outer: dict | None = None) -> dict:
@@ -232,10 +220,11 @@ def _first_failure(algebra: LYAlgebra, post: exactlin.Matrix,
     return first, _vector_at(defect, first, algebra.dim)
 
 
-def check_axioms(n: int, c, d) -> AxiomReport:
-    """Evaluate the six defining identities of dense nested tensors c and d:
-    they are cleared once and checked as a form by :func:`_check_form`."""
-    return _check_form(n, _cleared(1, _entries(c, n, 3, "binary"), _entries(d, n, 4, "ternary")))
+def check_axioms(n: int, form: Form) -> AxiomReport:
+    """Evaluate the six defining identities of the products of dimension n
+    given by ``form``, as :class:`LYAlgebra` takes it: it is cleared once
+    and checked by :func:`_check_form`."""
+    return _check_form(n, _cleared(n, *form))
 
 
 def _check_form(n: int, form: Form) -> AxiomReport:
@@ -339,7 +328,7 @@ class LYAlgebra(Record):
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise InputError("label count does not match dimension")
-        object.__setattr__(self, "form", _cleared(*self.form))
+        object.__setattr__(self, "form", _cleared(self.dim, *self.form))
         report = _check_form(self.dim, self.form)
         if not report.passed:
             raise AxiomError(report)
@@ -374,22 +363,24 @@ def triple(algebra: LYAlgebra, g: Sequence[exactlin.Scalar], h: Sequence[exactli
     return _values(_tensor_form(algebra, 3), algebra.dim, [gv, hv], [iv])[0]
 
 
-def from_lie(lie_tensor, labels: Sequence[str] | None = None) -> LYAlgebra:
-    """Lift a Lie bracket tensor: ternary product is the iterated bracket.
+def from_lie(dim: int, bracket: Keyed, labels: Sequence[str] | None = None) -> LYAlgebra:
+    """Lift a Lie bracket: ternary product is the iterated bracket.
 
-    The lift is built and its axioms checked as for any algebra; a bracket
-    that is not a Lie bracket fails that check, and its error names the
-    check's first failure.  LY1 is alternation.  Once it holds, so does LY2,
-    and LY3 is twice the Jacobi identity at the same basis triples, so any
-    other first failure is LY3 with its residual halved.
+    ``bracket`` is ``(scale, entries)``, keyed (i, j, l) as
+    :class:`LeibnizAlgebra` takes its product, with both [e_i, e_j] and
+    [e_j, e_i] given.  The lift is built and its axioms checked as for any
+    algebra; a bracket that is not a Lie bracket fails that check, and its
+    error names the check's first failure.  LY1 is alternation.  Once it
+    holds, so does LY2, and LY3 is twice the Jacobi identity at the same
+    basis triples, so any other first failure is LY3 with its residual
+    halved.
     """
-    n = len(lie_tensor)
-    scale, binary, _ = _cleared(1, _entries(lie_tensor, n, 3, "bracket"), {})
+    scale, binary, _ = _cleared(dim, *bracket, {})
     if labels is None:
-        labels = tuple(f"e{i + 1}" for i in range(n))
+        labels = tuple(f"e{i + 1}" for i in range(dim))
     form = (scale * scale, {k: scale * x for k, x in binary.items()}, _iterated(binary))
     try:
-        return LYAlgebra(n, tuple(str(x) for x in labels), form)
+        return LYAlgebra(dim, tuple(str(x) for x in labels), form)
     except AxiomError as exc:
         first = exc.report.failures[0]
     if first.axiom == "LY1":
@@ -420,7 +411,7 @@ class LeibnizAlgebra(Record):
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise InputError("label count does not match dimension")
-        scale, product, _ = _cleared(*self.form, {})
+        scale, product, _ = _cleared(self.dim, *self.form, {})
         object.__setattr__(self, "form", (scale, product))
         # left[j, k, i, l] is coordinate l of e_i(e_j e_k), so a(bc) and b(ac)
         # at the basis triple (a, b, c) sit at the keys (b, c, a) and (a, c, b).
@@ -480,30 +471,6 @@ def abelian(n: int) -> LYAlgebra:
     return LYAlgebra(n, tuple(f"a{i + 1}" for i in range(n)), (1, {}, {}))
 
 
-def _lie_tensor(n: int, brackets: dict) -> Tensor3:
-    """The dense bracket of dimension n with [e_i, e_j] = -[e_j, e_i] = x e_l
-    for each ((i, j, l), x) in ``brackets``, and all others zero."""
-    entries = {}
-    for (i, j, l), x in brackets.items():
-        entries[i, j, l], entries[j, i, l] = x, -x
-    return _dense((1, entries), n, 2)
-
-
-def sl2_lie_tensor() -> Tensor3:
-    """Chevalley basis (e, f, h): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    return _lie_tensor(3, {(0, 1, 2): 1, (2, 0, 0): 2, (2, 1, 1): -2})
-
-
-def heisenberg_tensor() -> Tensor3:
-    """Basis (x, y, z) with [x,y] = z."""
-    return _lie_tensor(3, {(0, 1, 2): 1})
-
-
-def aff2_tensor() -> Tensor3:
-    """Basis (e1, e2) with [e1,e2] = e1."""
-    return _lie_tensor(2, {(0, 1, 0): 1})
-
-
 def leibniz2() -> LeibnizAlgebra:
     """Two-dimensional left Leibniz algebra: x.x = z, all other products zero."""
     return LeibnizAlgebra(2, ("x", "z"), (1, {(0, 0, 1): 1}))
@@ -530,12 +497,16 @@ def catalog(name: str) -> LYAlgebra:
     m = _ABELIAN_RE.fullmatch(name)
     if m:
         return abelian(int(m.group(1) or m.group(2)))
+    # The Lie brackets in their bases: sl2's Chevalley basis (e, f, h) with
+    # [e,f] = h, [h,e] = 2e and [h,f] = -2f, the Heisenberg (x, y, z) with
+    # [x,y] = z, and aff2 (e1, e2) with [e1,e2] = e1.
     if name == "sl2":
-        return from_lie(sl2_lie_tensor(), labels=("e", "f", "h"))
+        return from_lie(3, (1, {(0, 1, 2): 1, (0, 2, 0): -2, (1, 0, 2): -1, (1, 2, 1): 2,
+                                (2, 0, 0): 2, (2, 1, 1): -2}), labels=("e", "f", "h"))
     if name == "h3":
-        return from_lie(heisenberg_tensor(), labels=("x", "y", "z"))
+        return from_lie(3, (1, {(0, 1, 2): 1, (1, 0, 2): -1}), labels=("x", "y", "z"))
     if name == "aff2":
-        return from_lie(aff2_tensor(), labels=("e1", "e2"))
+        return from_lie(2, (1, {(0, 1, 0): 1, (1, 0, 0): -1}), labels=("e1", "e2"))
     if name == "lts_sl2":
         base = catalog("sl2")
         return LYAlgebra(3, base.labels, (base.form[0], {}, base.form[2]))

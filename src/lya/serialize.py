@@ -92,9 +92,9 @@ def _entry_vectors(data: dict, kind: str, n: int) -> dict[tuple[int, ...], exact
     return vectors
 
 
-def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
-    """An algebra file's dimension, labels and nonzero product vectors by
-    basis tuple.
+def _product_entries(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
+    """An algebra file's dimension, labels and nonzero product entries,
+    keyed as in the form.
 
     Binary entries are [i, j, coeffs] with i < j, ternary entries are
     [i, j, k, coeffs] with i < j; each is entered with its negated (j, i)
@@ -106,8 +106,8 @@ def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
     for kind in ("binary", "ternary"):
         part = {}
         for (i, j, *k), v in _entry_vectors(data, kind, n).items():
-            if any(v):
-                part[(i, j, *k)], part[(j, i, *k)] = v, exactlin.vscale(-1, v)
+            for sign, idx in ((1, (i, j, *k)), (-1, (j, i, *k))):
+                part.update({(*idx, l): sign * x for l, x in enumerate(v) if x})
         products.append(part)
     return n, labels, *products
 
@@ -115,8 +115,8 @@ def _product_vectors(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], lyalg.Form]:
     """Decode an algebra file into its cleared form, without checking the
     axioms."""
-    n, labels, binary, ternary = _product_vectors(data)
-    return n, labels, lyalg._form_of(binary, ternary)
+    n, labels, binary, ternary = _product_entries(data)
+    return n, labels, lyalg._cleared(n, 1, binary, ternary)
 
 
 def algebra_from_dict(data: dict) -> lyalg.LYAlgebra:
@@ -138,12 +138,12 @@ def algebra_to_dict(algebra: lyalg.LYAlgebra) -> dict:
     }
 
 
-def lie_tensor_from_dict(data: dict) -> tuple[lyalg.Tensor3, tuple[str, ...]]:
-    """Binary-only algebra file read as a Lie bracket tensor."""
-    n, labels, binary, ternary = _product_vectors(data)
+def lie_bracket_from_dict(data: dict) -> tuple[int, lyalg.Keyed, tuple[str, ...]]:
+    """Binary-only algebra file read as a Lie bracket: its dimension, the
+    bracket as :func:`~lya.lyalg.from_lie` takes it, and its labels."""
+    n, labels, binary, ternary = _product_entries(data)
     _require(not ternary, "a Lie input must not carry ternary entries")
-    zero = exactlin.vzero(n)
-    return tuple(tuple(binary.get((i, j), zero) for j in range(n)) for i in range(n)), labels
+    return n, (1, binary), labels
 
 
 def leibniz_from_dict(data: dict) -> lyalg.LeibnizAlgebra:

@@ -22,10 +22,7 @@ from lya.lyalg import (
     check_axioms,
     from_leibniz,
     from_lie,
-    heisenberg_tensor,
-    aff2_tensor,
     leibniz2,
-    sl2_lie_tensor,
 )
 from lya.maps import (
     basis_maps,
@@ -60,8 +57,8 @@ from lya.theorems import (
     verify_p36,
     verify_t32,
 )
-from reference import (chevalley_cert, clash_sums, neg_cert, quasi_system_by_probing, run_cli,
-                       unflat)
+from reference import (chevalley_cert, clash_sums, dense_form, neg_cert, quasi_system_by_probing,
+                       run_cli, unflat)
 
 E, F, H = 0, 1, 2
 
@@ -73,23 +70,24 @@ def _verdict(number: int, text: str) -> None:
 def test_criterion_1_axiom_soundness():
     for name in CATALOG_NAMES:
         a = catalog(name)
-        assert check_axioms(a.dim, a.c, a.d).passed
-    for build in (sl2_lie_tensor, heisenberg_tensor, aff2_tensor):
-        a = from_lie(build())
-        assert check_axioms(a.dim, a.c, a.d).passed
+        assert check_axioms(a.dim, a.form).passed
+    for name in ("sl2", "h3", "aff2"):
+        lie = catalog(name)
+        a = from_lie(lie.dim, lie.form[:2])
+        assert a.c == lie.c and check_axioms(a.dim, a.form).passed
     a = from_leibniz(leibniz2())
-    assert check_axioms(a.dim, a.c, a.d).passed
+    assert check_axioms(a.dim, a.form).passed
     # one sign flip in the binary tensor breaks the alternating rule: LY1
     sl2 = catalog("sl2")
     c = [[list(v) for v in row] for row in sl2.c]
     c[E][F][2] = -c[E][F][2]
-    report = check_axioms(3, c, sl2.d)
+    report = check_axioms(3, dense_form(c, sl2.d))
     assert not report.passed
     assert report.failures[0].axiom == "LY1" and report.failures[0].indices == (E, F)
     # one sign flip in the ternary tensor: LY2
     d = [[[list(v) for v in plane] for plane in row] for row in sl2.d]
     d[E][F][E][0] = -d[E][F][E][0]
-    report = check_axioms(3, sl2.c, d)
+    report = check_axioms(3, dense_form(sl2.c, d))
     assert not report.passed
     assert report.failures[0].axiom == "LY2" and report.failures[0].indices[:2] == (E, F)
     _verdict(1, "axioms hold on the catalog and constructions; sign flips"

@@ -68,3 +68,21 @@ def test_no_function_shadows_a_layer_it_reads(path):
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
         found += [f"{path.name}:{fn.lineno} binds {name}" for name in sorted(read & bound)]
     assert found == []
+
+
+def test_the_test_reference_imports_no_private_lya_name():
+    """The test reference is an oracle for the library, so it reaches only
+    public ``lya`` names: it imports no ``_``-prefixed name and no module
+    through which one could be read, and reads no ``_``-prefixed attribute."""
+    tree = _tree(Path(__file__).with_name("reference.py"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "lya"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lya":
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_") or node.module == "lya"]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.endswith("__")):
+            found.append(f"line {node.lineno}: .{node.attr}")
+    assert found == []

@@ -9,7 +9,7 @@ import pytest
 
 from lya import lyalg
 from lya.errors import AxiomError, InputError, MathError
-from lya.exactlin import vadd, vec, vec_strs, vscale, vunit, vzero
+from lya.exactlin import Matrix, vadd, vec, vec_strs, vscale, vunit, vzero
 from lya.lyalg import (
     CATALOG_NAMES,
     AxiomFailure,
@@ -24,13 +24,16 @@ from lya.lyalg import (
     from_leibniz,
     from_lie,
     leibniz2,
-    sl2_lie_tensor,
     triple,
 )
-from reference import (contraction_oracle_binary, contraction_oracle_ternary, from_tensors,
-                       leibniz_from_tensor, lie_bracket, rebased, transported)
+from reference import (contraction_oracle_binary, contraction_oracle_ternary, dense_form,
+                       from_tensors, leibniz_from_tensor, lie_bracket, lie_from_tensor, rebased,
+                       transported)
 
 E, F, H = 0, 1, 2  # sl2 basis order used by the catalog
+# The Chevalley bracket [e,f] = h, [h,e] = 2e, [h,f] = -2f of sl2, dense.
+SL2_BRACKET = tuple(tuple(map(tuple, row))
+                    for row in lie_bracket(3, [(E, F, H, 1), (H, E, E, 2), (H, F, F, -2)]))
 
 
 def zero_tensor3(n):
@@ -122,13 +125,12 @@ def test_vector_length_mismatch_rejected():
 def test_check_axioms_passes_on_catalog_and_constructions():
     for name in CATALOG_NAMES:
         a = catalog(name)
-        assert check_axioms(a.dim, a.c, a.d).passed
+        assert check_axioms(a.dim, a.form).passed
 
 
 def test_from_lie_recovers_binary_tensor():
-    lie = sl2_lie_tensor()
-    a = from_lie(lie, labels=("e", "f", "h"))
-    assert a.c == lie
+    a = lie_from_tensor(SL2_BRACKET, labels=("e", "f", "h"))
+    assert a.c == SL2_BRACKET and a == catalog("sl2")
 
 
 def test_from_lie_heisenberg_has_zero_ternary():
@@ -149,7 +151,7 @@ def test_from_lie_rejects_non_jacobi():
     c[0][2][1] = Fraction(1)
     c[2][0][1] = Fraction(-1)
     with pytest.raises(MathError) as err:
-        from_lie(c)
+        lie_from_tensor(c)
     assert "Jacobi" in str(err.value)
     assert str(err.value) == "Jacobi identity fails at basis triple (0, 1, 2)"
     assert err.value.witness == {"indices": [0, 1, 2], "residual": ["0", "1", "0"]}
@@ -158,7 +160,7 @@ def test_from_lie_rejects_non_jacobi():
 def test_from_lie_rejects_non_antisymmetric():
     c = [[[Fraction(1)]]]
     with pytest.raises(MathError) as err:
-        from_lie(c)
+        lie_from_tensor(c)
     assert str(err.value) == "bracket of basis element 0 with itself is nonzero"
     assert err.value.witness == {"indices": [0, 0]}
 
@@ -176,7 +178,7 @@ def test_from_lie_rejects_non_antisymmetric():
 def test_from_lie_errors_are_pinned(c, message, witness):
     """The message and witness of each kind of bracket error, pinned."""
     with pytest.raises(MathError) as err:
-        from_lie(c)
+        lie_from_tensor(c)
     assert type(err.value) is MathError
     assert (str(err.value), err.value.witness) == (message, witness)
 
@@ -243,14 +245,14 @@ def test_from_lie_matches_the_dense_bracket_scan_on_drawn_brackets():
         c = drawn_bracket(rng, rebased_brackets)
         n, want = len(c), lie_error_reference(c)
         if want is None:
-            a, iterated = from_lie(c), iterated_bracket(c)
+            a, iterated = lie_from_tensor(c), iterated_bracket(c)
             assert a.c == tuple(tuple(tuple(v) for v in row) for row in c)
             assert a.d == tuple(tuple(tuple(tuple(iterated[i, j, k]) for k in range(n))
                                       for j in range(n)) for i in range(n))
             seen["lie", any(x.denominator > 1 for row in c for v in row for x in v)] += 1
             continue
         with pytest.raises(MathError) as err:
-            from_lie(c)
+            lie_from_tensor(c)
         assert (str(err.value), err.value.witness) == want
         residual = want[1].get("residual", ())
         seen[" ".join(want[0].split()[:2]), any("/" in x for x in residual)] += 1
@@ -272,11 +274,10 @@ def test_leibniz2_collapses_to_abelian_like():
 def test_lie_algebra_viewed_as_leibniz():
     # A Lie bracket is a left Leibniz product; skew-symmetrizing an already
     # antisymmetric product returns it unchanged: (b - (-b))/2 = b.
-    lie = sl2_lie_tensor()
-    b = leibniz_from_tensor(("e", "f", "h"), lie)
+    b = leibniz_from_tensor(("e", "f", "h"), SL2_BRACKET)
     a = from_leibniz(b)
-    assert a.c == lie
-    assert check_axioms(a.dim, a.c, a.d).passed
+    assert a.c == SL2_BRACKET
+    assert check_axioms(a.dim, a.form).passed
 
 
 def test_leibniz_identity_rejection():
@@ -402,7 +403,7 @@ def test_symmetrized_binary_fails_ly1():
     a = catalog("sl2")
     c = [[list(v) for v in row] for row in a.c]
     c[F][E] = [x for x in c[E][F]]  # symmetrize one pair
-    report = check_axioms(3, c, a.d)
+    report = check_axioms(3, dense_form(c, a.d))
     assert not report.passed
     assert any(f.axiom == "LY1" and f.indices == (E, F) for f in report.failures)
 
@@ -411,17 +412,17 @@ def test_single_sign_flip_in_ternary_fails_ly2():
     a = catalog("sl2")
     d = [[[list(v) for v in plane] for plane in row] for row in a.d]
     d[E][F][E] = [-x for x in d[E][F][E]]
-    report = check_axioms(3, a.c, d)
+    report = check_axioms(3, dense_form(a.c, d))
     assert not report.passed
     assert any(f.axiom == "LY2" and f.indices[:2] == (E, F) for f in report.failures)
 
 
 def test_broken_jacobi_fails_ly3():
     # flip the sign of the [h,e] pair only; Jacobi on (e,f,h) then fails
-    c = [[list(v) for v in row] for row in sl2_lie_tensor()]
+    c = [[list(v) for v in row] for row in SL2_BRACKET]
     c[H][E] = [-x for x in c[H][E]]
     c[E][H] = [-x for x in c[E][H]]
-    report = check_axioms(3, c, zero_tensor4(3))
+    report = check_axioms(3, dense_form(c, zero_tensor4(3)))
     assert not report.passed
     assert {f.axiom for f in report.failures} == {"LY3"}
 
@@ -432,7 +433,7 @@ def test_corrupted_ternary_entry_fails_higher_axiom():
     # keep the alternating symmetry so LY1/LY2 still hold
     d[E][F][H][0] += Fraction(1)
     d[F][E][H][0] -= Fraction(1)
-    report = check_axioms(3, a.c, d)
+    report = check_axioms(3, dense_form(a.c, d))
     assert not report.passed
     tags = {f.axiom for f in report.failures}
     assert tags and tags <= {"LY3", "LY4", "LY5", "LY6"}
@@ -447,10 +448,42 @@ def test_invalid_tensors_cannot_construct_algebra():
     assert err.value.report.failures[0].axiom == "LY1"
 
 
+# Malformed forms of a binary product or a Leibniz product in dimension 2,
+# each alternating, so that the malformation is its only fault.
+MALFORMED = {
+    "negative scale": (-1, {(0, 1, 0): 1, (1, 0, 0): -1}),
+    "zero scale": (0, {(0, 1, 0): 1, (1, 0, 0): -1}),
+    "float value": (1, {(0, 1, 0): 0.5, (1, 0, 0): -0.5}),
+    "str value": (1, {(0, 1, 0): "1", (1, 0, 0): "-1"}),
+    "key out of range": (1, {(0, 1, 2): 1, (1, 0, 2): -1}),
+    "short key": (1, {(0, 1): 1, (1, 0): -1}),
+}
+# Everything that takes a form; a matrix has no keys, so it takes the
+# scale and the first value only.
+FORM_TAKERS = {
+    "Matrix": lambda scale, entries: Matrix(1, 1, (scale, ((next(iter(entries.values())),),))),
+    "LYAlgebra": lambda scale, entries: LYAlgebra(2, ("a", "b"), (scale, entries, {})),
+    "LeibnizAlgebra": lambda scale, entries: LeibnizAlgebra(2, ("a", "b"), (scale, entries)),
+    "from_lie": lambda scale, entries: from_lie(2, (scale, entries)),
+    "check_axioms": lambda scale, entries: check_axioms(2, (scale, entries, {})),
+}
+
+
+@pytest.mark.parametrize("kind, taker", [(kind, taker) for kind in MALFORMED
+                                         for taker in FORM_TAKERS
+                                         if taker != "Matrix" or "key" not in kind])
+def test_a_malformed_form_is_refused_where_it_is_cleared(kind, taker):
+    """A scale that is not a positive integer, a value that is not an
+    integer or a Fraction, and a key that is not three indices in range
+    are refused with InputError by every constructor, before any check."""
+    with pytest.raises(InputError):
+        FORM_TAKERS[taker](*MALFORMED[kind])
+
+
 def test_zero_dimensional_algebra():
     a = abelian(0)
     assert a.dim == 0
-    assert check_axioms(0, (), ()).passed
+    assert check_axioms(0, (1, {}, {})).passed
 
 
 def axiom_oracle(n, c, d):
@@ -537,7 +570,7 @@ def corrupt(rng, c, d, denominator):
 def test_check_axioms_matches_oracle_on_catalog():
     for name in CATALOG_NAMES:
         a = catalog(name)
-        assert check_axioms(a.dim, a.c, a.d) == axiom_oracle(a.dim, a.c, a.d)
+        assert check_axioms(a.dim, a.form) == axiom_oracle(a.dim, a.c, a.d)
 
 
 def test_check_axioms_matches_oracle_after_rational_change_of_basis():
@@ -545,7 +578,7 @@ def test_check_axioms_matches_oracle_after_rational_change_of_basis():
     moved = rebased(a, seed=11)[0]
     c, d = moved.c, moved.d
     assert any(x.denominator > 1 for row in c for v in row for x in v)
-    report = check_axioms(a.dim, c, d)
+    report = check_axioms(a.dim, dense_form(c, d))
     assert report.passed
     assert report == axiom_oracle(a.dim, c, d)
 
@@ -562,7 +595,7 @@ def test_check_axioms_matches_oracle_on_seeded_corruptions():
         for denominator in (2, 5):
             for _ in range(count):
                 c, d = corrupt(rng, c0, d0, denominator)
-                report = check_axioms(len(c), c, d)
+                report = check_axioms(len(c), dense_form(c, d))
                 assert report == axiom_oracle(len(c), c, d)
                 assert not report.passed
                 tags |= {f.axiom for f in report.failures}
@@ -595,7 +628,7 @@ INNER_MAP_FAILURES = {
 def test_check_axioms_lists_inner_map_failures_as_the_oracle(name):
     n, binary, ternary, tags = INNER_MAP_FAILURES[name]
     c, d = twinned(n, binary, ternary)
-    report = check_axioms(n, c, d)
+    report = check_axioms(n, dense_form(c, d))
     assert report == axiom_oracle(n, c, d)
     assert {f.axiom for f in report.failures} == tags
 
@@ -620,7 +653,7 @@ def test_check_axioms_matches_oracle_on_drawn_alternating_forms():
     def check(drawn):
         n, binary, ternary, denominator = drawn
         c, d = twinned(n, binary, ternary, denominator)
-        assert check_axioms(n, c, d) == axiom_oracle(n, c, d)
+        assert check_axioms(n, dense_form(c, d)) == axiom_oracle(n, c, d)
 
     check()
 

@@ -21,11 +21,11 @@ from lya.derivations import (DhatClash, DhatResult, PartialMap, QuasiWitness, dh
                              derivation_space, g_derivation_space, is_quasi_derivation)
 from lya.exactlin import Matrix, Subspace
 from lya.lyalg import (CATALOG_NAMES, AxiomFailure, AxiomReport, LeibnizAlgebra, LYAlgebra,
-                       catalog, check_axioms, leibniz2, sl2_lie_tensor)
+                       catalog, check_axioms, leibniz2)
 from lya.maps import AutCert, basis_maps, identity_cert
 from lya.structure import center, derived_algebra
 from lya.theorems import CheckSpec, PropReport, default_catalog_plan, default_catalog_reports
-from reference import leibniz_from_tensor
+from reference import dense_form, leibniz_from_tensor
 
 # The fields of each type in order, a (name, default) pair where the field
 # has a default, written out here rather than read from the types.
@@ -89,7 +89,7 @@ def _collect():
 
     for name in CATALOG_NAMES:
         a = catalog(name)
-        add(a, check_axioms(a.dim, a.c, a.d), center(a), derived_algebra(a))
+        add(a, check_axioms(a.dim, a.form), center(a), derived_algebra(a))
         space = derivation_space(a)
         add(space, identity_cert(a))
         for f in basis_maps(space)[:2]:
@@ -101,9 +101,9 @@ def _collect():
     sl2 = catalog("sl2")
     bad_c = tuple(tuple(tuple(-x for x in v) if (i, j) == (0, 1) else v
                         for j, v in enumerate(row)) for i, row in enumerate(sl2.c))
-    report = check_axioms(sl2.dim, bad_c, sl2.d)
+    report = check_axioms(sl2.dim, dense_form(bad_c, sl2.d))
     add(report, *report.failures[:3])
-    add(leibniz2(), leibniz_from_tensor(("e", "f", "h"), sl2_lie_tensor()))
+    add(leibniz2(), leibniz_from_tensor(("e", "f", "h"), sl2.c))
     for _, algebra, specs in default_catalog_plan():
         for spec in specs:
             add(spec, spec.subspace, spec.map)

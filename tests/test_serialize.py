@@ -8,7 +8,7 @@ from lya.serialize import (
     algebra_to_dict,
     canonical_json,
     leibniz_from_dict,
-    lie_tensor_from_dict,
+    lie_bracket_from_dict,
     map_from_dict,
     map_to_dict,
     parse_vector_arg,
@@ -86,7 +86,7 @@ def test_subspace_loader_canonicalizes():
 def test_lie_input_must_not_carry_ternary():
     data = algebra_to_dict(catalog("sl2"))
     with pytest.raises(InputError):
-        lie_tensor_from_dict(data)
+        lie_bracket_from_dict(data)
 
 
 def test_leibniz_loader_keeps_asymmetry():

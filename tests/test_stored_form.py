@@ -31,8 +31,9 @@ from lya.serialize import (algebra_from_dict, algebra_to_dict, map_to_dict, read
 from lya.structure import derived_algebra, is_subalgebra
 from lya.theorems import extract_subalgebra, verify_p37, verify_p38
 from reference import (GL2_TWISTS, H5_SWAP, SUM_CHEVALLEY, assert_form_is,
-                       compare_with_dense_loader, from_tensors, gl2, h5, leibniz_from_tensor,
-                       rebased, transported_leibniz, without_dense_tensors)
+                       compare_with_dense_loader, dense_form, from_tensors, gl2, h5,
+                       leibniz_from_tensor, prescribed_binary, prescribed_ternary, rebased,
+                       transported_leibniz, without_dense_tensors)
 
 # -- dense references --------------------------------------------------------
 
@@ -133,7 +134,7 @@ def alternation_cases():
 
 def test_alternation_failures_match_the_dense_reference():
     for c, d in alternation_cases():
-        report = check_axioms(3, c, d)
+        report = check_axioms(3, dense_form(c, d))
         want = dense_alternation_failures(3, c, d)
         got = [(f.axiom, f.indices, f.residual) for f in report.failures
                if f.axiom in ("LY1", "LY2")]
@@ -271,7 +272,7 @@ def test_from_leibniz_passes_the_axioms_in_every_basis():
         hypothesis.assume(p_inv is not None)
         for leibniz in (b, transported_leibniz(b, p, p_inv)):
             a = from_leibniz(leibniz)
-            assert check_axioms(a.dim, a.c, a.d).passed
+            assert check_axioms(a.dim, a.form).passed
 
     check()
 
@@ -430,7 +431,6 @@ def test_solvers_clear_no_row_of_their_own_systems(monkeypatch):
     the center's rows, and the rows (product | image) of the quasi
     companions and of the hat map.  The algebra is rebased, so every scale
     is other than 1."""
-    from lya import derivations
     from lya.derivations import (_identity_rows, centroid, dhat, g_derivation_space,
                                  is_quasi_derivation)
     from lya.exactlin import _images, _residue
@@ -477,9 +477,10 @@ def test_solvers_clear_no_row_of_their_own_systems(monkeypatch):
         return rows
 
     def hat_rows(f, theta):
-        rows = [bracket(alg, x, y) + derivations.dhat_binary_rhs(alg, f, theta.map, x, y)
+        c, d = alg.c, alg.d
+        rows = [bracket(alg, x, y) + prescribed_binary(c, f, theta.map, x, y)
                 for x in basis for y in basis]
-        rows += [triple(alg, x, y, z) + derivations.dhat_ternary_rhs(alg, f, theta.map, x, y, z)
+        rows += [triple(alg, x, y, z) + prescribed_ternary(d, f, theta.map, x, y, z)
                  for x in basis for y in basis for z in basis]
         return rows
 

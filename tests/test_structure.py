@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,6 @@ from lya.derivations import (
     centroid,
     derivation_space,
     dhat,
-    dhat_binary_rhs,
-    dhat_ternary_rhs,
     g_derivation_space,
     is_quasi_derivation,
     require_stabilized_subalgebra,
@@ -20,7 +17,7 @@ from lya.derivations import (
 )
 from lya.errors import InternalCheckError, MathError
 from lya.exactlin import (Matrix, Subspace, invert, nullspace, rref, subspace_contains,
-                          subspace_intersect, vadd, vscale, vunit)
+                          subspace_intersect, vunit)
 from lya.lyalg import CATALOG_NAMES, bracket, catalog, direct_sum, triple
 from lya.maps import basis_maps, certify_automorphism, identity_cert, inner_derivation
 from lya.serialize import algebra_to_dict
@@ -32,12 +29,12 @@ from lya.structure import (
     is_perfect,
     is_subalgebra,
 )
-from lya import exactlin, theorems
+from lya import derivations, exactlin, lyalg, theorems
 from lya.theorems import _extract_subalgebra, default_catalog_plan, verify_p35
 from reference import (CHEVALLEY, SUM_CHEVALLEY, contraction_oracle_binary as bi,
                        contraction_oracle_ternary as tri, covariance_cases, from_tensors, gl2,
-                       h5, quasi_reference, rand_map, rebased, stabilizer_reference, transported,
-                       unflat, without_dense_tensors)
+                       h5, prescribed_binary, prescribed_ternary, quasi_reference, rand_map,
+                       rebased, stabilizer_reference, transported, unflat, without_dense_tensors)
 
 E, F, H = 0, 1, 2
 
@@ -295,19 +292,6 @@ def p35_reference(a, meet):
     return ok, witness, {"intersection_dim": meet.dim, "centerless": centerless}
 
 
-def dhat_binary_rhs_reference(a, d_map, theta, g, h):
-    val = vscale(2, d_map.mul_vec(bi(a.c, g, h)))
-    val = vadd(val, bi(a.c, d_map.mul_vec(h), theta.mul_vec(g)))
-    return vadd(val, bi(a.c, theta.mul_vec(h), d_map.mul_vec(g)))
-
-
-def dhat_ternary_rhs_reference(a, d_map, theta, g, h, i):
-    val = vscale(3, d_map.mul_vec(tri(a.d, g, h, i)))
-    val = vadd(val, tri(a.d, d_map.mul_vec(g), theta.mul_vec(h), i))
-    val = vadd(val, tri(a.d, g, d_map.mul_vec(h), theta.mul_vec(i)))
-    return vadd(val, tri(a.d, theta.mul_vec(g), h, d_map.mul_vec(i)))
-
-
 def algebra_to_dict_reference(a):
     n, c, d = a.dim, a.c, a.d
     binary = [[i, j, [str(x) for x in c[i][j]]]
@@ -416,18 +400,18 @@ def test_p35_matches_the_dense_loop(monkeypatch, patch_calls_from):
 def test_dhat_and_inner_match_the_dense_references():
     rng = random.Random(36)
     for a, _ in reference_cases():
-        n = a.dim
+        n, c, d = a.dim, a.c, a.d
         # The zero map's prescriptions all vanish, so its hat map is defined.
         zero_hat = dhat(a, Matrix.zero(n, n), identity_cert(a)).map
         assert zero_hat.domain == derived_algebra_reference(a)
         for _ in range(2 if n else 0):
             d_map, theta = rand_map(rng, n), rand_map(rng, n)
             g, h, i = (rand_vec(rng, n) for _ in range(3))
-            assert dhat_binary_rhs(a, d_map, theta, g, h) \
-                == dhat_binary_rhs_reference(a, d_map, theta, g, h)
-            assert dhat_ternary_rhs(a, d_map, theta, g, h, i) \
-                == dhat_ternary_rhs_reference(a, d_map, theta, g, h, i)
-            cols = [tri(a.d, g, h, vunit(n, k)) for k in range(n)]
+            binary, ternary = derivations._prescriptions(a, d_map, theta)
+            assert lyalg._values(binary, n, [g], [h]) == [prescribed_binary(c, d_map, theta, g, h)]
+            assert lyalg._values(ternary, n, [g, h], [i]) \
+                == [prescribed_ternary(d, d_map, theta, g, h, i)]
+            cols = [tri(d, g, h, vunit(n, k)) for k in range(n)]
             assert inner_derivation(a, g, h) == Matrix.from_rows(cols).transpose()
 
 
@@ -448,8 +432,8 @@ def stored_form_answers(a, twist, rng):
         if is_subalgebra(a, s):
             out.append(_extract_subalgebra(a, s))
     return out + [
-        verify_p35(a, theta), dhat_binary_rhs(a, d_map, theta.map, g, h),
-        dhat_ternary_rhs(a, d_map, theta.map, g, h, i), dhat(a, Matrix.zero(n, n), theta),
+        verify_p35(a, theta), derivations._prescriptions(a, d_map, theta.map),
+        dhat(a, Matrix.zero(n, n), theta),
         dhat(a, d_map, theta), derivation_space(a), centroid(a),
         g_derivation_space(a, theta, theta), is_quasi_derivation(a, d_map)]
 
@@ -514,13 +498,11 @@ def test_structure_is_basis_covariant():
 def dense_prescriptions(a, d_map, theta):
     """Each product generator of ``a`` paired with its prescribed image from
     the dense reference formulas, in generator order."""
-    n = a.dim
-    dense = types.SimpleNamespace(c=a.c, d=a.d)
+    n, c, d = a.dim, a.c, a.d
     u = [vunit(n, i) for i in range(n)]
-    out = [(dense.c[i][j], dhat_binary_rhs_reference(dense, d_map, theta, u[i], u[j]))
+    out = [(c[i][j], prescribed_binary(c, d_map, theta, u[i], u[j]))
            for i in range(n) for j in range(i + 1, n)]
-    return out + [(dense.d[i][j][k],
-                   dhat_ternary_rhs_reference(dense, d_map, theta, u[i], u[j], u[k]))
+    return out + [(d[i][j][k], prescribed_ternary(d, d_map, theta, u[i], u[j], u[k]))
                   for i, j, k in itertools.product(range(n), repeat=3)]
 
 

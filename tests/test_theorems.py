@@ -34,7 +34,7 @@ from lya.theorems import (
     verify_p38,
     verify_t32,
 )
-from reference import chevalley_cert, neg_cert, rebased
+from reference import chevalley_cert, dense_form, neg_cert, rebased
 
 E, F, H = 0, 1, 2
 
@@ -104,7 +104,7 @@ def test_transported_structure_constants_form_an_ly_algebra():
             for fb in maps)
         for fa in maps)
     assert all(v is not None for row in c for v in row)
-    report = check_axioms(k, c, d)
+    report = check_axioms(k, dense_form(c, d))
     assert report.passed
 
 
