@@ -89,8 +89,7 @@ def _register(layer: str) -> None:
 _EXPORTS = {name: layer for layer, names in (
     ("exactlin", "Matrix Subspace nullspace rref solve subspace_contains subspace_intersect "
                  "subspace_sum"),
-    ("lyalg", "LeibnizAlgebra LYAlgebra bracket catalog check_axioms direct_sum from_leibniz "
-              "from_lie triple"),
+    ("lyalg", "LYAlgebra bracket catalog check_axioms direct_sum from_leibniz from_lie triple"),
     ("maps", "AutCert basis_maps certify_automorphism commutator compose identity_cert "
              "inner_derivation restrict_map"),
     ("structure", "center derived_algebra is_abelian_ideal is_ideal is_perfect is_subalgebra"),

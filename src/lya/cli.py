@@ -134,16 +134,16 @@ def _check_spec(session: _Session, raw, algebra: lyalg.LYAlgebra,
 def _cmd_check(args, session) -> tuple[dict, int]:
     data = session.load(args.algebra)
     n, _, form = ser.raw_algebra_from_dict(data)
-    report = lyalg._check_form(n, form)
+    failures = lyalg._check_form(n, form)
     result = {
-        "passed": report.passed,
+        "passed": not failures,
         "failures": [
             {"axiom": f.axiom, "indices": list(f.indices),
              "residual": exactlin.vec_strs(f.residual)}
-            for f in report.failures
+            for f in failures
         ],
     }
-    return result, 0 if report.passed else MATH_FAILURE
+    return result, MATH_FAILURE if failures else 0
 
 
 def _cmd_construct(args, session) -> tuple[dict, int]:
@@ -151,7 +151,7 @@ def _cmd_construct(args, session) -> tuple[dict, int]:
     if args.source == "lie":
         algebra = lyalg.from_lie(*ser.lie_bracket_from_dict(data))
     else:
-        algebra = lyalg.from_leibniz(ser.leibniz_from_dict(data))
+        algebra = lyalg.from_leibniz(*ser.leibniz_from_dict(data))
     result = {"algebra": ser.algebra_to_dict(algebra)}
     if args.file:
         ser.save_json_file(args.file, result["algebra"])

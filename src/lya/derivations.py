@@ -340,15 +340,6 @@ class DhatClash(Record):
     mismatch: exactlin.Vec
 
 
-class DhatResult(Record):
-    map: PartialMap | None
-    clash: DhatClash | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.map is not None
-
-
 def _prescriptions(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
                    theta: exactlin.Matrix) -> tuple[lyalg.Keyed, lyalg.Keyed]:
     """The hat map's prescribed images as multilinear forms, transported on
@@ -370,8 +361,10 @@ def _prescriptions(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
                            (1, lyalg._transport(ternary, (t, None, m)))]))
 
 
-def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert) -> DhatResult:
-    """Induced map on the derived algebra, when the prescriptions agree.
+def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
+         theta: maps.AutCert) -> PartialMap | DhatClash:
+    """Induced map on the derived algebra, when the prescriptions agree, or
+    else the clash that shows they do not.
 
     The defining formulas only prescribe images of products, so the unknown
     map lives on the span of all products.  One :func:`~lya.exactlin._rref`
@@ -389,7 +382,8 @@ def dhat(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix, theta: maps.AutCert) 
     return _dhat(algebra, _prescriptions(algebra, d_map, _twist(algebra, theta)))
 
 
-def _dhat(algebra: lyalg.LYAlgebra, prescriptions: tuple[lyalg.Keyed, lyalg.Keyed]) -> DhatResult:
+def _dhat(algebra: lyalg.LYAlgebra,
+          prescriptions: tuple[lyalg.Keyed, lyalg.Keyed]) -> PartialMap | DhatClash:
     """:func:`dhat` from the map's :func:`_prescriptions`, already built."""
     n = algebra.dim
     # Every generator, zeros included: their order fixes the clash terms.
@@ -408,8 +402,7 @@ def _dhat(algebra: lyalg.LYAlgebra, prescriptions: tuple[lyalg.Keyed, lyalg.Keye
             mismatch = [sum(c * rows[k][n + l] for k, c in lam) for l in range(n)]
             if any(mismatch):
                 terms = tuple((tags[k], Fraction(c, kscale)) for k, c in lam)
-                return DhatResult(map=None, clash=DhatClash(
-                    terms=terms, mismatch=exactlin._view(kscale * over, mismatch)))
+                return DhatClash(terms=terms, mismatch=exactlin._view(kscale * over, mismatch))
         raise InternalCheckError("prescriptions passed the kernel test but did not solve")
     w = exactlin.Subspace._from_rref(
         exactlin.Matrix(len(r), n, (scale, tuple(row[:n] for row in r))))
@@ -417,4 +410,4 @@ def _dhat(algebra: lyalg.LYAlgebra, prescriptions: tuple[lyalg.Keyed, lyalg.Keye
         raise InternalCheckError("product vector escaped the derived algebra")
     matrix = exactlin.Matrix(n, len(r),
                              (scale, tuple(tuple(row[n + l] for row in r) for l in range(n))))
-    return DhatResult(map=PartialMap(domain=w, matrix_on_domain=matrix), clash=None)
+    return PartialMap(domain=w, matrix_on_domain=matrix)

@@ -22,15 +22,19 @@ class MathError(LyaError):
 
 
 class AxiomError(MathError):
-    """Candidate structure constants violate the algebra axioms."""
+    """Candidate structure constants violate the algebra axioms.
 
-    def __init__(self, report):
-        first = report.failures[0]
+    Carries ``failures``, the nonempty tuple of axiom failures that
+    ``lyalg.check_axioms`` returns; the message names the first.
+    """
+
+    def __init__(self, failures):
+        first = failures[0]
         super().__init__(
             f"axiom {first.axiom} fails at basis tuple {first.indices}",
             witness={"axiom": first.axiom, "indices": list(first.indices)},
         )
-        self.report = report
+        self.failures = failures
 
 
 class InternalCheckError(LyaError):

@@ -95,6 +95,15 @@ def _matrix_strs(m: Matrix) -> list[list[str]]:
     return [vec_strs(row) for row in m.entries]
 
 
+def _parts(form, count: int) -> tuple:
+    """``form`` when it is a tuple of ``count`` parts, the shape its taker
+    unpacks: a scale and its entries.  Any other form is refused with
+    InputError before it is read."""
+    if type(form) is not tuple or len(form) != count:
+        raise InputError(f"a form must be a tuple of {count} parts")
+    return form
+
+
 def _clear(scale: int, rows: Sequence[Sequence[Fraction | int]]) -> Cleared:
     """The canonical cleared form of the rationals x / scale, for rows of
     integer or Fraction values x and a positive integer scale: their least
@@ -141,7 +150,7 @@ class Matrix(Record):
     form: Cleared
 
     def __post_init__(self):
-        scale, data = self.form
+        scale, data = _parts(self.form, 2)
         if len(data) != self.rows:
             raise InputError(f"expected {self.rows} rows, got {len(data)}")
         for r in data:

@@ -11,10 +11,11 @@ enter only as such a form, integers or Fractions over a positive integer
 scale, and every form is cleared by :func:`_cleared`, which refuses a
 malformed one with InputError.  Values of :class:`LYAlgebra` are always
 axiom-valid; candidate constants that may fail the axioms only ever exist
-as a raw form paired with an :class:`AxiomReport`.  Every product is
-evaluated on the form (see :func:`_transport`).  A :class:`LeibnizAlgebra`
-keeps its one product in the same cleared form, keyed (i, j, l), and
-:func:`from_lie` takes a Lie bracket so keyed.
+as a raw form, paired with its failures: the tuple of
+:class:`AxiomFailure` that :func:`check_axioms` returns.  Every product
+is evaluated on the form (see :func:`_transport`).  :func:`from_lie` takes
+a Lie bracket, and :func:`from_leibniz` a left Leibniz product, as
+``(scale, entries)`` keyed (i, j, l) as the binary part of a form.
 """
 
 from __future__ import annotations
@@ -42,29 +43,26 @@ class AxiomFailure(Record):
     residual: exactlin.Vec
 
 
-class AxiomReport(Record):
-    failures: tuple[AxiomFailure, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def _cleared(n: int, scale: int, binary: dict, ternary: dict) -> Form:
-    """The canonical form of the products of dimension n with entries
-    x / scale, for integer or Fraction x keyed as in the form: their
-    nonzero entries cleared by :func:`~lya.exactlin._clear`.  A key that is
-    not 3 (binary) or 4 (ternary) integer indices in range(n) is refused
-    with InputError, as :func:`~lya.exactlin._clear` refuses a bad scale or
-    value."""
-    for arity, part in ((3, binary), (4, ternary)):
+def _cleared(n: int, form: tuple, count: int) -> tuple:
+    """The canonical form of products of dimension n given as ``form``, a
+    tuple of ``count`` parts: a scale, the binary entries and, when count is
+    3, the ternary entries, integers or Fractions x keyed as in the form for
+    x / scale.  Their nonzero entries are cleared by
+    :func:`~lya.exactlin._clear`.  A form of another shape, a part that is
+    not a dict and a key that is not 3 (binary) or 4 (ternary) integer
+    indices in range(n) are refused with InputError, as
+    :func:`~lya.exactlin._clear` refuses a bad scale or value."""
+    scale, *parts = exactlin._parts(form, count)
+    for arity, part in zip((3, 4), parts):
+        if not isinstance(part, dict):
+            raise InputError(f"the entries of a form must be a dict, got {type(part).__name__}")
         for key in part:
             if not (type(key) is tuple and len(key) == arity
                     and all(type(i) is int and 0 <= i < n for i in key)):
                 raise InputError(f"key {key!r} is not {arity} indices in range({n})")
-    scale, (values,) = exactlin._clear(scale, [[*binary.values(), *ternary.values()]])
+    scale, (values,) = exactlin._clear(scale, [[x for part in parts for x in part.values()]])
     cleared = iter(values)
-    return scale, *({k: x for k, x in zip(part, cleared) if x} for part in (binary, ternary))
+    return scale, *({k: x for k, x in zip(part, cleared) if x} for part in parts)
 
 
 def _iterated(entries: dict, outer: dict | None = None) -> dict:
@@ -220,15 +218,16 @@ def _first_failure(algebra: LYAlgebra, post: exactlin.Matrix,
     return first, _vector_at(defect, first, algebra.dim)
 
 
-def check_axioms(n: int, form: Form) -> AxiomReport:
-    """Evaluate the six defining identities of the products of dimension n
-    given by ``form``, as :class:`LYAlgebra` takes it: it is cleared once
-    and checked by :func:`_check_form`."""
-    return _check_form(n, _cleared(n, *form))
+def check_axioms(n: int, form: Form) -> tuple[AxiomFailure, ...]:
+    """The failures of the six defining identities of the products of
+    dimension n given by ``form``, as :class:`LYAlgebra` takes it: it is
+    cleared once and checked by :func:`_check_form`."""
+    return _check_form(n, _cleared(n, form, 3))
 
 
-def _check_form(n: int, form: Form) -> AxiomReport:
-    """Evaluate the six defining identities on all basis tuples of a form.
+def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
+    """Evaluate the six defining identities on all basis tuples of a form,
+    and return their failures, none when the axioms hold.
 
     The two alternating conditions are read off the entries, in the order
     of a scan over the basis tuples (LY2 with its last index outermost).
@@ -307,7 +306,7 @@ def _check_form(n: int, form: Form) -> AxiomReport:
                     acc = [a + row[p] * y for a, y in zip(acc, values)]
             listed(tag, (g, h), scale * common, dict(zip(keys, acc)))
 
-    return AxiomReport(failures=tuple(failures))
+    return tuple(failures)
 
 
 class LYAlgebra(Record):
@@ -326,12 +325,14 @@ class LYAlgebra(Record):
     form: Form
 
     def __post_init__(self):
-        if len(self.labels) != self.dim:
-            raise InputError("label count does not match dimension")
-        object.__setattr__(self, "form", _cleared(self.dim, *self.form))
-        report = _check_form(self.dim, self.form)
-        if not report.passed:
-            raise AxiomError(report)
+        labels = self.labels
+        if not (type(labels) is tuple and len(labels) == self.dim
+                and all(type(x) is str for x in labels)):
+            raise InputError("labels must be a tuple of dim strings")
+        object.__setattr__(self, "form", _cleared(self.dim, self.form, 3))
+        failures = _check_form(self.dim, self.form)
+        if failures:
+            raise AxiomError(failures)
 
     def __hash__(self):
         scale, binary, ternary = self.form
@@ -366,23 +367,23 @@ def triple(algebra: LYAlgebra, g: Sequence[exactlin.Scalar], h: Sequence[exactli
 def from_lie(dim: int, bracket: Keyed, labels: Sequence[str] | None = None) -> LYAlgebra:
     """Lift a Lie bracket: ternary product is the iterated bracket.
 
-    ``bracket`` is ``(scale, entries)``, keyed (i, j, l) as
-    :class:`LeibnizAlgebra` takes its product, with both [e_i, e_j] and
-    [e_j, e_i] given.  The lift is built and its axioms checked as for any
-    algebra; a bracket that is not a Lie bracket fails that check, and its
-    error names the check's first failure.  LY1 is alternation.  Once it
-    holds, so does LY2, and LY3 is twice the Jacobi identity at the same
-    basis triples, so any other first failure is LY3 with its residual
-    halved.
+    ``bracket`` is ``(scale, entries)``, keyed (i, j, l) for coordinate l
+    of [e_i, e_j] as the binary part of a form, with both [e_i, e_j] and
+    [e_j, e_i] given; ``labels`` default to e1, e2, ....  The lift is built
+    and its axioms checked as for any algebra; a bracket that is not a Lie
+    bracket fails that check, and its error names the check's first
+    failure.  LY1 is alternation.  Once it holds, so does LY2, and LY3 is
+    twice the Jacobi identity at the same basis triples, so any other first
+    failure is LY3 with its residual halved.
     """
-    scale, binary, _ = _cleared(dim, *bracket, {})
+    scale, binary = _cleared(dim, bracket, 2)
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
     form = (scale * scale, {k: scale * x for k, x in binary.items()}, _iterated(binary))
     try:
         return LYAlgebra(dim, tuple(str(x) for x in labels), form)
     except AxiomError as exc:
-        first = exc.report.failures[0]
+        first = exc.failures[0]
     if first.axiom == "LY1":
         i, j = first.indices
         raise MathError(f"bracket of basis element {i} with itself is nonzero" if i == j
@@ -393,58 +394,35 @@ def from_lie(dim: int, bracket: Keyed, labels: Sequence[str] | None = None) -> L
                              "residual": exactlin.vec_strs(x / 2 for x in first.residual)})
 
 
-class LeibnizAlgebra(Record):
-    """Left Leibniz algebra: a(bc) = (ab)c + b(ac) on all basis triples.
+def from_leibniz(dim: int, product: Keyed, labels: tuple[str, ...]) -> LYAlgebra:
+    """Lift a left Leibniz product: the skew-symmetrized half product and
+    minus a quarter of the iterated product.
 
-    ``form`` holds the product as ``(scale, entries)``, integers or
-    Fractions over the scale keyed (i, j, l) as the module docstring says;
-    construction makes it the canonical cleared form and checks the
-    identity on it in integers.  So ``==`` compares structure constants,
-    ``hash`` reads the entries, and ``repr`` shows the dense ``product`` as
-    a dataclass with that field would.
+    ``product`` is ``(scale, entries)``, keyed as :func:`from_lie` takes
+    its bracket but with no symmetry assumed.  It is cleared once, and the
+    left Leibniz identity a(bc) = (ab)c + b(ac) is checked on it in
+    integers; a product that fails it is refused with MathError at the
+    first basis triple, in lexicographic order, where it fails.
     """
-
-    dim: int
-    labels: tuple[str, ...]
-    form: Keyed
-
-    def __post_init__(self):
-        if len(self.labels) != self.dim:
-            raise InputError("label count does not match dimension")
-        scale, product, _ = _cleared(self.dim, *self.form, {})
-        object.__setattr__(self, "form", (scale, product))
-        # left[j, k, i, l] is coordinate l of e_i(e_j e_k), so a(bc) and b(ac)
-        # at the basis triple (a, b, c) sit at the keys (b, c, a) and (a, c, b).
-        left = _iterated(product, {(j, i, l): x for (i, j, l), x in product.items()})
-        defect = _summed([(1, (1, {(i, j, k, l): x for (j, k, i, l), x in left.items()})),
-                          (-1, (1, {(i, j, k, l): x for (i, k, j, l), x in left.items()})),
-                          (-1, (1, _iterated(product)))])[1]
-        first = min((key[:3] for key, x in defect.items() if x), default=None)
-        if first is not None:
-            res = _vector_at((scale * scale, defect), first, self.dim)
-            raise MathError(f"left Leibniz identity fails at basis triple {first}",
-                            witness={"indices": list(first), "residual": exactlin.vec_strs(res)})
-
-    def __hash__(self):
-        scale, product = self.form
-        return hash((self.dim, self.labels, scale, frozenset(product.items())))
-
-    def __repr__(self):
-        return (f"LeibnizAlgebra(dim={self.dim!r}, labels={self.labels!r}, "
-                f"product={self.product!r})")
-
-    product = property(lambda self: _dense(self.form, self.dim, 2))
-
-
-def from_leibniz(b: LeibnizAlgebra) -> LYAlgebra:
-    """Skew-symmetrized half product plus minus-a-quarter iterated product."""
-    scale, product = b.form
+    scale, product = _cleared(dim, product, 2)
+    iterated = _iterated(product)
+    # left[j, k, i, l] is coordinate l of e_i(e_j e_k), so a(bc) and b(ac)
+    # at the basis triple (a, b, c) sit at the keys (b, c, a) and (a, c, b).
+    left = _iterated(product, {(j, i, l): x for (i, j, l), x in product.items()})
+    defect = _summed([(1, (1, {(i, j, k, l): x for (j, k, i, l), x in left.items()})),
+                      (-1, (1, {(i, j, k, l): x for (i, k, j, l), x in left.items()})),
+                      (-1, (1, iterated))])[1]
+    first = min((key[:3] for key, x in defect.items() if x), default=None)
+    if first is not None:
+        res = _vector_at((scale * scale, defect), first, dim)
+        raise MathError(f"left Leibniz identity fails at basis triple {first}",
+                        witness={"indices": list(first), "residual": exactlin.vec_strs(res)})
     # Over 4 scale^2, the binary product is 2 scale (p(e_i, e_j) - p(e_j, e_i))
     # and the ternary minus the iterated product.
     swapped = {(j, i, l): x for (i, j, l), x in product.items()}
     binary = _summed([(2 * scale, (1, product)), (-2 * scale, (1, swapped))])[1]
-    ternary = {k: -x for k, x in _iterated(product).items()}
-    return LYAlgebra(b.dim, b.labels, (4 * scale * scale, binary, ternary))
+    ternary = {k: -x for k, x in iterated.items()}
+    return LYAlgebra(dim, labels, (4 * scale * scale, binary, ternary))
 
 
 def _unique_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -469,11 +447,6 @@ def direct_sum(a: LYAlgebra, b: LYAlgebra) -> LYAlgebra:
 
 def abelian(n: int) -> LYAlgebra:
     return LYAlgebra(n, tuple(f"a{i + 1}" for i in range(n)), (1, {}, {}))
-
-
-def leibniz2() -> LeibnizAlgebra:
-    """Two-dimensional left Leibniz algebra: x.x = z, all other products zero."""
-    return LeibnizAlgebra(2, ("x", "z"), (1, {(0, 0, 1): 1}))
 
 
 CATALOG_NAMES = (
@@ -513,5 +486,7 @@ def catalog(name: str) -> LYAlgebra:
     if name == "sl2_plus_ab1":
         return direct_sum(catalog("sl2"), abelian(1))
     if name == "leibniz2":
-        return from_leibniz(leibniz2())
+        # The two-dimensional left Leibniz algebra with x.x = z, all other
+        # products zero.
+        return from_leibniz(2, (1, {(0, 0, 1): 1}), labels=("x", "z"))
     raise InputError(f"unknown catalog name {name!r}")

@@ -116,7 +116,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], lyalg.Form]
     """Decode an algebra file into its cleared form, without checking the
     axioms."""
     n, labels, binary, ternary = _product_entries(data)
-    return n, labels, lyalg._cleared(n, 1, binary, ternary)
+    return n, labels, lyalg._cleared(n, (1, binary, ternary), 3)
 
 
 def algebra_from_dict(data: dict) -> lyalg.LYAlgebra:
@@ -146,13 +146,15 @@ def lie_bracket_from_dict(data: dict) -> tuple[int, lyalg.Keyed, tuple[str, ...]
     return n, (1, binary), labels
 
 
-def leibniz_from_dict(data: dict) -> lyalg.LeibnizAlgebra:
-    """Product entries [i, j, coeffs] with no symmetry assumed."""
+def leibniz_from_dict(data: dict) -> tuple[int, lyalg.Keyed, tuple[str, ...]]:
+    """Product entries [i, j, coeffs] with no symmetry assumed: the
+    dimension, the product as :func:`~lya.lyalg.from_leibniz` takes it, and
+    the labels."""
     n = _get_dim(data)
     labels = _get_labels(data, n)
     product = {(i, j, l): x for (i, j), v in _entry_vectors(data, "product", n).items()
                for l, x in enumerate(v) if x}
-    return lyalg.LeibnizAlgebra(n, labels, (1, product))
+    return n, (1, product), labels
 
 
 def map_from_dict(data: dict) -> exactlin.Matrix:
@@ -206,19 +208,16 @@ def partial_map_to_dict(p: derivations.PartialMap) -> dict:
     }
 
 
-def dhat_result_to_dict(r: derivations.DhatResult) -> dict:
-    out: dict[str, Any] = {"consistent": r.consistent}
-    out["map"] = partial_map_to_dict(r.map) if r.map else None
-    if r.clash:
-        coeffs = exactlin.vec_strs(coeff for _, coeff in r.clash.terms)
-        out["clash"] = {
-            "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": coeff}
-                      for (tag, _), coeff in zip(r.clash.terms, coeffs)],
-            "mismatch": exactlin.vec_strs(r.clash.mismatch),
-        }
-    else:
-        out["clash"] = None
-    return out
+def dhat_result_to_dict(r: derivations.PartialMap | derivations.DhatClash) -> dict:
+    """The hat map, or the clash that shows it does not exist."""
+    if isinstance(r, derivations.PartialMap):
+        return {"consistent": True, "map": partial_map_to_dict(r), "clash": None}
+    coeffs = exactlin.vec_strs(coeff for _, coeff in r.terms)
+    return {"consistent": False, "map": None, "clash": {
+        "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": coeff}
+                  for (tag, _), coeff in zip(r.terms, coeffs)],
+        "mismatch": exactlin.vec_strs(r.mismatch),
+    }}
 
 
 def report_to_dict(r: theorems.PropReport) -> dict:

@@ -311,6 +311,7 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
     for d_map in maps.basis_maps(stab):
         prescriptions = derivations._prescriptions(algebra, d_map, theta.map)
         outcome = derivations._dhat(algebra, prescriptions)
+        consistent = isinstance(outcome, derivations.PartialMap)
         values = lyalg._values(prescriptions[1], n, [gv, hv], points)
         values, combos = values[:h.dim], values[h.dim:]
         # The values are cleared once, together, for membership.
@@ -319,13 +320,13 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
         if bad is not None:
             ok = False
             witness = {"map": exactlin._matrix_strs(d_map), "value": exactlin.vec_strs(bad)}
-        if outcome.consistent and any(x != v for x, v in zip(outcome.map._on_basis(h), values)):
+        if consistent and any(x != v for x, v in zip(outcome._on_basis(h), values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
         for (s, t), combo in zip(weights, combos):
             if combo != exactlin.vadd(exactlin.vscale(s, values[0]), exactlin.vscale(t, values[1])):
                 ok = False
                 witness = {"map": exactlin._matrix_strs(d_map), "linearity": False}
-        per_map.append({"globally_consistent": outcome.consistent,
+        per_map.append({"globally_consistent": consistent,
                         "values_inside": bad is None})
     details = {"stab_dim": stab.dim, "per_map": per_map}
     return PropReport("P37", instance, hypotheses, ok, witness, details)

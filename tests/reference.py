@@ -2,10 +2,11 @@
 
 A plain module that pytest does not collect: each test module imports what
 it needs from here, and no test module imports another.  The references
-are oracles for the library: products are plain ``Fraction`` loops over the
-dense views ``c``, ``d`` and ``product``, algebras are built through public
-constructors, and no private ``lya`` name is imported, so no reference runs
-the stored-form code it checks (``lyalg._transport``, ``exactlin._rref``).
+are oracles for the library: products are plain ``Fraction`` loops over
+dense tensors, such as the views ``c`` and ``d``, algebras are built
+through public constructors, and no private ``lya`` name is imported, so no
+reference runs the stored-form code it checks (``lyalg._transport``,
+``exactlin._rref``).
 """
 
 import functools
@@ -23,8 +24,8 @@ from lya.derivations import QuasiWitness
 from lya.errors import AxiomError, InputError
 from lya.exactlin import (Matrix, invert, nullspace, solve, subspace_intersect, vadd, vscale,
                           vunit, vzero)
-from lya.lyalg import (CATALOG_NAMES, LYAlgebra, LeibnizAlgebra, catalog, check_axioms,
-                       direct_sum, from_lie)
+from lya.lyalg import (CATALOG_NAMES, LYAlgebra, catalog, check_axioms, direct_sum,
+                       from_leibniz, from_lie)
 from lya.maps import certify_automorphism
 from lya.serialize import algebra_from_dict, raw_algebra_from_dict, strs_vec
 
@@ -74,8 +75,8 @@ def lie_from_tensor(c, labels=None):
 
 
 def leibniz_from_tensor(labels, product):
-    """The Leibniz algebra of the dense product tensor product[i][j][l]."""
-    return LeibnizAlgebra(len(labels), tuple(labels), (1, keyed(product)))
+    """``from_leibniz`` of the dense product tensor product[i][j][l]."""
+    return from_leibniz(len(labels), (1, keyed(product)), tuple(labels))
 
 
 def lie_bracket(n, entries, antisymmetric=True):
@@ -117,12 +118,12 @@ def transported(a, p, p_inv):
     return from_tensors(a.labels, moved_c, moved_d)
 
 
-def transported_leibniz(b, p, p_inv):
-    """The Leibniz algebra ``b`` in the basis of P's columns."""
-    n, product, back, cols = b.dim, b.product, p_inv.entries, list(zip(*p.entries))
-    return leibniz_from_tensor(b.labels, [
-        [_apply(back, contraction_oracle_binary(product, cols[i], cols[j])) for j in range(n)]
-        for i in range(n)])
+def transported_product(product, p, p_inv):
+    """The dense product tensor product[i][j][l] in the basis of P's
+    columns: P^-1 (P e_i . P e_j)."""
+    n, back, cols = len(product), p_inv.entries, list(zip(*p.entries))
+    return [[_apply(back, contraction_oracle_binary(product, cols[i], cols[j])) for j in range(n)]
+            for i in range(n)]
 
 
 def rebased(a, seed):
@@ -224,10 +225,9 @@ def _refuse(name, _algebra):
 
 
 def without_dense_tensors(monkeypatch):
-    """Make the dense views c and d of every algebra, and the dense product
-    of every Leibniz algebra, fail on any read."""
-    for cls, name in ((LYAlgebra, "c"), (LYAlgebra, "d"), (LeibnizAlgebra, "product")):
-        monkeypatch.setattr(cls, name, property(functools.partial(_refuse, name)))
+    """Make the dense views c and d of every algebra fail on any read."""
+    for name in ("c", "d"):
+        monkeypatch.setattr(LYAlgebra, name, property(functools.partial(_refuse, name)))
 
 
 # -- the dense loader ----------------------------------------------------------
@@ -312,7 +312,7 @@ def assert_form_is(n, form, c, d):
 def compare_with_dense_loader(obj):
     """The loader and its dense reference agree on ``obj``: the same
     InputError message, or the form of the same tensors with the same
-    axiom report."""
+    axiom failures."""
     try:
         want = dense_loader(obj)
     except InputError as exc:
@@ -323,11 +323,11 @@ def compare_with_dense_loader(obj):
     n, labels, form = raw_algebra_from_dict(obj)
     assert (n, labels) == want[:2]
     assert_form_is(n, form, *want[2:])
-    report = check_axioms(n, dense_form(*want[2:]))
+    failures = check_axioms(n, dense_form(*want[2:]))
     try:
-        assert algebra_from_dict(obj).form == form and report.passed
+        assert algebra_from_dict(obj).form == form and not failures
     except AxiomError as exc:
-        assert exc.report == report and not report.passed
+        assert exc.failures == failures and failures
 
 
 # -- references for the solvers ------------------------------------------------

@@ -1,6 +1,6 @@
 """The value types are ``lya._record`` records, not dataclasses.
 
-Each of the 13 types is held against a frozen dataclass twin built here with
+Each of the 10 types is held against a frozen dataclass twin built here with
 the same fields and defaults: on instances from the catalog and the built-in
 suite, ``repr``, ``==``, ``hash``, the refusal to set or delete an attribute
 and the ``TypeError`` of a bad constructor call must come out the same.  The
@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 import lya
-from lya.derivations import (DhatClash, DhatResult, PartialMap, QuasiWitness, dhat,
-                             derivation_space, g_derivation_space, is_quasi_derivation)
+from lya.derivations import (DhatClash, PartialMap, QuasiWitness, dhat, derivation_space,
+                             g_derivation_space, is_quasi_derivation)
 from lya.exactlin import Matrix, Subspace
-from lya.lyalg import (CATALOG_NAMES, AxiomFailure, AxiomReport, LeibnizAlgebra, LYAlgebra,
-                       catalog, check_axioms, leibniz2)
+from lya.lyalg import CATALOG_NAMES, AxiomFailure, LYAlgebra, catalog, check_axioms
 from lya.maps import AutCert, basis_maps, identity_cert
 from lya.structure import center, derived_algebra
 from lya.theorems import CheckSpec, PropReport, default_catalog_plan, default_catalog_reports
@@ -33,14 +32,11 @@ FIELDS = {
     Matrix: ("rows", "cols", "form"),
     Subspace: ("echelon",),
     LYAlgebra: ("dim", "labels", "form"),
-    LeibnizAlgebra: ("dim", "labels", "form"),
     AxiomFailure: ("axiom", "indices", "residual"),
-    AxiomReport: ("failures",),
     AutCert: ("map", "inverse"),
     QuasiWitness: ("dprime", "dprimeprime"),
     PartialMap: ("domain", "matrix_on_domain"),
     DhatClash: ("terms", "mismatch"),
-    DhatResult: ("map", "clash"),
     PropReport: ("prop_id", "instance", "hypotheses", "conclusion_holds", "witness", "details"),
     CheckSpec: ("prop", ("label", ""), ("theta", None), ("vartheta", None), ("subspace", None),
                 ("map", None), ("g", None), ("h", None), ("g1", None), ("g2", None)),
@@ -58,12 +54,9 @@ def _twin(cls):
 
 
 TWINS = {cls: _twin(cls) for cls in FIELDS}
-# LYAlgebra prints the dense c and d, and LeibnizAlgebra its dense product,
-# as the dataclasses with these fields did.
+# LYAlgebra prints the dense c and d, as the dataclass with these fields did.
 DENSE_LYALGEBRA = dataclasses.make_dataclass(
     "LYAlgebra", [(f, object) for f in ("dim", "labels", "c", "d")], frozen=True)
-DENSE_LEIBNIZALGEBRA = dataclasses.make_dataclass(
-    "LeibnizAlgebra", [(f, object) for f in ("dim", "labels", "product")], frozen=True)
 
 
 def _shown(cls, *names):
@@ -89,21 +82,20 @@ def _collect():
 
     for name in CATALOG_NAMES:
         a = catalog(name)
-        add(a, check_axioms(a.dim, a.form), center(a), derived_algebra(a))
+        add(a, *check_axioms(a.dim, a.form), center(a), derived_algebra(a))
         space = derivation_space(a)
         add(space, identity_cert(a))
         for f in basis_maps(space)[:2]:
             add(f, is_quasi_derivation(a, f))
             result = dhat(a, f, identity_cert(a))
-            add(result, result.map, result.clash)
-            if result.map is not None:
-                add(result.map.domain, result.map.matrix_on_domain)
+            add(result)
+            if isinstance(result, PartialMap):
+                add(result.domain, result.matrix_on_domain)
     sl2 = catalog("sl2")
     bad_c = tuple(tuple(tuple(-x for x in v) if (i, j) == (0, 1) else v
                         for j, v in enumerate(row)) for i, row in enumerate(sl2.c))
-    report = check_axioms(sl2.dim, dense_form(bad_c, sl2.d))
-    add(report, *report.failures[:3])
-    add(leibniz2(), leibniz_from_tensor(("e", "f", "h"), sl2.c))
+    add(*check_axioms(sl2.dim, dense_form(bad_c, sl2.d))[:3])
+    add(leibniz_from_tensor(("e", "f", "h"), sl2.c))
     for _, algebra, specs in default_catalog_plan():
         for spec in specs:
             add(spec, spec.subspace, spec.map)
@@ -138,12 +130,10 @@ def test_records_match_their_dataclass_twin(cls):
     twin, names = TWINS[cls], _names(cls)
     pairs = [(x, twin(*(getattr(x, n) for n in names))) for x in INSTANCES[cls]]
     for x, tx in pairs:
-        if cls in (LYAlgebra, LeibnizAlgebra):
+        if cls is LYAlgebra:
             # The form's dicts leave the twin unhashable; the algebra hashes
             # its form's entries.
-            dense = (DENSE_LYALGEBRA(x.dim, x.labels, x.c, x.d) if cls is LYAlgebra
-                     else DENSE_LEIBNIZALGEBRA(x.dim, x.labels, x.product))
-            assert repr(x) == repr(dense)
+            assert repr(x) == repr(DENSE_LYALGEBRA(x.dim, x.labels, x.c, x.d))
             assert _outcome(lambda: hash(tx))[0] is TypeError
             assert hash(x) == hash(cls(x.dim, x.labels, x.form))
         else:
@@ -184,7 +174,7 @@ def test_bad_constructor_calls_raise_the_dataclass_type_error(cls):
 
 def test_defaults_and_the_stored_form():
     """Defaults fill the omitted fields; an algebra stores its form, not c
-    and d, and a Leibniz algebra its form, not the dense product."""
+    and d."""
     spec = CheckSpec("P31")
     assert repr(spec) == repr(TWINS[CheckSpec]("P31"))
     assert (spec.label, spec.theta, spec.g2) == ("", None, None)
@@ -193,20 +183,14 @@ def test_defaults_and_the_stored_form():
     assert set(vars(a)) == {"dim", "labels", "form"}
     with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
         LYAlgebra(a.dim, a.labels, a.form, c=a.c)
-    b = leibniz2()
-    assert "form" not in repr(b) and b.form == (1, {(0, 0, 1): 1})
-    assert set(vars(b)) == {"dim", "labels", "form"}
 
 
 def test_flags_are_read_off_the_fields():
-    """An axiom report passes when it lists no failure, and a report's
-    hypotheses are met when each named one holds; neither flag is stored."""
-    for report in INSTANCES[AxiomReport]:
-        assert set(vars(report)) == {"failures"} and report.passed == (not report.failures)
+    """A report's hypotheses are met when each named one holds; the flag is
+    not stored."""
     for report in INSTANCES[PropReport]:
         assert "hypotheses_met" not in vars(report)
         assert report.hypotheses_met == all(ok for _, ok in report.hypotheses)
-    assert {r.passed for r in INSTANCES[AxiomReport]} == {True, False}
     assert {r.hypotheses_met for r in INSTANCES[PropReport]} == {True, False}
 
 

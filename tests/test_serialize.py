@@ -91,9 +91,8 @@ def test_lie_input_must_not_carry_ternary():
 
 def test_leibniz_loader_keeps_asymmetry():
     data = {"dim": 2, "labels": ["x", "z"], "product": [[0, 0, ["0", "1"]]]}
-    b = leibniz_from_dict(data)
-    assert b.product[0][0] == parse_vector_arg("0,1")
-    assert b.product[0][1] == parse_vector_arg("0,0")
+    # x.x = z is kept, and no z.x or x.z is made up for it
+    assert leibniz_from_dict(data) == (2, (1, {(0, 0, 1): 1}), ("x", "z"))
 
 
 def test_vector_parsing():

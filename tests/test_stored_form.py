@@ -18,12 +18,12 @@ import pytest
 
 from lya import exactlin
 from lya.cli import main
-from lya.derivations import (derivation_space, require_stabilized_subalgebra,
-                             stabilizer_derivations)
+from lya.derivations import (DhatClash, PartialMap, derivation_space,
+                             require_stabilized_subalgebra, stabilizer_derivations)
 from lya.errors import AxiomError
 from lya.exactlin import (Matrix, Subspace, coordinates, invert, subspace_contains, vadd, vec,
                           vscale, vunit, vzero)
-from lya.lyalg import bracket, catalog, check_axioms, direct_sum, from_leibniz, leibniz2
+from lya.lyalg import bracket, catalog, check_axioms, direct_sum
 from lya.maps import (basis_maps, certify_automorphism, compose, identity_cert, restrict_map,
                       satisfies_g_derivation)
 from lya.serialize import (algebra_from_dict, algebra_to_dict, map_to_dict, read_json_file,
@@ -33,7 +33,7 @@ from lya.theorems import extract_subalgebra, verify_p37, verify_p38
 from reference import (GL2_TWISTS, H5_SWAP, SUM_CHEVALLEY, assert_form_is,
                        compare_with_dense_loader, dense_form, from_tensors, gl2, h5,
                        leibniz_from_tensor, prescribed_binary, prescribed_ternary, rebased,
-                       transported_leibniz, without_dense_tensors)
+                       transported_product, without_dense_tensors)
 
 # -- dense references --------------------------------------------------------
 
@@ -134,15 +134,15 @@ def alternation_cases():
 
 def test_alternation_failures_match_the_dense_reference():
     for c, d in alternation_cases():
-        report = check_axioms(3, dense_form(c, d))
+        failures = check_axioms(3, dense_form(c, d))
         want = dense_alternation_failures(3, c, d)
-        got = [(f.axiom, f.indices, f.residual) for f in report.failures
+        got = [(f.axiom, f.indices, f.residual) for f in failures
                if f.axiom in ("LY1", "LY2")]
         assert got == want and len(want) >= 3
-        assert [f.axiom for f in report.failures[:len(want)]] == [w[0] for w in want]
+        assert [f.axiom for f in failures[:len(want)]] == [w[0] for w in want]
         with pytest.raises(AxiomError) as err:
             from_tensors(("e", "f", "h"), c, d)
-        assert err.value.report == report
+        assert err.value.failures == failures
 
 
 # -- the dense views are never read -------------------------------------------
@@ -237,12 +237,13 @@ def test_loading_a_large_abelian_algebra_allocates_little():
 # -- from_leibniz ---------------------------------------------------------------
 
 def aff2_on_a_line():
-    """The hemisemidirect product of aff2 ([e1, e2] = e1) with the line on
-    which e2 acts by 1: (x, u)(y, v) = ([x, y], x.v), a left Leibniz algebra
-    that is not Lie, whose iterated product is nonzero."""
+    """The dense product of the hemisemidirect product of aff2 ([e1, e2] =
+    e1) with the line on which e2 acts by 1: (x, u)(y, v) = ([x, y], x.v), a
+    left Leibniz algebra that is not Lie, whose iterated product is
+    nonzero."""
     p = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     p[0][1][0], p[1][0][0], p[1][2][2] = 1, -1, 1
-    return leibniz_from_tensor(("e1", "e2", "v"), p)
+    return p
 
 
 def test_from_leibniz_passes_the_axioms_in_every_basis():
@@ -252,12 +253,15 @@ def test_from_leibniz_passes_the_axioms_in_every_basis():
     rebasings of them drawn by hypothesis."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    bases = {"leibniz2": leibniz2(), "aff2_on_a_line": aff2_on_a_line()}
-    assert any(from_leibniz(bases["aff2_on_a_line"]).form[2].values())
+    # The labels and dense product of each: leibniz2 has x.x = z alone.
+    bases = {"leibniz2": (("x", "z"), [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]),
+             "aff2_on_a_line": (("e1", "e2", "v"), aff2_on_a_line())}
+    assert leibniz_from_tensor(*bases["leibniz2"]) == catalog("leibniz2")
+    assert any(leibniz_from_tensor(*bases["aff2_on_a_line"]).form[2].values())
     entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
     def cases(name):
-        n = bases[name].dim
+        n = len(bases[name][0])
         return st.tuples(st.just(name), st.lists(st.lists(entries, min_size=n, max_size=n),
                                                  min_size=n, max_size=n))
 
@@ -265,14 +269,13 @@ def test_from_leibniz_passes_the_axioms_in_every_basis():
     @hypothesis.given(st.sampled_from(sorted(bases)).flatmap(cases))
     def check(case):
         name, rows = case
-        b = bases[name]
-        n = b.dim
+        labels, product = bases[name]
         p = Matrix.from_rows(rows)
         p_inv = invert(p)
         hypothesis.assume(p_inv is not None)
-        for leibniz in (b, transported_leibniz(b, p, p_inv)):
-            a = from_leibniz(leibniz)
-            assert check_axioms(a.dim, a.form).passed
+        for moved in (product, transported_product(product, p, p_inv)):
+            a = leibniz_from_tensor(labels, moved)
+            assert not check_axioms(a.dim, a.form)
 
     check()
 
@@ -511,4 +514,5 @@ def test_solvers_clear_no_row_of_their_own_systems(monkeypatch):
     assert clears  # the solves' own results are cleared
     assert 0 < results["stabilizer"].dim < results["twisted, θ = ϑ"].dim
     assert results["quasi, feasible"] is not None and results["quasi, infeasible"] is None
-    assert results["hat map, consistent"].consistent and not results["hat map, clash"].consistent
+    assert isinstance(results["hat map, consistent"], PartialMap)
+    assert isinstance(results["hat map, clash"], DhatClash)
