@@ -8,12 +8,15 @@ solver of a space of maps returns that nullspace, the canonical
 :func:`~lya.maps.basis_maps` reads its basis maps.
 
 Plain derivations, twisted derivations and the centroid are each the
-kernel of one identity that is linear in the unknown map: f of a product
-equals a sum of products with f in one slot and fixed maps in the others.
-``_identity_rows`` turns any such identity into integer constraint rows on
-basis tuples, from the algebra's stored integer form transported by the
-fixed maps.  The stabilizer is solved in the unknowns it actually has, the
-coefficients over the solved twisted space.  The quasi-derivation
+common kernel of two identities, one for each product, that are linear in
+the unknown map: f of a product equals a sum of products with f in one slot
+and fixed maps in the others.  ``_identity_rows`` turns any such identity
+into integer constraint rows on basis tuples, from the algebra's stored
+integer form transported by the fixed maps.  Each such space is solved in
+two stages: the kernel K of the binary rows alone, over the n*n entries,
+and then, by :func:`_within`, the ternary rows applied to K's k basis maps
+and solved over their k coefficients.  The stabilizer is solved the same
+way inside the solved twisted space.  The quasi-derivation
 companions and the hat map are known only by their values on products: each
 companion is one :func:`~lya.exactlin._map_through` of the product vectors
 onto their prescribed images, and the hat map one
@@ -82,6 +85,29 @@ def _identity_rows(algebra: lyalg.LYAlgebra, arity: int, terms: Sequence[tuple],
     return [tuple(rows[k]) for k in sorted(rows) if any(rows[k])]
 
 
+def _within(space: exactlin.Subspace, rows: Sequence[Sequence[int]]) -> exactlin.Subspace:
+    """The members of ``space`` on which the integer rows, over any one
+    scale, vanish: the rows applied to the space's stored basis vectors K_t,
+    solved over their coefficients x, and x times K.
+
+    The product of the rows and K reads each row's nonzeros and, for each,
+    the nonzeros of that column of K, so when the space is all of Q^N the
+    coefficient rows are the rows themselves.  Both the coefficient kernel
+    and K are reduced echelon bases, so the product of their stored
+    integers is one too.
+    """
+    (s, basis), k = space.echelon.form, space.dim
+    columns = [[(t, b[c]) for t, b in enumerate(basis) if b[c]] for c in range(space.ambient_dim)]
+    coefficients = [[0] * k for _ in rows]
+    for acc, row in zip(coefficients, rows):
+        for c, x in itertools.compress(enumerate(row), row):
+            for t, y in columns[c]:
+                acc[t] += x * y
+    a, x = exactlin._kernel_space(k, coefficients).echelon.form
+    return exactlin.Subspace._from_rref(exactlin.Matrix(
+        len(x), space.ambient_dim, (a * s, exactlin._integer_product(x, basis, space.ambient_dim))))
+
+
 # Twisted spaces solved in the open verification run, keyed by
 # (algebra, theta, vartheta); None when no run is open.
 _SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SOLVED", default=None)
@@ -128,9 +154,9 @@ def _solve_twisted_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
     n = algebra.dim
     t, v = theta, vartheta
     alternating = t == v
-    rows = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
-    rows += _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
-    space = exactlin._kernel_space(n * n, rows)
+    binary = _identity_rows(algebra, 2, [(None, t), (v, None)], alternating)
+    ternary = _identity_rows(algebra, 3, [(None, t, v), (v, None, t), (t, v, None)], alternating)
+    space = _within(exactlin._kernel_space(n * n, binary), ternary)
     for f in maps.basis_maps(space):
         if not maps.satisfies_g_derivation(algebra, f, theta, vartheta):
             solver = "derivation" if t == v == exactlin.Matrix.identity(n) else "twisted"
@@ -170,9 +196,8 @@ def centroid(algebra: lyalg.LYAlgebra) -> exactlin.Subspace:
     """
     n = algebra.dim
     ident = exactlin.Matrix.identity(n)
-    rows = _identity_rows(algebra, 2, [(None, ident)])
-    rows += _identity_rows(algebra, 3, [(None, ident, ident)])
-    space = exactlin._kernel_space(n * n, rows)
+    binary = exactlin._kernel_space(n * n, _identity_rows(algebra, 2, [(None, ident)]))
+    space = _within(binary, _identity_rows(algebra, 3, [(None, ident, ident)]))
     for m in maps.basis_maps(space):
         if lyalg._first_failure(algebra, m, [(None, m)]) is not None:
             raise InternalCheckError("centroid member fails the right-slot identity")
@@ -280,18 +305,19 @@ def _stabilizer_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
     θ's matrix, for a subspace that has already passed
     :func:`require_stabilized_subalgebra`.
 
-    D = sum of x_t D_t over the twisted basis keeps H inside itself iff the
-    residue of every D(b) against H vanishes, which is linear in x.  The
-    basis maps are read as integer rows over the space's one scale, so the
-    residues of their images are integers over one scale too.
+    D keeps H inside itself iff the residue of every D(b) against H
+    vanishes, for each of H's stored basis vectors b.  The residue is linear
+    in D's entries, and :func:`_within` solves those rows over the
+    coefficients of the twisted basis.
     """
     n = algebra.dim
-    residues = [[exactlin._residue(h, w) for w in exactlin._images(f, h)]
-                for f in maps._map_rows(twisted)]
-    rows = tuple(tuple(r[b][l] for r in residues) for b in range(h.dim) for l in range(n))
-    coeffs = exactlin._kernel_space(twisted.dim, rows)
-    # Both factors are reduced echelon bases, so their product is one too.
-    space = exactlin.Subspace._from_rref(coeffs.echelon.mul(twisted.echelon))
+    # E sends a vector to its residue against H, and column m of E is the
+    # residue of e_m.  Coordinate l of the residue of D(b) is the sum over
+    # (m, q) of E[l][m] D[m][q] b[q], so row (b, l) holds E[l][m] b[q] at
+    # column m*n + q, where D's entry (m, q) sits.
+    e = [exactlin._residue(h, [int(m == l) for l in range(n)]) for m in range(n)]
+    space = _within(twisted, [[e[m][l] * x for m in range(n) for x in b]
+                              for b in h.echelon.form[1] for l in range(n)])
     ident = exactlin.Matrix.identity(n)
     for f in maps.basis_maps(space):
         if not maps.satisfies_g_derivation(algebra, f, theta, ident):

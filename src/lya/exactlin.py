@@ -151,11 +151,11 @@ class Matrix(Record):
 
     def __post_init__(self):
         scale, data = _parts(self.form, 2)
-        if len(data) != self.rows:
-            raise InputError(f"expected {self.rows} rows, got {len(data)}")
+        if not isinstance(data, Sequence) or len(data) != self.rows:
+            raise InputError(f"expected a sequence of {self.rows} rows")
         for r in data:
-            if len(r) != self.cols:
-                raise InputError(f"expected {self.cols} columns, got {len(r)}")
+            if not isinstance(r, Sequence) or len(r) != self.cols:
+                raise InputError(f"expected rows that are sequences of {self.cols} entries")
         object.__setattr__(self, "form", _clear(scale, data))
 
     def __repr__(self):

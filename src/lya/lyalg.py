@@ -12,7 +12,10 @@ scale, and every form is cleared by :func:`_cleared`, which refuses a
 malformed one with InputError.  Values of :class:`LYAlgebra` are always
 axiom-valid; candidate constants that may fail the axioms only ever exist
 as a raw form, paired with its failures: the tuple of
-:class:`AxiomFailure` that :func:`check_axioms` returns.  Every product
+:class:`AxiomFailure` that :func:`check_axioms` returns.  A form whose
+ternary product is the iterated binary one is checked by LY1, LY2 and LY3
+alone, since such a form is an algebra exactly when its binary product is a
+Lie bracket; every other form by all six identities.  Every product
 is evaluated on the form (see :func:`_transport`).  :func:`from_lie` takes
 a Lie bracket, and :func:`from_leibniz` a left Leibniz product, as
 ``(scale, entries)`` keyed (i, j, l) as the binary part of a form.
@@ -241,6 +244,13 @@ def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
     once for each map of a basis of the span of the inner maps, and only
     when one of those defects is nonzero is each pair's defect combined
     from them, with the pair's entries at the basis pivots as coefficients.
+
+    A Lie-type form, whose ternary entries are those of the iterated
+    bracket (:func:`_iterated`) over the form's scale, stops after LY3 when
+    LY1, LY2 and LY3 found no failure: it is then the lift of a Lie algebra,
+    LY3 being twice the Jacobi identity, and LY4-LY6 hold (Yamaguti 1958).
+    Every other form, and every form with a failure, is checked in full, so
+    the failures and their order are those of the full check.
     """
     scale, keyed_c, keyed_d = form
     failures: list[AxiomFailure] = []
@@ -253,10 +263,9 @@ def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
         # entry has in its first two slots; with i = j the set has one key.
         for *rest, i, j in sorted({(*key[2:-1], *sorted(key[:2])) for key in keyed}):
             keys = {(i, j, *rest), (j, i, *rest)}
-            res = tuple(Fraction(sum(keyed.get(key + (l,), 0) for key in keys), scale)
-                        for l in range(n))
+            res = [sum(keyed.get(key + (l,), 0) for key in keys) for l in range(n)]
             if any(res):
-                fail(tag, (i, j, *rest), res)
+                fail(tag, (i, j, *rest), exactlin._view(scale, res))
 
     def listed(tag: str, prefix: tuple[int, ...], denom: int, entries: dict) -> None:
         nonzero = {k: x for k, x in entries.items() if x}
@@ -271,8 +280,13 @@ def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
                 out[k] = out.get(k, 0) + x
         return out
 
-    ly3 = _summed([(1, (1, _iterated(keyed_c))), (scale, (1, keyed_d))])[1]
-    listed("LY3", (), scale * scale, cyclic(ly3))
+    iterated = _iterated(keyed_c)
+    listed("LY3", (), scale * scale, cyclic(_summed([(1, (1, iterated)), (scale, (1, keyed_d))])[1]))
+    # A Lie-type form, whose ternary product is the iterated bracket, that
+    # passes LY1 and LY3 is a Lie algebra's lift, so LY2 and LY4-LY6 hold.
+    if not failures and {k: x * scale for k, x in keyed_d.items()} == {
+            k: x for k, x in iterated.items() if x}:
+        return ()
     listed("LY4", (), scale * scale, cyclic(_iterated(keyed_c, keyed_d)))
 
     # D(g, h) as the matrix whose column i is {e_g, e_h, e_i}, flattened row
@@ -369,19 +383,21 @@ def from_lie(dim: int, bracket: Keyed, labels: Sequence[str] | None = None) -> L
 
     ``bracket`` is ``(scale, entries)``, keyed (i, j, l) for coordinate l
     of [e_i, e_j] as the binary part of a form, with both [e_i, e_j] and
-    [e_j, e_i] given; ``labels`` default to e1, e2, ....  The lift is built
-    and its axioms checked as for any algebra; a bracket that is not a Lie
-    bracket fails that check, and its error names the check's first
-    failure.  LY1 is alternation.  Once it holds, so does LY2, and LY3 is
-    twice the Jacobi identity at the same basis triples, so any other first
-    failure is LY3 with its residual halved.
+    [e_j, e_i] given; ``labels`` are a tuple of dim strings, as
+    :class:`LYAlgebra` takes them, and default to e1, e2, ....  The lift is
+    built and its axioms checked as for any algebra, which for a lift reads
+    LY1 to LY3 only; a bracket that is not a Lie bracket fails that check,
+    and its error names the check's first failure.  LY1 is alternation.
+    Once it holds, so does LY2, and LY3 is twice the Jacobi identity at the
+    same basis triples, so any other first failure is LY3 with its residual
+    halved.
     """
     scale, binary = _cleared(dim, bracket, 2)
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
     form = (scale * scale, {k: scale * x for k, x in binary.items()}, _iterated(binary))
     try:
-        return LYAlgebra(dim, tuple(str(x) for x in labels), form)
+        return LYAlgebra(dim, labels, form)
     except AxiomError as exc:
         first = exc.failures[0]
     if first.axiom == "LY1":

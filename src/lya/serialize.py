@@ -92,9 +92,9 @@ def _entry_vectors(data: dict, kind: str, n: int) -> dict[tuple[int, ...], exact
     return vectors
 
 
-def _product_entries(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
-    """An algebra file's dimension, labels and nonzero product entries,
-    keyed as in the form.
+def _product_entries(data: dict) -> tuple[int, tuple[str, ...], lyalg.Form]:
+    """An algebra file's dimension, labels and form: its nonzero product
+    entries over the scale 1, as :class:`~lya.lyalg.LYAlgebra` takes them.
 
     Binary entries are [i, j, coeffs] with i < j, ternary entries are
     [i, j, k, coeffs] with i < j; each is entered with its negated (j, i)
@@ -109,18 +109,20 @@ def _product_entries(data: dict) -> tuple[int, tuple[str, ...], dict, dict]:
             for sign, idx in ((1, (i, j, *k)), (-1, (j, i, *k))):
                 part.update({(*idx, l): sign * x for l, x in enumerate(v) if x})
         products.append(part)
-    return n, labels, *products
+    return n, labels, (1, *products)
 
 
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], lyalg.Form]:
     """Decode an algebra file into its cleared form, without checking the
     axioms."""
-    n, labels, binary, ternary = _product_entries(data)
-    return n, labels, lyalg._cleared(n, (1, binary, ternary), 3)
+    n, labels, form = _product_entries(data)
+    return n, labels, lyalg._cleared(n, form, 3)
 
 
 def algebra_from_dict(data: dict) -> lyalg.LYAlgebra:
-    return lyalg.LYAlgebra(*raw_algebra_from_dict(data))
+    """Decode an algebra file into its algebra, which clears the form once
+    and checks the axioms."""
+    return lyalg.LYAlgebra(*_product_entries(data))
 
 
 def algebra_to_dict(algebra: lyalg.LYAlgebra) -> dict:
@@ -141,7 +143,7 @@ def algebra_to_dict(algebra: lyalg.LYAlgebra) -> dict:
 def lie_bracket_from_dict(data: dict) -> tuple[int, lyalg.Keyed, tuple[str, ...]]:
     """Binary-only algebra file read as a Lie bracket: its dimension, the
     bracket as :func:`~lya.lyalg.from_lie` takes it, and its labels."""
-    n, labels, binary, ternary = _product_entries(data)
+    n, labels, (_, binary, ternary) = _product_entries(data)
     _require(not ternary, "a Lie input must not carry ternary entries")
     return n, (1, binary), labels
 

@@ -258,6 +258,36 @@ def test_centroid_matches_probe_oracle():
         assert nullspace(probe_constraint_matrix(a, centroid_residual(a))) == centroid(a)
 
 
+def stage_cases():
+    """(algebra, θ, ϑ, dimension after the binary stage, answer dimension)
+    for solves in which the ternary stage cuts the binary stage's space."""
+    gl2_twist = Matrix.from_rows(GL2_TWISTS[0])
+    return {"lts_sl2": (catalog("lts_sl2"), Matrix.identity(3), Matrix.identity(3), 9, 3),
+            "gl2 (θ, id)": (gl2(), gl2_twist, Matrix.identity(4), 2, 1)}
+
+
+@pytest.mark.parametrize("case", ["lts_sl2", "gl2 (θ, id)"])
+def test_the_ternary_stage_cuts_the_binary_space_as_the_probe_oracle(case, patch_calls_from):
+    """lts_sl2 has no binary product, so its binary stage keeps all nine
+    maps and the ternary stage cuts them to Der, of dimension three.  On gl2
+    twisted by (X -> -X^T, id) the binary stage keeps two maps and the
+    ternary stage one.  Each stage is one kernel, and the answer is the
+    probe oracle's space, which solves both identities at once."""
+    a, theta, vartheta, binary_dim, dim = stage_cases()[case]
+    kernels = []
+    solve = exactlin._kernel_space
+
+    def recording(cols, rows):
+        kernels.append(solve(cols, rows))
+        return kernels[-1]
+
+    patch_calls_from(derivations, exactlin, "_kernel_space", recording)
+    space = g_derivation_space(a, certify_automorphism(a, theta), certify_automorphism(a, vartheta))
+    assert [(k.ambient_dim, k.dim) for k in kernels] == [(a.dim ** 2, binary_dim), (binary_dim, dim)]
+    assert space.dim == dim
+    assert space == probe_twisted_space(a, theta, vartheta)
+
+
 def test_derivation_dims_match_frozen_oracle_values():
     assert derivation_space(catalog("abelian2")).dim == 4
     assert derivation_space(catalog("sl2")).dim == 3
@@ -566,8 +596,9 @@ def recheck_algebras():
 
 
 def test_centroid_recheck_matches_reference(patch_calls_from):
-    # The solver's kernel is replaced by the span of one chosen map, so the
-    # re-check sees members that may fail any of its three identities.
+    # The solver's second stage, which returns the space, is replaced by the
+    # span of one chosen map, so the re-check sees members that may fail any
+    # of its three identities.
     rng = random.Random(43)
     cases = []
     for a in recheck_algebras():
@@ -584,8 +615,9 @@ def test_centroid_recheck_matches_reference(patch_calls_from):
         for f in candidates:
             if f.is_zero():
                 continue
-            patch_calls_from(derivations, exactlin, "_kernel_space",
-                             lambda cols, rows, f=f: Subspace.span(cols, [f.flatten()]))
+            patch_calls_from(derivations, derivations, "_within",
+                             lambda space, rows, f=f: Subspace.span(space.ambient_dim,
+                                                                    [f.flatten()]))
             want = centroid_recheck_reference(a, f)
             if want is None:
                 centroid(a)
@@ -1246,35 +1278,41 @@ def test_quasi_solves_each_companion_with_one_narrow_elimination(monkeypatch):
 def test_an_alternating_identity_keeps_only_the_rows_with_i_below_j(patch_calls_from):
     """For θ = ϑ, plain derivations included, both twisted identities change
     sign when the first two basis vectors swap, so only the basis tuples with
-    i < j carry rows: 16 572 on gl4, where every ordered tuple gives 33 144.
-    A pair θ ≠ ϑ keeps every ordered tuple, and so does the centroid, whose
-    identity is not alternating."""
+    i < j carry rows: on gl4, 1 572 binary rows over the 256 entries and
+    15 000 ternary rows over the 16 coefficients of the binary stage's
+    space, where every ordered tuple gives 3 144 and 30 000.  A pair θ ≠ ϑ
+    keeps every ordered tuple, and so does the centroid, whose identity is
+    not alternating.  Each stage is one kernel: the first over the n*n
+    entries, the second over the first one's coefficients."""
     sizes = []
     solve = exactlin._kernel_space
 
     def recording(cols, rows):
-        sizes.append(len(rows))
+        sizes.append((cols, len(rows)))
         return solve(cols, rows)
 
     def every_row(a, t, v):
         """The rows of the twisted identities on every ordered basis tuple."""
-        return (len(derivations._identity_rows(a, 2, [(None, t), (v, None)]))
-                + len(derivations._identity_rows(a, 3, [(None, t, v), (v, None, t), (t, v, None)])))
+        return (len(derivations._identity_rows(a, 2, [(None, t), (v, None)])),
+                len(derivations._identity_rows(a, 3, [(None, t, v), (v, None, t), (t, v, None)])))
 
     patch_calls_from(derivations, exactlin, "_kernel_space", recording)
     a, ident = gl(4), Matrix.identity(16)
     assert derivation_space(a).dim == 16
-    assert sizes == [16572] and every_row(a, ident, ident) == 33144
+    assert sizes == [(256, 1572), (16, 15000)] and every_row(a, ident, ident) == (3144, 30000)
     b = h5()
     swap, ident = Matrix.from_rows(H5_SWAP), Matrix.identity(5)
     sizes.clear()
     g_derivation_space(b, *[certify_automorphism(b, m) for m in (swap, swap)])
     g_derivation_space(b, *[certify_automorphism(b, m) for m in (swap, ident)])
     centroid(b)
-    assert sizes[0] < every_row(b, swap, swap)
-    assert sizes[1] == every_row(b, swap, ident)
-    assert sizes[2] == (len(derivations._identity_rows(b, 2, [(None, ident)]))
-                        + len(derivations._identity_rows(b, 3, [(None, ident, ident)])))
+    # h5's ternary product is zero, so only the binary stages have rows.
+    assert [rows for _, rows in sizes[1::2]] == [0, 0, 0]
+    assert [cols for cols, _ in sizes[::2]] == [25, 25, 25]
+    binary = [rows for _, rows in sizes[::2]]
+    assert binary[0] < every_row(b, swap, swap)[0]
+    assert binary[1] == every_row(b, swap, ident)[0]
+    assert binary[2] == len(derivations._identity_rows(b, 2, [(None, ident)]))
 
 
 def test_dhat_solves_a_consistent_map_with_one_elimination(monkeypatch, patch_calls_from):

@@ -342,6 +342,17 @@ def test_dimension_mismatch_rejected():
         subspace_contains(a, [1, 2, 3])
 
 
+@pytest.mark.parametrize("shape, rows", [
+    ((1, 1), None), ((2, 1), ((1,), 5)), ((1, 2), 7), ((1, 1), ({0: 1},)),
+    ((2, 2), ((1, 2), (3,))), ((1, 1), ()),
+], ids=["rows None", "row an int", "rows an int", "row a dict", "short row", "no rows"])
+def test_malformed_matrix_rows_are_refused(shape, rows):
+    """Rows that are not a sequence of sequences of the declared shape end
+    in InputError, not in a TypeError from reading their length."""
+    with pytest.raises(InputError, match="expected"):
+        Matrix(*shape, (1, rows))
+
+
 def test_coordinates_in_canonical_basis():
     s = Subspace.span(3, [[1, 0, 1], [0, 1, 2]])
     assert coordinates(s, [3, 4, 11]) == vec([3, 4])

@@ -502,6 +502,19 @@ def test_labels_must_be_a_tuple_of_dim_strings(labels):
         LYAlgebra(3, labels, catalog("sl2").form)
 
 
+@pytest.mark.parametrize("labels", [["e", "f", "h"], ("e", "f", 3), "efh", ("e", "f", "h", "k")],
+                         ids=["list", "int label", "str", "too many"])
+@pytest.mark.parametrize("lift", ["from_lie", "from_leibniz"])
+def test_both_lifts_refuse_the_same_labels(lift, labels):
+    """from_lie and from_leibniz follow LYAlgebra's one label rule: labels
+    that are not a tuple of dim strings are refused, and neither lift turns
+    them into strings."""
+    bracket = catalog("sl2").form[:2]
+    with pytest.raises(InputError, match="labels must be a tuple of dim strings"):
+        {"from_lie": from_lie, "from_leibniz": from_leibniz}[lift](3, bracket, labels)
+    assert from_lie(3, bracket).labels == ("e1", "e2", "e3")
+
+
 def test_zero_dimensional_algebra():
     a = abelian(0)
     assert a.dim == 0
@@ -678,14 +691,78 @@ def test_check_axioms_matches_oracle_on_drawn_alternating_forms():
     check()
 
 
-def test_inner_map_defects_are_evaluated_once_per_basis_map(monkeypatch):
-    """On sl2 + abelian(7) the inner maps D(g, h) of the six pairs g != h in
-    sl2 span ad(sl2), of dimension three, so LY5 and LY6 take three defects
-    each."""
+def lie_type_forms():
+    """(kind, c, d) with d the iterated bracket of c, that is Lie-type forms:
+    ones that pass the axioms, ones that fail LY1 and ones that fail LY3
+    (alternating brackets that fail Jacobi); and Lie-type forms with one
+    ternary entry changed, alone or with its alternating twin.  Two of the
+    changed forms, on h3 and aff2, still pass the axioms: they are not
+    Lie-type, so only the full check can say so."""
+    def lifted(c):
+        n, iterated = len(c), iterated_bracket(c)
+        return c, [[[iterated[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
+
+    def changed(c, d, idx, x, twin):
+        d = [[[list(v) for v in plane] for plane in row] for row in d]
+        i, j, k, l = idx
+        d[i][j][k][l] += x
+        if twin:
+            d[j][i][k][l] -= x
+        return c, d
+
+    sl2_moved = [[list(v) for v in row] for row in rebased(catalog("sl2"), 5)[0].c]
+    bent = [[list(v) for v in row] for row in sl2_moved]
+    bent[0][1][2] += Fraction(1, 3)  # without its twin: LY1 fails at (0, 1)
+    passing = [lifted(SL2_BRACKET), lifted(sl2_moved), lifted(catalog("h3").c),
+               lifted(catalog("sl2_plus_ab1").c), lifted(catalog("aff2").c)]
+    return ([("passes", *form) for form in passing]
+            + [("fails LY1", *lifted(c)) for c in (
+                lie_bracket(2, [(1, 1, 1, Fraction(3, 2))], antisymmetric=False),
+                lie_bracket(3, [(0, 1, 0, Fraction(1)), (2, 2, 2, Fraction(1))],
+                            antisymmetric=False), bent)]
+            + [("fails LY3", *lifted(c)) for c in (
+                lie_bracket(3, [(0, 1, 0, Fraction(1, 2)), (0, 2, 1, Fraction(2, 3)),
+                                (1, 2, 2, Fraction(1, 5))]),
+                lie_bracket(3, [(0, 1, 0, Fraction(1)), (0, 2, 1, Fraction(1))]))]
+            + [("one ternary entry", *changed(*form, idx, x, twin)) for form, idx, x, twin in (
+                (passing[0], (0, 1, 2, 2), Fraction(1), True),
+                (passing[1], (2, 0, 1, 0), Fraction(-1, 2), True),
+                (passing[1], (1, 1, 0, 2), Fraction(2), False),
+                (passing[2], (0, 1, 0, 2), Fraction(1, 3), True),
+                (passing[3], (0, 3, 3, 1), Fraction(1), False),
+                (passing[4], (0, 1, 1, 0), Fraction(1), True))])
+
+
+@pytest.mark.parametrize("kind, c, d", lie_type_forms(),
+                         ids=[f"{kind}-{n}" for n, (kind, *_) in enumerate(lie_type_forms())])
+def test_lie_type_forms_are_checked_as_the_oracle(kind, c, d, monkeypatch):
+    """A Lie-type form that passes LY1 and LY3 is a Lie algebra's lift, so the
+    check stops there and evaluates no inner-map defect; every other form
+    takes the full check, and each lists the oracle's failures."""
     calls = []
     defect = lyalg._defect
     monkeypatch.setattr(lyalg, "_defect", lambda *args: calls.append(args) or defect(*args))
-    a = direct_sum(catalog("sl2"), abelian(7))
+    failures = check_axioms(len(c), dense_form(c, d))
+    assert failures == axiom_oracle(len(c), c, d)
+    tags = [f.axiom for f in failures]
+    assert bool(calls) == (kind != "passes")
+    if kind == "passes":
+        assert not failures
+    elif kind == "fails LY1":
+        assert tags[0] == "LY1"
+    elif kind == "fails LY3":
+        assert "LY3" in tags and "LY1" not in tags
+
+
+def test_inner_map_defects_are_evaluated_once_per_basis_map(monkeypatch):
+    """On lts_sl2 + abelian(7) the inner maps D(g, h) of the six pairs g != h
+    in sl2 span ad(sl2), of dimension three, so LY5 and LY6 take three
+    defects each.  The form is not Lie-type (its binary product is zero), so
+    the check does not stop after LY3."""
+    calls = []
+    defect = lyalg._defect
+    monkeypatch.setattr(lyalg, "_defect", lambda *args: calls.append(args) or defect(*args))
+    a = direct_sum(catalog("lts_sl2"), abelian(7))
     calls.clear()
     assert not lyalg._check_form(a.dim, a.form)
     assert len(calls) == 6

@@ -114,17 +114,19 @@ def test_identity_cert_is_built_and_checked_once_per_dimension(monkeypatch):
 
 
 def test_verify_suite_matrix_products(monkeypatch):
-    """One ``verify suite`` makes 71 ``Matrix.mul`` calls: 26 identity
+    """One ``verify suite`` makes 65 ``Matrix.mul`` calls: 26 identity
     certificates over 3 dimensions check their inverse 3 times, not 26, each
     of the two P37 checks forms its preimages in one product, and P31 and T32
     pull their basis maps back through the inverse twist in integer rows,
-    with no ``Matrix.mul``."""
+    with no ``Matrix.mul``.  Neither do the six stabilizer solves: like every
+    second stage, each multiplies its coefficients into the twisted basis in
+    integer rows."""
     maps._identity_cert.cache_clear()
     calls = []
     mul = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
     default_catalog_reports()
-    assert len(calls) == 71
+    assert len(calls) == 65
 
 
 def test_certify_negated_identity_on_lts():
