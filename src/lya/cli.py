@@ -221,7 +221,16 @@ def _cmd_dhat(args, session) -> tuple[dict, int]:
 
 
 def _cmd_verify(args, session) -> tuple[dict, int]:
+    """``verify suite`` runs the built-in plan, ``verify all`` the checks of
+    ``--config`` and ``verify <prop>`` the one check its flags give; what a
+    form does not read is refused before any file is."""
     prop = args.prop.lower()
+    fields = [key for key in theorems.CheckSpec._fields if key != "prop"]
+    refused = {"suite": ["algebra", "config", *fields], "all": fields}.get(prop, ["config"])
+    extra = next((key for key in refused if getattr(args, key) is not None), None)
+    if extra is not None:
+        raise InputError(f"verify {prop} takes no "
+                         + ("algebra file" if extra == "algebra" else f"--{extra}"))
     if prop == "suite":
         reports = theorems.default_catalog_reports()
     else:

@@ -115,11 +115,8 @@ _SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SOLVED",
 
 @contextlib.contextmanager
 def _solve_cache():
-    """Reuse every twisted space solved inside the block; a nested block
-    shares the outer one's spaces."""
-    if _SOLVED.get() is not None:
-        yield
-        return
+    """Reuse every twisted space solved inside the block, and keep none
+    after it: one :func:`lya.theorems.verify_all` run."""
     token = _SOLVED.set({})
     try:
         yield
@@ -331,22 +328,21 @@ def _stabilizer_space(algebra: lyalg.LYAlgebra, theta: exactlin.Matrix,
 
 class PartialMap(Record):
     """Linear map defined on a subspace; columns are ambient images of the
-    subspace's canonical basis vectors."""
+    subspace's canonical basis vectors.  :meth:`apply` and the hat map's
+    check in P37 evaluate it by :meth:`_on_basis`, in integers."""
 
     domain: exactlin.Subspace
     matrix_on_domain: exactlin.Matrix
 
     def apply(self, v: Sequence) -> exactlin.Vec:
-        coords = exactlin.coordinates(self.domain, v)
-        if coords is None:
-            raise MathError("vector lies outside the map's domain")
-        return self.matrix_on_domain.mul_vec(coords)
+        """The image of v, which must lie in the domain."""
+        return next(self._on_basis(exactlin._clear(1, [self.domain._vector(v)])))
 
-    def _on_basis(self, s: exactlin.Subspace) -> Iterator[exactlin.Vec]:
-        """:meth:`apply` on each of s's basis vectors in turn, read from the
-        stored integers: a member of the domain has its entries at the
-        domain's pivots as its coordinates, over s's scale."""
-        (a, rows), (b, m) = s.echelon.form, self.matrix_on_domain.form
+    def _on_basis(self, form: exactlin.Cleared) -> Iterator[exactlin.Vec]:
+        """The image of each vector of a cleared form, (scale, integer
+        rows), in turn: a member of the domain has its entries at the
+        domain's pivots as its coordinates, over the form's scale."""
+        (a, rows), (b, m) = form, self.matrix_on_domain.form
         pivots = self.domain.pivots
         for r in rows:
             if not exactlin._member(self.domain, r):
@@ -372,15 +368,13 @@ def _prescriptions(algebra: lyalg.LYAlgebra, d_map: exactlin.Matrix,
     the stored integer form: at (i, j) the image 2D[e_i, e_j] + [De_j, θe_i]
     + [θe_j, De_i] of the binary product, and at (i, j, k) the image
     3D{e_i, e_j, e_k} + {De_i, θe_j, e_k} + {e_i, De_j, θe_k} + {θe_i, e_j, De_k}
-    of the ternary one."""
+    of the ternary one.  The binary product alternates (LY1), so the binary
+    image is 2D[e_i, e_j] - [De_i, θe_j] - [θe_i, De_j]."""
     m, t = d_map, theta
     binary, ternary = lyalg._tensor_form(algebra, 2), lyalg._tensor_form(algebra, 3)
-    # [De_j, θe_i] + [θe_j, De_i] is the (D, θ) plus the (θ, D) transport
-    # read at the swapped key (j, i).
-    scale, mixed = lyalg._summed([(1, lyalg._transport(binary, (m, t))),
-                                  (1, lyalg._transport(binary, (t, m)))])
-    swapped = (scale, {(j, i, l): x for (i, j, l), x in mixed.items()})
-    return (lyalg._summed([(2, lyalg._transport(binary, (None, None), m)), (1, swapped)]),
+    return (lyalg._summed([(2, lyalg._transport(binary, (None, None), m)),
+                           (-1, lyalg._transport(binary, (m, t))),
+                           (-1, lyalg._transport(binary, (t, m)))]),
             lyalg._summed([(3, lyalg._transport(ternary, (None, None, None), m)),
                            (1, lyalg._transport(ternary, (m, t, None))),
                            (1, lyalg._transport(ternary, (None, m, t))),

@@ -37,9 +37,6 @@ from .errors import AxiomError, InputError, MathError
 Form = tuple[int, dict, dict]
 Keyed = tuple[int, dict[tuple[int, ...], int]]
 
-AXIOM_TAGS = ("LY1", "LY2", "LY3", "LY4", "LY5", "LY6")
-
-
 class AxiomFailure(Record):
     axiom: str
     indices: tuple[int, ...]
@@ -295,7 +292,7 @@ def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
     flat = [[keyed_d.get((g, h, i, l), 0) for l in range(n) for i in range(n)]
             for g, h in pairs]
     basis_scale, basis = exactlin._rref(n * n, flat)
-    pivots = exactlin.pivot_cols(basis)
+    coefficients = [[row[p] for p in exactlin.pivot_cols(basis)] for row in flat]
     basis_maps = [exactlin.Matrix(n, n, (basis_scale, tuple(row[l * n:(l + 1) * n]
                                                             for l in range(n))))
                   for row in basis]
@@ -310,14 +307,11 @@ def _check_form(n: int, form: Form) -> tuple[AxiomFailure, ...]:
             continue
         # Basis map b is 1 at its pivot and every other one is 0 there, so
         # D(g, h) is the sum over b of its entry at that pivot, over L, times
-        # map b, and its defect is the same sum of theirs, kept over one scale.
+        # map b, and its defect is the same sum of theirs, kept over one scale:
+        # the pairs' pivot entries times the basis defects.
         common = math.lcm(*(s for s, _ in defects))
         dense = [[entries.get(k, 0) * (common // s) for k in keys] for s, entries in defects]
-        for (g, h), row in zip(pairs, flat):
-            acc = [0] * len(keys)
-            for p, values in zip(pivots, dense):
-                if row[p]:
-                    acc = [a + row[p] * y for a, y in zip(acc, values)]
+        for (g, h), acc in zip(pairs, exactlin._integer_product(coefficients, dense, len(keys))):
             listed(tag, (g, h), scale * common, dict(zip(keys, acc)))
 
     return tuple(failures)

@@ -128,10 +128,9 @@ def algebra_from_dict(data: dict) -> lyalg.LYAlgebra:
 def algebra_to_dict(algebra: lyalg.LYAlgebra) -> dict:
     # Both products are alternating in their first two slots, so the tuples
     # with i < j carry every product.
-    binary, ternary = ([[*idx, exactlin.vec_strs(exactlin._view(algebra.form[0], v))]
-                        for idx, v in lyalg._vectors(lyalg._tensor_form(algebra, arity),
-                                                     algebra.dim)
-                        if idx[0] < idx[1]] for arity in (2, 3))
+    binary, ternary = ([[*idx, exactlin.vec_strs(exactlin._view(keyed[0], v))]
+                        for idx, v in lyalg._vectors(keyed, algebra.dim) if idx[0] < idx[1]]
+                       for keyed in (lyalg._tensor_form(algebra, arity) for arity in (2, 3)))
     return {
         "dim": algebra.dim,
         "labels": list(algebra.labels),
@@ -203,17 +202,13 @@ def quasi_witness_to_dict(w: derivations.QuasiWitness) -> dict:
     return {"dprime": map_to_dict(w.dprime), "dprimeprime": map_to_dict(w.dprimeprime)}
 
 
-def partial_map_to_dict(p: derivations.PartialMap) -> dict:
-    return {
-        "domain": subspace_to_dict(p.domain),
-        "matrix": exactlin._matrix_strs(p.matrix_on_domain),
-    }
-
-
 def dhat_result_to_dict(r: derivations.PartialMap | derivations.DhatClash) -> dict:
     """The hat map, or the clash that shows it does not exist."""
     if isinstance(r, derivations.PartialMap):
-        return {"consistent": True, "map": partial_map_to_dict(r), "clash": None}
+        return {"consistent": True, "clash": None, "map": {
+            "domain": subspace_to_dict(r.domain),
+            "matrix": exactlin._matrix_strs(r.matrix_on_domain),
+        }}
     coeffs = exactlin.vec_strs(coeff for _, coeff in r.terms)
     return {"consistent": False, "map": None, "clash": {
         "terms": [{"kind": tag[0], "indices": list(tag[1:]), "coeff": coeff}

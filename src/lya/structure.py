@@ -18,8 +18,11 @@ def _inside(algebra: lyalg.LYAlgebra, h: exactlin.Subspace, maps) -> bool:
     """Whether every product with its slots transported by ``maps`` lies in H.
 
     Each product is tested as its integer vector over the transported form's
-    scale, which :func:`_member` reads as stored.
+    scale, which :func:`_member` reads as stored.  An H of another ambient
+    dimension than the algebra's is refused with InputError.
     """
+    if h.ambient_dim != algebra.dim:
+        raise InputError("subspace ambient dimension does not match the algebra")
     return all(exactlin._member(h, w)
                for _, w in lyalg._vectors(lyalg._transported(algebra, maps), algebra.dim))
 
@@ -58,8 +61,6 @@ def is_perfect(algebra: lyalg.LYAlgebra) -> bool:
 
 def is_subalgebra(algebra: lyalg.LYAlgebra, h: exactlin.Subspace) -> bool:
     """Closure of the subspace under both products, tested on its basis."""
-    if h.ambient_dim != algebra.dim:
-        raise InputError("subspace ambient dimension does not match the algebra")
     basis = h.echelon.transpose()
     return _inside(algebra, h, (basis, basis)) and _inside(algebra, h, (basis, basis, basis))
 
@@ -71,8 +72,6 @@ def is_ideal(algebra: lyalg.LYAlgebra, h: exactlin.Subspace) -> bool:
     also verified; a discrepancy there cannot happen for valid structure
     constants and is reported as an internal failure.
     """
-    if h.ambient_dim != algebra.dim:
-        raise InputError("subspace ambient dimension does not match the algebra")
     basis = h.echelon.transpose()
     if not (_inside(algebra, h, (basis, None)) and _inside(algebra, h, (basis, None, None))):
         return False

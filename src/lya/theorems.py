@@ -124,13 +124,18 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
     tagged by the parity of the twists, for an involution commuting with
     every member of both spaces.
 
-    The commutators run on the stored integer matrices; each is over the
-    product of its two maps' scales, which membership does not see."""
+    The commutators, θ's with each basis map included, run on the stored
+    integer matrices; each is over the product of its two maps' scales,
+    which neither membership nor a zero test sees."""
     plain = derivations.derivation_space(algebra)
     twisted = derivations.single_twist_space(algebra, theta)
-    involutive = maps.compose(theta.map, theta.map) == exactlin.Matrix.identity(algebra.dim)
-    members = maps.basis_maps(plain) + maps.basis_maps(twisted)
-    bad_map = next((f for f in members if not maps.commutator(theta.map, f).is_zero()), None)
+    n = algebra.dim
+    involutive = maps.compose(theta.map, theta.map) == exactlin.Matrix.identity(n)
+    spaces = (plain, twisted)
+    bases = [maps.basis_maps(space) for space in spaces]
+    t = theta.map.form[1]
+    bad_map = next((f for f in itertools.chain(*bases)
+                    if any(map(any, _products_minus(n, t, f.form[1], f.form[1], t)))), None)
     hypotheses = (("theta is involutive", involutive),
                   ("theta commutes with both spaces", bad_map is None))
     details = {
@@ -142,18 +147,15 @@ def verify_p33(algebra: lyalg.LYAlgebra, theta: maps.AutCert, instance: str = ""
         if bad_map is not None:
             details["non_commuting_map"] = exactlin._matrix_strs(bad_map)
         return PropReport("P33", instance, hypotheses, None, None, details)
-    n = algebra.dim
-    indexed = [(a, f.form[1]) for a, f in enumerate(members)]
-    parts = (indexed[:plain.dim], indexed[plain.dim:])
-    spaces = (plain, twisted)
     ok = True
     witness = None
     for k, l in itertools.product((0, 1), repeat=2):
-        for (a, f), (b, g) in itertools.product(parts[k], parts[l]):
-            if not exactlin._member(spaces[(k + l) % 2], sum(_products_minus(n, f, g, g, f), [])):
+        for f, g in itertools.product(bases[k], bases[l]):
+            bracket = _products_minus(n, f.form[1], g.form[1], g.form[1], f.form[1])
+            if not exactlin._member(spaces[(k + l) % 2], sum(bracket, [])):
                 ok = False
-                bracket = maps.commutator(members[a], members[b])
-                witness = {"k": k, "l": l, "commutator": exactlin._matrix_strs(bracket)}
+                witness = {"k": k, "l": l,
+                           "commutator": exactlin._matrix_strs(maps.commutator(f, g))}
     return PropReport("P33", instance, hypotheses, ok, witness, details)
 
 
@@ -320,7 +322,7 @@ def verify_p37(algebra: lyalg.LYAlgebra, theta: maps.AutCert, h: exactlin.Subspa
         if bad is not None:
             ok = False
             witness = {"map": exactlin._matrix_strs(d_map), "value": exactlin.vec_strs(bad)}
-        if consistent and any(x != v for x, v in zip(outcome._on_basis(h), values)):
+        if consistent and any(x != v for x, v in zip(outcome._on_basis(h.echelon.form), values)):
             raise InternalCheckError("hat-map solution disagrees with the prescription formula")
         for (s, t), combo in zip(weights, combos):
             if combo != exactlin.vadd(exactlin.vscale(s, values[0]), exactlin.vscale(t, values[1])):
@@ -540,11 +542,8 @@ def default_catalog_plan() -> list[tuple[str, lyalg.LYAlgebra, tuple[CheckSpec, 
 
 
 def default_catalog_reports() -> list[PropReport]:
-    """The catalog plan's reports; one run, so the plan and every algebra's
-    checks share their solved spaces."""
-    reports = []
-    with derivations._solve_cache():
-        for _, algebra, checks in default_catalog_plan():
-            reports.extend(verify_all(algebra, checks))
-    reports.sort(key=lambda r: (r.prop_id, r.instance))
-    return reports
+    """The catalog plan's reports: one :func:`verify_all` run per algebra,
+    each with its own solved spaces (no two algebras share a twisted
+    space), sorted as one run's reports are."""
+    return sorted((r for _, algebra, checks in default_catalog_plan()
+                   for r in verify_all(algebra, checks)), key=lambda r: (r.prop_id, r.instance))

@@ -774,6 +774,33 @@ def test_check_fields_are_checked_before_any_file_is_read(tmp_path, monkeypatch,
     assert [item["path"] for item in report["inputs"]] == ["sl2.json"]
 
 
+# Every check flag of verify, with a value it would accept.
+VERIFY_CHECK_FLAGS = (("--label", "x"), ("--theta", "neg"), ("--vartheta", "neg"),
+                      ("--subspace", "full"), ("--map", "id"), ("--g", "1,0,0"),
+                      ("--h", "1,0,0"), ("--g1", "1,0,0"), ("--g2", "1,0,0"))
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("verify", "suite", "sl2.json"), "verify suite takes no algebra file"),
+    (("verify", "suite", "--config", "config.json"), "verify suite takes no --config"),
+    *((("verify", "suite", flag, value), f"verify suite takes no {flag}")
+      for flag, value in VERIFY_CHECK_FLAGS),
+    *((("verify", "all", "sl2.json", "--config", "config.json", flag, value),
+       f"verify all takes no {flag}") for flag, value in VERIFY_CHECK_FLAGS),
+    (("verify", "p35", "sl2.json", "--config", "config.json"), "verify p35 takes no --config"),
+])
+def test_verify_refuses_what_it_would_not_read(tmp_path, monkeypatch, argv, error):
+    """The suite reads no algebra, config or check flag, ``verify all``
+    reads its checks from the config alone and one check reads no config:
+    each extra input is refused before any file is read, so no run passes
+    with an input it did not read."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("export", "sl2", "--out", "sl2.json")
+    save_json_file("config.json", {"checks": [{"prop": "p35"}]})
+    code, report = run_json(*argv)
+    assert (code, report.get("error"), report["inputs"]) == (2, error, [])
+
+
 @pytest.mark.parametrize("check,error", [
     ({"prop": "p39"}, "checks[0]: unknown check 'P39'"),
     ({"prop": "p39", "theta": "missing.json"}, "checks[0]: unknown check 'P39'"),

@@ -522,6 +522,34 @@ def test_dhat_on_binary_only_algebra_returns_the_derivation():
             assert r.apply(b) == d_map.mul_vec(b)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_partial_map_apply_equals_the_fraction_path(name):
+    """``apply`` on the derived algebra equals the coordinates of the vector
+    in the domain's basis times the matrix, in Fractions, for a seeded
+    rational matrix; a vector outside the domain and one of the wrong
+    length are refused."""
+    a = catalog(name)
+    n, w = a.dim, derived_algebra(a)
+    rng = random.Random(n * 31 + w.dim)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    p = PartialMap(domain=w, matrix_on_domain=Matrix.from_rows(
+        [[rational() for _ in range(w.dim)] for _ in range(n)], cols=w.dim))
+    members = [*w.basis, vzero(n)] + [
+        functools.reduce(vadd, (vscale(rational(), b) for b in w.basis), vzero(n))
+        for _ in range(3)]
+    for v in members:
+        assert p.apply(v) == p.matrix_on_domain.mul_vec(coordinates(w, v))
+    outside = [vunit(n, i) for i in range(n) if not w.contains_vector(vunit(n, i))]
+    assert outside or w.dim == n
+    for v in outside:
+        with pytest.raises(MathError, match="^vector lies outside the map's domain$"):
+            p.apply(v)
+    with pytest.raises(InputError):
+        p.apply(vzero(n + 1))
+
+
 def test_dhat_inconsistent_for_nonzero_derivation_of_sl2():
     a = catalog("sl2")
     ad_h = inner_derivation(a, vunit(3, E), vunit(3, F))
