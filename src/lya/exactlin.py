@@ -21,12 +21,14 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Union
 
 from ._record import Record
 from .errors import InputError
@@ -110,19 +112,21 @@ def _clear(scale: int, rows: Sequence[Sequence[Fraction | int]]) -> Cleared:
     common denominator L, and the rows of each of them times L.  Equal
     rationals give equal forms.  Every matrix, every algebra's products and
     every vector that integer code takes are cleared here, once; a scale
-    that is not a positive integer, or a value that is not an integer or a
-    Fraction, is refused with InputError."""
+    that is not a positive integer, or a value that is a bool or not an
+    integer or a Fraction, is refused with InputError.  Rows whose
+    values all have type int, the common case, are taken as they are, with
+    no denominator read and no copy."""
     if type(scale) is not int or scale < 1:
         raise InputError(f"scale must be a positive integer, got {scale!r}")
-    try:
+    ints = rows
+    if not all(type(x) is int for r in rows for x in r):
+        bad = next((x for r in rows for x in r
+                    if isinstance(x, bool) or not hasattr(x, "denominator")), None)
+        if bad is not None:
+            raise InputError(f"not an integer or Fraction: {bad!r}")
         lcd = math.lcm(*{x.denominator for r in rows for x in r})
-    except AttributeError:
-        bad = next(x for r in rows for x in r if not hasattr(x, "denominator"))
-        raise InputError(f"not an integer or Fraction: {bad!r}") from None
-    # Integer values, the common case, skip the multiplication by 1.
-    ints = ([list(map(int, r)) for r in rows] if lcd == 1 else
-            [[x.numerator * (lcd // x.denominator) for x in r] for r in rows])
-    scale *= lcd
+        ints = [[x.numerator * (lcd // x.denominator) for x in r] for r in rows]
+        scale *= lcd
     common = math.gcd(scale, *itertools.chain.from_iterable(ints))
     if common > 1:
         scale, ints = scale // common, [[x // common for x in r] for r in ints]
@@ -151,10 +155,11 @@ class Matrix(Record):
 
     def __post_init__(self):
         scale, data = _parts(self.form, 2)
-        if not isinstance(data, Sequence) or len(data) != self.rows:
+        # tuple and list, the common cases, pass before the slower ABC test.
+        if not isinstance(data, (tuple, list, Sequence)) or len(data) != self.rows:
             raise InputError(f"expected a sequence of {self.rows} rows")
         for r in data:
-            if not isinstance(r, Sequence) or len(r) != self.cols:
+            if not isinstance(r, (tuple, list, Sequence)) or len(r) != self.cols:
                 raise InputError(f"expected rows that are sequences of {self.cols} entries")
         object.__setattr__(self, "form", _clear(scale, data))
 
@@ -174,7 +179,9 @@ class Matrix(Record):
         return cls(len(data), cols, (1, data))
 
     @classmethod
+    @functools.lru_cache(maxsize=None, typed=True)
     def identity(cls, n: int) -> "Matrix":
+        """The n x n identity, one shared instance per n."""
         return cls(n, n, (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
 
     @classmethod
@@ -414,7 +421,9 @@ class Subspace(Record):
 
     Equality of subspaces is therefore plain value equality; ``repr`` shows
     ``ambient_dim`` and the ``basis`` view as a dataclass with those fields
-    would.
+    would.  ``pivots``, the pivot column of each basis row, is computed on
+    first read and kept with the instance, outside the field that ``==``,
+    ``hash`` and ``repr`` read.
     """
 
     echelon: Matrix
@@ -454,7 +463,7 @@ class Subspace(Record):
     dim = property(lambda self: self.echelon.rows)
     # The basis vectors as Fractions.
     basis = property(lambda self: self.echelon.entries)
-    pivots = property(lambda self: pivot_cols(self.echelon.form[1]))
+    pivots = functools.cached_property(lambda self: pivot_cols(self.echelon.form[1]))
 
     def _vector(self, v: Sequence[Scalar]) -> Vec:
         w = vec(v)

@@ -92,8 +92,10 @@ def _transport(keyed: Keyed, maps: Sequence[exactlin.Matrix | None],
     ``maps`` holds one matrix for each argument slot and ``post``, when
     given, is applied to every product.  Each map is applied from its stored
     integer rows as a mode product over the nonzero entries, one slot at a
-    time; None and identity matrices are skipped.  Returns the scale and the
-    scaled nonzero coordinates, keyed like ``keyed``.
+    time.  None and identity matrices are skipped: a map is the identity
+    exactly when its stored form is scale 1 with the unit rows, which no
+    map of another shape has, and only the other maps are spread.  Returns
+    the scale and the scaled nonzero coordinates, keyed like ``keyed``.
     """
     scale, entries = keyed
     # Row a of a map lists the weights m[a][i] with which slot value a
@@ -104,9 +106,9 @@ def _transport(keyed: Keyed, maps: Sequence[exactlin.Matrix | None],
     if post is not None:
         slots.append((len(maps), (post.form[0], tuple(zip(*post.form[1])))))
     for s, (m_scale, rows) in slots:
-        spread = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
-        if m_scale == 1 and all(w == [(a, 1)] for a, w in enumerate(spread)):
+        if m_scale == 1 and rows == exactlin.Matrix.identity(len(rows)).form[1]:
             continue
+        spread = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
         scale *= m_scale
         out: dict[tuple[int, ...], int] = {}
         for key, x in entries.items():
@@ -472,14 +474,21 @@ CATALOG_NAMES = (
 )
 
 _ABELIAN_RE = re.compile(r"abelian(?:([0-9]+)|\(([0-9]+)\))")
+# The largest N that catalog("abelian(N)") builds.
+ABELIAN_MAX = 10_000
 
 
 @functools.lru_cache(maxsize=None)
 def catalog(name: str) -> LYAlgebra:
-    """Named desk-scale instances used throughout the test batteries."""
+    """Named desk-scale instances used throughout the test batteries.  An
+    abelian(N) with N above :data:`ABELIAN_MAX` is refused with InputError
+    before anything is built, its digits counted before they are read."""
     m = _ABELIAN_RE.fullmatch(name)
     if m:
-        return abelian(int(m.group(1) or m.group(2)))
+        digits = (m.group(1) or m.group(2)).lstrip("0") or "0"
+        if len(digits) > len(str(ABELIAN_MAX)) or int(digits) > ABELIAN_MAX:
+            raise InputError(f"abelian(N) takes N at most {ABELIAN_MAX}")
+        return abelian(int(digits))
     # The Lie brackets in their bases: sl2's Chevalley basis (e, f, h) with
     # [e,f] = h, [h,e] = 2e and [h,f] = -2f, the Heisenberg (x, y, z) with
     # [x,y] = z, and aff2 (e1, e2) with [e1,e2] = e1.

@@ -73,6 +73,22 @@ def test_export_malformed_abelian_name_exits_2_with_one_report(tmp_path, name):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("name", ["abelian(10001)", "abelian" + "9" * 5000],
+                         ids=["abelian(10001)", "5000 digits"])
+def test_export_oversized_abelian_exits_2_with_one_report(tmp_path, name):
+    """An abelian(N) above the catalog's bound is refused before it is built,
+    in-process and in a fresh process: one error report and exit 2, where a
+    name of more than 4300 digits ended in a ValueError traceback."""
+    target = tmp_path / "x.json"
+    code, text = run_cli("export", name, "--out", str(target))
+    proc = run_module(tmp_path, ["export", name, "--out", str(target)])
+    assert (code, proc.returncode, proc.stderr) == (2, 2, b"")
+    assert proc.stdout.decode("utf-8") == text
+    report = json.loads(text)  # exactly one JSON document on stdout
+    assert (report["verb"], report["error"]) == ("export", "abelian(N) takes N at most 10000")
+    assert "result" not in report and not target.exists()
+
+
 def test_export_without_out_builds_no_algebra(monkeypatch):
     """A missing --out is reported before the catalog algebra is built:
     abelian(40) took seconds to build only to be refused."""

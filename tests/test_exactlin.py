@@ -353,6 +353,36 @@ def test_malformed_matrix_rows_are_refused(shape, rows):
         Matrix(*shape, (1, rows))
 
 
+@pytest.mark.parametrize("scale", [1, 6])
+def test_clear_takes_integer_rows_as_their_fraction_twins(scale):
+    """Rows of plain ints, kept as they are, clear to the form of the same
+    values given as Fractions, or as ints and Fractions mixed."""
+    rng = random.Random(5)
+    for shape in ((0, 0), (1, 0), (1, 3), (3, 3), (4, 2)):
+        for _ in range(20):
+            ints = [[rng.choice([0, 0, 1, -2, 4, 6, 12]) for _ in range(shape[1])]
+                    for _ in range(shape[0])]
+            as_fractions = [[Fraction(x) for x in r] for r in ints]
+            mixed = [[Fraction(x) if j % 2 else x for j, x in enumerate(r)] for r in ints]
+            want = _clear(scale, as_fractions)
+            assert _clear(scale, ints) == want == _clear(scale, mixed)
+            assert _clear(scale, tuple(map(tuple, ints))) == want
+            assert all(type(x) is int for r in want[1] for x in r)
+
+
+@pytest.mark.parametrize("rows", [((True,),), ((1, False),), ((Fraction(1, 2), True),)],
+                         ids=["True", "False among ints", "True among Fractions"])
+def test_clear_refuses_bools(rows):
+    """A bool is not an exact rational here, as frac says: Matrix refuses
+    it as Matrix.from_rows does, with InputError."""
+    with pytest.raises(InputError, match="not an integer or Fraction: (True|False)"):
+        _clear(1, rows)
+    with pytest.raises(InputError):
+        Matrix(len(rows), len(rows[0]), (1, rows))
+    with pytest.raises(InputError, match="not an exact rational"):
+        Matrix.from_rows(rows)
+
+
 def test_coordinates_in_canonical_basis():
     s = Subspace.span(3, [[1, 0, 1], [0, 1, 2]])
     assert coordinates(s, [3, 4, 11]) == vec([3, 4])

@@ -395,6 +395,62 @@ def test_catalog_rejects_malformed_abelian_names(name):
         catalog(name)
 
 
+def test_catalog_refuses_an_oversized_abelian_before_building_it(monkeypatch):
+    """abelian(N) with N above ABELIAN_MAX is refused with InputError before
+    anything is built, and so is a name too long for int() to read; leading
+    zeros do not count."""
+    built = []
+    monkeypatch.setattr(lyalg, "abelian", built.append)
+    for name in (f"abelian({lyalg.ABELIAN_MAX + 1})", "abelian" + "9" * 5000,
+                 "abelian(" + "0" * 5000 + "10001)"):
+        with pytest.raises(InputError, match=r"^abelian\(N\) takes N at most 10000$"):
+            catalog(name)
+    assert built == []
+    monkeypatch.undo()
+    assert catalog("abelian(" + "0" * 5000 + "3)") == catalog("abelian3")
+    assert catalog(f"abelian({lyalg.ABELIAN_MAX})").dim == lyalg.ABELIAN_MAX
+
+
+def test_transport_skips_an_identity_as_it_skips_none():
+    """An identity matrix in any slot, or as ``post``, gives the transport
+    with None there: the stored entries themselves, unspread.  A matrix
+    that is not the shared instance, given over another scale, is read as
+    the identity all the same."""
+    for name in CATALOG_NAMES:
+        a = catalog(name)
+        n = a.dim
+        other = Matrix(n, n, (3, tuple(tuple(3 * int(i == j) for j in range(n)) for i in range(n))))
+        assert other == Matrix.identity(n) and other is not Matrix.identity(n)
+        for arity in (2, 3):
+            keyed = lyalg._tensor_form(a, arity)
+            for ident in (Matrix.identity(n), other):
+                for s in range(arity):
+                    maps = [ident if t == s else None for t in range(arity)]
+                    assert lyalg._transport(keyed, maps) == lyalg._transport(keyed, [None] * arity)
+                got = lyalg._transport(keyed, [ident] * arity, ident)
+                assert got == keyed and got[1] is keyed[1]
+
+
+@pytest.mark.parametrize("rows", [
+    ((1,), (0,), (0,)),
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+], ids=["n x 1 column", "n x k, leading unit rows", "n x (n + 1), unit rows"])
+def test_transport_never_takes_another_shape_for_the_identity(rows):
+    """A 3 x k map in a slot sends e_j to its column j: the transport at
+    (i, j) is the product of e_i with that column, whether or not the map's
+    leading rows are unit rows."""
+    a = catalog("sl2")
+    m = Matrix(3, len(rows[0]), (1, rows))
+    for arity, product in ((2, bracket), (3, lambda a, g, h: triple(a, g, h, vunit(3, 2)))):
+        keyed = lyalg._transport(lyalg._tensor_form(a, arity), [None, m] + [None] * (arity - 2))
+        for i in range(3):
+            for j in range(m.cols):
+                column = [row[j] for row in m.entries]
+                at = (i, j) + (2,) * (arity - 2)
+                assert lyalg._vector_at(keyed, at, 3) == product(a, vunit(3, i), column)
+
+
 def test_symmetrized_binary_fails_ly1():
     a = catalog("sl2")
     c = [[list(v) for v in row] for row in a.c]

@@ -9,7 +9,7 @@ from lya.derivations import derivation_space, dhat, g_derivation_space, is_quasi
 from lya.errors import InputError, MathError
 from lya.exactlin import Matrix, Subspace, invert, vadd, vec, vscale, vunit, vzero
 from lya.lyalg import CATALOG_NAMES, catalog
-from lya import maps
+from lya import exactlin, maps
 from lya.maps import (
     AutCert,
     _hom_defect,
@@ -128,6 +128,20 @@ def test_verify_suite_matrix_products(monkeypatch):
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or mul(self, other))
     default_catalog_reports()
     assert len(calls) == 45
+
+
+def test_verify_suite_pivot_reads(monkeypatch):
+    """One ``verify suite`` makes 94 ``exactlin.pivot_cols`` calls: each
+    subspace computes its pivots once, however often they are read, and the
+    eliminations that read the pivots of their own reduced rows call it once
+    each."""
+    maps._identity_cert.cache_clear()
+    catalog.cache_clear()
+    calls = []
+    pivot_cols = exactlin.pivot_cols
+    monkeypatch.setattr(exactlin, "pivot_cols", lambda rows: calls.append(1) or pivot_cols(rows))
+    default_catalog_reports()
+    assert len(calls) == 94
 
 
 def test_certify_negated_identity_on_lts():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import lya
+from lya import exactlin
 from lya.derivations import (DhatClash, PartialMap, QuasiWitness, dhat, derivation_space,
                              g_derivation_space, is_quasi_derivation)
 from lya.exactlin import Matrix, Subspace
@@ -149,6 +150,26 @@ def test_records_match_their_dataclass_twin(cls):
         assert [getattr(x, n) for n in names] == values
     for (x, tx), (y, ty) in zip(pairs, pairs[1:] + pairs[:1]):
         assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
+
+
+def test_reading_pivots_leaves_a_subspace_as_its_twin(monkeypatch):
+    """``Subspace.pivots`` is computed once per instance and kept outside
+    the fields: after it is read, ==, hash and repr are those of the
+    dataclass twin and of a copy whose pivots were never read."""
+    calls = []
+    pivot_cols = exactlin.pivot_cols
+    monkeypatch.setattr(exactlin, "pivot_cols", lambda rows: calls.append(1) or pivot_cols(rows))
+    for x in INSTANCES[Subspace]:
+        read, unread = Subspace(x.echelon), Subspace(x.echelon)
+        del calls[:]
+        assert read.pivots == read.pivots == pivot_cols(x.echelon.form[1])
+        assert len(calls) == 1
+        twin = TWINS[Subspace](x.echelon)
+        assert read == unread and unread == read and hash(read) == hash(unread) == hash(twin)
+        assert repr(read) == repr(unread) == repr(SHOWN[Subspace](x))
+        assert _outcome(lambda: setattr(read, "pivots", ())) == \
+            _outcome(lambda: setattr(twin, "pivots", ()))
+        assert len({read, unread, x}) == 1
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
