@@ -8,10 +8,10 @@ re-check (reported with ``"internal": true``), 2 on an input or usage error.
 
 from __future__ import annotations
 
-import argparse
-import gc
+import os
 import re
 import sys
+import types
 from pathlib import Path
 
 try:  # The interpreter's own SHA-256: hashlib would load OpenSSL to hash a few KB.
@@ -267,15 +267,6 @@ def _cmd_export(args, session) -> tuple[dict, int]:
     return {"name": args.name, "path": args.file, "sha256": digest}, 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as an InputError, so that it gets the error
-    report on stdout; the usage text still goes to stderr."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise InputError(message)
-
-
 def _arg(*flags, **kwargs):
     return flags, kwargs
 
@@ -329,9 +320,21 @@ _VERBS = {
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the command line.  Given a verb, only that verb's
-    subparser is built, under the usage line that names every verb, so a
-    process parses its own verb's arguments and no other's."""
+    """The parser of the command line, the one path that words help, usage
+    and errors; a plain command line is read by :func:`_plain_args`
+    instead.  Given a verb, only that verb's subparser is built, under the
+    usage line that names every verb.  argparse is imported here only, so
+    a process that reads a plain command line never imports it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as an InputError, so that it gets the error
+        report on stdout; the usage text still goes to stderr."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise InputError(message)
+
     # No prefix matching: an abbreviation such as --h or --the is a usage error.
     parser = _Parser(
         prog="lya", allow_abbrev=False,
@@ -345,6 +348,50 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
     return parser
+
+
+# The keywords of an argument that _plain_args reads; help and metavar only
+# word the help text.
+_PLAIN = {"dest", "choices", "required", "nargs", "help", "metavar"}
+
+
+def _plain_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` gives, read
+    straight from :data:`_VERBS` when argv is a plain command line, or None.
+
+    A plain command line is a verb, then its positionals, none starting
+    with '-', then each of its long options at most once, as ``--name
+    value`` or ``--name=value`` with a value not starting with '-'; every
+    required argument is given and every value is among its choices.
+    Anything else goes to argparse: help, ``--``, a repeated, unknown or
+    missing argument, interleaved positionals, and every line of a verb
+    whose arguments use a keyword other than those in :data:`_PLAIN` or a
+    ``nargs`` other than "?" on a positional.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    func, _, arguments = _VERBS[argv[0]]
+    k = next((i for i, t in enumerate(argv) if t.startswith("-")), len(argv))
+    places, rest, given = iter(argv[1:k]), argv[k:], {}
+    while rest:
+        name, eq, value = rest.pop(0).partition("=")
+        if not eq:
+            value = rest.pop(0) if rest else None
+        if name in given or value is None or value.startswith("-"):
+            return None
+        given[name] = value
+    args = {"verb": argv[0], "func": func}
+    for (flag, *more), kwargs in arguments:
+        option = flag.startswith("-")
+        if (more or not kwargs.keys() <= _PLAIN or kwargs.get("nargs", "?") != "?"
+                or option and (not flag.startswith("--") or "nargs" in kwargs)):
+            return None
+        value = given.pop(flag, None) if option else next(places, None)
+        required = kwargs.get("required") if option else "nargs" not in kwargs
+        if value is None and required or value not in (None, *kwargs.get("choices", (value,))):
+            return None
+        args[kwargs.get("dest", flag[2:].replace("-", "_")) if option else flag] = value
+    return None if given or next(places, None) is not None else types.SimpleNamespace(**args)
 
 
 def _attach_vector_values(argv: list[str]) -> list[str]:
@@ -372,9 +419,9 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     verb, session = None, _Session()
     try:
-        argv = list(sys.argv[1:] if argv is None else argv)
-        named = argv[0] if argv[:1] and argv[0] in _VERBS else None
-        args = build_parser(named).parse_args(_attach_vector_values(argv))
+        argv = _attach_vector_values(list(sys.argv[1:] if argv is None else argv))
+        args = _plain_args(argv) or build_parser(
+            argv[0] if argv[:1] and argv[0] in _VERBS else None).parse_args(argv)
         verb = args.verb
         result, code = args.func(args, session)
         _emit(out, verb, session, result, getattr(args, "out", None))
@@ -392,15 +439,22 @@ def main(argv=None, out=None) -> int:
         return INPUT_ERROR if isinstance(exc, InputError) else MATH_FAILURE
 
 
-def run() -> int:
-    """The ``lya`` process: :func:`main` on the command line, then every
-    object still alive is frozen, so the collections at interpreter exit
-    skip a heap that the OS frees anyway.  In-process callers use main,
-    which freezes nothing."""
-    code = main()
-    gc.freeze()
-    return code
+def run():
+    """The ``lya`` process: :func:`main` on the command line, then stdout
+    and stderr are flushed and the process ends with ``os._exit``, so it
+    never returns.  The interpreter is not torn down: the OS frees its
+    memory, and atexit handlers and finalizers do not run (lya needs
+    neither).  A reader that has closed the pipe before lya writes ends
+    the process with exit 1 and no traceback.  In-process callers use
+    main, which exits nothing."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader has gone: exit 1, as Python does on EPIPE
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -154,6 +154,8 @@ class Matrix(Record):
     form: Cleared
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise InputError(f"matrix sizes must be ints, got {self.rows!r} x {self.cols!r}")
         scale, data = _parts(self.form, 2)
         # tuple and list, the common cases, pass before the slower ABC test.
         if not isinstance(data, (tuple, list, Sequence)) or len(data) != self.rows:

@@ -335,6 +335,8 @@ class LYAlgebra(Record):
     form: Form
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            raise InputError(f"dim must be an int, got {self.dim!r}")
         labels = self.labels
         if not (type(labels) is tuple and len(labels) == self.dim
                 and all(type(x) is str for x in labels)):

@@ -617,12 +617,12 @@ def test_solver_stdout_is_pinned(tmp_path, monkeypatch, argv, code, digest):
 SRC = str(Path(lya.__file__).resolve().parents[1])
 
 
-def run_module(cwd, argv, **env):
+def run_module(cwd, argv, stdout=subprocess.PIPE, **env):
     """``python -m lya.cli`` in a fresh process, with src on its path."""
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-m", "lya.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, timeout=120, check=False)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120, check=False)
 
 
 @pytest.mark.parametrize("argv", [("verify", "suite"), ("der", "sum_rebased.json")])
@@ -653,6 +653,44 @@ def test_module_entry_point_prints_what_main_prints(tmp_path, monkeypatch, argv,
     frozen = gc.get_freeze_count()
     assert run_cli(*argv) == (code, proc.stdout.decode("utf-8"))
     assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "suite"), 0),
+    (("dhat", "sl2_plus_ab1.json", "--map", "id"), 1),
+    (("der",), 2),
+    (("der", "sl2_plus_ab1.json", "--out", "copy.json"), 0),
+])
+def test_module_entry_point_writes_all_of_stdout_to_a_file(tmp_path, monkeypatch, argv, code):
+    """The process ends without interpreter teardown, yet a file on its
+    stdout, and the copy --out writes, get every byte that main prints, and
+    the process main's exit code; the test above checks a pipe."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("export", "sl2_plus_ab1", "--out", "sl2_plus_ab1.json")[0] == 0
+    with open(tmp_path / "stdout.json", "wb") as out:
+        proc = run_module(tmp_path, argv, stdout=out)
+    printed = (tmp_path / "stdout.json").read_text("utf-8")
+    assert proc.returncode == code, proc.stderr
+    if "--out" in argv:
+        assert (tmp_path / "copy.json").read_text("utf-8") == printed
+    assert run_cli(*argv) == (code, printed)
+
+
+@pytest.mark.parametrize("argv", [("check", "sl2_plus_ab1.json"), ("verify", "suite"), ("der",)])
+def test_a_closed_pipe_ends_the_process_with_exit_1_and_no_traceback(tmp_path, monkeypatch, argv):
+    """A reader that closed the pipe before lya writes, as ``lya ... | true``
+    may: a report, small or large, or a usage error ends with exit 1, as
+    Python ends on a broken pipe, and with no traceback on stderr."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("export", "sl2_plus_ab1", "--out", "sl2_plus_ab1.json")[0] == 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(tmp_path, argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_importing_the_cli_loads_no_openssl_hashlib():

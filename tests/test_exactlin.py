@@ -353,6 +353,21 @@ def test_malformed_matrix_rows_are_refused(shape, rows):
         Matrix(*shape, (1, rows))
 
 
+@pytest.mark.parametrize("rows, cols, data", [
+    (True, True, ((1,),)), (1.0, 1, ((1,),)), (1, 1.0, ((1,),)), (False, 0, ()), ("1", 1, ((1,),)),
+], ids=["bools", "float rows", "float cols", "False and 0", "str rows"])
+def test_matrix_sizes_that_are_not_ints_are_refused(rows, cols, data):
+    """A size that is a bool or not an int is refused with InputError, even
+    where it equals the length of the rows: Matrix(True, True, ...) would
+    equal Matrix.identity(1), with the same hash."""
+    with pytest.raises(InputError, match="matrix sizes must be ints"):
+        Matrix(rows, cols, (1, data))
+    with pytest.raises(InputError, match="matrix sizes must be ints"):
+        Matrix.identity(True)
+    with pytest.raises(InputError, match="expected a sequence of -1 rows"):
+        Matrix(-1, 1, (1, ()))
+
+
 @pytest.mark.parametrize("scale", [1, 6])
 def test_clear_takes_integer_rows_as_their_fraction_twins(scale):
     """Rows of plain ints, kept as they are, clear to the form of the same

@@ -1,6 +1,7 @@
 """The lazy package: ``import lya`` and ``import lya.cli`` run no layer, each
 verb runs only the layers it uses, the first use of a layer is thread-safe,
-and the parser that a verb's process builds prints what the full one does.
+the parser that a verb's process builds prints what the full one does, and
+a plain command line is read as argparse reads it, without importing it.
 
 Every test that looks at which layers ran does so in a fresh interpreter,
 because the test process itself has run them all.
@@ -10,6 +11,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -250,3 +252,122 @@ def test_one_verb_parser_parses_and_prints_as_the_full_parser(monkeypatch, verb)
              [verb, "a.json", "--out", "o.json"]]
     for argv in cases:
         assert _parse(cli.build_parser(verb), argv) == _parse(cli.build_parser(), argv)
+
+
+def _alphabet(verb: str) -> list[str]:
+    """Each option of the verb, alone and as --name=value, a plain value, a
+    negative vector, --, -h, the empty string, an unknown option, each
+    choice and an abbreviation."""
+    arguments = cli._VERBS[verb][2]
+    options = [flags[0] for flags, _ in arguments if flags[0].startswith("-")]
+    choices = [c for _, kwargs in arguments for c in kwargs.get("choices", ())]
+    return [*options, *(f"{o}=v" for o in options), "a.json", "-1/2", "--", "-h", "",
+            "--bogus", *choices, "--ou"]
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_plain_reader_reads_as_the_full_parser(verb):
+    """On every Python version: every line of up to four tokens after the
+    verb that the plain reader takes gives the namespace that the full
+    parser gives, after the vector values are attached as main attaches
+    them."""
+    parser = cli.build_parser()
+    taken = 0
+    for count in range(5):
+        for tokens in itertools.product(_alphabet(verb), repeat=count):
+            argv = cli._attach_vector_values([verb, *tokens])
+            args = cli._plain_args(argv)
+            if args is not None:
+                taken += 1
+                assert vars(args) == vars(parser.parse_args(argv)), argv
+    assert taken > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "in0/h5.json"], ["der", "in0/h5.json"], ["centroid", "in0/gl2.json"],
+    ["gder", "in0/h5.json", "--theta", "in0/h5-theta.json"],
+    ["quasi", "in0/gl2.json", "--map", "in0/gl2-known.json"],
+    ["dhat", "in0/gl2.json", "--map", "in0/gl2-random.json"], ["verify", "suite"],
+])
+def test_plain_reader_takes_every_benchmark_command_line(argv):
+    args = cli._plain_args(argv)
+    assert args is not None and vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], [""], ["bogus"], ["--help"], ["der", "--help"], ["der", "-h"], ["der"],
+    ["der", "a.json", "b.json"], ["der", "--out", "o.json", "a.json"],
+    ["der", "a.json", "--out", "o.json", "b.json"], ["der", "a.json", "--out"],
+    ["der", "a.json", "--out", "o.json", "--out", "p.json"], ["der", "a.json", "--bogus", "x"],
+    ["der", "a.json", "--ou", "o.json"], ["der", "--", "a.json"], ["der", "-a.json"],
+    ["der", "a.json", "--out", "-o.json"], ["inner", "a.json", "--g=-1/2", "--h", "1"],
+    ["inner", "a.json", "--g", "1"], ["construct", "a.json", "--from", "lie2"],
+    ["construct", "a.json"], ["verify"], ["verify", "suite", "a.json", "b.json"],
+])
+def test_plain_reader_leaves_every_other_line_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_a_verb_with_another_argument_keyword_goes_to_argparse(monkeypatch):
+    """The reader reads only dest, choices, required and nargs="?"; a verb
+    that uses any other keyword, or one of them otherwise, sends every one
+    of its lines to argparse."""
+    func, text, arguments = cli._VERBS["der"]
+    for extra in [cli._arg("--n", type=int), cli._arg("--n", default="x"),
+                  cli._arg("--n", action="store_true"), cli._arg("-n"), cli._arg("--n", "-m"),
+                  cli._arg("--n", nargs="?"), cli._arg("rest", nargs="*")]:
+        monkeypatch.setitem(cli._VERBS, "der", (func, text, [*arguments, extra]))
+        assert cli._plain_args(["der", "a.json"]) is None, extra
+    monkeypatch.setitem(cli._VERBS, "der", (func, text, arguments))
+    assert vars(cli._plain_args(["der", "a.json"])) == {
+        "verb": "der", "func": func, "out": None, "algebra": "a.json"}
+
+
+# The modules that argparse imports and a plain command line does not.
+PARSER_MODULES = ("argparse", "gettext", "locale")
+# Run main on each argv given as JSON, in a fresh interpreter; print what
+# each run printed and returned, and which of PARSER_MODULES were loaded
+# after the import and after each run.
+MAIN_RUNS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import lya.cli
+watched = json.loads(sys.argv[2])
+results, loaded = [], [sorted(set(watched) & set(sys.modules))]
+for argv in json.loads(sys.argv[3]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = lya.cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+    loaded.append(sorted(set(watched) & set(sys.modules)))
+print(json.dumps([results, loaded]))
+"""
+
+
+def _main_fresh(tmp_path: Path, *argvs: list[str]) -> list:
+    """MAIN_RUNS in a fresh interpreter without site hooks, at 80 columns."""
+    proc = subprocess.run([sys.executable, "-S", "-c", MAIN_RUNS, str(SRC),
+                           json.dumps(PARSER_MODULES), json.dumps(argvs)],
+                          cwd=tmp_path, env={**os.environ, "COLUMNS": "80"}, capture_output=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return json.loads(proc.stdout)
+
+
+def test_plain_command_lines_import_no_argument_parser(tmp_path):
+    """import lya.cli, a plain der and verify suite import none of
+    argparse, gettext and locale."""
+    results, loaded = _main_fresh(tmp_path, ["der", _export(tmp_path)], ["verify", "suite"])
+    assert [code for code, _, _ in results] == [0, 0]
+    assert loaded == [[], [], []]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("der", "x.json", "--bogus")])
+def test_help_and_usage_errors_still_import_argparse(tmp_path, argv):
+    """Help and a usage error are read by argparse, which prints the text
+    pinned in USAGE (taken with Python 3.11)."""
+    [(code, out, err)], loaded = _main_fresh(tmp_path, list(argv))
+    assert loaded[0] == [] and "argparse" in loaded[1]
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    if sys.version_info[:2] == (3, 11):
+        assert (code, *digests) == USAGE[argv]

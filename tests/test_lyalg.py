@@ -571,6 +571,19 @@ def test_both_lifts_refuse_the_same_labels(lift, labels):
     assert from_lie(3, bracket).labels == ("e1", "e2", "e3")
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_a_dim_that_is_not_an_int_is_refused(dim):
+    """LYAlgebra and the lifts refuse a dim that is a bool or not an int
+    with InputError, even where it equals the number of labels; a negative
+    dim keeps the labels message."""
+    with pytest.raises(InputError, match="dim must be an int"):
+        LYAlgebra(dim, ("a",), (1, {}, {}))
+    with pytest.raises(InputError, match="dim must be an int"):
+        from_lie(dim, (1, {}), ("a",))
+    with pytest.raises(InputError, match="labels must be a tuple of dim strings"):
+        LYAlgebra(-1, (), (1, {}, {}))
+
+
 def test_zero_dimensional_algebra():
     a = abelian(0)
     assert a.dim == 0
